@@ -18,6 +18,7 @@ from .divergences import (
     default_s_grid,
     fidelity,
     hoeffding_distance,
+    psi_curve,
     relative_entropy,
     richardson_derivative,
 )
@@ -163,12 +164,7 @@ def closed_form_curve(kind: str, params: dict, grid=None, label: str | None = No
 
 def unrestricted_curve(rho0, rho1, grid=None, label: str = "unrestricted") -> PsiCurve:
     """Single-copy psi of the raw pair, before any twirl."""
-    if grid is None:
-        grid = default_s_grid()
-    grid = np.asarray(grid, dtype=float)
-    ev = PsiEvaluator(rho0, rho1)
-    return PsiCurve(grid, np.array([ev.psi(float(s)) for s in grid]),
-                    n=1, label=label, fn=ev.psi)
+    return psi_curve(rho0, rho1, grid, n=1, label=label)
 
 
 @dataclass(frozen=True)

@@ -239,6 +239,10 @@ def _write_table(columns, rows, config: RunConfig) -> None:
         lines = [",".join(columns)]
         lines.extend(",".join(_fmt(v) for v in row) for row in rows)
         text = "\n".join(lines) + "\n"
+    _emit(text, config)
+
+
+def _emit(text: str, config: RunConfig) -> None:
     if config.out:
         with open(config.out, "w", encoding="utf-8") as handle:
             handle.write(text)
@@ -328,7 +332,6 @@ def _cmd_pmin(sc: Scenario, config: RunConfig) -> int:
         ev = PsiEvaluator(*pair)
         for a in a_values:
             a = float(a)
-            value = p_min(*pair, a=a, n=n)
             errors = error_pair(np_test(*pair, a=a, n=n), *pair)
             weight = math.exp(-n * a)
             lower = weight / (1.0 + weight) * ev.trace_power(0.5) ** 2
@@ -392,12 +395,11 @@ def _cmd_convergence(sc: Scenario, config: RunConfig) -> int:
 def _cmd_verify(config: RunConfig) -> int:
     n_max = config.n_max if config.n_max is not None else 6
     reports = run_verify(n_max=n_max)
-    failures = 0
-    for report in reports:
-        print(report.summary())
-        failures += len(report.violations)
+    failures = sum(len(r.violations) for r in reports)
     total = sum(len(r.entries) for r in reports)
-    print(f"verify: {total} checks, {failures} violations")
+    lines = [report.summary() for report in reports]
+    lines.append(f"verify: {total} checks, {failures} violations")
+    _emit("\n".join(lines) + "\n", config)
     return 1 if failures else 0
 
 
@@ -516,7 +518,9 @@ def build_parser() -> argparse.ArgumentParser:
     parser.add_argument("--n-max", type=int, dest="n_max")
     parser.add_argument("--s-grid", dest="s_grid", help="grid as a:b:steps")
     parser.add_argument("--r-grid", dest="r_grid", help="grid as a:b:steps")
-    parser.add_argument("--a-grid", dest="a_grid", help="grid as a:b:steps")
+    parser.add_argument("--a-grid", dest="a_grid",
+                        help="grid as a:b:steps; a negative start needs the "
+                             "--a-grid=-0.2:0.3:3 form")
     parser.add_argument("--eps", type=float, default=0.1)
     parser.add_argument("--name", help="which built-in example to run")
     parser.add_argument("--out", help="output path (default: stdout)")

@@ -1,10 +1,12 @@
 """Optimal binary tests and error probabilities.
 
-The optimal family is the threshold tests {rho0 - t*rho1 > 0}; everything
-else here (minimal combined error, constrained type-II error, converse
-bounds) is computed from it.  Commuting pairs take an exact likelihood-ratio
-path; the general case falls back to a threshold sweep with interpolation
-across frontier jumps.
+The optimal family is the threshold tests {rho0 - t*rho1 > 0}; the minimal
+combined error and the converse bounds are computed from it.  The constrained
+type-II error beta_eps is the maximum over t >= 0 of its Lagrange dual
+t(1 - eps) - Tr(t*rho0 - rho1)_+, a concave function that peaks in
+[0, 1/eps].  On commuting pairs the dual is piecewise linear and is read off
+its likelihood-ratio breakpoints; otherwise golden section maximizes it, one
+eigvalsh per evaluation.
 """
 
 from __future__ import annotations
@@ -102,6 +104,17 @@ def average_error(rho0n, rho1n) -> float:
     return p_min(rho0n, rho1n, 0.0, 1) / 2.0
 
 
+def _scan_min(fn, lo: float, hi: float, points: int) -> float:
+    """Minimum of fn over a uniform grid on [lo, hi], refined by golden
+    section between the neighbours of the best grid point."""
+    grid = np.linspace(lo, hi, points)
+    vals = [fn(float(s)) for s in grid]
+    k = int(np.argmin(vals))
+    lo, hi = float(grid[max(k - 1, 0)]), float(grid[min(k + 1, grid.size - 1)])
+    _, refined = _golden_min(fn, lo, hi)
+    return min(refined, min(vals))
+
+
 def pmin_bounds_check(rho0n, rho1n, a: float, n: int = 1, tol: float = 1e-9) -> CheckReport:
     """Power-trace sandwich around the minimal error.
 
@@ -114,13 +127,7 @@ def pmin_bounds_check(rho0n, rho1n, a: float, n: int = 1, tol: float = 1e-9) -> 
         t = ev.trace_power(s)
         return math.exp(-n * a * s) * t
 
-    grid = np.linspace(0.0, 1.0, 41)
-    vals = [upper_objective(float(s)) for s in grid]
-    k = int(np.argmin(vals))
-    lo = float(grid[max(k - 1, 0)])
-    hi = float(grid[min(k + 1, grid.size - 1)])
-    _, upper = _golden_min(upper_objective, lo, hi)
-    upper = min(upper, min(vals))
+    upper = _scan_min(upper_objective, 0.0, 1.0, 41)
 
     weight = math.exp(-n * a)
     half_trace = ev.trace_power(0.5)
@@ -151,119 +158,60 @@ def _common_eigenbasis(m0: np.ndarray, m1: np.ndarray,
         block = sub.conj().T @ m0 @ sub
         _, u = np.linalg.eigh((block + block.conj().T) / 2.0)
         basis[:, a:b] = sub @ u
-    p = np.einsum("ij,jk,ki->i", basis.conj().T, m0, basis).real
-    q = np.einsum("ij,jk,ki->i", basis.conj().T, m1, basis).real
-    off0 = basis.conj().T @ m0 @ basis - np.diag(p)
-    off1 = basis.conj().T @ m1 @ basis - np.diag(q)
+    b0 = basis.conj().T @ m0 @ basis
+    b1 = basis.conj().T @ m1 @ basis
+    p, q = np.diagonal(b0).real, np.diagonal(b1).real
+    off0 = b0 - np.diag(p)
+    off1 = b1 - np.diag(q)
     if max(float(np.max(np.abs(off0))), float(np.max(np.abs(off1)))) > 1e-8 * scale:
         return None
     return np.maximum(p, 0.0), np.maximum(q, 0.0)
 
 
-def _classical_beta(p: np.ndarray, q: np.ndarray, eps: float) -> float:
-    """Exact randomized likelihood-ratio optimum for atom weights (p, q)."""
-    atoms = [(pk, qk) for pk, qk in zip(p, q) if pk > 0.0 or qk > 0.0]
+def _commuting_dual(p: np.ndarray, q: np.ndarray, eps: float) -> float:
+    """Maximum of the dual for atom weights (p, q).
 
-    def ratio(pk, qk):
-        return math.inf if qk <= 0.0 else pk / qk
-
-    atoms.sort(key=lambda a: -ratio(*a))
-    groups: list[list[float]] = []
-    for pk, qk in atoms:
-        r = ratio(pk, qk)
-        if groups:
-            r_prev = ratio(groups[-1][0], groups[-1][1])
-            same = (math.isinf(r) and math.isinf(r_prev)) or (
-                math.isfinite(r)
-                and math.isfinite(r_prev)
-                and abs(r - r_prev) <= 1e-12 * max(1.0, abs(r_prev))
-            )
-            if same:
-                groups[-1][0] += pk
-                groups[-1][1] += qk
-                continue
-        groups.append([pk, qk])
-    target = 1.0 - eps
-    accepted_p = 0.0
-    beta1 = 0.0
-    for gp, gq in groups:
-        if gp <= 0.0:
-            continue  # accepting mass the null never sees only costs beta1
-        if accepted_p + gp <= target:
-            accepted_p += gp
-            beta1 += gq
-            if accepted_p >= target:
-                break
-        else:
-            gamma = (target - accepted_p) / gp
-            beta1 += gamma * gq
-            accepted_p = target
-            break
-    return float(min(max(beta1, 0.0), 1.0))
+    Here f(t) = t(1 - eps) - sum_k (t p_k - q_k)_+ is piecewise linear, so it
+    peaks at t = 0 or at a breakpoint t_k = q_k/p_k, where with the atoms
+    sorted by t_k it equals t_k (1 - eps - P_k) + Q_k for the cumulative
+    weights P_k, Q_k.  Breakpoints beyond 1/eps cannot win and are skipped,
+    which keeps huge ratios from tiny p_k out of the arithmetic.
+    """
+    atoms = p > 0.0
+    t = q[atoms] / p[atoms]
+    order = np.argsort(t)
+    t = t[order]
+    values = t * (1.0 - eps - np.cumsum(p[atoms][order])) + np.cumsum(q[atoms][order])
+    best = values[t <= 1.0 / eps].max(initial=0.0)
+    return float(min(max(0.0, best), 1.0))
 
 
-def _threshold_point(m0: np.ndarray, m1: np.ndarray, t: float):
-    """Errors of the threshold test at t plus the zero-eigenspace masses."""
-    delta = m0 - t * m1
-    spec = eig(delta)
-    w = spec.eigenvalues
-    ztol = rank_cut(np.abs(w), w.size)
-    vpos = spec.eigenvectors[:, w > ztol]
-    vzero = spec.eigenvectors[:, np.abs(w) <= ztol]
-    ppos = vpos @ vpos.conj().T
-    beta0 = 1.0 - float(np.trace(m0 @ ppos).real)
-    beta1 = float(np.trace(m1 @ ppos).real)
-    z0 = z1 = 0.0
-    if vzero.shape[1]:
-        pz = vzero @ vzero.conj().T
-        z0 = float(np.trace(m0 @ pz).real)
-        z1 = float(np.trace(m1 @ pz).real)
-    return beta0, beta1, z0, z1
+def _general_dual(m0: np.ndarray, m1: np.ndarray, eps: float) -> float:
+    """Golden-section maximum of the concave dual over [0, 1/eps].
 
+    Every evaluated t gives a lower bound on beta_eps by weak duality, so the
+    largest value seen is returned; f(0) = 0 starts the record.
+    """
+    best = 0.0
 
-def _beta_eps_general(m0: np.ndarray, m1: np.ndarray, eps: float) -> float:
-    """Threshold sweep with zero-space randomization / frontier interpolation."""
-    candidates: list[float] = []
+    def neg_dual(t: float) -> float:
+        nonlocal best
+        w = np.linalg.eigvalsh(t * m0 - m1)
+        value = t * (1.0 - eps) - float(np.sum(w[w > 0.0]))
+        best = max(best, value)
+        return -value
 
-    def consider(t: float):
-        beta0, beta1, z0, z1 = _threshold_point(m0, m1, t)
-        if beta0 <= eps + 1e-12:
-            candidates.append(beta1)
-        # mixing the zero eigenspace walks beta0 down from beta0 to beta0 - z0
-        if z0 > 0.0 and beta0 - z0 <= eps <= beta0:
-            gamma = (beta0 - eps) / z0
-            candidates.append(beta1 + gamma * z1)
-        return beta0, beta1
-
-    t_lo, (b0_lo, b1_lo) = 0.0, consider(0.0)
-    t_hi = 1.0
-    b0_hi, b1_hi = consider(t_hi)
-    grow = 0
-    while b0_hi < eps and grow < 64:
-        t_hi *= 4.0
-        b0_hi, b1_hi = consider(t_hi)
-        grow += 1
-    if b0_hi < eps:
-        return min(candidates) if candidates else 0.0
-    for t in np.geomspace(max(t_lo, 1e-9), t_hi, 512):
-        consider(float(t))
-    for _ in range(200):
-        mid = (t_lo + t_hi) / 2.0
-        b0_mid, _ = consider(mid)
-        if b0_mid <= eps:
-            t_lo = mid
-        else:
-            t_hi = mid
-    b0_lo, b1_lo, _, _ = _threshold_point(m0, m1, t_lo)
-    b0_hi, b1_hi, _, _ = _threshold_point(m0, m1, t_hi)
-    if b0_hi > b0_lo + 1e-15 and b0_lo <= eps <= b0_hi:
-        theta = (b0_hi - eps) / (b0_hi - b0_lo)
-        candidates.append(theta * b1_lo + (1.0 - theta) * b1_hi)
-    return float(min(max(min(candidates), 0.0), 1.0)) if candidates else 1.0
+    _golden_min(neg_dual, 0.0, 1.0 / eps)
+    return min(best, 1.0)
 
 
 def beta_eps(rho0n, rho1n, eps: float) -> float:
-    """Minimal type-II error subject to type-I error at most eps (exact)."""
+    """Minimal type-II error subject to type-I error at most eps.
+
+    Computed as max over t >= 0 of t(1 - eps) - Tr(t*rho0n - rho1n)_+, the
+    Lagrange dual of the hypothesis-testing problem (Wang-Renner,
+    arXiv:1007.5456); strong duality makes the maximum equal beta_eps.
+    """
     if not 0.0 < eps < 1.0:
         raise ValueError("eps must lie strictly between 0 and 1")
     m0, m1 = asmatrix(rho0n), asmatrix(rho1n)
@@ -271,8 +219,8 @@ def beta_eps(rho0n, rho1n, eps: float) -> float:
         raise DimensionError("states must share a dimension")
     pq = _common_eigenbasis(m0, m1)
     if pq is not None:
-        return _classical_beta(*pq, eps)
-    return _beta_eps_general(m0, m1, eps)
+        return _commuting_dual(*pq, eps)
+    return _general_dual(m0, m1, eps)
 
 
 def strong_converse_bound(rho0n, rho1n, eps: float, a: float, n: int,
@@ -288,13 +236,7 @@ def strong_converse_bound(rho0n, rho1n, eps: float, a: float, n: int,
     def neg_objective(s: float) -> float:
         return ev.psi(s) - n * a * (s - 1.0)
 
-    grid = np.linspace(1.0, 1.5, 21)
-    vals = [neg_objective(float(s)) for s in grid]
-    k = int(np.argmin(vals))
-    lo = float(grid[max(k - 1, 0)])
-    hi = float(grid[min(k + 1, grid.size - 1)])
-    _, vmin = _golden_min(neg_objective, lo, hi)
-    phi_tilde_n = -min(vmin, min(vals))
+    phi_tilde_n = -_scan_min(neg_objective, 1.0, 1.5, 21)
     return math.exp(-n * a) * (1.0 - eps - math.exp(-phi_tilde_n))
 
 

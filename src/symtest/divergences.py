@@ -204,7 +204,7 @@ def relative_entropy(rho0, rho1, support_tol: float = 1e-7) -> float:
         return POS_INF
     w0 = s0.eigenvalues[keep0]
     term0 = float(np.sum(w0 * np.log(w0)))
-    weights = np.einsum("ij,jk,ki->i", v1.conj().T, m0, v1).real
+    weights = ((v1.conj().T @ m0) * v1.T).sum(axis=1).real
     term1 = float(np.sum(np.log(s1.eigenvalues[keep1]) * weights))
     return term0 - term1
 

@@ -228,3 +228,12 @@ class TestVerifyCommand:
         assert main(["--command", "verify", "--n-max", "2"]) == 0
         captured = capsys.readouterr().out
         assert "0 violations" in captured
+
+    def test_report_written_to_out(self, tmp_path, capsys):
+        out = tmp_path / "verify.txt"
+        assert main(["--command", "verify", "--n-max", "2", "--out", str(out)]) == 0
+        assert capsys.readouterr().out == ""
+        lines = out.read_text().splitlines()
+        assert lines[-1].startswith("verify: ")
+        assert lines[-1].endswith(" checks, 0 violations")
+        assert all(": PASS (" in line for line in lines[:-1])

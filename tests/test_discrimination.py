@@ -201,17 +201,29 @@ class TestBetaEps:
         for e, v in zip(eps_grid, values):
             assert beta_eps(*pair, float(e) + 1e-9) == pytest.approx(v, abs=1e-6)
 
-    def test_general_path_matches_classical_path(self, rng):
-        # rotate a commuting pair so the fast path is unavailable; the sweep
-        # must land on the same frontier point
+    def test_general_path_matches_classical_path(self):
+        # both dual evaluators against hand-computed Neyman-Pearson optima:
+        # accept atoms in decreasing p/q order, randomize on the last one
         p = np.array([0.55, 0.30, 0.15])
         q = np.array([0.2, 0.3, 0.5])
-        from symtest.discrimination import _beta_eps_general, _classical_beta
+        from symtest.discrimination import _commuting_dual, _general_dual
 
-        for eps in (0.1, 0.35, 0.7):
-            exact = _classical_beta(p, q, eps)
-            swept = _beta_eps_general(np.diag(p).astype(complex), np.diag(q).astype(complex), eps)
-            assert swept == pytest.approx(exact, abs=1e-9)
+        m0, m1 = np.diag(p).astype(complex), np.diag(q).astype(complex)
+        for eps, expected in ((0.1, 2.0 / 3.0), (0.35, 0.3), (0.7, 0.12 / 1.1)):
+            assert _commuting_dual(p, q, eps) == pytest.approx(expected, abs=1e-9)
+            assert _general_dual(m0, m1, eps) == pytest.approx(expected, abs=1e-9)
+            assert beta_eps(m0, m1, eps) == pytest.approx(expected, abs=1e-9)
+
+    def test_null_mass_outside_alternative_support(self):
+        # rho0 puts 0.8 outside supp rho1 = |0><0|, so any eps >= 0.2 is free;
+        # below that the optimum sits at a finite threshold of a noncommuting pair
+        rho0 = np.array([[0.2, 0.3], [0.3, 0.8]])
+        rho1 = np.diag([1.0, 0.0])
+        for eps in (0.2, 0.3, 0.9):
+            value = beta_eps(rho0, rho1, eps)
+            assert value == 0.0
+            assert math.copysign(1.0, value) == 1.0  # never -0.0
+        assert beta_eps(rho0, rho1, 0.05) == pytest.approx(3.0 / 7.0, abs=1e-9)
 
     def test_frontier_reproduces_pure_threshold_points(self, rng):
         # at eps equal to a pure threshold test's type-I error the constrained
