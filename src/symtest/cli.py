@@ -37,7 +37,15 @@ from .asymptotics import (
     unrestricted_curve,
     z2_action,
 )
-from .discrimination import beta_eps, error_pair, np_test, p_min, stein_a_grid, strong_converse_bound
+from .discrimination import (
+    beta_eps,
+    error_pair,
+    np_test,
+    p_min,
+    stein_a_grid,
+    strong_converse_bound,
+    threshold_errors,
+)
 from .divergences import (
     PsiEvaluator,
     chernoff_distance,
@@ -348,9 +356,9 @@ def _cmd_beta_eps(sc: Scenario, config: RunConfig) -> int:
     floored = is_support_invariant(sc.rho1, sc.action)
     for n in range(1, sc.n_max + 1):
         pair = twirled_pair(sc.rho0, sc.rho1, sc.action, n)
-        ev = PsiEvaluator(*pair)
         value = beta_eps(*pair, config.eps)
         if floored:
+            ev = PsiEvaluator(*pair)
             curve = _normalized(psi_curve(*pair, n=n), n)
             grid = config.a_grid if config.a_grid is not None else stein_a_grid(curve)
             floor = max(strong_converse_bound(*pair, eps=config.eps, a=float(a), n=n,
@@ -372,14 +380,8 @@ def _normalized(curve, n):
 
 
 def _best_pure_threshold_beta1(pair, eps: float) -> float:
-    best = 1.0
-    rho0n, rho1n = pair
-    for a in np.linspace(-2.0, 2.0, 81):
-        test = np_test(rho0n, rho1n, float(a), n=1)
-        errors = error_pair(test, rho0n, rho1n)
-        if errors.beta0 <= eps:
-            best = min(best, errors.beta1)
-    return best
+    errors = threshold_errors(*pair, np.linspace(-2.0, 2.0, 81), n=1)
+    return float(errors[errors[:, 0] <= eps, 1].min(initial=1.0))
 
 
 def _cmd_convergence(sc: Scenario, config: RunConfig) -> int:

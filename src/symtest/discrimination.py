@@ -6,7 +6,10 @@ type-II error beta_eps is the maximum over t >= 0 of its Lagrange dual
 t(1 - eps) - Tr(t*rho0 - rho1)_+, a concave function that peaks in
 [0, 1/eps].  On commuting pairs the dual is piecewise linear and is read off
 its likelihood-ratio breakpoints; otherwise golden section maximizes it, one
-eigvalsh per evaluation.
+eigvalsh per evaluation.  threshold_errors gives the error pairs of many
+threshold tests on one state pair at once, from the common eigenbasis of a
+commuting pair or from one eigh per rate otherwise, without forming the
+projections np_test builds.
 """
 
 from __future__ import annotations
@@ -86,6 +89,40 @@ def np_test(rho0n, rho1n, a: float, n: int = 1) -> TestOperator:
         raise DimensionError("states must share a dimension")
     delta = math.exp(-n * a) * m0 - m1
     return TestOperator(HermitianOperator(_positive_part_projection(delta)))
+
+
+def threshold_errors(rho0n, rho1n, a_values, n: int = 1) -> np.ndarray:
+    """(beta0, beta1) of np_test(rho0n, rho1n, a, n) for each rate a, one row each.
+
+    The tests are the projections np_test builds, with the same rank cut, but
+    their errors are read off a spectrum: the common eigenbasis weights
+    (p, q) of a commuting pair, where the test keeps the atoms with
+    e^{-na} p - q above the cut, or else one eigh per rate, summing
+    <v|m|v> over the kept eigenvectors v instead of forming the projection.
+    """
+    m0, m1 = asmatrix(rho0n), asmatrix(rho1n)
+    if m0.shape != m1.shape:
+        raise DimensionError("states must share a dimension")
+    d = m0.shape[0]
+    pq = _common_eigenbasis(m0, m1)
+    rows = []
+    for a in a_values:
+        weight = math.exp(-n * float(a))
+        if pq is not None:
+            p, q = pq
+            w = weight * p - q
+            keep = w > rank_cut(np.abs(w), d)
+            accept0, accept1 = p[keep].sum(), q[keep].sum()
+        else:
+            delta = weight * m0 - m1
+            w, v = np.linalg.eigh((delta + delta.conj().T) / 2.0)
+            kept = v[:, w > rank_cut(np.abs(w), d)]
+            vh = kept.conj().T
+            accept0 = ((vh @ m0) * kept.T).sum().real
+            accept1 = ((vh @ m1) * kept.T).sum().real
+        errors = ErrorPair(1.0 - float(accept0), float(accept1))
+        rows.append((errors.beta0, errors.beta1))
+    return np.array(rows, dtype=float).reshape(-1, 2)
 
 
 def p_min(rho0n, rho1n, a: float = 0.0, n: int = 1) -> float:

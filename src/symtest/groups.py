@@ -128,6 +128,16 @@ def _average_conjugations(m: np.ndarray, unitaries) -> np.ndarray:
     return acc / len(unitaries)
 
 
+def _like(x, out: np.ndarray):
+    """Wrap `out` in the type of `x`: DensityOperator, HermitianOperator or
+    plain ndarray."""
+    if isinstance(x, DensityOperator):
+        return DensityOperator.from_matrix(out)
+    if isinstance(x, HermitianOperator):
+        return HermitianOperator(out)
+    return out
+
+
 def twirl(x, action: GroupAction):
     """Project onto the commutant of the action: group-average for a finite
     list, exact pinching by total weight for the torus.
@@ -145,11 +155,7 @@ def twirl(x, action: GroupAction):
         out = np.where(w[:, None] == w[None, :], m, 0.0)
     else:
         out = _average_conjugations(m, action.unitaries)
-    if isinstance(x, DensityOperator):
-        return DensityOperator.from_matrix(out)
-    if isinstance(x, HermitianOperator):
-        return HermitianOperator(out)
-    return out
+    return _like(x, out)
 
 
 def twirled_pair(rho0, rho1, action: GroupAction, n: int) -> tuple[DensityOperator, DensityOperator]:
@@ -342,11 +348,7 @@ def weyl_twirl(a, m: int, d: int):
         u = np.kron(eye_m, w)
         acc += u @ mat @ u.conj().T
     out = acc / (d * d)
-    if isinstance(a, DensityOperator):
-        return DensityOperator.from_matrix(out)
-    if isinstance(a, HermitianOperator):
-        return HermitianOperator(out)
-    return out
+    return _like(a, out)
 
 
 def pinching_map(x, action: GroupAction, projections):
@@ -360,8 +362,4 @@ def pinching_map(x, action: GroupAction, projections):
     out = np.zeros_like(t)
     for p in projs:
         out += p @ t @ p
-    if isinstance(x, DensityOperator):
-        return DensityOperator.from_matrix(out)
-    if isinstance(x, HermitianOperator):
-        return HermitianOperator(out)
-    return out
+    return _like(x, out)

@@ -10,7 +10,9 @@ from symtest.cli import (
     parse_scenario,
     serialize_scenario,
 )
+from symtest.discrimination import error_pair, np_test
 from symtest.errors import ScenarioError
+from symtest.groups import twirled_pair
 
 
 def scenario_doc(**overrides):
@@ -160,6 +162,37 @@ class TestCommands:
             assert eps == 0.2
             assert lo <= beta1 + 1e-9
             assert beta1 <= hi + 1e-9
+
+    @pytest.mark.parametrize("overrides", [
+        {"rho0": "pure-qubit 0.3", "rho1": "pure-qubit 0.6"},
+        {"rho0": [[[0.6, 0.0], [0.2, 0.1]], [[0.2, -0.1], [0.4, 0.0]]],
+         "rho1": [[[0.3, 0.0], [-0.15, 0.05]], [[-0.15, -0.05], [0.7, 0.0]]],
+         "group": {"type": "finite", "unitaries": [
+             [[[1, 0], [0, 0]], [[0, 0], [1, 0]]],
+             [[[1, 0], [0, 0]], [[0, 0], [-1, 0]]],
+         ]}},
+    ], ids=["two-pure", "dense-sign-flip"])
+    @pytest.mark.parametrize("eps", ["0.1", "0.3"])
+    def test_beta_eps_bound_hi_matches_projection_loop(self, tmp_path, overrides, eps):
+        scenario = write_scenario(tmp_path, n_max=4, **overrides)
+        sc = parse_scenario(json.dumps(scenario_doc(n_max=4, **overrides)))
+        outputs = []
+        for name in ("a.csv", "b.csv"):
+            out = tmp_path / name
+            assert main(["--scenario", scenario, "--command", "beta-eps",
+                         "--eps", eps, "--out", str(out)]) == 0
+            outputs.append(out.read_bytes())
+        assert outputs[0] == outputs[1]
+        rows = outputs[0].decode().strip().splitlines()[1:]
+        assert len(rows) == 4
+        for n, row in enumerate(rows, start=1):
+            pair = twirled_pair(sc.rho0, sc.rho1, sc.action, n)
+            expected = 1.0
+            for a in np.linspace(-2.0, 2.0, 81):
+                errors = error_pair(np_test(*pair, float(a), n=1), *pair)
+                if errors.beta0 <= float(eps):
+                    expected = min(expected, errors.beta1)
+            assert float(row.split(",")[-1]) == pytest.approx(expected, rel=0, abs=1e-12)
 
     def test_convergence_json(self, tmp_path):
         out = tmp_path / "conv.json"

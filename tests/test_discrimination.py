@@ -16,6 +16,7 @@ from symtest.asymptotics import (
 from symtest.discrimination import (
     ErrorPair,
     TestOperator,
+    _common_eigenbasis,
     average_error,
     beta_eps,
     error_pair,
@@ -25,13 +26,16 @@ from symtest.discrimination import (
     pmin_bounds_check,
     stein_a_grid,
     strong_converse_bound,
+    threshold_errors,
 )
 from symtest.divergences import fidelity, psi
+from symtest.errors import DimensionError
 from symtest.groups import twirled_pair
 from symtest.linalg import DensityOperator, kron_power
-from symtest.oracle import pmin_random_battery, random_density
+from symtest.oracle import pmin_random_battery, random_density, random_unitary
 
 LOG2 = math.log(2.0)
+RATES = np.linspace(-2.0, 2.0, 81)
 S_M_03 = -(math.log(0.3) + math.log(0.7)) / 2.0
 
 
@@ -249,6 +253,74 @@ class TestBetaEps:
             errors = error_pair(test, rho0, rho1)
             if errors.beta0 <= eps:
                 assert value <= errors.beta1 + 1e-9
+
+
+def projection_errors(rho0n, rho1n, a_values, n=1):
+    """Reference for threshold_errors: one validated projection per rate."""
+    rows = []
+    for a in a_values:
+        errors = error_pair(np_test(rho0n, rho1n, float(a), n=n), rho0n, rho1n)
+        rows.append((errors.beta0, errors.beta1))
+    return np.array(rows)
+
+
+def random_pairs():
+    """32 seeded pairs, d = 2..5; every third null state is rank-deficient."""
+    rng = np.random.default_rng(1234)
+    pairs = []
+    for k in range(32):
+        dim = 2 + k % 4
+        rank = dim - 1 if k % 3 == 0 else dim
+        pairs.append((random_density(dim, rank=rank, rng=rng), random_density(dim, rng=rng)))
+    return pairs
+
+
+def shared_basis_pairs():
+    """Commuting pairs on a random eigenbasis, the null state with one zero weight."""
+    rng = np.random.default_rng(4321)
+    pairs = []
+    for k in range(16):
+        dim = 2 + k % 4
+        u = random_unitary(dim, rng)
+        p, q = rng.random(dim), rng.random(dim)
+        p[k % dim] = 0.0
+        pairs.append(((u * (p / p.sum())) @ u.conj().T, (u * (q / q.sum())) @ u.conj().T))
+    return pairs
+
+
+class TestThresholdErrors:
+    @pytest.mark.parametrize("n", [1, 2])
+    @pytest.mark.parametrize("make_pairs,commuting", [
+        (random_pairs, False),
+        (shared_basis_pairs, True),
+    ], ids=["random", "shared-basis"])
+    def test_pairs_match_projections(self, make_pairs, commuting, n):
+        for rho0, rho1 in make_pairs():
+            # selects the evaluator: common eigenbasis weights or one eigh per rate
+            assert (_common_eigenbasis(rho0, rho1) is not None) == commuting
+            assert_allclose(threshold_errors(rho0, rho1, RATES, n=n),
+                            projection_errors(rho0, rho1, RATES, n=n), rtol=0, atol=1e-12)
+
+    @pytest.mark.parametrize("kind,params", [
+        ("TorusTwoPure", {"lam": 0.3, "mu": 0.6}),
+        ("TorusPureVsMixed", {"alpha": 0.3}),
+        ("TorusPureVsMixed", {"alpha": 0.5}),
+        ("Z2Commuting", {"lam": 0.2, "mu": 0.7}),
+        ("Z2Commuting", {"lam": 0.0, "mu": 1.0}),
+    ])
+    def test_twirled_families_match_projections(self, kind, params):
+        sc = make_scenario(kind, **params)
+        for n in range(1, 7):
+            pair = twirled_pair(sc.rho0, sc.rho1, sc.action, n)
+            assert_allclose(threshold_errors(*pair, RATES), projection_errors(*pair, RATES),
+                            rtol=0, atol=1e-12)
+
+    def test_one_row_per_rate(self, rng):
+        rho0, rho1 = faithful(rng), faithful(rng)
+        assert threshold_errors(rho0, rho1, []).shape == (0, 2)
+        assert threshold_errors(rho0, rho1, [0.0, 1.0]).shape == (2, 2)
+        with pytest.raises(DimensionError):
+            threshold_errors(np.eye(2) / 2, np.eye(3) / 3, [0.0])
 
 
 class TestStrongConverse:
