@@ -315,6 +315,13 @@ def half_binomial_sum(a: float, b: float, n: int) -> float:
     return 0.0 if total == NEG_INF else math.exp(total / n)
 
 
+def per_copy_curve(ev: PsiEvaluator, n: int, label: str = "") -> PsiCurve:
+    """(1/n) psi_n on the default grid, with (1/n) ev.psi attached for refinement."""
+    grid = default_s_grid()
+    return PsiCurve(grid, np.array([ev.psi(float(s)) / n for s in grid]),
+                    n=n, label=label, fn=lambda s: ev.psi(s) / n)
+
+
 def _supports_nested(rho0n, rho1n) -> bool:
     return relative_entropy(rho0n, rho1n) != math.inf
 
@@ -336,9 +343,7 @@ def mean_quantities(scenario: Scenario, r_grid=None,
     else:
         n = scenario.n_max
         ev = PsiEvaluator(*twirled_pair(scenario.rho0, scenario.rho1, scenario.action, n))
-        grid = default_s_grid()
-        curve = PsiCurve(grid, np.array([ev.psi(float(s)) / n for s in grid]),
-                         n=n, label="best-n", fn=lambda s: ev.psi(s) / n)
+        curve = per_copy_curve(ev, n, label="best-n")
         note = (f"values from (1/n) psi_n at n={n}; upper estimates of the limit on "
                 "[0,1], lower on [1,2] under invariant support")
     pair1 = twirled_pair(scenario.rho0, scenario.rho1, scenario.action, 1)

@@ -31,6 +31,7 @@ from .asymptotics import (
     diag_qubit,
     make_scenario,
     mean_quantities,
+    per_copy_curve,
     pure_qubit,
     sigma_state,
     solve_flat_chernoff_alpha,
@@ -111,6 +112,8 @@ def _parse_grid(spec: str) -> np.ndarray:
         grid = np.linspace(float(lo), float(hi), int(steps))
     except ValueError as exc:
         raise ScenarioError(f"bad grid spec {spec!r}, expected a:b:steps") from exc
+    if grid.size == 0:
+        raise ScenarioError(f"grid {spec!r} has no points")
     if np.any(np.diff(grid) <= 0):
         raise ScenarioError(f"grid {spec!r} must be ascending")
     return grid
@@ -275,6 +278,8 @@ def _load_scenario(config: RunConfig) -> Scenario:
 
 def _cmd_psi(sc: Scenario, config: RunConfig) -> int:
     grid = config.s_grid if config.s_grid is not None else default_s_grid()
+    if grid.size < 2:
+        raise ScenarioError("psi needs an s grid of at least 2 points")
     rows = []
     for s, v in zip(grid, unrestricted_curve(sc.rho0, sc.rho1, grid).values):
         rows.append((float(s), float(v), 1, "unrestricted"))
@@ -359,8 +364,9 @@ def _cmd_beta_eps(sc: Scenario, config: RunConfig) -> int:
         value = beta_eps(*pair, config.eps)
         if floored:
             ev = PsiEvaluator(*pair)
-            curve = _normalized(psi_curve(*pair, n=n), n)
-            grid = config.a_grid if config.a_grid is not None else stein_a_grid(curve)
+            grid = config.a_grid
+            if grid is None:
+                grid = stein_a_grid(per_copy_curve(ev, n))
             floor = max(strong_converse_bound(*pair, eps=config.eps, a=float(a), n=n,
                                               evaluator=ev)
                         for a in grid)
@@ -370,13 +376,6 @@ def _cmd_beta_eps(sc: Scenario, config: RunConfig) -> int:
         rows.append((n, config.eps, config.eps, value, floor, achievable))
     _write_table(("n", "a_or_eps", "beta0", "beta1", "bound_lo", "bound_hi"), rows, config)
     return 0
-
-
-def _normalized(curve, n):
-    from .divergences import PsiCurve
-
-    return PsiCurve(curve.s_grid, curve.values / n, n=n, label=curve.label,
-                    fn=(lambda s: curve.fn(s) / n) if curve.fn else None)
 
 
 def _best_pure_threshold_beta1(pair, eps: float) -> float:
@@ -533,6 +532,10 @@ def build_parser() -> argparse.ArgumentParser:
 def main(argv=None) -> int:
     args = build_parser().parse_args(argv)
     try:
+        if not 0.0 < args.eps < 1.0:
+            raise ScenarioError(f"--eps must lie strictly between 0 and 1, got {args.eps:g}")
+        if args.n_max is not None and args.n_max < 1:
+            raise ScenarioError(f"--n-max must be at least 1, got {args.n_max}")
         config = RunConfig(
             command=args.command,
             scenario_path=args.scenario,
@@ -545,6 +548,8 @@ def main(argv=None) -> int:
             out=args.out,
             fmt=args.fmt,
         )
+        if config.r_grid is not None and config.r_grid[0] < 0.0:
+            raise ScenarioError(f"--r-grid rates must be nonnegative, got {args.r_grid!r}")
     except ScenarioError as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 2

@@ -21,7 +21,15 @@ import numpy as np
 
 from .divergences import PsiCurve, PsiEvaluator, _golden_min, richardson_derivative
 from .errors import DimensionError
-from .linalg import HermitianOperator, asmatrix, eig, rank_cut, trace_norm
+from .linalg import (
+    HermitianOperator,
+    Spectrum,
+    above_cut,
+    asmatrix,
+    cluster_slices,
+    support_projection,
+    trace_norm,
+)
 from .reports import CheckReport
 
 
@@ -36,14 +44,7 @@ class TestOperator:
     def __post_init__(self):
         if not isinstance(self.op, HermitianOperator):
             object.__setattr__(self, "op", HermitianOperator(asmatrix(self.op)))
-        w = np.linalg.eigvalsh(self.op.mat)
-        if w[0] < -1e-9 or w[-1] > 1.0 + 1e-9:
-            raise ValueError(f"test spectrum [{w[0]:.3e}, {w[-1]:.3e}] outside [0, 1]")
-        if w[0] < 0.0 or w[-1] > 1.0:
-            spec = eig(self.op)
-            clipped = np.clip(spec.eigenvalues, 0.0, 1.0)
-            m = (spec.eigenvectors * clipped) @ spec.eigenvectors.conj().T
-            object.__setattr__(self, "op", HermitianOperator(m))
+        object.__setattr__(self, "op", self.op.clipped(0.0, 1.0, 1e-9))
 
     @property
     def mat(self) -> np.ndarray:
@@ -74,21 +75,12 @@ def error_pair(test, rho0n, rho1n) -> ErrorPair:
     return ErrorPair(beta0, beta1)
 
 
-def _positive_part_projection(delta: np.ndarray) -> np.ndarray:
-    spec = eig(delta)
-    cut = rank_cut(np.abs(spec.eigenvalues), delta.shape[0])
-    v = spec.eigenvectors[:, spec.eigenvalues > cut]
-    p = v @ v.conj().T
-    return (p + p.conj().T) / 2.0
-
-
 def np_test(rho0n, rho1n, a: float, n: int = 1) -> TestOperator:
     """Spectral projection of exp(-n*a)*rho0n - rho1n onto its positive part."""
     m0, m1 = asmatrix(rho0n), asmatrix(rho1n)
     if m0.shape != m1.shape:
         raise DimensionError("states must share a dimension")
-    delta = math.exp(-n * a) * m0 - m1
-    return TestOperator(HermitianOperator(_positive_part_projection(delta)))
+    return TestOperator(support_projection(math.exp(-n * a) * m0 - m1))
 
 
 def threshold_errors(rho0n, rho1n, a_values, n: int = 1) -> np.ndarray:
@@ -103,20 +95,17 @@ def threshold_errors(rho0n, rho1n, a_values, n: int = 1) -> np.ndarray:
     m0, m1 = asmatrix(rho0n), asmatrix(rho1n)
     if m0.shape != m1.shape:
         raise DimensionError("states must share a dimension")
-    d = m0.shape[0]
     pq = _common_eigenbasis(m0, m1)
     rows = []
     for a in a_values:
         weight = math.exp(-n * float(a))
         if pq is not None:
             p, q = pq
-            w = weight * p - q
-            keep = w > rank_cut(np.abs(w), d)
+            keep = above_cut(weight * p - q)
             accept0, accept1 = p[keep].sum(), q[keep].sum()
         else:
             delta = weight * m0 - m1
-            w, v = np.linalg.eigh((delta + delta.conj().T) / 2.0)
-            kept = v[:, w > rank_cut(np.abs(w), d)]
+            kept = Spectrum(*np.linalg.eigh((delta + delta.conj().T) / 2.0)).support().eigenvectors
             vh = kept.conj().T
             accept0 = ((vh @ m0) * kept.T).sum().real
             accept1 = ((vh @ m1) * kept.T).sum().real
@@ -177,24 +166,19 @@ def pmin_bounds_check(rho0n, rho1n, a: float, n: int = 1, tol: float = 1e-9) -> 
     return report
 
 
-def _common_eigenbasis(m0: np.ndarray, m1: np.ndarray,
-                       comm_tol: float = 1e-10) -> tuple[np.ndarray, np.ndarray] | None:
+def _common_eigenbasis(m0: np.ndarray, m1: np.ndarray) -> tuple[np.ndarray, np.ndarray] | None:
     """Simultaneous eigenbasis weights (p_k, q_k) for commuting PSD matrices."""
     scale = max(1.0, float(np.max(np.abs(m0))), float(np.max(np.abs(m1))))
-    if float(np.max(np.abs(m0 @ m1 - m1 @ m0))) > comm_tol * scale:
+    if float(np.max(np.abs(m0 @ m1 - m1 @ m0))) > 1e-10 * scale:
         return None
     w1, v = np.linalg.eigh((m1 + m1.conj().T) / 2.0)
     # rotate within each eigenspace of m1 to diagonalize m0 there
-    tol = 1e-10 * max(1.0, float(np.max(np.abs(w1))))
-    splits = np.nonzero(np.diff(w1) > tol)[0] + 1
-    starts = [0, *splits.tolist()]
-    stops = [*splits.tolist(), w1.size]
     basis = v.copy()
-    for a, b in zip(starts, stops):
-        sub = basis[:, a:b]
+    for run in cluster_slices(w1, 1e-10 * max(1.0, float(np.max(np.abs(w1))))):
+        sub = basis[:, run]
         block = sub.conj().T @ m0 @ sub
         _, u = np.linalg.eigh((block + block.conj().T) / 2.0)
-        basis[:, a:b] = sub @ u
+        basis[:, run] = sub @ u
     b0 = basis.conj().T @ m0 @ basis
     b1 = basis.conj().T @ m1 @ basis
     p, q = np.diagonal(b0).real, np.diagonal(b1).real

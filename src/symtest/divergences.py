@@ -18,12 +18,7 @@ import numpy as np
 
 from .errors import DimensionError
 from .groups import GroupAction, is_support_invariant, twirled_pair
-from .linalg import (
-    asmatrix,
-    abs_power_trace,
-    eig,
-    rank_cut,
-)
+from .linalg import asmatrix, abs_power_trace, eig
 from .reports import CheckReport
 
 NEG_INF = float("-inf")
@@ -51,16 +46,10 @@ class PsiEvaluator:
         m0, m1 = asmatrix(rho0), asmatrix(rho1)
         if m0.shape != m1.shape:
             raise DimensionError("states must share a dimension")
-        s0, s1 = eig(m0), eig(m1)
-        cut0 = rank_cut(s0.eigenvalues, m0.shape[0]) * cut_scale
-        cut1 = rank_cut(s1.eigenvalues, m1.shape[0]) * cut_scale
-        keep0 = s0.eigenvalues > cut0
-        keep1 = s1.eigenvalues > cut1
-        self._log0 = np.log(s0.eigenvalues[keep0])
-        self._log1 = np.log(s1.eigenvalues[keep1])
-        v0 = s0.eigenvectors[:, keep0]
-        v1 = s1.eigenvectors[:, keep1]
-        overlap = np.abs(v0.conj().T @ v1) ** 2
+        s0, s1 = eig(m0).support(cut_scale), eig(m1).support(cut_scale)
+        self._log0 = np.log(s0.eigenvalues)
+        self._log1 = np.log(s1.eigenvalues)
+        overlap = np.abs(s0.eigenvectors.conj().T @ s1.eigenvectors) ** 2
         # overlaps below eigenvector accuracy are roundoff ghosts of exact zeros
         floor = (16.0 * m0.shape[0] * float(np.finfo(float).eps)) ** 2
         overlap[overlap < floor] = 0.0
@@ -181,31 +170,24 @@ def renyi_entropy(rho, alpha: float) -> float:
     """Renyi entropy of order alpha != 1 of a single state."""
     if abs(alpha - 1.0) < 1e-12:
         raise ValueError("order 1 is the von Neumann entropy")
-    spec = eig(asmatrix(rho))
-    w = spec.eigenvalues
-    w = w[w > rank_cut(w, w.size)]
+    w = eig(asmatrix(rho)).support().eigenvalues
     return math.log(float(np.sum(w**alpha))) / (1.0 - alpha)
 
 
-def relative_entropy(rho0, rho1, support_tol: float = 1e-7) -> float:
+def relative_entropy(rho0, rho1) -> float:
     """Tr rho0 (log rho0 - log rho1) when supp rho0 <= supp rho1, else +inf."""
     m0, m1 = asmatrix(rho0), asmatrix(rho1)
     if m0.shape != m1.shape:
         raise DimensionError("states must share a dimension")
-    s0, s1 = eig(m0), eig(m1)
-    cut0 = rank_cut(s0.eigenvalues, m0.shape[0])
-    cut1 = rank_cut(s1.eigenvalues, m1.shape[0])
-    keep0 = s0.eigenvalues > cut0
-    keep1 = s1.eigenvalues > cut1
-    v0 = s0.eigenvectors[:, keep0]
-    v1 = s1.eigenvectors[:, keep1]
-    resid = v0 - v1 @ (v1.conj().T @ v0)
-    if float(np.linalg.norm(resid)) > support_tol:
+    s0, s1 = eig(m0).support(), eig(m1).support()
+    v0, v1 = s0.eigenvectors, s1.eigenvectors
+    resid = v0 - v1 @ (v1.conj().T @ v0)  # the part of supp rho0 outside supp rho1
+    if float(np.linalg.norm(resid)) > 1e-7:
         return POS_INF
-    w0 = s0.eigenvalues[keep0]
+    w0 = s0.eigenvalues
     term0 = float(np.sum(w0 * np.log(w0)))
     weights = ((v1.conj().T @ m0) * v1.T).sum(axis=1).real
-    term1 = float(np.sum(np.log(s1.eigenvalues[keep1]) * weights))
+    term1 = float(np.sum(np.log(s1.eigenvalues) * weights))
     return term0 - term1
 
 

@@ -18,6 +18,7 @@ from .linalg import (
     DensityOperator,
     HermitianOperator,
     asmatrix,
+    cluster_slices,
     dim_cap,
     frob,
     kron_power,
@@ -233,10 +234,7 @@ def _finite_blocks(unitaries, dim: int) -> list[Block]:
         t2 = _average_conjugations(_random_hermitian(rng, dim), unitaries)
         w, v = np.linalg.eigh((t1 + t1.conj().T) / 2.0)
         scale = max(1.0, float(np.max(np.abs(w))))
-        splits = np.nonzero(np.diff(w) > 1e-8 * scale)[0] + 1
-        starts = [0, *splits.tolist()]
-        stops = [*splits.tolist(), dim]
-        bases = [v[:, a:b] for a, b in zip(starts, stops)]
+        bases = [v[:, run] for run in cluster_slices(w, 1e-8 * scale)]
         k = len(bases)
 
         parent = list(range(k))

@@ -2,8 +2,11 @@
 
 Operators are square complex numpy arrays, optionally wrapped in the light
 validating types below.  Every matrix power of a positive semidefinite
-operator uses the support convention 0**s = 0 for all real s; the numerical
-rank decision behind that convention lives in :func:`rank_cut`.
+operator uses the support convention 0**s = 0 for all real s.  The spectral
+decisions live here and nowhere else: :func:`above_cut` decides which
+eigenvalues count as zero (:meth:`Spectrum.support` keeps the rest),
+:func:`cluster_slices` splits a spectrum into degenerate runs, and
+:meth:`HermitianOperator.clipped` moves a spectrum into a range.
 """
 
 from __future__ import annotations
@@ -65,6 +68,25 @@ class HermitianOperator:
     def dim(self) -> int:
         return self.mat.shape[0]
 
+    def clipped(self, lo: float, hi: float, tol: float) -> "HermitianOperator":
+        """This operator with its spectrum clipped into [lo, hi].
+
+        Eigenvalues at most tol outside the range move onto its edge; any
+        further out raise.  A spectrum already inside returns self.
+        """
+        w = np.linalg.eigvalsh(self.mat)
+        if w[0] >= lo and w[-1] <= hi:
+            return self
+        if w[0] < lo - tol or w[-1] > hi + tol:
+            raise ValueError(
+                f"spectrum [{w[0]:.3e}, {w[-1]:.3e}] has an eigenvalue more than "
+                f"{tol:g} outside [{lo:g}, {hi:g}]"
+            )
+        spec = eig(self)
+        return HermitianOperator(
+            Spectrum(np.clip(spec.eigenvalues, lo, hi), spec.eigenvectors).reconstruct()
+        )
+
 
 @dataclass(frozen=True)
 class DensityOperator:
@@ -80,28 +102,14 @@ class DensityOperator:
     def __post_init__(self):
         if not isinstance(self.op, HermitianOperator):
             object.__setattr__(self, "op", HermitianOperator(asmatrix(self.op)))
-        m = self.op.mat
-        tr = float(np.trace(m).real)
+        tr = float(np.trace(self.op.mat).real)
         if abs(tr - 1.0) > self.trace_tol:
             raise ValueError(f"trace must be 1 within {self.trace_tol:g}, got {tr!r}")
-        w = np.linalg.eigvalsh(m)
-        if w[0] < -self.trace_tol:
-            raise ValueError(
-                f"eigenvalue {w[0]:.3e} below -{self.trace_tol:g}; not a density matrix"
-            )
-        rebuilt = False
-        if w[0] < 0.0:
-            spec = eig(self.op)
-            clipped = np.maximum(spec.eigenvalues, 0.0)
-            m = (spec.eigenvectors * clipped) @ spec.eigenvectors.conj().T
-            m = (m + m.conj().T) / 2.0
-            tr = float(np.trace(m).real)
-            rebuilt = True
+        op = self.op.clipped(0.0, np.inf, self.trace_tol)
+        tr = float(np.trace(op.mat).real)
         if abs(tr - 1.0) > 1e-15:
-            m = m / tr
-            rebuilt = True
-        if rebuilt:
-            object.__setattr__(self, "op", HermitianOperator(m))
+            op = HermitianOperator(op.mat / tr)
+        object.__setattr__(self, "op", op)
 
     @classmethod
     def from_matrix(cls, m, trace_tol: float = TRACE_TOL) -> "DensityOperator":
@@ -126,6 +134,11 @@ class Spectrum:
     def reconstruct(self) -> np.ndarray:
         v = self.eigenvectors
         return (v * self.eigenvalues) @ v.conj().T
+
+    def support(self, cut_scale: float = 1.0) -> "Spectrum":
+        """The eigenpairs whose eigenvalues survive :func:`above_cut`."""
+        keep = above_cut(self.eigenvalues, cut_scale)
+        return Spectrum(self.eigenvalues[keep], self.eigenvectors[:, keep])
 
 
 def eig(h) -> Spectrum:
@@ -158,34 +171,40 @@ def eig(h) -> Spectrum:
     return Spectrum(w, v)
 
 
-def rank_cut(eigenvalues: np.ndarray, dim: int) -> float:
-    """Threshold below which an eigenvalue counts as zero: max(dim*eps*lmax, 1e-12)."""
-    lam_max = float(np.max(eigenvalues, initial=0.0))
-    return max(dim * float(np.finfo(float).eps) * lam_max, 1e-12)
+def above_cut(w: np.ndarray, cut_scale: float = 1.0) -> np.ndarray:
+    """Mask w > max(w.size * eps * max|w|, 1e-12) * cut_scale of the eigenvalues
+    that count as nonzero; on a signed spectrum it keeps the positive part."""
+    lam_max = float(np.max(np.abs(w), initial=0.0))
+    return w > max(w.size * float(np.finfo(float).eps) * lam_max, 1e-12) * cut_scale
 
 
-def mpow(h, s: float, *, psd_tol: float = TRACE_TOL, cut_scale: float = 1.0) -> HermitianOperator:
+def cluster_slices(w: np.ndarray, tol: float) -> list[slice]:
+    """Runs of an ascending spectrum whose neighbouring gaps are all <= tol."""
+    if w.size == 0:
+        return []
+    edges = [0, *(np.nonzero(np.diff(w) > tol)[0] + 1).tolist(), w.size]
+    return [slice(a, b) for a, b in zip(edges, edges[1:])]
+
+
+def mpow(h, s: float) -> HermitianOperator:
     """Matrix power H**s of a PSD operator with the convention 0**s = 0 (all real s)."""
     spec = eig(h)
     w = spec.eigenvalues
-    if w.size and w[0] < -psd_tol:
+    if w.size and w[0] < -TRACE_TOL:
         raise ValueError(
             f"matrix power needs a positive semidefinite operator (min eigenvalue {w[0]:.3e})"
         )
-    cut = rank_cut(w, w.size) * cut_scale
     powered = np.zeros_like(w)
-    mask = w > cut
+    mask = above_cut(w)
     powered[mask] = w[mask] ** s
     m = (spec.eigenvectors * powered) @ spec.eigenvectors.conj().T
     return HermitianOperator((m + m.conj().T) / 2.0)
 
 
 def support_projection(h) -> HermitianOperator:
-    """Projection onto the eigenspaces of a PSD operator above the rank cut."""
-    spec = eig(h)
-    w = spec.eigenvalues
-    cut = rank_cut(w, w.size)
-    v = spec.eigenvectors[:, w > cut]
+    """Projection onto the eigenspaces above the rank cut: the support of a PSD
+    operator, the positive part of a signed one."""
+    v = eig(h).support().eigenvectors
     p = v @ v.conj().T
     p = (p + p.conj().T) / 2.0
     idem = float(np.max(np.abs(p @ p - p))) if p.size else 0.0
@@ -225,25 +244,13 @@ def abs_power_trace(a, b, s: float) -> float:
     return trace_norm(prod)
 
 
-def spectral_clusters(h, tol: float | None = None) -> list[tuple[float, np.ndarray]]:
-    """Group nearly-degenerate eigenvalues; returns (mean eigenvalue, basis columns)."""
+def spectral_projections(h) -> list[tuple[float, np.ndarray]]:
+    """(mean eigenvalue, projection) per cluster of nearly-degenerate eigenvalues."""
     spec = eig(h)
     w, v = spec.eigenvalues, spec.eigenvectors
-    if w.size == 0:
-        return []
-    scale = max(1.0, float(np.max(np.abs(w))))
-    if tol is None:
-        tol = 1e-9 * scale
-    splits = np.nonzero(np.diff(w) > tol)[0] + 1
-    starts = [0, *splits.tolist()]
-    stops = [*splits.tolist(), w.size]
-    return [(float(np.mean(w[a:b])), v[:, a:b]) for a, b in zip(starts, stops)]
-
-
-def spectral_projections(h, tol: float | None = None) -> list[tuple[float, np.ndarray]]:
-    """Spectral projections of a Hermitian operator, one per eigenvalue cluster."""
+    tol = 1e-9 * max(1.0, float(np.max(np.abs(w), initial=0.0)))
     out = []
-    for value, basis in spectral_clusters(h, tol):
-        p = basis @ basis.conj().T
-        out.append((value, (p + p.conj().T) / 2.0))
+    for run in cluster_slices(w, tol):
+        p = v[:, run] @ v[:, run].conj().T
+        out.append((float(np.mean(w[run])), (p + p.conj().T) / 2.0))
     return out

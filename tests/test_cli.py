@@ -1,10 +1,15 @@
 import json
 import math
+import os
+import subprocess
+import sys
+from pathlib import Path
 
 import numpy as np
 import pytest
 from numpy.testing import assert_allclose
 
+import symtest
 from symtest.cli import (
     main,
     parse_scenario,
@@ -235,6 +240,25 @@ class TestCommands:
             "--scenario", write_scenario(tmp_path),
             "--command", "psi", "--s-grid", "1:0:5",
         ]) == 2
+
+    @pytest.mark.parametrize("args", [
+        ["--command", "beta-eps", "--eps", "1.5"],
+        ["--command", "psi", "--n-max", "0"],
+        ["--command", "verify", "--n-max", "0"],
+        ["--command", "psi", "--s-grid", "0:1:1"],
+        ["--command", "hoeffding", "--r-grid=-0.1:0.1:3"],
+        ["--command", "pmin", "--a-grid", "0:1:0"],
+    ])
+    def test_bad_argument_is_exit_2_without_traceback(self, tmp_path, args):
+        src = str(Path(symtest.__file__).resolve().parents[1])
+        env = {**os.environ, "PYTHONPATH": src}
+        proc = subprocess.run(
+            [sys.executable, "-m", "symtest.cli", "--scenario", write_scenario(tmp_path), *args],
+            capture_output=True, text=True, env=env, timeout=120,
+        )
+        assert proc.returncode == 2
+        assert proc.stderr.startswith("error:")
+        assert "Traceback" not in proc.stderr
 
 
 class TestExamples:

@@ -6,8 +6,11 @@ from symtest.errors import DimensionError
 from symtest.linalg import (
     DensityOperator,
     HermitianOperator,
+    Spectrum,
+    above_cut,
     abs_power_trace,
     asmatrix,
+    cluster_slices,
     dim_cap,
     eig,
     kron,
@@ -226,3 +229,86 @@ def test_rank_cut_sensitivity(rng):
     for s in (-0.5, 0.25, 0.75, 1.5):
         assert lo.psi(s) == pytest.approx(base.psi(s), abs=1e-9)
         assert hi.psi(s) == pytest.approx(base.psi(s), abs=1e-9)
+
+
+def _old_rank_cut(eigenvalues, dim):
+    # reference cut on the largest eigenvalue: max(dim*eps*lmax, 1e-12)
+    return max(dim * float(np.finfo(float).eps) * float(np.max(eigenvalues, initial=0.0)), 1e-12)
+
+
+def test_above_cut_matches_old_cut_on_psd_spectra(rng):
+    for dim in range(2, 17):
+        for rank in (dim, max(1, dim // 2), 1):
+            w = np.linalg.eigvalsh(random_density(dim, rank=rank, rng=rng))
+            expected = w > _old_rank_cut(w, dim)
+            assert np.array_equal(above_cut(w), expected)
+            assert int(above_cut(w).sum()) == rank
+            for scale in (0.1, 10.0):
+                assert np.array_equal(above_cut(w, scale), w > _old_rank_cut(w, dim) * scale)
+
+
+def test_above_cut_matches_old_cut_on_signed_differences(rng):
+    for dim in range(2, 17):
+        rho0 = random_density(dim, rank=max(1, dim // 3), rng=rng)
+        rho1 = random_density(dim, rng=rng)
+        for weight in (0.3, 1.0, 4.0):
+            w = np.linalg.eigvalsh(weight * rho0 - rho1)
+            assert np.array_equal(above_cut(w), w > _old_rank_cut(np.abs(w), dim))
+
+
+def test_spectrum_support_keeps_pairs_above_cut(rng):
+    spec = eig(random_density(6, rank=3, rng=rng))
+    kept = spec.support()
+    assert kept.eigenvalues.size == 3 and kept.eigenvectors.shape == (6, 3)
+    assert_allclose(kept.reconstruct(), spec.reconstruct(), atol=1e-12)
+
+
+def test_cluster_slices_edge_cases():
+    assert cluster_slices(np.array([]), 1e-9) == []
+    assert cluster_slices(np.array([0.3]), 1e-9) == [slice(0, 1)]
+    assert cluster_slices(np.full(4, 0.25), 1e-9) == [slice(0, 4)]
+    w = np.array([0.0, 0.5, 1.0, 3.0])
+    # a gap equal to tol stays inside the run; only gaps above tol split
+    assert cluster_slices(w, 0.5) == [slice(0, 3), slice(3, 4)]
+    assert cluster_slices(w, np.nextafter(0.5, 0.0)) == [slice(0, 1), slice(1, 2),
+                                                        slice(2, 3), slice(3, 4)]
+
+
+def test_clipped_returns_self_inside_range(rng):
+    h = HermitianOperator(random_density(4, rng=rng))
+    assert h.clipped(0.0, np.inf, 1e-9) is h
+    assert h.clipped(0.0, 1.0, 1e-9) is h
+
+
+def test_clipped_moves_small_violations_onto_the_edge(rng):
+    density = HermitianOperator(np.diag([-1e-12, 0.4, 0.6 + 1e-12])).clipped(0.0, np.inf, 1e-9)
+    assert np.array_equal(np.linalg.eigvalsh(density.mat), [0.0, 0.4, 0.6 + 1e-12])
+    test = HermitianOperator(np.diag([0.0, 0.5, 1.0 + 1e-12])).clipped(0.0, 1.0, 1e-9)
+    assert np.array_equal(np.linalg.eigvalsh(test.mat), [0.0, 0.5, 1.0])
+    # in a rotated basis the rebuild leaves only roundoff past the edge
+    u = random_unitary(3, rng)
+    for w, lo, hi in (([-1e-12, 0.4, 0.6], 0.0, np.inf), ([0.0, 0.5, 1.0 + 1e-12], 0.0, 1.0)):
+        out = HermitianOperator((u * np.array(w)) @ u.conj().T).clipped(lo, hi, 1e-9)
+        assert_allclose(np.linalg.eigvalsh(out.mat), np.clip(w, lo, hi), rtol=0, atol=1e-14)
+
+
+def test_clipped_rejects_violations_beyond_tol():
+    with pytest.raises(ValueError, match="eigenvalue") as info:
+        HermitianOperator(np.diag([-1e-8, 1.0])).clipped(0.0, np.inf, 1e-9)
+    assert "spectrum" in str(info.value)
+    with pytest.raises(ValueError, match="spectrum"):
+        HermitianOperator(np.diag([0.0, 1.0 + 1e-8])).clipped(0.0, 1.0, 1e-9)
+
+
+def test_per_copy_curve_is_psi_curve_over_n():
+    from symtest.asymptotics import make_scenario, per_copy_curve
+    from symtest.divergences import PsiEvaluator, psi_curve
+    from symtest.groups import twirled_pair
+
+    sc = make_scenario("TorusPureVsMixed", alpha=0.3)
+    for n in (1, 3, 4):
+        pair = twirled_pair(sc.rho0, sc.rho1, sc.action, n)
+        curve = per_copy_curve(PsiEvaluator(*pair), n, label="x")
+        assert np.array_equal(curve.values, psi_curve(*pair).values / n)
+        assert (curve.n, curve.label) == (n, "x")
+        assert curve.evaluate(0.37) == psi_curve(*pair).fn(0.37) / n
