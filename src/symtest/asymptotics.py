@@ -153,18 +153,18 @@ def closed_form_psi(kind: str, params: dict, s: float) -> float:
     raise ValueError(f"no closed form for scenario kind {kind!r}")
 
 
-def closed_form_curve(kind: str, params: dict, grid=None, label: str | None = None) -> PsiCurve:
+def closed_form_curve(kind: str, params: dict, grid=None) -> PsiCurve:
     if grid is None:
         grid = default_s_grid()
     grid = np.asarray(grid, dtype=float)
     values = np.array([closed_form_psi(kind, params, float(s)) for s in grid])
-    return PsiCurve(grid, values, n=0, label=label or kind,
+    return PsiCurve(grid, values, n=0, label=kind,
                     fn=lambda s: closed_form_psi(kind, params, s))
 
 
-def unrestricted_curve(rho0, rho1, grid=None, label: str = "unrestricted") -> PsiCurve:
+def unrestricted_curve(rho0, rho1, grid=None) -> PsiCurve:
     """Single-copy psi of the raw pair, before any twirl."""
-    return psi_curve(rho0, rho1, grid, n=1, label=label)
+    return psi_curve(rho0, rho1, grid, n=1, label="unrestricted")
 
 
 @dataclass(frozen=True)
@@ -221,36 +221,19 @@ def convergence_table(scenario: Scenario, s_grid=None, n_max: int | None = None)
     return ConvergenceTable(tuple(rows))
 
 
-def solve_branch_crossover(lam: float, mu: float, xtol: float = 1e-12) -> float:
+def solve_branch_crossover(lam: float, mu: float) -> float:
     """The nonpositive s where the dominant-pairing and half-sum branches of
-    the commuting-pair curve meet; solved by bisection.
+    the commuting-pair curve meet: the root of the linear balance equation
+    s * log((1-lam) mu / (lam (1-mu))) = log(mu / (1-mu)).
 
     Requires 0 < lam < mu <= 1/2.
     """
     if not 0.0 < lam < mu <= 0.5:
         raise ValueError("need 0 < lam < mu <= 1/2")
-    slope = math.log((1.0 - lam) * mu / (lam * (1.0 - mu)))
-    target = math.log(mu / (1.0 - mu))
-
-    def f(s: float) -> float:
-        return s * slope - target
-
-    lo, hi = -1.0, 0.0
-    while f(lo) > 0.0:
-        lo *= 2.0
-        if lo < -1e6:
-            raise ValueError("failed to bracket the crossover point")
-    # f is increasing in s, so keep f(lo) <= 0 <= f(hi)
-    while hi - lo > xtol:
-        mid = (lo + hi) / 2.0
-        if f(mid) <= 0.0:
-            lo = mid
-        else:
-            hi = mid
-    return (lo + hi) / 2.0
+    return math.log(mu / (1.0 - mu)) / math.log((1.0 - lam) * mu / (lam * (1.0 - mu)))
 
 
-def solve_flat_chernoff_alpha(xtol: float = 1e-12) -> float:
+def solve_flat_chernoff_alpha() -> float:
     """The mixing weight at which the twirled pure-vs-mixed curve has a flat
     minimum at s = 1/2, so the restricted Chernoff distance is exactly half
     the unrestricted one.  Root of 2*H(alpha) = log 2 on (0, 1/2)."""
@@ -259,7 +242,7 @@ def solve_flat_chernoff_alpha(xtol: float = 1e-12) -> float:
         return -2.0 * (alpha * math.log(alpha) + (1.0 - alpha) * math.log(1.0 - alpha)) - math.log(2.0)
 
     lo, hi = 1e-12, 0.5
-    while hi - lo > xtol:
+    while hi - lo > 1e-12:
         mid = (lo + hi) / 2.0
         if f(mid) <= 0.0:
             lo = mid
@@ -326,8 +309,7 @@ def _supports_nested(rho0n, rho1n) -> bool:
     return relative_entropy(rho0n, rho1n) != math.inf
 
 
-def mean_quantities(scenario: Scenario, r_grid=None,
-                    alphas=(0.0, 0.25, 0.5, 0.75)) -> DivergenceReport:
+def mean_quantities(scenario: Scenario, r_grid=None) -> DivergenceReport:
     """Mean (per-copy limit) distance measures of a scenario.
 
     With a closed-form kind the values are exact; otherwise they are the
@@ -352,7 +334,7 @@ def mean_quantities(scenario: Scenario, r_grid=None,
     else:
         mean_rel = math.inf
     renyi_map = {}
-    for alpha in alphas:
+    for alpha in (0.0, 0.25, 0.5, 0.75):
         v = curve.evaluate(alpha)
         renyi_map[alpha] = math.inf if v == NEG_INF and alpha < 1 else v / (alpha - 1.0)
     return DivergenceReport(
@@ -368,7 +350,7 @@ def mean_quantities(scenario: Scenario, r_grid=None,
     )
 
 
-def stein_gap_check(scenario: Scenario, n: int, tol: float = 1e-8) -> CheckReport:
+def stein_gap_check(scenario: Scenario, n: int) -> CheckReport:
     """Finite-n relative-entropy accounting for an invariant alternative.
 
     The pinched classical value sits below n*S(rho0||rho1) by monotonicity
@@ -382,7 +364,7 @@ def stein_gap_check(scenario: Scenario, n: int, tol: float = 1e-8) -> CheckRepor
         return report
     rho0n, rho1n = twirled_pair(scenario.rho0, scenario.rho1, scenario.action, n)
     report.check_leq("S(twirled)/n <= S(rho0||rho1)",
-                     relative_entropy(rho0n, rho1n) / n, s_single, tol, n=n)
+                     relative_entropy(rho0n, rho1n) / n, s_single, 1e-8, n=n)
     rho1_pow = kron_power(asmatrix(scenario.rho1), n)
     projections = [p for _, p in spectral_projections(rho1_pow)]
     from .groups import tensor_power  # local import keeps module deps one-way
@@ -393,7 +375,7 @@ def stein_gap_check(scenario: Scenario, n: int, tol: float = 1e-8) -> CheckRepor
     allowance = scenario.rho0.dim * math.log(n + 1.0) + 2.0 * math.log(
         block_structure(scenario.action, n).sum_irrep_dims()
     )
-    report.check_leq("pinched relative entropy <= n*S", s_pinched, n * s_single, tol, n=n)
+    report.check_leq("pinched relative entropy <= n*S", s_pinched, n * s_single, 1e-8, n=n)
     report.check_leq("n*S - pinched <= rank allowance",
-                     n * s_single - s_pinched, allowance, tol, n=n)
+                     n * s_single - s_pinched, allowance, 1e-8, n=n)
     return report

@@ -16,7 +16,7 @@ import argparse
 import json
 import math
 import sys
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 
 import numpy as np
 
@@ -56,7 +56,7 @@ from .divergences import (
     relative_entropy,
     richardson_derivative,
 )
-from .errors import DimensionError, ScenarioError, SymtestError
+from .errors import ScenarioError, SymtestError
 from .groups import GroupAction, is_support_invariant, twirled_pair
 from .linalg import DensityOperator
 from .verify import run_verify
@@ -95,7 +95,6 @@ class RunConfig:
     name: str | None = None
     out: str | None = None
     fmt: str = "csv"
-    extra_scenario_text: str | None = field(default=None, repr=False)
 
 
 def _fmt(x) -> str:
@@ -262,14 +261,10 @@ def _emit(text: str, config: RunConfig) -> None:
 
 
 def _load_scenario(config: RunConfig) -> Scenario:
-    if config.extra_scenario_text is not None:
-        text = config.extra_scenario_text
-    elif config.scenario_path:
-        with open(config.scenario_path, "r", encoding="utf-8") as handle:
-            text = handle.read()
-    else:
+    if not config.scenario_path:
         raise ScenarioError(f"command {config.command!r} requires --scenario")
-    sc = parse_scenario(text)
+    with open(config.scenario_path, "r", encoding="utf-8") as handle:
+        sc = parse_scenario(handle.read())
     if config.n_max is not None:
         sc = Scenario(name=sc.name, rho0=sc.rho0, rho1=sc.rho1, action=sc.action,
                       n_max=config.n_max, params=sc.params, kind=sc.kind)
@@ -494,15 +489,9 @@ def run(config: RunConfig) -> int:
             "convergence": _cmd_convergence,
         }
         return dispatch[config.command](sc, config)
-    except ScenarioError as exc:
+    except (ScenarioError, FileNotFoundError) as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 2
-    except FileNotFoundError as exc:
-        print(f"error: {exc}", file=sys.stderr)
-        return 2
-    except DimensionError as exc:
-        print(f"error: {exc}", file=sys.stderr)
-        return 3
     except SymtestError as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 3

@@ -19,7 +19,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .divergences import PsiCurve, PsiEvaluator, _golden_min, richardson_derivative
+from .divergences import PsiCurve, PsiEvaluator, _golden_min, _scan_min, richardson_derivative
 from .errors import DimensionError
 from .linalg import (
     HermitianOperator,
@@ -130,18 +130,7 @@ def average_error(rho0n, rho1n) -> float:
     return p_min(rho0n, rho1n, 0.0, 1) / 2.0
 
 
-def _scan_min(fn, lo: float, hi: float, points: int) -> float:
-    """Minimum of fn over a uniform grid on [lo, hi], refined by golden
-    section between the neighbours of the best grid point."""
-    grid = np.linspace(lo, hi, points)
-    vals = [fn(float(s)) for s in grid]
-    k = int(np.argmin(vals))
-    lo, hi = float(grid[max(k - 1, 0)]), float(grid[min(k + 1, grid.size - 1)])
-    _, refined = _golden_min(fn, lo, hi)
-    return min(refined, min(vals))
-
-
-def pmin_bounds_check(rho0n, rho1n, a: float, n: int = 1, tol: float = 1e-9) -> CheckReport:
+def pmin_bounds_check(rho0n, rho1n, a: float, n: int = 1) -> CheckReport:
     """Power-trace sandwich around the minimal error.
 
     Upper: p_min(a) <= min over s in [0,1] of e^{-nas} Tr rho0n^s rho1n^(1-s).
@@ -153,7 +142,7 @@ def pmin_bounds_check(rho0n, rho1n, a: float, n: int = 1, tol: float = 1e-9) -> 
         t = ev.trace_power(s)
         return math.exp(-n * a * s) * t
 
-    upper = _scan_min(upper_objective, 0.0, 1.0, 41)
+    _, upper = _scan_min(upper_objective, np.linspace(0.0, 1.0, 41))
 
     weight = math.exp(-n * a)
     half_trace = ev.trace_power(0.5)
@@ -161,8 +150,8 @@ def pmin_bounds_check(rho0n, rho1n, a: float, n: int = 1, tol: float = 1e-9) -> 
 
     value = p_min(rho0n, rho1n, a, n)
     report = CheckReport(f"p_min power-trace bounds (a={a:g}, n={n})")
-    report.check_leq("p_min <= weighted trace min", value, upper, tol, a=a, n=n)
-    report.check_leq("fidelity-type lower bound <= p_min", lower, value, tol, a=a, n=n)
+    report.check_leq("p_min <= weighted trace min", value, upper, 1e-9, a=a, n=n)
+    report.check_leq("fidelity-type lower bound <= p_min", lower, value, 1e-9, a=a, n=n)
     return report
 
 
@@ -257,18 +246,18 @@ def strong_converse_bound(rho0n, rho1n, eps: float, a: float, n: int,
     def neg_objective(s: float) -> float:
         return ev.psi(s) - n * a * (s - 1.0)
 
-    phi_tilde_n = -_scan_min(neg_objective, 1.0, 1.5, 21)
+    phi_tilde_n = -_scan_min(neg_objective, np.linspace(1.0, 1.5, 21))[1]
     return math.exp(-n * a) * (1.0 - eps - math.exp(-phi_tilde_n))
 
 
-def stein_a_grid(curve: PsiCurve, points: int = 21) -> np.ndarray:
+def stein_a_grid(curve: PsiCurve) -> np.ndarray:
     """Rate grid spanning the one-sided slopes of the curve at s = 1."""
     left = richardson_derivative(curve.evaluate, 1.0, side="left")
     right = richardson_derivative(curve.evaluate, 1.0, side="right")
-    return np.linspace(left - 0.5, right + 0.5, points)
+    return np.linspace(left - 0.5, right + 0.5, 21)
 
 
-def fidelity_pmin_check(rho0n, rho1n, tol: float = 1e-9) -> CheckReport:
+def fidelity_pmin_check(rho0n, rho1n) -> CheckReport:
     """Fidelity sandwich around the equal-priors symmetric error."""
     from .divergences import fidelity  # local to avoid a cycle at import time
 
@@ -276,6 +265,6 @@ def fidelity_pmin_check(rho0n, rho1n, tol: float = 1e-9) -> CheckReport:
     value = average_error(rho0n, rho1n)
     lower = (1.0 - math.sqrt(max(1.0 - f * f, 0.0))) / 2.0
     report = CheckReport("fidelity sandwich for the symmetric error")
-    report.check_leq("(1 - sqrt(1 - F^2))/2 <= avg error", lower, value, tol)
-    report.check_leq("avg error <= F/2", value, f / 2.0, tol)
+    report.check_leq("(1 - sqrt(1 - F^2))/2 <= avg error", lower, value, 1e-9)
+    report.check_leq("avg error <= F/2", value, f / 2.0, 1e-9)
     return report

@@ -197,13 +197,13 @@ def fidelity(rho, sigma) -> float:
     return float(min(max(f, 0.0), 1.0))
 
 
-def _golden_min(fn, a: float, b: float, xtol: float = GOLDEN_XTOL) -> tuple[float, float]:
+def _golden_min(fn, a: float, b: float) -> tuple[float, float]:
     """Deterministic golden-section minimum; ties resolve toward smaller s."""
     invphi = (math.sqrt(5.0) - 1.0) / 2.0
     c = b - invphi * (b - a)
     d = a + invphi * (b - a)
     fc, fd = fn(c), fn(d)
-    while b - a > xtol:
+    while b - a > GOLDEN_XTOL:
         if fc <= fd:
             b, d, fd = d, c, fc
             c = b - invphi * (b - a)
@@ -223,23 +223,27 @@ def _grid_in(curve: PsiCurve, lo: float, hi: float) -> np.ndarray:
     return pts[(pts >= lo) & (pts <= hi)]
 
 
-def _refine_min(curve: PsiCurve, objective, lo: float, hi: float) -> tuple[float, float]:
-    """Grid scan then golden-section refinement of a scalar objective."""
-    pts = _grid_in(curve, lo, hi)
-    vals = np.array([objective(float(s)) for s in pts])
+def _scan_min(fn, pts: np.ndarray, refine: bool = True) -> tuple[float, float]:
+    """Minimum of fn over the ascending points pts, refined by golden section
+    between the neighbours of the best point unless refine is false."""
+    vals = np.array([fn(float(s)) for s in pts])
     k = int(np.argmin(vals))
     best_s, best_v = float(pts[k]), float(vals[k])
-    if best_v == NEG_INF:
-        return best_s, NEG_INF
-    if curve.fn is None:
+    if best_v == NEG_INF or not refine:
         return best_s, best_v
     a = float(pts[max(k - 1, 0)])
     b = float(pts[min(k + 1, pts.size - 1)])
     if b > a:
-        s_ref, v_ref = _golden_min(objective, a, b)
+        s_ref, v_ref = _golden_min(fn, a, b)
         if v_ref < best_v or (v_ref == best_v and s_ref < best_s):
             best_s, best_v = s_ref, v_ref
     return best_s, best_v
+
+
+def _refine_min(curve: PsiCurve, objective, lo: float, hi: float) -> tuple[float, float]:
+    """Scan of a scalar objective over the curve's grid in [lo, hi], refined
+    past the grid when the curve carries an exact evaluator."""
+    return _scan_min(objective, _grid_in(curve, lo, hi), refine=curve.fn is not None)
 
 
 def chernoff_distance(curve: PsiCurve) -> float:
@@ -252,11 +256,10 @@ def chernoff_distance(curve: PsiCurve) -> float:
     return -vmin
 
 
-def richardson_derivative(f, x: float, side: str = "central",
-                          hs: tuple[float, ...] = RICHARDSON_STEPS) -> float:
+def richardson_derivative(f, x: float, side: str = "central") -> float:
     """Richardson-extrapolated finite difference; one-sided variants use only
     nodes on the requested side of x."""
-    h0, h1, h2 = hs
+    h0, h1, h2 = RICHARDSON_STEPS
     if side == "central":
         def diff(h):
             return (f(x + h) - f(x - h)) / (2.0 * h)
@@ -333,7 +336,7 @@ def phi_tilde(curve: PsiCurve, a: float) -> float:
 
 
 def lieb_bound_check(rho0, rho1, action: GroupAction, n: int,
-                     s_grid=None, tol: float = 1e-8) -> CheckReport:
+                     s_grid=None) -> CheckReport:
     """Sandwich of the n-copy twirled psi between the scaled unrestricted and
     single-copy twirled curves: on [0, 1] it sits above n*psi_unrestricted and
     below n*psi_1; on [1, 2] both bounds flip when supp rho1 is invariant."""
@@ -351,14 +354,14 @@ def lieb_bound_check(rho0, rho1, action: GroupAction, n: int,
     for s in s_grid[(s_grid >= 0.0) & (s_grid <= 1.0)]:
         s = float(s)
         pn, p1, p0 = ev_n.psi(s), ev_1.psi(s), ev_0.psi(s)
-        report.check_leq(f"n*psi_unres <= psi_n at s={s:g}", n * p0, pn, tol, s=s)
-        report.check_leq(f"psi_n <= n*psi_1 at s={s:g}", pn, n * p1, tol, s=s)
+        report.check_leq(f"n*psi_unres <= psi_n at s={s:g}", n * p0, pn, 1e-8, s=s)
+        report.check_leq(f"psi_n <= n*psi_1 at s={s:g}", pn, n * p1, 1e-8, s=s)
     if invariant:
         for s in s_grid[(s_grid >= 1.0) & (s_grid <= 2.0)]:
             s = float(s)
             pn, p1, p0 = ev_n.psi(s), ev_1.psi(s), ev_0.psi(s)
-            report.check_leq(f"psi_n <= n*psi_unres at s={s:g}", pn, n * p0, tol, s=s)
-            report.check_leq(f"n*psi_1 <= psi_n at s={s:g}", n * p1, pn, tol, s=s)
+            report.check_leq(f"psi_n <= n*psi_unres at s={s:g}", pn, n * p0, 1e-8, s=s)
+            report.check_leq(f"n*psi_1 <= psi_n at s={s:g}", n * p1, pn, 1e-8, s=s)
     return report
 
 

@@ -65,27 +65,25 @@ class GroupAction:
         return len(self.unitaries) if self.kind == FINITE else None
 
     @staticmethod
-    def finite(mats, unitary_tol: float = 1e-9, closure_tol: float = 1e-8) -> "GroupAction":
-        """Validated finite action: identity present, unitary elements, closed
-        under multiplication.  A failed closure check is an error, never
-        silently completed."""
+    def finite(mats) -> "GroupAction":
+        """Validated finite action: identity present, unitary elements (within
+        1e-9), closed under multiplication (within 1e-8).  A failed closure
+        check is an error, never silently completed."""
         us = [asmatrix(u) for u in mats]
         d = us[0].shape[0]
         eye = np.eye(d)
         for u in us:
             if u.shape[0] != d:
                 raise DimensionError("all group unitaries must share one dimension")
-            if float(np.max(np.abs(u.conj().T @ u - eye))) > unitary_tol:
-                raise ValueError(f"group element is not unitary within {unitary_tol:g}")
-        if not any(float(np.max(np.abs(u - eye))) <= unitary_tol for u in us):
+            if float(np.max(np.abs(u.conj().T @ u - eye))) > 1e-9:
+                raise ValueError("group element is not unitary within 1e-09")
+        if not any(float(np.max(np.abs(u - eye))) <= 1e-9 for u in us):
             raise ValueError("finite group list must contain the identity")
         for a in us:
             for b in us:
                 p = a @ b
-                if min(float(np.max(np.abs(p - u))) for u in us) > closure_tol:
-                    raise ValueError(
-                        f"finite group list is not closed under multiplication within {closure_tol:g}"
-                    )
+                if min(float(np.max(np.abs(p - u))) for u in us) > 1e-8:
+                    raise ValueError("finite group list is not closed under multiplication within 1e-08")
         frozen = []
         for u in us:
             u = u.copy()
@@ -169,10 +167,10 @@ def twirled_pair(rho0, rho1, action: GroupAction, n: int) -> tuple[DensityOperat
     return out[0], out[1]
 
 
-def is_support_invariant(rho1, action: GroupAction, tol: float = 1e-8) -> bool:
-    """Whether the support projection of rho1 is fixed by the action."""
+def is_support_invariant(rho1, action: GroupAction) -> bool:
+    """Whether the support projection of rho1 is fixed by the action, within 1e-8."""
     p = support_projection(asmatrix(rho1)).mat
-    return float(np.max(np.abs(twirl(p, action) - p))) <= tol
+    return float(np.max(np.abs(twirl(p, action) - p))) <= 1e-8
 
 
 @dataclass(frozen=True)

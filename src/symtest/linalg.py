@@ -51,14 +51,13 @@ class HermitianOperator:
     """A Hermitian matrix, stored canonically as (A + A*)/2."""
 
     mat: np.ndarray
-    herm_tol: float = HERM_TOL
 
     def __post_init__(self):
         m = asmatrix(self.mat)
         dev = float(np.max(np.abs(m - m.conj().T))) if m.size else 0.0
-        if dev > self.herm_tol:
+        if dev > HERM_TOL:
             raise ValueError(
-                f"matrix is not Hermitian within {self.herm_tol:g} (deviation {dev:.3e})"
+                f"matrix is not Hermitian within {HERM_TOL:g} (deviation {dev:.3e})"
             )
         canon = (m + m.conj().T) / 2.0
         canon.setflags(write=False)
@@ -92,28 +91,27 @@ class HermitianOperator:
 class DensityOperator:
     """Positive semidefinite, unit-trace Hermitian operator.
 
-    Eigenvalues in [-trace_tol, 0) are clipped to zero on construction and the
+    Eigenvalues in [-TRACE_TOL, 0) are clipped to zero on construction and the
     trace renormalized; anything more negative is rejected.
     """
 
     op: HermitianOperator
-    trace_tol: float = TRACE_TOL
 
     def __post_init__(self):
         if not isinstance(self.op, HermitianOperator):
             object.__setattr__(self, "op", HermitianOperator(asmatrix(self.op)))
         tr = float(np.trace(self.op.mat).real)
-        if abs(tr - 1.0) > self.trace_tol:
-            raise ValueError(f"trace must be 1 within {self.trace_tol:g}, got {tr!r}")
-        op = self.op.clipped(0.0, np.inf, self.trace_tol)
+        if abs(tr - 1.0) > TRACE_TOL:
+            raise ValueError(f"trace must be 1 within {TRACE_TOL:g}, got {tr!r}")
+        op = self.op.clipped(0.0, np.inf, TRACE_TOL)
         tr = float(np.trace(op.mat).real)
         if abs(tr - 1.0) > 1e-15:
             op = HermitianOperator(op.mat / tr)
         object.__setattr__(self, "op", op)
 
     @classmethod
-    def from_matrix(cls, m, trace_tol: float = TRACE_TOL) -> "DensityOperator":
-        return cls(HermitianOperator(asmatrix(m)), trace_tol)
+    def from_matrix(cls, m) -> "DensityOperator":
+        return cls(HermitianOperator(asmatrix(m)))
 
     @property
     def mat(self) -> np.ndarray:

@@ -59,13 +59,12 @@ def random_unitary(dim: int, rng: np.random.Generator) -> np.ndarray:
     return q * (np.diag(r) / np.abs(np.diag(r)))
 
 
-def dense_twirl_oracle(x, unitaries=None, weights=None,
-                       samples: int = TORUS_SAMPLES) -> np.ndarray:
+def dense_twirl_oracle(x, unitaries=None, weights=None) -> np.ndarray:
     """Group average by literal summation.
 
-    Finite lists are averaged exactly; the torus is averaged over `samples`
-    equispaced phases, which is exact whenever every weight gap divides the
-    sample count (phase sums cancel exactly in that case).
+    Finite lists are averaged exactly; the torus is averaged over
+    TORUS_SAMPLES equispaced phases, which is exact whenever every weight gap
+    divides the sample count (phase sums cancel exactly in that case).
     """
     m = np.asarray(x, dtype=complex)
     if unitaries is not None:
@@ -78,10 +77,10 @@ def dense_twirl_oracle(x, unitaries=None, weights=None,
         raise ValueError("need either a unitary list or torus weights")
     w = np.asarray(weights, dtype=np.int64)
     acc = np.zeros_like(m)
-    for k in range(samples):
-        phase = np.exp(2j * np.pi * k * w / samples)
+    for k in range(TORUS_SAMPLES):
+        phase = np.exp(2j * np.pi * k * w / TORUS_SAMPLES)
         acc += (phase[:, None] * m) * phase.conj()[None, :]
-    return acc / samples
+    return acc / TORUS_SAMPLES
 
 
 def ptrace_oracle(mat, m: int, d: int) -> np.ndarray:
@@ -151,8 +150,7 @@ def _pmin_reference(m0: np.ndarray, m1: np.ndarray, a: float, n: int) -> float:
     return (1.0 + weight) / 2.0 - float(np.sum(np.abs(w))) / 2.0
 
 
-def pmin_random_battery(rho0n, rho1n, a: float, count: int, seed: int = DEFAULT_SEED,
-                        n: int = 1) -> OracleRecord:
+def pmin_random_battery(rho0n, rho1n, a: float, count: int, n: int = 1) -> OracleRecord:
     """Weighted error of `count` random tests versus the closed-form optimum.
 
     Random tests are Hermitian matrices with spectrum clipped into [0, 1].
@@ -160,7 +158,7 @@ def pmin_random_battery(rho0n, rho1n, a: float, count: int, seed: int = DEFAULT_
     """
     m0 = np.asarray(getattr(rho0n, "mat", rho0n), dtype=complex)
     m1 = np.asarray(getattr(rho1n, "mat", rho1n), dtype=complex)
-    rng = np.random.default_rng(seed)
+    rng = np.random.default_rng(DEFAULT_SEED)
     weight = math.exp(-n * a)
     best = math.inf
     for _ in range(count):
@@ -173,7 +171,7 @@ def pmin_random_battery(rho0n, rho1n, a: float, count: int, seed: int = DEFAULT_
     reference = _pmin_reference(m0, m1, a, n)
     return OracleRecord(
         id=f"pmin-battery-a{a:g}-n{n}-count{count}",
-        inputs={"a": a, "n": n, "count": count, "seed": seed, "dim": int(m0.shape[0])},
+        inputs={"a": a, "n": n, "count": count, "seed": DEFAULT_SEED, "dim": int(m0.shape[0])},
         value=[best if count else None, reference],
         method="random clipped-Hermitian tests vs closed-form minimal error",
     )

@@ -76,8 +76,8 @@ def builtin_scenarios(n_max: int = 6) -> dict[str, Scenario]:
     }
 
 
-def _random_pairs(count: int, dims=(2, 3), seed: int = DEFAULT_SEED):
-    rng = np.random.default_rng(seed)
+def _random_pairs(count: int, dims=(2, 3)):
+    rng = np.random.default_rng(DEFAULT_SEED)
     pairs = []
     for k in range(count):
         dim = dims[k % len(dims)]
@@ -97,7 +97,7 @@ def psi_sandwich_reports(scenarios, n_max: int) -> list[CheckReport]:
     return out
 
 
-def additivity_report(scenarios, tol: float = 1e-8) -> CheckReport:
+def additivity_report(scenarios) -> CheckReport:
     """psi subadditivity on [0,1] and Renyi superadditivity below order 1."""
     report = CheckReport("psi/Renyi additivity across copy counts")
     pairs = [(1, 1), (1, 2), (2, 2)]
@@ -112,17 +112,17 @@ def additivity_report(scenarios, tol: float = 1e-8) -> CheckReport:
                 lhs = psi(*cache[n + m], s)
                 rhs = psi(*cache[n], s) + psi(*cache[m], s)
                 report.check_leq(
-                    f"{key}: psi_{n + m}({s:g}) <= psi_{n}+psi_{m}", lhs, rhs, tol)
+                    f"{key}: psi_{n + m}({s:g}) <= psi_{n}+psi_{m}", lhs, rhs, 1e-8)
             for alpha in (0.0, 0.3, 0.7):
                 lhs = renyi(*cache[n], alpha) + renyi(*cache[m], alpha)
                 rhs = renyi(*cache[n + m], alpha)
                 report.check_leq(
                     f"{key}: S_{alpha:g}({n})+S_{alpha:g}({m}) <= S_{alpha:g}({n + m})",
-                    lhs, rhs, tol)
+                    lhs, rhs, 1e-8)
     return report
 
 
-def renyi_entropy_subadditivity_report(tol: float = 1e-8) -> CheckReport:
+def renyi_entropy_subadditivity_report() -> CheckReport:
     """Against a maximally mixed alternative the twirled Renyi entropy is
     subadditive for orders below 1."""
     report = CheckReport("Renyi entropy subadditivity vs maximally mixed alternative")
@@ -133,11 +133,11 @@ def renyi_entropy_subadditivity_report(tol: float = 1e-8) -> CheckReport:
             lhs = renyi_entropy(cache[n + m], alpha)
             rhs = renyi_entropy(cache[n], alpha) + renyi_entropy(cache[m], alpha)
             report.check_leq(f"H_{alpha:g}({n + m}) <= H_{alpha:g}({n})+H_{alpha:g}({m})",
-                             lhs, rhs, tol)
+                             lhs, rhs, 1e-8)
     return report
 
 
-def pmin_bounds_reports(scenarios, seed: int = DEFAULT_SEED) -> list[CheckReport]:
+def pmin_bounds_reports(scenarios) -> list[CheckReport]:
     out = []
     for key in ("two-commuting", "two-commuting-extremal", "pure-vs-mixed", "two-pure"):
         sc = scenarios[key]
@@ -148,7 +148,7 @@ def pmin_bounds_reports(scenarios, seed: int = DEFAULT_SEED) -> list[CheckReport
                 rep.name = f"{key}: {rep.name}"
                 out.append(rep)
     merged = CheckReport("p_min bounds on 50 random qubit pairs")
-    for rho0, rho1 in _random_pairs(50, dims=(2,), seed=seed):
+    for rho0, rho1 in _random_pairs(50, dims=(2,)):
         for a in (-0.2, 0.0, 0.3):
             rep = pmin_bounds_check(rho0, rho1, a=a, n=1)
             merged.entries.extend(rep.entries)
@@ -156,7 +156,7 @@ def pmin_bounds_reports(scenarios, seed: int = DEFAULT_SEED) -> list[CheckReport
     return out
 
 
-def fidelity_reports(scenarios, n_max: int, seed: int = DEFAULT_SEED) -> list[CheckReport]:
+def fidelity_reports(scenarios, n_max: int) -> list[CheckReport]:
     out = []
     sandwich = CheckReport("fidelity sandwich on twirled pairs")
     power = CheckReport("fidelity never drops below its product-state power")
@@ -174,7 +174,7 @@ def fidelity_reports(scenarios, n_max: int, seed: int = DEFAULT_SEED) -> list[Ch
     out.append(power)
 
     lemma = CheckReport("power trace dominates squared fidelity (50 random pairs)")
-    for k, (rho0, rho1) in enumerate(_random_pairs(50, seed=seed)):
+    for k, (rho0, rho1) in enumerate(_random_pairs(50)):
         f2 = fidelity(rho0, rho1) ** 2
         ev = PsiEvaluator(rho0, rho1)
         for s in (0.0, 0.25, 0.5, 0.75, 1.0):
@@ -184,7 +184,7 @@ def fidelity_reports(scenarios, n_max: int, seed: int = DEFAULT_SEED) -> list[Ch
     return out
 
 
-def fidelity_floor_report(scenarios, tol: float = 1e-9) -> CheckReport:
+def fidelity_floor_report(scenarios) -> CheckReport:
     """For an invariant alternative the normalized log-fidelity decreases
     along doubling and never crosses its single-copy floor."""
     report = CheckReport("normalized log-fidelity floor (invariant alternative)")
@@ -195,13 +195,13 @@ def fidelity_floor_report(scenarios, tol: float = 1e-9) -> CheckReport:
         for n in (1, 2, 4):
             pair = twirled_pair(sc.rho0, sc.rho1, sc.action, n)
             values[n] = math.log(fidelity(*pair)) / n
-            report.check_leq(f"{key}: log F(n={n})/n >= log F", floor, values[n], tol, n=n)
-        report.check_leq(f"{key}: doubling 1->2", values[2], values[1], tol)
-        report.check_leq(f"{key}: doubling 2->4", values[4], values[2], tol)
+            report.check_leq(f"{key}: log F(n={n})/n >= log F", floor, values[n], 1e-9, n=n)
+        report.check_leq(f"{key}: doubling 1->2", values[2], values[1], 1e-9)
+        report.check_leq(f"{key}: doubling 2->4", values[4], values[2], 1e-9)
     return report
 
 
-def trace_norm_power_report(scenarios, n_max: int, tol: float = 1e-9) -> CheckReport:
+def trace_norm_power_report(scenarios, n_max: int) -> CheckReport:
     """Finite-n two-sided bound on Tr|rho0n^s rho1n^(1-s)| for invariant
     alternatives: the single-copy power to the n, with a (sum_i d_i)^2
     prefactor on the upper side."""
@@ -219,16 +219,16 @@ def trace_norm_power_report(scenarios, n_max: int, tol: float = 1e-9) -> CheckRe
                 lhs = abs_power_trace(*pair, s)
                 rhs = prefactor * abs_power_trace(sc.rho0, sc.rho1, s) ** n
                 report.check_leq(f"{key} n={n}: |trace| <= (sum d)^2 single^n at s={s:g}",
-                                 lhs, rhs, tol, s=s, n=n)
+                                 lhs, rhs, 1e-9, s=s, n=n)
             for s in (0.0, 0.1, 0.25, 0.4, 0.5):
                 lhs = abs_power_trace(sc.rho0, sc.rho1, s) ** n
                 rhs = abs_power_trace(*pair, s)
                 report.check_leq(f"{key} n={n}: single^n <= |trace| at s={s:g}",
-                                 lhs, rhs, tol, s=s, n=n)
+                                 lhs, rhs, 1e-9, s=s, n=n)
     return report
 
 
-def restricted_pmin_report(scenarios, n_max: int, tol: float = 1e-9) -> CheckReport:
+def restricted_pmin_report(scenarios, n_max: int) -> CheckReport:
     """Twirling both states can only raise the minimal symmetric error, and
     the half-power trace floors it."""
     report = CheckReport("restricted p_min monotone + half-power floor")
@@ -241,14 +241,14 @@ def restricted_pmin_report(scenarios, n_max: int, tol: float = 1e-9) -> CheckRep
             unrestricted = p_min(DensityOperator.from_matrix(raw0),
                                  DensityOperator.from_matrix(raw1))
             report.check_leq(f"{key} n={n}: p_min(untwirled) <= p_min(twirled)",
-                             unrestricted, restricted, tol, n=n)
+                             unrestricted, restricted, 1e-9, n=n)
             floor = 2.0 * PsiEvaluator(*pair).psi(0.5) - math.log(2.0)
             report.check_leq(f"{key} n={n}: half-power floor on log p_min",
-                             floor, math.log(restricted), tol, n=n)
+                             floor, math.log(restricted), 1e-9, n=n)
     return report
 
 
-def chernoff_band_report(tol: float = 1e-8) -> CheckReport:
+def chernoff_band_report() -> CheckReport:
     """Restricted mean Chernoff distance sits inside [C/2, C] for the
     pure-vs-mixed family (differentiable curve), hence inside [C/4, C]."""
     report = CheckReport("Chernoff band for the pure-vs-mixed family")
@@ -257,20 +257,20 @@ def chernoff_band_report(tol: float = 1e-8) -> CheckReport:
         sc = make_scenario(TORUS_PURE_VS_MIXED, alpha=alpha)
         unres = chernoff_distance(unrestricted_curve(sc.rho0, sc.rho1))
         restricted = chernoff_distance(curve)
-        report.check_leq(f"alpha={alpha:g}: C/4 <= C_M", unres / 4.0, restricted, tol)
-        report.check_leq(f"alpha={alpha:g}: C/2 <= C_M", unres / 2.0, restricted, tol)
-        report.check_leq(f"alpha={alpha:g}: C_M <= C", restricted, unres, tol)
+        report.check_leq(f"alpha={alpha:g}: C/4 <= C_M", unres / 4.0, restricted, 1e-8)
+        report.check_leq(f"alpha={alpha:g}: C/2 <= C_M", unres / 2.0, restricted, 1e-8)
+        report.check_leq(f"alpha={alpha:g}: C_M <= C", restricted, unres, 1e-8)
     return report
 
 
-def np_optimality_report(scenarios, seed: int = DEFAULT_SEED) -> CheckReport:
+def np_optimality_report(scenarios) -> CheckReport:
     """No random test beats the threshold test's weighted error."""
     report = CheckReport("threshold-test optimality vs random batteries")
     for key in ("pure-vs-mixed", "two-pure"):
         sc = scenarios[key]
         pair = twirled_pair(sc.rho0, sc.rho1, sc.action, 2)
         for a in (-0.2, 0.0, 0.3):
-            record = pmin_random_battery(*pair, a=a, count=100, seed=seed, n=2)
+            record = pmin_random_battery(*pair, a=a, count=100, n=2)
             battery_min, reference = record.value
             report.check_leq(f"{key} a={a:g}: p_min <= battery best",
                              reference, battery_min, 1e-9, a=a)
@@ -284,7 +284,7 @@ def stein_reports(scenarios, n_max: int) -> list[CheckReport]:
     return [stein_gap_check(sc, n) for n in range(1, min(n_max, 5) + 1)]
 
 
-def lf_identity_report(tol: float = 1e-6) -> CheckReport:
+def lf_identity_report() -> CheckReport:
     """The two routes to the constrained-rate transform agree: chasing the
     transform along its own level set equals the direct sup of the Hoeffding
     objective."""
@@ -300,14 +300,14 @@ def lf_identity_report(tol: float = 1e-6) -> CheckReport:
                 hi = mid
         lhs = phi(curve, lo)
         rhs = hoeffding_distance(curve, r)
-        report.check_close(f"r={r:g}: sup phi over level set = Hoeffding sup", lhs, rhs, tol, r=r)
+        report.check_close(f"r={r:g}: sup phi over level set = Hoeffding sup", lhs, rhs, 1e-6, r=r)
     return report
 
 
-def weyl_report(tol: float = 1e-9, seed: int = DEFAULT_SEED) -> CheckReport:
+def weyl_report() -> CheckReport:
     """The Weyl average equals embed(partial trace / d) on random inputs."""
     report = CheckReport("Weyl average realizes the partial trace")
-    rng = np.random.default_rng(seed)
+    rng = np.random.default_rng(DEFAULT_SEED)
     cases = [(m, d) for m in (1, 2, 3) for d in (1, 2, 3)]
     k = 0
     while k < 20:
@@ -317,12 +317,12 @@ def weyl_report(tol: float = 1e-9, seed: int = DEFAULT_SEED) -> CheckReport:
         averaged = weyl_twirl(h, m, d)
         expected = np.kron(ptrace_oracle(h, m, d) / d, np.eye(d))
         dev = float(np.max(np.abs(averaged - expected)))
-        report.check_leq(f"instance {k} (m={m}, d={d})", dev, 0.0, tol)
+        report.check_leq(f"instance {k} (m={m}, d={d})", dev, 0.0, 1e-9)
         k += 1
     return report
 
 
-def beta_eps_converse_report(scenarios, eps: float = 0.1) -> CheckReport:
+def beta_eps_converse_report(scenarios) -> CheckReport:
     """The strong-converse floor never exceeds the exact constrained error."""
     report = CheckReport("beta_eps versus strong-converse floor")
     sc = scenarios["pure-vs-mixed"]
@@ -330,19 +330,19 @@ def beta_eps_converse_report(scenarios, eps: float = 0.1) -> CheckReport:
     for n in (4, 6):
         pair = twirled_pair(sc.rho0, sc.rho1, sc.action, n)
         ev = PsiEvaluator(*pair)
-        value = beta_eps(*pair, eps)
+        value = beta_eps(*pair, 0.1)
         for a in stein_a_grid(curve):
-            bound = strong_converse_bound(*pair, eps=eps, a=float(a), n=n, evaluator=ev)
+            bound = strong_converse_bound(*pair, eps=0.1, a=float(a), n=n, evaluator=ev)
             report.check_leq(f"n={n}, a={a:.3f}: floor <= beta_eps", bound, value, 1e-9,
                              n=n, a=float(a))
     return report
 
 
-def data_processing_report(seed: int = DEFAULT_SEED, tol: float = 1e-8) -> CheckReport:
+def data_processing_report() -> CheckReport:
     """Twirling raises the power trace on [0,1]; with a faithful alternative
     it lowers it on [1,2]."""
     report = CheckReport("data processing under the twirl")
-    rng = np.random.default_rng(seed)
+    rng = np.random.default_rng(DEFAULT_SEED)
     actions = {
         2: GroupAction.finite([np.eye(2), np.diag([1.0, -1.0])]),
         3: GroupAction.torus([0, 1, 2]),
@@ -357,14 +357,14 @@ def data_processing_report(seed: int = DEFAULT_SEED, tol: float = 1e-8) -> Check
         ev_tw = PsiEvaluator(t0, t1)
         for s in (0.0, 0.3, 0.5, 0.8, 1.0):
             report.check_leq(f"pair {k}: psi_tw >= psi at s={s:g}",
-                             ev_raw.psi(s), ev_tw.psi(s), tol, s=s)
+                             ev_raw.psi(s), ev_tw.psi(s), 1e-8, s=s)
         for s in (1.2, 1.5, 1.8, 2.0):
             report.check_leq(f"pair {k}: psi_tw <= psi at s={s:g}",
-                             ev_tw.psi(s), ev_raw.psi(s), tol, s=s)
+                             ev_tw.psi(s), ev_raw.psi(s), 1e-8, s=s)
     return report
 
 
-def conjugation_chain_report(tol: float = 1e-8) -> CheckReport:
+def conjugation_chain_report() -> CheckReport:
     """Replacing the alternative by any of its group conjugates can only
     help the unrestricted problem, and the restricted mean distance matches
     the best conjugate for the commuting family."""
@@ -379,9 +379,9 @@ def conjugation_chain_report(tol: float = 1e-8) -> CheckReport:
         best = min(per_conjugate)
         plain = chernoff_distance(unrestricted_curve(sc.rho0, sc.rho1))
         report.check_leq(f"(lam,mu)=({lam:g},{mu:g}): C_M <= best conjugate",
-                         restricted, best, tol)
+                         restricted, best, 1e-8)
         report.check_leq(f"(lam,mu)=({lam:g},{mu:g}): best conjugate <= C",
-                         best, plain, tol)
+                         best, plain, 1e-8)
         report.check_close(f"(lam,mu)=({lam:g},{mu:g}): C_M attains the best conjugate",
                            restricted, best, 1e-8)
         if (0.5 - lam) * (0.5 - mu) < 0:
@@ -390,7 +390,7 @@ def conjugation_chain_report(tol: float = 1e-8) -> CheckReport:
     return report
 
 
-def closed_form_bracket_report(scenarios, n_max: int, tol: float = 1e-8) -> CheckReport:
+def closed_form_bracket_report(scenarios, n_max: int) -> CheckReport:
     """The normalized per-copy curve brackets its closed-form limit: from
     above on [0, 1], from below on [1, 2] when the alternative's support is
     invariant."""
@@ -403,16 +403,16 @@ def closed_form_bracket_report(scenarios, n_max: int, tol: float = 1e-8) -> Chec
             for s in (0.0, 0.25, 0.5, 0.75, 1.0):
                 limit = closed_form_psi(sc.kind, sc.params, s)
                 report.check_leq(f"{key} n={n}: limit <= curve at s={s:g}",
-                                 limit, ev.psi(s) / n, tol, n=n, s=s)
+                                 limit, ev.psi(s) / n, 1e-8, n=n, s=s)
             if mirror:
                 for s in (1.0, 1.25, 1.5, 2.0):
                     limit = closed_form_psi(sc.kind, sc.params, s)
                     report.check_leq(f"{key} n={n}: curve <= limit at s={s:g}",
-                                     ev.psi(s) / n, limit, tol, n=n, s=s)
+                                     ev.psi(s) / n, limit, 1e-8, n=n, s=s)
     return report
 
 
-def beta_eps_shape_report(scenarios, tol: float = 1e-10) -> CheckReport:
+def beta_eps_shape_report(scenarios) -> CheckReport:
     """The constrained type-II error is nonincreasing and continuous in eps."""
     report = CheckReport("beta_eps monotone and right-continuous in eps")
     for key in ("pure-vs-mixed", "two-pure"):
@@ -421,7 +421,7 @@ def beta_eps_shape_report(scenarios, tol: float = 1e-10) -> CheckReport:
         eps_grid = np.linspace(0.05, 0.9, 10)
         values = [beta_eps(*pair, float(e)) for e in eps_grid]
         for (e1, v1), (e2, v2) in zip(zip(eps_grid, values), zip(eps_grid[1:], values[1:])):
-            report.check_leq(f"{key}: beta({e2:.2f}) <= beta({e1:.2f})", v2, v1, tol)
+            report.check_leq(f"{key}: beta({e2:.2f}) <= beta({e1:.2f})", v2, v1, 1e-10)
         for e, v in zip(eps_grid[::3], values[::3]):
             nudged = beta_eps(*pair, float(e) + 1e-9)
             report.check_close(f"{key}: right-continuity at eps={e:.2f}", nudged, v, 1e-6)
@@ -443,7 +443,7 @@ def dim_growth_report(n_max: int = 6) -> CheckReport:
     return report
 
 
-def equality_experiment_report(n_max: int = 5) -> CheckReport:
+def equality_experiment_report() -> CheckReport:
     """Informational: with a two-element subgroup of the torus the normalized
     curve matches the unrestricted one up to an explicit (1-s) log2 / n offset
     that vanishes with n.  Reported, never asserted as a theorem."""
@@ -454,7 +454,7 @@ def equality_experiment_report(n_max: int = 5) -> CheckReport:
     rho1 = diag_qubit(0.3)
     action = z2_action()
     ev0 = PsiEvaluator(rho0, rho1)
-    for n in range(1, n_max + 1):
+    for n in range(1, 6):
         pair = twirled_pair(rho0, rho1, action, n)
         ev = PsiEvaluator(*pair)
         worst = 0.0
@@ -467,7 +467,7 @@ def equality_experiment_report(n_max: int = 5) -> CheckReport:
     return report
 
 
-def mean_quantity_report(scenarios, tol: float = 1e-8) -> CheckReport:
+def mean_quantity_report(scenarios) -> CheckReport:
     """Spot values of the mean quantities for the closed-form scenarios."""
     report = CheckReport("mean quantities of the built-in scenarios")
     rep62 = mean_quantities(scenarios["pure-vs-mixed"])
@@ -489,28 +489,28 @@ def mean_quantity_report(scenarios, tol: float = 1e-8) -> CheckReport:
         conj = DensityOperator.from_matrix(u.conj().T @ asmatrix(sc61.rho1) @ u)
         conj_c.append(chernoff_distance(unrestricted_curve(sc61.rho0, conj)))
     report.check_close("two-commuting: C_M is the best conjugate Chernoff",
-                       rep61.chernoff, min(conj_c), tol)
+                       rep61.chernoff, min(conj_c), 1e-8)
     return report
 
 
-def run_verify(n_max: int = 6, seed: int = DEFAULT_SEED) -> list[CheckReport]:
+def run_verify(n_max: int = 6) -> list[CheckReport]:
     scenarios = builtin_scenarios(n_max)
     reports: list[CheckReport] = []
     reports.extend(psi_sandwich_reports(scenarios, n_max))
     reports.append(additivity_report(scenarios))
     reports.append(renyi_entropy_subadditivity_report())
-    reports.extend(pmin_bounds_reports(scenarios, seed=seed))
-    reports.extend(fidelity_reports(scenarios, n_max, seed=seed))
+    reports.extend(pmin_bounds_reports(scenarios))
+    reports.extend(fidelity_reports(scenarios, n_max))
     reports.append(fidelity_floor_report(scenarios))
     reports.append(trace_norm_power_report(scenarios, n_max))
     reports.append(restricted_pmin_report(scenarios, n_max))
     reports.append(chernoff_band_report())
-    reports.append(np_optimality_report(scenarios, seed=seed))
+    reports.append(np_optimality_report(scenarios))
     reports.extend(stein_reports(scenarios, n_max))
     reports.append(lf_identity_report())
-    reports.append(weyl_report(seed=seed))
+    reports.append(weyl_report())
     reports.append(beta_eps_converse_report(scenarios))
-    reports.append(data_processing_report(seed=seed))
+    reports.append(data_processing_report())
     reports.append(conjugation_chain_report())
     reports.append(mean_quantity_report(scenarios))
     reports.append(closed_form_bracket_report(scenarios, n_max))

@@ -126,6 +126,15 @@ class TestBranchCrossover:
         with pytest.raises(ValueError):
             solve_branch_crossover(0.3, 0.3)
 
+    def test_nearly_equal_parameters_return(self):
+        # the crossover sits near s = -1.8e5, where neighbouring floats are
+        # further apart than any absolute bisection tolerance of 1e-12
+        s_star = solve_branch_crossover(0.3, 0.300001)
+        assert s_star == pytest.approx(math.log(0.300001 / 0.699999)
+                                       / math.log(0.7 * 0.300001 / (0.3 * 0.699999)))
+        assert s_star < -4500.0
+        assert math.isfinite(closed_form_psi("Z2Commuting", {"lam": 0.3, "mu": 0.300001}, 0.5))
+
 
 class TestFlatChernoffAlpha:
     def test_value_window(self):

@@ -42,6 +42,22 @@ class TestGroupAction:
         with pytest.raises(ValueError, match="closed"):
             GroupAction.finite([np.eye(2), rot])
 
+    def test_finite_unitarity_gate_is_1e9(self):
+        # diag(1, 1 + d) deviates from unitarity by 2d + d^2 and closes within d + d^2
+        GroupAction.finite([np.eye(2), np.diag([1.0, 1.0 + 0.49e-9])])
+        with pytest.raises(ValueError, match="not unitary within 1e-09"):
+            GroupAction.finite([np.eye(2), np.diag([1.0, 1.0 + 0.51e-9])])
+
+    def test_finite_closure_gate_is_1e8(self):
+        # the square of diag(1, -e^{i eta}) misses the identity by |e^{2 i eta} - 1|
+        def flip(gap):
+            eta = math.asin(gap / 2.0)
+            return np.diag([1.0, -complex(math.cos(eta), math.sin(eta))])
+
+        GroupAction.finite([np.eye(2), flip(0.99e-8)])
+        with pytest.raises(ValueError, match="closed under multiplication within 1e-08"):
+            GroupAction.finite([np.eye(2), flip(1.01e-8)])
+
     def test_torus_requires_integers(self):
         with pytest.raises(ValueError, match="integer"):
             GroupAction.torus([0.0, 0.5])

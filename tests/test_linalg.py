@@ -4,6 +4,8 @@ from numpy.testing import assert_allclose
 
 from symtest.errors import DimensionError
 from symtest.linalg import (
+    HERM_TOL,
+    TRACE_TOL,
     DensityOperator,
     HermitianOperator,
     Spectrum,
@@ -28,6 +30,13 @@ def test_hermitian_operator_rejects_non_hermitian():
         HermitianOperator(np.array([[0.0, 1.0], [0.0, 0.0]]))
 
 
+def test_hermitian_operator_gate_is_herm_tol():
+    # the deviation of [[0, x], [0, 0]] from its adjoint is exactly |x|
+    HermitianOperator(np.array([[0.0, 0.99 * HERM_TOL], [0.0, 0.0]]))
+    with pytest.raises(ValueError, match="not Hermitian within 1e-10"):
+        HermitianOperator(np.array([[0.0, 1.01 * HERM_TOL], [0.0, 0.0]]))
+
+
 def test_hermitian_operator_canonicalizes():
     h = HermitianOperator(np.array([[1.0, 1.0 + 1e-12j], [1.0 - 1e-12j, 2.0]]))
     assert_allclose(h.mat, h.mat.conj().T)
@@ -36,6 +45,19 @@ def test_hermitian_operator_canonicalizes():
 def test_density_operator_validates_trace():
     with pytest.raises(ValueError, match="trace"):
         DensityOperator.from_matrix(np.diag([0.5, 0.4]))
+
+
+def test_density_operator_trace_gate_is_trace_tol():
+    DensityOperator.from_matrix(np.diag([0.5, 0.5 + 0.99 * TRACE_TOL]))
+    with pytest.raises(ValueError, match="trace must be 1 within 1e-09"):
+        DensityOperator.from_matrix(np.diag([0.5, 0.5 + 1.01 * TRACE_TOL]))
+
+
+def test_density_operator_clip_gate_is_trace_tol():
+    rho = DensityOperator.from_matrix(np.diag([1.0 + 0.99 * TRACE_TOL, -0.99 * TRACE_TOL]))
+    assert np.array_equal(np.linalg.eigvalsh(rho.mat), [0.0, 1.0])
+    with pytest.raises(ValueError, match="eigenvalue more than 1e-09 outside"):
+        DensityOperator.from_matrix(np.diag([1.0 + 1.01 * TRACE_TOL, -1.01 * TRACE_TOL]))
 
 
 def test_density_operator_clips_small_negatives():
