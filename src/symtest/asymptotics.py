@@ -22,7 +22,7 @@ from .divergences import (
     relative_entropy,
     richardson_derivative,
 )
-from .groups import GroupAction, block_structure, pinching_map, twirled_pair
+from .groups import GroupAction, block_structure, pinching_map, tensor_power, twirled_pair
 from .linalg import DensityOperator, asmatrix, kron_power, spectral_projections
 from .oracle import _log_binom, _logsumexp, _xlog
 from .reports import CheckReport
@@ -309,27 +309,34 @@ def _supports_nested(rho0n, rho1n) -> bool:
     return relative_entropy(rho0n, rho1n) != math.inf
 
 
-def mean_quantities(scenario: Scenario, r_grid=None) -> DivergenceReport:
+def mean_quantities(scenario: Scenario, r_grid=None, pairs=None) -> DivergenceReport:
     """Mean (per-copy limit) distance measures of a scenario.
 
     With a closed-form kind the values are exact; otherwise they are the
     best-n normalized quantities, flagged as estimates, with the
-    subadditivity direction recorded in the note.
+    subadditivity direction recorded in the note.  ``pairs`` maps n to a
+    twirled pair the caller already built; the pairs needed (n = 1, and
+    n = n_max for an estimate) are built here when it lacks them.
     """
     if r_grid is None:
         r_grid = (0.0, 0.05, 0.1, 0.2, 0.4)
+    pairs = pairs or {}
+
+    def pair(n):
+        if n in pairs:
+            return pairs[n]
+        return twirled_pair(scenario.rho0, scenario.rho1, scenario.action, n)
+
     estimated = scenario.kind is None
     if not estimated:
         curve = closed_form_curve(scenario.kind, scenario.params)
         note = ""
     else:
         n = scenario.n_max
-        ev = PsiEvaluator(*twirled_pair(scenario.rho0, scenario.rho1, scenario.action, n))
-        curve = per_copy_curve(ev, n, label="best-n")
+        curve = per_copy_curve(PsiEvaluator(*pair(n)), n, label="best-n")
         note = (f"values from (1/n) psi_n at n={n}; upper estimates of the limit on "
                 "[0,1], lower on [1,2] under invariant support")
-    pair1 = twirled_pair(scenario.rho0, scenario.rho1, scenario.action, 1)
-    if _supports_nested(*pair1):
+    if _supports_nested(*pair(1)):
         mean_rel = richardson_derivative(curve.evaluate, 1.0, side="left")
     else:
         mean_rel = math.inf
@@ -367,8 +374,6 @@ def stein_gap_check(scenario: Scenario, n: int) -> CheckReport:
                      relative_entropy(rho0n, rho1n) / n, s_single, 1e-8, n=n)
     rho1_pow = kron_power(asmatrix(scenario.rho1), n)
     projections = [p for _, p in spectral_projections(rho1_pow)]
-    from .groups import tensor_power  # local import keeps module deps one-way
-
     powered = tensor_power(scenario.action, n)
     pinched = pinching_map(kron_power(asmatrix(scenario.rho0), n), powered, projections)
     s_pinched = relative_entropy(DensityOperator.from_matrix(pinched), rho1_pow)

@@ -279,8 +279,8 @@ def _cmd_psi(sc: Scenario, config: RunConfig) -> int:
     for s, v in zip(grid, unrestricted_curve(sc.rho0, sc.rho1, grid).values):
         rows.append((float(s), float(v), 1, "unrestricted"))
     for n in range(1, sc.n_max + 1):
-        pair = twirled_pair(sc.rho0, sc.rho1, sc.action, n)
-        curve = psi_curve(*pair, grid=grid, n=n, label="twirled")
+        curve = psi_curve(*twirled_pair(sc.rho0, sc.rho1, sc.action, n),
+                          grid=grid, n=n, label="twirled")
         rows.extend((float(s), float(v) / n, n, "twirled")
                     for s, v in zip(curve.s_grid, curve.values))
     if sc.kind is not None:
@@ -290,15 +290,25 @@ def _cmd_psi(sc: Scenario, config: RunConfig) -> int:
     return 0
 
 
+def _twirled_pair(sc: Scenario, n: int, kept: dict):
+    """The twirled n-copy pair; the ones at n = 1 and n = n_max also go into
+    kept, for mean_quantities.  Callers hold no other pair while the next is
+    built."""
+    pair = twirled_pair(sc.rho0, sc.rho1, sc.action, n)
+    if n in (1, sc.n_max):
+        kept[n] = pair
+    return pair
+
+
 def _cmd_chernoff(sc: Scenario, config: RunConfig) -> int:
     rows = []
     unres = chernoff_distance(unrestricted_curve(sc.rho0, sc.rho1))
     rows.append((0, "unrestricted", unres))
+    kept = {}
     for n in range(1, sc.n_max + 1):
-        pair = twirled_pair(sc.rho0, sc.rho1, sc.action, n)
-        curve = psi_curve(*pair, n=n)
+        curve = psi_curve(*_twirled_pair(sc, n, kept), n=n)
         rows.append((n, "twirled-per-copy", chernoff_distance(curve) / n))
-    report = mean_quantities(sc)
+    report = mean_quantities(sc, pairs=kept)
     rows.append((0, "mean" + (" (best-n estimate)" if report.estimated else ""),
                  report.chernoff))
     _write_table(("n", "label", "chernoff"), rows, config)
@@ -307,13 +317,13 @@ def _cmd_chernoff(sc: Scenario, config: RunConfig) -> int:
 
 def _cmd_hoeffding(sc: Scenario, config: RunConfig) -> int:
     r_grid = config.r_grid if config.r_grid is not None else np.linspace(0.0, 0.5, 11)
-    report = mean_quantities(sc, r_grid=r_grid)
     rows = []
+    kept = {}
     for n in range(1, sc.n_max + 1):
-        pair = twirled_pair(sc.rho0, sc.rho1, sc.action, n)
-        curve = psi_curve(*pair, n=n)
+        curve = psi_curve(*_twirled_pair(sc, n, kept), n=n)
         for r in r_grid:
             rows.append((n, float(r), hoeffding_distance(curve, float(n * r)) / n, "twirled-per-copy"))
+    report = mean_quantities(sc, r_grid=r_grid, pairs=kept)
     for r, h in report.hoeffding.items():
         rows.append((0, float(r), h, "mean" + (" (best-n estimate)" if report.estimated else "")))
     _write_table(("n", "r", "hoeffding", "label"), rows, config)
@@ -322,10 +332,11 @@ def _cmd_hoeffding(sc: Scenario, config: RunConfig) -> int:
 
 def _cmd_stein(sc: Scenario, config: RunConfig) -> int:
     rows = [(0, "unrestricted", relative_entropy(sc.rho0, sc.rho1))]
+    kept = {}
     for n in range(1, sc.n_max + 1):
-        pair = twirled_pair(sc.rho0, sc.rho1, sc.action, n)
-        rows.append((n, "twirled-per-copy", relative_entropy(*pair) / n))
-    report = mean_quantities(sc)
+        rows.append((n, "twirled-per-copy",
+                     relative_entropy(*_twirled_pair(sc, n, kept)) / n))
+    report = mean_quantities(sc, pairs=kept)
     rows.append((0, "mean" + (" (best-n estimate)" if report.estimated else ""),
                  report.relative_entropy))
     _write_table(("n", "label", "relative_entropy"), rows, config)
@@ -336,41 +347,48 @@ def _cmd_pmin(sc: Scenario, config: RunConfig) -> int:
     a_values = config.a_grid if config.a_grid is not None else np.array([0.0])
     rows = []
     for n in range(1, sc.n_max + 1):
-        pair = twirled_pair(sc.rho0, sc.rho1, sc.action, n)
-        ev = PsiEvaluator(*pair)
-        for a in a_values:
-            a = float(a)
-            errors = error_pair(np_test(*pair, a=a, n=n), *pair)
-            weight = math.exp(-n * a)
-            lower = weight / (1.0 + weight) * ev.trace_power(0.5) ** 2
-            upper = min(math.exp(-n * a * s) * ev.trace_power(s)
-                        for s in np.linspace(0.0, 1.0, 101))
-            rows.append((n, a, errors.beta0, errors.beta1, lower, upper))
+        rows.extend(_pmin_rows(twirled_pair(sc.rho0, sc.rho1, sc.action, n), n, a_values))
     _write_table(("n", "a_or_eps", "beta0", "beta1", "bound_lo", "bound_hi"), rows, config)
     return 0
+
+
+def _pmin_rows(pair, n: int, a_values) -> list[tuple]:
+    ev = PsiEvaluator(*pair)
+    rows = []
+    for a in a_values:
+        a = float(a)
+        errors = error_pair(np_test(*pair, a=a, n=n), *pair)
+        weight = math.exp(-n * a)
+        lower = weight / (1.0 + weight) * ev.trace_power(0.5) ** 2
+        upper = min(math.exp(-n * a * s) * ev.trace_power(s)
+                    for s in np.linspace(0.0, 1.0, 101))
+        rows.append((n, a, errors.beta0, errors.beta1, lower, upper))
+    return rows
 
 
 def _cmd_beta_eps(sc: Scenario, config: RunConfig) -> int:
-    rows = []
     # the converse floor is only valid for an invariant alternative support
     floored = is_support_invariant(sc.rho1, sc.action)
-    for n in range(1, sc.n_max + 1):
-        pair = twirled_pair(sc.rho0, sc.rho1, sc.action, n)
-        value = beta_eps(*pair, config.eps)
-        if floored:
-            ev = PsiEvaluator(*pair)
-            grid = config.a_grid
-            if grid is None:
-                grid = stein_a_grid(per_copy_curve(ev, n))
-            floor = max(strong_converse_bound(*pair, eps=config.eps, a=float(a), n=n,
-                                              evaluator=ev)
-                        for a in grid)
-        else:
-            floor = float("-inf")
-        achievable = _best_pure_threshold_beta1(pair, config.eps)
-        rows.append((n, config.eps, config.eps, value, floor, achievable))
+    rows = [_beta_eps_row(twirled_pair(sc.rho0, sc.rho1, sc.action, n), n, config, floored)
+            for n in range(1, sc.n_max + 1)]
     _write_table(("n", "a_or_eps", "beta0", "beta1", "bound_lo", "bound_hi"), rows, config)
     return 0
+
+
+def _beta_eps_row(pair, n: int, config: RunConfig, floored: bool) -> tuple:
+    value = beta_eps(*pair, config.eps)
+    if floored:
+        ev = PsiEvaluator(*pair)
+        grid = config.a_grid
+        if grid is None:
+            grid = stein_a_grid(per_copy_curve(ev, n))
+        floor = max(strong_converse_bound(*pair, eps=config.eps, a=float(a), n=n,
+                                          evaluator=ev)
+                    for a in grid)
+    else:
+        floor = float("-inf")
+    achievable = _best_pure_threshold_beta1(pair, config.eps)
+    return (n, config.eps, config.eps, value, floor, achievable)
 
 
 def _best_pure_threshold_beta1(pair, eps: float) -> float:

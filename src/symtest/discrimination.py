@@ -9,7 +9,9 @@ its likelihood-ratio breakpoints; otherwise golden section maximizes it, one
 eigvalsh per evaluation.  threshold_errors gives the error pairs of many
 threshold tests on one state pair at once, from the common eigenbasis of a
 commuting pair or from one eigh per rate otherwise, without forming the
-projections np_test builds.
+projections np_test builds.  The common eigenbasis starts from the spectrum
+the alternative carries when it comes from twirled_pair, so a pair is never
+decomposed again here.
 """
 
 from __future__ import annotations
@@ -27,6 +29,7 @@ from .linalg import (
     above_cut,
     asmatrix,
     cluster_slices,
+    eig,
     support_projection,
     trace_norm,
 )
@@ -95,7 +98,7 @@ def threshold_errors(rho0n, rho1n, a_values, n: int = 1) -> np.ndarray:
     m0, m1 = asmatrix(rho0n), asmatrix(rho1n)
     if m0.shape != m1.shape:
         raise DimensionError("states must share a dimension")
-    pq = _common_eigenbasis(m0, m1)
+    pq = _common_eigenbasis(rho0n, rho1n)
     rows = []
     for a in a_values:
         weight = math.exp(-n * float(a))
@@ -155,12 +158,15 @@ def pmin_bounds_check(rho0n, rho1n, a: float, n: int = 1) -> CheckReport:
     return report
 
 
-def _common_eigenbasis(m0: np.ndarray, m1: np.ndarray) -> tuple[np.ndarray, np.ndarray] | None:
-    """Simultaneous eigenbasis weights (p_k, q_k) for commuting PSD matrices."""
+def _common_eigenbasis(rho0n, rho1n) -> tuple[np.ndarray, np.ndarray] | None:
+    """Simultaneous eigenbasis weights (p_k, q_k) for commuting PSD operators,
+    starting from the spectrum of rho1n (the one it carries, when it does)."""
+    m0, m1 = asmatrix(rho0n), asmatrix(rho1n)
     scale = max(1.0, float(np.max(np.abs(m0))), float(np.max(np.abs(m1))))
     if float(np.max(np.abs(m0 @ m1 - m1 @ m0))) > 1e-10 * scale:
         return None
-    w1, v = np.linalg.eigh((m1 + m1.conj().T) / 2.0)
+    spec = eig(rho1n)
+    w1, v = spec.eigenvalues, spec.eigenvectors
     # rotate within each eigenspace of m1 to diagonalize m0 there
     basis = v.copy()
     for run in cluster_slices(w1, 1e-10 * max(1.0, float(np.max(np.abs(w1))))):
@@ -227,7 +233,7 @@ def beta_eps(rho0n, rho1n, eps: float) -> float:
     m0, m1 = asmatrix(rho0n), asmatrix(rho1n)
     if m0.shape != m1.shape:
         raise DimensionError("states must share a dimension")
-    pq = _common_eigenbasis(m0, m1)
+    pq = _common_eigenbasis(rho0n, rho1n)
     if pq is not None:
         return _commuting_dual(*pq, eps)
     return _general_dual(m0, m1, eps)

@@ -37,16 +37,17 @@ def default_s_grid() -> np.ndarray:
 class PsiEvaluator:
     """Spectral engine for s -> log Tr rho0**s rho1**(1-s).
 
-    Both spectra are computed once; each evaluation is then a weighted sum
-    over the support-restricted eigenvalue pairs, so sweeping a grid of s
-    values costs one matrix product total.
+    Both spectra are taken once (the ones the operators carry, when they
+    do); each evaluation is then a weighted sum over the support-restricted
+    eigenvalue pairs, so sweeping a grid of s values costs one matrix product
+    total.
     """
 
     def __init__(self, rho0, rho1, cut_scale: float = 1.0):
         m0, m1 = asmatrix(rho0), asmatrix(rho1)
         if m0.shape != m1.shape:
             raise DimensionError("states must share a dimension")
-        s0, s1 = eig(m0).support(cut_scale), eig(m1).support(cut_scale)
+        s0, s1 = eig(rho0).support(cut_scale), eig(rho1).support(cut_scale)
         self._log0 = np.log(s0.eigenvalues)
         self._log1 = np.log(s1.eigenvalues)
         overlap = np.abs(s0.eigenvectors.conj().T @ s1.eigenvectors) ** 2
@@ -170,7 +171,7 @@ def renyi_entropy(rho, alpha: float) -> float:
     """Renyi entropy of order alpha != 1 of a single state."""
     if abs(alpha - 1.0) < 1e-12:
         raise ValueError("order 1 is the von Neumann entropy")
-    w = eig(asmatrix(rho)).support().eigenvalues
+    w = eig(rho).support().eigenvalues
     return math.log(float(np.sum(w**alpha))) / (1.0 - alpha)
 
 
@@ -179,7 +180,7 @@ def relative_entropy(rho0, rho1) -> float:
     m0, m1 = asmatrix(rho0), asmatrix(rho1)
     if m0.shape != m1.shape:
         raise DimensionError("states must share a dimension")
-    s0, s1 = eig(m0).support(), eig(m1).support()
+    s0, s1 = eig(rho0).support(), eig(rho1).support()
     v0, v1 = s0.eigenvectors, s1.eigenvectors
     resid = v0 - v1 @ (v1.conj().T @ v0)  # the part of supp rho0 outside supp rho1
     if float(np.linalg.norm(resid)) > 1e-7:

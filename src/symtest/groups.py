@@ -1,10 +1,19 @@
 """Group actions, tensor powers, and the conditional expectation (twirl)
 onto the commutant of a tensor-power representation.
 
-Two kinds of action are supported: an explicit finite list of unitaries
-closed under multiplication, and the diagonal torus acting with integer
-weights.  The torus twirl is exact pinching by total weight, never a
+Two kinds of action are supported: an explicit finite list of distinct
+unitaries closed under multiplication, and the diagonal torus acting with
+integer weights.  The torus twirl is exact pinching by total weight, never a
 numerical Haar integral.
+
+twirled_pair builds the twirled n-copy states without any d^n x d^n
+product: for a finite group it averages the n-th tensor powers of the
+conjugated single-copy states, (1/|G|) sum_g (U_g rho U_g^*)^{(x)n}, which
+equals the twirl of rho^{(x)n} because U^{(x)n} rho^{(x)n} U^{(x)n *} =
+(U rho U^*)^{(x)n}; for the torus it pinches rho^{(x)n} by total weight.
+Each twirled state is validated from one eigendecomposition and keeps it
+(DensityOperator.decomposed), so every consumer reads that spectrum instead
+of decomposing the state again.
 """
 
 from __future__ import annotations
@@ -67,8 +76,9 @@ class GroupAction:
     @staticmethod
     def finite(mats) -> "GroupAction":
         """Validated finite action: identity present, unitary elements (within
-        1e-9), closed under multiplication (within 1e-8).  A failed closure
-        check is an error, never silently completed."""
+        1e-9), no element twice (two within 1e-9 max-abs are the same),
+        closed under multiplication (within 1e-8).  A failed check is an
+        error, never silently completed."""
         us = [asmatrix(u) for u in mats]
         d = us[0].shape[0]
         eye = np.eye(d)
@@ -79,6 +89,11 @@ class GroupAction:
                 raise ValueError("group element is not unitary within 1e-09")
         if not any(float(np.max(np.abs(u - eye))) <= 1e-9 for u in us):
             raise ValueError("finite group list must contain the identity")
+        for i, a in enumerate(us):
+            for j in range(i):
+                if float(np.max(np.abs(a - us[j]))) <= 1e-9:
+                    raise ValueError(
+                        f"finite group list repeats an element within 1e-09 (entries {j} and {i})")
         for a in us:
             for b in us:
                 p = a @ b
@@ -100,14 +115,18 @@ class GroupAction:
         return GroupAction(FINITE, unitaries=(np.eye(dim, dtype=complex),))
 
 
-def tensor_power(action: GroupAction, n: int) -> GroupAction:
-    """The n-fold tensor power of an action, on dimension dim**n."""
+def _check_power_dim(action: GroupAction, n: int) -> None:
     if n < 1:
         raise ValueError("tensor power exponent must be >= 1")
     out_dim = action.dim**n
     cap = dim_cap()
     if out_dim > cap:
         raise DimensionError(f"tensor power dimension {out_dim} exceeds cap {cap}")
+
+
+def tensor_power(action: GroupAction, n: int) -> GroupAction:
+    """The n-fold tensor power of an action, on dimension dim**n."""
+    _check_power_dim(action, n)
     if n == 1:
         return action
     if action.kind == TORUS:
@@ -158,12 +177,25 @@ def twirl(x, action: GroupAction):
 
 
 def twirled_pair(rho0, rho1, action: GroupAction, n: int) -> tuple[DensityOperator, DensityOperator]:
-    """Tensor-power both states n times and twirl them under the powered action."""
-    powered = tensor_power(action, n)
+    """The twirls of rho0^{(x)n} and rho1^{(x)n} under the n-fold powered
+    action, each validated from one eigendecomposition that it keeps.
+
+    A finite group averages (U rho U^*)^{(x)n} over its elements, which needs
+    each element listed once (GroupAction.finite checks that); the torus
+    pinches rho^{(x)n} by total weight.
+    """
+    _check_power_dim(action, n)
     out = []
     for rho in (rho0, rho1):
-        mat = kron_power(asmatrix(rho), n)
-        out.append(DensityOperator.from_matrix(twirl(mat, powered)))
+        m = asmatrix(rho)
+        if action.kind == TORUS:
+            mat = twirl(kron_power(m, n), tensor_power(action, n))
+        else:
+            mat = np.zeros((action.dim**n,) * 2, dtype=complex)
+            for u in action.unitaries:
+                mat += kron_power(u @ m @ u.conj().T, n)
+            mat /= len(action.unitaries)
+        out.append(DensityOperator.decomposed(mat))
     return out[0], out[1]
 
 

@@ -6,13 +6,15 @@ operator uses the support convention 0**s = 0 for all real s.  The spectral
 decisions live here and nowhere else: :func:`above_cut` decides which
 eigenvalues count as zero (:meth:`Spectrum.support` keeps the rest),
 :func:`cluster_slices` splits a spectrum into degenerate runs, and
-:meth:`HermitianOperator.clipped` moves a spectrum into a range.
+:meth:`Spectrum.clipped` moves a spectrum into a range.  An operator is
+decomposed once: :meth:`DensityOperator.decomposed` keeps the spectrum it was
+validated from, and :func:`eig` hands that spectrum back.
 """
 
 from __future__ import annotations
 
 import os
-from dataclasses import dataclass
+from dataclasses import dataclass, field
 from functools import reduce
 
 import numpy as np
@@ -68,23 +70,13 @@ class HermitianOperator:
         return self.mat.shape[0]
 
     def clipped(self, lo: float, hi: float, tol: float) -> "HermitianOperator":
-        """This operator with its spectrum clipped into [lo, hi].
-
-        Eigenvalues at most tol outside the range move onto its edge; any
-        further out raise.  A spectrum already inside returns self.
-        """
+        """This operator with its spectrum clipped into [lo, hi] by
+        :meth:`Spectrum.clipped`; a spectrum already inside returns self
+        without computing eigenvectors."""
         w = np.linalg.eigvalsh(self.mat)
         if w[0] >= lo and w[-1] <= hi:
             return self
-        if w[0] < lo - tol or w[-1] > hi + tol:
-            raise ValueError(
-                f"spectrum [{w[0]:.3e}, {w[-1]:.3e}] has an eigenvalue more than "
-                f"{tol:g} outside [{lo:g}, {hi:g}]"
-            )
-        spec = eig(self)
-        return HermitianOperator(
-            Spectrum(np.clip(spec.eigenvalues, lo, hi), spec.eigenvectors).reconstruct()
-        )
+        return HermitianOperator(eig(self).clipped(lo, hi, tol).reconstruct())
 
 
 @dataclass(frozen=True)
@@ -92,10 +84,15 @@ class DensityOperator:
     """Positive semidefinite, unit-trace Hermitian operator.
 
     Eigenvalues in [-TRACE_TOL, 0) are clipped to zero on construction and the
-    trace renormalized; anything more negative is rejected.
+    trace renormalized; anything more negative is rejected.  An operator built
+    by :meth:`decomposed` carries ``spectrum``, the eigendecomposition it was
+    validated from, clipped and renormalized along with the matrix;
+    :func:`eig` returns it instead of decomposing again.  Other operators
+    carry none.
     """
 
     op: HermitianOperator
+    spectrum: Spectrum | None = field(default=None, init=False, repr=False, compare=False)
 
     def __post_init__(self):
         if not isinstance(self.op, HermitianOperator):
@@ -103,11 +100,30 @@ class DensityOperator:
         tr = float(np.trace(self.op.mat).real)
         if abs(tr - 1.0) > TRACE_TOL:
             raise ValueError(f"trace must be 1 within {TRACE_TOL:g}, got {tr!r}")
-        op = self.op.clipped(0.0, np.inf, TRACE_TOL)
+        op, spec = self.op, self.spectrum
+        if spec is None:
+            op = op.clipped(0.0, np.inf, TRACE_TOL)
+        else:
+            clipped = spec.clipped(0.0, np.inf, TRACE_TOL)
+            if clipped is not spec:
+                op, spec = HermitianOperator(clipped.reconstruct()), clipped
         tr = float(np.trace(op.mat).real)
         if abs(tr - 1.0) > 1e-15:
             op = HermitianOperator(op.mat / tr)
+            if spec is not None:
+                spec = Spectrum(spec.eigenvalues / tr, spec.eigenvectors)
         object.__setattr__(self, "op", op)
+        object.__setattr__(self, "spectrum", spec)
+
+    @classmethod
+    def decomposed(cls, m) -> "DensityOperator":
+        """Validated from one :func:`eig` of m, whose spectrum it keeps."""
+        op = HermitianOperator(asmatrix(m))
+        out = object.__new__(cls)
+        object.__setattr__(out, "op", op)
+        object.__setattr__(out, "spectrum", eig(op))
+        out.__post_init__()
+        return out
 
     @classmethod
     def from_matrix(cls, m) -> "DensityOperator":
@@ -138,13 +154,30 @@ class Spectrum:
         keep = above_cut(self.eigenvalues, cut_scale)
         return Spectrum(self.eigenvalues[keep], self.eigenvectors[:, keep])
 
+    def clipped(self, lo: float, hi: float, tol: float) -> "Spectrum":
+        """Eigenvalues at most tol outside [lo, hi] moved onto its edge, same
+        eigenvectors; any further out raise.  A spectrum already inside
+        returns self."""
+        w = self.eigenvalues
+        if w[0] >= lo and w[-1] <= hi:
+            return self
+        if w[0] < lo - tol or w[-1] > hi + tol:
+            raise ValueError(
+                f"spectrum [{w[0]:.3e}, {w[-1]:.3e}] has an eigenvalue more than "
+                f"{tol:g} outside [{lo:g}, {hi:g}]"
+            )
+        return Spectrum(np.clip(w, lo, hi), self.eigenvectors)
+
 
 def eig(h) -> Spectrum:
     """Eigendecomposition of a Hermitian operator.
 
     Eigenvalues come back ascending; the eigenvector matrix is unitary within
     1e-9 and the reconstruction error is bounded by 1e-8 * dim * ||H||_F.
+    A density operator that carries its spectrum returns that spectrum.
     """
+    if isinstance(h, DensityOperator) and h.spectrum is not None:
+        return h.spectrum
     m = asmatrix(h)
     m = (m + m.conj().T) / 2.0
     d = m.shape[0]

@@ -4,6 +4,7 @@ import numpy as np
 import pytest
 from numpy.testing import assert_allclose
 
+from symtest import asymptotics
 from symtest.asymptotics import (
     ConvergenceTable,
     Scenario,
@@ -291,6 +292,23 @@ class TestMeanQuantities:
                 continue
             expected = closed_form_psi(sc.kind, sc.params, alpha) / (alpha - 1.0)
             assert value == pytest.approx(expected, abs=1e-10)
+
+    @pytest.mark.parametrize("estimated", [True, False], ids=["estimated", "closed-form"])
+    def test_prebuilt_pairs_give_the_same_report(self, rng, monkeypatch, estimated):
+        if estimated:
+            sc = Scenario(name="generic", action=z2_action(), n_max=4,
+                          rho0=DensityOperator.from_matrix(random_density(2, rng=rng)),
+                          rho1=DensityOperator.from_matrix(random_density(2, rng=rng)))
+        else:
+            sc = make_scenario("TorusTwoPure", n_max=4, lam=0.3, mu=0.6)
+        built = mean_quantities(sc)
+        pairs = {n: twirled_pair(sc.rho0, sc.rho1, sc.action, n) for n in (1, sc.n_max)}
+
+        def no_build(*args):
+            raise AssertionError("mean_quantities rebuilt a pair it was given")
+
+        monkeypatch.setattr(asymptotics, "twirled_pair", no_build)
+        assert mean_quantities(sc, pairs=pairs) == built
 
 
 class TestSteinGap:

@@ -235,6 +235,15 @@ class TestCommands:
             "--command", "psi",
         ]) == 3
 
+    def test_repeated_group_element_is_exit_2(self, tmp_path, capsys):
+        eye = [[[1, 0], [0, 0]], [[0, 0], [1, 0]]]
+        flip = [[[1, 0], [0, 0]], [[0, 0], [-1, 0]]]
+        path = write_scenario(tmp_path, rho0="bernoulli-conjugated 0.6",
+                              rho1="bernoulli-conjugated 0.3",
+                              group={"type": "finite", "unitaries": [eye, flip, flip]})
+        assert main(["--scenario", path, "--command", "psi"]) == 2
+        assert "repeats an element" in capsys.readouterr().err
+
     def test_bad_grid_is_exit_2(self, tmp_path):
         assert main([
             "--scenario", write_scenario(tmp_path),

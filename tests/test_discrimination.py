@@ -315,6 +315,24 @@ class TestThresholdErrors:
             assert_allclose(threshold_errors(*pair, RATES), projection_errors(*pair, RATES),
                             rtol=0, atol=1e-12)
 
+    def test_common_eigenbasis_reads_the_kept_spectrum(self, monkeypatch):
+        # full-rank twirls, so no clip: the kept spectrum is the eigh of the
+        # same symmetrized matrix, and the weights come out byte for byte
+        sc = make_scenario("Z2Commuting", lam=0.2, mu=0.7)
+        pair = twirled_pair(sc.rho0, sc.rho1, sc.action, 5)
+        calls = []
+
+        def counted(*args, _real=np.linalg.eigh, **kwargs):
+            calls.append(1)
+            return _real(*args, **kwargs)
+
+        monkeypatch.setattr(np.linalg, "eigh", counted)
+        kept = _common_eigenbasis(*pair)
+        rotations = len(calls)
+        fresh = _common_eigenbasis(pair[0].mat, pair[1].mat)
+        assert len(calls) == 2 * rotations + 1
+        assert np.array_equal(kept[0], fresh[0]) and np.array_equal(kept[1], fresh[1])
+
     def test_one_row_per_rate(self, rng):
         rho0, rho1 = faithful(rng), faithful(rng)
         assert threshold_errors(rho0, rho1, []).shape == (0, 2)

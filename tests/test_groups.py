@@ -1,10 +1,21 @@
+import itertools
 import math
 
 import numpy as np
 import pytest
 from numpy.testing import assert_allclose
 
-from symtest.asymptotics import diag_qubit, pure_qubit, sigma_state, torus_action, z2_action
+from symtest.asymptotics import (
+    TORUS_PURE_VS_MIXED,
+    Z2_COMMUTING,
+    diag_qubit,
+    make_scenario,
+    pure_qubit,
+    sigma_state,
+    torus_action,
+    z2_action,
+)
+from symtest.divergences import psi_curve, relative_entropy
 from symtest.errors import DimensionError
 from symtest.groups import (
     GroupAction,
@@ -18,7 +29,7 @@ from symtest.groups import (
     weyl_twirl,
 )
 from symtest.linalg import DensityOperator, kron_power, spectral_projections
-from symtest.oracle import ptrace_oracle, random_density
+from symtest.oracle import dense_twirl_oracle, ptrace_oracle, random_density, random_unitary
 
 
 def random_hermitian(rng, dim):
@@ -43,10 +54,12 @@ class TestGroupAction:
             GroupAction.finite([np.eye(2), rot])
 
     def test_finite_unitarity_gate_is_1e9(self):
-        # diag(1, 1 + d) deviates from unitarity by 2d + d^2 and closes within d + d^2
-        GroupAction.finite([np.eye(2), np.diag([1.0, 1.0 + 0.49e-9])])
+        # diag(1, -(1 + d)) deviates from unitarity by 2d + d^2 and its square
+        # misses the identity by as much; diag(1, 1 + d) would be a second
+        # identity, which the repeat gate rejects
+        GroupAction.finite([np.eye(2), np.diag([1.0, -(1.0 + 0.49e-9)])])
         with pytest.raises(ValueError, match="not unitary within 1e-09"):
-            GroupAction.finite([np.eye(2), np.diag([1.0, 1.0 + 0.51e-9])])
+            GroupAction.finite([np.eye(2), np.diag([1.0, -(1.0 + 0.51e-9)])])
 
     def test_finite_closure_gate_is_1e8(self):
         # the square of diag(1, -e^{i eta}) misses the identity by |e^{2 i eta} - 1|
@@ -57,6 +70,15 @@ class TestGroupAction:
         GroupAction.finite([np.eye(2), flip(0.99e-8)])
         with pytest.raises(ValueError, match="closed under multiplication within 1e-08"):
             GroupAction.finite([np.eye(2), flip(1.01e-8)])
+
+    def test_finite_rejects_repeated_elements(self):
+        z = np.diag([1.0, -1.0])
+        GroupAction.finite([np.eye(2), z])
+        with pytest.raises(ValueError, match="repeats an element"):
+            GroupAction.finite([np.eye(2), z, z])
+        # two elements within the identity gate's 1e-9 are one element
+        with pytest.raises(ValueError, match="repeats an element within 1e-09"):
+            GroupAction.finite([np.eye(2), np.diag([1.0, 1.0 + 0.49e-9])])
 
     def test_torus_requires_integers(self):
         with pytest.raises(ValueError, match="integer"):
@@ -272,3 +294,56 @@ def test_twirled_pair_shapes():
     rho0n, rho1n = twirled_pair(pure_qubit(0.5), diag_qubit(0.3), torus_action(), 3)
     assert rho0n.dim == 8 and rho1n.dim == 8
     assert np.trace(rho0n.mat) == pytest.approx(1.0, abs=1e-12)
+
+
+def dense_twirl(rho, action, n):
+    return dense_twirl_oracle(kron_power(rho, n), tensor_power(action, n).unitaries)
+
+
+class TestTwirledPair:
+    @pytest.mark.parametrize("group", ["s3-permutations", "conjugated-z2"])
+    def test_finite_route_matches_dense_oracle(self, rng, group):
+        if group == "s3-permutations":
+            d, n_max = 3, 4
+            action = GroupAction.finite(
+                [np.eye(3)[list(p)] for p in itertools.permutations(range(3))])
+        else:
+            d, n_max = 2, 6
+            v = random_unitary(2, rng)
+            action = GroupAction.finite([np.eye(2), v @ np.diag([1.0, -1.0]) @ v.conj().T])
+        # full rank, and rank one, whose twirl takes the clip path
+        rho0, rho1 = random_density(d, rng=rng), random_density(d, rank=1, rng=rng)
+        for n in range(1, n_max + 1):
+            for rho, out in zip((rho0, rho1), twirled_pair(rho0, rho1, action, n)):
+                assert_allclose(out.mat, dense_twirl(rho, action, n), rtol=0, atol=1e-14)
+
+    def test_sign_flip_route_is_bitwise_the_dense_twirl(self, rng):
+        rho0, rho1 = random_density(2, rng=rng), random_density(2, rng=rng)
+        for n in range(1, 7):
+            for rho, out in zip((rho0, rho1), twirled_pair(rho0, rho1, z2_action(), n)):
+                expected = DensityOperator.from_matrix(dense_twirl(rho, z2_action(), n))
+                assert np.array_equal(out.mat, expected.mat)
+
+    @pytest.mark.parametrize("action", [z2_action(), torus_action()], ids=["finite", "torus"])
+    def test_dimension_cap_at_the_same_n(self, monkeypatch, action):
+        monkeypatch.setenv("SYMTEST_DIM_CAP", "16")
+        twirled_pair(diag_qubit(0.3), diag_qubit(0.6), action, 4)
+        with pytest.raises(DimensionError, match="tensor power dimension 32 exceeds cap 16"):
+            twirled_pair(diag_qubit(0.3), diag_qubit(0.6), action, 5)
+
+    def test_each_operator_is_decomposed_once(self, monkeypatch):
+        scenarios = [make_scenario(TORUS_PURE_VS_MIXED, alpha=0.3),
+                     make_scenario(Z2_COMMUTING, lam=0.2, mu=0.7)]
+        counts = {"eigh": 0, "eigvalsh": 0}
+        for name in counts:
+            def counted(*args, _real=getattr(np.linalg, name), _name=name, **kwargs):
+                counts[_name] += 1
+                return _real(*args, **kwargs)
+            monkeypatch.setattr(np.linalg, name, counted)
+        for sc in scenarios:
+            before = dict(counts)
+            pair = twirled_pair(sc.rho0, sc.rho1, sc.action, 5)
+            psi_curve(*pair)
+            relative_entropy(*pair)
+            assert counts["eigh"] - before["eigh"] == 2
+            assert counts["eigvalsh"] == before["eigvalsh"] == 0

@@ -322,6 +322,29 @@ def test_clipped_rejects_violations_beyond_tol():
         HermitianOperator(np.diag([0.0, 1.0 + 1e-8])).clipped(0.0, 1.0, 1e-9)
 
 
+def test_decomposed_density_operator_keeps_its_spectrum(rng):
+    u = random_unitary(3, rng)
+    assert DensityOperator.from_matrix(np.eye(3) / 3).spectrum is None
+    # inside the range; the clip path (and a trace 1 + 0.5e-9 after it); a trace
+    # to renormalize
+    for w in ([0.2, 0.3, 0.5], [-0.5e-9, 0.4, 0.6], [0.2, 0.3, 0.5 + 0.5e-9]):
+        m = (u * np.array(w)) @ u.conj().T
+        raw = eig(HermitianOperator(m))
+        rho = DensityOperator.decomposed(m)
+        spec = rho.spectrum
+        assert eig(rho) is spec
+        assert np.array_equal(spec.eigenvectors, raw.eigenvectors)
+        assert spec.eigenvalues[0] >= 0.0
+        assert_allclose(spec.eigenvalues, np.clip(w, 0.0, None) / sum(np.clip(w, 0.0, None)),
+                        rtol=0, atol=1e-15)
+        assert_allclose(spec.reconstruct(), rho.mat, rtol=0, atol=1e-15)
+    m = (u * np.array([0.2, 0.3, 0.5])) @ u.conj().T
+    assert np.array_equal(DensityOperator.decomposed(m).spectrum.eigenvalues,
+                          eig(HermitianOperator(m)).eigenvalues)
+    with pytest.raises(ValueError, match="eigenvalue more than 1e-09 outside"):
+        DensityOperator.decomposed(np.diag([1.0 + 1.01 * TRACE_TOL, -1.01 * TRACE_TOL]))
+
+
 def test_per_copy_curve_is_psi_curve_over_n():
     from symtest.asymptotics import make_scenario, per_copy_curve
     from symtest.divergences import PsiEvaluator, psi_curve
