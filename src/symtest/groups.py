@@ -11,9 +11,12 @@ product: for a finite group it averages the n-th tensor powers of the
 conjugated single-copy states, (1/|G|) sum_g (U_g rho U_g^*)^{(x)n}, which
 equals the twirl of rho^{(x)n} because U^{(x)n} rho^{(x)n} U^{(x)n *} =
 (U rho U^*)^{(x)n}; for the torus it pinches rho^{(x)n} by total weight.
-Each twirled state is validated from one eigendecomposition and keeps it
+Each twirled state is validated from its eigendecomposition and keeps it
 (DensityOperator.decomposed), so every consumer reads that spectrum instead
-of decomposing the state again.
+of decomposing the state again.  The twirl lands in the commutant, which is
+block diagonal up to a permutation, and writes the zeros between its blocks
+exactly (the torus pinching between weight classes, the sign-flip average on
+odd-parity entries), so the decomposition runs one block at a time.
 """
 
 from __future__ import annotations
@@ -178,7 +181,8 @@ def twirl(x, action: GroupAction):
 
 def twirled_pair(rho0, rho1, action: GroupAction, n: int) -> tuple[DensityOperator, DensityOperator]:
     """The twirls of rho0^{(x)n} and rho1^{(x)n} under the n-fold powered
-    action, each validated from one eigendecomposition that it keeps.
+    action, each validated from the eigendecomposition that it keeps, taken
+    block by block along the exact zeros of its matrix.
 
     A finite group averages (U rho U^*)^{(x)n} over its elements, which needs
     each element listed once (GroupAction.finite checks that); the torus

@@ -8,7 +8,10 @@ eigenvalues count as zero (:meth:`Spectrum.support` keeps the rest),
 :func:`cluster_slices` splits a spectrum into degenerate runs, and
 :meth:`Spectrum.clipped` moves a spectrum into a range.  An operator is
 decomposed once: :meth:`DensityOperator.decomposed` keeps the spectrum it was
-validated from, and :func:`eig` hands that spectrum back.
+validated from, and :func:`eig` hands that spectrum back.  That spectrum is
+taken block by block along the exact zeros of the matrix, one checked
+:func:`eig` per connected component of its nonzero pattern, and assembled
+into one ascending decomposition of the full dimension.
 """
 
 from __future__ import annotations
@@ -33,9 +36,14 @@ def dim_cap() -> int:
 
 
 def asmatrix(a) -> np.ndarray:
-    """Coerce to a finite square complex matrix, unwrapping the operator types."""
-    if isinstance(a, (HermitianOperator, DensityOperator, Spectrum)):
-        a = a.mat if not isinstance(a, Spectrum) else a.reconstruct()
+    """Coerce to a finite square complex matrix, unwrapping the operator types.
+
+    The matrix of a HermitianOperator or DensityOperator comes back as is: it
+    was checked when the operator was built and it is read-only."""
+    if isinstance(a, (HermitianOperator, DensityOperator)):
+        return a.mat
+    if isinstance(a, Spectrum):
+        a = a.reconstruct()
     m = np.asarray(a, dtype=complex)
     if m.ndim != 2 or m.shape[0] != m.shape[1]:
         raise DimensionError(f"expected a square matrix, got shape {m.shape}")
@@ -117,11 +125,13 @@ class DensityOperator:
 
     @classmethod
     def decomposed(cls, m) -> "DensityOperator":
-        """Validated from one :func:`eig` of m, whose spectrum it keeps."""
+        """Validated from its spectrum, which it keeps: one checked :func:`eig`
+        per connected component of m's exact nonzero pattern (see
+        :func:`_blockwise_eig`)."""
         op = HermitianOperator(asmatrix(m))
         out = object.__new__(cls)
         object.__setattr__(out, "op", op)
-        object.__setattr__(out, "spectrum", eig(op))
+        object.__setattr__(out, "spectrum", _blockwise_eig(op))
         out.__post_init__()
         return out
 
@@ -197,6 +207,64 @@ def eig(h) -> Spectrum:
         raise ConvergenceError(
             f"eigendecomposition residual {resid:.3e} too large for a {d}x{d} matrix"
         )
+    w.setflags(write=False)
+    v.setflags(write=False)
+    return Spectrum(w, v)
+
+
+def _nonzero_components(m: np.ndarray) -> tuple[np.ndarray, list[np.ndarray]]:
+    """Connected components of the exact nonzero pattern of a Hermitian matrix
+    (i and j are linked when m[i, j] != 0): the indices that form a component
+    alone, and the index sets of the larger components, each ascending and
+    ordered by their smallest index."""
+    linked = m != 0
+    np.fill_diagonal(linked, False)
+    seen = ~linked.any(axis=1)
+    lone = np.flatnonzero(seen)
+    comps = []
+    for i in np.flatnonzero(~seen):
+        if seen[i]:
+            continue
+        members = np.zeros(m.shape[0], dtype=bool)
+        members[i] = True
+        frontier = members
+        while frontier.any():
+            frontier = linked[frontier].any(axis=0) & ~members
+            members |= frontier
+        seen |= members
+        comps.append(np.flatnonzero(members))
+    return lone, comps
+
+
+def _blockwise_eig(op: HermitianOperator) -> Spectrum:
+    """:func:`eig` of op, assembled block by block along the exact zeros of
+    op.mat.
+
+    A twirled state is block diagonal up to a permutation, and its exact zeros
+    show the blocks.  Each component of more than one index gets one checked
+    :func:`eig` of its sub-block; a 1x1 component is its own eigenpair (the
+    real diagonal entry and a unit vector).  The eigenvalues come back
+    ascending (ties with the 1x1 components first, then in component order),
+    and each eigenvector is zero outside its component.  A matrix with one
+    component is decomposed by one :func:`eig`, as any other operator.
+    """
+    m = op.mat
+    lone, comps = _nonzero_components(m)
+    if lone.size + len(comps) <= 1:
+        return eig(op)
+    d = m.shape[0]
+    specs = [eig(m[np.ix_(idx, idx)]) for idx in comps]
+    w = np.concatenate([m.diagonal()[lone].real, *(spec.eigenvalues for spec in specs)])
+    order = np.argsort(w, kind="stable")
+    column = np.empty(d, dtype=np.intp)
+    column[order] = np.arange(d)
+    v = np.zeros((d, d), dtype=complex)
+    v[lone, column[: lone.size]] = 1.0
+    start = lone.size
+    for idx, spec in zip(comps, specs):
+        v[np.ix_(idx, column[start : start + idx.size])] = spec.eigenvectors
+        start += idx.size
+    w = w[order]
     w.setflags(write=False)
     v.setflags(write=False)
     return Spectrum(w, v)

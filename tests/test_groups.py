@@ -15,7 +15,7 @@ from symtest.asymptotics import (
     torus_action,
     z2_action,
 )
-from symtest.divergences import psi_curve, relative_entropy
+from symtest.divergences import PsiEvaluator, psi_curve, relative_entropy
 from symtest.errors import DimensionError
 from symtest.groups import (
     GroupAction,
@@ -28,8 +28,22 @@ from symtest.groups import (
     twirled_pair,
     weyl_twirl,
 )
-from symtest.linalg import DensityOperator, kron_power, spectral_projections
-from symtest.oracle import dense_twirl_oracle, ptrace_oracle, random_density, random_unitary
+from symtest.linalg import (
+    DensityOperator,
+    HermitianOperator,
+    _blockwise_eig,
+    above_cut,
+    eig,
+    kron_power,
+    spectral_projections,
+)
+from symtest.oracle import (
+    block_scalar_oracle,
+    dense_twirl_oracle,
+    ptrace_oracle,
+    random_density,
+    random_unitary,
+)
 
 
 def random_hermitian(rng, dim):
@@ -296,6 +310,25 @@ def test_twirled_pair_shapes():
     assert np.trace(rho0n.mat) == pytest.approx(1.0, abs=1e-12)
 
 
+def pattern_blocks(m):
+    """Index sets of the connected components of the exact nonzero pattern
+    of m, by union-find over its nonzero entries."""
+    parent = list(range(len(m)))
+
+    def find(i):
+        while parent[i] != i:
+            parent[i] = parent[parent[i]]
+            i = parent[i]
+        return i
+
+    for i, j in zip(*np.nonzero(m)):
+        parent[find(i)] = find(j)
+    blocks = {}
+    for i in range(len(m)):
+        blocks.setdefault(find(i), []).append(i)
+    return list(blocks.values())
+
+
 def dense_twirl(rho, action, n):
     return dense_twirl_oracle(kron_power(rho, n), tensor_power(action, n).unitaries)
 
@@ -332,6 +365,8 @@ class TestTwirledPair:
             twirled_pair(diag_qubit(0.3), diag_qubit(0.6), action, 5)
 
     def test_each_operator_is_decomposed_once(self, monkeypatch):
+        # one eigh per block of more than one index of each twirled state,
+        # none for 1x1 blocks, and none afterwards in the consumers
         scenarios = [make_scenario(TORUS_PURE_VS_MIXED, alpha=0.3),
                      make_scenario(Z2_COMMUTING, lam=0.2, mu=0.7)]
         counts = {"eigh": 0, "eigvalsh": 0}
@@ -343,7 +378,52 @@ class TestTwirledPair:
         for sc in scenarios:
             before = dict(counts)
             pair = twirled_pair(sc.rho0, sc.rho1, sc.action, 5)
+            built = counts["eigh"] - before["eigh"]
+            assert built == sum(len(b) > 1 for r in pair for b in pattern_blocks(r.mat)) == 4
             psi_curve(*pair)
             relative_entropy(*pair)
-            assert counts["eigh"] - before["eigh"] == 2
+            assert counts["eigh"] - before["eigh"] == built
             assert counts["eigvalsh"] == before["eigvalsh"] == 0
+
+    @pytest.mark.parametrize("scenario", [(TORUS_PURE_VS_MIXED, {"alpha": 0.3}),
+                                          (Z2_COMMUTING, {"lam": 0.2, "mu": 0.7})],
+                             ids=["torus", "sign-flip"])
+    def test_blockwise_spectra_match_the_dense_eig(self, scenario):
+        kind, params = scenario
+        sc = make_scenario(kind, **params)
+        for n in range(1, 9):
+            pair = twirled_pair(sc.rho0, sc.rho1, sc.action, n)
+            for r in pair:
+                dense = eig(HermitianOperator(r.mat))
+                assert_allclose(r.spectrum.eigenvalues, dense.eigenvalues, rtol=0, atol=1e-13)
+                assert_allclose(r.spectrum.reconstruct(), r.mat, rtol=0, atol=1e-13)
+            if kind == TORUS_PURE_VS_MIXED:
+                ev = PsiEvaluator(*pair)
+                for s in (0.25, 0.5, 0.75):
+                    scalar = math.log(block_scalar_oracle(kind, params, n, s))
+                    assert abs(ev.psi(s) - scalar) <= 1e-12
+
+    def test_rank_one_twirl_takes_the_clip_path_block_by_block(self):
+        n = 6
+        m = twirl(kron_power(pure_qubit(0.3).mat, n), tensor_power(torus_action(), n))
+        raw = _blockwise_eig(HermitianOperator(m))
+        assert raw.eigenvalues[0] < 0.0
+        rho = DensityOperator.decomposed(m)
+        spec = rho.spectrum
+        assert np.array_equal(spec.eigenvectors, raw.eigenvectors)
+        assert spec.eigenvalues[0] == 0.0
+        assert int(np.count_nonzero(above_cut(spec.eigenvalues))) == n + 1
+        assert_allclose(spec.eigenvalues, np.clip(raw.eigenvalues, 0.0, None), rtol=0, atol=1e-15)
+        assert np.all(rho.mat[m == 0] == 0)
+        assert_allclose(rho.mat, m, rtol=0, atol=1e-15)
+
+    def test_s3_permutation_twirls_have_no_zeros_and_one_dense_eig(self, rng):
+        action = GroupAction.finite(
+            [np.eye(3)[list(p)] for p in itertools.permutations(range(3))])
+        rho0, rho1 = random_density(3, rng=rng), random_density(3, rng=rng)
+        for n in range(1, 5):
+            for r in twirled_pair(rho0, rho1, action, n):
+                assert np.all(r.mat != 0)
+                dense = eig(r.mat)
+                assert np.array_equal(r.spectrum.eigenvalues, dense.eigenvalues)
+                assert np.array_equal(r.spectrum.eigenvectors, dense.eigenvectors)

@@ -9,6 +9,7 @@ from symtest.linalg import (
     DensityOperator,
     HermitianOperator,
     Spectrum,
+    _blockwise_eig,
     above_cut,
     abs_power_trace,
     asmatrix,
@@ -343,6 +344,48 @@ def test_decomposed_density_operator_keeps_its_spectrum(rng):
                           eig(HermitianOperator(m)).eigenvalues)
     with pytest.raises(ValueError, match="eigenvalue more than 1e-09 outside"):
         DensityOperator.decomposed(np.diag([1.0 + 1.01 * TRACE_TOL, -1.01 * TRACE_TOL]))
+
+
+def test_decomposed_splits_along_hidden_blocks(rng, monkeypatch):
+    sizes = (1, 2, 5, 17)
+    d = sum(sizes)
+    m = np.zeros((d, d), dtype=complex)
+    start = 0
+    for k, weight in zip(sizes, rng.dirichlet(np.ones(len(sizes)))):
+        m[start : start + k, start : start + k] = weight * random_density(k, rng=rng)
+        start += k
+    perm = rng.permutation(d)
+    m = m[np.ix_(perm, perm)]
+    starts = np.cumsum((0,) + sizes)
+    blocks = [set(np.flatnonzero((perm >= a) & (perm < b)).tolist())
+              for a, b in zip(starts, starts[1:])]
+    calls = []
+
+    def counted(*args, _real=np.linalg.eigh, **kwargs):
+        calls.append(len(args[0]))
+        return _real(*args, **kwargs)
+
+    monkeypatch.setattr(np.linalg, "eigh", counted)
+    rho = DensityOperator.decomposed(m)
+    assert sorted(calls) == [2, 5, 17]
+    spec, dense = rho.spectrum, eig(HermitianOperator(rho.mat))
+    w, v = spec.eigenvalues, spec.eigenvectors
+    assert_allclose(w, dense.eigenvalues, rtol=0, atol=1e-13)
+    assert_allclose(spec.reconstruct(), dense.reconstruct(), rtol=0, atol=1e-13)
+    assert_allclose(spec.reconstruct(), rho.mat, rtol=0, atol=1e-13)
+    assert np.all(np.diff(w) >= 0.0)
+    assert np.max(np.abs(v.conj().T @ v - np.eye(d))) <= 1e-12
+    for k in range(d):
+        rows = set(np.flatnonzero(v[:, k]).tolist())
+        assert any(rows <= block for block in blocks)
+
+
+def test_blockwise_eig_of_a_matrix_without_zeros_is_eig(rng):
+    op = HermitianOperator(random_density(6, rng=rng))
+    assert np.all(op.mat != 0)
+    blockwise, dense = _blockwise_eig(op), eig(op)
+    assert np.array_equal(blockwise.eigenvalues, dense.eigenvalues)
+    assert np.array_equal(blockwise.eigenvectors, dense.eigenvectors)
 
 
 def test_per_copy_curve_is_psi_curve_over_n():
