@@ -372,7 +372,7 @@ def stein_gap_check(scenario: Scenario, n: int) -> CheckReport:
     rho0n, rho1n = twirled_pair(scenario.rho0, scenario.rho1, scenario.action, n)
     report.check_leq("S(twirled)/n <= S(rho0||rho1)",
                      relative_entropy(rho0n, rho1n) / n, s_single, 1e-8, n=n)
-    rho1_pow = kron_power(asmatrix(scenario.rho1), n)
+    rho1_pow = DensityOperator.from_matrix(kron_power(asmatrix(scenario.rho1), n))
     projections = [p for _, p in spectral_projections(rho1_pow)]
     powered = tensor_power(scenario.action, n)
     pinched = pinching_map(kron_power(asmatrix(scenario.rho0), n), powered, projections)

@@ -242,9 +242,12 @@ def serialize_scenario(sc: Scenario) -> str:
 
 def _write_table(columns, rows, config: RunConfig) -> None:
     if config.fmt == "json":
+        # JSON has no token for inf or nan: write the CSV ones, as strings
+        rows = [[_fmt(v) if isinstance(v, float) and not math.isfinite(v) else v for v in row]
+                for row in rows]
         payload = {"command": config.command,
                    "rows": [dict(zip(columns, row)) for row in rows]}
-        text = json.dumps(payload, default=_fmt, indent=1) + "\n"
+        text = json.dumps(payload, allow_nan=False, indent=1) + "\n"
     else:
         lines = [",".join(columns)]
         lines.extend(",".join(_fmt(v) for v in row) for row in rows)

@@ -10,8 +10,8 @@ eigvalsh per evaluation.  threshold_errors gives the error pairs of many
 threshold tests on one state pair at once, from the common eigenbasis of a
 commuting pair or from one eigh per rate otherwise, without forming the
 projections np_test builds.  The common eigenbasis starts from the spectrum
-the alternative carries when it comes from twirled_pair, so a pair is never
-decomposed again here.
+every density operator keeps, so a state pair is never decomposed again
+here.
 """
 
 from __future__ import annotations
@@ -38,7 +38,11 @@ from .reports import CheckReport
 
 @dataclass(frozen=True)
 class TestOperator:
-    """A binary POVM effect: Hermitian with spectrum in [0, 1]."""
+    """A binary POVM effect: Hermitian with spectrum in [0, 1].
+
+    Validated from its eigendecomposition: eigenvalues at most 1e-9 outside
+    [0, 1] are clipped onto the edge (:meth:`Spectrum.clipped`), anything
+    further out is rejected."""
 
     __test__ = False  # keep pytest from collecting the type
 
@@ -47,7 +51,10 @@ class TestOperator:
     def __post_init__(self):
         if not isinstance(self.op, HermitianOperator):
             object.__setattr__(self, "op", HermitianOperator(asmatrix(self.op)))
-        object.__setattr__(self, "op", self.op.clipped(0.0, 1.0, 1e-9))
+        spec = eig(self.op)
+        clipped = spec.clipped(0.0, 1.0, 1e-9)
+        if clipped is not spec:
+            object.__setattr__(self, "op", HermitianOperator(clipped.reconstruct()))
 
     @property
     def mat(self) -> np.ndarray:
@@ -160,7 +167,8 @@ def pmin_bounds_check(rho0n, rho1n, a: float, n: int = 1) -> CheckReport:
 
 def _common_eigenbasis(rho0n, rho1n) -> tuple[np.ndarray, np.ndarray] | None:
     """Simultaneous eigenbasis weights (p_k, q_k) for commuting PSD operators,
-    starting from the spectrum of rho1n (the one it carries, when it does)."""
+    starting from the spectrum of rho1n (the one it keeps, for a density
+    operator)."""
     m0, m1 = asmatrix(rho0n), asmatrix(rho1n)
     scale = max(1.0, float(np.max(np.abs(m0))), float(np.max(np.abs(m1))))
     if float(np.max(np.abs(m0 @ m1 - m1 @ m0))) > 1e-10 * scale:

@@ -37,8 +37,8 @@ def default_s_grid() -> np.ndarray:
 class PsiEvaluator:
     """Spectral engine for s -> log Tr rho0**s rho1**(1-s).
 
-    Both spectra are taken once (the ones the operators carry, when they
-    do); each evaluation is then a weighted sum over the support-restricted
+    Both spectra are taken once (the ones density operators keep); each
+    evaluation is then a weighted sum over the support-restricted
     eigenvalue pairs, so sweeping a grid of s values costs one matrix product
     total.
     """

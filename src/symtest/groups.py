@@ -11,12 +11,15 @@ product: for a finite group it averages the n-th tensor powers of the
 conjugated single-copy states, (1/|G|) sum_g (U_g rho U_g^*)^{(x)n}, which
 equals the twirl of rho^{(x)n} because U^{(x)n} rho^{(x)n} U^{(x)n *} =
 (U rho U^*)^{(x)n}; for the torus it pinches rho^{(x)n} by total weight.
-Each twirled state is validated from its eigendecomposition and keeps it
-(DensityOperator.decomposed), so every consumer reads that spectrum instead
-of decomposing the state again.  The twirl lands in the commutant, which is
-block diagonal up to a permutation, and writes the zeros between its blocks
-exactly (the torus pinching between weight classes, the sign-flip average on
-odd-parity entries), so the decomposition runs one block at a time.
+Each twirled state, like every DensityOperator, is validated from its
+eigendecomposition and keeps it, so every consumer reads that spectrum
+instead of decomposing the state again.  The twirl lands in the commutant,
+which is block diagonal up to a permutation, and writes the zeros between
+its blocks exactly (the torus pinching between weight classes, the sign-flip
+average on odd-parity entries), so the decomposition runs one block at a
+time.  block_structure finds the blocks of a finite action's commutant with
+the same component finder (linalg.components), run on the coupling of the
+eigenvalue clusters of a twirled probe.
 """
 
 from __future__ import annotations
@@ -31,6 +34,7 @@ from .linalg import (
     HermitianOperator,
     asmatrix,
     cluster_slices,
+    components,
     dim_cap,
     frob,
     kron_power,
@@ -199,13 +203,13 @@ def twirled_pair(rho0, rho1, action: GroupAction, n: int) -> tuple[DensityOperat
             for u in action.unitaries:
                 mat += kron_power(u @ m @ u.conj().T, n)
             mat /= len(action.unitaries)
-        out.append(DensityOperator.decomposed(mat))
+        out.append(DensityOperator.from_matrix(mat))
     return out[0], out[1]
 
 
 def is_support_invariant(rho1, action: GroupAction) -> bool:
     """Whether the support projection of rho1 is fixed by the action, within 1e-8."""
-    p = support_projection(asmatrix(rho1)).mat
+    p = support_projection(rho1).mat
     return float(np.max(np.abs(twirl(p, action) - p))) <= 1e-8
 
 
@@ -268,37 +272,23 @@ def _finite_blocks(unitaries, dim: int) -> list[Block]:
         t2 = _average_conjugations(_random_hermitian(rng, dim), unitaries)
         w, v = np.linalg.eigh((t1 + t1.conj().T) / 2.0)
         scale = max(1.0, float(np.max(np.abs(w))))
-        bases = [v[:, run] for run in cluster_slices(w, 1e-8 * scale)]
-        k = len(bases)
-
-        parent = list(range(k))
-
-        def find(i):
-            while parent[i] != i:
-                parent[i] = parent[parent[i]]
-                i = parent[i]
-            return i
-
+        runs = cluster_slices(w, 1e-8 * scale)
+        bases = [v[:, run] for run in runs]
+        # coupling[i, j] = frob(bases[i]^* t2 bases[j])**2, so the clusters
+        # i and j are linked when that norm exceeds conn_tol
+        edges = [run.start for run in runs]
+        overlap = np.abs(v.conj().T @ t2 @ v) ** 2
+        coupling = np.add.reduceat(np.add.reduceat(overlap, edges, axis=0), edges, axis=1)
         conn_tol = 1e-8 * max(1.0, frob(t2))
-        for i in range(k):
-            for j in range(i + 1, k):
-                if frob(bases[i].conj().T @ t2 @ bases[j]) > conn_tol:
-                    ri, rj = find(i), find(j)
-                    if ri != rj:
-                        parent[rj] = ri
-        comps: dict[int, list[int]] = {}
-        for i in range(k):
-            comps.setdefault(find(i), []).append(i)
+        lone, comps = components(coupling > conn_tol**2)
 
         blocks = []
-        for members in comps.values():
+        for members in sorted([*lone[:, None], *comps], key=lambda idx: idx[0]):
             ranks = {bases[i].shape[1] for i in members}
             if len(ranks) != 1:
                 return None  # an accidental eigenvalue collision merged blocks
-            d = ranks.pop()
-            basis = np.hstack([bases[i] for i in sorted(members)])
-            blocks.append((len(members), d, basis, min(members)))
-        blocks.sort(key=lambda b: b[3])
+            basis = np.hstack([bases[i] for i in members])
+            blocks.append((len(members), ranks.pop(), basis))
         return blocks
 
     first = attempt(1)
@@ -307,17 +297,17 @@ def _finite_blocks(unitaries, dim: int) -> list[Block]:
         raise ConvergenceError(
             f"block extraction failed for dimension {dim}: degenerate probe spectrum"
         )
-    shape1 = sorted((m, d) for m, d, _, _ in first)
-    shape2 = sorted((m, d) for m, d, _, _ in second)
+    shape1 = sorted((m, d) for m, d, _ in first)
+    shape2 = sorted((m, d) for m, d, _ in second)
     if shape1 != shape2:
         raise ConvergenceError(
             f"block extraction did not stabilize across probes: {shape1} vs {shape2}"
         )
-    if sum(m * d for m, d, _, _ in first) != dim:
+    if sum(m * d for m, d, _ in first) != dim:
         raise ConvergenceError(
             f"block extraction lost dimensions: {shape1} does not fill {dim}"
         )
-    return [Block(m, d, basis) for m, d, basis, _ in first]
+    return [Block(m, d, basis) for m, d, basis in first]
 
 
 def block_structure(action: GroupAction, n: int = 1) -> BlockStructure:

@@ -5,13 +5,15 @@ validating types below.  Every matrix power of a positive semidefinite
 operator uses the support convention 0**s = 0 for all real s.  The spectral
 decisions live here and nowhere else: :func:`above_cut` decides which
 eigenvalues count as zero (:meth:`Spectrum.support` keeps the rest),
-:func:`cluster_slices` splits a spectrum into degenerate runs, and
-:meth:`Spectrum.clipped` moves a spectrum into a range.  An operator is
-decomposed once: :meth:`DensityOperator.decomposed` keeps the spectrum it was
-validated from, and :func:`eig` hands that spectrum back.  That spectrum is
-taken block by block along the exact zeros of the matrix, one checked
-:func:`eig` per connected component of its nonzero pattern, and assembled
-into one ascending decomposition of the full dimension.
+:func:`cluster_slices` splits a spectrum into degenerate runs,
+:meth:`Spectrum.clipped` moves a spectrum into a range, and
+:func:`components` splits an index set into the connected components of a
+linkage.  An operator is decomposed once: every :class:`DensityOperator`
+keeps the spectrum it was validated from, and :func:`eig` hands that
+spectrum back.  That spectrum is taken block by block along the exact zeros
+of the matrix, one checked :func:`eig` per connected component of its
+nonzero pattern, and assembled into one ascending decomposition of the full
+dimension.
 """
 
 from __future__ import annotations
@@ -77,30 +79,20 @@ class HermitianOperator:
     def dim(self) -> int:
         return self.mat.shape[0]
 
-    def clipped(self, lo: float, hi: float, tol: float) -> "HermitianOperator":
-        """This operator with its spectrum clipped into [lo, hi] by
-        :meth:`Spectrum.clipped`; a spectrum already inside returns self
-        without computing eigenvectors."""
-        w = np.linalg.eigvalsh(self.mat)
-        if w[0] >= lo and w[-1] <= hi:
-            return self
-        return HermitianOperator(eig(self).clipped(lo, hi, tol).reconstruct())
-
 
 @dataclass(frozen=True)
 class DensityOperator:
     """Positive semidefinite, unit-trace Hermitian operator.
 
-    Eigenvalues in [-TRACE_TOL, 0) are clipped to zero on construction and the
-    trace renormalized; anything more negative is rejected.  An operator built
-    by :meth:`decomposed` carries ``spectrum``, the eigendecomposition it was
-    validated from, clipped and renormalized along with the matrix;
-    :func:`eig` returns it instead of decomposing again.  Other operators
-    carry none.
+    Validated from ``spectrum``, its eigendecomposition taken block by block
+    (see :func:`_blockwise_eig`), which it keeps: eigenvalues in
+    [-TRACE_TOL, 0) are clipped to zero, anything more negative is rejected,
+    and the trace is renormalized, in the matrix and the spectrum alike.
+    :func:`eig` returns that spectrum instead of decomposing again.
     """
 
     op: HermitianOperator
-    spectrum: Spectrum | None = field(default=None, init=False, repr=False, compare=False)
+    spectrum: Spectrum = field(init=False, repr=False, compare=False)
 
     def __post_init__(self):
         if not isinstance(self.op, HermitianOperator):
@@ -108,32 +100,16 @@ class DensityOperator:
         tr = float(np.trace(self.op.mat).real)
         if abs(tr - 1.0) > TRACE_TOL:
             raise ValueError(f"trace must be 1 within {TRACE_TOL:g}, got {tr!r}")
-        op, spec = self.op, self.spectrum
-        if spec is None:
-            op = op.clipped(0.0, np.inf, TRACE_TOL)
-        else:
-            clipped = spec.clipped(0.0, np.inf, TRACE_TOL)
-            if clipped is not spec:
-                op, spec = HermitianOperator(clipped.reconstruct()), clipped
+        op, spec = self.op, _blockwise_eig(self.op)
+        clipped = spec.clipped(0.0, np.inf, TRACE_TOL)
+        if clipped is not spec:
+            op, spec = HermitianOperator(clipped.reconstruct()), clipped
         tr = float(np.trace(op.mat).real)
         if abs(tr - 1.0) > 1e-15:
             op = HermitianOperator(op.mat / tr)
-            if spec is not None:
-                spec = Spectrum(spec.eigenvalues / tr, spec.eigenvectors)
+            spec = Spectrum(spec.eigenvalues / tr, spec.eigenvectors)
         object.__setattr__(self, "op", op)
         object.__setattr__(self, "spectrum", spec)
-
-    @classmethod
-    def decomposed(cls, m) -> "DensityOperator":
-        """Validated from its spectrum, which it keeps: one checked :func:`eig`
-        per connected component of m's exact nonzero pattern (see
-        :func:`_blockwise_eig`)."""
-        op = HermitianOperator(asmatrix(m))
-        out = object.__new__(cls)
-        object.__setattr__(out, "op", op)
-        object.__setattr__(out, "spectrum", _blockwise_eig(op))
-        out.__post_init__()
-        return out
 
     @classmethod
     def from_matrix(cls, m) -> "DensityOperator":
@@ -184,9 +160,9 @@ def eig(h) -> Spectrum:
 
     Eigenvalues come back ascending; the eigenvector matrix is unitary within
     1e-9 and the reconstruction error is bounded by 1e-8 * dim * ||H||_F.
-    A density operator that carries its spectrum returns that spectrum.
+    A density operator returns the spectrum it keeps.
     """
-    if isinstance(h, DensityOperator) and h.spectrum is not None:
+    if isinstance(h, DensityOperator):
         return h.spectrum
     m = asmatrix(h)
     m = (m + m.conj().T) / 2.0
@@ -212,20 +188,18 @@ def eig(h) -> Spectrum:
     return Spectrum(w, v)
 
 
-def _nonzero_components(m: np.ndarray) -> tuple[np.ndarray, list[np.ndarray]]:
-    """Connected components of the exact nonzero pattern of a Hermitian matrix
-    (i and j are linked when m[i, j] != 0): the indices that form a component
-    alone, and the index sets of the larger components, each ascending and
-    ordered by their smallest index."""
-    linked = m != 0
-    np.fill_diagonal(linked, False)
-    seen = ~linked.any(axis=1)
+def components(linked: np.ndarray) -> tuple[np.ndarray, list[np.ndarray]]:
+    """Connected components of the graph whose symmetric boolean adjacency
+    matrix is linked (its diagonal is ignored): the indices that form a
+    component alone, and the index sets of the larger components, each
+    ascending and ordered by their smallest index."""
+    seen = np.count_nonzero(linked, axis=1) <= linked.diagonal()
     lone = np.flatnonzero(seen)
     comps = []
     for i in np.flatnonzero(~seen):
         if seen[i]:
             continue
-        members = np.zeros(m.shape[0], dtype=bool)
+        members = np.zeros(linked.shape[0], dtype=bool)
         members[i] = True
         frontier = members
         while frontier.any():
@@ -246,12 +220,10 @@ def _blockwise_eig(op: HermitianOperator) -> Spectrum:
     real diagonal entry and a unit vector).  The eigenvalues come back
     ascending (ties with the 1x1 components first, then in component order),
     and each eigenvector is zero outside its component.  A matrix with one
-    component is decomposed by one :func:`eig`, as any other operator.
+    component comes out exactly as its :func:`eig`.
     """
     m = op.mat
-    lone, comps = _nonzero_components(m)
-    if lone.size + len(comps) <= 1:
-        return eig(op)
+    lone, comps = components(m != 0)
     d = m.shape[0]
     specs = [eig(m[np.ix_(idx, idx)]) for idx in comps]
     w = np.concatenate([m.diagonal()[lone].real, *(spec.eigenvalues for spec in specs)])

@@ -210,6 +210,33 @@ class TestCommands:
         assert doc["command"] == "convergence"
         assert len(doc["rows"]) == 2 * 3
 
+    @pytest.mark.parametrize("command,column,token", [
+        ("stein", "relative_entropy", "inf"),
+        ("beta-eps", "bound_lo", "-inf"),
+    ])
+    def test_json_is_strict_and_writes_non_finite_values_as_csv_tokens(
+            self, tmp_path, command, column, token):
+        def reject(constant):
+            raise ValueError(f"non-standard JSON constant {constant}")
+
+        scenario = str(Path(__file__).resolve().parent.parent / "scenarios" / "two-pure.json")
+        tables = {}
+        for fmt in ("csv", "json"):
+            tables[fmt] = tmp_path / f"{command}.{fmt}"
+            assert main(["--scenario", scenario, "--command", command, "--n-max", "1",
+                         "--format", fmt, "--out", str(tables[fmt])]) == 0
+        doc = json.loads(tables["json"].read_text(), parse_constant=reject)
+        header, *lines = tables["csv"].read_text().splitlines()
+        assert len(doc["rows"]) == len(lines)
+        assert [row[column] for row in doc["rows"]].count(token) == 1
+        for row, line in zip(doc["rows"], lines):
+            assert list(row) == header.split(",")
+            for value, field in zip(row.values(), line.split(",")):
+                if isinstance(value, float):
+                    assert value == float(field)
+                else:
+                    assert str(value) == field
+
     def test_chernoff_and_stein_and_hoeffding_run(self, tmp_path):
         scenario = write_scenario(tmp_path, n_max=2)
         for command in ("chernoff", "stein"):

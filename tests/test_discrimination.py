@@ -318,7 +318,7 @@ class TestThresholdErrors:
     def test_common_eigenbasis_reads_the_kept_spectrum(self, monkeypatch):
         # the kept spectrum is taken block by block, so the weights from a dense
         # eigh of the same matrices agree as multisets of atoms up to rounding,
-        # and byte for byte with the same matrices decomposed again
+        # and byte for byte with states built again from the same matrices
         sc = make_scenario("Z2Commuting", lam=0.2, mu=0.7)
         pair = twirled_pair(sc.rho0, sc.rho1, sc.action, 5)
         calls = []
@@ -338,7 +338,7 @@ class TestThresholdErrors:
             best = int(np.argmin(gaps))
             assert gaps[best] <= 1e-14
             unmatched.pop(best)
-        again = _common_eigenbasis(*(DensityOperator.decomposed(r.mat) for r in pair))
+        again = _common_eigenbasis(*(DensityOperator.from_matrix(r.mat) for r in pair))
         assert np.array_equal(kept[0], again[0]) and np.array_equal(kept[1], again[1])
 
     def test_one_row_per_rate(self, rng):

@@ -173,6 +173,24 @@ class TestFidelity:
         assert fidelity(pure_qubit(lam), pure_qubit(mu)) == pytest.approx(expected, abs=1e-10)
 
 
+class TestKeptSpectra:
+    def test_consumers_of_built_states_decompose_nothing(self, rng, monkeypatch):
+        # every density operator keeps the spectrum it was validated from, so
+        # these read it and call neither eigh nor eigvalsh
+        rho, sigma = (DensityOperator.from_matrix(random_density(4, rng=rng)) for _ in range(2))
+        counts = {"eigh": 0, "eigvalsh": 0}
+        for name in counts:
+            def counted(*args, _real=getattr(np.linalg, name), _name=name, **kwargs):
+                counts[_name] += 1
+                return _real(*args, **kwargs)
+            monkeypatch.setattr(np.linalg, name, counted)
+        PsiEvaluator(rho, sigma).psi(0.4)
+        relative_entropy(rho, sigma)
+        fidelity(rho, sigma)
+        renyi_entropy(rho, 0.5)
+        assert counts == {"eigh": 0, "eigvalsh": 0}
+
+
 class TestChernoff:
     def test_identical_zero(self, rng):
         rho = faithful(rng)

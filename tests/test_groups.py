@@ -224,6 +224,18 @@ class TestBlockStructure:
         # with a two-dimensional irrep of multiplicity four
         assert block_structure(action, 3).shape() == [(4, 2)]
 
+    def test_s3_permutation_blocks(self):
+        # trivial, sign and two-dimensional standard irreps of S3 on (C^3)^{(x)n}
+        action = GroupAction.finite(
+            [np.eye(3)[list(p)] for p in itertools.permutations(range(3))])
+        expected = {2: [(1, 1), (2, 1), (3, 2)],
+                    3: [(4, 1), (5, 1), (9, 2)],
+                    4: [(13, 1), (14, 1), (27, 2)]}
+        for n, shape in expected.items():
+            bs = block_structure(action, n)
+            assert bs.shape() == shape
+            assert bs.total_dim == 3**n
+
     def test_block_count_sums(self):
         for action, n in ((z2_action(), 4), (torus_action(), 4)):
             bs = block_structure(action, n)
@@ -408,7 +420,7 @@ class TestTwirledPair:
         m = twirl(kron_power(pure_qubit(0.3).mat, n), tensor_power(torus_action(), n))
         raw = _blockwise_eig(HermitianOperator(m))
         assert raw.eigenvalues[0] < 0.0
-        rho = DensityOperator.decomposed(m)
+        rho = DensityOperator.from_matrix(m)
         spec = rho.spectrum
         assert np.array_equal(spec.eigenvectors, raw.eigenvectors)
         assert spec.eigenvalues[0] == 0.0

@@ -2,7 +2,9 @@ import numpy as np
 import pytest
 from numpy.testing import assert_allclose
 
+from symtest.discrimination import TestOperator
 from symtest.errors import DimensionError
+from symtest.groups import GroupAction, twirled_pair
 from symtest.linalg import (
     HERM_TOL,
     TRACE_TOL,
@@ -14,6 +16,7 @@ from symtest.linalg import (
     abs_power_trace,
     asmatrix,
     cluster_slices,
+    components,
     dim_cap,
     eig,
     kron,
@@ -299,39 +302,65 @@ def test_cluster_slices_edge_cases():
 
 def test_clipped_returns_self_inside_range(rng):
     h = HermitianOperator(random_density(4, rng=rng))
-    assert h.clipped(0.0, np.inf, 1e-9) is h
-    assert h.clipped(0.0, 1.0, 1e-9) is h
+    spec = eig(h)
+    assert spec.clipped(0.0, np.inf, 1e-9) is spec
+    assert spec.clipped(0.0, 1.0, 1e-9) is spec
+    # a state or a test already inside keeps the operator it was given
+    assert DensityOperator(h).op is h
+    assert TestOperator(h).op is h
 
 
 def test_clipped_moves_small_violations_onto_the_edge(rng):
-    density = HermitianOperator(np.diag([-1e-12, 0.4, 0.6 + 1e-12])).clipped(0.0, np.inf, 1e-9)
+    def through_spectrum(m, lo, hi):
+        return HermitianOperator(eig(HermitianOperator(m)).clipped(lo, hi, 1e-9).reconstruct())
+
+    density = through_spectrum(np.diag([-1e-12, 0.4, 0.6 + 1e-12]), 0.0, np.inf)
     assert np.array_equal(np.linalg.eigvalsh(density.mat), [0.0, 0.4, 0.6 + 1e-12])
-    test = HermitianOperator(np.diag([0.0, 0.5, 1.0 + 1e-12])).clipped(0.0, 1.0, 1e-9)
-    assert np.array_equal(np.linalg.eigvalsh(test.mat), [0.0, 0.5, 1.0])
+    for test in (through_spectrum(np.diag([0.0, 0.5, 1.0 + 1e-12]), 0.0, 1.0),
+                 TestOperator(np.diag([0.0, 0.5, 1.0 + 1e-12]))):
+        assert np.array_equal(np.linalg.eigvalsh(test.mat), [0.0, 0.5, 1.0])
+    rho = DensityOperator.from_matrix(np.diag([-1e-12, 0.4, 0.6 + 1e-12]))
+    assert rho.spectrum.eigenvalues[0] == 0.0
+    assert_allclose(rho.spectrum.eigenvalues, [0.0, 0.4, 0.6], rtol=0, atol=2e-12)
     # in a rotated basis the rebuild leaves only roundoff past the edge
     u = random_unitary(3, rng)
     for w, lo, hi in (([-1e-12, 0.4, 0.6], 0.0, np.inf), ([0.0, 0.5, 1.0 + 1e-12], 0.0, 1.0)):
-        out = HermitianOperator((u * np.array(w)) @ u.conj().T).clipped(lo, hi, 1e-9)
-        assert_allclose(np.linalg.eigvalsh(out.mat), np.clip(w, lo, hi), rtol=0, atol=1e-14)
+        m = (u * np.array(w)) @ u.conj().T
+        built = DensityOperator.from_matrix(m) if hi == np.inf else TestOperator(m)
+        for out in (through_spectrum(m, lo, hi), built):
+            assert_allclose(np.linalg.eigvalsh(out.mat), np.clip(w, lo, hi), rtol=0, atol=1e-14)
 
 
 def test_clipped_rejects_violations_beyond_tol():
     with pytest.raises(ValueError, match="eigenvalue") as info:
-        HermitianOperator(np.diag([-1e-8, 1.0])).clipped(0.0, np.inf, 1e-9)
+        eig(HermitianOperator(np.diag([-1e-8, 1.0]))).clipped(0.0, np.inf, 1e-9)
     assert "spectrum" in str(info.value)
     with pytest.raises(ValueError, match="spectrum"):
-        HermitianOperator(np.diag([0.0, 1.0 + 1e-8])).clipped(0.0, 1.0, 1e-9)
+        eig(HermitianOperator(np.diag([0.0, 1.0 + 1e-8]))).clipped(0.0, 1.0, 1e-9)
+    with pytest.raises(ValueError, match="eigenvalue more than 1e-09 outside"):
+        DensityOperator.from_matrix(np.diag([-1e-8, 1.0 + 1e-8]))
+    with pytest.raises(ValueError, match="eigenvalue more than 1e-09 outside"):
+        TestOperator(np.diag([0.0, 1.0 + 1e-8]))
 
 
 def test_decomposed_density_operator_keeps_its_spectrum(rng):
+    # every density operator keeps the spectrum it was validated from, and eig
+    # hands back that object
+    rho = DensityOperator.from_matrix(np.eye(3) / 3)
+    assert eig(rho) is rho.spectrum
+    assert np.array_equal(rho.spectrum.eigenvalues, np.full(3, 1 / 3))
+    assert np.array_equal(rho.spectrum.eigenvectors, np.eye(3))
+    sign_flip = GroupAction.finite([np.eye(2), np.diag([1.0, -1.0])])
+    for r in twirled_pair(random_density(2, rng=rng), random_density(2, rng=rng), sign_flip, 3):
+        assert eig(r) is r.spectrum
+        assert_allclose(r.spectrum.reconstruct(), r.mat, rtol=0, atol=1e-15)
     u = random_unitary(3, rng)
-    assert DensityOperator.from_matrix(np.eye(3) / 3).spectrum is None
     # inside the range; the clip path (and a trace 1 + 0.5e-9 after it); a trace
     # to renormalize
     for w in ([0.2, 0.3, 0.5], [-0.5e-9, 0.4, 0.6], [0.2, 0.3, 0.5 + 0.5e-9]):
         m = (u * np.array(w)) @ u.conj().T
         raw = eig(HermitianOperator(m))
-        rho = DensityOperator.decomposed(m)
+        rho = DensityOperator.from_matrix(m)
         spec = rho.spectrum
         assert eig(rho) is spec
         assert np.array_equal(spec.eigenvectors, raw.eigenvectors)
@@ -340,10 +369,10 @@ def test_decomposed_density_operator_keeps_its_spectrum(rng):
                         rtol=0, atol=1e-15)
         assert_allclose(spec.reconstruct(), rho.mat, rtol=0, atol=1e-15)
     m = (u * np.array([0.2, 0.3, 0.5])) @ u.conj().T
-    assert np.array_equal(DensityOperator.decomposed(m).spectrum.eigenvalues,
+    assert np.array_equal(DensityOperator.from_matrix(m).spectrum.eigenvalues,
                           eig(HermitianOperator(m)).eigenvalues)
     with pytest.raises(ValueError, match="eigenvalue more than 1e-09 outside"):
-        DensityOperator.decomposed(np.diag([1.0 + 1.01 * TRACE_TOL, -1.01 * TRACE_TOL]))
+        DensityOperator.from_matrix(np.diag([1.0 + 1.01 * TRACE_TOL, -1.01 * TRACE_TOL]))
 
 
 def test_decomposed_splits_along_hidden_blocks(rng, monkeypatch):
@@ -366,7 +395,7 @@ def test_decomposed_splits_along_hidden_blocks(rng, monkeypatch):
         return _real(*args, **kwargs)
 
     monkeypatch.setattr(np.linalg, "eigh", counted)
-    rho = DensityOperator.decomposed(m)
+    rho = DensityOperator.from_matrix(m)
     assert sorted(calls) == [2, 5, 17]
     spec, dense = rho.spectrum, eig(HermitianOperator(rho.mat))
     w, v = spec.eigenvalues, spec.eigenvectors
@@ -386,6 +415,45 @@ def test_blockwise_eig_of_a_matrix_without_zeros_is_eig(rng):
     blockwise, dense = _blockwise_eig(op), eig(op)
     assert np.array_equal(blockwise.eigenvalues, dense.eigenvalues)
     assert np.array_equal(blockwise.eigenvectors, dense.eigenvectors)
+
+
+def union_find_components(linked):
+    """(lone, comps) of linked by a plain union-find over its off-diagonal links."""
+    d = linked.shape[0]
+    parent = list(range(d))
+
+    def find(i):
+        while parent[i] != i:
+            i = parent[i]
+        return i
+
+    for i, j in zip(*np.nonzero(linked)):
+        if i != j:
+            parent[find(int(i))] = find(int(j))
+    groups = {}
+    for i in range(d):
+        groups.setdefault(find(i), []).append(i)
+    members = sorted(groups.values())
+    return [g[0] for g in members if len(g) == 1], [g for g in members if len(g) > 1]
+
+
+def test_components_match_a_union_find(rng):
+    cases = [np.zeros((7, 7), dtype=bool), np.ones((7, 7), dtype=bool)]
+    for d in range(1, 41):
+        for density in (0.0, 0.02, 0.08, 0.3):
+            upper = np.triu(rng.random((d, d)) < density, 1)
+            linked = upper | upper.T
+            np.fill_diagonal(linked, rng.random(d) < 0.5)  # the diagonal is ignored
+            cases.append(linked)
+    for linked in cases:
+        lone, comps = components(linked)
+        want_lone, want_comps = union_find_components(linked)
+        assert lone.tolist() == want_lone
+        assert [c.tolist() for c in comps] == want_comps
+    lone, comps = components(np.eye(5, dtype=bool))
+    assert lone.tolist() == [0, 1, 2, 3, 4] and comps == []
+    lone, comps = components(np.ones((5, 5), dtype=bool))
+    assert lone.size == 0 and [c.tolist() for c in comps] == [[0, 1, 2, 3, 4]]
 
 
 def test_per_copy_curve_is_psi_curve_over_n():
