@@ -158,13 +158,12 @@ def closed_form_curve(kind: str, params: dict, grid=None) -> PsiCurve:
         grid = default_s_grid()
     grid = np.asarray(grid, dtype=float)
     values = np.array([closed_form_psi(kind, params, float(s)) for s in grid])
-    return PsiCurve(grid, values, n=0, label=kind,
-                    fn=lambda s: closed_form_psi(kind, params, s))
+    return PsiCurve(grid, values, lambda s: closed_form_psi(kind, params, s))
 
 
 def unrestricted_curve(rho0, rho1, grid=None) -> PsiCurve:
     """Single-copy psi of the raw pair, before any twirl."""
-    return psi_curve(rho0, rho1, grid, n=1, label="unrestricted")
+    return psi_curve(rho0, rho1, grid)
 
 
 @dataclass(frozen=True)
@@ -189,23 +188,15 @@ class ConvergenceTable:
                     f"(gap {row.gap:.3e})"
                 )
 
-    def to_csv(self) -> str:
-        lines = ["n,s,value,closed_form,gap,monotone"]
-        for r in self.rows:
-            lines.append(
-                f"{r.n},{r.s:.17g},{r.value:.17g},{r.closed_form:.17g},{r.gap:.17g},{int(r.monotone)}"
-            )
-        return "\n".join(lines) + "\n"
 
-
-def convergence_table(scenario: Scenario, s_grid=None, n_max: int | None = None) -> ConvergenceTable:
+def convergence_table(scenario: Scenario, s_grid=None) -> ConvergenceTable:
     """Per-(n, s) gaps of (1/n) psi_n against the scenario's closed form."""
     if scenario.kind is None:
         raise ValueError("convergence_table needs a scenario with a closed-form kind")
     if s_grid is None:
         s_grid = default_s_grid()
     s_grid = np.asarray(s_grid, dtype=float)
-    n_max = n_max or scenario.n_max
+    n_max = scenario.n_max
     values = np.empty((n_max, s_grid.size))
     for n in range(1, n_max + 1):
         ev = PsiEvaluator(*twirled_pair(scenario.rho0, scenario.rho1, scenario.action, n))
@@ -298,11 +289,11 @@ def half_binomial_sum(a: float, b: float, n: int) -> float:
     return 0.0 if total == NEG_INF else math.exp(total / n)
 
 
-def per_copy_curve(ev: PsiEvaluator, n: int, label: str = "") -> PsiCurve:
-    """(1/n) psi_n on the default grid, with (1/n) ev.psi attached for refinement."""
+def per_copy_curve(ev: PsiEvaluator, n: int) -> PsiCurve:
+    """(1/n) psi_n on the default grid, with its exact evaluator (1/n) ev.psi."""
     grid = default_s_grid()
     return PsiCurve(grid, np.array([ev.psi(float(s)) / n for s in grid]),
-                    n=n, label=label, fn=lambda s: ev.psi(s) / n)
+                    lambda s: ev.psi(s) / n)
 
 
 def _supports_nested(rho0n, rho1n) -> bool:
@@ -333,7 +324,7 @@ def mean_quantities(scenario: Scenario, r_grid=None, pairs=None) -> DivergenceRe
         note = ""
     else:
         n = scenario.n_max
-        curve = per_copy_curve(PsiEvaluator(*pair(n)), n, label="best-n")
+        curve = per_copy_curve(PsiEvaluator(*pair(n)), n)
         note = (f"values from (1/n) psi_n at n={n}; upper estimates of the limit on "
                 "[0,1], lower on [1,2] under invariant support")
     if _supports_nested(*pair(1)):

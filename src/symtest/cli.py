@@ -282,13 +282,13 @@ def _cmd_psi(sc: Scenario, config: RunConfig) -> int:
     for s, v in zip(grid, unrestricted_curve(sc.rho0, sc.rho1, grid).values):
         rows.append((float(s), float(v), 1, "unrestricted"))
     for n in range(1, sc.n_max + 1):
-        curve = psi_curve(*twirled_pair(sc.rho0, sc.rho1, sc.action, n),
-                          grid=grid, n=n, label="twirled")
+        curve = psi_curve(*twirled_pair(sc.rho0, sc.rho1, sc.action, n), grid=grid)
         rows.extend((float(s), float(v) / n, n, "twirled")
                     for s, v in zip(curve.s_grid, curve.values))
     if sc.kind is not None:
         curve = closed_form_curve(sc.kind, sc.params, grid)
-        rows.extend(curve.rows())
+        rows.extend((float(s), float(v), 0, sc.kind)
+                    for s, v in zip(curve.s_grid, curve.values))
     _write_table(("s", "value", "n", "label"), rows, config)
     return 0
 
@@ -309,7 +309,7 @@ def _cmd_chernoff(sc: Scenario, config: RunConfig) -> int:
     rows.append((0, "unrestricted", unres))
     kept = {}
     for n in range(1, sc.n_max + 1):
-        curve = psi_curve(*_twirled_pair(sc, n, kept), n=n)
+        curve = psi_curve(*_twirled_pair(sc, n, kept))
         rows.append((n, "twirled-per-copy", chernoff_distance(curve) / n))
     report = mean_quantities(sc, pairs=kept)
     rows.append((0, "mean" + (" (best-n estimate)" if report.estimated else ""),
@@ -323,7 +323,7 @@ def _cmd_hoeffding(sc: Scenario, config: RunConfig) -> int:
     rows = []
     kept = {}
     for n in range(1, sc.n_max + 1):
-        curve = psi_curve(*_twirled_pair(sc, n, kept), n=n)
+        curve = psi_curve(*_twirled_pair(sc, n, kept))
         for r in r_grid:
             rows.append((n, float(r), hoeffding_distance(curve, float(n * r)) / n, "twirled-per-copy"))
     report = mean_quantities(sc, r_grid=r_grid, pairs=kept)
@@ -403,7 +403,7 @@ def _cmd_convergence(sc: Scenario, config: RunConfig) -> int:
     if sc.kind is None:
         raise ScenarioError("convergence needs a scenario with a closed-form kind")
     grid = config.s_grid if config.s_grid is not None else np.linspace(-0.5, 2.0, 26)
-    table = convergence_table(sc, s_grid=grid, n_max=sc.n_max)
+    table = convergence_table(sc, s_grid=grid)
     rows = [(r.n, r.s, r.value, r.closed_form, r.gap, int(r.monotone)) for r in table.rows]
     _write_table(("n", "s", "value", "closed_form", "gap", "monotone"), rows, config)
     return 0

@@ -50,7 +50,7 @@ class TestOperator:
 
     def __post_init__(self):
         if not isinstance(self.op, HermitianOperator):
-            object.__setattr__(self, "op", HermitianOperator(asmatrix(self.op)))
+            object.__setattr__(self, "op", HermitianOperator(self.op))
         spec = eig(self.op)
         clipped = spec.clipped(0.0, 1.0, 1e-9)
         if clipped is not spec:

@@ -75,19 +75,15 @@ def psi(rho0, rho1, s: float) -> float:
 
 @dataclass(frozen=True)
 class PsiCurve:
-    """A sampled s -> psi(s) map.
+    """An s -> psi(s) map: its exact evaluator ``fn`` and the values of fn
+    sampled on ``s_grid``.
 
-    ``n`` is the number of copies behind the curve, with 0 reserved for
-    closed-form/asymptotic curves.  ``fn`` is an optional exact evaluator
-    used by the optimizers to refine beyond the grid; it does not survive
-    CSV serialization.
+    The optimizers scan the samples and refine past the grid with ``fn``.
     """
 
     s_grid: np.ndarray
     values: np.ndarray
-    n: int = 1
-    label: str = ""
-    fn: Callable[[float], float] | None = field(default=None, repr=False, compare=False)
+    fn: Callable[[float], float] = field(repr=False, compare=False)
 
     def __post_init__(self):
         grid = np.asarray(self.s_grid, dtype=float)
@@ -116,45 +112,20 @@ class PsiCurve:
         object.__setattr__(self, "values", vals)
 
     def evaluate(self, s: float) -> float:
-        if self.fn is not None:
-            return float(self.fn(float(s)))
-        if s < self.s_grid[0] - 1e-12 or s > self.s_grid[-1] + 1e-12:
-            raise ValueError(f"s={s:g} outside the sampled range")
-        return float(np.interp(s, self.s_grid, self.values))
+        return float(self.fn(float(s)))
 
     def covers(self, lo: float, hi: float) -> bool:
         return self.s_grid[0] <= lo + 1e-12 and self.s_grid[-1] >= hi - 1e-12
 
-    def rows(self) -> list[tuple[float, float, int, str]]:
-        return [
-            (float(s), float(v), self.n, self.label)
-            for s, v in zip(self.s_grid, self.values)
-        ]
 
-    def to_csv(self) -> str:
-        lines = ["s,value,n,label"]
-        for s, v, n, label in self.rows():
-            lines.append(f"{s:.17g},{v:.17g},{n},{label}")
-        return "\n".join(lines) + "\n"
-
-    @classmethod
-    def from_csv(cls, text: str) -> "PsiCurve":
-        rows = [line.split(",") for line in text.strip().splitlines()[1:]]
-        grid = np.array([float(r[0]) for r in rows])
-        vals = np.array([float(r[1]) for r in rows])
-        n = int(rows[0][2]) if rows else 0
-        label = rows[0][3] if rows and len(rows[0]) > 3 else ""
-        return cls(grid, vals, n=n, label=label)
-
-
-def psi_curve(rho0, rho1, grid=None, n: int = 1, label: str = "") -> PsiCurve:
-    """Sample psi on a grid, keeping an exact evaluator attached for refinement."""
+def psi_curve(rho0, rho1, grid=None) -> PsiCurve:
+    """Sample psi on a grid, with the exact evaluator attached."""
     if grid is None:
         grid = default_s_grid()
     grid = np.asarray(grid, dtype=float)
     ev = PsiEvaluator(rho0, rho1)
     values = np.array([ev.psi(float(s)) for s in grid])
-    return PsiCurve(grid, values, n=n, label=label, fn=ev.psi)
+    return PsiCurve(grid, values, ev.psi)
 
 
 def renyi(rho0, rho1, alpha: float) -> float:
@@ -224,13 +195,13 @@ def _grid_in(curve: PsiCurve, lo: float, hi: float) -> np.ndarray:
     return pts[(pts >= lo) & (pts <= hi)]
 
 
-def _scan_min(fn, pts: np.ndarray, refine: bool = True) -> tuple[float, float]:
+def _scan_min(fn, pts: np.ndarray) -> tuple[float, float]:
     """Minimum of fn over the ascending points pts, refined by golden section
-    between the neighbours of the best point unless refine is false."""
+    between the neighbours of the best point."""
     vals = np.array([fn(float(s)) for s in pts])
     k = int(np.argmin(vals))
     best_s, best_v = float(pts[k]), float(vals[k])
-    if best_v == NEG_INF or not refine:
+    if best_v == NEG_INF:
         return best_s, best_v
     a = float(pts[max(k - 1, 0)])
     b = float(pts[min(k + 1, pts.size - 1)])
@@ -239,22 +210,6 @@ def _scan_min(fn, pts: np.ndarray, refine: bool = True) -> tuple[float, float]:
         if v_ref < best_v or (v_ref == best_v and s_ref < best_s):
             best_s, best_v = s_ref, v_ref
     return best_s, best_v
-
-
-def _refine_min(curve: PsiCurve, objective, lo: float, hi: float) -> tuple[float, float]:
-    """Scan of a scalar objective over the curve's grid in [lo, hi], refined
-    past the grid when the curve carries an exact evaluator."""
-    return _scan_min(objective, _grid_in(curve, lo, hi), refine=curve.fn is not None)
-
-
-def chernoff_distance(curve: PsiCurve) -> float:
-    """-min over [0, 1] of the curve; +inf for orthogonal supports."""
-    if not curve.covers(0.0, 1.0):
-        raise ValueError("curve does not cover [0, 1]")
-    _, vmin = _refine_min(curve, curve.evaluate, 0.0, 1.0)
-    if vmin == NEG_INF:
-        return POS_INF
-    return -vmin
 
 
 def richardson_derivative(f, x: float, side: str = "central") -> float:
@@ -298,18 +253,18 @@ def hoeffding_distance(curve: PsiCurve, r: float) -> float:
         return (-t * r - v) / (1.0 - t)
 
     hi = 1.0 - 1e-7
-    _, neg_best = _refine_min(curve, lambda t: -objective(t), 0.0, hi)
+    _, neg_best = _scan_min(lambda t: -objective(t), _grid_in(curve, 0.0, hi))
     best = -neg_best
     if best == POS_INF:
         return POS_INF
-    if abs(r + psi1) <= boundary_tol and curve.fn is not None:
+    if abs(r + psi1) <= boundary_tol:
         boundary = r + richardson_derivative(curve.evaluate, 1.0, side="left")
         best = max(best, boundary)
     return best
 
 
 def lf_transform(curve: PsiCurve, a: float, window: tuple[float, float] = (0.0, 1.0)) -> float:
-    """max over the window of a*s - psi(s), refined past the grid when possible."""
+    """max over the window of a*s - psi(s), refined past the grid."""
     lo, hi = window
     if not curve.covers(lo, hi):
         raise ValueError(f"curve does not cover the window [{lo:g}, {hi:g}]")
@@ -320,7 +275,7 @@ def lf_transform(curve: PsiCurve, a: float, window: tuple[float, float] = (0.0, 
             return NEG_INF
         return v - a * s
 
-    _, vmin = _refine_min(curve, neg_objective, lo, hi)
+    _, vmin = _scan_min(neg_objective, _grid_in(curve, lo, hi))
     if vmin == NEG_INF:
         return POS_INF
     return -vmin
@@ -329,6 +284,11 @@ def lf_transform(curve: PsiCurve, a: float, window: tuple[float, float] = (0.0, 
 def phi(curve: PsiCurve, a: float) -> float:
     """Legendre-Fenchel transform over [0, 1]; phi(0) is the Chernoff distance."""
     return lf_transform(curve, a, (0.0, 1.0))
+
+
+def chernoff_distance(curve: PsiCurve) -> float:
+    """-min over [0, 1] of the curve; +inf for orthogonal supports."""
+    return phi(curve, 0.0)
 
 
 def phi_tilde(curve: PsiCurve, a: float) -> float:

@@ -76,10 +76,6 @@ class GroupAction:
             return self.unitaries[0].shape[0]
         return int(self.weights.size)
 
-    @property
-    def order(self) -> int | None:
-        return len(self.unitaries) if self.kind == FINITE else None
-
     @staticmethod
     def finite(mats) -> "GroupAction":
         """Validated finite action: identity present, unitary elements (within

@@ -96,7 +96,7 @@ class DensityOperator:
 
     def __post_init__(self):
         if not isinstance(self.op, HermitianOperator):
-            object.__setattr__(self, "op", HermitianOperator(asmatrix(self.op)))
+            object.__setattr__(self, "op", HermitianOperator(self.op))
         tr = float(np.trace(self.op.mat).real)
         if abs(tr - 1.0) > TRACE_TOL:
             raise ValueError(f"trace must be 1 within {TRACE_TOL:g}, got {tr!r}")
@@ -113,7 +113,7 @@ class DensityOperator:
 
     @classmethod
     def from_matrix(cls, m) -> "DensityOperator":
-        return cls(HermitianOperator(asmatrix(m)))
+        return cls(HermitianOperator(m))
 
     @property
     def mat(self) -> np.ndarray:

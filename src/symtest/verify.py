@@ -81,7 +81,8 @@ def _random_pairs(count: int, dims=(2, 3)):
     pairs = []
     for k in range(count):
         dim = dims[k % len(dims)]
-        pairs.append((random_density(dim, rng=rng), random_density(dim, rng=rng)))
+        pairs.append((DensityOperator.from_matrix(random_density(dim, rng=rng)),
+                      DensityOperator.from_matrix(random_density(dim, rng=rng))))
     return pairs
 
 
@@ -292,12 +293,13 @@ def lf_identity_report() -> CheckReport:
     curve = closed_form_curve(TORUS_PURE_VS_MIXED, {"alpha": 0.3})
     for r in (0.05, 0.2):
         lo, hi = -10.0, 10.0
-        for _ in range(200):
-            mid = (lo + hi) / 2.0
+        mid = (lo + hi) / 2.0
+        while lo < mid < hi:  # until the midpoint rounds onto an end
             if phi(curve, mid) - mid > r:
                 lo = mid
             else:
                 hi = mid
+            mid = (lo + hi) / 2.0
         lhs = phi(curve, lo)
         rhs = hoeffding_distance(curve, r)
         report.check_close(f"r={r:g}: sup phi over level set = Hoeffding sup", lhs, rhs, 1e-6, r=r)

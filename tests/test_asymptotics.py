@@ -4,7 +4,7 @@ import numpy as np
 import pytest
 from numpy.testing import assert_allclose
 
-from symtest import asymptotics
+from symtest import asymptotics, cli
 from symtest.asymptotics import (
     ConvergenceTable,
     Scenario,
@@ -182,11 +182,13 @@ class TestConvergence:
         with pytest.raises(ValueError, match="below"):
             ConvergenceTable((ConvergenceRow(1, 0.5, -1.0, 0.0, -1.0, True),))
 
-    def test_csv_shape(self):
+    def test_csv_shape(self, tmp_path):
         sc = make_scenario("TorusTwoPure", n_max=2, lam=0.3, mu=0.6)
-        table = convergence_table(sc, s_grid=np.array([0.0, 0.5, 1.0]))
-        text = table.to_csv()
-        lines = text.strip().splitlines()
+        path, out = tmp_path / "scenario.json", tmp_path / "table.csv"
+        path.write_text(cli.serialize_scenario(sc))
+        assert cli.main(["--command", "convergence", "--scenario", str(path),
+                         "--s-grid", "0:1:3", "--out", str(out)]) == 0
+        lines = out.read_text().strip().splitlines()
         assert lines[0] == "n,s,value,closed_form,gap,monotone"
         assert len(lines) == 1 + 2 * 3
 

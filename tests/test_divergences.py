@@ -38,6 +38,7 @@ from symtest.divergences import (
 from symtest.groups import twirl, twirled_pair
 from symtest.linalg import DensityOperator, mpow
 from symtest.oracle import random_density
+from symtest.verify import lf_identity_report
 
 LOG2 = math.log(2.0)
 
@@ -91,21 +92,20 @@ class TestPsiCurve:
         # dense twirl stays within log2 of the scaled max-pairing formula
         n, lam, mu = 3, 0.2, 0.7
         pair = twirled_pair(sigma_state(lam), sigma_state(mu), z2_action(), n)
-        curve = psi_curve(*pair, grid=np.linspace(0.0, 1.0, 21), n=n)
+        curve = psi_curve(*pair, grid=np.linspace(0.0, 1.0, 21))
         for s, v in zip(curve.s_grid, curve.values):
             limit = closed_form_psi("Z2Commuting", {"lam": lam, "mu": mu}, float(s))
             assert abs(v / n - limit) <= LOG2 / n + 1e-12
 
     def test_convexity_validated(self):
         with pytest.raises(ValueError, match="convex"):
-            PsiCurve(np.array([0.0, 0.5, 1.0]), np.array([0.0, 1.0, 0.0]))
+            PsiCurve(np.array([0.0, 0.5, 1.0]), np.array([0.0, 1.0, 0.0]),
+                     lambda s: 1.0 - abs(2.0 * s - 1.0))
 
-    def test_csv_round_trip(self):
-        curve = psi_curve(pure_qubit(0.5), diag_qubit(0.3), n=1, label="demo")
-        text = curve.to_csv()
-        back = PsiCurve.from_csv(text)
-        assert back.to_csv() == text
-        assert back.n == 1 and back.label == "demo"
+    def test_evaluator_required(self):
+        grid = np.array([0.0, 0.5, 1.0])
+        with pytest.raises(TypeError):
+            PsiCurve(grid, np.zeros_like(grid))
 
 
 class TestRenyi:
@@ -210,7 +210,7 @@ class TestChernoff:
         assert chernoff_distance(curve) == math.inf
 
     def test_requires_coverage(self):
-        curve = PsiCurve(np.linspace(0.2, 0.8, 10), np.zeros(10))
+        curve = PsiCurve(np.linspace(0.2, 0.8, 10), np.zeros(10), lambda s: 0.0)
         with pytest.raises(ValueError, match="cover"):
             chernoff_distance(curve)
 
@@ -254,7 +254,7 @@ class TestLegendreFenchel:
 
     def test_flat_curve_hinge(self):
         grid = default_s_grid()
-        curve = PsiCurve(grid, np.zeros_like(grid))
+        curve = PsiCurve(grid, np.zeros_like(grid), lambda s: 0.0)
         for a in (-0.7, -0.1, 0.0, 0.2, 1.3):
             assert lf_transform(curve, a, (0.0, 1.0)) == pytest.approx(max(a, 0.0), abs=1e-12)
 
@@ -271,6 +271,22 @@ class TestLegendreFenchel:
                 else:
                     hi = mid
             assert phi(curve, lo) == pytest.approx(hoeffding_distance(curve, r), abs=1e-6)
+
+    def test_level_set_report_stops_at_the_same_point(self):
+        # the report halves only while the midpoint moves, and lands on the
+        # point the 200 halvings above reach
+        curve = closed_form_curve("TorusPureVsMixed", {"alpha": 0.3})
+        report = lf_identity_report()
+        for r, entry in zip((0.05, 0.2), report.entries):
+            lo, hi = -10.0, 10.0
+            for _ in range(200):
+                mid = (lo + hi) / 2
+                if phi(curve, mid) - mid > r:
+                    lo = mid
+                else:
+                    hi = mid
+            assert entry.lhs == phi(curve, lo)
+            assert entry.ok
 
     def test_phi_tilde_nonnegative_at_slope(self, rng):
         rho0, rho1 = faithful(rng), faithful(rng)

@@ -464,7 +464,6 @@ def test_per_copy_curve_is_psi_curve_over_n():
     sc = make_scenario("TorusPureVsMixed", alpha=0.3)
     for n in (1, 3, 4):
         pair = twirled_pair(sc.rho0, sc.rho1, sc.action, n)
-        curve = per_copy_curve(PsiEvaluator(*pair), n, label="x")
+        curve = per_copy_curve(PsiEvaluator(*pair), n)
         assert np.array_equal(curve.values, psi_curve(*pair).values / n)
-        assert (curve.n, curve.label) == (n, "x")
         assert curve.evaluate(0.37) == psi_curve(*pair).fn(0.37) / n

@@ -36,6 +36,9 @@ REMOVED = {
         "lieb_bound_check": ("tol",),
         "_golden_min": ("xtol",),
         "richardson_derivative": ("hs",),
+        "_scan_min": ("refine",),
+        "psi_curve": ("n", "label"),
+        "PsiCurve": ("n", "label"),
     },
     "discrimination": {
         "pmin_bounds_check": ("tol",),
@@ -49,6 +52,8 @@ REMOVED = {
         "closed_form_curve": ("label",),
         "unrestricted_curve": ("label",),
         "mean_quantities": ("alphas",),
+        "per_copy_curve": ("label",),
+        "convergence_table": ("n_max",),
     },
     "groups": {
         "is_support_invariant": ("tol",),
