@@ -29,7 +29,6 @@ from .groups import (
     weyl_twirl,
 )
 from .divergences import (
-    DivergenceReport,
     NEG_INF,
     PsiCurve,
     PsiEvaluator,
@@ -64,11 +63,11 @@ from .asymptotics import (
     binomial_power_sum_limit,
     closed_form_curve,
     closed_form_psi,
+    closed_form_relative_entropy,
     convergence_table,
     half_binomial_sum,
     half_binomial_sum_limit,
     make_scenario,
-    mean_quantities,
     solve_branch_crossover,
     solve_flat_chernoff_alpha,
 )

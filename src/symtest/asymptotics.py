@@ -1,6 +1,11 @@
 """Closed-form psi curves for the built-in two-level scenarios, convergence
 diagnostics for the per-copy curves, root solvers for the crossover points,
-and the binomial-sum limit formulas the closed forms rest on."""
+and the binomial-sum limit formulas the closed forms rest on.
+
+The closed forms are the per-copy limits of the twirled n-copy curves, so
+the mean (per-copy limit) Chernoff, Hoeffding and relative-entropy rates of
+a scenario with a kind are the transforms of :func:`closed_form_curve`, and
+:func:`closed_form_relative_entropy` is its left slope at s = 1."""
 
 from __future__ import annotations
 
@@ -10,15 +15,10 @@ from dataclasses import dataclass, field
 import numpy as np
 
 from .divergences import (
-    DivergenceReport,
     NEG_INF,
     PsiCurve,
     PsiEvaluator,
-    chernoff_distance,
     default_s_grid,
-    fidelity,
-    hoeffding_distance,
-    psi_curve,
     relative_entropy,
     richardson_derivative,
 )
@@ -161,9 +161,10 @@ def closed_form_curve(kind: str, params: dict, grid=None) -> PsiCurve:
     return PsiCurve(grid, values, lambda s: closed_form_psi(kind, params, s))
 
 
-def unrestricted_curve(rho0, rho1, grid=None) -> PsiCurve:
-    """Single-copy psi of the raw pair, before any twirl."""
-    return psi_curve(rho0, rho1, grid)
+def closed_form_relative_entropy(kind: str, params: dict) -> float:
+    """Mean relative entropy of a built-in kind: the left slope at s = 1 of
+    its closed-form curve."""
+    return richardson_derivative(lambda s: closed_form_psi(kind, params, s), 1.0, side="left")
 
 
 @dataclass(frozen=True)
@@ -287,65 +288,6 @@ def half_binomial_sum(a: float, b: float, n: int) -> float:
         logs.append(_log_binom(n, i) + la + lb)
     total = _logsumexp(logs)
     return 0.0 if total == NEG_INF else math.exp(total / n)
-
-
-def per_copy_curve(ev: PsiEvaluator, n: int) -> PsiCurve:
-    """(1/n) psi_n on the default grid, with its exact evaluator (1/n) ev.psi."""
-    grid = default_s_grid()
-    return PsiCurve(grid, np.array([ev.psi(float(s)) / n for s in grid]),
-                    lambda s: ev.psi(s) / n)
-
-
-def _supports_nested(rho0n, rho1n) -> bool:
-    return relative_entropy(rho0n, rho1n) != math.inf
-
-
-def mean_quantities(scenario: Scenario, r_grid=None, pairs=None) -> DivergenceReport:
-    """Mean (per-copy limit) distance measures of a scenario.
-
-    With a closed-form kind the values are exact; otherwise they are the
-    best-n normalized quantities, flagged as estimates, with the
-    subadditivity direction recorded in the note.  ``pairs`` maps n to a
-    twirled pair the caller already built; the pairs needed (n = 1, and
-    n = n_max for an estimate) are built here when it lacks them.
-    """
-    if r_grid is None:
-        r_grid = (0.0, 0.05, 0.1, 0.2, 0.4)
-    pairs = pairs or {}
-
-    def pair(n):
-        if n in pairs:
-            return pairs[n]
-        return twirled_pair(scenario.rho0, scenario.rho1, scenario.action, n)
-
-    estimated = scenario.kind is None
-    if not estimated:
-        curve = closed_form_curve(scenario.kind, scenario.params)
-        note = ""
-    else:
-        n = scenario.n_max
-        curve = per_copy_curve(PsiEvaluator(*pair(n)), n)
-        note = (f"values from (1/n) psi_n at n={n}; upper estimates of the limit on "
-                "[0,1], lower on [1,2] under invariant support")
-    if _supports_nested(*pair(1)):
-        mean_rel = richardson_derivative(curve.evaluate, 1.0, side="left")
-    else:
-        mean_rel = math.inf
-    renyi_map = {}
-    for alpha in (0.0, 0.25, 0.5, 0.75):
-        v = curve.evaluate(alpha)
-        renyi_map[alpha] = math.inf if v == NEG_INF and alpha < 1 else v / (alpha - 1.0)
-    return DivergenceReport(
-        renyi_alpha=renyi_map,
-        relative_entropy=mean_rel,
-        fidelity=fidelity(scenario.rho0, scenario.rho1),
-        chernoff=chernoff_distance(curve),
-        hoeffding={float(r): hoeffding_distance(curve, float(r)) for r in r_grid},
-        label=scenario.name,
-        estimated=estimated,
-        unrestricted_relative_entropy=relative_entropy(scenario.rho0, scenario.rho1),
-        note=note,
-    )
 
 
 def stein_gap_check(scenario: Scenario, n: int) -> CheckReport:

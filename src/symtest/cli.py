@@ -27,15 +27,13 @@ from .asymptotics import (
     Z2_COMMUTING,
     closed_form_curve,
     closed_form_psi,
+    closed_form_relative_entropy,
     convergence_table,
     diag_qubit,
     make_scenario,
-    mean_quantities,
-    per_copy_curve,
     pure_qubit,
     sigma_state,
     solve_flat_chernoff_alpha,
-    unrestricted_curve,
     z2_action,
 )
 from .discrimination import (
@@ -216,30 +214,6 @@ def parse_scenario(text: str) -> Scenario:
                     n_max=n_max, params=params, kind=kind)
 
 
-def _mat_to_pairs(mat: np.ndarray) -> list:
-    return [[[float(z.real), float(z.imag)] for z in row] for row in mat]
-
-
-def serialize_scenario(sc: Scenario) -> str:
-    doc = {
-        "name": sc.name,
-        "rho0": _mat_to_pairs(sc.rho0.mat),
-        "rho1": _mat_to_pairs(sc.rho1.mat),
-        "n_max": sc.n_max,
-        "params": sc.params,
-    }
-    if sc.kind is not None:
-        doc["kind"] = sc.kind
-    if sc.action.kind == "torus":
-        doc["group"] = {"type": "torus", "weights": [int(w) for w in sc.action.weights]}
-    else:
-        doc["group"] = {
-            "type": "finite",
-            "unitaries": [_mat_to_pairs(u) for u in sc.action.unitaries],
-        }
-    return json.dumps(doc, sort_keys=True, indent=1) + "\n"
-
-
 def _write_table(columns, rows, config: RunConfig) -> None:
     if config.fmt == "json":
         # JSON has no token for inf or nan: write the CSV ones, as strings
@@ -279,7 +253,7 @@ def _cmd_psi(sc: Scenario, config: RunConfig) -> int:
     if grid.size < 2:
         raise ScenarioError("psi needs an s grid of at least 2 points")
     rows = []
-    for s, v in zip(grid, unrestricted_curve(sc.rho0, sc.rho1, grid).values):
+    for s, v in zip(grid, psi_curve(sc.rho0, sc.rho1, grid).values):
         rows.append((float(s), float(v), 1, "unrestricted"))
     for n in range(1, sc.n_max + 1):
         curve = psi_curve(*twirled_pair(sc.rho0, sc.rho1, sc.action, n), grid=grid)
@@ -293,27 +267,22 @@ def _cmd_psi(sc: Scenario, config: RunConfig) -> int:
     return 0
 
 
-def _twirled_pair(sc: Scenario, n: int, kept: dict):
-    """The twirled n-copy pair; the ones at n = 1 and n = n_max also go into
-    kept, for mean_quantities.  Callers hold no other pair while the next is
-    built."""
-    pair = twirled_pair(sc.rho0, sc.rho1, sc.action, n)
-    if n in (1, sc.n_max):
-        kept[n] = pair
-    return pair
+def _mean_label(sc: Scenario) -> str:
+    """A mean row holds the closed form's value, or without a kind the
+    command's own n_max row."""
+    return "mean" if sc.kind is not None else "mean (best-n estimate)"
 
 
 def _cmd_chernoff(sc: Scenario, config: RunConfig) -> int:
-    rows = []
-    unres = chernoff_distance(unrestricted_curve(sc.rho0, sc.rho1))
-    rows.append((0, "unrestricted", unres))
-    kept = {}
+    rows = [(0, "unrestricted", chernoff_distance(psi_curve(sc.rho0, sc.rho1)))]
     for n in range(1, sc.n_max + 1):
-        curve = psi_curve(*_twirled_pair(sc, n, kept))
+        curve = psi_curve(*twirled_pair(sc.rho0, sc.rho1, sc.action, n))
         rows.append((n, "twirled-per-copy", chernoff_distance(curve) / n))
-    report = mean_quantities(sc, pairs=kept)
-    rows.append((0, "mean" + (" (best-n estimate)" if report.estimated else ""),
-                 report.chernoff))
+    if sc.kind is not None:
+        mean = chernoff_distance(closed_form_curve(sc.kind, sc.params))
+    else:
+        mean = rows[-1][2]
+    rows.append((0, _mean_label(sc), mean))
     _write_table(("n", "label", "chernoff"), rows, config)
     return 0
 
@@ -321,27 +290,30 @@ def _cmd_chernoff(sc: Scenario, config: RunConfig) -> int:
 def _cmd_hoeffding(sc: Scenario, config: RunConfig) -> int:
     r_grid = config.r_grid if config.r_grid is not None else np.linspace(0.0, 0.5, 11)
     rows = []
-    kept = {}
     for n in range(1, sc.n_max + 1):
-        curve = psi_curve(*_twirled_pair(sc, n, kept))
+        curve = psi_curve(*twirled_pair(sc.rho0, sc.rho1, sc.action, n))
         for r in r_grid:
             rows.append((n, float(r), hoeffding_distance(curve, float(n * r)) / n, "twirled-per-copy"))
-    report = mean_quantities(sc, r_grid=r_grid, pairs=kept)
-    for r, h in report.hoeffding.items():
-        rows.append((0, float(r), h, "mean" + (" (best-n estimate)" if report.estimated else "")))
+    if sc.kind is not None:
+        curve = closed_form_curve(sc.kind, sc.params)
+        means = [hoeffding_distance(curve, float(r)) for r in r_grid]
+    else:
+        means = [row[2] for row in rows[-len(r_grid):]]
+    rows.extend((0, float(r), h, _mean_label(sc)) for r, h in zip(r_grid, means))
     _write_table(("n", "r", "hoeffding", "label"), rows, config)
     return 0
 
 
 def _cmd_stein(sc: Scenario, config: RunConfig) -> int:
     rows = [(0, "unrestricted", relative_entropy(sc.rho0, sc.rho1))]
-    kept = {}
     for n in range(1, sc.n_max + 1):
         rows.append((n, "twirled-per-copy",
-                     relative_entropy(*_twirled_pair(sc, n, kept)) / n))
-    report = mean_quantities(sc, pairs=kept)
-    rows.append((0, "mean" + (" (best-n estimate)" if report.estimated else ""),
-                 report.relative_entropy))
+                     relative_entropy(*twirled_pair(sc.rho0, sc.rho1, sc.action, n)) / n))
+    if sc.kind is not None:
+        mean = closed_form_relative_entropy(sc.kind, sc.params)
+    else:
+        mean = rows[-1][2]
+    rows.append((0, _mean_label(sc), mean))
     _write_table(("n", "label", "relative_entropy"), rows, config)
     return 0
 
@@ -384,7 +356,7 @@ def _beta_eps_row(pair, n: int, config: RunConfig, floored: bool) -> tuple:
         ev = PsiEvaluator(*pair)
         grid = config.a_grid
         if grid is None:
-            grid = stein_a_grid(per_copy_curve(ev, n))
+            grid = stein_a_grid(lambda s: ev.psi(s) / n)
         floor = max(strong_converse_bound(*pair, eps=config.eps, a=float(a), n=n,
                                           evaluator=ev)
                     for a in grid)
@@ -457,8 +429,8 @@ def _run_example(name: str) -> int:
         sc = make_scenario(TORUS_PURE_VS_MIXED, n_max=6, alpha=0.3)
         curve = closed_form_curve(sc.kind, sc.params)
         failures += _check_line("psi(1/2)", curve.evaluate(0.5), -0.5 * math.log(2.0), 1e-12)
-        report = mean_quantities(sc)
-        failures += _check_line("mean relative entropy", report.relative_entropy,
+        failures += _check_line("mean relative entropy",
+                                closed_form_relative_entropy(sc.kind, sc.params),
                                 -(math.log(0.3) + math.log(0.7)) / 2.0, 1e-6)
         pair = twirled_pair(sc.rho0, sc.rho1, sc.action, 6)
         print(f"  n=6: p_min={p_min(*pair):.9g}, beta_0.1={beta_eps(*pair, 0.1):.9g}")

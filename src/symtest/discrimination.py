@@ -21,15 +21,15 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .divergences import PsiCurve, PsiEvaluator, _golden_min, _scan_min, richardson_derivative
+from .divergences import PsiEvaluator, _golden_min, _scan_min, richardson_derivative
 from .errors import DimensionError
 from .linalg import (
     HermitianOperator,
-    Spectrum,
     above_cut,
     asmatrix,
     cluster_slices,
     eig,
+    matrix_pair,
     support_projection,
     trace_norm,
 )
@@ -87,9 +87,7 @@ def error_pair(test, rho0n, rho1n) -> ErrorPair:
 
 def np_test(rho0n, rho1n, a: float, n: int = 1) -> TestOperator:
     """Spectral projection of exp(-n*a)*rho0n - rho1n onto its positive part."""
-    m0, m1 = asmatrix(rho0n), asmatrix(rho1n)
-    if m0.shape != m1.shape:
-        raise DimensionError("states must share a dimension")
+    m0, m1 = matrix_pair(rho0n, rho1n)
     return TestOperator(support_projection(math.exp(-n * a) * m0 - m1))
 
 
@@ -102,9 +100,7 @@ def threshold_errors(rho0n, rho1n, a_values, n: int = 1) -> np.ndarray:
     e^{-na} p - q above the cut, or else one eigh per rate, summing
     <v|m|v> over the kept eigenvectors v instead of forming the projection.
     """
-    m0, m1 = asmatrix(rho0n), asmatrix(rho1n)
-    if m0.shape != m1.shape:
-        raise DimensionError("states must share a dimension")
+    m0, m1 = matrix_pair(rho0n, rho1n)
     pq = _common_eigenbasis(rho0n, rho1n)
     rows = []
     for a in a_values:
@@ -115,7 +111,8 @@ def threshold_errors(rho0n, rho1n, a_values, n: int = 1) -> np.ndarray:
             accept0, accept1 = p[keep].sum(), q[keep].sum()
         else:
             delta = weight * m0 - m1
-            kept = Spectrum(*np.linalg.eigh((delta + delta.conj().T) / 2.0)).support().eigenvectors
+            w, v = np.linalg.eigh((delta + delta.conj().T) / 2.0)
+            kept = v[:, above_cut(w)]
             vh = kept.conj().T
             accept0 = ((vh @ m0) * kept.T).sum().real
             accept1 = ((vh @ m1) * kept.T).sum().real
@@ -130,7 +127,7 @@ def p_min(rho0n, rho1n, a: float = 0.0, n: int = 1) -> float:
     This is the minimum of e^{-na} beta0(T) + beta1(T) over all tests; at
     a = 0 it equals twice the equal-priors symmetric error probability.
     """
-    m0, m1 = asmatrix(rho0n), asmatrix(rho1n)
+    m0, m1 = matrix_pair(rho0n, rho1n)
     weight = math.exp(-n * a)
     return (1.0 + weight) / 2.0 - trace_norm(weight * m0 - m1) / 2.0
 
@@ -238,9 +235,7 @@ def beta_eps(rho0n, rho1n, eps: float) -> float:
     """
     if not 0.0 < eps < 1.0:
         raise ValueError("eps must lie strictly between 0 and 1")
-    m0, m1 = asmatrix(rho0n), asmatrix(rho1n)
-    if m0.shape != m1.shape:
-        raise DimensionError("states must share a dimension")
+    m0, m1 = matrix_pair(rho0n, rho1n)
     pq = _common_eigenbasis(rho0n, rho1n)
     if pq is not None:
         return _commuting_dual(*pq, eps)
@@ -264,10 +259,10 @@ def strong_converse_bound(rho0n, rho1n, eps: float, a: float, n: int,
     return math.exp(-n * a) * (1.0 - eps - math.exp(-phi_tilde_n))
 
 
-def stein_a_grid(curve: PsiCurve) -> np.ndarray:
-    """Rate grid spanning the one-sided slopes of the curve at s = 1."""
-    left = richardson_derivative(curve.evaluate, 1.0, side="left")
-    right = richardson_derivative(curve.evaluate, 1.0, side="right")
+def stein_a_grid(fn) -> np.ndarray:
+    """Rate grid spanning the one-sided slopes of the map s -> fn(s) at s = 1."""
+    left = richardson_derivative(fn, 1.0, side="left")
+    right = richardson_derivative(fn, 1.0, side="right")
     return np.linspace(left - 0.5, right + 0.5, 21)
 
 

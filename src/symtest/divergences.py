@@ -16,9 +16,8 @@ from typing import Callable
 
 import numpy as np
 
-from .errors import DimensionError
 from .groups import GroupAction, is_support_invariant, twirled_pair
-from .linalg import asmatrix, abs_power_trace, eig
+from .linalg import abs_power_trace, eig, matrix_pair
 from .reports import CheckReport
 
 NEG_INF = float("-inf")
@@ -44,9 +43,7 @@ class PsiEvaluator:
     """
 
     def __init__(self, rho0, rho1, cut_scale: float = 1.0):
-        m0, m1 = asmatrix(rho0), asmatrix(rho1)
-        if m0.shape != m1.shape:
-            raise DimensionError("states must share a dimension")
+        m0, _ = matrix_pair(rho0, rho1)
         s0, s1 = eig(rho0).support(cut_scale), eig(rho1).support(cut_scale)
         self._log0 = np.log(s0.eigenvalues)
         self._log1 = np.log(s1.eigenvalues)
@@ -78,7 +75,8 @@ class PsiCurve:
     """An s -> psi(s) map: its exact evaluator ``fn`` and the values of fn
     sampled on ``s_grid``.
 
-    The optimizers scan the samples and refine past the grid with ``fn``.
+    The optimizers evaluate ``fn`` on the grid points inside their window and
+    refine past the grid with it; they never read ``values``.
     """
 
     s_grid: np.ndarray
@@ -148,9 +146,7 @@ def renyi_entropy(rho, alpha: float) -> float:
 
 def relative_entropy(rho0, rho1) -> float:
     """Tr rho0 (log rho0 - log rho1) when supp rho0 <= supp rho1, else +inf."""
-    m0, m1 = asmatrix(rho0), asmatrix(rho1)
-    if m0.shape != m1.shape:
-        raise DimensionError("states must share a dimension")
+    m0, _ = matrix_pair(rho0, rho1)
     s0, s1 = eig(rho0).support(), eig(rho1).support()
     v0, v1 = s0.eigenvectors, s1.eigenvectors
     resid = v0 - v1 @ (v1.conj().T @ v0)  # the part of supp rho0 outside supp rho1
@@ -325,23 +321,3 @@ def lieb_bound_check(rho0, rho1, action: GroupAction, n: int,
             report.check_leq(f"n*psi_1 <= psi_n at s={s:g}", n * p1, pn, 1e-8, s=s)
     return report
 
-
-@dataclass
-class DivergenceReport:
-    """Summary of the distance measures for one discrimination problem."""
-
-    renyi_alpha: dict[float, float]
-    relative_entropy: float
-    fidelity: float
-    chernoff: float
-    hoeffding: dict[float, float]
-    label: str = ""
-    estimated: bool = False
-    unrestricted_relative_entropy: float | None = None
-    note: str = ""
-
-    def __post_init__(self):
-        if not (-1e-9 <= self.fidelity <= 1.0 + 1e-9):
-            raise ValueError(f"fidelity {self.fidelity!r} outside [0, 1]")
-        if self.chernoff < -1e-9:
-            raise ValueError(f"negative Chernoff distance {self.chernoff!r}")

@@ -4,7 +4,8 @@ Operators are square complex numpy arrays, optionally wrapped in the light
 validating types below.  Every matrix power of a positive semidefinite
 operator uses the support convention 0**s = 0 for all real s.  The spectral
 decisions live here and nowhere else: :func:`above_cut` decides which
-eigenvalues count as zero (:meth:`Spectrum.support` keeps the rest),
+computed eigenvalues count as zero (:meth:`Spectrum.support` keeps the rest,
+and keeps every positive eigenvalue read off a 1x1 component exactly),
 :func:`cluster_slices` splits a spectrum into degenerate runs,
 :meth:`Spectrum.clipped` moves a spectrum into a range, and
 :func:`components` splits an index set into the connected components of a
@@ -52,6 +53,14 @@ def asmatrix(a) -> np.ndarray:
     if not np.all(np.isfinite(m.real)) or not np.all(np.isfinite(m.imag)):
         raise ValueError("matrix entries must be finite")
     return m
+
+
+def matrix_pair(a, b) -> tuple[np.ndarray, np.ndarray]:
+    """The matrices of two operators that must share a dimension."""
+    ma, mb = asmatrix(a), asmatrix(b)
+    if ma.shape != mb.shape:
+        raise DimensionError("states must share a dimension")
+    return ma, mb
 
 
 def frob(a) -> float:
@@ -107,7 +116,7 @@ class DensityOperator:
         tr = float(np.trace(op.mat).real)
         if abs(tr - 1.0) > 1e-15:
             op = HermitianOperator(op.mat / tr)
-            spec = Spectrum(spec.eigenvalues / tr, spec.eigenvectors)
+            spec = Spectrum(spec.eigenvalues / tr, spec.eigenvectors, spec.exact)
         object.__setattr__(self, "op", op)
         object.__setattr__(self, "spectrum", spec)
 
@@ -126,19 +135,24 @@ class DensityOperator:
 
 @dataclass(frozen=True)
 class Spectrum:
-    """Eigendecomposition: ascending eigenvalues, unitary eigenvector columns."""
+    """Eigendecomposition: ascending eigenvalues, unitary eigenvector columns,
+    and a mask ``exact`` of the eigenpairs read off a 1x1 component exactly
+    (see :func:`_blockwise_eig`)."""
 
     eigenvalues: np.ndarray
     eigenvectors: np.ndarray
+    exact: np.ndarray
 
     def reconstruct(self) -> np.ndarray:
         v = self.eigenvectors
         return (v * self.eigenvalues) @ v.conj().T
 
     def support(self, cut_scale: float = 1.0) -> "Spectrum":
-        """The eigenpairs whose eigenvalues survive :func:`above_cut`."""
-        keep = above_cut(self.eigenvalues, cut_scale)
-        return Spectrum(self.eigenvalues[keep], self.eigenvectors[:, keep])
+        """The eigenpairs that count as nonzero: an exact eigenvalue when it is
+        positive, any other when it survives :func:`above_cut`."""
+        w = self.eigenvalues
+        keep = np.where(self.exact, w > 0.0, above_cut(w, cut_scale))
+        return Spectrum(w[keep], self.eigenvectors[:, keep], self.exact[keep])
 
     def clipped(self, lo: float, hi: float, tol: float) -> "Spectrum":
         """Eigenvalues at most tol outside [lo, hi] moved onto its edge, same
@@ -152,7 +166,7 @@ class Spectrum:
                 f"spectrum [{w[0]:.3e}, {w[-1]:.3e}] has an eigenvalue more than "
                 f"{tol:g} outside [{lo:g}, {hi:g}]"
             )
-        return Spectrum(np.clip(w, lo, hi), self.eigenvectors)
+        return Spectrum(np.clip(w, lo, hi), self.eigenvectors, self.exact)
 
 
 def eig(h) -> Spectrum:
@@ -160,7 +174,8 @@ def eig(h) -> Spectrum:
 
     Eigenvalues come back ascending; the eigenvector matrix is unitary within
     1e-9 and the reconstruction error is bounded by 1e-8 * dim * ||H||_F.
-    A density operator returns the spectrum it keeps.
+    A density operator returns the spectrum it keeps; any other operator
+    gets a spectrum with no exact eigenpair.
     """
     if isinstance(h, DensityOperator):
         return h.spectrum
@@ -185,7 +200,9 @@ def eig(h) -> Spectrum:
         )
     w.setflags(write=False)
     v.setflags(write=False)
-    return Spectrum(w, v)
+    exact = np.zeros(d, dtype=bool)
+    exact.setflags(write=False)
+    return Spectrum(w, v, exact)
 
 
 def components(linked: np.ndarray) -> tuple[np.ndarray, list[np.ndarray]]:
@@ -217,10 +234,10 @@ def _blockwise_eig(op: HermitianOperator) -> Spectrum:
     A twirled state is block diagonal up to a permutation, and its exact zeros
     show the blocks.  Each component of more than one index gets one checked
     :func:`eig` of its sub-block; a 1x1 component is its own eigenpair (the
-    real diagonal entry and a unit vector).  The eigenvalues come back
-    ascending (ties with the 1x1 components first, then in component order),
-    and each eigenvector is zero outside its component.  A matrix with one
-    component comes out exactly as its :func:`eig`.
+    real diagonal entry and a unit vector), and is marked exact.  The
+    eigenvalues come back ascending (ties with the 1x1 components first, then
+    in component order), and each eigenvector is zero outside its component.
+    A matrix with one component comes out exactly as its :func:`eig`.
     """
     m = op.mat
     lone, comps = components(m != 0)
@@ -237,9 +254,10 @@ def _blockwise_eig(op: HermitianOperator) -> Spectrum:
         v[np.ix_(idx, column[start : start + idx.size])] = spec.eigenvectors
         start += idx.size
     w = w[order]
-    w.setflags(write=False)
-    v.setflags(write=False)
-    return Spectrum(w, v)
+    exact = order < lone.size
+    for a in (w, v, exact):
+        a.setflags(write=False)
+    return Spectrum(w, v, exact)
 
 
 def above_cut(w: np.ndarray, cut_scale: float = 1.0) -> np.ndarray:
@@ -265,10 +283,8 @@ def mpow(h, s: float) -> HermitianOperator:
         raise ValueError(
             f"matrix power needs a positive semidefinite operator (min eigenvalue {w[0]:.3e})"
         )
-    powered = np.zeros_like(w)
-    mask = above_cut(w)
-    powered[mask] = w[mask] ** s
-    m = (spec.eigenvectors * powered) @ spec.eigenvectors.conj().T
+    kept = spec.support()
+    m = (kept.eigenvectors * kept.eigenvalues**s) @ kept.eigenvectors.conj().T
     return HermitianOperator((m + m.conj().T) / 2.0)
 
 
@@ -311,6 +327,7 @@ def kron_power(a, n: int) -> np.ndarray:
 
 def abs_power_trace(a, b, s: float) -> float:
     """Tr |A**s B**(1-s)| for PSD operators A, B."""
+    matrix_pair(a, b)
     prod = mpow(a, s).mat @ mpow(b, 1.0 - s).mat
     return trace_norm(prod)
 

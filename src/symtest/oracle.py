@@ -8,7 +8,6 @@ random tests.  Slow is fine here.
 
 from __future__ import annotations
 
-import json
 import math
 from dataclasses import dataclass
 
@@ -26,20 +25,6 @@ class OracleRecord:
     inputs: dict
     value: object
     method: str
-
-    def to_json(self) -> str:
-        payload = {
-            "id": self.id,
-            "inputs": self.inputs,
-            "method": self.method,
-            "value": self.value,
-        }
-        return json.dumps(payload, sort_keys=True, indent=2) + "\n"
-
-    @staticmethod
-    def from_json(text: str) -> "OracleRecord":
-        doc = json.loads(text)
-        return OracleRecord(doc["id"], doc["inputs"], doc["value"], doc["method"])
 
 
 def random_density(dim: int, rank: int | None = None,

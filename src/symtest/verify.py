@@ -19,11 +19,10 @@ from .asymptotics import (
     Z2_COMMUTING,
     closed_form_curve,
     closed_form_psi,
+    closed_form_relative_entropy,
     make_scenario,
-    mean_quantities,
     sigma_state,
     stein_gap_check,
-    unrestricted_curve,
     z2_action,
 )
 from .discrimination import (
@@ -42,6 +41,8 @@ from .divergences import (
     lieb_bound_check,
     phi,
     psi,
+    psi_curve,
+    relative_entropy,
     renyi,
     renyi_entropy,
 )
@@ -256,7 +257,7 @@ def chernoff_band_report() -> CheckReport:
     for alpha in (0.11, 0.3, 0.5, 0.8):
         curve = closed_form_curve(TORUS_PURE_VS_MIXED, {"alpha": alpha})
         sc = make_scenario(TORUS_PURE_VS_MIXED, alpha=alpha)
-        unres = chernoff_distance(unrestricted_curve(sc.rho0, sc.rho1))
+        unres = chernoff_distance(psi_curve(sc.rho0, sc.rho1))
         restricted = chernoff_distance(curve)
         report.check_leq(f"alpha={alpha:g}: C/4 <= C_M", unres / 4.0, restricted, 1e-8)
         report.check_leq(f"alpha={alpha:g}: C/2 <= C_M", unres / 2.0, restricted, 1e-8)
@@ -333,7 +334,7 @@ def beta_eps_converse_report(scenarios) -> CheckReport:
         pair = twirled_pair(sc.rho0, sc.rho1, sc.action, n)
         ev = PsiEvaluator(*pair)
         value = beta_eps(*pair, 0.1)
-        for a in stein_a_grid(curve):
+        for a in stein_a_grid(curve.evaluate):
             bound = strong_converse_bound(*pair, eps=0.1, a=float(a), n=n, evaluator=ev)
             report.check_leq(f"n={n}, a={a:.3f}: floor <= beta_eps", bound, value, 1e-9,
                              n=n, a=float(a))
@@ -377,9 +378,9 @@ def conjugation_chain_report() -> CheckReport:
         per_conjugate = []
         for u in sc.action.unitaries:
             conj = DensityOperator.from_matrix(u.conj().T @ asmatrix(sc.rho1) @ u)
-            per_conjugate.append(chernoff_distance(unrestricted_curve(sc.rho0, conj)))
+            per_conjugate.append(chernoff_distance(psi_curve(sc.rho0, conj)))
         best = min(per_conjugate)
-        plain = chernoff_distance(unrestricted_curve(sc.rho0, sc.rho1))
+        plain = chernoff_distance(psi_curve(sc.rho0, sc.rho1))
         report.check_leq(f"(lam,mu)=({lam:g},{mu:g}): C_M <= best conjugate",
                          restricted, best, 1e-8)
         report.check_leq(f"(lam,mu)=({lam:g},{mu:g}): best conjugate <= C",
@@ -472,26 +473,26 @@ def equality_experiment_report() -> CheckReport:
 def mean_quantity_report(scenarios) -> CheckReport:
     """Spot values of the mean quantities for the closed-form scenarios."""
     report = CheckReport("mean quantities of the built-in scenarios")
-    rep62 = mean_quantities(scenarios["pure-vs-mixed"])
-    alpha = scenarios["pure-vs-mixed"].params["alpha"]
+    sc62 = scenarios["pure-vs-mixed"]
+    alpha = sc62.params["alpha"]
     expected = -(math.log(alpha) + math.log(1.0 - alpha)) / 2.0
     report.check_close("pure-vs-mixed: mean relative entropy",
-                       rep62.relative_entropy, expected, 1e-6)
-    rep65 = mean_quantities(scenarios["two-pure"])
-    lam, mu = (scenarios["two-pure"].params[k] for k in ("lam", "mu"))
+                       closed_form_relative_entropy(sc62.kind, sc62.params), expected, 1e-6)
+    sc65 = scenarios["two-pure"]
+    lam, mu = (sc65.params[k] for k in ("lam", "mu"))
     expected65 = lam * math.log(lam / mu) + (1.0 - lam) * math.log((1.0 - lam) / (1.0 - mu))
     report.check_close("two-pure: mean relative entropy",
-                       rep65.relative_entropy, expected65, 1e-6)
+                       closed_form_relative_entropy(sc65.kind, sc65.params), expected65, 1e-6)
     report.check_close("two-pure: unrestricted relative entropy infinite",
-                       rep65.unrestricted_relative_entropy, math.inf, 0.0)
-    rep61 = mean_quantities(scenarios["two-commuting"])
+                       relative_entropy(sc65.rho0, sc65.rho1), math.inf, 0.0)
     sc61 = scenarios["two-commuting"]
     conj_c = []
     for u in sc61.action.unitaries:
         conj = DensityOperator.from_matrix(u.conj().T @ asmatrix(sc61.rho1) @ u)
-        conj_c.append(chernoff_distance(unrestricted_curve(sc61.rho0, conj)))
+        conj_c.append(chernoff_distance(psi_curve(sc61.rho0, conj)))
     report.check_close("two-commuting: C_M is the best conjugate Chernoff",
-                       rep61.chernoff, min(conj_c), 1e-8)
+                       chernoff_distance(closed_form_curve(sc61.kind, sc61.params)),
+                       min(conj_c), 1e-8)
     return report
 
 

@@ -24,7 +24,6 @@ from symtest.asymptotics import (
     make_scenario,
     pure_qubit,
     solve_flat_chernoff_alpha,
-    unrestricted_curve,
     z2_action,
 )
 from symtest.discrimination import average_error, beta_eps, p_min, stein_a_grid, strong_converse_bound
@@ -34,6 +33,7 @@ from symtest.divergences import (
     default_s_grid,
     hoeffding_distance,
     phi,
+    psi_curve,
     richardson_derivative,
 )
 from symtest.groups import twirled_pair, weyl_twirl
@@ -123,7 +123,7 @@ def test_commuting_regimes():
     # curve, inside the log2/n envelope of the dominant-pairing formula
     lam, mu = 0.2, 0.7
     sc = make_scenario("Z2Commuting", lam=lam, mu=mu)
-    unres = unrestricted_curve(sc.rho0, sc.rho1)
+    unres = psi_curve(sc.rho0, sc.rho1)
     worst_envelope = -math.inf
     min_gap = math.inf
     for n in range(1, 9):
@@ -177,7 +177,7 @@ def test_inequality_suite():
 def test_beta_eps_consistency():
     sc = make_scenario("TorusPureVsMixed", alpha=0.3)
     curve = closed_form_curve(sc.kind, sc.params)
-    a_grid = stein_a_grid(curve)
+    a_grid = stein_a_grid(curve.evaluate)
     gaps = {0.1: [], 0.3: []}
     ok = True
     for n in (4, 6, 8, 10):

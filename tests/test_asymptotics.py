@@ -1,10 +1,12 @@
+import json
 import math
+from pathlib import Path
 
 import numpy as np
 import pytest
 from numpy.testing import assert_allclose
 
-from symtest import asymptotics, cli
+from symtest import cli
 from symtest.asymptotics import (
     ConvergenceTable,
     Scenario,
@@ -12,25 +14,26 @@ from symtest.asymptotics import (
     binomial_power_sum_limit,
     closed_form_curve,
     closed_form_psi,
+    closed_form_relative_entropy,
     convergence_table,
     diag_qubit,
     half_binomial_sum,
     half_binomial_sum_limit,
     make_scenario,
-    mean_quantities,
     pure_qubit,
     sigma_state,
     solve_branch_crossover,
     solve_flat_chernoff_alpha,
     stein_gap_check,
     torus_action,
-    unrestricted_curve,
-    z2_action,
 )
 from symtest.divergences import (
     PsiEvaluator,
     chernoff_distance,
     fidelity,
+    hoeffding_distance,
+    psi_curve,
+    relative_entropy,
     richardson_derivative,
 )
 from symtest.groups import twirled_pair
@@ -185,7 +188,10 @@ class TestConvergence:
     def test_csv_shape(self, tmp_path):
         sc = make_scenario("TorusTwoPure", n_max=2, lam=0.3, mu=0.6)
         path, out = tmp_path / "scenario.json", tmp_path / "table.csv"
-        path.write_text(cli.serialize_scenario(sc))
+        path.write_text(json.dumps({
+            "name": sc.name, "rho0": "pure-qubit 0.3", "rho1": "pure-qubit 0.6",
+            "group": {"type": "torus", "weights": [0, 1]}, "n_max": sc.n_max,
+        }))
         assert cli.main(["--command", "convergence", "--scenario", str(path),
                          "--s-grid", "0:1:3", "--out", str(out)]) == 0
         lines = out.read_text().strip().splitlines()
@@ -251,66 +257,68 @@ class TestStrongConverseWindow:
 
 class TestMeanQuantities:
     def test_pure_vs_mixed_entropy_rate(self):
-        sc = make_scenario("TorusPureVsMixed", alpha=0.3)
-        report = mean_quantities(sc)
-        assert report.relative_entropy == pytest.approx(
+        assert closed_form_relative_entropy("TorusPureVsMixed", {"alpha": 0.3}) == pytest.approx(
             -(math.log(0.3) + math.log(0.7)) / 2, abs=1e-6
         )
-        assert not report.estimated
 
     def test_two_pure_entropy_rate_with_infinite_unrestricted(self):
         sc = make_scenario("TorusTwoPure", lam=0.3, mu=0.6)
-        report = mean_quantities(sc)
         expected = 0.3 * math.log(0.3 / 0.6) + 0.7 * math.log(0.7 / 0.4)
-        assert report.relative_entropy == pytest.approx(expected, abs=1e-6)
-        assert report.unrestricted_relative_entropy == math.inf
+        assert closed_form_relative_entropy(sc.kind, sc.params) == pytest.approx(expected, abs=1e-6)
+        assert relative_entropy(sc.rho0, sc.rho1) == math.inf
 
     def test_commuting_chernoff_is_min_over_pairings(self):
         sc = make_scenario("Z2Commuting", lam=0.2, mu=0.7)
-        report = mean_quantities(sc)
-        c_same = chernoff_distance(unrestricted_curve(sigma_state(0.2), sigma_state(0.7)))
-        c_flip = chernoff_distance(unrestricted_curve(sigma_state(0.2), sigma_state(0.3)))
-        assert report.chernoff == pytest.approx(min(c_same, c_flip), abs=1e-8)
-        assert report.chernoff < c_same - 1e-6
+        mean = chernoff_distance(closed_form_curve(sc.kind, sc.params))
+        c_same = chernoff_distance(psi_curve(sigma_state(0.2), sigma_state(0.7)))
+        c_flip = chernoff_distance(psi_curve(sigma_state(0.2), sigma_state(0.3)))
+        assert mean == pytest.approx(min(c_same, c_flip), abs=1e-8)
+        assert mean < c_same - 1e-6
 
-    def test_generic_scenario_flagged_as_estimate(self, rng):
-        sc = Scenario(
-            name="generic",
-            rho0=DensityOperator.from_matrix(random_density(2, rng=rng)),
-            rho1=DensityOperator.from_matrix(random_density(2, rng=rng)),
-            action=z2_action(),
-            n_max=4,
-        )
-        report = mean_quantities(sc)
-        assert report.estimated
-        assert "n=4" in report.note
-        assert report.chernoff >= -1e-9
+    # the mean rows of the CLI: the closed form's value for a scenario with a
+    # kind, the command's own n_max row, byte for byte, for one without
 
-    def test_renyi_map_consistent_with_curve(self):
-        sc = make_scenario("TorusPureVsMixed", alpha=0.3)
-        report = mean_quantities(sc)
-        for alpha, value in report.renyi_alpha.items():
-            if alpha == 1.0:
-                continue
-            expected = closed_form_psi(sc.kind, sc.params, alpha) / (alpha - 1.0)
-            assert value == pytest.approx(expected, abs=1e-10)
+    def cli_tables(self, tmp_path, doc):
+        path = tmp_path / "scenario.json"
+        path.write_text(json.dumps(doc))
+        out = {}
+        for command, extra in (("chernoff", []), ("stein", []),
+                               ("hoeffding", ["--r-grid", "0:0.3:4"])):
+            target = tmp_path / f"{command}.csv"
+            assert cli.main(["--command", command, "--scenario", str(path),
+                             "--out", str(target), *extra]) == 0
+            out[command] = [line.split(",") for line in target.read_text().splitlines()[1:]]
+        return out
 
-    @pytest.mark.parametrize("estimated", [True, False], ids=["estimated", "closed-form"])
-    def test_prebuilt_pairs_give_the_same_report(self, rng, monkeypatch, estimated):
-        if estimated:
-            sc = Scenario(name="generic", action=z2_action(), n_max=4,
-                          rho0=DensityOperator.from_matrix(random_density(2, rng=rng)),
-                          rho1=DensityOperator.from_matrix(random_density(2, rng=rng)))
-        else:
-            sc = make_scenario("TorusTwoPure", n_max=4, lam=0.3, mu=0.6)
-        built = mean_quantities(sc)
-        pairs = {n: twirled_pair(sc.rho0, sc.rho1, sc.action, n) for n in (1, sc.n_max)}
+    def test_generic_scenario_flagged_as_estimate(self, rng, tmp_path):
+        dense = [[[[z.real, z.imag] for z in row] for row in random_density(2, rng=rng)]
+                 for _ in range(2)]
+        sign_flip = [[[[1, 0], [0, 0]], [[0, 0], [s, 0]]] for s in (1, -1)]
+        tables = self.cli_tables(tmp_path, {
+            "name": "generic", "rho0": dense[0], "rho1": dense[1],
+            "group": {"type": "finite", "unitaries": sign_flip}, "n_max": 3})
+        for command in ("chernoff", "stein"):
+            *_, last, mean = tables[command]
+            assert last[:2] == ["3", "twirled-per-copy"]
+            assert mean == ["0", "mean (best-n estimate)", last[2]]
+        last = [row for row in tables["hoeffding"] if row[0] == "3"]
+        means = [row for row in tables["hoeffding"] if row[0] == "0"]
+        assert len(last) == len(means) == 4
+        assert means == [["0", r, h, "mean (best-n estimate)"] for _, r, h, _ in last]
 
-        def no_build(*args):
-            raise AssertionError("mean_quantities rebuilt a pair it was given")
-
-        monkeypatch.setattr(asymptotics, "twirled_pair", no_build)
-        assert mean_quantities(sc, pairs=pairs) == built
+    def test_closed_form_scenario_prints_the_closed_form(self, tmp_path):
+        shipped = Path(__file__).resolve().parent.parent / "scenarios" / "two-commuting.json"
+        doc = json.loads(shipped.read_text())
+        tables = self.cli_tables(tmp_path, {**doc, "n_max": 3})
+        curve = closed_form_curve(doc["kind"], doc["params"])
+        chernoff, stein = tables["chernoff"][-1], tables["stein"][-1]
+        assert chernoff[:2] == stein[:2] == ["0", "mean"]
+        assert float(chernoff[2]) == chernoff_distance(curve)
+        assert float(stein[2]) == closed_form_relative_entropy(doc["kind"], doc["params"])
+        means = [row for row in tables["hoeffding"] if row[0] == "0"]
+        assert [row[3] for row in means] == ["mean"] * 4
+        assert [float(row[2]) for row in means] == [
+            hoeffding_distance(curve, float(r)) for r in np.linspace(0.0, 0.3, 4)]
 
 
 class TestSteinGap:

@@ -10,11 +10,7 @@ import pytest
 from numpy.testing import assert_allclose
 
 import symtest
-from symtest.cli import (
-    main,
-    parse_scenario,
-    serialize_scenario,
-)
+from symtest.cli import main, parse_scenario
 from symtest.discrimination import error_pair, np_test
 from symtest.errors import ScenarioError
 from symtest.groups import twirled_pair
@@ -44,12 +40,6 @@ class TestParseScenario:
         assert sc.kind == "TorusPureVsMixed"
         assert sc.params["alpha"] == 0.3
         assert_allclose(sc.rho1.mat, np.diag([0.3, 0.7]), atol=1e-15)
-
-    def test_round_trip_fixed_point(self):
-        text = json.dumps(scenario_doc())
-        once = serialize_scenario(parse_scenario(text))
-        twice = serialize_scenario(parse_scenario(once))
-        assert once == twice
 
     def test_dense_matrix_entries(self):
         doc = scenario_doc(

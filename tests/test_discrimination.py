@@ -372,7 +372,7 @@ class TestStrongConverse:
             pair = twirled_pair(sc.rho0, sc.rho1, sc.action, n)
             for eps in (0.1, 0.3):
                 value = beta_eps(*pair, eps)
-                for a in stein_a_grid(curve):
+                for a in stein_a_grid(curve.evaluate):
                     bound = strong_converse_bound(*pair, eps=eps, a=float(a), n=n)
                     assert bound <= value + 1e-9
 

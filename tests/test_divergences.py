@@ -13,7 +13,6 @@ from symtest.asymptotics import (
     sigma_state,
     solve_flat_chernoff_alpha,
     torus_action,
-    unrestricted_curve,
     z2_action,
 )
 from symtest.divergences import (
@@ -35,8 +34,20 @@ from symtest.divergences import (
     renyi_entropy,
     richardson_derivative,
 )
+from symtest.discrimination import (
+    average_error,
+    beta_eps,
+    error_pair,
+    fidelity_pmin_check,
+    np_test,
+    p_min,
+    pmin_bounds_check,
+    strong_converse_bound,
+    threshold_errors,
+)
+from symtest.errors import DimensionError
 from symtest.groups import twirl, twirled_pair
-from symtest.linalg import DensityOperator, mpow
+from symtest.linalg import DensityOperator, abs_power_trace, mpow
 from symtest.oracle import random_density
 from symtest.verify import lf_identity_report
 
@@ -197,7 +208,7 @@ class TestChernoff:
         assert chernoff_distance(psi_curve(rho, rho)) == pytest.approx(0.0, abs=1e-10)
 
     def test_pure_vs_mixed_unrestricted(self):
-        curve = unrestricted_curve(pure_qubit(0.5), diag_qubit(0.3))
+        curve = psi_curve(pure_qubit(0.5), diag_qubit(0.3))
         assert chernoff_distance(curve) == pytest.approx(LOG2, abs=1e-10)
 
     def test_balanced_mixing_half_log_two(self):
@@ -366,6 +377,47 @@ class TestAdditivity:
                 lhs = renyi_entropy(cache[n + m], alpha)
                 rhs = renyi_entropy(cache[n], alpha) + renyi_entropy(cache[m], alpha)
                 assert lhs <= rhs + 1e-8
+
+
+    @pytest.mark.parametrize("action", [torus_action(), z2_action()], ids=["torus", "sign-flip"])
+    def test_exact_components_keep_eigenvalues_below_the_cut(self, action):
+        # both groups leave this diagonal pair as it is, so psi_n = n*psi_1
+        # exactly; at n >= 10 the smallest eigenvalues 0.05^n fall below the
+        # relative cut, but each is a 1x1 component, read off exactly
+        rho0, rho1 = diag_qubit(0.05), diag_qubit(0.5)
+        ev1 = PsiEvaluator(rho0, rho1)
+        for n in (10, 11):
+            ev = PsiEvaluator(*twirled_pair(rho0, rho1, action, n))
+            for s in (-0.5, 0.1, 0.5, 0.9, 1.5):
+                assert abs(ev.psi(s) - n * ev1.psi(s)) <= 1e-12, (n, s)
+
+
+TWO_STATE_FUNCTIONS = {
+    "psi": lambda a, b: psi(a, b, 0.5),
+    "psi_curve": psi_curve,
+    "PsiEvaluator": PsiEvaluator,
+    "renyi": lambda a, b: renyi(a, b, 0.5),
+    "relative_entropy": relative_entropy,
+    "fidelity": fidelity,
+    "abs_power_trace": lambda a, b: abs_power_trace(a, b, 0.5),
+    "p_min": p_min,
+    "average_error": average_error,
+    "beta_eps": lambda a, b: beta_eps(a, b, 0.1),
+    "np_test": lambda a, b: np_test(a, b, 0.0),
+    "threshold_errors": lambda a, b: threshold_errors(a, b, [0.0]),
+    "error_pair": lambda a, b: error_pair(np.eye(2), a, b),
+    "strong_converse_bound": lambda a, b: strong_converse_bound(a, b, eps=0.1, a=0.1, n=1),
+    "pmin_bounds_check": lambda a, b: pmin_bounds_check(a, b, 0.0),
+    "fidelity_pmin_check": fidelity_pmin_check,
+}
+
+
+@pytest.mark.parametrize("name", sorted(TWO_STATE_FUNCTIONS))
+def test_two_states_of_different_dimension_raise(name):
+    small = DensityOperator.from_matrix(np.eye(2) / 2)
+    large = DensityOperator.from_matrix(np.eye(4) / 4)
+    with pytest.raises(DimensionError):
+        TWO_STATE_FUNCTIONS[name](small, large)
 
 
 class TestFidelityPowers:

@@ -455,15 +455,3 @@ def test_components_match_a_union_find(rng):
     lone, comps = components(np.ones((5, 5), dtype=bool))
     assert lone.size == 0 and [c.tolist() for c in comps] == [[0, 1, 2, 3, 4]]
 
-
-def test_per_copy_curve_is_psi_curve_over_n():
-    from symtest.asymptotics import make_scenario, per_copy_curve
-    from symtest.divergences import PsiEvaluator, psi_curve
-    from symtest.groups import twirled_pair
-
-    sc = make_scenario("TorusPureVsMixed", alpha=0.3)
-    for n in (1, 3, 4):
-        pair = twirled_pair(sc.rho0, sc.rho1, sc.action, n)
-        curve = per_copy_curve(PsiEvaluator(*pair), n)
-        assert np.array_equal(curve.values, psi_curve(*pair).values / n)
-        assert curve.evaluate(0.37) == psi_curve(*pair).fn(0.37) / n

@@ -1,5 +1,3 @@
-import json
-
 import numpy as np
 import pytest
 from numpy.testing import assert_allclose
@@ -9,7 +7,6 @@ from symtest.divergences import PsiEvaluator
 from symtest.groups import tensor_power, twirl, twirled_pair
 from symtest.linalg import kron_power
 from symtest.oracle import (
-    OracleRecord,
     block_scalar_oracle,
     dense_twirl_oracle,
     pmin_random_battery,
@@ -123,19 +120,4 @@ class TestRecords:
         pair = twirled_pair(pure_qubit(0.5), diag_qubit(0.3), torus_action(), 2)
         first = pmin_random_battery(*pair, a=0.1, count=25)
         second = pmin_random_battery(*pair, a=0.1, count=25)
-        assert first.value == second.value
-        assert first.to_json() == second.to_json()
-
-    def test_round_trip(self, tmp_path):
-        record = OracleRecord("demo", {"n": 3}, [1.0, 2.0], "by hand")
-        path = tmp_path / "record.json"
-        path.write_text(record.to_json())
-        back = OracleRecord.from_json(path.read_text())
-        assert back == record
-
-    def test_stable_key_order(self):
-        record = OracleRecord("demo", {"b": 1, "a": 2}, 0.0, "m")
-        doc = record.to_json()
-        assert doc.index('"id"') < doc.index('"inputs"') < doc.index('"method"')
-        parsed = json.loads(doc)
-        assert parsed["inputs"] == {"a": 2, "b": 1}
+        assert first == second

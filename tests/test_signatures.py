@@ -50,9 +50,6 @@ REMOVED = {
         "solve_flat_chernoff_alpha": ("xtol",),
         "solve_branch_crossover": ("xtol",),
         "closed_form_curve": ("label",),
-        "unrestricted_curve": ("label",),
-        "mean_quantities": ("alphas",),
-        "per_copy_curve": ("label",),
         "convergence_table": ("n_max",),
     },
     "groups": {
