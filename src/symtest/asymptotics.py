@@ -5,7 +5,7 @@ and the binomial-sum limit formulas the closed forms rest on.
 The closed forms are the per-copy limits of the twirled n-copy curves, so
 the mean (per-copy limit) Chernoff, Hoeffding and relative-entropy rates of
 a scenario with a kind are the transforms of :func:`closed_form_curve`, and
-:func:`closed_form_relative_entropy` is its left slope at s = 1."""
+:func:`closed_form_relative_entropy` is its exact slope at s = 1."""
 
 from __future__ import annotations
 
@@ -20,7 +20,6 @@ from .divergences import (
     PsiEvaluator,
     default_s_grid,
     relative_entropy,
-    richardson_derivative,
 )
 from .groups import GroupAction, block_structure, pinching_map, tensor_power, twirled_pair
 from .linalg import DensityOperator, asmatrix, kron_power, spectral_projections
@@ -104,31 +103,39 @@ def _require_interior(value: float, name: str) -> None:
         raise ValueError(f"{name}={value!r} must lie strictly inside (0, 1)")
 
 
-def _two_pure_psi(lam: float, mu: float, s: float) -> float:
-    t1 = s * _xlog(lam) + (1.0 - s) * _xlog(mu)
-    t2 = s * _xlog(1.0 - lam) + (1.0 - s) * _xlog(1.0 - mu)
-    return _logsumexp([t1, t2])
+def _two_pure_psi(lam: float, mu: float, s: float) -> tuple[float, float]:
+    x0, x1, y0, y1 = _xlog(lam), _xlog(1.0 - lam), _xlog(mu), _xlog(1.0 - mu)
+    t1, t2 = s * x0 + (1.0 - s) * y0, s * x1 + (1.0 - s) * y1
+    value = _logsumexp([t1, t2])
+    return value, math.exp(t1 - value) * (x0 - y0) + math.exp(t2 - value) * (x1 - y1)
 
 
-def _pure_vs_mixed_psi(alpha: float, s: float) -> float:
+def _pure_vs_mixed_psi(alpha: float, s: float) -> tuple[float, float]:
     if s <= 0.0:
-        return (1.0 - s) * math.log(max(alpha, 1.0 - alpha)) - s * math.log(2.0)
+        top = math.log(max(alpha, 1.0 - alpha))
+        return (1.0 - s) * top - s * math.log(2.0), -top - math.log(2.0)
     expo = (1.0 - s) / s
-    return s * _logsumexp([expo * math.log(alpha), expo * math.log(1.0 - alpha)]) - s * math.log(2.0)
+    la, lb = math.log(alpha), math.log(1.0 - alpha)
+    total = _logsumexp([expo * la, expo * lb])
+    # d total / d expo is the softmax mean of the logs, and d expo / ds = -1/s**2
+    mean = math.exp(expo * la - total) * la + math.exp(expo * lb - total) * lb
+    return s * total - s * math.log(2.0), total - mean / s - math.log(2.0)
 
 
-def _z2_psi_normalized(a: float, b: float, s: float) -> float:
+def _z2_psi_normalized(a: float, b: float, s: float) -> tuple[float, float]:
     # requires 0 <= a < b <= 1/2
     if a <= 0.0:
-        return (1.0 - s) * math.log(1.0 - b)
+        return (1.0 - s) * math.log(1.0 - b), -math.log(1.0 - b)
     s_star = solve_branch_crossover(a, b)
     if s >= s_star:
         return _two_pure_psi(a, b, s)
-    return (s / 2.0) * math.log(a * (1.0 - a)) + ((1.0 - s) / 2.0) * math.log(b * (1.0 - b)) + math.log(2.0)
+    value = (s / 2.0) * math.log(a * (1.0 - a)) + ((1.0 - s) / 2.0) * math.log(b * (1.0 - b)) + math.log(2.0)
+    return value, 0.5 * math.log(a * (1.0 - a)) - 0.5 * math.log(b * (1.0 - b))
 
 
-def closed_form_psi(kind: str, params: dict, s: float) -> float:
-    """Exact limit of (1/n) psi_n(s) for the built-in scenario kinds."""
+def _closed_form(kind: str, params: dict, s: float) -> tuple[float, float]:
+    """(value, exact slope) at s of the limit of (1/n) psi_n for the built-in
+    scenario kinds."""
     if kind == TORUS_TWO_PURE:
         lam, mu = params["lam"], params["mu"]
         _require_interior(lam, "lam")
@@ -146,11 +153,17 @@ def closed_form_psi(kind: str, params: dict, s: float) -> float:
         a = min(lam, 1.0 - lam)
         b = min(mu, 1.0 - mu)
         if abs(a - b) <= 1e-15:
-            return 0.0  # identical twirled states
+            return 0.0, 0.0  # identical twirled states
         if a < b:
             return _z2_psi_normalized(a, b, s)
-        return _z2_psi_normalized(b, a, 1.0 - s)
+        value, slope = _z2_psi_normalized(b, a, 1.0 - s)
+        return value, -slope
     raise ValueError(f"no closed form for scenario kind {kind!r}")
+
+
+def closed_form_psi(kind: str, params: dict, s: float) -> float:
+    """Exact limit of (1/n) psi_n(s) for the built-in scenario kinds."""
+    return _closed_form(kind, params, s)[0]
 
 
 def closed_form_curve(kind: str, params: dict, grid=None) -> PsiCurve:
@@ -158,13 +171,14 @@ def closed_form_curve(kind: str, params: dict, grid=None) -> PsiCurve:
         grid = default_s_grid()
     grid = np.asarray(grid, dtype=float)
     values = np.array([closed_form_psi(kind, params, float(s)) for s in grid])
-    return PsiCurve(grid, values, lambda s: closed_form_psi(kind, params, s))
+    return PsiCurve(grid, values, lambda s: closed_form_psi(kind, params, s),
+                    lambda s: _closed_form(kind, params, s)[1])
 
 
 def closed_form_relative_entropy(kind: str, params: dict) -> float:
-    """Mean relative entropy of a built-in kind: the left slope at s = 1 of
-    its closed-form curve."""
-    return richardson_derivative(lambda s: closed_form_psi(kind, params, s), 1.0, side="left")
+    """Mean relative entropy of a built-in kind: the slope at s = 1 of its
+    closed-form curve."""
+    return _closed_form(kind, params, 1.0)[1]
 
 
 @dataclass(frozen=True)

@@ -52,7 +52,6 @@ from .divergences import (
     hoeffding_distance,
     psi_curve,
     relative_entropy,
-    richardson_derivative,
 )
 from .errors import ScenarioError, SymtestError
 from .groups import GroupAction, is_support_invariant, twirled_pair
@@ -174,6 +173,9 @@ def _infer_kind(ctor0, ctor1, action: GroupAction) -> str | None:
     if ctor0 is None or ctor1 is None:
         return None
     if action.kind == "torus" and list(action.weights) == [0, 1]:
+        # the torus closed forms hold for parameters strictly inside (0, 1)
+        if not (0.0 < ctor0[1] < 1.0 and 0.0 < ctor1[1] < 1.0):
+            return None
         if ctor0 == ("pure-qubit", 0.5) and ctor1[0] == "diag":
             return TORUS_PURE_VS_MIXED
         if ctor0[0] == "pure-qubit" and ctor1[0] == "pure-qubit":
@@ -210,6 +212,13 @@ def parse_scenario(text: str) -> Scenario:
             name = "alpha" if ctor[0] == "diag" else names[0]
             params.setdefault(name, ctor[1])
     kind = doc.get("kind") or _infer_kind(ctor0, ctor1, action)
+    if kind is not None:
+        try:
+            closed_form_psi(kind, params, 0.5)
+        except KeyError as exc:
+            raise ScenarioError(f"scenario kind {kind!r} needs the parameter {exc.args[0]!r}") from exc
+        except ValueError as exc:
+            raise ScenarioError(str(exc)) from exc
     return Scenario(name=str(doc["name"]), rho0=rho0, rho1=rho1, action=action,
                     n_max=n_max, params=params, kind=kind)
 
@@ -342,8 +351,9 @@ def _pmin_rows(pair, n: int, a_values) -> list[tuple]:
 
 
 def _cmd_beta_eps(sc: Scenario, config: RunConfig) -> int:
-    # the converse floor is only valid for an invariant alternative support
-    floored = is_support_invariant(sc.rho1, sc.action)
+    # the floor needs supp rho1 invariant and holding supp rho0 (at n = 1, so at every n)
+    floored = (is_support_invariant(sc.rho1, sc.action)
+               and relative_entropy(sc.rho0, sc.rho1) < math.inf)
     rows = [_beta_eps_row(twirled_pair(sc.rho0, sc.rho1, sc.action, n), n, config, floored)
             for n in range(1, sc.n_max + 1)]
     _write_table(("n", "a_or_eps", "beta0", "beta1", "bound_lo", "bound_hi"), rows, config)
@@ -356,7 +366,7 @@ def _beta_eps_row(pair, n: int, config: RunConfig, floored: bool) -> tuple:
         ev = PsiEvaluator(*pair)
         grid = config.a_grid
         if grid is None:
-            grid = stein_a_grid(lambda s: ev.psi(s) / n)
+            grid = stein_a_grid(ev.slope(1.0) / n)
         floor = max(strong_converse_bound(*pair, eps=config.eps, a=float(a), n=n,
                                           evaluator=ev)
                     for a in grid)
@@ -458,8 +468,7 @@ def _run_example(name: str) -> int:
         alpha = solve_flat_chernoff_alpha()
         print(f"  alpha* = {alpha:.12g} (in [0.10, 0.12])")
         curve = closed_form_curve(TORUS_PURE_VS_MIXED, {"alpha": alpha})
-        slope = richardson_derivative(curve.evaluate, 0.5, side="central")
-        failures += _check_line("curve slope at s=1/2", slope, 0.0, 1e-8)
+        failures += _check_line("curve slope at s=1/2", curve.slope(0.5), 0.0, 1e-8)
         failures += _check_line("restricted Chernoff distance C_M",
                                 chernoff_distance(curve), 0.5 * math.log(2.0), 1e-8)
     return failures

@@ -7,11 +7,11 @@ t(1 - eps) - Tr(t*rho0 - rho1)_+, a concave function that peaks in
 [0, 1/eps].  On commuting pairs the dual is piecewise linear and is read off
 its likelihood-ratio breakpoints; otherwise golden section maximizes it, one
 eigvalsh per evaluation.  threshold_errors gives the error pairs of many
-threshold tests on one state pair at once, from the common eigenbasis of a
-commuting pair or from one eigh per rate otherwise, without forming the
-projections np_test builds.  The common eigenbasis starts from the spectrum
-every density operator keeps, so a state pair is never decomposed again
-here.
+threshold tests on one state pair at once, from the joint eigenvalue atoms
+of a commuting pair or from one eigh per rate otherwise, without forming the
+projections np_test builds.  The atoms are read off the two spectra every
+density operator keeps and their overlaps, so a state pair is never
+decomposed again here.
 """
 
 from __future__ import annotations
@@ -21,13 +21,12 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .divergences import PsiEvaluator, _golden_min, _scan_min, richardson_derivative
+from .divergences import PsiEvaluator, _golden_min, _scan_min
 from .errors import DimensionError
 from .linalg import (
     HermitianOperator,
     above_cut,
     asmatrix,
-    cluster_slices,
     eig,
     matrix_pair,
     support_projection,
@@ -95,20 +94,20 @@ def threshold_errors(rho0n, rho1n, a_values, n: int = 1) -> np.ndarray:
     """(beta0, beta1) of np_test(rho0n, rho1n, a, n) for each rate a, one row each.
 
     The tests are the projections np_test builds, with the same rank cut, but
-    their errors are read off a spectrum: the common eigenbasis weights
-    (p, q) of a commuting pair, where the test keeps the atoms with
-    e^{-na} p - q above the cut, or else one eigh per rate, summing
+    their errors are read off a spectrum: the joint eigenvalue atoms of a
+    commuting pair, where the test keeps the atoms whose eigenvalue
+    e^{-na} w0 - w1 survives the cut, or else one eigh per rate, summing
     <v|m|v> over the kept eigenvectors v instead of forming the projection.
     """
     m0, m1 = matrix_pair(rho0n, rho1n)
-    pq = _common_eigenbasis(rho0n, rho1n)
+    atoms = _commuting_atoms(rho0n, rho1n)
     rows = []
     for a in a_values:
         weight = math.exp(-n * float(a))
-        if pq is not None:
-            p, q = pq
-            keep = above_cut(weight * p - q)
-            accept0, accept1 = p[keep].sum(), q[keep].sum()
+        if atoms is not None:
+            w0, w1, o = atoms
+            keep = above_cut(weight * w0 - w1)
+            accept0, accept1 = (w0 * o)[keep].sum(), (w1 * o)[keep].sum()
         else:
             delta = weight * m0 - m1
             w, v = np.linalg.eigh((delta + delta.conj().T) / 2.0)
@@ -162,31 +161,19 @@ def pmin_bounds_check(rho0n, rho1n, a: float, n: int = 1) -> CheckReport:
     return report
 
 
-def _common_eigenbasis(rho0n, rho1n) -> tuple[np.ndarray, np.ndarray] | None:
-    """Simultaneous eigenbasis weights (p_k, q_k) for commuting PSD operators,
-    starting from the spectrum of rho1n (the one it keeps, for a density
-    operator)."""
+def _commuting_atoms(rho0n, rho1n) -> tuple[np.ndarray, np.ndarray, np.ndarray] | None:
+    """Joint eigenvalue atoms (w0_i, w1_j, O_ij) of commuting PSD operators,
+    one per nonzero overlap O_ij = |<v0_i|v1_j>|**2 of their kept spectra
+    (on a commuting pair sum_ij O_ij f(w0_i, w1_j) is Tr f(rho0n, rho1n)),
+    or None when they do not commute."""
     m0, m1 = asmatrix(rho0n), asmatrix(rho1n)
     scale = max(1.0, float(np.max(np.abs(m0))), float(np.max(np.abs(m1))))
     if float(np.max(np.abs(m0 @ m1 - m1 @ m0))) > 1e-10 * scale:
         return None
-    spec = eig(rho1n)
-    w1, v = spec.eigenvalues, spec.eigenvectors
-    # rotate within each eigenspace of m1 to diagonalize m0 there
-    basis = v.copy()
-    for run in cluster_slices(w1, 1e-10 * max(1.0, float(np.max(np.abs(w1))))):
-        sub = basis[:, run]
-        block = sub.conj().T @ m0 @ sub
-        _, u = np.linalg.eigh((block + block.conj().T) / 2.0)
-        basis[:, run] = sub @ u
-    b0 = basis.conj().T @ m0 @ basis
-    b1 = basis.conj().T @ m1 @ basis
-    p, q = np.diagonal(b0).real, np.diagonal(b1).real
-    off0 = b0 - np.diag(p)
-    off1 = b1 - np.diag(q)
-    if max(float(np.max(np.abs(off0))), float(np.max(np.abs(off1)))) > 1e-8 * scale:
-        return None
-    return np.maximum(p, 0.0), np.maximum(q, 0.0)
+    spec0, spec1 = eig(rho0n), eig(rho1n)
+    overlap = np.abs(spec0.eigenvectors.conj().T @ spec1.eigenvectors) ** 2
+    i, j = np.nonzero(overlap)
+    return np.maximum(spec0.eigenvalues, 0.0)[i], np.maximum(spec1.eigenvalues, 0.0)[j], overlap[i, j]
 
 
 def _commuting_dual(p: np.ndarray, q: np.ndarray, eps: float) -> float:
@@ -236,9 +223,10 @@ def beta_eps(rho0n, rho1n, eps: float) -> float:
     if not 0.0 < eps < 1.0:
         raise ValueError("eps must lie strictly between 0 and 1")
     m0, m1 = matrix_pair(rho0n, rho1n)
-    pq = _common_eigenbasis(rho0n, rho1n)
-    if pq is not None:
-        return _commuting_dual(*pq, eps)
+    atoms = _commuting_atoms(rho0n, rho1n)
+    if atoms is not None:
+        w0, w1, o = atoms
+        return _commuting_dual(w0 * o, w1 * o, eps)
     return _general_dual(m0, m1, eps)
 
 
@@ -246,9 +234,11 @@ def strong_converse_bound(rho0n, rho1n, eps: float, a: float, n: int,
                           evaluator: PsiEvaluator | None = None) -> float:
     """Converse floor e^{-na} (1 - eps - e^{-max over [1,3/2] of {na(s-1) - psi_n(s)}}).
 
-    Nonpositive values mean the bound is vacuous at this rate.  Assumes the
-    caller has checked that supp rho1 is invariant where that matters.
-    Pass a prebuilt evaluator when sweeping many rates over one state pair.
+    Nonpositive values mean the bound is vacuous at this rate.  It holds only
+    where supp rho0 lies in supp rho1 (else psi_n(s > 1) is +inf, which the
+    convention 0**s = 0 makes finite) and supp rho1 is invariant under the
+    group; the caller checks both.  Pass a prebuilt evaluator when sweeping
+    many rates over one state pair.
     """
     ev = evaluator if evaluator is not None else PsiEvaluator(rho0n, rho1n)
 
@@ -259,11 +249,9 @@ def strong_converse_bound(rho0n, rho1n, eps: float, a: float, n: int,
     return math.exp(-n * a) * (1.0 - eps - math.exp(-phi_tilde_n))
 
 
-def stein_a_grid(fn) -> np.ndarray:
-    """Rate grid spanning the one-sided slopes of the map s -> fn(s) at s = 1."""
-    left = richardson_derivative(fn, 1.0, side="left")
-    right = richardson_derivative(fn, 1.0, side="right")
-    return np.linspace(left - 0.5, right + 0.5, 21)
+def stein_a_grid(slope: float) -> np.ndarray:
+    """Rate grid of width 1 around the slope of psi at s = 1."""
+    return np.linspace(slope - 0.5, slope + 0.5, 21)
 
 
 def fidelity_pmin_check(rho0n, rho1n) -> CheckReport:

@@ -1,7 +1,8 @@
 """Statistical distance measures between density operators.
 
 Everything here is driven by the two-parameter trace functional
-Tr rho0**s rho1**(1-s): the log of that trace as a function of s, its
+Tr rho0**s rho1**(1-s): the log of that trace as a function of s and its
+exact slope (both read off the two kept spectra, no finite difference), its
 Legendre-Fenchel transforms, and the Renyi, relative-entropy, fidelity,
 Chernoff and Hoeffding quantities built from it.  Orthogonal supports are a
 legitimate regime and are represented by the IEEE sentinel NEG_INF, which
@@ -25,7 +26,6 @@ POS_INF = float("inf")
 UNDERFLOW = 1e-300
 
 GOLDEN_XTOL = 1e-10
-RICHARDSON_STEPS = (1e-3, 5e-4, 2.5e-4)
 
 
 def default_s_grid() -> np.ndarray:
@@ -39,12 +39,13 @@ class PsiEvaluator:
     Both spectra are taken once (the ones density operators keep); each
     evaluation is then a weighted sum over the support-restricted
     eigenvalue pairs, so sweeping a grid of s values costs one matrix product
-    total.
+    total.  The trace sums the pair weights w0_i**s O_ij w1_j**(1-s) over the
+    Nussbaum-Szkola overlaps O_ij = |<v0_i|v1_j>|**2.
     """
 
-    def __init__(self, rho0, rho1, cut_scale: float = 1.0):
+    def __init__(self, rho0, rho1):
         m0, _ = matrix_pair(rho0, rho1)
-        s0, s1 = eig(rho0).support(cut_scale), eig(rho1).support(cut_scale)
+        s0, s1 = eig(rho0).support(), eig(rho1).support()
         self._log0 = np.log(s0.eigenvalues)
         self._log1 = np.log(s1.eigenvalues)
         overlap = np.abs(s0.eigenvectors.conj().T @ s1.eigenvectors) ** 2
@@ -64,6 +65,16 @@ class PsiEvaluator:
         t = self.trace_power(s)
         return math.log(t) if t > UNDERFLOW else NEG_INF
 
+    def slope(self, s: float) -> float:
+        """Exact derivative of psi at s, the mean of log w0_i - log w1_j under
+        the pair weights; nan where psi is -inf."""
+        t = self.trace_power(s)
+        if t <= UNDERFLOW:
+            return math.nan
+        a = np.exp(s * self._log0)
+        b = np.exp((1.0 - s) * self._log1)
+        return float((a * self._log0) @ self._overlap @ b - a @ self._overlap @ (b * self._log1)) / t
+
 
 def psi(rho0, rho1, s: float) -> float:
     """log Tr rho0**s rho1**(1-s); NEG_INF for orthogonal supports."""
@@ -72,8 +83,8 @@ def psi(rho0, rho1, s: float) -> float:
 
 @dataclass(frozen=True)
 class PsiCurve:
-    """An s -> psi(s) map: its exact evaluator ``fn`` and the values of fn
-    sampled on ``s_grid``.
+    """An s -> psi(s) map: its exact evaluator ``fn``, its exact derivative
+    ``slope``, and the values of fn sampled on ``s_grid``.
 
     The optimizers evaluate ``fn`` on the grid points inside their window and
     refine past the grid with it; they never read ``values``.
@@ -82,6 +93,7 @@ class PsiCurve:
     s_grid: np.ndarray
     values: np.ndarray
     fn: Callable[[float], float] = field(repr=False, compare=False)
+    slope: Callable[[float], float] = field(repr=False, compare=False)
 
     def __post_init__(self):
         grid = np.asarray(self.s_grid, dtype=float)
@@ -117,13 +129,13 @@ class PsiCurve:
 
 
 def psi_curve(rho0, rho1, grid=None) -> PsiCurve:
-    """Sample psi on a grid, with the exact evaluator attached."""
+    """Sample psi on a grid, with the exact evaluator and slope attached."""
     if grid is None:
         grid = default_s_grid()
     grid = np.asarray(grid, dtype=float)
     ev = PsiEvaluator(rho0, rho1)
     values = np.array([ev.psi(float(s)) for s in grid])
-    return PsiCurve(grid, values, ev.psi)
+    return PsiCurve(grid, values, ev.psi, ev.slope)
 
 
 def renyi(rho0, rho1, alpha: float) -> float:
@@ -208,27 +220,6 @@ def _scan_min(fn, pts: np.ndarray) -> tuple[float, float]:
     return best_s, best_v
 
 
-def richardson_derivative(f, x: float, side: str = "central") -> float:
-    """Richardson-extrapolated finite difference; one-sided variants use only
-    nodes on the requested side of x."""
-    h0, h1, h2 = RICHARDSON_STEPS
-    if side == "central":
-        def diff(h):
-            return (f(x + h) - f(x - h)) / (2.0 * h)
-        c0, c1 = diff(h0), diff(h1)
-        r0 = (4.0 * c1 - c0) / 3.0
-        c2 = diff(h2)
-        r1 = (4.0 * c2 - c1) / 3.0
-        return (16.0 * r1 - r0) / 15.0
-    sign = -1.0 if side == "left" else 1.0
-
-    def diff(h):
-        return sign * (f(x + sign * h) - f(x)) / h
-
-    d0, d1, d2 = diff(h0), diff(h1), diff(h2)
-    return (8.0 * d2 - 6.0 * d1 + d0) / 3.0
-
-
 def hoeffding_distance(curve: PsiCurve, r: float) -> float:
     """sup over t in [0, 1) of (-t*r - psi(t)) / (1 - t); +inf when r < -psi(1)."""
     if r < 0:
@@ -254,8 +245,7 @@ def hoeffding_distance(curve: PsiCurve, r: float) -> float:
     if best == POS_INF:
         return POS_INF
     if abs(r + psi1) <= boundary_tol:
-        boundary = r + richardson_derivative(curve.evaluate, 1.0, side="left")
-        best = max(best, boundary)
+        best = max(best, r + curve.slope(1.0))
     return best
 
 

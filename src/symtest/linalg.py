@@ -45,8 +45,6 @@ def asmatrix(a) -> np.ndarray:
     was checked when the operator was built and it is read-only."""
     if isinstance(a, (HermitianOperator, DensityOperator)):
         return a.mat
-    if isinstance(a, Spectrum):
-        a = a.reconstruct()
     m = np.asarray(a, dtype=complex)
     if m.ndim != 2 or m.shape[0] != m.shape[1]:
         raise DimensionError(f"expected a square matrix, got shape {m.shape}")
@@ -147,11 +145,11 @@ class Spectrum:
         v = self.eigenvectors
         return (v * self.eigenvalues) @ v.conj().T
 
-    def support(self, cut_scale: float = 1.0) -> "Spectrum":
+    def support(self) -> "Spectrum":
         """The eigenpairs that count as nonzero: an exact eigenvalue when it is
         positive, any other when it survives :func:`above_cut`."""
         w = self.eigenvalues
-        keep = np.where(self.exact, w > 0.0, above_cut(w, cut_scale))
+        keep = np.where(self.exact, w > 0.0, above_cut(w))
         return Spectrum(w[keep], self.eigenvectors[:, keep], self.exact[keep])
 
     def clipped(self, lo: float, hi: float, tol: float) -> "Spectrum":
@@ -260,11 +258,11 @@ def _blockwise_eig(op: HermitianOperator) -> Spectrum:
     return Spectrum(w, v, exact)
 
 
-def above_cut(w: np.ndarray, cut_scale: float = 1.0) -> np.ndarray:
-    """Mask w > max(w.size * eps * max|w|, 1e-12) * cut_scale of the eigenvalues
+def above_cut(w: np.ndarray) -> np.ndarray:
+    """Mask w > max(w.size * eps * max|w|, 1e-12) of the eigenvalues
     that count as nonzero; on a signed spectrum it keeps the positive part."""
     lam_max = float(np.max(np.abs(w), initial=0.0))
-    return w > max(w.size * float(np.finfo(float).eps) * lam_max, 1e-12) * cut_scale
+    return w > max(w.size * float(np.finfo(float).eps) * lam_max, 1e-12)
 
 
 def cluster_slices(w: np.ndarray, tol: float) -> list[slice]:

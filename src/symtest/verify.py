@@ -334,7 +334,7 @@ def beta_eps_converse_report(scenarios) -> CheckReport:
         pair = twirled_pair(sc.rho0, sc.rho1, sc.action, n)
         ev = PsiEvaluator(*pair)
         value = beta_eps(*pair, 0.1)
-        for a in stein_a_grid(curve.evaluate):
+        for a in stein_a_grid(curve.slope(1.0)):
             bound = strong_converse_bound(*pair, eps=0.1, a=float(a), n=n, evaluator=ev)
             report.check_leq(f"n={n}, a={a:.3f}: floor <= beta_eps", bound, value, 1e-9,
                              n=n, a=float(a))

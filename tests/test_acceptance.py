@@ -34,7 +34,6 @@ from symtest.divergences import (
     hoeffding_distance,
     phi,
     psi_curve,
-    richardson_derivative,
 )
 from symtest.groups import twirled_pair, weyl_twirl
 from symtest.oracle import block_scalar_oracle, ptrace_oracle
@@ -52,7 +51,7 @@ def test_balanced_mixing_point():
     started = time.monotonic()
     alpha = solve_flat_chernoff_alpha()
     curve = closed_form_curve("TorusPureVsMixed", {"alpha": alpha})
-    slope = richardson_derivative(curve.evaluate, 0.5, side="central")
+    slope = curve.slope(0.5)
     chernoff = chernoff_distance(curve)
     elapsed = time.monotonic() - started
     ok = (
@@ -177,7 +176,7 @@ def test_inequality_suite():
 def test_beta_eps_consistency():
     sc = make_scenario("TorusPureVsMixed", alpha=0.3)
     curve = closed_form_curve(sc.kind, sc.params)
-    a_grid = stein_a_grid(curve.evaluate)
+    a_grid = stein_a_grid(curve.slope(1.0))
     gaps = {0.1: [], 0.3: []}
     ok = True
     for n in (4, 6, 8, 10):

@@ -34,7 +34,6 @@ from symtest.divergences import (
     hoeffding_distance,
     psi_curve,
     relative_entropy,
-    richardson_derivative,
 )
 from symtest.groups import twirled_pair
 from symtest.linalg import DensityOperator
@@ -120,8 +119,10 @@ class TestBranchCrossover:
         lam, mu = 0.2, 0.4
         s_star = solve_branch_crossover(lam, mu)
         fn = lambda s: closed_form_psi("Z2Commuting", {"lam": lam, "mu": mu}, s)
-        left = richardson_derivative(fn, s_star, side="left")
-        right = richardson_derivative(fn, s_star, side="right")
+        # second-order one-sided differences, each from its own branch
+        h = 1e-4
+        left = (3.0 * fn(s_star) - 4.0 * fn(s_star - h) + fn(s_star - 2.0 * h)) / (2.0 * h)
+        right = (-3.0 * fn(s_star) + 4.0 * fn(s_star + h) - fn(s_star + 2.0 * h)) / (2.0 * h)
         assert left == pytest.approx(right, abs=1e-6)
 
     def test_parameter_ordering_enforced(self):
@@ -149,8 +150,7 @@ class TestFlatChernoffAlpha:
     def test_slope_vanishes_at_half(self):
         alpha = solve_flat_chernoff_alpha()
         curve = closed_form_curve("TorusPureVsMixed", {"alpha": alpha})
-        slope = richardson_derivative(curve.evaluate, 0.5, side="central")
-        assert abs(slope) <= 1e-8
+        assert abs(curve.slope(0.5)) <= 1e-8
 
     def test_chernoff_is_half_log_two(self):
         alpha = solve_flat_chernoff_alpha()
@@ -253,6 +253,24 @@ class TestStrongConverseWindow:
         for previous, current in zip(values, values[1:]):
             assert current >= previous - 1e-12
         assert values[-1] == pytest.approx(limit, abs=1e-6)
+
+
+class TestClosedFormSlope:
+    @pytest.mark.parametrize("kind,params", [
+        ("TorusTwoPure", {"lam": 0.3, "mu": 0.6}),
+        ("TorusPureVsMixed", {"alpha": 0.3}),
+        ("Z2Commuting", {"lam": 0.2, "mu": 0.4}),
+        ("Z2Commuting", {"lam": 0.7, "mu": 0.1}),
+        ("Z2Commuting", {"lam": 0.0, "mu": 0.3}),
+    ])
+    def test_slope_matches_central_difference(self, kind, params):
+        # every branch: s = -0.7 sits below the Z2 crossover and on the s <= 0
+        # branch of pure-vs-mixed; no point is within h of a branch change
+        curve = closed_form_curve(kind, params)
+        h = 1e-5
+        for s in (-0.7, -0.2, 0.3, 0.5, 1.0, 1.7):
+            central = (curve.evaluate(s + h) - curve.evaluate(s - h)) / (2.0 * h)
+            assert curve.slope(s) == pytest.approx(central, abs=1e-8)
 
 
 class TestMeanQuantities:

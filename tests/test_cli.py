@@ -84,6 +84,20 @@ class TestParseScenario:
         with pytest.raises(ScenarioError, match="group"):
             parse_scenario(json.dumps(doc))
 
+    @pytest.mark.parametrize("overrides,message", [
+        ({"kind": "Bogus"}, "no closed form for scenario kind 'Bogus'"),
+        ({"kind": "TorusTwoPure"}, "needs the parameter 'lam'"),
+    ], ids=["unknown-kind", "missing-parameter"])
+    def test_kind_without_closed_form_is_exit_2(self, tmp_path, capsys, overrides, message):
+        path = write_scenario(tmp_path, rho0="diag 0.5", **overrides)
+        for command in ("stein", "beta-eps"):
+            assert main(["--scenario", path, "--command", command]) == 2
+            assert message in capsys.readouterr().err
+
+    def test_edge_constructors_infer_no_kind(self):
+        # the torus closed forms need parameters strictly inside (0, 1)
+        assert parse_scenario(json.dumps(scenario_doc(rho1="diag 1.0"))).kind is None
+
     def test_group_dimension_mismatch(self):
         doc = scenario_doc(group={"type": "torus", "weights": [0, 1, 2]})
         with pytest.raises(ScenarioError, match="dimension"):
@@ -157,6 +171,16 @@ class TestCommands:
             assert eps == 0.2
             assert lo <= beta1 + 1e-9
             assert beta1 <= hi + 1e-9
+
+    @pytest.mark.parametrize("rho0,rho1", [("diag 0.5", "diag 1.0"), ("diag 1.0", "diag 0.0")],
+                             ids=["support-not-nested", "orthogonal"])
+    def test_beta_eps_floor_needs_nested_supports(self, tmp_path, rho0, rho1):
+        # psi_n(s > 1) is +inf when supp rho0 leaves supp rho1, so no floor holds
+        out = tmp_path / "beta.csv"
+        assert main(["--scenario", write_scenario(tmp_path, rho0=rho0, rho1=rho1, n_max=3),
+                     "--command", "beta-eps", "--out", str(out)]) == 0
+        rows = out.read_text().strip().splitlines()[1:]
+        assert [row.split(",")[4] for row in rows] == ["-inf"] * 3
 
     @pytest.mark.parametrize("overrides", [
         {"rho0": "pure-qubit 0.3", "rho1": "pure-qubit 0.6"},

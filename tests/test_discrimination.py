@@ -16,7 +16,8 @@ from symtest.asymptotics import (
 from symtest.discrimination import (
     ErrorPair,
     TestOperator,
-    _common_eigenbasis,
+    _commuting_atoms,
+    _general_dual,
     average_error,
     beta_eps,
     error_pair,
@@ -296,8 +297,8 @@ class TestThresholdErrors:
     ], ids=["random", "shared-basis"])
     def test_pairs_match_projections(self, make_pairs, commuting, n):
         for rho0, rho1 in make_pairs():
-            # selects the evaluator: common eigenbasis weights or one eigh per rate
-            assert (_common_eigenbasis(rho0, rho1) is not None) == commuting
+            # selects the evaluator: joint eigenvalue atoms or one eigh per rate
+            assert (_commuting_atoms(rho0, rho1) is not None) == commuting
             assert_allclose(threshold_errors(rho0, rho1, RATES, n=n),
                             projection_errors(rho0, rho1, RATES, n=n), rtol=0, atol=1e-12)
 
@@ -315,12 +316,27 @@ class TestThresholdErrors:
             assert_allclose(threshold_errors(*pair, RATES), projection_errors(*pair, RATES),
                             rtol=0, atol=1e-12)
 
-    def test_common_eigenbasis_reads_the_kept_spectrum(self, monkeypatch):
-        # the kept spectrum is taken block by block, so the weights from a dense
-        # eigh of the same matrices agree as multisets of atoms up to rounding,
-        # and byte for byte with states built again from the same matrices
+    def test_atoms_are_cut_on_their_eigenvalue(self):
+        # an atom is kept when e^{-na} w0 - w1, its eigenvalue of the
+        # difference, survives the cut, as in the projection; cutting that
+        # eigenvalue times the overlap instead drops atoms the projection keeps
+        # on this degenerate pair (by 7e-10 in beta0)
         sc = make_scenario("Z2Commuting", lam=0.2, mu=0.7)
-        pair = twirled_pair(sc.rho0, sc.rho1, sc.action, 5)
+        pair = twirled_pair(sc.rho0, sc.rho1, sc.action, 8)
+        assert_allclose(threshold_errors(*pair, RATES), projection_errors(*pair, RATES),
+                        rtol=0, atol=1e-12)
+
+    def test_common_eigenbasis_reads_the_kept_spectrum(self, monkeypatch):
+        # the atoms come from the spectra the states keep, so no eigh runs,
+        # and the atom dual lands on the golden-section dual of the dense
+        # matrices within its accuracy (the dual's slope is at most 1 and
+        # golden section stops at 1e-10 in t)
+        pairs = []
+        for kind, params in (("TorusTwoPure", {"lam": 0.3, "mu": 0.6}),
+                             ("TorusPureVsMixed", {"alpha": 0.3}),
+                             ("Z2Commuting", {"lam": 0.2, "mu": 0.7})):
+            sc = make_scenario(kind, **params)
+            pairs.extend(twirled_pair(sc.rho0, sc.rho1, sc.action, n) for n in (1, 3, 5))
         calls = []
 
         def counted(*args, _real=np.linalg.eigh, **kwargs):
@@ -328,18 +344,13 @@ class TestThresholdErrors:
             return _real(*args, **kwargs)
 
         monkeypatch.setattr(np.linalg, "eigh", counted)
-        kept = _common_eigenbasis(*pair)
-        rotations = len(calls)
-        fresh = _common_eigenbasis(pair[0].mat, pair[1].mat)
-        assert len(calls) == 2 * rotations + 1
-        unmatched = list(zip(*fresh))
-        for atom in zip(*kept):
-            gaps = [max(abs(atom[0] - p), abs(atom[1] - q)) for p, q in unmatched]
-            best = int(np.argmin(gaps))
-            assert gaps[best] <= 1e-14
-            unmatched.pop(best)
-        again = _common_eigenbasis(*(DensityOperator.from_matrix(r.mat) for r in pair))
-        assert np.array_equal(kept[0], again[0]) and np.array_equal(kept[1], again[1])
+        for pair in pairs:
+            assert _commuting_atoms(*pair) is not None
+            for eps in (0.1, 0.3):
+                value = beta_eps(*pair, eps)
+                assert value == pytest.approx(_general_dual(pair[0].mat, pair[1].mat, eps),
+                                              abs=1e-9)
+        assert not calls
 
     def test_one_row_per_rate(self, rng):
         rho0, rho1 = faithful(rng), faithful(rng)
@@ -372,7 +383,7 @@ class TestStrongConverse:
             pair = twirled_pair(sc.rho0, sc.rho1, sc.action, n)
             for eps in (0.1, 0.3):
                 value = beta_eps(*pair, eps)
-                for a in stein_a_grid(curve.evaluate):
+                for a in stein_a_grid(curve.slope(1.0)):
                     bound = strong_converse_bound(*pair, eps=eps, a=float(a), n=n)
                     assert bound <= value + 1e-9
 

@@ -32,7 +32,6 @@ from symtest.divergences import (
     relative_entropy,
     renyi,
     renyi_entropy,
-    richardson_derivative,
 )
 from symtest.discrimination import (
     average_error,
@@ -111,12 +110,36 @@ class TestPsiCurve:
     def test_convexity_validated(self):
         with pytest.raises(ValueError, match="convex"):
             PsiCurve(np.array([0.0, 0.5, 1.0]), np.array([0.0, 1.0, 0.0]),
-                     lambda s: 1.0 - abs(2.0 * s - 1.0))
+                     lambda s: 1.0 - abs(2.0 * s - 1.0), lambda s: 2.0 - 4.0 * (s > 0.5))
 
     def test_evaluator_required(self):
         grid = np.array([0.0, 0.5, 1.0])
         with pytest.raises(TypeError):
             PsiCurve(grid, np.zeros_like(grid))
+        with pytest.raises(TypeError):
+            PsiCurve(grid, np.zeros_like(grid), lambda s: 0.0)
+
+
+class TestSlope:
+    @pytest.mark.parametrize("kind,params", [
+        ("TorusPureVsMixed", {"alpha": 0.3}),
+        ("Z2Commuting", {"lam": 0.2, "mu": 0.7}),
+    ])
+    @pytest.mark.parametrize("n", [3, 6, 9])
+    def test_slope_at_one_is_relative_entropy(self, kind, params, n):
+        sc = make_scenario(kind, **params)
+        pair = twirled_pair(sc.rho0, sc.rho1, sc.action, n)
+        assert PsiEvaluator(*pair).slope(1.0) == pytest.approx(relative_entropy(*pair), abs=1e-13)
+
+    def test_slope_matches_central_difference(self, rng):
+        ev = PsiEvaluator(faithful(rng, 3), faithful(rng, 3))
+        h = 1e-5
+        for s in (-0.5, 0.0, 0.4, 1.0, 1.8):
+            central = (ev.psi(s + h) - ev.psi(s - h)) / (2.0 * h)
+            assert ev.slope(s) == pytest.approx(central, abs=1e-8)
+
+    def test_orthogonal_supports_have_no_slope(self):
+        assert math.isnan(PsiEvaluator(np.diag([1.0, 0.0]), np.diag([0.0, 1.0])).slope(0.5))
 
 
 class TestRenyi:
@@ -221,7 +244,7 @@ class TestChernoff:
         assert chernoff_distance(curve) == math.inf
 
     def test_requires_coverage(self):
-        curve = PsiCurve(np.linspace(0.2, 0.8, 10), np.zeros(10), lambda s: 0.0)
+        curve = PsiCurve(np.linspace(0.2, 0.8, 10), np.zeros(10), lambda s: 0.0, lambda s: 0.0)
         with pytest.raises(ValueError, match="cover"):
             chernoff_distance(curve)
 
@@ -237,6 +260,15 @@ class TestHoeffding:
     def test_identical_states_zero(self, rng):
         rho = faithful(rng)
         assert hoeffding_distance(psi_curve(rho, rho), 0.1) == pytest.approx(0.0, abs=1e-9)
+
+    @pytest.mark.parametrize("n", [6, 9])
+    def test_zero_rate_is_relative_entropy_on_twirled_pairs(self, n):
+        # at r = 0 the value is the exact slope at s = 1, with no finite
+        # difference to amplify roundoff as n grows
+        sc = make_scenario("TorusPureVsMixed", alpha=0.3)
+        pair = twirled_pair(sc.rho0, sc.rho1, sc.action, n)
+        assert hoeffding_distance(psi_curve(*pair), 0.0) == pytest.approx(
+            relative_entropy(*pair), abs=1e-12)
 
     def test_matches_dense_grid_oracle(self):
         curve = closed_form_curve("TorusPureVsMixed", {"alpha": 0.3})
@@ -265,7 +297,7 @@ class TestLegendreFenchel:
 
     def test_flat_curve_hinge(self):
         grid = default_s_grid()
-        curve = PsiCurve(grid, np.zeros_like(grid), lambda s: 0.0)
+        curve = PsiCurve(grid, np.zeros_like(grid), lambda s: 0.0, lambda s: 0.0)
         for a in (-0.7, -0.1, 0.0, 0.2, 1.3):
             assert lf_transform(curve, a, (0.0, 1.0)) == pytest.approx(max(a, 0.0), abs=1e-12)
 
@@ -302,8 +334,8 @@ class TestLegendreFenchel:
     def test_phi_tilde_nonnegative_at_slope(self, rng):
         rho0, rho1 = faithful(rng), faithful(rng)
         curve = psi_curve(rho0, rho1)
-        # at a equal to the right slope at 1 the transform vanishes
-        a = richardson_derivative(curve.evaluate, 1.0, side="right")
+        # at a equal to the slope at 1 the transform vanishes
+        a = curve.slope(1.0)
         assert phi_tilde(curve, a) == pytest.approx(0.0, abs=1e-6)
         assert phi_tilde(curve, a + 0.5) > 0.0
 

@@ -35,10 +35,10 @@ REMOVED = {
     "divergences": {
         "lieb_bound_check": ("tol",),
         "_golden_min": ("xtol",),
-        "richardson_derivative": ("hs",),
         "_scan_min": ("refine",),
         "psi_curve": ("n", "label"),
         "PsiCurve": ("n", "label"),
+        "PsiEvaluator": ("cut_scale",),
     },
     "discrimination": {
         "pmin_bounds_check": ("tol",),
@@ -60,6 +60,8 @@ REMOVED = {
         "HermitianOperator": ("herm_tol",),
         "DensityOperator": ("trace_tol",),
         "DensityOperator.from_matrix": ("trace_tol",),
+        "above_cut": ("cut_scale",),
+        "Spectrum.support": ("cut_scale",),
     },
     "oracle": {
         "dense_twirl_oracle": ("samples",),
