@@ -17,8 +17,6 @@ from .linalg import (
     trace_norm,
 )
 from .groups import (
-    Block,
-    BlockStructure,
     GroupAction,
     block_structure,
     dim_growth,

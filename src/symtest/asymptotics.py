@@ -325,7 +325,7 @@ def stein_gap_check(scenario: Scenario, n: int) -> CheckReport:
     pinched = pinching_map(kron_power(asmatrix(scenario.rho0), n), powered, projections)
     s_pinched = relative_entropy(DensityOperator.from_matrix(pinched), rho1_pow)
     allowance = scenario.rho0.dim * math.log(n + 1.0) + 2.0 * math.log(
-        block_structure(scenario.action, n).sum_irrep_dims()
+        sum(d for _, d in block_structure(scenario.action, n))
     )
     report.check_leq("pinched relative entropy <= n*S", s_pinched, n * s_single, 1e-8, n=n)
     report.check_leq("n*S - pinched <= rank allowance",

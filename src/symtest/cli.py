@@ -204,9 +204,14 @@ def parse_scenario(text: str) -> Scenario:
         raise ScenarioError("rho0 and rho1 have different dimensions")
     action = _parse_group(doc["group"], rho0.dim)
     n_max = doc["n_max"]
-    if not isinstance(n_max, int) or n_max < 1:
+    if not isinstance(n_max, int) or isinstance(n_max, bool) or n_max < 1:
         raise ScenarioError(f"n_max must be a positive integer, got {n_max!r}")
-    params = dict(doc.get("params", {}))
+    params = doc.get("params", {})
+    if not isinstance(params, dict) or not all(
+            isinstance(v, (int, float)) and not isinstance(v, bool) and math.isfinite(v)
+            for v in params.values()):
+        raise ScenarioError(f"params must be an object of finite numbers, got {params!r}")
+    params = dict(params)
     for ctor, names in ((ctor0, ("lam", "alpha")), (ctor1, ("mu", "alpha"))):
         if ctor is not None:
             name = "alpha" if ctor[0] == "diag" else names[0]
@@ -367,9 +372,7 @@ def _beta_eps_row(pair, n: int, config: RunConfig, floored: bool) -> tuple:
         grid = config.a_grid
         if grid is None:
             grid = stein_a_grid(ev.slope(1.0) / n)
-        floor = max(strong_converse_bound(*pair, eps=config.eps, a=float(a), n=n,
-                                          evaluator=ev)
-                    for a in grid)
+        floor = max(strong_converse_bound(ev, eps=config.eps, a=float(a), n=n) for a in grid)
     else:
         floor = float("-inf")
     achievable = _best_pure_threshold_beta1(pair, config.eps)

@@ -21,7 +21,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .divergences import PsiEvaluator, _golden_min, _scan_min
+from .divergences import PsiEvaluator, _golden_min, _scan_min, fidelity
 from .errors import DimensionError
 from .linalg import (
     HermitianOperator,
@@ -230,20 +230,18 @@ def beta_eps(rho0n, rho1n, eps: float) -> float:
     return _general_dual(m0, m1, eps)
 
 
-def strong_converse_bound(rho0n, rho1n, eps: float, a: float, n: int,
-                          evaluator: PsiEvaluator | None = None) -> float:
+def strong_converse_bound(evaluator: PsiEvaluator, eps: float, a: float, n: int) -> float:
     """Converse floor e^{-na} (1 - eps - e^{-max over [1,3/2] of {na(s-1) - psi_n(s)}}).
 
     Nonpositive values mean the bound is vacuous at this rate.  It holds only
     where supp rho0 lies in supp rho1 (else psi_n(s > 1) is +inf, which the
     convention 0**s = 0 makes finite) and supp rho1 is invariant under the
-    group; the caller checks both.  Pass a prebuilt evaluator when sweeping
-    many rates over one state pair.
+    group; the caller checks both.  evaluator is the PsiEvaluator of the
+    n-copy pair, built once for every rate swept over it.
     """
-    ev = evaluator if evaluator is not None else PsiEvaluator(rho0n, rho1n)
 
     def neg_objective(s: float) -> float:
-        return ev.psi(s) - n * a * (s - 1.0)
+        return evaluator.psi(s) - n * a * (s - 1.0)
 
     phi_tilde_n = -_scan_min(neg_objective, np.linspace(1.0, 1.5, 21))[1]
     return math.exp(-n * a) * (1.0 - eps - math.exp(-phi_tilde_n))
@@ -256,8 +254,6 @@ def stein_a_grid(slope: float) -> np.ndarray:
 
 def fidelity_pmin_check(rho0n, rho1n) -> CheckReport:
     """Fidelity sandwich around the equal-priors symmetric error."""
-    from .divergences import fidelity  # local to avoid a cycle at import time
-
     f = fidelity(rho0n, rho1n)
     value = average_error(rho0n, rho1n)
     lower = (1.0 - math.sqrt(max(1.0 - f * f, 0.0))) / 2.0

@@ -157,18 +157,14 @@ def renyi_entropy(rho, alpha: float) -> float:
 
 
 def relative_entropy(rho0, rho1) -> float:
-    """Tr rho0 (log rho0 - log rho1) when supp rho0 <= supp rho1, else +inf."""
-    m0, _ = matrix_pair(rho0, rho1)
-    s0, s1 = eig(rho0).support(), eig(rho1).support()
-    v0, v1 = s0.eigenvectors, s1.eigenvectors
+    """Tr rho0 (log rho0 - log rho1) when supp rho0 <= supp rho1, else +inf:
+    the slope of psi at s = 1."""
+    matrix_pair(rho0, rho1)  # raises DimensionError on a dimension mismatch
+    v0, v1 = eig(rho0).support().eigenvectors, eig(rho1).support().eigenvectors
     resid = v0 - v1 @ (v1.conj().T @ v0)  # the part of supp rho0 outside supp rho1
     if float(np.linalg.norm(resid)) > 1e-7:
         return POS_INF
-    w0 = s0.eigenvalues
-    term0 = float(np.sum(w0 * np.log(w0)))
-    weights = ((v1.conj().T @ m0) * v1.T).sum(axis=1).real
-    term1 = float(np.sum(np.log(s1.eigenvalues) * weights))
-    return term0 - term1
+    return PsiEvaluator(rho0, rho1).slope(1.0)
 
 
 def fidelity(rho, sigma) -> float:

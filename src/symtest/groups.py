@@ -17,9 +17,15 @@ instead of decomposing the state again.  The twirl lands in the commutant,
 which is block diagonal up to a permutation, and writes the zeros between
 its blocks exactly (the torus pinching between weight classes, the sign-flip
 average on odd-parity entries), so the decomposition runs one block at a
-time.  block_structure finds the blocks of a finite action's commutant with
-the same component finder (linalg.components), run on the coupling of the
-eigenvalue clusters of a twirled probe.
+time.
+
+block_structure describes the commutant, a direct sum of blocks
+M_m (x) I_d, by the sorted multiset of its (m, d) pairs, which is all the
+finite-n accounting reads: the Stein-gap allowance, the (sum_i d_i)^2
+prefactor on absolute power traces and dim_growth.  The torus reads the
+pairs off the weight counts; a finite action reads them off the eigenvalue
+clusters of a twirled probe, linked by a second probe through the same
+component finder (linalg.components).
 """
 
 from __future__ import annotations
@@ -209,52 +215,12 @@ def is_support_invariant(rho1, action: GroupAction) -> bool:
     return float(np.max(np.abs(twirl(p, action) - p))) <= 1e-8
 
 
-@dataclass(frozen=True)
-class Block:
-    """One isotypic block of the commutant: a copy of M_m tensor I_d."""
-
-    multiplicity: int
-    irrep_dim: int
-    basis: np.ndarray  # dim x (multiplicity * irrep_dim) isometry
-
-    def __post_init__(self):
-        b = np.asarray(self.basis, dtype=complex)
-        b.setflags(write=False)
-        object.__setattr__(self, "basis", b)
-
-
-@dataclass(frozen=True)
-class BlockStructure:
-    blocks: tuple[Block, ...]
-    total_dim: int
-
-    def __post_init__(self):
-        total = sum(b.multiplicity * b.irrep_dim for b in self.blocks)
-        if total != self.total_dim:
-            raise ConvergenceError(
-                f"block dimensions sum to {total}, expected {self.total_dim}"
-            )
-        for i, bi in enumerate(self.blocks):
-            for j, bj in enumerate(self.blocks):
-                gram = bi.basis.conj().T @ bj.basis
-                target = np.eye(gram.shape[0], gram.shape[1]) if i == j else 0.0
-                if float(np.max(np.abs(gram - target))) > 1e-8:
-                    raise ConvergenceError("block bases are not orthonormal isometries")
-
-    def sum_irrep_dims(self) -> int:
-        return sum(b.irrep_dim for b in self.blocks)
-
-    def shape(self) -> list[tuple[int, int]]:
-        """Sorted multiset of (multiplicity, irrep_dim) pairs."""
-        return sorted((b.multiplicity, b.irrep_dim) for b in self.blocks)
-
-
 def _random_hermitian(rng: np.random.Generator, dim: int) -> np.ndarray:
     g = rng.standard_normal((dim, dim)) + 1j * rng.standard_normal((dim, dim))
     return (g + g.conj().T) / 2.0
 
 
-def _finite_blocks(unitaries, dim: int) -> list[Block]:
+def _finite_blocks(unitaries, dim: int) -> list[tuple[int, int]]:
     """Numerical isotypic decomposition of the commutant of a finite action.
 
     A generic twirled Hermitian probe has eigenvalue clusters of size d_i,
@@ -269,23 +235,23 @@ def _finite_blocks(unitaries, dim: int) -> list[Block]:
         w, v = np.linalg.eigh((t1 + t1.conj().T) / 2.0)
         scale = max(1.0, float(np.max(np.abs(w))))
         runs = cluster_slices(w, 1e-8 * scale)
-        bases = [v[:, run] for run in runs]
-        # coupling[i, j] = frob(bases[i]^* t2 bases[j])**2, so the clusters
-        # i and j are linked when that norm exceeds conn_tol
+        sizes = [run.stop - run.start for run in runs]
+        # coupling[i, j] is the squared Frobenius norm of t2 between the
+        # eigenvector clusters i and j, so they are linked when that norm
+        # exceeds conn_tol
         edges = [run.start for run in runs]
         overlap = np.abs(v.conj().T @ t2 @ v) ** 2
         coupling = np.add.reduceat(np.add.reduceat(overlap, edges, axis=0), edges, axis=1)
         conn_tol = 1e-8 * max(1.0, frob(t2))
         lone, comps = components(coupling > conn_tol**2)
 
-        blocks = []
-        for members in sorted([*lone[:, None], *comps], key=lambda idx: idx[0]):
-            ranks = {bases[i].shape[1] for i in members}
+        shape = [(1, sizes[i]) for i in lone]
+        for members in comps:
+            ranks = {sizes[i] for i in members}
             if len(ranks) != 1:
                 return None  # an accidental eigenvalue collision merged blocks
-            basis = np.hstack([bases[i] for i in members])
-            blocks.append((len(members), ranks.pop(), basis))
-        return blocks
+            shape.append((len(members), ranks.pop()))
+        return sorted(shape)
 
     first = attempt(1)
     second = attempt(2)
@@ -293,39 +259,32 @@ def _finite_blocks(unitaries, dim: int) -> list[Block]:
         raise ConvergenceError(
             f"block extraction failed for dimension {dim}: degenerate probe spectrum"
         )
-    shape1 = sorted((m, d) for m, d, _ in first)
-    shape2 = sorted((m, d) for m, d, _ in second)
-    if shape1 != shape2:
+    if first != second:
         raise ConvergenceError(
-            f"block extraction did not stabilize across probes: {shape1} vs {shape2}"
+            f"block extraction did not stabilize across probes: {first} vs {second}"
         )
-    if sum(m * d for m, d, _ in first) != dim:
+    if sum(m * d for m, d in first) != dim:
         raise ConvergenceError(
-            f"block extraction lost dimensions: {shape1} does not fill {dim}"
+            f"block extraction lost dimensions: {first} does not fill {dim}"
         )
-    return [Block(m, d, basis) for m, d, basis in first]
+    return first
 
 
-def block_structure(action: GroupAction, n: int = 1) -> BlockStructure:
-    """Block decomposition of the commutant of the n-fold powered action."""
+def block_structure(action: GroupAction, n: int = 1) -> list[tuple[int, int]]:
+    """The commutant of the n-fold powered action as the sorted multiset of
+    (multiplicity, irrep_dim) pairs (m_i, d_i) of its blocks M_m (x) I_d."""
     powered = tensor_power(action, n)
-    dim = powered.dim
     if powered.kind == TORUS:
-        w = powered.weights
-        eye = np.eye(dim, dtype=complex)
-        blocks = []
-        for value in np.unique(w):
-            idx = np.nonzero(w == value)[0]
-            blocks.append(Block(int(idx.size), 1, eye[:, idx]))
-        return BlockStructure(tuple(blocks), dim)
-    return BlockStructure(tuple(_finite_blocks(powered.unitaries, dim)), dim)
+        _, counts = np.unique(powered.weights, return_counts=True)
+        return sorted((int(c), 1) for c in counts)
+    return _finite_blocks(powered.unitaries, powered.dim)
 
 
 def dim_growth(action: GroupAction, n_max: int) -> list[float]:
     """(1/n) log sum_i d_i for n = 1..n_max; decays to zero for compact groups."""
     out = []
     for n in range(1, n_max + 1):
-        total = block_structure(action, n).sum_irrep_dims()
+        total = sum(d for _, d in block_structure(action, n))
         out.append(float(np.log(total)) / n)
     return out
 
@@ -361,11 +320,7 @@ def weyl_twirl(a, m: int, d: int):
             f"dimension {mat.shape[0]} is not factorable as m*d = {m}*{d}"
         )
     eye_m = np.eye(m, dtype=complex)
-    acc = np.zeros_like(mat)
-    for w in _weyl_unitaries(d):
-        u = np.kron(eye_m, w)
-        acc += u @ mat @ u.conj().T
-    out = acc / (d * d)
+    out = _average_conjugations(mat, [np.kron(eye_m, w) for w in _weyl_unitaries(d)])
     return _like(a, out)
 
 

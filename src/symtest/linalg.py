@@ -35,7 +35,15 @@ DEFAULT_DIM_CAP = 4096
 def dim_cap() -> int:
     """Largest allowed operator dimension; override with SYMTEST_DIM_CAP."""
     raw = os.environ.get("SYMTEST_DIM_CAP", "")
-    return int(raw) if raw.strip() else DEFAULT_DIM_CAP
+    if not raw.strip():
+        return DEFAULT_DIM_CAP
+    try:
+        cap = int(raw)
+        if cap < 1:
+            raise ValueError(cap)
+    except ValueError:
+        raise DimensionError(f"SYMTEST_DIM_CAP must be a positive integer, got {raw!r}") from None
+    return cap
 
 
 def asmatrix(a) -> np.ndarray:

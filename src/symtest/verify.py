@@ -216,7 +216,7 @@ def trace_norm_power_report(scenarios, n_max: int) -> CheckReport:
             continue
         for n in range(1, min(n_max, 4) + 1):
             pair = twirled_pair(sc.rho0, sc.rho1, sc.action, n)
-            prefactor = block_structure(sc.action, n).sum_irrep_dims() ** 2
+            prefactor = sum(d for _, d in block_structure(sc.action, n)) ** 2
             for s in (0.5, 0.6, 0.75, 0.9, 1.0):
                 lhs = abs_power_trace(*pair, s)
                 rhs = prefactor * abs_power_trace(sc.rho0, sc.rho1, s) ** n
@@ -335,7 +335,7 @@ def beta_eps_converse_report(scenarios) -> CheckReport:
         ev = PsiEvaluator(*pair)
         value = beta_eps(*pair, 0.1)
         for a in stein_a_grid(curve.slope(1.0)):
-            bound = strong_converse_bound(*pair, eps=0.1, a=float(a), n=n, evaluator=ev)
+            bound = strong_converse_bound(ev, eps=0.1, a=float(a), n=n)
             report.check_leq(f"n={n}, a={a:.3f}: floor <= beta_eps", bound, value, 1e-9,
                              n=n, a=float(a))
     return report

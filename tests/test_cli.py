@@ -87,7 +87,16 @@ class TestParseScenario:
     @pytest.mark.parametrize("overrides,message", [
         ({"kind": "Bogus"}, "no closed form for scenario kind 'Bogus'"),
         ({"kind": "TorusTwoPure"}, "needs the parameter 'lam'"),
-    ], ids=["unknown-kind", "missing-parameter"])
+        ({"params": [1, 2]}, "params must be an object of finite numbers"),
+        ({"params": "ab"}, "params must be an object of finite numbers"),
+        ({"params": {"alpha": "x"}}, "params must be an object of finite numbers"),
+        ({"params": {"alpha": None}}, "params must be an object of finite numbers"),
+        ({"params": {"alpha": True}}, "params must be an object of finite numbers"),
+        ({"params": {"alpha": math.nan}}, "params must be an object of finite numbers"),
+        ({"n_max": True}, "n_max must be a positive integer, got True"),
+    ], ids=["unknown-kind", "missing-parameter", "params-list", "params-string",
+            "params-text-value", "params-null-value", "params-bool-value", "params-nan-value",
+            "n_max-bool"])
     def test_kind_without_closed_form_is_exit_2(self, tmp_path, capsys, overrides, message):
         path = write_scenario(tmp_path, rho0="diag 0.5", **overrides)
         for command in ("stein", "beta-eps"):
@@ -275,6 +284,12 @@ class TestCommands:
             "--scenario", write_scenario(tmp_path, n_max=5),
             "--command", "psi",
         ]) == 3
+
+    @pytest.mark.parametrize("cap", ["abc", "0", "-4"])
+    def test_malformed_dimension_cap_is_exit_3(self, tmp_path, monkeypatch, capsys, cap):
+        monkeypatch.setenv("SYMTEST_DIM_CAP", cap)
+        assert main(["--scenario", write_scenario(tmp_path), "--command", "psi"]) == 3
+        assert f"SYMTEST_DIM_CAP must be a positive integer, got {cap!r}" in capsys.readouterr().err
 
     def test_repeated_group_element_is_exit_2(self, tmp_path, capsys):
         eye = [[[1, 0], [0, 0]], [[0, 0], [1, 0]]]

@@ -29,7 +29,7 @@ from symtest.discrimination import (
     strong_converse_bound,
     threshold_errors,
 )
-from symtest.divergences import fidelity, psi
+from symtest.divergences import PsiEvaluator, fidelity, psi
 from symtest.errors import DimensionError
 from symtest.groups import twirled_pair
 from symtest.linalg import DensityOperator, kron_power
@@ -363,7 +363,7 @@ class TestThresholdErrors:
 class TestStrongConverse:
     def test_identical_states_vacuous(self, rng):
         rho = faithful(rng)
-        bound = strong_converse_bound(rho, rho, eps=0.1, a=0.0, n=1)
+        bound = strong_converse_bound(PsiEvaluator(rho, rho), eps=0.1, a=0.0, n=1)
         assert bound < 0.0
 
     def test_bound_positive_and_below_beta_eps(self):
@@ -372,7 +372,7 @@ class TestStrongConverse:
         pair = twirled_pair(sc.rho0, sc.rho1, sc.action, n)
         value = beta_eps(*pair, eps)
         a = S_M_03 + 0.2
-        bound = strong_converse_bound(*pair, eps=eps, a=a, n=n)
+        bound = strong_converse_bound(PsiEvaluator(*pair), eps=eps, a=a, n=n)
         assert bound > 0.0
         assert bound <= value + 1e-9
 
@@ -381,10 +381,11 @@ class TestStrongConverse:
         curve = closed_form_curve(sc.kind, sc.params)
         for n in (4, 6):
             pair = twirled_pair(sc.rho0, sc.rho1, sc.action, n)
+            ev = PsiEvaluator(*pair)
             for eps in (0.1, 0.3):
                 value = beta_eps(*pair, eps)
                 for a in stein_a_grid(curve.slope(1.0)):
-                    bound = strong_converse_bound(*pair, eps=eps, a=float(a), n=n)
+                    bound = strong_converse_bound(ev, eps=eps, a=float(a), n=n)
                     assert bound <= value + 1e-9
 
 

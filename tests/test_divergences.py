@@ -129,7 +129,16 @@ class TestSlope:
     def test_slope_at_one_is_relative_entropy(self, kind, params, n):
         sc = make_scenario(kind, **params)
         pair = twirled_pair(sc.rho0, sc.rho1, sc.action, n)
-        assert PsiEvaluator(*pair).slope(1.0) == pytest.approx(relative_entropy(*pair), abs=1e-13)
+        # dense reference from one numpy eigh of each state; rho1 is faithful here
+        m0, m1 = pair[0].mat, pair[1].mat
+        w0 = np.linalg.eigh(m0)[0]
+        w0 = w0[w0 > 1e-12]
+        w1, v1 = np.linalg.eigh(m1)
+        assert w1[0] > 1e-12
+        log_rho1 = (v1 * np.log(w1)) @ v1.conj().T
+        dense = float(np.sum(w0 * np.log(w0))) - float(np.trace(m0 @ log_rho1).real)
+        assert PsiEvaluator(*pair).slope(1.0) == pytest.approx(dense, abs=1e-13)
+        assert relative_entropy(*pair) == pytest.approx(dense, abs=1e-13)
 
     def test_slope_matches_central_difference(self, rng):
         ev = PsiEvaluator(faithful(rng, 3), faithful(rng, 3))
@@ -438,7 +447,7 @@ TWO_STATE_FUNCTIONS = {
     "np_test": lambda a, b: np_test(a, b, 0.0),
     "threshold_errors": lambda a, b: threshold_errors(a, b, [0.0]),
     "error_pair": lambda a, b: error_pair(np.eye(2), a, b),
-    "strong_converse_bound": lambda a, b: strong_converse_bound(a, b, eps=0.1, a=0.1, n=1),
+    "strong_converse_bound": lambda a, b: strong_converse_bound(PsiEvaluator(a, b), eps=0.1, a=0.1, n=1),
     "pmin_bounds_check": lambda a, b: pmin_bounds_check(a, b, 0.0),
     "fidelity_pmin_check": fidelity_pmin_check,
 }
@@ -467,7 +476,7 @@ class TestFidelityPowers:
         sc = make_scenario("TorusPureVsMixed", alpha=0.3)
         for n in (1, 2, 3):
             pair = twirled_pair(sc.rho0, sc.rho1, sc.action, n)
-            prefactor = block_structure(sc.action, n).sum_irrep_dims() ** 2
+            prefactor = sum(d for _, d in block_structure(sc.action, n)) ** 2
             single = {s: abs_power_trace(sc.rho0, sc.rho1, s) for s in (0.25, 0.5, 0.75)}
             assert abs_power_trace(*pair, 0.75) <= prefactor * single[0.75] ** n + 1e-9
             assert abs_power_trace(*pair, 0.5) <= prefactor * single[0.5] ** n + 1e-9

@@ -194,17 +194,15 @@ class TestBlockStructure:
         for n in (1, 3, 5):
             bs = block_structure(torus_action(), n)
             expected = sorted((math.comb(n, i), 1) for i in range(n + 1))
-            assert bs.shape() == expected
-            assert bs.total_dim == 2**n
+            assert bs == expected
+            assert sum(m * d for m, d in bs) == 2**n
 
     def test_z2_two_half_blocks(self):
         for n in (2, 3, 4):
-            bs = block_structure(z2_action(), n)
-            assert bs.shape() == [(2 ** (n - 1), 1), (2 ** (n - 1), 1)]
+            assert block_structure(z2_action(), n) == [(2 ** (n - 1), 1), (2 ** (n - 1), 1)]
 
     def test_trivial_group_single_block(self):
-        bs = block_structure(GroupAction.trivial(2), 3)
-        assert bs.shape() == [(8, 1)]
+        assert block_structure(GroupAction.trivial(2), 3) == [(8, 1)]
 
     def test_single_qubit_pauli_blocks(self):
         # the full one-qubit Pauli group (with phases) has scalar commutant
@@ -216,13 +214,13 @@ class TestBlockStructure:
         ]
         mats = [phase * p for phase in (1, 1j, -1, -1j) for p in paulis]
         action = GroupAction.finite(mats)
-        assert block_structure(action, 1).shape() == [(1, 2)]
+        assert block_structure(action, 1) == [(1, 2)]
         # two copies: the generators commute, so four one-dimensional blocks
         # (the Bell basis)
-        assert block_structure(action, 2).shape() == [(1, 1)] * 4
+        assert block_structure(action, 2) == [(1, 1)] * 4
         # three copies: X^3 and Z^3 anticommute, which forces a single block
         # with a two-dimensional irrep of multiplicity four
-        assert block_structure(action, 3).shape() == [(4, 2)]
+        assert block_structure(action, 3) == [(4, 2)]
 
     def test_s3_permutation_blocks(self):
         # trivial, sign and two-dimensional standard irreps of S3 on (C^3)^{(x)n}
@@ -233,13 +231,12 @@ class TestBlockStructure:
                     4: [(13, 1), (14, 1), (27, 2)]}
         for n, shape in expected.items():
             bs = block_structure(action, n)
-            assert bs.shape() == shape
-            assert bs.total_dim == 3**n
+            assert bs == shape
+            assert sum(m * d for m, d in bs) == 3**n
 
     def test_block_count_sums(self):
         for action, n in ((z2_action(), 4), (torus_action(), 4)):
-            bs = block_structure(action, n)
-            assert sum(m * d for m, d in bs.shape()) == 2**n
+            assert sum(m * d for m, d in block_structure(action, n)) == 2**n
 
 
 class TestDimGrowth:
