@@ -164,6 +164,7 @@ def relative_entropy(rho0, rho1) -> float:
     resid = v0 - v1 @ (v1.conj().T @ v0)  # the part of supp rho0 outside supp rho1
     if float(np.linalg.norm(resid)) > 1e-7:
         return POS_INF
+    del v0, v1, resid  # the evaluator takes its own support copies: free these first
     return PsiEvaluator(rho0, rho1).slope(1.0)
 
 
