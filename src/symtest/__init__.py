@@ -6,10 +6,10 @@ together."""
 from .errors import ConvergenceError, DimensionError, ScenarioError, SymtestError
 from .linalg import (
     DensityOperator,
-    HermitianOperator,
     Spectrum,
     abs_power_trace,
     eig,
+    hermitian,
     kron,
     kron_power,
     mpow,

@@ -34,16 +34,16 @@ TORUS_TWO_PURE = "TorusTwoPure"
 def sigma_state(lam: float) -> DensityOperator:
     """Mixture of the two Hadamard-basis projectors with weight lam."""
     off = lam - 0.5
-    return DensityOperator.from_matrix([[0.5, off], [off, 0.5]])
+    return DensityOperator([[0.5, off], [off, 0.5]])
 
 
 def pure_qubit(lam: float) -> DensityOperator:
     root = math.sqrt(lam * (1.0 - lam))
-    return DensityOperator.from_matrix([[lam, root], [root, 1.0 - lam]])
+    return DensityOperator([[lam, root], [root, 1.0 - lam]])
 
 
 def diag_qubit(alpha: float) -> DensityOperator:
-    return DensityOperator.from_matrix([[alpha, 0.0], [0.0, 1.0 - alpha]])
+    return DensityOperator([[alpha, 0.0], [0.0, 1.0 - alpha]])
 
 
 def z2_action() -> GroupAction:
@@ -319,11 +319,11 @@ def stein_gap_check(scenario: Scenario, n: int) -> CheckReport:
     rho0n, rho1n = twirled_pair(scenario.rho0, scenario.rho1, scenario.action, n)
     report.check_leq("S(twirled)/n <= S(rho0||rho1)",
                      relative_entropy(rho0n, rho1n) / n, s_single, 1e-8, n=n)
-    rho1_pow = DensityOperator.from_matrix(kron_power(asmatrix(scenario.rho1), n))
+    rho1_pow = DensityOperator(kron_power(asmatrix(scenario.rho1), n))
     projections = [p for _, p in spectral_projections(rho1_pow)]
     powered = tensor_power(scenario.action, n)
     pinched = pinching_map(kron_power(asmatrix(scenario.rho0), n), powered, projections)
-    s_pinched = relative_entropy(DensityOperator.from_matrix(pinched), rho1_pow)
+    s_pinched = relative_entropy(DensityOperator(pinched), rho1_pow)
     allowance = scenario.rho0.dim * math.log(n + 1.0) + 2.0 * math.log(
         sum(d for _, d in block_structure(scenario.action, n))
     )

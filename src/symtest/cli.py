@@ -16,7 +16,7 @@ import argparse
 import json
 import math
 import sys
-from dataclasses import dataclass
+from dataclasses import dataclass, replace
 
 import numpy as np
 
@@ -53,7 +53,7 @@ from .divergences import (
     psi_curve,
     relative_entropy,
 )
-from .errors import ScenarioError, SymtestError
+from .errors import DimensionError, ScenarioError, SymtestError
 from .groups import GroupAction, is_support_invariant, twirled_pair
 from .linalg import DensityOperator
 from .verify import run_verify
@@ -140,7 +140,7 @@ def _parse_state(spec, label: str) -> tuple[DensityOperator, tuple | None]:
             f"{label}: expected a square matrix of [re, im] pairs, got shape {arr.shape}")
     mat = arr[..., 0] + 1j * arr[..., 1]
     try:
-        return DensityOperator.from_matrix(mat), None
+        return DensityOperator(mat), None
     except ValueError as exc:
         raise ScenarioError(f"{label} is not a density matrix: {exc}") from exc
 
@@ -149,20 +149,16 @@ def _parse_group(spec, dim: int) -> GroupAction:
     if not isinstance(spec, dict) or "type" not in spec:
         raise ScenarioError("group must be an object with a 'type' key")
     kind = spec["type"]
-    if kind == "torus":
-        try:
-            action = GroupAction.torus(spec["weights"])
-        except (KeyError, ValueError) as exc:
-            raise ScenarioError(f"bad torus group: {exc}") from exc
-    elif kind == "finite":
-        try:
-            mats = [np.asarray(u, dtype=float) for u in spec["unitaries"]]
-            unitaries = [u[..., 0] + 1j * u[..., 1] for u in mats]
-            action = GroupAction.finite(unitaries)
-        except (KeyError, ValueError, IndexError) as exc:
-            raise ScenarioError(f"bad finite group: {exc}") from exc
-    else:
+    if kind not in ("torus", "finite"):
         raise ScenarioError(f"unknown group type {kind!r}")
+    try:
+        if kind == "torus":
+            action = GroupAction.torus(spec["weights"])
+        else:
+            mats = [np.asarray(u, dtype=float) for u in spec["unitaries"]]
+            action = GroupAction.finite([u[..., 0] + 1j * u[..., 1] for u in mats])
+    except (KeyError, TypeError, ValueError, IndexError, DimensionError) as exc:
+        raise ScenarioError(f"bad {kind} group: {exc}") from exc
     if action.dim != dim:
         raise ScenarioError(
             f"group dimension {action.dim} does not match state dimension {dim}")
@@ -257,8 +253,7 @@ def _load_scenario(config: RunConfig) -> Scenario:
     with open(config.scenario_path, "r", encoding="utf-8") as handle:
         sc = parse_scenario(handle.read())
     if config.n_max is not None:
-        sc = Scenario(name=sc.name, rho0=sc.rho0, rho1=sc.rho1, action=sc.action,
-                      n_max=config.n_max, params=sc.params, kind=sc.kind)
+        sc = replace(sc, n_max=config.n_max)
     return sc
 
 
@@ -332,7 +327,17 @@ def _cmd_stein(sc: Scenario, config: RunConfig) -> int:
     return 0
 
 
+def _check_a_grid(config: RunConfig, n_max: int) -> None:
+    """Every rate a of --a-grid must keep exp(-n*a) a finite float up to n_max."""
+    if config.a_grid is None:
+        return
+    a = float(config.a_grid[0])  # the grid ascends, so -n*a peaks at its first rate
+    if -n_max * a > math.log(sys.float_info.max):
+        raise ScenarioError(f"--a-grid rate {a:g} overflows exp(-n*a) at n = {n_max}")
+
+
 def _cmd_pmin(sc: Scenario, config: RunConfig) -> int:
+    _check_a_grid(config, sc.n_max)
     a_values = config.a_grid if config.a_grid is not None else np.array([0.0])
     rows = []
     for n in range(1, sc.n_max + 1):
@@ -356,6 +361,7 @@ def _pmin_rows(pair, n: int, a_values) -> list[tuple]:
 
 
 def _cmd_beta_eps(sc: Scenario, config: RunConfig) -> int:
+    _check_a_grid(config, sc.n_max)
     # the floor needs supp rho1 invariant and holding supp rho0 (at n = 1, so at every n)
     floored = (is_support_invariant(sc.rho1, sc.action)
                and relative_entropy(sc.rho0, sc.rho1) < math.inf)

@@ -24,10 +24,10 @@ import numpy as np
 from .divergences import PsiEvaluator, _golden_min, _scan_min, fidelity
 from .errors import DimensionError
 from .linalg import (
-    HermitianOperator,
     above_cut,
     asmatrix,
     eig,
+    hermitian,
     matrix_pair,
     support_projection,
     trace_norm,
@@ -39,25 +39,22 @@ from .reports import CheckReport
 class TestOperator:
     """A binary POVM effect: Hermitian with spectrum in [0, 1].
 
-    Validated from its eigendecomposition: eigenvalues at most 1e-9 outside
-    [0, 1] are clipped onto the edge (:meth:`Spectrum.clipped`), anything
-    further out is rejected."""
+    ``mat`` is validated through :func:`hermitian` and then from its
+    eigendecomposition: eigenvalues at most 1e-9 outside [0, 1] are clipped
+    onto the edge (:meth:`Spectrum.clipped`), anything further out is
+    rejected."""
 
     __test__ = False  # keep pytest from collecting the type
 
-    op: HermitianOperator
+    mat: np.ndarray
 
     def __post_init__(self):
-        if not isinstance(self.op, HermitianOperator):
-            object.__setattr__(self, "op", HermitianOperator(self.op))
-        spec = eig(self.op)
+        mat = hermitian(self.mat)
+        spec = eig(mat)
         clipped = spec.clipped(0.0, 1.0, 1e-9)
         if clipped is not spec:
-            object.__setattr__(self, "op", HermitianOperator(clipped.reconstruct()))
-
-    @property
-    def mat(self) -> np.ndarray:
-        return self.op.mat
+            mat = hermitian(clipped.reconstruct())
+        object.__setattr__(self, "mat", mat)
 
 
 @dataclass(frozen=True)

@@ -4,7 +4,9 @@ onto the commutant of a tensor-power representation.
 Two kinds of action are supported: an explicit finite list of distinct
 unitaries closed under multiplication, and the diagonal torus acting with
 integer weights.  The torus twirl is exact pinching by total weight, never a
-numerical Haar integral.
+numerical Haar integral.  twirl, weyl_twirl and pinching_map take an array
+or a DensityOperator and return a new array; the states they stand for are
+built, and validated once, by twirled_pair or by the caller.
 
 twirled_pair builds the twirled n-copy states without any d^n x d^n
 product: for a finite group it averages the n-th tensor powers of the
@@ -37,7 +39,6 @@ import numpy as np
 from .errors import ConvergenceError, DimensionError
 from .linalg import (
     DensityOperator,
-    HermitianOperator,
     asmatrix,
     cluster_slices,
     components,
@@ -70,8 +71,14 @@ class GroupAction:
             w = np.asarray(self.weights)
             if w.ndim != 1 or w.size == 0:
                 raise ValueError("torus action needs a nonempty weight vector")
-            if not np.all(w == np.round(w)):
-                raise ValueError("torus weights must be integers")
+            # numpy reads the list [1, True] as the integers [1, 1]
+            if w.dtype.kind not in "iuf" or (
+                    not isinstance(self.weights, np.ndarray)
+                    and any(isinstance(x, bool) for x in self.weights)):
+                raise ValueError("torus weights must be integers, not text or booleans")
+            # beyond 2**53 a float no longer tells one integer from the next
+            if not np.all((w >= -(2**53)) & (w <= 2**53) & (w == np.round(w))):
+                raise ValueError("torus weights must be integers of magnitude at most 2**53")
             w = w.astype(np.int64)
             w.setflags(write=False)
             object.__setattr__(self, "weights", w)
@@ -117,7 +124,7 @@ class GroupAction:
 
     @staticmethod
     def torus(weights) -> "GroupAction":
-        return GroupAction(TORUS, weights=np.asarray(weights))
+        return GroupAction(TORUS, weights=weights)
 
     @staticmethod
     def trivial(dim: int) -> "GroupAction":
@@ -155,22 +162,11 @@ def _average_conjugations(m: np.ndarray, unitaries) -> np.ndarray:
     return acc / len(unitaries)
 
 
-def _like(x, out: np.ndarray):
-    """Wrap `out` in the type of `x`: DensityOperator, HermitianOperator or
-    plain ndarray."""
-    if isinstance(x, DensityOperator):
-        return DensityOperator.from_matrix(out)
-    if isinstance(x, HermitianOperator):
-        return HermitianOperator(out)
-    return out
-
-
-def twirl(x, action: GroupAction):
+def twirl(x, action: GroupAction) -> np.ndarray:
     """Project onto the commutant of the action: group-average for a finite
     list, exact pinching by total weight for the torus.
 
-    Returns the same flavour as the input (DensityOperator, HermitianOperator
-    or plain ndarray).
+    Takes an array or a DensityOperator and returns a new array.
     """
     m = asmatrix(x)
     if m.shape[0] != action.dim:
@@ -179,10 +175,8 @@ def twirl(x, action: GroupAction):
         )
     if action.kind == TORUS:
         w = action.weights
-        out = np.where(w[:, None] == w[None, :], m, 0.0)
-    else:
-        out = _average_conjugations(m, action.unitaries)
-    return _like(x, out)
+        return np.where(w[:, None] == w[None, :], m, 0.0)
+    return _average_conjugations(m, action.unitaries)
 
 
 def twirled_pair(rho0, rho1, action: GroupAction, n: int) -> tuple[DensityOperator, DensityOperator]:
@@ -205,13 +199,13 @@ def twirled_pair(rho0, rho1, action: GroupAction, n: int) -> tuple[DensityOperat
             for u in action.unitaries:
                 mat += kron_power(u @ m @ u.conj().T, n)
             mat /= len(action.unitaries)
-        out.append(DensityOperator.from_matrix(mat))
+        out.append(DensityOperator(mat))
     return out[0], out[1]
 
 
 def is_support_invariant(rho1, action: GroupAction) -> bool:
     """Whether the support projection of rho1 is fixed by the action, within 1e-8."""
-    p = support_projection(rho1).mat
+    p = support_projection(rho1)
     return float(np.max(np.abs(twirl(p, action) - p))) <= 1e-8
 
 
@@ -307,7 +301,7 @@ def _weyl_unitaries(d: int) -> list[np.ndarray]:
     return ops
 
 
-def weyl_twirl(a, m: int, d: int):
+def weyl_twirl(a, m: int, d: int) -> np.ndarray:
     """Average of A under I_m tensor W_k over all d**2 Weyl unitaries W_k.
 
     Realizes the conditional expectation from M_m tensor M_d onto
@@ -320,19 +314,18 @@ def weyl_twirl(a, m: int, d: int):
             f"dimension {mat.shape[0]} is not factorable as m*d = {m}*{d}"
         )
     eye_m = np.eye(m, dtype=complex)
-    out = _average_conjugations(mat, [np.kron(eye_m, w) for w in _weyl_unitaries(d)])
-    return _like(a, out)
+    return _average_conjugations(mat, [np.kron(eye_m, w) for w in _weyl_unitaries(d)])
 
 
-def pinching_map(x, action: GroupAction, projections):
+def pinching_map(x, action: GroupAction, projections) -> np.ndarray:
     """Twirl, then pinch by the given family of mutually orthogonal projections."""
     projs = [asmatrix(p) for p in projections]
     for i, pi in enumerate(projs):
         for pj in projs[i + 1 :]:
             if float(np.max(np.abs(pi @ pj))) > 1e-8:
                 raise ValueError("pinching projections are not orthogonal within 1e-8")
-    t = asmatrix(twirl(x, action))
+    t = twirl(x, action)
     out = np.zeros_like(t)
     for p in projs:
         out += p @ t @ p
-    return _like(x, out)
+    return out

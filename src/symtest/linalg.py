@@ -1,20 +1,27 @@
 """Dense Hermitian linear algebra and matrix functional calculus.
 
-Operators are square complex numpy arrays, optionally wrapped in the light
-validating types below.  Every matrix power of a positive semidefinite
-operator uses the support convention 0**s = 0 for all real s.  The spectral
-decisions live here and nowhere else: :func:`above_cut` decides which
-computed eigenvalues count as zero (:meth:`Spectrum.support` keeps the rest,
-and keeps every positive eigenvalue read off a 1x1 component exactly),
-:func:`cluster_slices` splits a spectrum into degenerate runs,
-:meth:`Spectrum.clipped` moves a spectrum into a range, and
-:func:`components` splits an index set into the connected components of a
-linkage.  An operator is decomposed once: every :class:`DensityOperator`
-keeps the spectrum it was validated from, and :func:`eig` hands that
-spectrum back.  That spectrum is taken block by block along the exact zeros
-of the matrix, one checked :func:`eig` per connected component of its
-nonzero pattern, and assembled into one ascending decomposition of the full
-dimension.
+Operators are square complex numpy arrays.  Two types wrap one: a state is
+a :class:`DensityOperator`, and a test 0 <= T <= I is a
+``discrimination.TestOperator``.  Both take their matrix through
+:func:`hermitian`, the one Hermitian gate, which keeps the canonical
+(A + A*)/2 as a read-only array.  Every other function maps arrays to
+arrays; :func:`mpow`, :func:`support_projection` and
+:func:`spectral_projections` return (M + M*)/2 read-only, Hermitian by
+construction and not checked again.
+
+Every matrix power of a positive semidefinite operator uses the support
+convention 0**s = 0 for all real s.  The spectral decisions live here and
+nowhere else: :func:`above_cut` decides which computed eigenvalues count
+as zero (:meth:`Spectrum.support` keeps the rest, and keeps every positive
+eigenvalue read off a 1x1 component exactly), :func:`cluster_slices` splits
+a spectrum into degenerate runs, :meth:`Spectrum.clipped` moves a spectrum
+into a range, and :func:`components` splits an index set into the connected
+components of a linkage.  An operator is decomposed once: every
+:class:`DensityOperator` keeps the spectrum it was validated from, and
+:func:`eig` hands that spectrum back.  That spectrum is taken block by
+block along the exact zeros of the matrix, one checked :func:`eig` per
+connected component of its nonzero pattern, and assembled into one
+ascending decomposition of the full dimension.
 """
 
 from __future__ import annotations
@@ -47,11 +54,11 @@ def dim_cap() -> int:
 
 
 def asmatrix(a) -> np.ndarray:
-    """Coerce to a finite square complex matrix, unwrapping the operator types.
+    """Coerce to a finite square complex matrix, unwrapping a DensityOperator.
 
-    The matrix of a HermitianOperator or DensityOperator comes back as is: it
-    was checked when the operator was built and it is read-only."""
-    if isinstance(a, (HermitianOperator, DensityOperator)):
+    The matrix of a DensityOperator comes back as is: it was checked when the
+    state was built and it is read-only."""
+    if isinstance(a, DensityOperator):
         return a.mat
     m = np.asarray(a, dtype=complex)
     if m.ndim != 2 or m.shape[0] != m.shape[1]:
@@ -73,70 +80,60 @@ def frob(a) -> float:
     return float(np.linalg.norm(np.asarray(a)))
 
 
-@dataclass(frozen=True)
-class HermitianOperator:
-    """A Hermitian matrix, stored canonically as (A + A*)/2."""
+def hermitian(a) -> np.ndarray:
+    """The canonical (A + A*)/2 of a matrix that is Hermitian within
+    HERM_TOL, as a new read-only array."""
+    m = asmatrix(a)
+    dev = float(np.max(np.abs(m - m.conj().T))) if m.size else 0.0
+    if dev > HERM_TOL:
+        raise ValueError(
+            f"matrix is not Hermitian within {HERM_TOL:g} (deviation {dev:.3e})"
+        )
+    return _canonical(m)
 
-    mat: np.ndarray
 
-    def __post_init__(self):
-        m = asmatrix(self.mat)
-        dev = float(np.max(np.abs(m - m.conj().T))) if m.size else 0.0
-        if dev > HERM_TOL:
-            raise ValueError(
-                f"matrix is not Hermitian within {HERM_TOL:g} (deviation {dev:.3e})"
-            )
-        canon = (m + m.conj().T) / 2.0
-        canon.setflags(write=False)
-        object.__setattr__(self, "mat", canon)
-
-    @property
-    def dim(self) -> int:
-        return self.mat.shape[0]
+def _canonical(m: np.ndarray) -> np.ndarray:
+    out = (m + m.conj().T) / 2.0
+    out.setflags(write=False)
+    return out
 
 
 @dataclass(frozen=True)
 class DensityOperator:
     """Positive semidefinite, unit-trace Hermitian operator.
 
-    Validated from ``spectrum``, its eigendecomposition taken block by block
-    (see :func:`_blockwise_eig`), which it keeps: eigenvalues in
-    [-TRACE_TOL, 0) are clipped to zero, anything more negative is rejected,
-    and the trace is renormalized, in the matrix and the spectrum alike.
-    :func:`eig` returns that spectrum instead of decomposing again.
+    ``mat`` is validated through :func:`hermitian` and then from
+    ``spectrum``, its eigendecomposition taken block by block (see
+    :func:`_blockwise_eig`), which it keeps: eigenvalues in [-TRACE_TOL, 0)
+    are clipped to zero, anything more negative is rejected, and the trace
+    is renormalized, in the matrix and the spectrum alike.  :func:`eig`
+    returns that spectrum instead of decomposing again.
     """
 
-    op: HermitianOperator
+    mat: np.ndarray
     spectrum: Spectrum = field(init=False, repr=False, compare=False)
 
     def __post_init__(self):
-        if not isinstance(self.op, HermitianOperator):
-            object.__setattr__(self, "op", HermitianOperator(self.op))
-        tr = float(np.trace(self.op.mat).real)
+        mat = hermitian(self.mat)
+        tr = float(np.trace(mat).real)
         if abs(tr - 1.0) > TRACE_TOL:
             raise ValueError(f"trace must be 1 within {TRACE_TOL:g}, got {tr!r}")
-        op, spec = self.op, _blockwise_eig(self.op)
+        spec = _blockwise_eig(mat)
         clipped = spec.clipped(0.0, np.inf, TRACE_TOL)
         if clipped is not spec:
-            op, spec = HermitianOperator(clipped.reconstruct()), clipped
-        tr = float(np.trace(op.mat).real)
+            mat, spec = hermitian(clipped.reconstruct()), clipped
+        tr = float(np.trace(mat).real)
         if abs(tr - 1.0) > 1e-15:
-            op = HermitianOperator(op.mat / tr)
+            # a canonical matrix over its real trace stays exactly Hermitian
+            mat = mat / tr
+            mat.setflags(write=False)
             spec = Spectrum(spec.eigenvalues / tr, spec.eigenvectors, spec.exact)
-        object.__setattr__(self, "op", op)
+        object.__setattr__(self, "mat", mat)
         object.__setattr__(self, "spectrum", spec)
-
-    @classmethod
-    def from_matrix(cls, m) -> "DensityOperator":
-        return cls(HermitianOperator(m))
-
-    @property
-    def mat(self) -> np.ndarray:
-        return self.op.mat
 
     @property
     def dim(self) -> int:
-        return self.op.dim
+        return self.mat.shape[0]
 
 
 @dataclass(frozen=True)
@@ -233,9 +230,9 @@ def components(linked: np.ndarray) -> tuple[np.ndarray, list[np.ndarray]]:
     return lone, comps
 
 
-def _blockwise_eig(op: HermitianOperator) -> Spectrum:
-    """:func:`eig` of op, assembled block by block along the exact zeros of
-    op.mat.
+def _blockwise_eig(m: np.ndarray) -> Spectrum:
+    """:func:`eig` of the canonical Hermitian matrix m, assembled block by
+    block along its exact zeros.
 
     A twirled state is block diagonal up to a permutation, and its exact zeros
     show the blocks.  Each component of more than one index gets one checked
@@ -245,7 +242,6 @@ def _blockwise_eig(op: HermitianOperator) -> Spectrum:
     in component order), and each eigenvector is zero outside its component.
     A matrix with one component comes out exactly as its :func:`eig`.
     """
-    m = op.mat
     lone, comps = components(m != 0)
     d = m.shape[0]
     specs = [eig(m[np.ix_(idx, idx)]) for idx in comps]
@@ -281,8 +277,9 @@ def cluster_slices(w: np.ndarray, tol: float) -> list[slice]:
     return [slice(a, b) for a, b in zip(edges, edges[1:])]
 
 
-def mpow(h, s: float) -> HermitianOperator:
-    """Matrix power H**s of a PSD operator with the convention 0**s = 0 (all real s)."""
+def mpow(h, s: float) -> np.ndarray:
+    """Matrix power H**s of a PSD operator with the convention 0**s = 0 (all
+    real s), as a read-only array."""
     spec = eig(h)
     w = spec.eigenvalues
     if w.size and w[0] < -TRACE_TOL:
@@ -290,20 +287,18 @@ def mpow(h, s: float) -> HermitianOperator:
             f"matrix power needs a positive semidefinite operator (min eigenvalue {w[0]:.3e})"
         )
     kept = spec.support()
-    m = (kept.eigenvectors * kept.eigenvalues**s) @ kept.eigenvectors.conj().T
-    return HermitianOperator((m + m.conj().T) / 2.0)
+    return _canonical((kept.eigenvectors * kept.eigenvalues**s) @ kept.eigenvectors.conj().T)
 
 
-def support_projection(h) -> HermitianOperator:
+def support_projection(h) -> np.ndarray:
     """Projection onto the eigenspaces above the rank cut: the support of a PSD
-    operator, the positive part of a signed one."""
+    operator, the positive part of a signed one; a read-only array."""
     v = eig(h).support().eigenvectors
-    p = v @ v.conj().T
-    p = (p + p.conj().T) / 2.0
+    p = _canonical(v @ v.conj().T)
     idem = float(np.max(np.abs(p @ p - p))) if p.size else 0.0
     if idem > 1e-9:
         raise ConvergenceError(f"support projection not idempotent ({idem:.3e})")
-    return HermitianOperator(p)
+    return p
 
 
 def trace_norm(a) -> float:
@@ -334,7 +329,7 @@ def kron_power(a, n: int) -> np.ndarray:
 def abs_power_trace(a, b, s: float) -> float:
     """Tr |A**s B**(1-s)| for PSD operators A, B."""
     matrix_pair(a, b)
-    prod = mpow(a, s).mat @ mpow(b, 1.0 - s).mat
+    prod = mpow(a, s) @ mpow(b, 1.0 - s)
     return trace_norm(prod)
 
 
@@ -345,6 +340,5 @@ def spectral_projections(h) -> list[tuple[float, np.ndarray]]:
     tol = 1e-9 * max(1.0, float(np.max(np.abs(w), initial=0.0)))
     out = []
     for run in cluster_slices(w, tol):
-        p = v[:, run] @ v[:, run].conj().T
-        out.append((float(np.mean(w[run])), (p + p.conj().T) / 2.0))
+        out.append((float(np.mean(w[run])), _canonical(v[:, run] @ v[:, run].conj().T)))
     return out

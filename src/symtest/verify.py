@@ -20,9 +20,12 @@ from .asymptotics import (
     closed_form_curve,
     closed_form_psi,
     closed_form_relative_entropy,
+    diag_qubit,
     make_scenario,
+    pure_qubit,
     sigma_state,
     stein_gap_check,
+    torus_action,
     z2_action,
 )
 from .discrimination import (
@@ -49,6 +52,7 @@ from .divergences import (
 from .groups import (
     GroupAction,
     block_structure,
+    dim_growth,
     is_support_invariant,
     twirl,
     twirled_pair,
@@ -69,7 +73,7 @@ def builtin_scenarios(n_max: int = 6) -> dict[str, Scenario]:
         "z2-invariant-alt": Scenario(
             name="z2-invariant-alt(lam=0.2,alpha=0.3)",
             rho0=sigma_state(0.2),
-            rho1=DensityOperator.from_matrix([[0.3, 0.0], [0.0, 0.7]]),
+            rho1=DensityOperator([[0.3, 0.0], [0.0, 0.7]]),
             action=z2_action(),
             n_max=n_max,
             params={"lam": 0.2, "alpha": 0.3},
@@ -82,8 +86,8 @@ def _random_pairs(count: int, dims=(2, 3)):
     pairs = []
     for k in range(count):
         dim = dims[k % len(dims)]
-        pairs.append((DensityOperator.from_matrix(random_density(dim, rng=rng)),
-                      DensityOperator.from_matrix(random_density(dim, rng=rng))))
+        pairs.append((DensityOperator(random_density(dim, rng=rng)),
+                      DensityOperator(random_density(dim, rng=rng))))
     return pairs
 
 
@@ -240,8 +244,8 @@ def restricted_pmin_report(scenarios, n_max: int) -> CheckReport:
             raw0 = kron_power(asmatrix(sc.rho0), n)
             raw1 = kron_power(asmatrix(sc.rho1), n)
             restricted = p_min(*pair)
-            unrestricted = p_min(DensityOperator.from_matrix(raw0),
-                                 DensityOperator.from_matrix(raw1))
+            unrestricted = p_min(DensityOperator(raw0),
+                                 DensityOperator(raw1))
             report.check_leq(f"{key} n={n}: p_min(untwirled) <= p_min(twirled)",
                              unrestricted, restricted, 1e-9, n=n)
             floor = 2.0 * PsiEvaluator(*pair).psi(0.5) - math.log(2.0)
@@ -377,7 +381,7 @@ def conjugation_chain_report() -> CheckReport:
         restricted = chernoff_distance(closed_form_curve(sc.kind, sc.params))
         per_conjugate = []
         for u in sc.action.unitaries:
-            conj = DensityOperator.from_matrix(u.conj().T @ asmatrix(sc.rho1) @ u)
+            conj = DensityOperator(u.conj().T @ asmatrix(sc.rho1) @ u)
             per_conjugate.append(chernoff_distance(psi_curve(sc.rho0, conj)))
         best = min(per_conjugate)
         plain = chernoff_distance(psi_curve(sc.rho0, sc.rho1))
@@ -433,9 +437,6 @@ def beta_eps_shape_report(scenarios) -> CheckReport:
 
 def dim_growth_report(n_max: int = 6) -> CheckReport:
     """The per-copy log of the summed irrep dimensions decays toward zero."""
-    from .asymptotics import torus_action
-    from .groups import dim_growth
-
     report = CheckReport("commutant dimension growth decays")
     for name, action, top in (("torus", torus_action(), 9), ("sign-flip", z2_action(), n_max)):
         values = dim_growth(action, top)
@@ -451,8 +452,6 @@ def equality_experiment_report() -> CheckReport:
     curve matches the unrestricted one up to an explicit (1-s) log2 / n offset
     that vanishes with n.  Reported, never asserted as a theorem."""
     report = CheckReport("finite-subgroup equality experiment")
-    from .asymptotics import diag_qubit, pure_qubit
-
     rho0 = pure_qubit(0.5)
     rho1 = diag_qubit(0.3)
     action = z2_action()
@@ -488,7 +487,7 @@ def mean_quantity_report(scenarios) -> CheckReport:
     sc61 = scenarios["two-commuting"]
     conj_c = []
     for u in sc61.action.unitaries:
-        conj = DensityOperator.from_matrix(u.conj().T @ asmatrix(sc61.rho1) @ u)
+        conj = DensityOperator(u.conj().T @ asmatrix(sc61.rho1) @ u)
         conj_c.append(chernoff_distance(psi_curve(sc61.rho0, conj)))
     report.check_close("two-commuting: C_M is the best conjugate Chernoff",
                        chernoff_distance(closed_form_curve(sc61.kind, sc61.params)),

@@ -379,7 +379,7 @@ class TestScenarioValidation:
                 kind=None,
             ).__class__(
                 name="bad",
-                rho0=DensityOperator.from_matrix(np.eye(3) / 3),
+                rho0=DensityOperator(np.eye(3) / 3),
                 rho1=diag_qubit(0.4),
                 action=torus_action(),
                 n_max=2,

@@ -94,9 +94,22 @@ class TestParseScenario:
         ({"params": {"alpha": True}}, "params must be an object of finite numbers"),
         ({"params": {"alpha": math.nan}}, "params must be an object of finite numbers"),
         ({"n_max": True}, "n_max must be a positive integer, got True"),
+        ({"group": {"type": "finite", "unitaries": 5}}, "bad finite group"),
+        ({"group": {"type": "finite", "unitaries": [{}]}}, "bad finite group"),
+        ({"group": {"type": "torus", "weights": ["a", "b"]}}, "bad torus group"),
+        ({"group": {"type": "torus", "weights": [True, False]}}, "bad torus group"),
+        ({"group": {"type": "torus", "weights": [0, 1e300]}}, "bad torus group"),
+        ({"group": {"type": "torus", "weights": [0, 2**63]}}, "bad torus group"),
+        ({"group": {"type": "finite", "unitaries": [[[[1, 0], [0, 0]]]]}},
+         "bad finite group: expected a square matrix"),
+        ({"group": {"type": "finite", "unitaries": [
+            [[[1, 0], [0, 0]], [[0, 0], [1, 0]]], [[[1, 0]]]]}},
+         "bad finite group: all group unitaries must share one dimension"),
     ], ids=["unknown-kind", "missing-parameter", "params-list", "params-string",
             "params-text-value", "params-null-value", "params-bool-value", "params-nan-value",
-            "n_max-bool"])
+            "n_max-bool", "group-unitaries-number", "group-unitaries-object",
+            "group-weights-text", "group-weights-bool", "group-weights-1e300",
+            "group-weights-2**63", "group-unitary-not-square", "group-unitaries-mixed-dims"])
     def test_kind_without_closed_form_is_exit_2(self, tmp_path, capsys, overrides, message):
         path = write_scenario(tmp_path, rho0="diag 0.5", **overrides)
         for command in ("stein", "beta-eps"):
@@ -313,6 +326,8 @@ class TestCommands:
         ["--command", "psi", "--s-grid", "0:1:1"],
         ["--command", "hoeffding", "--r-grid=-0.1:0.1:3"],
         ["--command", "pmin", "--a-grid", "0:1:0"],
+        ["--command", "pmin", "--a-grid=-1000:0:2"],
+        ["--command", "beta-eps", "--a-grid=-1000:0:2"],
     ])
     def test_bad_argument_is_exit_2_without_traceback(self, tmp_path, args):
         src = str(Path(symtest.__file__).resolve().parents[1])

@@ -41,7 +41,7 @@ S_M_03 = -(math.log(0.3) + math.log(0.7)) / 2.0
 
 
 def faithful(rng, dim=2):
-    return DensityOperator.from_matrix(random_density(dim, rng=rng))
+    return DensityOperator(random_density(dim, rng=rng))
 
 
 class TestTestOperator:
@@ -141,8 +141,8 @@ class TestPmin:
     def test_maximally_mixed_alternative_untwirled_exact(self):
         # without the twirl the same pair hits the -log2 rate at every n
         for n in (2, 5, 10):
-            rho0n = DensityOperator.from_matrix(kron_power(pure_qubit(0.5).mat, n))
-            rho1n = DensityOperator.from_matrix(np.eye(2**n) / 2**n)
+            rho0n = DensityOperator(kron_power(pure_qubit(0.5).mat, n))
+            rho1n = DensityOperator(np.eye(2**n) / 2**n)
             assert math.log(p_min(rho0n, rho1n)) / n == pytest.approx(-LOG2, abs=1e-10)
 
 
@@ -160,8 +160,8 @@ class TestPminBounds:
             rho0, rho1 = faithful(rng), faithful(rng)
             for a in (-0.2, 0.0, 0.3):
                 for n in (1, 2, 3):
-                    r0 = DensityOperator.from_matrix(kron_power(rho0.mat, n))
-                    r1 = DensityOperator.from_matrix(kron_power(rho1.mat, n))
+                    r0 = DensityOperator(kron_power(rho0.mat, n))
+                    r1 = DensityOperator(kron_power(rho1.mat, n))
                     report = pmin_bounds_check(r0, r1, a=a, n=n)
                     assert report.ok, report.summary()
 
@@ -412,8 +412,8 @@ class TestRestrictedNeverBeatsUnrestricted:
             sc = make_scenario(kind, **params)
             for n in (1, 2, 3):
                 pair = twirled_pair(sc.rho0, sc.rho1, sc.action, n)
-                raw0 = DensityOperator.from_matrix(kron_power(sc.rho0.mat, n))
-                raw1 = DensityOperator.from_matrix(kron_power(sc.rho1.mat, n))
+                raw0 = DensityOperator(kron_power(sc.rho0.mat, n))
+                raw1 = DensityOperator(kron_power(sc.rho1.mat, n))
                 assert math.log(p_min(*pair)) / n >= math.log(p_min(raw0, raw1)) / n - 1e-9
 
     def test_half_power_floor(self):

@@ -54,7 +54,7 @@ LOG2 = math.log(2.0)
 
 
 def faithful(rng, dim=2):
-    return DensityOperator.from_matrix(random_density(dim, rng=rng))
+    return DensityOperator(random_density(dim, rng=rng))
 
 
 class TestPsi:
@@ -78,7 +78,7 @@ class TestPsi:
         rho0, rho1 = faithful(rng, 3), faithful(rng, 3)
         for s in (-0.5, 0.3, 1.2):
             direct = math.log(
-                np.trace(mpow(rho0, s).mat @ mpow(rho1, 1 - s).mat).real
+                np.trace(mpow(rho0, s) @ mpow(rho1, 1 - s)).real
             )
             assert psi(rho0, rho1, s) == pytest.approx(direct, abs=1e-12)
 
@@ -220,7 +220,7 @@ class TestKeptSpectra:
     def test_consumers_of_built_states_decompose_nothing(self, rng, monkeypatch):
         # every density operator keeps the spectrum it was validated from, so
         # these read it and call neither eigh nor eigvalsh
-        rho, sigma = (DensityOperator.from_matrix(random_density(4, rng=rng)) for _ in range(2))
+        rho, sigma = (DensityOperator(random_density(4, rng=rng)) for _ in range(2))
         counts = {"eigh": 0, "eigvalsh": 0}
         for name in counts:
             def counted(*args, _real=getattr(np.linalg, name), _name=name, **kwargs):
@@ -455,8 +455,8 @@ TWO_STATE_FUNCTIONS = {
 
 @pytest.mark.parametrize("name", sorted(TWO_STATE_FUNCTIONS))
 def test_two_states_of_different_dimension_raise(name):
-    small = DensityOperator.from_matrix(np.eye(2) / 2)
-    large = DensityOperator.from_matrix(np.eye(4) / 4)
+    small = DensityOperator(np.eye(2) / 2)
+    large = DensityOperator(np.eye(4) / 4)
     with pytest.raises(DimensionError):
         TWO_STATE_FUNCTIONS[name](small, large)
 

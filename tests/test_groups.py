@@ -30,10 +30,10 @@ from symtest.groups import (
 )
 from symtest.linalg import (
     DensityOperator,
-    HermitianOperator,
     _blockwise_eig,
     above_cut,
     eig,
+    hermitian,
     kron_power,
     spectral_projections,
 )
@@ -97,6 +97,12 @@ class TestGroupAction:
     def test_torus_requires_integers(self):
         with pytest.raises(ValueError, match="integer"):
             GroupAction.torus([0.0, 0.5])
+        # text, booleans, and magnitudes past 2**53 (which int64 overflowed)
+        for weights in (["a", "b"], [True, False], [1, True], [0, 1e300], [0, 2**63],
+                        [0, 2**53 + 2], [0, math.inf], [0, math.nan]):
+            with pytest.raises(ValueError, match="integer"):
+                GroupAction.torus(weights)
+        assert list(GroupAction.torus([-(2**53), 2**53]).weights) == [-(2**53), 2**53]
 
     def test_dims(self):
         assert z2_action().dim == 2
@@ -128,7 +134,7 @@ class TestTensorPower:
 class TestTwirl:
     def test_fixed_point(self):
         rho = diag_qubit(0.3)
-        assert_allclose(twirl(rho, torus_action()).mat, rho.mat, atol=1e-14)
+        assert_allclose(twirl(rho, torus_action()), rho.mat, atol=1e-14)
 
     def test_two_term_average(self, rng):
         # the order-two group average is the half sum of the two conjugations
@@ -164,11 +170,11 @@ class TestTwirl:
 
     def test_positivity_and_commutation(self, rng):
         action = tensor_power(z2_action(), 2)
-        rho = DensityOperator.from_matrix(random_density(4, rng=rng))
+        rho = DensityOperator(random_density(4, rng=rng))
         out = twirl(rho, action)
-        assert np.linalg.eigvalsh(out.mat)[0] >= -1e-10
+        assert np.linalg.eigvalsh(out)[0] >= -1e-10
         for u in action.unitaries:
-            assert np.linalg.norm(out.mat @ u - u @ out.mat) <= 1e-8
+            assert np.linalg.norm(out @ u - u @ out) <= 1e-8
 
     def test_product_action_factorizes(self, rng):
         # conditional expectation onto the product algebra acts factorwise
@@ -187,6 +193,13 @@ class TestTwirl:
     def test_dimension_mismatch(self):
         with pytest.raises(DimensionError):
             twirl(np.eye(3), z2_action())
+
+    def test_maps_of_a_state_are_arrays(self):
+        rho = pure_qubit(0.3)
+        p = np.diag([1.0, 0.0])
+        for out in (twirl(rho, torus_action()), twirl(rho, z2_action()),
+                    weyl_twirl(rho, 1, 2), pinching_map(rho, z2_action(), [p, np.eye(2) - p])):
+            assert type(out) is np.ndarray
 
 
 class TestBlockStructure:
@@ -363,7 +376,7 @@ class TestTwirledPair:
         rho0, rho1 = random_density(2, rng=rng), random_density(2, rng=rng)
         for n in range(1, 7):
             for rho, out in zip((rho0, rho1), twirled_pair(rho0, rho1, z2_action(), n)):
-                expected = DensityOperator.from_matrix(dense_twirl(rho, z2_action(), n))
+                expected = DensityOperator(dense_twirl(rho, z2_action(), n))
                 assert np.array_equal(out.mat, expected.mat)
 
     @pytest.mark.parametrize("action", [z2_action(), torus_action()], ids=["finite", "torus"])
@@ -403,7 +416,7 @@ class TestTwirledPair:
         for n in range(1, 9):
             pair = twirled_pair(sc.rho0, sc.rho1, sc.action, n)
             for r in pair:
-                dense = eig(HermitianOperator(r.mat))
+                dense = eig(r.mat)
                 assert_allclose(r.spectrum.eigenvalues, dense.eigenvalues, rtol=0, atol=1e-13)
                 assert_allclose(r.spectrum.reconstruct(), r.mat, rtol=0, atol=1e-13)
             if kind == TORUS_PURE_VS_MIXED:
@@ -415,9 +428,9 @@ class TestTwirledPair:
     def test_rank_one_twirl_takes_the_clip_path_block_by_block(self):
         n = 6
         m = twirl(kron_power(pure_qubit(0.3).mat, n), tensor_power(torus_action(), n))
-        raw = _blockwise_eig(HermitianOperator(m))
+        raw = _blockwise_eig(hermitian(m))
         assert raw.eigenvalues[0] < 0.0
-        rho = DensityOperator.from_matrix(m)
+        rho = DensityOperator(m)
         spec = rho.spectrum
         assert np.array_equal(spec.eigenvectors, raw.eigenvectors)
         assert spec.eigenvalues[0] == 0.0

@@ -9,7 +9,6 @@ from symtest.linalg import (
     HERM_TOL,
     TRACE_TOL,
     DensityOperator,
-    HermitianOperator,
     Spectrum,
     _blockwise_eig,
     above_cut,
@@ -19,6 +18,7 @@ from symtest.linalg import (
     components,
     dim_cap,
     eig,
+    hermitian,
     kron,
     kron_power,
     mpow,
@@ -31,41 +31,41 @@ from symtest.oracle import random_density, random_unitary
 
 def test_hermitian_operator_rejects_non_hermitian():
     with pytest.raises(ValueError, match="not Hermitian"):
-        HermitianOperator(np.array([[0.0, 1.0], [0.0, 0.0]]))
+        hermitian(np.array([[0.0, 1.0], [0.0, 0.0]]))
 
 
 def test_hermitian_operator_gate_is_herm_tol():
     # the deviation of [[0, x], [0, 0]] from its adjoint is exactly |x|
-    HermitianOperator(np.array([[0.0, 0.99 * HERM_TOL], [0.0, 0.0]]))
+    hermitian(np.array([[0.0, 0.99 * HERM_TOL], [0.0, 0.0]]))
     with pytest.raises(ValueError, match="not Hermitian within 1e-10"):
-        HermitianOperator(np.array([[0.0, 1.01 * HERM_TOL], [0.0, 0.0]]))
+        hermitian(np.array([[0.0, 1.01 * HERM_TOL], [0.0, 0.0]]))
 
 
 def test_hermitian_operator_canonicalizes():
-    h = HermitianOperator(np.array([[1.0, 1.0 + 1e-12j], [1.0 - 1e-12j, 2.0]]))
-    assert_allclose(h.mat, h.mat.conj().T)
+    h = hermitian(np.array([[1.0, 1.0 + 1e-12j], [1.0 - 1e-12j, 2.0]]))
+    assert_allclose(h, h.conj().T)
 
 
 def test_density_operator_validates_trace():
     with pytest.raises(ValueError, match="trace"):
-        DensityOperator.from_matrix(np.diag([0.5, 0.4]))
+        DensityOperator(np.diag([0.5, 0.4]))
 
 
 def test_density_operator_trace_gate_is_trace_tol():
-    DensityOperator.from_matrix(np.diag([0.5, 0.5 + 0.99 * TRACE_TOL]))
+    DensityOperator(np.diag([0.5, 0.5 + 0.99 * TRACE_TOL]))
     with pytest.raises(ValueError, match="trace must be 1 within 1e-09"):
-        DensityOperator.from_matrix(np.diag([0.5, 0.5 + 1.01 * TRACE_TOL]))
+        DensityOperator(np.diag([0.5, 0.5 + 1.01 * TRACE_TOL]))
 
 
 def test_density_operator_clip_gate_is_trace_tol():
-    rho = DensityOperator.from_matrix(np.diag([1.0 + 0.99 * TRACE_TOL, -0.99 * TRACE_TOL]))
+    rho = DensityOperator(np.diag([1.0 + 0.99 * TRACE_TOL, -0.99 * TRACE_TOL]))
     assert np.array_equal(np.linalg.eigvalsh(rho.mat), [0.0, 1.0])
     with pytest.raises(ValueError, match="eigenvalue more than 1e-09 outside"):
-        DensityOperator.from_matrix(np.diag([1.0 + 1.01 * TRACE_TOL, -1.01 * TRACE_TOL]))
+        DensityOperator(np.diag([1.0 + 1.01 * TRACE_TOL, -1.01 * TRACE_TOL]))
 
 
 def test_density_operator_clips_small_negatives():
-    rho = DensityOperator.from_matrix(np.diag([1.0 + 5e-10, -5e-10]))
+    rho = DensityOperator(np.diag([1.0 + 5e-10, -5e-10]))
     w = np.linalg.eigvalsh(rho.mat)
     assert w[0] >= 0.0
     assert abs(np.trace(rho.mat).real - 1.0) < 1e-14
@@ -73,7 +73,7 @@ def test_density_operator_clips_small_negatives():
 
 def test_density_operator_rejects_large_negatives():
     with pytest.raises(ValueError, match="eigenvalue"):
-        DensityOperator.from_matrix(np.diag([1.1, -0.1]))
+        DensityOperator(np.diag([1.1, -0.1]))
 
 
 def test_eig_identity():
@@ -105,17 +105,17 @@ def test_eig_reconstruction_bound(rng):
 def test_mpow_projection_fixed_point():
     p = np.diag([1.0, 1.0, 0.0])
     for s in (-2.0, -0.5, 0.3, 1.0, 4.0):
-        assert_allclose(mpow(p, s).mat, p, atol=1e-12)
+        assert_allclose(mpow(p, s), p, atol=1e-12)
 
 
 def test_mpow_sqrt_with_kernel():
-    assert_allclose(mpow(np.diag([4.0, 0.0]), 0.5).mat, np.diag([2.0, 0.0]), atol=1e-12)
+    assert_allclose(mpow(np.diag([4.0, 0.0]), 0.5), np.diag([2.0, 0.0]), atol=1e-12)
 
 
 def test_mpow_inverse_gives_support(rng):
     rho = random_density(4, rank=2, rng=rng)
-    left = mpow(rho, -1.0).mat @ rho
-    assert_allclose(left, support_projection(rho).mat, atol=1e-9)
+    left = mpow(rho, -1.0) @ rho
+    assert_allclose(left, support_projection(rho), atol=1e-9)
 
 
 def test_mpow_rejects_negative_spectrum():
@@ -129,20 +129,20 @@ def test_mpow_group_law(rng):
     w = np.array([0.0, 0.2, 0.5, 1.3, 2.0])
     h = (u * w) @ u.conj().T
     for s, t in [(-1.0, 0.3), (-0.5, 1.7), (0.3, 1.7), (-1.0, -0.5)]:
-        lhs = mpow(h, s).mat @ mpow(h, t).mat
-        rhs = mpow(h, s + t).mat
+        lhs = mpow(h, s) @ mpow(h, t)
+        rhs = mpow(h, s + t)
         assert_allclose(lhs, rhs, atol=1e-8)
 
 
 def test_support_projection_trivial_cases():
-    assert_allclose(support_projection(np.zeros((3, 3))).mat, np.zeros((3, 3)))
+    assert_allclose(support_projection(np.zeros((3, 3))), np.zeros((3, 3)))
     rho = random_density(3, rng=np.random.default_rng(1))
-    assert_allclose(support_projection(rho).mat, np.eye(3), atol=1e-10)
+    assert_allclose(support_projection(rho), np.eye(3), atol=1e-10)
 
 
 def test_support_projection_pure_state():
     rho0 = np.array([[0.5, 0.5], [0.5, 0.5]])
-    assert_allclose(support_projection(rho0).mat, rho0, atol=1e-12)
+    assert_allclose(support_projection(rho0), rho0, atol=1e-12)
 
 
 def test_trace_norm_basics(rng):
@@ -219,7 +219,7 @@ def test_abs_power_trace_half_is_fidelity(rng):
     rho = random_density(2, rng=rng)
     sigma = random_density(2, rng=rng)
     # independent route: Tr (rho^(1/2) sigma rho^(1/2))^(1/2)
-    root = mpow(rho, 0.5).mat
+    root = mpow(rho, 0.5)
     inner = root @ sigma @ root
     w = np.linalg.eigvalsh(inner)
     expected = float(np.sum(np.sqrt(np.clip(w, 0.0, None))))
@@ -300,52 +300,88 @@ def test_cluster_slices_edge_cases():
 
 
 def test_clipped_returns_self_inside_range(rng):
-    h = HermitianOperator(random_density(4, rng=rng))
-    spec = eig(h)
+    m = random_density(4, rng=rng)
+    spec = eig(m)
     assert spec.clipped(0.0, np.inf, 1e-9) is spec
     assert spec.clipped(0.0, 1.0, 1e-9) is spec
-    # a state or a test already inside keeps the operator it was given
-    assert DensityOperator(h).op is h
-    assert TestOperator(h).op is h
+    # a state or a test already inside keeps the canonical matrix bit for bit
+    assert np.array_equal(DensityOperator(m).mat, hermitian(m))
+    assert np.array_equal(TestOperator(m).mat, hermitian(m))
 
 
 def test_clipped_moves_small_violations_onto_the_edge(rng):
     def through_spectrum(m, lo, hi):
-        return HermitianOperator(eig(HermitianOperator(m)).clipped(lo, hi, 1e-9).reconstruct())
+        return hermitian(eig(m).clipped(lo, hi, 1e-9).reconstruct())
 
     density = through_spectrum(np.diag([-1e-12, 0.4, 0.6 + 1e-12]), 0.0, np.inf)
-    assert np.array_equal(np.linalg.eigvalsh(density.mat), [0.0, 0.4, 0.6 + 1e-12])
+    assert np.array_equal(np.linalg.eigvalsh(density), [0.0, 0.4, 0.6 + 1e-12])
     for test in (through_spectrum(np.diag([0.0, 0.5, 1.0 + 1e-12]), 0.0, 1.0),
-                 TestOperator(np.diag([0.0, 0.5, 1.0 + 1e-12]))):
-        assert np.array_equal(np.linalg.eigvalsh(test.mat), [0.0, 0.5, 1.0])
-    rho = DensityOperator.from_matrix(np.diag([-1e-12, 0.4, 0.6 + 1e-12]))
+                 TestOperator(np.diag([0.0, 0.5, 1.0 + 1e-12])).mat):
+        assert np.array_equal(np.linalg.eigvalsh(test), [0.0, 0.5, 1.0])
+    rho = DensityOperator(np.diag([-1e-12, 0.4, 0.6 + 1e-12]))
     assert rho.spectrum.eigenvalues[0] == 0.0
     assert_allclose(rho.spectrum.eigenvalues, [0.0, 0.4, 0.6], rtol=0, atol=2e-12)
     # in a rotated basis the rebuild leaves only roundoff past the edge
     u = random_unitary(3, rng)
     for w, lo, hi in (([-1e-12, 0.4, 0.6], 0.0, np.inf), ([0.0, 0.5, 1.0 + 1e-12], 0.0, 1.0)):
         m = (u * np.array(w)) @ u.conj().T
-        built = DensityOperator.from_matrix(m) if hi == np.inf else TestOperator(m)
-        for out in (through_spectrum(m, lo, hi), built):
-            assert_allclose(np.linalg.eigvalsh(out.mat), np.clip(w, lo, hi), rtol=0, atol=1e-14)
+        built = DensityOperator(m) if hi == np.inf else TestOperator(m)
+        for out in (through_spectrum(m, lo, hi), built.mat):
+            assert_allclose(np.linalg.eigvalsh(out), np.clip(w, lo, hi), rtol=0, atol=1e-14)
 
 
 def test_clipped_rejects_violations_beyond_tol():
     with pytest.raises(ValueError, match="eigenvalue") as info:
-        eig(HermitianOperator(np.diag([-1e-8, 1.0]))).clipped(0.0, np.inf, 1e-9)
+        eig(np.diag([-1e-8, 1.0])).clipped(0.0, np.inf, 1e-9)
     assert "spectrum" in str(info.value)
     with pytest.raises(ValueError, match="spectrum"):
-        eig(HermitianOperator(np.diag([0.0, 1.0 + 1e-8]))).clipped(0.0, 1.0, 1e-9)
+        eig(np.diag([0.0, 1.0 + 1e-8])).clipped(0.0, 1.0, 1e-9)
     with pytest.raises(ValueError, match="eigenvalue more than 1e-09 outside"):
-        DensityOperator.from_matrix(np.diag([-1e-8, 1.0 + 1e-8]))
+        DensityOperator(np.diag([-1e-8, 1.0 + 1e-8]))
     with pytest.raises(ValueError, match="eigenvalue more than 1e-09 outside"):
         TestOperator(np.diag([0.0, 1.0 + 1e-8]))
+
+
+def test_validated_matrices_are_exact_hermitian_read_only_copies(rng):
+    # a Hermitian deviation far inside HERM_TOL, so canonicalization matters
+    skew = np.zeros((3, 3), dtype=complex)
+    skew[0, 1] = 3e-12j
+    u = random_unitary(3, rng)
+
+    def rotated(w):
+        return (u * np.array(w)) @ u.conj().T + skew
+
+    inside = np.array([[0.5, 0.1 + 0.2j, 0.0], [0.1 - 0.2j, 0.25, 0.0], [0.0, 0.0, 0.25]]) + skew
+    clip_state = rotated([-0.5e-9, 0.4, 0.6])
+    renormalize = rotated([0.2, 0.3, 0.5 + 0.5e-9])
+    clip_test = rotated([0.0, 0.5, 1.0 + 1e-12])
+    assert np.trace(inside).real == 1.0 and eig(inside).eigenvalues[0] > 0.0
+    assert eig(clip_state).eigenvalues[0] < 0.0
+    assert abs(np.trace(renormalize).real - 1.0) > 1e-15
+    assert eig(clip_test).eigenvalues[-1] > 1.0
+    cases = [
+        (inside, lambda m: DensityOperator(m).mat),
+        (clip_state, lambda m: DensityOperator(m).mat),
+        (renormalize, lambda m: DensityOperator(m).mat),
+        (inside, lambda m: TestOperator(m).mat),
+        (clip_test, lambda m: TestOperator(m).mat),
+        (random_density(3, rng=rng), lambda m: mpow(m, 0.5)),
+        (random_density(3, rank=2, rng=rng), support_projection),
+    ]
+    for given, build in cases:
+        m = given.copy()
+        out = build(m)
+        kept = out.copy()
+        assert np.array_equal(out, out.conj().T)
+        assert not out.flags.writeable
+        m[...] = 7.0
+        assert np.array_equal(out, kept)
 
 
 def test_decomposed_density_operator_keeps_its_spectrum(rng):
     # every density operator keeps the spectrum it was validated from, and eig
     # hands back that object
-    rho = DensityOperator.from_matrix(np.eye(3) / 3)
+    rho = DensityOperator(np.eye(3) / 3)
     assert eig(rho) is rho.spectrum
     assert np.array_equal(rho.spectrum.eigenvalues, np.full(3, 1 / 3))
     assert np.array_equal(rho.spectrum.eigenvectors, np.eye(3))
@@ -358,8 +394,8 @@ def test_decomposed_density_operator_keeps_its_spectrum(rng):
     # to renormalize
     for w in ([0.2, 0.3, 0.5], [-0.5e-9, 0.4, 0.6], [0.2, 0.3, 0.5 + 0.5e-9]):
         m = (u * np.array(w)) @ u.conj().T
-        raw = eig(HermitianOperator(m))
-        rho = DensityOperator.from_matrix(m)
+        raw = eig(m)
+        rho = DensityOperator(m)
         spec = rho.spectrum
         assert eig(rho) is spec
         assert np.array_equal(spec.eigenvectors, raw.eigenvectors)
@@ -368,10 +404,10 @@ def test_decomposed_density_operator_keeps_its_spectrum(rng):
                         rtol=0, atol=1e-15)
         assert_allclose(spec.reconstruct(), rho.mat, rtol=0, atol=1e-15)
     m = (u * np.array([0.2, 0.3, 0.5])) @ u.conj().T
-    assert np.array_equal(DensityOperator.from_matrix(m).spectrum.eigenvalues,
-                          eig(HermitianOperator(m)).eigenvalues)
+    assert np.array_equal(DensityOperator(m).spectrum.eigenvalues,
+                          eig(m).eigenvalues)
     with pytest.raises(ValueError, match="eigenvalue more than 1e-09 outside"):
-        DensityOperator.from_matrix(np.diag([1.0 + 1.01 * TRACE_TOL, -1.01 * TRACE_TOL]))
+        DensityOperator(np.diag([1.0 + 1.01 * TRACE_TOL, -1.01 * TRACE_TOL]))
 
 
 def test_decomposed_splits_along_hidden_blocks(rng, monkeypatch):
@@ -394,9 +430,9 @@ def test_decomposed_splits_along_hidden_blocks(rng, monkeypatch):
         return _real(*args, **kwargs)
 
     monkeypatch.setattr(np.linalg, "eigh", counted)
-    rho = DensityOperator.from_matrix(m)
+    rho = DensityOperator(m)
     assert sorted(calls) == [2, 5, 17]
-    spec, dense = rho.spectrum, eig(HermitianOperator(rho.mat))
+    spec, dense = rho.spectrum, eig(rho.mat)
     w, v = spec.eigenvalues, spec.eigenvectors
     assert_allclose(w, dense.eigenvalues, rtol=0, atol=1e-13)
     assert_allclose(spec.reconstruct(), dense.reconstruct(), rtol=0, atol=1e-13)
@@ -409,9 +445,9 @@ def test_decomposed_splits_along_hidden_blocks(rng, monkeypatch):
 
 
 def test_blockwise_eig_of_a_matrix_without_zeros_is_eig(rng):
-    op = HermitianOperator(random_density(6, rng=rng))
-    assert np.all(op.mat != 0)
-    blockwise, dense = _blockwise_eig(op), eig(op)
+    m = hermitian(random_density(6, rng=rng))
+    assert np.all(m != 0)
+    blockwise, dense = _blockwise_eig(m), eig(m)
     assert np.array_equal(blockwise.eigenvalues, dense.eigenvalues)
     assert np.array_equal(blockwise.eigenvectors, dense.eigenvectors)
 

@@ -57,9 +57,8 @@ REMOVED = {
         "GroupAction.finite": ("unitary_tol", "closure_tol"),
     },
     "linalg": {
-        "HermitianOperator": ("herm_tol",),
+        "hermitian": ("herm_tol",),
         "DensityOperator": ("trace_tol",),
-        "DensityOperator.from_matrix": ("trace_tol",),
         "above_cut": ("cut_scale",),
         "Spectrum.support": ("cut_scale",),
     },
