@@ -49,12 +49,12 @@ class TestOperator:
     mat: np.ndarray
 
     def __post_init__(self):
-        mat = hermitian(self.mat)
-        spec = eig(mat)
+        # hold only the canonical copy, so the caller's matrix can be freed first
+        object.__setattr__(self, "mat", hermitian(self.mat))
+        spec = eig(self.mat)
         clipped = spec.clipped(0.0, 1.0, 1e-9)
         if clipped is not spec:
-            mat = hermitian(clipped.reconstruct())
-        object.__setattr__(self, "mat", mat)
+            object.__setattr__(self, "mat", hermitian(clipped.reconstruct()))
 
 
 @dataclass(frozen=True)

@@ -114,7 +114,9 @@ class DensityOperator:
     spectrum: Spectrum = field(init=False, repr=False, compare=False)
 
     def __post_init__(self):
-        mat = hermitian(self.mat)
+        # hold only the canonical copy, so the caller's matrix can be freed first
+        object.__setattr__(self, "mat", hermitian(self.mat))
+        mat = self.mat
         tr = float(np.trace(mat).real)
         if abs(tr - 1.0) > TRACE_TOL:
             raise ValueError(f"trace must be 1 within {TRACE_TOL:g}, got {tr!r}")
