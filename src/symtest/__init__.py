@@ -34,10 +34,8 @@ from .divergences import (
     default_s_grid,
     fidelity,
     hoeffding_distance,
-    lf_transform,
     lieb_bound_check,
     phi,
-    phi_tilde,
     psi,
     psi_curve,
     relative_entropy,

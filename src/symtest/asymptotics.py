@@ -167,11 +167,8 @@ def closed_form_psi(kind: str, params: dict, s: float) -> float:
 
 
 def closed_form_curve(kind: str, params: dict, grid=None) -> PsiCurve:
-    if grid is None:
-        grid = default_s_grid()
-    grid = np.asarray(grid, dtype=float)
-    values = np.array([closed_form_psi(kind, params, float(s)) for s in grid])
-    return PsiCurve(grid, values, lambda s: closed_form_psi(kind, params, s),
+    return PsiCurve(default_s_grid() if grid is None else grid,
+                    lambda s: closed_form_psi(kind, params, s),
                     lambda s: _closed_form(kind, params, s)[1])
 
 
@@ -318,7 +315,7 @@ def stein_gap_check(scenario: Scenario, n: int) -> CheckReport:
         return report
     rho0n, rho1n = twirled_pair(scenario.rho0, scenario.rho1, scenario.action, n)
     report.check_leq("S(twirled)/n <= S(rho0||rho1)",
-                     relative_entropy(rho0n, rho1n) / n, s_single, 1e-8, n=n)
+                     relative_entropy(rho0n, rho1n) / n, s_single, 1e-8)
     rho1_pow = DensityOperator(kron_power(asmatrix(scenario.rho1), n))
     projections = [p for _, p in spectral_projections(rho1_pow)]
     powered = tensor_power(scenario.action, n)
@@ -327,7 +324,7 @@ def stein_gap_check(scenario: Scenario, n: int) -> CheckReport:
     allowance = scenario.rho0.dim * math.log(n + 1.0) + 2.0 * math.log(
         sum(d for _, d in block_structure(scenario.action, n))
     )
-    report.check_leq("pinched relative entropy <= n*S", s_pinched, n * s_single, 1e-8, n=n)
+    report.check_leq("pinched relative entropy <= n*S", s_pinched, n * s_single, 1e-8)
     report.check_leq("n*S - pinched <= rank allowance",
-                     n * s_single - s_pinched, allowance, 1e-8, n=n)
+                     n * s_single - s_pinched, allowance, 1e-8)
     return report

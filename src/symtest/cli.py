@@ -16,7 +16,7 @@ import argparse
 import json
 import math
 import sys
-from dataclasses import dataclass, replace
+from dataclasses import replace
 
 import numpy as np
 
@@ -80,20 +80,6 @@ _CONSTRUCTORS = {
 }
 
 
-@dataclass
-class RunConfig:
-    command: str
-    scenario_path: str | None = None
-    n_max: int | None = None
-    s_grid: np.ndarray | None = None
-    r_grid: np.ndarray | None = None
-    a_grid: np.ndarray | None = None
-    eps: float = 0.1
-    name: str | None = None
-    out: str | None = None
-    fmt: str = "csv"
-
-
 def _fmt(x) -> str:
     if isinstance(x, float):
         if math.isinf(x):
@@ -105,7 +91,11 @@ def _fmt(x) -> str:
 def _parse_grid(spec: str) -> np.ndarray:
     try:
         lo, hi, steps = spec.split(":")
-        grid = np.linspace(float(lo), float(hi), int(steps))
+        lo, hi = float(lo), float(hi)
+        # a nan or infinite end, or a span past the float range
+        if not math.isfinite(hi - lo):
+            raise ScenarioError(f"grid {spec!r} must span a finite interval")
+        grid = np.linspace(lo, hi, int(steps))
     except ValueError as exc:
         raise ScenarioError(f"bad grid spec {spec!r}, expected a:b:steps") from exc
     if grid.size == 0:
@@ -224,7 +214,7 @@ def parse_scenario(text: str) -> Scenario:
                     n_max=n_max, params=params, kind=kind)
 
 
-def _write_table(columns, rows, config: RunConfig) -> None:
+def _write_table(columns, rows, config: argparse.Namespace) -> None:
     if config.fmt == "json":
         # JSON has no token for inf or nan: write the CSV ones, as strings
         rows = [[_fmt(v) if isinstance(v, float) and not math.isfinite(v) else v for v in row]
@@ -239,7 +229,7 @@ def _write_table(columns, rows, config: RunConfig) -> None:
     _emit(text, config)
 
 
-def _emit(text: str, config: RunConfig) -> None:
+def _emit(text: str, config: argparse.Namespace) -> None:
     if config.out:
         with open(config.out, "w", encoding="utf-8") as handle:
             handle.write(text)
@@ -247,17 +237,17 @@ def _emit(text: str, config: RunConfig) -> None:
         sys.stdout.write(text)
 
 
-def _load_scenario(config: RunConfig) -> Scenario:
-    if not config.scenario_path:
+def _load_scenario(config: argparse.Namespace) -> Scenario:
+    if not config.scenario:
         raise ScenarioError(f"command {config.command!r} requires --scenario")
-    with open(config.scenario_path, "r", encoding="utf-8") as handle:
+    with open(config.scenario, "r", encoding="utf-8") as handle:
         sc = parse_scenario(handle.read())
     if config.n_max is not None:
         sc = replace(sc, n_max=config.n_max)
     return sc
 
 
-def _cmd_psi(sc: Scenario, config: RunConfig) -> int:
+def _cmd_psi(sc: Scenario, config: argparse.Namespace) -> int:
     grid = config.s_grid if config.s_grid is not None else default_s_grid()
     if grid.size < 2:
         raise ScenarioError("psi needs an s grid of at least 2 points")
@@ -282,7 +272,7 @@ def _mean_label(sc: Scenario) -> str:
     return "mean" if sc.kind is not None else "mean (best-n estimate)"
 
 
-def _cmd_chernoff(sc: Scenario, config: RunConfig) -> int:
+def _cmd_chernoff(sc: Scenario, config: argparse.Namespace) -> int:
     rows = [(0, "unrestricted", chernoff_distance(psi_curve(sc.rho0, sc.rho1)))]
     for n in range(1, sc.n_max + 1):
         curve = psi_curve(*twirled_pair(sc.rho0, sc.rho1, sc.action, n))
@@ -296,7 +286,7 @@ def _cmd_chernoff(sc: Scenario, config: RunConfig) -> int:
     return 0
 
 
-def _cmd_hoeffding(sc: Scenario, config: RunConfig) -> int:
+def _cmd_hoeffding(sc: Scenario, config: argparse.Namespace) -> int:
     r_grid = config.r_grid if config.r_grid is not None else np.linspace(0.0, 0.5, 11)
     rows = []
     for n in range(1, sc.n_max + 1):
@@ -313,7 +303,7 @@ def _cmd_hoeffding(sc: Scenario, config: RunConfig) -> int:
     return 0
 
 
-def _cmd_stein(sc: Scenario, config: RunConfig) -> int:
+def _cmd_stein(sc: Scenario, config: argparse.Namespace) -> int:
     rows = [(0, "unrestricted", relative_entropy(sc.rho0, sc.rho1))]
     for n in range(1, sc.n_max + 1):
         rows.append((n, "twirled-per-copy",
@@ -327,7 +317,7 @@ def _cmd_stein(sc: Scenario, config: RunConfig) -> int:
     return 0
 
 
-def _check_a_grid(config: RunConfig, n_max: int) -> None:
+def _check_a_grid(config: argparse.Namespace, n_max: int) -> None:
     """Every rate a of --a-grid must keep exp(-n*a) a finite float up to n_max."""
     if config.a_grid is None:
         return
@@ -336,7 +326,7 @@ def _check_a_grid(config: RunConfig, n_max: int) -> None:
         raise ScenarioError(f"--a-grid rate {a:g} overflows exp(-n*a) at n = {n_max}")
 
 
-def _cmd_pmin(sc: Scenario, config: RunConfig) -> int:
+def _cmd_pmin(sc: Scenario, config: argparse.Namespace) -> int:
     _check_a_grid(config, sc.n_max)
     a_values = config.a_grid if config.a_grid is not None else np.array([0.0])
     rows = []
@@ -360,7 +350,7 @@ def _pmin_rows(pair, n: int, a_values) -> list[tuple]:
     return rows
 
 
-def _cmd_beta_eps(sc: Scenario, config: RunConfig) -> int:
+def _cmd_beta_eps(sc: Scenario, config: argparse.Namespace) -> int:
     _check_a_grid(config, sc.n_max)
     # the floor needs supp rho1 invariant and holding supp rho0 (at n = 1, so at every n)
     floored = (is_support_invariant(sc.rho1, sc.action)
@@ -371,7 +361,7 @@ def _cmd_beta_eps(sc: Scenario, config: RunConfig) -> int:
     return 0
 
 
-def _beta_eps_row(pair, n: int, config: RunConfig, floored: bool) -> tuple:
+def _beta_eps_row(pair, n: int, config: argparse.Namespace, floored: bool) -> tuple:
     value = beta_eps(*pair, config.eps)
     if floored:
         ev = PsiEvaluator(*pair)
@@ -386,11 +376,11 @@ def _beta_eps_row(pair, n: int, config: RunConfig, floored: bool) -> tuple:
 
 
 def _best_pure_threshold_beta1(pair, eps: float) -> float:
-    errors = threshold_errors(*pair, np.linspace(-2.0, 2.0, 81), n=1)
+    errors = threshold_errors(*pair, np.linspace(-2.0, 2.0, 81))
     return float(errors[errors[:, 0] <= eps, 1].min(initial=1.0))
 
 
-def _cmd_convergence(sc: Scenario, config: RunConfig) -> int:
+def _cmd_convergence(sc: Scenario, config: argparse.Namespace) -> int:
     if sc.kind is None:
         raise ScenarioError("convergence needs a scenario with a closed-form kind")
     grid = config.s_grid if config.s_grid is not None else np.linspace(-0.5, 2.0, 26)
@@ -400,7 +390,7 @@ def _cmd_convergence(sc: Scenario, config: RunConfig) -> int:
     return 0
 
 
-def _cmd_verify(config: RunConfig) -> int:
+def _cmd_verify(config: argparse.Namespace) -> int:
     n_max = config.n_max if config.n_max is not None else 6
     reports = run_verify(n_max=n_max)
     failures = sum(len(r.violations) for r in reports)
@@ -411,7 +401,7 @@ def _cmd_verify(config: RunConfig) -> int:
     return 1 if failures else 0
 
 
-def _cmd_examples(config: RunConfig) -> int:
+def _cmd_examples(config: argparse.Namespace) -> int:
     wanted = config.name
     if wanted in EXAMPLE_ALIASES:
         wanted = EXAMPLE_ALIASES[wanted]
@@ -483,7 +473,7 @@ def _run_example(name: str) -> int:
     return failures
 
 
-def run(config: RunConfig) -> int:
+def run(config: argparse.Namespace) -> int:
     try:
         if config.command == "verify":
             return _cmd_verify(config)
@@ -536,24 +526,15 @@ def main(argv=None) -> int:
             raise ScenarioError(f"--eps must lie strictly between 0 and 1, got {args.eps:g}")
         if args.n_max is not None and args.n_max < 1:
             raise ScenarioError(f"--n-max must be at least 1, got {args.n_max}")
-        config = RunConfig(
-            command=args.command,
-            scenario_path=args.scenario,
-            n_max=args.n_max,
-            s_grid=_parse_grid(args.s_grid) if args.s_grid else None,
-            r_grid=_parse_grid(args.r_grid) if args.r_grid else None,
-            a_grid=_parse_grid(args.a_grid) if args.a_grid else None,
-            eps=args.eps,
-            name=args.name,
-            out=args.out,
-            fmt=args.fmt,
-        )
-        if config.r_grid is not None and config.r_grid[0] < 0.0:
-            raise ScenarioError(f"--r-grid rates must be nonnegative, got {args.r_grid!r}")
+        r_spec = args.r_grid
+        args.s_grid, args.r_grid, args.a_grid = (
+            _parse_grid(spec) if spec else None for spec in (args.s_grid, r_spec, args.a_grid))
+        if args.r_grid is not None and args.r_grid[0] < 0.0:
+            raise ScenarioError(f"--r-grid rates must be nonnegative, got {r_spec!r}")
     except ScenarioError as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 2
-    return run(config)
+    return run(args)
 
 
 if __name__ == "__main__":

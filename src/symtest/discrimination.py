@@ -24,6 +24,8 @@ import numpy as np
 from .divergences import PsiEvaluator, _golden_min, _scan_min, fidelity
 from .errors import DimensionError
 from .linalg import (
+    _eigh,
+    _hermitian_part,
     above_cut,
     asmatrix,
     eig,
@@ -35,7 +37,7 @@ from .linalg import (
 from .reports import CheckReport
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, eq=False)
 class TestOperator:
     """A binary POVM effect: Hermitian with spectrum in [0, 1].
 
@@ -51,7 +53,7 @@ class TestOperator:
     def __post_init__(self):
         # hold only the canonical copy, so the caller's matrix can be freed first
         object.__setattr__(self, "mat", hermitian(self.mat))
-        spec = eig(self.mat)
+        spec = _eigh(self.mat)
         clipped = spec.clipped(0.0, 1.0, 1e-9)
         if clipped is not spec:
             object.__setattr__(self, "mat", hermitian(clipped.reconstruct()))
@@ -87,20 +89,20 @@ def np_test(rho0n, rho1n, a: float, n: int = 1) -> TestOperator:
     return TestOperator(support_projection(math.exp(-n * a) * m0 - m1))
 
 
-def threshold_errors(rho0n, rho1n, a_values, n: int = 1) -> np.ndarray:
-    """(beta0, beta1) of np_test(rho0n, rho1n, a, n) for each rate a, one row each.
+def threshold_errors(rho0n, rho1n, a_values) -> np.ndarray:
+    """(beta0, beta1) of np_test(rho0n, rho1n, a) for each rate a, one row each.
 
     The tests are the projections np_test builds, with the same rank cut, but
     their errors are read off a spectrum: the joint eigenvalue atoms of a
     commuting pair, where the test keeps the atoms whose eigenvalue
-    e^{-na} w0 - w1 survives the cut, or else one eigh per rate, summing
+    e^{-a} w0 - w1 survives the cut, or else one eigh per rate, summing
     <v|m|v> over the kept eigenvectors v instead of forming the projection.
     """
     m0, m1 = matrix_pair(rho0n, rho1n)
     atoms = _commuting_atoms(rho0n, rho1n)
     rows = []
     for a in a_values:
-        weight = math.exp(-n * float(a))
+        weight = math.exp(-float(a))
         if atoms is not None:
             w0, w1, o = atoms
             keep = above_cut(weight * w0 - w1)
@@ -153,8 +155,8 @@ def pmin_bounds_check(rho0n, rho1n, a: float, n: int = 1) -> CheckReport:
 
     value = p_min(rho0n, rho1n, a, n)
     report = CheckReport(f"p_min power-trace bounds (a={a:g}, n={n})")
-    report.check_leq("p_min <= weighted trace min", value, upper, 1e-9, a=a, n=n)
-    report.check_leq("fidelity-type lower bound <= p_min", lower, value, 1e-9, a=a, n=n)
+    report.check_leq("p_min <= weighted trace min", value, upper, 1e-9)
+    report.check_leq("fidelity-type lower bound <= p_min", lower, value, 1e-9)
     return report
 
 
@@ -163,10 +165,13 @@ def _commuting_atoms(rho0n, rho1n) -> tuple[np.ndarray, np.ndarray, np.ndarray] 
     one per nonzero overlap O_ij = |<v0_i|v1_j>|**2 of their kept spectra
     (on a commuting pair sum_ij O_ij f(w0_i, w1_j) is Tr f(rho0n, rho1n)),
     or None when they do not commute."""
-    m0, m1 = asmatrix(rho0n), asmatrix(rho1n)
+    m0, m1 = _hermitian_part(rho0n), _hermitian_part(rho1n)
     scale = max(1.0, float(np.max(np.abs(m0))), float(np.max(np.abs(m1))))
-    if float(np.max(np.abs(m0 @ m1 - m1 @ m0))) > 1e-10 * scale:
+    # for Hermitian m0 and m1, m1 m0 = (m0 m1)^*, so one product gives the commutator
+    x = m0 @ m1
+    if float(np.max(np.abs(x - x.conj().T))) > 1e-10 * scale:
         return None
+    del x
     spec0, spec1 = eig(rho0n), eig(rho1n)
     overlap = np.abs(spec0.eigenvectors.conj().T @ spec1.eigenvectors) ** 2
     i, j = np.nonzero(overlap)

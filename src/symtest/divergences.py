@@ -1,10 +1,13 @@
 """Statistical distance measures between density operators.
 
 Everything here is driven by the two-parameter trace functional
-Tr rho0**s rho1**(1-s): the log of that trace as a function of s and its
-exact slope (both read off the two kept spectra, no finite difference), its
-Legendre-Fenchel transforms, and the Renyi, relative-entropy, fidelity,
-Chernoff and Hoeffding quantities built from it.  Orthogonal supports are a
+Tr rho0**s rho1**(1-s): the log of that trace as a function of s, psi, and
+its exact slope (both read off the two kept spectra, no finite difference),
+the PsiCurve that samples an exact evaluator on a grid itself, the one
+Legendre-Fenchel transform phi over [0, 1], and the Renyi,
+relative-entropy, fidelity, Chernoff and Hoeffding quantities built from it.
+The strong-converse window [1, 3/2] is maximized by
+discrimination.strong_converse_bound on its own grid.  Orthogonal supports are a
 legitimate regime and are represented by the IEEE sentinel NEG_INF, which
 propagates through sums with finite numbers the way the math requires.
 """
@@ -81,27 +84,28 @@ def psi(rho0, rho1, s: float) -> float:
     return PsiEvaluator(rho0, rho1).psi(s)
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, eq=False)
 class PsiCurve:
     """An s -> psi(s) map: its exact evaluator ``fn``, its exact derivative
-    ``slope``, and the values of fn sampled on ``s_grid``.
+    ``slope``, and ``values``, fn sampled on ``s_grid`` by the constructor.
 
     The optimizers evaluate ``fn`` on the grid points inside their window and
-    refine past the grid with it; they never read ``values``.
+    refine past the grid with it; ``values`` are the printed samples and the
+    convexity check's input.
     """
 
     s_grid: np.ndarray
-    values: np.ndarray
-    fn: Callable[[float], float] = field(repr=False, compare=False)
-    slope: Callable[[float], float] = field(repr=False, compare=False)
+    fn: Callable[[float], float] = field(repr=False)
+    slope: Callable[[float], float] = field(repr=False)
+    values: np.ndarray = field(init=False)
 
     def __post_init__(self):
         grid = np.asarray(self.s_grid, dtype=float)
-        vals = np.asarray(self.values, dtype=float)
-        if grid.ndim != 1 or grid.shape != vals.shape or grid.size < 2:
-            raise ValueError("grid and values must be matching 1-d arrays")
+        if grid.ndim != 1 or grid.size < 2:
+            raise ValueError("s grid must be a 1-d array of at least 2 points")
         if np.any(np.diff(grid) <= 0):
             raise ValueError("s grid must be strictly ascending")
+        vals = np.array([self.evaluate(s) for s in grid])
         finite = np.isfinite(vals)
         if np.any(np.isnan(vals)) or np.any(vals == POS_INF):
             raise ValueError("curve values must be finite or -inf")
@@ -129,13 +133,9 @@ class PsiCurve:
 
 
 def psi_curve(rho0, rho1, grid=None) -> PsiCurve:
-    """Sample psi on a grid, with the exact evaluator and slope attached."""
-    if grid is None:
-        grid = default_s_grid()
-    grid = np.asarray(grid, dtype=float)
+    """The curve of psi on a grid, with the exact evaluator and slope."""
     ev = PsiEvaluator(rho0, rho1)
-    values = np.array([ev.psi(float(s)) for s in grid])
-    return PsiCurve(grid, values, ev.psi, ev.slope)
+    return PsiCurve(default_s_grid() if grid is None else grid, ev.psi, ev.slope)
 
 
 def renyi(rho0, rho1, alpha: float) -> float:
@@ -246,11 +246,11 @@ def hoeffding_distance(curve: PsiCurve, r: float) -> float:
     return best
 
 
-def lf_transform(curve: PsiCurve, a: float, window: tuple[float, float] = (0.0, 1.0)) -> float:
-    """max over the window of a*s - psi(s), refined past the grid."""
-    lo, hi = window
-    if not curve.covers(lo, hi):
-        raise ValueError(f"curve does not cover the window [{lo:g}, {hi:g}]")
+def phi(curve: PsiCurve, a: float) -> float:
+    """Legendre-Fenchel transform, max over [0, 1] of a*s - psi(s), refined
+    past the grid; phi(0) is the Chernoff distance."""
+    if not curve.covers(0.0, 1.0):
+        raise ValueError("curve does not cover the window [0, 1]")
 
     def neg_objective(s: float) -> float:
         v = curve.evaluate(s)
@@ -258,25 +258,15 @@ def lf_transform(curve: PsiCurve, a: float, window: tuple[float, float] = (0.0, 
             return NEG_INF
         return v - a * s
 
-    _, vmin = _scan_min(neg_objective, _grid_in(curve, lo, hi))
+    _, vmin = _scan_min(neg_objective, _grid_in(curve, 0.0, 1.0))
     if vmin == NEG_INF:
         return POS_INF
     return -vmin
 
 
-def phi(curve: PsiCurve, a: float) -> float:
-    """Legendre-Fenchel transform over [0, 1]; phi(0) is the Chernoff distance."""
-    return lf_transform(curve, a, (0.0, 1.0))
-
-
 def chernoff_distance(curve: PsiCurve) -> float:
     """-min over [0, 1] of the curve; +inf for orthogonal supports."""
     return phi(curve, 0.0)
-
-
-def phi_tilde(curve: PsiCurve, a: float) -> float:
-    """Strong-converse window transform: max over [1, 3/2] of a(s-1) - psi(s)."""
-    return lf_transform(curve, a, (1.0, 1.5)) - a
 
 
 def lieb_bound_check(rho0, rho1, action: GroupAction, n: int,
@@ -298,13 +288,13 @@ def lieb_bound_check(rho0, rho1, action: GroupAction, n: int,
     for s in s_grid[(s_grid >= 0.0) & (s_grid <= 1.0)]:
         s = float(s)
         pn, p1, p0 = ev_n.psi(s), ev_1.psi(s), ev_0.psi(s)
-        report.check_leq(f"n*psi_unres <= psi_n at s={s:g}", n * p0, pn, 1e-8, s=s)
-        report.check_leq(f"psi_n <= n*psi_1 at s={s:g}", pn, n * p1, 1e-8, s=s)
+        report.check_leq(f"n*psi_unres <= psi_n at s={s:g}", n * p0, pn, 1e-8)
+        report.check_leq(f"psi_n <= n*psi_1 at s={s:g}", pn, n * p1, 1e-8)
     if invariant:
         for s in s_grid[(s_grid >= 1.0) & (s_grid <= 2.0)]:
             s = float(s)
             pn, p1, p0 = ev_n.psi(s), ev_1.psi(s), ev_0.psi(s)
-            report.check_leq(f"psi_n <= n*psi_unres at s={s:g}", pn, n * p0, 1e-8, s=s)
-            report.check_leq(f"n*psi_1 <= psi_n at s={s:g}", n * p1, pn, 1e-8, s=s)
+            report.check_leq(f"psi_n <= n*psi_unres at s={s:g}", pn, n * p0, 1e-8)
+            report.check_leq(f"n*psi_1 <= psi_n at s={s:g}", n * p1, pn, 1e-8)
     return report
 

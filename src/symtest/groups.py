@@ -52,7 +52,7 @@ FINITE = "finite"
 TORUS = "torus"
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, eq=False)
 class GroupAction:
     """A unitary representation given either as an explicit finite list of
     unitaries or as a torus weight vector (the diagonal exponents)."""

@@ -98,7 +98,7 @@ def _canonical(m: np.ndarray) -> np.ndarray:
     return out
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, eq=False)
 class DensityOperator:
     """Positive semidefinite, unit-trace Hermitian operator.
 
@@ -111,7 +111,7 @@ class DensityOperator:
     """
 
     mat: np.ndarray
-    spectrum: Spectrum = field(init=False, repr=False, compare=False)
+    spectrum: Spectrum = field(init=False, repr=False)
 
     def __post_init__(self):
         # hold only the canonical copy, so the caller's matrix can be freed first
@@ -138,7 +138,7 @@ class DensityOperator:
         return self.mat.shape[0]
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, eq=False)
 class Spectrum:
     """Eigendecomposition: ascending eigenvalues, unitary eigenvector columns,
     and a mask ``exact`` of the eigenpairs read off a 1x1 component exactly
@@ -184,8 +184,20 @@ def eig(h) -> Spectrum:
     """
     if isinstance(h, DensityOperator):
         return h.spectrum
-    m = asmatrix(h)
-    m = (m + m.conj().T) / 2.0
+    return _eigh(_hermitian_part(h))
+
+
+def _hermitian_part(a) -> np.ndarray:
+    """The (A + A*)/2 that :func:`eig` decomposes: a density operator's
+    matrix as it is (it is canonical), else a new canonical copy."""
+    if isinstance(a, DensityOperator):
+        return a.mat
+    return _canonical(asmatrix(a))
+
+
+def _eigh(m: np.ndarray) -> Spectrum:
+    """:func:`eig` of a matrix that is already exactly Hermitian, such as the
+    canonical (A + A*)/2 or a sub-block of it, which it does not copy."""
     d = m.shape[0]
     try:
         w, v = np.linalg.eigh(m)
@@ -238,7 +250,8 @@ def _blockwise_eig(m: np.ndarray) -> Spectrum:
 
     A twirled state is block diagonal up to a permutation, and its exact zeros
     show the blocks.  Each component of more than one index gets one checked
-    :func:`eig` of its sub-block; a 1x1 component is its own eigenpair (the
+    :func:`_eigh` of its sub-block, which is exactly Hermitian as it is and
+    is not copied again; a 1x1 component is its own eigenpair (the
     real diagonal entry and a unit vector), and is marked exact.  The
     eigenvalues come back ascending (ties with the 1x1 components first, then
     in component order), and each eigenvector is zero outside its component.
@@ -246,7 +259,7 @@ def _blockwise_eig(m: np.ndarray) -> Spectrum:
     """
     lone, comps = components(m != 0)
     d = m.shape[0]
-    specs = [eig(m[np.ix_(idx, idx)]) for idx in comps]
+    specs = [_eigh(m[np.ix_(idx, idx)]) for idx in comps]
     w = np.concatenate([m.diagonal()[lone].real, *(spec.eigenvalues for spec in specs)])
     order = np.argsort(w, kind="stable")
     column = np.empty(d, dtype=np.intp)

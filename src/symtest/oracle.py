@@ -3,28 +3,19 @@
 Everything in this module is deliberately written against plain numpy so the
 main pipeline and its oracle share no code path: twirls by literal averaging,
 power traces by scalar block sums in log space, and optimality batteries over
-random tests.  Slow is fine here.
+random tests.  Every function returns plain numbers or arrays; a battery
+returns its best random test's error next to the closed-form optimum.  Slow
+is fine here.
 """
 
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass
 
 import numpy as np
 
 DEFAULT_SEED = 0x5EED
 TORUS_SAMPLES = 4096
-
-
-@dataclass(frozen=True)
-class OracleRecord:
-    """A frozen reference value: reproducible given identical inputs."""
-
-    id: str
-    inputs: dict
-    value: object
-    method: str
 
 
 def random_density(dim: int, rank: int | None = None,
@@ -135,11 +126,12 @@ def _pmin_reference(m0: np.ndarray, m1: np.ndarray, a: float, n: int) -> float:
     return (1.0 + weight) / 2.0 - float(np.sum(np.abs(w))) / 2.0
 
 
-def pmin_random_battery(rho0n, rho1n, a: float, count: int, n: int = 1) -> OracleRecord:
-    """Weighted error of `count` random tests versus the closed-form optimum.
+def pmin_random_battery(rho0n, rho1n, a: float, count: int,
+                        n: int = 1) -> tuple[float | None, float]:
+    """(battery minimum, reference p_min): the least weighted error of `count`
+    seeded random tests, None when count is 0, and the closed-form optimum.
 
     Random tests are Hermitian matrices with spectrum clipped into [0, 1].
-    The record value holds (battery minimum, reference p_min).
     """
     m0 = np.asarray(getattr(rho0n, "mat", rho0n), dtype=complex)
     m1 = np.asarray(getattr(rho1n, "mat", rho1n), dtype=complex)
@@ -153,10 +145,4 @@ def pmin_random_battery(rho0n, rho1n, a: float, count: int, n: int = 1) -> Oracl
         t = (v * np.clip(w, 0.0, 1.0)) @ v.conj().T
         combined = weight * (1.0 - np.trace(m0 @ t).real) + np.trace(m1 @ t).real
         best = min(best, float(combined))
-    reference = _pmin_reference(m0, m1, a, n)
-    return OracleRecord(
-        id=f"pmin-battery-a{a:g}-n{n}-count{count}",
-        inputs={"a": a, "n": n, "count": count, "seed": DEFAULT_SEED, "dim": int(m0.shape[0])},
-        value=[best if count else None, reference],
-        method="random clipped-Hermitian tests vs closed-form minimal error",
-    )
+    return (best if count else None), _pmin_reference(m0, m1, a, n)

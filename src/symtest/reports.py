@@ -13,7 +13,6 @@ class CheckEntry:
     rhs: float
     tol: float
     ok: bool
-    info: dict
 
 
 @dataclass
@@ -23,16 +22,16 @@ class CheckReport:
     name: str
     entries: list[CheckEntry] = field(default_factory=list)
 
-    def check_leq(self, label: str, lhs: float, rhs: float, tol: float = 0.0, **info) -> bool:
+    def check_leq(self, label: str, lhs: float, rhs: float, tol: float = 0.0) -> bool:
         lhs, rhs = float(lhs), float(rhs)
         if math.isnan(lhs) or math.isnan(rhs):
             ok = False
         else:
             ok = lhs <= rhs + tol
-        self.entries.append(CheckEntry(label, lhs, rhs, tol, ok, info))
+        self.entries.append(CheckEntry(label, lhs, rhs, tol, ok))
         return ok
 
-    def check_close(self, label: str, lhs: float, rhs: float, tol: float, **info) -> bool:
+    def check_close(self, label: str, lhs: float, rhs: float, tol: float) -> bool:
         lhs, rhs = float(lhs), float(rhs)
         if math.isinf(lhs) or math.isinf(rhs):
             ok = lhs == rhs
@@ -40,12 +39,12 @@ class CheckReport:
             ok = False
         else:
             ok = abs(lhs - rhs) <= tol
-        self.entries.append(CheckEntry(label, lhs, rhs, tol, ok, info))
+        self.entries.append(CheckEntry(label, lhs, rhs, tol, ok))
         return ok
 
-    def note(self, label: str, value: float = math.nan, **info) -> None:
+    def note(self, label: str, value: float = math.nan) -> None:
         """Informational row; never counts as a violation."""
-        self.entries.append(CheckEntry(label, float(value), float(value), 0.0, True, info))
+        self.entries.append(CheckEntry(label, float(value), float(value), 0.0, True))
 
     @property
     def violations(self) -> list[CheckEntry]:

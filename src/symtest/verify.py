@@ -175,7 +175,7 @@ def fidelity_reports(scenarios, n_max: int) -> list[CheckReport]:
                 e.label = f"{key} n={n}: {e.label}"
             sandwich.entries.extend(rep.entries)
             power.check_leq(f"{key}: F(n={n}) >= F^n",
-                            f_single**n, fidelity(*pair), 1e-9, n=n)
+                            f_single**n, fidelity(*pair), 1e-9)
     out.append(sandwich)
     out.append(power)
 
@@ -185,7 +185,7 @@ def fidelity_reports(scenarios, n_max: int) -> list[CheckReport]:
         ev = PsiEvaluator(rho0, rho1)
         for s in (0.0, 0.25, 0.5, 0.75, 1.0):
             lemma.check_leq(f"pair {k}: Tr rho^{s:g} sigma^{1 - s:g} >= F^2",
-                            f2, ev.trace_power(s), 1e-9, s=s)
+                            f2, ev.trace_power(s), 1e-9)
     out.append(lemma)
     return out
 
@@ -201,7 +201,7 @@ def fidelity_floor_report(scenarios) -> CheckReport:
         for n in (1, 2, 4):
             pair = twirled_pair(sc.rho0, sc.rho1, sc.action, n)
             values[n] = math.log(fidelity(*pair)) / n
-            report.check_leq(f"{key}: log F(n={n})/n >= log F", floor, values[n], 1e-9, n=n)
+            report.check_leq(f"{key}: log F(n={n})/n >= log F", floor, values[n], 1e-9)
         report.check_leq(f"{key}: doubling 1->2", values[2], values[1], 1e-9)
         report.check_leq(f"{key}: doubling 2->4", values[4], values[2], 1e-9)
     return report
@@ -225,12 +225,12 @@ def trace_norm_power_report(scenarios, n_max: int) -> CheckReport:
                 lhs = abs_power_trace(*pair, s)
                 rhs = prefactor * abs_power_trace(sc.rho0, sc.rho1, s) ** n
                 report.check_leq(f"{key} n={n}: |trace| <= (sum d)^2 single^n at s={s:g}",
-                                 lhs, rhs, 1e-9, s=s, n=n)
+                                 lhs, rhs, 1e-9)
             for s in (0.0, 0.1, 0.25, 0.4, 0.5):
                 lhs = abs_power_trace(sc.rho0, sc.rho1, s) ** n
                 rhs = abs_power_trace(*pair, s)
                 report.check_leq(f"{key} n={n}: single^n <= |trace| at s={s:g}",
-                                 lhs, rhs, 1e-9, s=s, n=n)
+                                 lhs, rhs, 1e-9)
     return report
 
 
@@ -247,10 +247,10 @@ def restricted_pmin_report(scenarios, n_max: int) -> CheckReport:
             unrestricted = p_min(DensityOperator(raw0),
                                  DensityOperator(raw1))
             report.check_leq(f"{key} n={n}: p_min(untwirled) <= p_min(twirled)",
-                             unrestricted, restricted, 1e-9, n=n)
+                             unrestricted, restricted, 1e-9)
             floor = 2.0 * PsiEvaluator(*pair).psi(0.5) - math.log(2.0)
             report.check_leq(f"{key} n={n}: half-power floor on log p_min",
-                             floor, math.log(restricted), 1e-9, n=n)
+                             floor, math.log(restricted), 1e-9)
     return report
 
 
@@ -276,12 +276,11 @@ def np_optimality_report(scenarios) -> CheckReport:
         sc = scenarios[key]
         pair = twirled_pair(sc.rho0, sc.rho1, sc.action, 2)
         for a in (-0.2, 0.0, 0.3):
-            record = pmin_random_battery(*pair, a=a, count=100, n=2)
-            battery_min, reference = record.value
+            battery_min, reference = pmin_random_battery(*pair, a=a, count=100, n=2)
             report.check_leq(f"{key} a={a:g}: p_min <= battery best",
-                             reference, battery_min, 1e-9, a=a)
+                             reference, battery_min, 1e-9)
             report.check_close(f"{key} a={a:g}: closed form matches pipeline",
-                               p_min(*pair, a=a, n=2), reference, 1e-10, a=a)
+                               p_min(*pair, a=a, n=2), reference, 1e-10)
     return report
 
 
@@ -307,7 +306,7 @@ def lf_identity_report() -> CheckReport:
             mid = (lo + hi) / 2.0
         lhs = phi(curve, lo)
         rhs = hoeffding_distance(curve, r)
-        report.check_close(f"r={r:g}: sup phi over level set = Hoeffding sup", lhs, rhs, 1e-6, r=r)
+        report.check_close(f"r={r:g}: sup phi over level set = Hoeffding sup", lhs, rhs, 1e-6)
     return report
 
 
@@ -340,8 +339,7 @@ def beta_eps_converse_report(scenarios) -> CheckReport:
         value = beta_eps(*pair, 0.1)
         for a in stein_a_grid(curve.slope(1.0)):
             bound = strong_converse_bound(ev, eps=0.1, a=float(a), n=n)
-            report.check_leq(f"n={n}, a={a:.3f}: floor <= beta_eps", bound, value, 1e-9,
-                             n=n, a=float(a))
+            report.check_leq(f"n={n}, a={a:.3f}: floor <= beta_eps", bound, value, 1e-9)
     return report
 
 
@@ -364,10 +362,10 @@ def data_processing_report() -> CheckReport:
         ev_tw = PsiEvaluator(t0, t1)
         for s in (0.0, 0.3, 0.5, 0.8, 1.0):
             report.check_leq(f"pair {k}: psi_tw >= psi at s={s:g}",
-                             ev_raw.psi(s), ev_tw.psi(s), 1e-8, s=s)
+                             ev_raw.psi(s), ev_tw.psi(s), 1e-8)
         for s in (1.2, 1.5, 1.8, 2.0):
             report.check_leq(f"pair {k}: psi_tw <= psi at s={s:g}",
-                             ev_tw.psi(s), ev_raw.psi(s), 1e-8, s=s)
+                             ev_tw.psi(s), ev_raw.psi(s), 1e-8)
     return report
 
 
@@ -410,12 +408,12 @@ def closed_form_bracket_report(scenarios, n_max: int) -> CheckReport:
             for s in (0.0, 0.25, 0.5, 0.75, 1.0):
                 limit = closed_form_psi(sc.kind, sc.params, s)
                 report.check_leq(f"{key} n={n}: limit <= curve at s={s:g}",
-                                 limit, ev.psi(s) / n, 1e-8, n=n, s=s)
+                                 limit, ev.psi(s) / n, 1e-8)
             if mirror:
                 for s in (1.0, 1.25, 1.5, 2.0):
                     limit = closed_form_psi(sc.kind, sc.params, s)
                     report.check_leq(f"{key} n={n}: curve <= limit at s={s:g}",
-                                     ev.psi(s) / n, limit, 1e-8, n=n, s=s)
+                                     ev.psi(s) / n, limit, 1e-8)
     return report
 
 
@@ -463,7 +461,7 @@ def equality_experiment_report() -> CheckReport:
         for s in np.linspace(-0.5, 2.0, 26):
             expected = n * ev0.psi(float(s)) + (1.0 - float(s)) * math.log(2.0)
             worst = max(worst, abs(ev.psi(float(s)) - expected))
-        report.check_leq(f"n={n}: exact offset identity", worst, 0.0, 1e-9, n=n)
+        report.check_leq(f"n={n}: exact offset identity", worst, 0.0, 1e-9)
         gap_at_0 = ev.psi(0.0) / n - ev0.psi(0.0)
         report.note(f"n={n}: gap to unrestricted at s=0", value=gap_at_0)
     return report

@@ -328,6 +328,11 @@ class TestCommands:
         ["--command", "pmin", "--a-grid", "0:1:0"],
         ["--command", "pmin", "--a-grid=-1000:0:2"],
         ["--command", "beta-eps", "--a-grid=-1000:0:2"],
+        ["--command", "psi", "--s-grid", "nan:1:3"],
+        ["--command", "pmin", "--a-grid=-inf:0:3"],
+        ["--command", "hoeffding", "--r-grid", "0:nan:3"],
+        ["--command", "beta-eps", "--a-grid=nan:1:3"],
+        ["--command", "convergence", "--s-grid", "0:inf:4"],
     ])
     def test_bad_argument_is_exit_2_without_traceback(self, tmp_path, args):
         src = str(Path(symtest.__file__).resolve().parents[1])

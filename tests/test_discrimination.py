@@ -121,8 +121,7 @@ class TestPmin:
 
     def test_beats_random_batteries(self, rng):
         pair = twirled_pair(faithful(rng), faithful(rng), z2_action(), 2)
-        record = pmin_random_battery(*pair, a=0.0, count=100, n=2)
-        best, reference = record.value
+        best, reference = pmin_random_battery(*pair, a=0.0, count=100, n=2)
         assert reference <= best + 1e-9
         assert p_min(*pair, n=2) == pytest.approx(reference, abs=1e-12)
 
@@ -299,7 +298,8 @@ class TestThresholdErrors:
         for rho0, rho1 in make_pairs():
             # selects the evaluator: joint eigenvalue atoms or one eigh per rate
             assert (_commuting_atoms(rho0, rho1) is not None) == commuting
-            assert_allclose(threshold_errors(rho0, rho1, RATES, n=n),
+            # exp(-n*a) is exp(-(n*a)): the test at n copies is the one at rates n*a
+            assert_allclose(threshold_errors(rho0, rho1, n * RATES),
                             projection_errors(rho0, rho1, RATES, n=n), rtol=0, atol=1e-12)
 
     @pytest.mark.parametrize("kind,params", [

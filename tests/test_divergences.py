@@ -23,10 +23,8 @@ from symtest.divergences import (
     default_s_grid,
     fidelity,
     hoeffding_distance,
-    lf_transform,
     lieb_bound_check,
     phi,
-    phi_tilde,
     psi,
     psi_curve,
     relative_entropy,
@@ -109,15 +107,15 @@ class TestPsiCurve:
 
     def test_convexity_validated(self):
         with pytest.raises(ValueError, match="convex"):
-            PsiCurve(np.array([0.0, 0.5, 1.0]), np.array([0.0, 1.0, 0.0]),
+            PsiCurve(np.array([0.0, 0.5, 1.0]),
                      lambda s: 1.0 - abs(2.0 * s - 1.0), lambda s: 2.0 - 4.0 * (s > 0.5))
 
     def test_evaluator_required(self):
         grid = np.array([0.0, 0.5, 1.0])
         with pytest.raises(TypeError):
-            PsiCurve(grid, np.zeros_like(grid))
+            PsiCurve(grid)
         with pytest.raises(TypeError):
-            PsiCurve(grid, np.zeros_like(grid), lambda s: 0.0)
+            PsiCurve(grid, lambda s: 0.0)
 
 
 class TestSlope:
@@ -253,7 +251,7 @@ class TestChernoff:
         assert chernoff_distance(curve) == math.inf
 
     def test_requires_coverage(self):
-        curve = PsiCurve(np.linspace(0.2, 0.8, 10), np.zeros(10), lambda s: 0.0, lambda s: 0.0)
+        curve = PsiCurve(np.linspace(0.2, 0.8, 10), lambda s: 0.0, lambda s: 0.0)
         with pytest.raises(ValueError, match="cover"):
             chernoff_distance(curve)
 
@@ -306,9 +304,9 @@ class TestLegendreFenchel:
 
     def test_flat_curve_hinge(self):
         grid = default_s_grid()
-        curve = PsiCurve(grid, np.zeros_like(grid), lambda s: 0.0, lambda s: 0.0)
+        curve = PsiCurve(grid, lambda s: 0.0, lambda s: 0.0)
         for a in (-0.7, -0.1, 0.0, 0.2, 1.3):
-            assert lf_transform(curve, a, (0.0, 1.0)) == pytest.approx(max(a, 0.0), abs=1e-12)
+            assert phi(curve, a) == pytest.approx(max(a, 0.0), abs=1e-12)
 
     def test_level_set_identity(self):
         # two independent maximizations meet: sup of phi over its own level
@@ -340,13 +338,16 @@ class TestLegendreFenchel:
             assert entry.lhs == phi(curve, lo)
             assert entry.ok
 
-    def test_phi_tilde_nonnegative_at_slope(self, rng):
+    def test_strong_converse_window_vanishes_at_slope(self, rng):
+        # the window transform max over [1, 3/2] of a(s-1) - psi(s) inside
+        # the floor e^{-a} (1 - eps - e^{-transform}) vanishes at a equal to
+        # the slope at 1, so the floor is -eps e^{-a}, and is positive above
         rho0, rho1 = faithful(rng), faithful(rng)
-        curve = psi_curve(rho0, rho1)
-        # at a equal to the slope at 1 the transform vanishes
-        a = curve.slope(1.0)
-        assert phi_tilde(curve, a) == pytest.approx(0.0, abs=1e-6)
-        assert phi_tilde(curve, a + 0.5) > 0.0
+        ev = PsiEvaluator(rho0, rho1)
+        a = ev.slope(1.0)
+        assert strong_converse_bound(ev, eps=0.1, a=a, n=1) == pytest.approx(
+            -0.1 * math.exp(-a), abs=1e-6)
+        assert strong_converse_bound(ev, eps=0.1, a=a + 0.5, n=1) > -0.1 * math.exp(-a - 0.5)
 
 
 class TestPsiSandwich:

@@ -2,7 +2,9 @@ import numpy as np
 import pytest
 from numpy.testing import assert_allclose
 
+from symtest.asymptotics import diag_qubit, make_scenario
 from symtest.discrimination import TestOperator
+from symtest.divergences import psi_curve
 from symtest.errors import DimensionError
 from symtest.groups import GroupAction, twirled_pair
 from symtest.linalg import (
@@ -28,6 +30,32 @@ from symtest.linalg import (
 )
 from symtest.oracle import random_density, random_unitary
 
+
+
+# one constructor per frozen dataclass that holds an array
+ARRAY_HOLDERS = {
+    "DensityOperator": lambda: diag_qubit(0.3),
+    "TestOperator": lambda: TestOperator(np.diag([1.0, 0.0])),
+    "Spectrum": lambda: eig(np.diag([0.3, 0.7])),
+    "GroupAction": lambda: GroupAction.torus([0, 1]),
+    "PsiCurve": lambda: psi_curve(diag_qubit(0.3), diag_qubit(0.6)),
+}
+
+
+@pytest.mark.parametrize("name", sorted(ARRAY_HOLDERS))
+def test_array_holders_compare_and_hash_by_identity(name):
+    # a generated __eq__ compares the arrays and raises; identity never does
+    a, b = ARRAY_HOLDERS[name](), ARRAY_HOLDERS[name]()
+    assert (a == a) is True
+    assert (a == b) is False
+    assert hash(a) == hash(a)
+    assert len({a, b}) == 2
+
+
+def test_scenarios_compare_without_raising():
+    sc = make_scenario("TorusPureVsMixed", alpha=0.3)
+    assert (sc == sc) is True
+    assert (sc == make_scenario("TorusPureVsMixed", alpha=0.3)) is False
 
 def test_hermitian_operator_rejects_non_hermitian():
     with pytest.raises(ValueError, match="not Hermitian"):
