@@ -171,7 +171,7 @@ def _commuting_atoms(rho0n, rho1n) -> tuple[np.ndarray, np.ndarray, np.ndarray] 
     x = m0 @ m1
     if float(np.max(np.abs(x - x.conj().T))) > 1e-10 * scale:
         return None
-    del x
+    del x  # free it before the overlap product below
     spec0, spec1 = eig(rho0n), eig(rho1n)
     overlap = np.abs(spec0.eigenvectors.conj().T @ spec1.eigenvectors) ** 2
     i, j = np.nonzero(overlap)

@@ -19,8 +19,8 @@ into a range, and :func:`components` splits an index set into the connected
 components of a linkage.  An operator is decomposed once: every
 :class:`DensityOperator` keeps the spectrum it was validated from, and
 :func:`eig` hands that spectrum back.  That spectrum is taken block by
-block along the exact zeros of the matrix, one checked :func:`eig` per
-connected component of its nonzero pattern, and assembled into one
+block along the exact zeros of the matrix, one checked eigendecomposition
+per connected component of its nonzero pattern, and assembled into one
 ascending decomposition of the full dimension.
 """
 
