@@ -114,12 +114,16 @@ def _pure_vs_mixed_psi(alpha: float, s: float) -> tuple[float, float]:
     if s <= 0.0:
         top = math.log(max(alpha, 1.0 - alpha))
         return (1.0 - s) * top - s * math.log(2.0), -top - math.log(2.0)
-    expo = (1.0 - s) / s
+    # s * logsumexp(e*la, e*lb) with e = (1-s)/s, written so that no factor
+    # overflows as s -> 0: (1-s)*top + s*log1p(exp(-e*|la - lb|))
     la, lb = math.log(alpha), math.log(1.0 - alpha)
-    total = _logsumexp([expo * la, expo * lb])
-    # d total / d expo is the softmax mean of the logs, and d expo / ds = -1/s**2
-    mean = math.exp(expo * la - total) * la + math.exp(expo * lb - total) * lb
-    return s * total - s * math.log(2.0), total - mean / s - math.log(2.0)
+    top, gap = max(la, lb), abs(la - lb)
+    e = math.exp(-(1.0 - s) * gap / s)
+    tail = math.log1p(e)
+    value = (1.0 - s) * top + s * tail - s * math.log(2.0)
+    # d/ds of s*tail is tail + q*gap/s, q = e/(1 + e) the softmax weight of
+    # the smaller log; q*gap is formed before the division, so q = 0 stays 0
+    return value, -top + tail + e / (1.0 + e) * gap / s - math.log(2.0)
 
 
 def _z2_psi_normalized(a: float, b: float, s: float) -> tuple[float, float]:

@@ -100,7 +100,7 @@ class PsiCurve:
     values: np.ndarray = field(init=False)
 
     def __post_init__(self):
-        grid = np.asarray(self.s_grid, dtype=float)
+        grid = np.array(self.s_grid, dtype=float)  # a copy: the caller's grid stays writable
         if grid.ndim != 1 or grid.size < 2:
             raise ValueError("s grid must be a 1-d array of at least 2 points")
         if np.any(np.diff(grid) <= 0):

@@ -12,14 +12,17 @@ twirled_pair builds the twirled n-copy states without any d^n x d^n
 product: for a finite group it averages the n-th tensor powers of the
 conjugated single-copy states, (1/|G|) sum_g (U_g rho U_g^*)^{(x)n}, which
 equals the twirl of rho^{(x)n} because U^{(x)n} rho^{(x)n} U^{(x)n *} =
-(U rho U^*)^{(x)n}; for the torus it pinches rho^{(x)n} by total weight.
-Each twirled state, like every DensityOperator, is validated from its
-eigendecomposition and keeps it, so every consumer reads that spectrum
-instead of decomposing the state again.  The twirl lands in the commutant,
-which is block diagonal up to a permutation, and writes the zeros between
-its blocks exactly (the torus pinching between weight classes, the sign-flip
-average on odd-parity entries), so the decomposition runs one block at a
-time.
+(U rho U^*)^{(x)n}; for the torus it fills each weight class of the powered
+weights directly, entry (x, y) the left-to-right product of rho[x_i, y_i]
+as in kron_power, and forms no rho^{(x)n}.  A real state and real group
+elements give a real twirled state (linalg.asmatrix keeps the smallest
+exact field).  Each twirled state, like every DensityOperator, is validated
+from its eigendecomposition and keeps it, so every consumer reads that
+spectrum instead of decomposing the state again.  The twirl lands in the
+commutant, which is block diagonal up to a permutation, and writes the
+zeros between its blocks exactly (the torus between weight classes, the
+sign-flip average on odd-parity entries), so the validation runs one block
+at a time.
 
 block_structure describes the commutant, a direct sum of blocks
 M_m (x) I_d, by the sorted multiset of its (m, d) pairs, which is all the
@@ -32,6 +35,7 @@ component finder (linalg.components).
 
 from __future__ import annotations
 
+import copy
 from dataclasses import dataclass
 
 import numpy as np
@@ -128,7 +132,7 @@ class GroupAction:
 
     @staticmethod
     def trivial(dim: int) -> "GroupAction":
-        return GroupAction(FINITE, unitaries=(np.eye(dim, dtype=complex),))
+        return GroupAction(FINITE, unitaries=(np.eye(dim),))
 
 
 def _check_power_dim(action: GroupAction, n: int) -> None:
@@ -150,13 +154,18 @@ def tensor_power(action: GroupAction, n: int) -> GroupAction:
         acc = w
         for _ in range(n - 1):
             acc = np.add.outer(acc, w).ravel()
-        return GroupAction(TORUS, weights=acc)
+        acc.setflags(write=False)
+        # sums of n checked weights are exact in int64 but may pass the 2**53
+        # bound on input weights, so they skip that check
+        powered = copy.copy(action)
+        object.__setattr__(powered, "weights", acc)
+        return powered
     powered = tuple(kron_power(u, n) for u in action.unitaries)
     return GroupAction(FINITE, unitaries=powered)
 
 
 def _average_conjugations(m: np.ndarray, unitaries) -> np.ndarray:
-    acc = np.zeros_like(m)
+    acc = np.zeros(m.shape, dtype=np.result_type(m, *unitaries))
     for u in unitaries:
         acc += u @ m @ u.conj().T
     return acc / len(unitaries)
@@ -185,22 +194,44 @@ def twirled_pair(rho0, rho1, action: GroupAction, n: int) -> tuple[DensityOperat
     block by block along the exact zeros of its matrix.
 
     A finite group averages (U rho U^*)^{(x)n} over its elements, which needs
-    each element listed once (GroupAction.finite checks that); the torus
-    pinches rho^{(x)n} by total weight.
+    each element listed once (GroupAction.finite checks that), in the field
+    of the conjugated states, decided before any power is formed; the torus
+    fills the weight classes of the powered weights, and its entries are
+    those of rho^{(x)n}.
     """
     _check_power_dim(action, n)
+    if action.kind == TORUS:
+        classes = _weight_classes(tensor_power(action, n).weights)
+        digits = np.indices((action.dim,) * n).reshape(n, -1)
     out = []
     for rho in (rho0, rho1):
         m = asmatrix(rho)
         if action.kind == TORUS:
-            mat = twirl(kron_power(m, n), tensor_power(action, n))
+            mat = np.zeros((action.dim**n,) * 2, dtype=m.dtype)
+            for idx in classes:
+                # entry (x, y) of the class block is the left-to-right product
+                # of m[x_i, y_i], as in kron_power
+                rows = digits[:, idx]
+                block = m[np.ix_(rows[0], rows[0])]
+                for r in rows[1:]:
+                    block = block * m[np.ix_(r, r)]
+                mat[np.ix_(idx, idx)] = block
         else:
-            mat = np.zeros((action.dim**n,) * 2, dtype=complex)
-            for u in action.unitaries:
-                mat += kron_power(u @ m @ u.conj().T, n)
+            conjugated = [asmatrix(u @ m @ u.conj().T) for u in action.unitaries]
+            mat = np.zeros((action.dim**n,) * 2, dtype=np.result_type(*conjugated))
+            for c in conjugated:
+                mat += kron_power(c, n)
             mat /= len(action.unitaries)
         out.append(DensityOperator(mat))
+        del mat
     return out[0], out[1]
+
+
+def _weight_classes(weights: np.ndarray) -> list[np.ndarray]:
+    """The ascending index sets of equal weight."""
+    order = np.argsort(weights, kind="stable")
+    cuts = np.flatnonzero(np.diff(weights[order])) + 1
+    return np.split(order, cuts)
 
 
 def is_support_invariant(rho1, action: GroupAction) -> bool:
@@ -325,7 +356,7 @@ def pinching_map(x, action: GroupAction, projections) -> np.ndarray:
             if float(np.max(np.abs(pi @ pj))) > 1e-8:
                 raise ValueError("pinching projections are not orthogonal within 1e-8")
     t = twirl(x, action)
-    out = np.zeros_like(t)
+    out = np.zeros(t.shape, dtype=np.result_type(t, *projs))
     for p in projs:
         out += p @ t @ p
     return out

@@ -1,7 +1,9 @@
 """Dense Hermitian linear algebra and matrix functional calculus.
 
-Operators are square complex numpy arrays.  Two types wrap one: a state is
-a :class:`DensityOperator`, and a test 0 <= T <= I is a
+Operators are square numpy arrays in the smallest exact field: float64 when
+the imaginary part is exactly zero, else complex128 (:func:`asmatrix`), so
+real operators run the real LAPACK and BLAS kernels.  Two types wrap one: a
+state is a :class:`DensityOperator`, and a test 0 <= T <= I is a
 ``discrimination.TestOperator``.  Both take their matrix through
 :func:`hermitian`, the one Hermitian gate, which keeps the canonical
 (A + A*)/2 as a read-only array.  Every other function maps arrays to
@@ -18,10 +20,12 @@ a spectrum into degenerate runs, :meth:`Spectrum.clipped` moves a spectrum
 into a range, and :func:`components` splits an index set into the connected
 components of a linkage.  An operator is decomposed once: every
 :class:`DensityOperator` keeps the spectrum it was validated from, and
-:func:`eig` hands that spectrum back.  That spectrum is taken block by
-block along the exact zeros of the matrix, one checked eigendecomposition
-per connected component of its nonzero pattern, and assembled into one
-ascending decomposition of the full dimension.
+:func:`eig` hands that spectrum back.  A state is validated block by block
+along the exact zeros of its matrix: the Hermitian gate, the canonical copy,
+one checked eigendecomposition, the clip and the renormalization each run on
+one connected component of its nonzero pattern at a time, and the block
+spectra are assembled into one ascending decomposition of the full
+dimension.  No step forms a dense V diag(w) V* or checks the whole matrix.
 """
 
 from __future__ import annotations
@@ -54,16 +58,24 @@ def dim_cap() -> int:
 
 
 def asmatrix(a) -> np.ndarray:
-    """Coerce to a finite square complex matrix, unwrapping a DensityOperator.
+    """Coerce to a finite square matrix, unwrapping a DensityOperator.
 
-    The matrix of a DensityOperator comes back as is: it was checked when the
+    The matrix is float64 when its imaginary part is exactly zero, else
+    complex128, so real operators run the real LAPACK and BLAS kernels.  The
+    matrix of a DensityOperator comes back as is: it was checked when the
     state was built and it is read-only."""
     if isinstance(a, DensityOperator):
         return a.mat
-    m = np.asarray(a, dtype=complex)
+    m = np.asarray(a)
+    if np.iscomplexobj(m):
+        m = m.astype(complex, copy=False)
+        if not m.imag.any():
+            m = np.ascontiguousarray(m.real)
+    else:
+        m = m.astype(float, copy=False)
     if m.ndim != 2 or m.shape[0] != m.shape[1]:
         raise DimensionError(f"expected a square matrix, got shape {m.shape}")
-    if not np.all(np.isfinite(m.real)) or not np.all(np.isfinite(m.imag)):
+    if not np.all(np.isfinite(m)):
         raise ValueError("matrix entries must be finite")
     return m
 
@@ -82,7 +94,8 @@ def frob(a) -> float:
 
 def hermitian(a) -> np.ndarray:
     """The canonical (A + A*)/2 of a matrix that is Hermitian within
-    HERM_TOL, as a new read-only array."""
+    HERM_TOL, as a new read-only array (float64 when its imaginary part is
+    exactly zero)."""
     m = asmatrix(a)
     dev = float(np.max(np.abs(m - m.conj().T))) if m.size else 0.0
     if dev > HERM_TOL:
@@ -94,6 +107,8 @@ def hermitian(a) -> np.ndarray:
 
 def _canonical(m: np.ndarray) -> np.ndarray:
     out = (m + m.conj().T) / 2.0
+    if np.iscomplexobj(out) and not out.imag.any():
+        out = out.real.copy()
     out.setflags(write=False)
     return out
 
@@ -102,34 +117,55 @@ def _canonical(m: np.ndarray) -> np.ndarray:
 class DensityOperator:
     """Positive semidefinite, unit-trace Hermitian operator.
 
-    ``mat`` is validated through :func:`hermitian` and then from
-    ``spectrum``, its eigendecomposition taken block by block (see
-    :func:`_blockwise_eig`), which it keeps: eigenvalues in [-TRACE_TOL, 0)
-    are clipped to zero, anything more negative is rejected, and the trace
-    is renormalized, in the matrix and the spectrum alike.  :func:`eig`
-    returns that spectrum instead of decomposing again.
+    ``mat`` is validated block by block along its exact zeros (see
+    :func:`_hermitian_blocks`): each block passes :func:`hermitian`, which
+    gives its canonical copy, and one checked eigendecomposition, assembled
+    into ``spectrum``, which it keeps.  Eigenvalues in [-TRACE_TOL, 0) are
+    clipped to zero and a block that had one is rebuilt from its clipped
+    spectrum; anything more negative is rejected.  The trace is then
+    renormalized, in the matrix and the spectrum alike.  :func:`eig` returns
+    that spectrum instead of decomposing again.
     """
 
     mat: np.ndarray
     spectrum: Spectrum = field(init=False, repr=False)
 
     def __post_init__(self):
-        # hold only the canonical copy, so the caller's matrix can be freed first
-        object.__setattr__(self, "mat", hermitian(self.mat))
-        mat = self.mat
+        m = asmatrix(self.mat)
+        d = m.shape[0]
+        lone, comps, blocks = _hermitian_blocks(m)
+        lone_w = m.diagonal()[lone].real  # the canonical part of a 1x1 block
+        del m  # a converted copy can be freed before the assembly
+        mat = np.zeros((d, d), dtype=np.result_type(float, *blocks))
+        mat[lone, lone] = lone_w
+        for idx, block in zip(comps, blocks):
+            mat[np.ix_(idx, idx)] = block
         tr = float(np.trace(mat).real)
         if abs(tr - 1.0) > TRACE_TOL:
             raise ValueError(f"trace must be 1 within {TRACE_TOL:g}, got {tr!r}")
-        spec = _blockwise_eig(mat)
+        specs = [_eigh(block) for block in blocks]
+        del blocks
+        spec, column = _assembled_eig(lone_w, lone, comps, specs)
         clipped = spec.clipped(0.0, np.inf, TRACE_TOL)
         if clipped is not spec:
-            mat, spec = hermitian(clipped.reconstruct()), clipped
+            w = clipped.eigenvalues
+            mat[lone, lone] = w[column[: lone.size]]
+            start = lone.size
+            for idx, block_spec in zip(comps, specs):
+                block_w = w[column[start : start + idx.size]]
+                start += idx.size
+                if not np.array_equal(block_w, block_spec.eigenvalues):
+                    v = block_spec.eigenvectors
+                    mat[np.ix_(idx, idx)] = hermitian((v * block_w) @ v.conj().T)
+            spec = clipped
         tr = float(np.trace(mat).real)
         if abs(tr - 1.0) > 1e-15:
             # a canonical matrix over its real trace stays exactly Hermitian
-            mat = mat / tr
-            mat.setflags(write=False)
+            mat[lone, lone] /= tr
+            for idx in comps:
+                mat[np.ix_(idx, idx)] /= tr
             spec = Spectrum(spec.eigenvalues / tr, spec.eigenvectors, spec.exact)
+        mat.setflags(write=False)
         object.__setattr__(self, "mat", mat)
         object.__setattr__(self, "spectrum", spec)
 
@@ -142,7 +178,7 @@ class DensityOperator:
 class Spectrum:
     """Eigendecomposition: ascending eigenvalues, unitary eigenvector columns,
     and a mask ``exact`` of the eigenpairs read off a 1x1 component exactly
-    (see :func:`_blockwise_eig`)."""
+    (see :func:`_assembled_eig`)."""
 
     eigenvalues: np.ndarray
     eigenvectors: np.ndarray
@@ -157,6 +193,8 @@ class Spectrum:
         positive, any other when it survives :func:`above_cut`."""
         w = self.eigenvalues
         keep = np.where(self.exact, w > 0.0, above_cut(w))
+        if keep.all():
+            return self
         return Spectrum(w[keep], self.eigenvectors[:, keep], self.exact[keep])
 
     def clipped(self, lo: float, hi: float, tol: float) -> "Spectrum":
@@ -244,27 +282,56 @@ def components(linked: np.ndarray) -> tuple[np.ndarray, list[np.ndarray]]:
     return lone, comps
 
 
-def _blockwise_eig(m: np.ndarray) -> Spectrum:
-    """:func:`eig` of the canonical Hermitian matrix m, assembled block by
-    block along its exact zeros.
+def _hermitian_blocks(m: np.ndarray) -> tuple[np.ndarray, list[np.ndarray], list[np.ndarray]]:
+    """m split along its exact zeros and passed through :func:`hermitian`
+    block by block: the indices that form a 1x1 block, the index sets of the
+    larger blocks, and the canonical sub-block of each.
 
     A twirled state is block diagonal up to a permutation, and its exact zeros
-    show the blocks.  Each component of more than one index gets one checked
-    :func:`_eigh` of its sub-block, which is exactly Hermitian as it is and
-    is not copied again; a 1x1 component is its own eigenpair (the
-    real diagonal entry and a unit vector), and is marked exact.  The
-    eigenvalues come back ascending (ties with the 1x1 components first, then
-    in component order), and each eigenvector is zero outside its component.
-    A matrix with one component comes out exactly as its :func:`eig`.
+    show the blocks.  m splits along the zeros of its symmetrized nonzero
+    pattern, so no entry outside the blocks deviates from Hermitian; each
+    block is then split again along the zeros of its canonical copy, which
+    can be finer.  The 1x1 blocks pass the gate when their entry of largest
+    imaginary part does.  Indices come back ascending, the larger blocks
+    ordered by their smallest index (:func:`components`).
     """
-    lone, comps = components(m != 0)
-    d = m.shape[0]
-    specs = [_eigh(m[np.ix_(idx, idx)]) for idx in comps]
-    w = np.concatenate([m.diagonal()[lone].real, *(spec.eigenvalues for spec in specs)])
+    nz = m != 0
+    lone, comps = components(nz | nz.T)
+    del nz
+    if lone.size:
+        worst = lone[np.argmax(np.abs(m.diagonal()[lone].imag))]
+        hermitian(m[worst : worst + 1, worst : worst + 1])
+    lones, parts = [lone], []
+    for idx in comps:
+        block = hermitian(m[np.ix_(idx, idx)])
+        inner_lone, inner = components(block != 0)
+        if inner_lone.size == 0 and len(inner) == 1:
+            parts.append((idx, block))
+            continue
+        lones.append(idx[inner_lone])
+        parts.extend((idx[sub], block[np.ix_(sub, sub)]) for sub in inner)
+    parts.sort(key=lambda part: part[0][0])
+    return np.sort(np.concatenate(lones)), [p[0] for p in parts], [p[1] for p in parts]
+
+
+def _assembled_eig(lone_w: np.ndarray, lone: np.ndarray, comps: list[np.ndarray],
+                   specs: list[Spectrum]) -> tuple[Spectrum, np.ndarray]:
+    """One ascending eigendecomposition of the full dimension from the 1x1
+    blocks lone (eigenvalues lone_w) and the spectra of the blocks comps,
+    and the column each eigenpair lands in, 1x1 blocks first and then block
+    by block.
+
+    A 1x1 block is its own eigenpair (its real entry and a unit vector) and
+    is marked exact.  Ties sort with the 1x1 blocks first, then in block
+    order, and each eigenvector is zero outside its block.  A matrix that is
+    one block comes out exactly as its :func:`eig`.
+    """
+    d = lone.size + sum(idx.size for idx in comps)
+    w = np.concatenate([lone_w, *(spec.eigenvalues for spec in specs)])
     order = np.argsort(w, kind="stable")
     column = np.empty(d, dtype=np.intp)
     column[order] = np.arange(d)
-    v = np.zeros((d, d), dtype=complex)
+    v = np.zeros((d, d), dtype=np.result_type(float, *(spec.eigenvectors for spec in specs)))
     v[lone, column[: lone.size]] = 1.0
     start = lone.size
     for idx, spec in zip(comps, specs):
@@ -274,7 +341,7 @@ def _blockwise_eig(m: np.ndarray) -> Spectrum:
     exact = order < lone.size
     for a in (w, v, exact):
         a.setflags(write=False)
-    return Spectrum(w, v, exact)
+    return Spectrum(w, v, exact), column
 
 
 def above_cut(w: np.ndarray) -> np.ndarray:

@@ -10,6 +10,7 @@ from symtest import cli
 from symtest.asymptotics import (
     ConvergenceTable,
     Scenario,
+    _closed_form,
     binomial_power_sum,
     binomial_power_sum_limit,
     closed_form_curve,
@@ -60,6 +61,30 @@ class TestClosedForms:
         left = closed_form_psi("TorusPureVsMixed", params, 0.0)
         right = closed_form_psi("TorusPureVsMixed", params, 1e-9)
         assert right == pytest.approx(left, abs=1e-7)
+
+    @pytest.mark.parametrize("s", [5e-321, 1e-310, 1e-300])
+    def test_pure_vs_mixed_at_subnormal_s(self, s):
+        value, slope = _closed_form("TorusPureVsMixed", {"alpha": 0.3}, s)
+        assert value == pytest.approx(math.log(0.7), abs=1e-12)
+        assert round(value, 4) == -0.3567
+        # the s <= 0 branch's slope, which the curve meets at s = 0
+        assert slope == pytest.approx(-math.log(0.7) - LOG2, abs=1e-12)
+
+    def test_pure_vs_mixed_slope_has_no_cancellation_at_small_s(self):
+        # at alpha = 1/2 the curve is -(1 - s) log 2, so the slope is log 2
+        for s in (1e-3, 1.25e-3, 1e-6):
+            assert _closed_form("TorusPureVsMixed", {"alpha": 0.5}, s)[1] == pytest.approx(
+                LOG2, abs=1e-14)
+
+    def test_pure_vs_mixed_psi_rows_at_subnormal_s(self, tmp_path):
+        out = tmp_path / "psi.csv"
+        scenario = Path(__file__).resolve().parents[1] / "scenarios" / "pure-vs-mixed.json"
+        assert cli.main(["--command", "psi", "--scenario", str(scenario), "--n-max", "2",
+                         "--s-grid=0:1e-310:3", "--out", str(out)]) == 0
+        rows = [line.split(",") for line in out.read_text().splitlines()[1:]]
+        closed = [float(r[1]) for r in rows if r[3] == "TorusPureVsMixed"]
+        assert len(closed) == 3
+        assert closed == pytest.approx([math.log(0.7)] * 3, abs=1e-12)
 
     def test_commuting_opposite_sides_uses_flipped_pairing(self):
         # when the two mixtures straddle the balanced point, the relevant

@@ -313,6 +313,33 @@ class TestCommands:
         assert main(["--scenario", path, "--command", "psi"]) == 2
         assert "repeats an element" in capsys.readouterr().err
 
+    def test_torus_weights_past_2_53_in_the_power(self, tmp_path):
+        # weights that pass the parse check sum past 2**53 at n = 2; the
+        # weight classes are those of [0, 2], so the output is too
+        outputs = []
+        for weights in ([0, 2**53], [0, 2]):
+            path = tmp_path / f"w{weights[1]}.json"
+            path.write_text(json.dumps(scenario_doc(group={"type": "torus", "weights": weights})))
+            out = tmp_path / f"w{weights[1]}.csv"
+            assert main(["--scenario", str(path), "--command", "psi", "--n-max", "2",
+                         "--out", str(out)]) == 0
+            outputs.append(out.read_bytes())
+        assert outputs[0] == outputs[1]
+
+    @pytest.mark.parametrize("command", ["psi", "beta-eps", "stein"])
+    def test_torus_outputs_only_see_the_weight_classes(self, tmp_path, command):
+        # shifting every weight, or negating them all, keeps the classes
+        outputs = []
+        for weights in ([0, 1], [5, 6], [-3, -2], [0, -1], [-7, -8]):
+            path = tmp_path / "two-pure.json"
+            path.write_text(json.dumps(scenario_doc(
+                kind="TorusTwoPure", rho0="pure-qubit 0.3", rho1="pure-qubit 0.6",
+                group={"type": "torus", "weights": weights}, n_max=5)))
+            out = tmp_path / "out.csv"
+            assert main(["--scenario", str(path), "--command", command, "--out", str(out)]) == 0
+            outputs.append(out.read_bytes())
+        assert all(o == outputs[0] for o in outputs)
+
     def test_bad_grid_is_exit_2(self, tmp_path):
         assert main([
             "--scenario", write_scenario(tmp_path),

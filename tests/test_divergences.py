@@ -105,6 +105,12 @@ class TestPsiCurve:
             limit = closed_form_psi("Z2Commuting", {"lam": lam, "mu": mu}, float(s))
             assert abs(v / n - limit) <= LOG2 / n + 1e-12
 
+    def test_caller_grid_stays_writable(self):
+        g = np.linspace(0, 1, 3)
+        curve = psi_curve(diag_qubit(0.3), diag_qubit(0.6), g)
+        assert g.flags.writeable
+        assert not curve.s_grid.flags.writeable
+
     def test_convexity_validated(self):
         with pytest.raises(ValueError, match="convex"):
             PsiCurve(np.array([0.0, 0.5, 1.0]),

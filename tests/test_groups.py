@@ -1,6 +1,8 @@
 import itertools
 import math
 
+import symtest.groups as groups
+
 import numpy as np
 import pytest
 from numpy.testing import assert_allclose
@@ -30,7 +32,9 @@ from symtest.groups import (
 )
 from symtest.linalg import (
     DensityOperator,
-    _blockwise_eig,
+    _assembled_eig,
+    _eigh,
+    _hermitian_blocks,
     above_cut,
     eig,
     hermitian,
@@ -103,6 +107,12 @@ class TestGroupAction:
             with pytest.raises(ValueError, match="integer"):
                 GroupAction.torus(weights)
         assert list(GroupAction.torus([-(2**53), 2**53]).weights) == [-(2**53), 2**53]
+
+    def test_torus_power_sums_may_pass_2_53(self):
+        # the input bound is on the weights, not on their sums in the power
+        powered = tensor_power(GroupAction.torus([0, 2**53]), 2)
+        assert powered.weights.tolist() == [0, 2**53, 2**53, 2**54]
+        assert block_structure(GroupAction.torus([0, 2**53]), 3) == [(1, 1), (1, 1), (3, 1), (3, 1)]
 
     def test_dims(self):
         assert z2_action().dim == 2
@@ -372,6 +382,32 @@ class TestTwirledPair:
             for rho, out in zip((rho0, rho1), twirled_pair(rho0, rho1, action, n)):
                 assert_allclose(out.mat, dense_twirl(rho, action, n), rtol=0, atol=1e-14)
 
+    @pytest.mark.parametrize("weights", [[0, 1], [0, 1, 1], [0, 2, -1]])
+    def test_torus_classes_are_the_pinched_kron_power(self, rng, monkeypatch, weights):
+        # A real product is correctly rounded, so the two routes agree bit for
+        # bit.  numpy rounds a complex product by the loop it picks for the
+        # array layout (with or without a fused multiply-add), so np.kron and
+        # the class blocks may differ there by that rounding, a few eps of
+        # the entry of |rho|^{(x)n}.
+        action, d = GroupAction.torus(weights), len(weights)
+        built = []
+        monkeypatch.setattr(groups, "DensityOperator", lambda m: built.append(m.copy()) or m)
+        rho_complex = random_density(d, rng=rng)
+        rho_real = random_density(d, rng=rng).real  # PSD with the same unit trace
+        for rho in (rho_complex, rho_real):
+            for n in range(1, 7):
+                built.clear()
+                twirled_pair(rho, rho, action, n)
+                expected = twirl(kron_power(rho, n), tensor_power(action, n))
+                assert built[0].dtype == expected.dtype
+                if rho is rho_real:
+                    assert np.array_equal(built[0], expected)
+                else:
+                    scale = twirl(kron_power(np.abs(rho), n), tensor_power(action, n))
+                    bound = 4 * n * np.finfo(float).eps * scale
+                    assert np.all(np.abs(built[0] - expected) <= bound)
+        assert expected.dtype == np.float64
+
     def test_sign_flip_route_is_bitwise_the_dense_twirl(self, rng):
         rho0, rho1 = random_density(2, rng=rng), random_density(2, rng=rng)
         for n in range(1, 7):
@@ -428,7 +464,10 @@ class TestTwirledPair:
     def test_rank_one_twirl_takes_the_clip_path_block_by_block(self):
         n = 6
         m = twirl(kron_power(pure_qubit(0.3).mat, n), tensor_power(torus_action(), n))
-        raw = _blockwise_eig(hermitian(m))
+        assert m.dtype == np.float64
+        # the block decomposition of the real canonical matrix, before the clip
+        lone, comps, blocks = _hermitian_blocks(hermitian(m))
+        raw, _ = _assembled_eig(m.diagonal()[lone], lone, comps, [_eigh(b) for b in blocks])
         assert raw.eigenvalues[0] < 0.0
         rho = DensityOperator(m)
         spec = rho.spectrum

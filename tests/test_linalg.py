@@ -2,7 +2,7 @@ import numpy as np
 import pytest
 from numpy.testing import assert_allclose
 
-from symtest.asymptotics import diag_qubit, make_scenario
+from symtest.asymptotics import TORUS_PURE_VS_MIXED, Z2_COMMUTING, diag_qubit, make_scenario
 from symtest.discrimination import TestOperator
 from symtest.divergences import psi_curve
 from symtest.errors import DimensionError
@@ -12,7 +12,9 @@ from symtest.linalg import (
     TRACE_TOL,
     DensityOperator,
     Spectrum,
-    _blockwise_eig,
+    _assembled_eig,
+    _eigh,
+    _hermitian_blocks,
     above_cut,
     abs_power_trace,
     asmatrix,
@@ -472,10 +474,17 @@ def test_decomposed_splits_along_hidden_blocks(rng, monkeypatch):
         assert any(rows <= block for block in blocks)
 
 
+def blockwise_eig(m):
+    """The spectrum DensityOperator assembles from the blocks of m, unclipped."""
+    lone, comps, blocks = _hermitian_blocks(m)
+    specs = [_eigh(block) for block in blocks]
+    return _assembled_eig(m.diagonal()[lone].real, lone, comps, specs)[0]
+
+
 def test_blockwise_eig_of_a_matrix_without_zeros_is_eig(rng):
     m = hermitian(random_density(6, rng=rng))
     assert np.all(m != 0)
-    blockwise, dense = _blockwise_eig(m), eig(m)
+    blockwise, dense = blockwise_eig(m), eig(m)
     assert np.array_equal(blockwise.eigenvalues, dense.eigenvalues)
     assert np.array_equal(blockwise.eigenvectors, dense.eigenvectors)
 
@@ -498,6 +507,30 @@ def union_find_components(linked):
         groups.setdefault(find(i), []).append(i)
     members = sorted(groups.values())
     return [g[0] for g in members if len(g) == 1], [g for g in members if len(g) > 1]
+
+
+def test_exactly_real_states_hold_the_real_field(rng):
+    real = np.array([[0.3, 0.2], [0.2, 0.7]])
+    for given in (real, real.tolist(), real.astype(complex)):
+        rho = DensityOperator(given)
+        assert rho.mat.dtype == np.float64
+        assert rho.spectrum.eigenvectors.dtype == np.float64
+        assert asmatrix(given).dtype == np.float64
+    rho = DensityOperator(random_density(3, rng=rng))
+    assert rho.mat.dtype == np.complex128
+    assert rho.spectrum.eigenvectors.dtype == np.complex128
+    assert_allclose(rho.spectrum.reconstruct(), rho.mat, rtol=0, atol=1e-14)
+    # a twirled pair keeps the field of its states and group elements
+    for kind, params in ((TORUS_PURE_VS_MIXED, {"alpha": 0.3}),
+                         (Z2_COMMUTING, {"lam": 0.2, "mu": 0.7})):
+        sc = make_scenario(kind, **params)
+        assert all(u.dtype == np.float64 for u in sc.action.unitaries or ())
+        for r in twirled_pair(sc.rho0, sc.rho1, sc.action, 4):
+            assert r.mat.dtype == r.spectrum.eigenvectors.dtype == np.float64
+    z2 = GroupAction.finite([np.eye(2), np.diag([1.0, -1.0])])
+    cplx = random_density(2, rng=rng)
+    for r in twirled_pair(cplx, cplx, z2, 4):
+        assert r.mat.dtype == r.spectrum.eigenvectors.dtype == np.complex128
 
 
 def test_components_match_a_union_find(rng):
