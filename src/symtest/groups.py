@@ -212,10 +212,10 @@ def twirled_pair(rho0, rho1, action: GroupAction, n: int) -> tuple[DensityOperat
                 # entry (x, y) of the class block is the left-to-right product
                 # of m[x_i, y_i], as in kron_power
                 rows = digits[:, idx]
-                block = m[np.ix_(rows[0], rows[0])]
+                block = m[rows[0][:, None], rows[0]]
                 for r in rows[1:]:
-                    block = block * m[np.ix_(r, r)]
-                mat[np.ix_(idx, idx)] = block
+                    block = block * m[r[:, None], r]
+                mat[idx[:, None], idx] = block
         else:
             conjugated = [asmatrix(u @ m @ u.conj().T) for u in action.unitaries]
             mat = np.zeros((action.dim**n,) * 2, dtype=np.result_type(*conjugated))

@@ -139,7 +139,7 @@ class DensityOperator:
         mat = np.zeros((d, d), dtype=np.result_type(float, *blocks))
         mat[lone, lone] = lone_w
         for idx, block in zip(comps, blocks):
-            mat[np.ix_(idx, idx)] = block
+            mat[idx[:, None], idx] = block
         tr = float(np.trace(mat).real)
         if abs(tr - 1.0) > TRACE_TOL:
             raise ValueError(f"trace must be 1 within {TRACE_TOL:g}, got {tr!r}")
@@ -156,14 +156,14 @@ class DensityOperator:
                 start += idx.size
                 if not np.array_equal(block_w, block_spec.eigenvalues):
                     v = block_spec.eigenvectors
-                    mat[np.ix_(idx, idx)] = hermitian((v * block_w) @ v.conj().T)
+                    mat[idx[:, None], idx] = hermitian((v * block_w) @ v.conj().T)
             spec = clipped
         tr = float(np.trace(mat).real)
         if abs(tr - 1.0) > 1e-15:
             # a canonical matrix over its real trace stays exactly Hermitian
             mat[lone, lone] /= tr
             for idx in comps:
-                mat[np.ix_(idx, idx)] /= tr
+                mat[idx[:, None], idx] /= tr
             spec = Spectrum(spec.eigenvalues / tr, spec.eigenvectors, spec.exact)
         mat.setflags(write=False)
         object.__setattr__(self, "mat", mat)
@@ -295,21 +295,23 @@ def _hermitian_blocks(m: np.ndarray) -> tuple[np.ndarray, list[np.ndarray], list
     imaginary part does.  Indices come back ascending, the larger blocks
     ordered by their smallest index (:func:`components`).
     """
-    nz = m != 0
-    lone, comps = components(nz | nz.T)
-    del nz
-    if lone.size:
+    linked = m != 0
+    linked |= linked.T
+    lone, comps = components(linked)
+    if lone.size and np.iscomplexobj(m):
         worst = lone[np.argmax(np.abs(m.diagonal()[lone].imag))]
         hermitian(m[worst : worst + 1, worst : worst + 1])
     lones, parts = [lone], []
     for idx in comps:
-        block = hermitian(m[np.ix_(idx, idx)])
-        inner_lone, inner = components(block != 0)
-        if inner_lone.size == 0 and len(inner) == 1:
-            parts.append((idx, block))
+        ix = idx[:, None], idx
+        block = hermitian(m[ix])
+        pattern = block != 0
+        if np.count_nonzero(pattern) == np.count_nonzero(linked[ix]):
+            parts.append((idx, block))  # no new zeros, so the same single block
             continue
+        inner_lone, inner = components(pattern)
         lones.append(idx[inner_lone])
-        parts.extend((idx[sub], block[np.ix_(sub, sub)]) for sub in inner)
+        parts.extend((idx[sub], block[sub[:, None], sub]) for sub in inner)
     parts.sort(key=lambda part: part[0][0])
     return np.sort(np.concatenate(lones)), [p[0] for p in parts], [p[1] for p in parts]
 
@@ -335,7 +337,7 @@ def _assembled_eig(lone_w: np.ndarray, lone: np.ndarray, comps: list[np.ndarray]
     v[lone, column[: lone.size]] = 1.0
     start = lone.size
     for idx, spec in zip(comps, specs):
-        v[np.ix_(idx, column[start : start + idx.size])] = spec.eigenvectors
+        v[idx[:, None], column[start : start + idx.size]] = spec.eigenvectors
         start += idx.size
     w = w[order]
     exact = order < lone.size
