@@ -171,8 +171,15 @@ def closed_form_psi(kind: str, params: dict, s: float) -> float:
 
 
 def closed_form_curve(kind: str, params: dict, grid=None) -> PsiCurve:
-    return PsiCurve(default_s_grid() if grid is None else grid,
-                    lambda s: closed_form_psi(kind, params, s),
+    """The closed form as a PsiCurve; an array of s is mapped point by point,
+    as Python floats, through the scalar formulas."""
+
+    def fn(s):
+        if isinstance(s, float):
+            return closed_form_psi(kind, params, s)
+        return np.array([closed_form_psi(kind, params, x) for x in np.asarray(s).tolist()])
+
+    return PsiCurve(default_s_grid() if grid is None else grid, fn,
                     lambda s: _closed_form(kind, params, s)[1])
 
 
@@ -216,7 +223,7 @@ def convergence_table(scenario: Scenario, s_grid=None) -> ConvergenceTable:
     values = np.empty((n_max, s_grid.size))
     for n in range(1, n_max + 1):
         ev = PsiEvaluator(*twirled_pair(scenario.rho0, scenario.rho1, scenario.action, n))
-        values[n - 1] = [ev.psi(float(s)) / n for s in s_grid]
+        values[n - 1] = ev.psi(s_grid) / n
     closed = np.array([closed_form_psi(scenario.kind, scenario.params, float(s)) for s in s_grid])
     monotone = [bool(np.all(np.diff(values[:, j]) <= 1e-10)) for j in range(s_grid.size)]
     rows = []

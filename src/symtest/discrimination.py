@@ -147,7 +147,8 @@ def pmin_bounds_check(rho0n, rho1n, a: float, n: int = 1) -> CheckReport:
         t = ev.trace_power(s)
         return math.exp(-n * a * s) * t
 
-    _, upper = _scan_min(upper_objective, np.linspace(0.0, 1.0, 41))
+    pts = np.linspace(0.0, 1.0, 41)
+    _, upper = _scan_min(upper_objective, pts, np.exp(-n * a * pts) * ev.trace_power(pts))
 
     weight = math.exp(-n * a)
     half_trace = ev.trace_power(0.5)
@@ -245,7 +246,8 @@ def strong_converse_bound(evaluator: PsiEvaluator, eps: float, a: float, n: int)
     def neg_objective(s: float) -> float:
         return evaluator.psi(s) - n * a * (s - 1.0)
 
-    phi_tilde_n = -_scan_min(neg_objective, np.linspace(1.0, 1.5, 21))[1]
+    pts = np.linspace(1.0, 1.5, 21)
+    phi_tilde_n = -_scan_min(neg_objective, pts, evaluator.psi(pts) - n * a * (pts - 1.0))[1]
     return math.exp(-n * a) * (1.0 - eps - math.exp(-phi_tilde_n))
 
 

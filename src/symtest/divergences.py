@@ -6,6 +6,11 @@ its exact slope (both read off the two kept spectra, no finite difference),
 the PsiCurve that samples an exact evaluator on a grid itself, the one
 Legendre-Fenchel transform phi over [0, 1], and the Renyi,
 relative-entropy, fidelity, Chernoff and Hoeffding quantities built from it.
+PsiEvaluator.trace_power and .psi take a float or an array of s: a float
+gives a float, an array an array of its shape, evaluated GRID_CHUNK points
+per matrix product.  A PsiCurve calls its evaluator once on its whole grid;
+phi and hoeffding_distance scan the curve's samples and call the evaluator
+only at a window end off the grid and at the scalar golden-section steps.
 The strong-converse window [1, 3/2] is maximized by
 discrimination.strong_converse_bound on its own grid.  Orthogonal supports are a
 legitimate regime and are represented by the IEEE sentinel NEG_INF, which
@@ -29,6 +34,9 @@ POS_INF = float("inf")
 UNDERFLOW = 1e-300
 
 GOLDEN_XTOL = 1e-10
+# s points per matrix product of an array evaluation; bounds its temporaries
+# at GRID_CHUNK times the rank, whatever the length of the grid
+GRID_CHUNK = 256
 
 
 def default_s_grid() -> np.ndarray:
@@ -41,9 +49,14 @@ class PsiEvaluator:
 
     Both spectra are taken once (the ones density operators keep); each
     evaluation is then a weighted sum over the support-restricted
-    eigenvalue pairs, so sweeping a grid of s values costs one matrix product
-    total.  The trace sums the pair weights w0_i**s O_ij w1_j**(1-s) over the
-    Nussbaum-Szkola overlaps O_ij = |<v0_i|v1_j>|**2.
+    eigenvalue pairs: the trace sums the pair weights w0_i**s O_ij w1_j**(1-s)
+    over the Nussbaum-Szkola overlaps O_ij = |<v0_i|v1_j>|**2.
+
+    ``trace_power`` and ``psi`` take a float or an array of s.  A float gives
+    a float, through one vector-matrix-vector product; an array gives an
+    array of its shape, through one matrix product per GRID_CHUNK points,
+    so sweeping a grid costs a few products, not one call per point.
+    ``slope`` takes a float only.
     """
 
     def __init__(self, rho0, rho1):
@@ -57,16 +70,31 @@ class PsiEvaluator:
         overlap[overlap < floor] = 0.0
         self._overlap = overlap
 
-    def trace_power(self, s: float) -> float:
-        if self._log0.size == 0 or self._log1.size == 0:
-            return 0.0
-        a = np.exp(s * self._log0)
-        b = np.exp((1.0 - s) * self._log1)
-        return float(max(a @ self._overlap @ b, 0.0))
+    def trace_power(self, s):
+        # an empty support sums no pairs: every product below is then 0
+        if isinstance(s, (float, int)):
+            a = np.exp(s * self._log0)
+            b = np.exp((1.0 - s) * self._log1)
+            t = float(a @ self._overlap @ b)
+            return 0.0 if t < 0.0 else t
+        s = np.asarray(s, dtype=float)
+        out = np.empty(s.shape)
+        flat_s, flat_out = s.reshape(-1), out.reshape(-1)
+        for k in range(0, flat_s.size, GRID_CHUNK):
+            chunk = flat_s[k:k + GRID_CHUNK]
+            a = np.exp(np.multiply.outer(chunk, self._log0))
+            b = np.exp(np.multiply.outer(1.0 - chunk, self._log1))
+            flat_out[k:k + GRID_CHUNK] = ((a @ self._overlap) * b).sum(axis=1)
+        return np.maximum(out, 0.0, out=out)
 
-    def psi(self, s: float) -> float:
+    def psi(self, s):
         t = self.trace_power(s)
-        return math.log(t) if t > UNDERFLOW else NEG_INF
+        if isinstance(t, float):
+            return math.log(t) if t > UNDERFLOW else NEG_INF
+        out = np.full(t.shape, NEG_INF)
+        kept = t > UNDERFLOW
+        out[kept] = np.log(t[kept])
+        return out
 
     def slope(self, s: float) -> float:
         """Exact derivative of psi at s, the mean of log w0_i - log w1_j under
@@ -89,13 +117,16 @@ class PsiCurve:
     """An s -> psi(s) map: its exact evaluator ``fn``, its exact derivative
     ``slope``, and ``values``, fn sampled on ``s_grid`` by the constructor.
 
-    The optimizers evaluate ``fn`` on the grid points inside their window and
-    refine past the grid with it; ``values`` are the printed samples and the
+    ``fn`` takes a float or an array of s: the constructor calls it once on
+    the whole grid (a scalar result is broadcast to the grid, so a constant
+    works) and the refinements call it on floats.  The optimizers scan
+    ``values`` at the grid points inside their window and refine past the
+    grid with ``fn``; ``values`` are also the printed samples and the
     convexity check's input.
     """
 
     s_grid: np.ndarray
-    fn: Callable[[float], float] = field(repr=False)
+    fn: Callable = field(repr=False)
     slope: Callable[[float], float] = field(repr=False)
     values: np.ndarray = field(init=False)
 
@@ -105,22 +136,22 @@ class PsiCurve:
             raise ValueError("s grid must be a 1-d array of at least 2 points")
         if np.any(np.diff(grid) <= 0):
             raise ValueError("s grid must be strictly ascending")
-        vals = np.array([self.evaluate(s) for s in grid])
+        grid.setflags(write=False)
+        vals = np.array(np.broadcast_to(np.asarray(self.fn(grid), dtype=float), grid.shape))
         finite = np.isfinite(vals)
         if np.any(np.isnan(vals)) or np.any(vals == POS_INF):
             raise ValueError("curve values must be finite or -inf")
         scale = max(1.0, float(np.max(np.abs(vals[finite]))) if finite.any() else 1.0)
-        for k in range(grid.size - 2):
-            window = vals[k : k + 3]
-            if not np.all(np.isfinite(window)):
-                continue
-            left = (window[1] - window[0]) / (grid[k + 1] - grid[k])
-            right = (window[2] - window[1]) / (grid[k + 2] - grid[k + 1])
-            if right - left < -1e-7 * scale:
-                raise ValueError(
-                    f"curve is not convex near s={grid[k + 1]:g} (slope drop {right - left:.3e})"
-                )
-        grid.setflags(write=False)
+        with np.errstate(invalid="ignore"):  # -inf - -inf, in windows skipped below
+            secant = np.diff(vals) / np.diff(grid)
+            drop = secant[1:] - secant[:-1]
+        windows = finite[:-2] & finite[1:-1] & finite[2:]
+        bad = np.flatnonzero(windows & (drop < -1e-7 * scale))
+        if bad.size:
+            k = int(bad[0])
+            raise ValueError(
+                f"curve is not convex near s={grid[k + 1]:g} (slope drop {drop[k]:.3e})"
+            )
         vals.setflags(write=False)
         object.__setattr__(self, "s_grid", grid)
         object.__setattr__(self, "values", vals)
@@ -194,16 +225,21 @@ def _golden_min(fn, a: float, b: float) -> tuple[float, float]:
     return best
 
 
-def _grid_in(curve: PsiCurve, lo: float, hi: float) -> np.ndarray:
-    pts = curve.s_grid[(curve.s_grid >= lo - 1e-12) & (curve.s_grid <= hi + 1e-12)]
-    pts = np.unique(np.concatenate([pts, [lo, hi]]))
-    return pts[(pts >= lo) & (pts <= hi)]
+def _window(curve: PsiCurve, lo: float, hi: float) -> tuple[np.ndarray, np.ndarray]:
+    """The scan points of [lo, hi], its grid points and both ends, and the
+    curve there: its samples on the grid, fn at an end off the grid."""
+    inside = (curve.s_grid >= lo) & (curve.s_grid <= hi)
+    pts, vals = curve.s_grid[inside], curve.values[inside]
+    if pts.size == 0 or pts[0] != lo:
+        pts, vals = np.insert(pts, 0, lo), np.insert(vals, 0, curve.evaluate(lo))
+    if pts[-1] != hi:
+        pts, vals = np.append(pts, hi), np.append(vals, curve.evaluate(hi))
+    return pts, vals
 
 
-def _scan_min(fn, pts: np.ndarray) -> tuple[float, float]:
-    """Minimum of fn over the ascending points pts, refined by golden section
-    between the neighbours of the best point."""
-    vals = np.array([fn(float(s)) for s in pts])
+def _scan_min(fn, pts: np.ndarray, vals: np.ndarray) -> tuple[float, float]:
+    """Minimum of fn over the ascending points pts, where it takes the values
+    vals, refined by golden section between the neighbours of the best point."""
     k = int(np.argmin(vals))
     best_s, best_v = float(pts[k]), float(vals[k])
     if best_v == NEG_INF:
@@ -218,7 +254,11 @@ def _scan_min(fn, pts: np.ndarray) -> tuple[float, float]:
 
 
 def hoeffding_distance(curve: PsiCurve, r: float) -> float:
-    """sup over t in [0, 1) of (-t*r - psi(t)) / (1 - t); +inf when r < -psi(1)."""
+    """sup over t in [0, 1) of (-t*r - psi(t)) / (1 - t); +inf when r < -psi(1).
+
+    On the nesting boundary r = -psi(1) the objective is r plus the secant
+    slope of psi over [t, 1], nondecreasing in t for a convex psi, so the sup
+    is r + psi'(1), returned without a scan."""
     if r < 0:
         raise ValueError("rate parameter r must be nonnegative")
     if not curve.covers(0.0, 1.0):
@@ -229,21 +269,16 @@ def hoeffding_distance(curve: PsiCurve, r: float) -> float:
     boundary_tol = 1e-9
     if r + psi1 < -boundary_tol:
         return POS_INF
-
-    def objective(t: float) -> float:
-        v = curve.evaluate(t)
-        if v == NEG_INF:
-            return POS_INF
-        return (-t * r - v) / (1.0 - t)
-
-    hi = 1.0 - 1e-7
-    _, neg_best = _scan_min(lambda t: -objective(t), _grid_in(curve, 0.0, hi))
-    best = -neg_best
-    if best == POS_INF:
-        return POS_INF
     if abs(r + psi1) <= boundary_tol:
-        best = max(best, r + curve.slope(1.0))
-    return best
+        return r + curve.slope(1.0)
+
+    def neg_objective(t, v):
+        # a -inf value gives -t*r + inf = +inf: an unbounded objective
+        return -((-t * r - v) / (1.0 - t))
+
+    pts, vals = _window(curve, 0.0, 1.0 - 1e-7)
+    return -_scan_min(lambda t: neg_objective(t, curve.evaluate(t)), pts,
+                      neg_objective(pts, vals))[1]
 
 
 def phi(curve: PsiCurve, a: float) -> float:
@@ -252,16 +287,13 @@ def phi(curve: PsiCurve, a: float) -> float:
     if not curve.covers(0.0, 1.0):
         raise ValueError("curve does not cover the window [0, 1]")
 
-    def neg_objective(s: float) -> float:
-        v = curve.evaluate(s)
-        if v == NEG_INF:
-            return NEG_INF
+    def neg_objective(s, v):
+        # a -inf value stays -inf: an unbounded transform
         return v - a * s
 
-    _, vmin = _scan_min(neg_objective, _grid_in(curve, 0.0, 1.0))
-    if vmin == NEG_INF:
-        return POS_INF
-    return -vmin
+    pts, vals = _window(curve, 0.0, 1.0)
+    return -_scan_min(lambda s: neg_objective(s, curve.evaluate(s)), pts,
+                      neg_objective(pts, vals))[1]
 
 
 def chernoff_distance(curve: PsiCurve) -> float:
@@ -285,15 +317,15 @@ def lieb_bound_check(rho0, rho1, action: GroupAction, n: int,
     report = CheckReport(f"psi sandwich (n={n})")
     invariant = is_support_invariant(rho1, action)
     report.note("supp rho1 invariant", value=float(invariant))
-    for s in s_grid[(s_grid >= 0.0) & (s_grid <= 1.0)]:
-        s = float(s)
-        pn, p1, p0 = ev_n.psi(s), ev_1.psi(s), ev_0.psi(s)
+    low = s_grid[(s_grid >= 0.0) & (s_grid <= 1.0)]
+    curves = (ev.psi(low).tolist() for ev in (ev_n, ev_1, ev_0))
+    for s, pn, p1, p0 in zip(low.tolist(), *curves):
         report.check_leq(f"n*psi_unres <= psi_n at s={s:g}", n * p0, pn, 1e-8)
         report.check_leq(f"psi_n <= n*psi_1 at s={s:g}", pn, n * p1, 1e-8)
     if invariant:
-        for s in s_grid[(s_grid >= 1.0) & (s_grid <= 2.0)]:
-            s = float(s)
-            pn, p1, p0 = ev_n.psi(s), ev_1.psi(s), ev_0.psi(s)
+        high = s_grid[(s_grid >= 1.0) & (s_grid <= 2.0)]
+        curves = (ev.psi(high).tolist() for ev in (ev_n, ev_1, ev_0))
+        for s, pn, p1, p0 in zip(high.tolist(), *curves):
             report.check_leq(f"psi_n <= n*psi_unres at s={s:g}", pn, n * p0, 1e-8)
             report.check_leq(f"n*psi_1 <= psi_n at s={s:g}", n * p1, pn, 1e-8)
     return report

@@ -43,7 +43,6 @@ from .divergences import (
     hoeffding_distance,
     lieb_bound_check,
     phi,
-    psi,
     psi_curve,
     relative_entropy,
     renyi,
@@ -113,12 +112,12 @@ def additivity_report(scenarios) -> CheckReport:
             n: twirled_pair(sc.rho0, sc.rho1, sc.action, n)
             for n in (1, 2, 3, 4)
         }
+        s_grid = np.array([0.25, 0.5, 0.75])
+        curves = {k: PsiEvaluator(*pair).psi(s_grid).tolist() for k, pair in cache.items()}
         for n, m in pairs:
-            for s in (0.25, 0.5, 0.75):
-                lhs = psi(*cache[n + m], s)
-                rhs = psi(*cache[n], s) + psi(*cache[m], s)
+            for s, lhs, psi_n, psi_m in zip(s_grid.tolist(), curves[n + m], curves[n], curves[m]):
                 report.check_leq(
-                    f"{key}: psi_{n + m}({s:g}) <= psi_{n}+psi_{m}", lhs, rhs, 1e-8)
+                    f"{key}: psi_{n + m}({s:g}) <= psi_{n}+psi_{m}", lhs, psi_n + psi_m, 1e-8)
             for alpha in (0.0, 0.3, 0.7):
                 lhs = renyi(*cache[n], alpha) + renyi(*cache[m], alpha)
                 rhs = renyi(*cache[n + m], alpha)
@@ -180,12 +179,13 @@ def fidelity_reports(scenarios, n_max: int) -> list[CheckReport]:
     out.append(power)
 
     lemma = CheckReport("power trace dominates squared fidelity (50 random pairs)")
+    s_grid = np.linspace(0.0, 1.0, 5)
     for k, (rho0, rho1) in enumerate(_random_pairs(50)):
         f2 = fidelity(rho0, rho1) ** 2
-        ev = PsiEvaluator(rho0, rho1)
-        for s in (0.0, 0.25, 0.5, 0.75, 1.0):
+        traces = PsiEvaluator(rho0, rho1).trace_power(s_grid).tolist()
+        for s, trace in zip(s_grid.tolist(), traces):
             lemma.check_leq(f"pair {k}: Tr rho^{s:g} sigma^{1 - s:g} >= F^2",
-                            f2, ev.trace_power(s), 1e-9)
+                            f2, trace, 1e-9)
     out.append(lemma)
     return out
 
@@ -352,20 +352,20 @@ def data_processing_report() -> CheckReport:
         2: GroupAction.finite([np.eye(2), np.diag([1.0, -1.0])]),
         3: GroupAction.torus([0, 1, 2]),
     }
+    s_grid = np.array([0.0, 0.3, 0.5, 0.8, 1.0, 1.2, 1.5, 1.8, 2.0])
     for k in range(12):
         dim = 2 if k % 2 == 0 else 3
         action = actions[dim]
         rho0 = random_density(dim, rng=rng)
         rho1 = random_density(dim, rng=rng)  # full rank a.s., so faithful
         t0, t1 = twirl(rho0, action), twirl(rho1, action)
-        ev_raw = PsiEvaluator(rho0, rho1)
-        ev_tw = PsiEvaluator(t0, t1)
-        for s in (0.0, 0.3, 0.5, 0.8, 1.0):
-            report.check_leq(f"pair {k}: psi_tw >= psi at s={s:g}",
-                             ev_raw.psi(s), ev_tw.psi(s), 1e-8)
-        for s in (1.2, 1.5, 1.8, 2.0):
-            report.check_leq(f"pair {k}: psi_tw <= psi at s={s:g}",
-                             ev_tw.psi(s), ev_raw.psi(s), 1e-8)
+        raw = PsiEvaluator(rho0, rho1).psi(s_grid).tolist()
+        twirled = PsiEvaluator(t0, t1).psi(s_grid).tolist()
+        for s, psi_raw, psi_tw in zip(s_grid.tolist(), raw, twirled):
+            if s <= 1.0:
+                report.check_leq(f"pair {k}: psi_tw >= psi at s={s:g}", psi_raw, psi_tw, 1e-8)
+            else:
+                report.check_leq(f"pair {k}: psi_tw <= psi at s={s:g}", psi_tw, psi_raw, 1e-8)
     return report
 
 
@@ -403,17 +403,16 @@ def closed_form_bracket_report(scenarios, n_max: int) -> CheckReport:
     for key in ("two-commuting", "pure-vs-mixed", "two-pure"):
         sc = scenarios[key]
         mirror = is_support_invariant(sc.rho1, sc.action)
+        low, high = np.linspace(0.0, 1.0, 5), np.array([1.0, 1.25, 1.5, 2.0])
         for n in range(1, min(n_max, 5) + 1):
             ev = PsiEvaluator(*twirled_pair(sc.rho0, sc.rho1, sc.action, n))
-            for s in (0.0, 0.25, 0.5, 0.75, 1.0):
+            for s, value in zip(low.tolist(), (ev.psi(low) / n).tolist()):
                 limit = closed_form_psi(sc.kind, sc.params, s)
-                report.check_leq(f"{key} n={n}: limit <= curve at s={s:g}",
-                                 limit, ev.psi(s) / n, 1e-8)
+                report.check_leq(f"{key} n={n}: limit <= curve at s={s:g}", limit, value, 1e-8)
             if mirror:
-                for s in (1.0, 1.25, 1.5, 2.0):
+                for s, value in zip(high.tolist(), (ev.psi(high) / n).tolist()):
                     limit = closed_form_psi(sc.kind, sc.params, s)
-                    report.check_leq(f"{key} n={n}: curve <= limit at s={s:g}",
-                                     ev.psi(s) / n, limit, 1e-8)
+                    report.check_leq(f"{key} n={n}: curve <= limit at s={s:g}", value, limit, 1e-8)
     return report
 
 
@@ -454,13 +453,13 @@ def equality_experiment_report() -> CheckReport:
     rho1 = diag_qubit(0.3)
     action = z2_action()
     ev0 = PsiEvaluator(rho0, rho1)
+    s_grid = np.linspace(-0.5, 2.0, 26)
+    psi0 = ev0.psi(s_grid)
     for n in range(1, 6):
         pair = twirled_pair(rho0, rho1, action, n)
         ev = PsiEvaluator(*pair)
-        worst = 0.0
-        for s in np.linspace(-0.5, 2.0, 26):
-            expected = n * ev0.psi(float(s)) + (1.0 - float(s)) * math.log(2.0)
-            worst = max(worst, abs(ev.psi(float(s)) - expected))
+        expected = n * psi0 + (1.0 - s_grid) * math.log(2.0)
+        worst = float(np.max(np.abs(ev.psi(s_grid) - expected)))
         report.check_leq(f"n={n}: exact offset identity", worst, 0.0, 1e-9)
         gap_at_0 = ev.psi(0.0) / n - ev0.psi(0.0)
         report.note(f"n={n}: gap to unrestricted at s=0", value=gap_at_0)

@@ -282,6 +282,38 @@ class TestCommands:
                      "--r-grid", "0:0.4:3",
                      "--out", str(tmp_path / "hoeffding.csv")]) == 0
 
+    @pytest.mark.parametrize("name", ["two-commuting", "pure-vs-mixed"])
+    def test_zero_rate_hoeffding_is_the_stein_row(self, tmp_path, name):
+        # at r = 0 the supports nest, and the sup is the slope at s = 1: the
+        # per-copy relative entropy, with no scan near s = 1 to amplify roundoff
+        path = Path(__file__).resolve().parent.parent / "scenarios" / f"{name}.json"
+        tables = {}
+        for command in ("hoeffding", "stein"):
+            out = tmp_path / f"{command}.csv"
+            assert main(["--scenario", str(path), "--command", command, "--n-max", "6",
+                         "--out", str(out)]) == 0
+            tables[command] = [line.split(",") for line in out.read_text().splitlines()[1:]]
+        hoeffding = {(int(n), label): float(h) for n, r, h, label in tables["hoeffding"]
+                     if float(r) == 0.0}
+        stein = {(int(n), label): float(v) for n, label, v in tables["stein"]
+                 if label != "unrestricted"}
+        assert hoeffding.keys() == stein.keys() and len(stein) == 7
+        for key, value in stein.items():
+            assert abs(hoeffding[key] - value) <= 1e-12 * abs(value), key
+
+    def test_subnormal_s_grid_writes_nothing_to_stderr(self, tmp_path):
+        src = str(Path(symtest.__file__).resolve().parents[1])
+        env = {**os.environ, "PYTHONPATH": src}
+        scenario = Path(__file__).resolve().parent.parent / "scenarios" / "pure-vs-mixed.json"
+        proc = subprocess.run(
+            [sys.executable, "-m", "symtest.cli", "--scenario", str(scenario),
+             "--command", "psi", "--s-grid=0:1e-310:3"],
+            capture_output=True, text=True, env=env, timeout=120,
+        )
+        assert proc.returncode == 0
+        assert proc.stderr == ""
+        assert "-inf" not in proc.stdout
+
     def test_missing_scenario_is_exit_2(self):
         assert main(["--command", "psi"]) == 2
         assert main(["--scenario", "/nonexistent.json", "--command", "psi"]) == 2

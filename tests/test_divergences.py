@@ -1,4 +1,6 @@
 import math
+import tracemalloc
+from pathlib import Path
 
 import numpy as np
 import pytest
@@ -31,6 +33,7 @@ from symtest.divergences import (
     renyi,
     renyi_entropy,
 )
+from symtest.cli import parse_scenario
 from symtest.discrimination import (
     average_error,
     beta_eps,
@@ -49,6 +52,7 @@ from symtest.oracle import random_density
 from symtest.verify import lf_identity_report
 
 LOG2 = math.log(2.0)
+SCENARIOS = Path(__file__).resolve().parent.parent / "scenarios"
 
 
 def faithful(rng, dim=2):
@@ -122,6 +126,97 @@ class TestPsiCurve:
             PsiCurve(grid)
         with pytest.raises(TypeError):
             PsiCurve(grid, lambda s: 0.0)
+
+
+class TestArrayEvaluation:
+    """trace_power and psi take a float or an array; PsiCurve samples its
+    evaluator once."""
+
+    @staticmethod
+    def assert_matches_scalar(ev, grid):
+        values = ev.psi(grid)
+        scalar = np.array([ev.psi(float(s)) for s in grid])
+        assert values.shape == grid.shape
+        assert np.array_equal(values == NEG_INF, scalar == NEG_INF)
+        finite = scalar != NEG_INF
+        # relative to max(1, |psi|): psi(0) and psi(1) are zero up to roundoff
+        gap = np.abs(values[finite] - scalar[finite])
+        assert np.all(gap <= 1e-15 * np.maximum(1.0, np.abs(scalar[finite])))
+
+    @pytest.mark.parametrize("name", ["two-commuting", "pure-vs-mixed", "two-pure"])
+    def test_array_matches_scalar_on_scenario_pairs(self, name):
+        sc = parse_scenario((SCENARIOS / f"{name}.json").read_text())
+        grid = np.concatenate([default_s_grid(), np.linspace(-40.0, 40.0, 161)])
+        for n in range(1, 10):
+            self.assert_matches_scalar(
+                PsiEvaluator(*twirled_pair(sc.rho0, sc.rho1, sc.action, n)), grid)
+
+    def test_array_matches_scalar_on_random_qubit_pairs(self):
+        rng = np.random.default_rng(17)
+        grid = np.concatenate([default_s_grid(), np.linspace(-40.0, 40.0, 161)])
+        for _ in range(20):
+            self.assert_matches_scalar(PsiEvaluator(faithful(rng), faithful(rng)), grid)
+
+    def test_underflow_and_orthogonal_supports_give_neg_inf_in_place(self):
+        # Tr rho0^s rho1^(1-s) = (1e-10)^(1-s) underflows below s = -29
+        grid = np.linspace(-40.0, 2.0, 43)
+        ev = PsiEvaluator(np.diag([1.0, 0.0]), np.diag([1e-10, 1.0 - 1e-10]))
+        self.assert_matches_scalar(ev, grid)
+        assert np.any(ev.psi(grid) == NEG_INF) and np.any(ev.psi(grid) > NEG_INF)
+        orthogonal = PsiEvaluator(np.diag([1.0, 0.0]), np.diag([0.0, 1.0]))
+        self.assert_matches_scalar(orthogonal, grid)
+        assert np.all(orthogonal.psi(grid) == NEG_INF)
+
+    def test_float_gives_float_and_array_keeps_its_shape(self, rng):
+        ev = PsiEvaluator(faithful(rng), faithful(rng))
+        assert type(ev.psi(0.37)) is float and type(ev.trace_power(0.37)) is float
+        grid = np.linspace(0.0, 1.0, 6).reshape(2, 3)
+        assert ev.psi(grid).shape == (2, 3)
+        assert ev.trace_power(np.array(0.37)).shape == ()
+        assert_allclose(ev.psi(grid).ravel(), ev.psi(grid.ravel()), rtol=0, atol=0)
+
+    def test_grid_longer_than_a_chunk_stays_small(self):
+        sc = parse_scenario((SCENARIOS / "two-commuting.json").read_text())
+        ev = PsiEvaluator(*twirled_pair(sc.rho0, sc.rho1, sc.action, 9))
+        grid = np.linspace(-0.5, 2.0, 100_001)
+        tracemalloc.start()
+        try:
+            values = ev.psi(grid)
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert peak < 16 * 2**20
+        probe = np.arange(0, grid.size, 9973)
+        assert_allclose(values[probe], [ev.psi(float(grid[k])) for k in probe],
+                        rtol=1e-15, atol=1e-15)
+
+    def test_curve_samples_its_evaluator_once(self):
+        calls = []
+
+        def fn(s):
+            calls.append(np.shape(s))
+            return np.asarray(s) ** 2
+
+        curve = PsiCurve(default_s_grid(), fn, lambda s: 2.0 * s)
+        assert calls == [(201,)]
+        assert_allclose(curve.values, default_s_grid() ** 2, rtol=0, atol=0)
+
+    def test_non_convex_curve_raises_where_it_did_per_point(self):
+        # the first window that drops beyond 1e-7 * scale is named, past
+        # a drop under the tolerance and past windows holding -inf
+        def fn(s):
+            s = np.asarray(s, dtype=float)
+            value = (np.abs(s - 0.7) - 1e-9 * np.maximum(s - 0.1, 0.0)
+                     - 1e-3 * np.maximum(s - 0.4, 0.0) - 2.0 * np.maximum(s - 1.2, 0.0))
+            return np.where(s < 0.0, NEG_INF, value)
+
+        for grid, message in (
+                (np.linspace(-0.5, 2.0, 26), "near s=0.4 (slope drop -1.000e-03)"),
+                (np.linspace(-0.5, 2.0, 201), "near s=0.4 (slope drop -1.000e-03)"),
+                (np.linspace(0.5, 2.0, 7), "near s=1 (slope drop -4.000e-01)")):
+            with pytest.raises(ValueError) as info:
+                PsiCurve(grid, fn, lambda s: 0.0)
+            assert str(info.value) == f"curve is not convex {message}"
 
 
 class TestSlope:
