@@ -177,7 +177,8 @@ def closed_form_curve(kind: str, params: dict, grid=None) -> PsiCurve:
     def fn(s):
         if isinstance(s, float):
             return closed_form_psi(kind, params, s)
-        return np.array([closed_form_psi(kind, params, x) for x in np.asarray(s).tolist()])
+        values = [closed_form_psi(kind, params, x) for x in np.ravel(s).tolist()]
+        return np.reshape(values, np.shape(s))
 
     return PsiCurve(default_s_grid() if grid is None else grid, fn,
                     lambda s: _closed_form(kind, params, s)[1])
