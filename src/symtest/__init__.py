@@ -3,7 +3,7 @@ to group-invariant measurements: twirled states, power-trace curves and
 their transforms, optimal tests, and the inequality battery tying them
 together."""
 
-from .errors import ConvergenceError, DimensionError, ScenarioError, SymtestError
+from .errors import CheckError, ConvergenceError, DimensionError, ScenarioError, SymtestError
 from .linalg import (
     DensityOperator,
     Spectrum,

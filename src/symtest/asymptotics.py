@@ -21,6 +21,7 @@ from .divergences import (
     default_s_grid,
     relative_entropy,
 )
+from .errors import CheckError
 from .groups import GroupAction, block_structure, pinching_map, tensor_power, twirled_pair
 from .linalg import DensityOperator, asmatrix, kron_power, spectral_projections
 from .oracle import _log_binom, _logsumexp, _xlog
@@ -207,7 +208,7 @@ class ConvergenceTable:
     def __post_init__(self):
         for row in self.rows:
             if 0.0 <= row.s <= 1.0 and not (row.gap >= -1e-8 or row.gap == NEG_INF):
-                raise ValueError(
+                raise CheckError(
                     f"normalized curve dipped below its limit at n={row.n}, s={row.s:g} "
                     f"(gap {row.gap:.3e})"
                 )

@@ -53,7 +53,7 @@ from .divergences import (
     psi_curve,
     relative_entropy,
 )
-from .errors import DimensionError, ScenarioError, SymtestError
+from .errors import CheckError, DimensionError, ScenarioError, SymtestError
 from .groups import GroupAction, is_support_invariant, twirled_pair
 from .linalg import DensityOperator
 from .verify import run_verify
@@ -370,7 +370,7 @@ def _beta_eps_row(pair, n: int, config: argparse.Namespace, floored: bool) -> tu
         grid = config.a_grid
         if grid is None:
             grid = stein_a_grid(ev.slope(1.0) / n)
-        floor = max(strong_converse_bound(ev, eps=config.eps, a=float(a), n=n) for a in grid)
+        floor = float(np.max(strong_converse_bound(ev, eps=config.eps, a=grid, n=n)))
     else:
         floor = float("-inf")
     achievable = _best_pure_threshold_beta1(pair, config.eps)
@@ -386,7 +386,11 @@ def _cmd_convergence(sc: Scenario, config: argparse.Namespace) -> int:
     if sc.kind is None:
         raise ScenarioError("convergence needs a scenario with a closed-form kind")
     grid = config.s_grid if config.s_grid is not None else np.linspace(-0.5, 2.0, 26)
-    table = convergence_table(sc, s_grid=grid)
+    try:
+        table = convergence_table(sc, s_grid=grid)
+    except CheckError as exc:
+        print(f"error: convergence of kind {sc.kind}: {exc}", file=sys.stderr)
+        return 1
     rows = [(r.n, r.s, r.value, r.closed_form, r.gap, int(r.monotone)) for r in table.rows]
     _write_table(("n", "s", "value", "closed_form", "gap", "monotone"), rows, config)
     return 0

@@ -9,9 +9,10 @@ its likelihood-ratio breakpoints; otherwise golden section maximizes it, one
 eigvalsh per evaluation.  threshold_errors gives the error pairs of many
 threshold tests on one state pair at once, from the joint eigenvalue atoms
 of a commuting pair or from one eigh per rate otherwise, without forming the
-projections np_test builds.  The atoms are read off the two spectra every
-density operator keeps and their overlaps, so a state pair is never
-decomposed again here.
+projections np_test builds.  The atoms are PsiEvaluator.atoms: the support
+overlaps of the two spectra every density operator keeps, plus one atom per
+row for the mass of supp rho0 outside supp rho1.  So a state pair is never
+decomposed again here, and one state's eigenvectors never meet the other's.
 """
 
 from __future__ import annotations
@@ -28,7 +29,6 @@ from .linalg import (
     _hermitian_part,
     above_cut,
     asmatrix,
-    eig,
     hermitian,
     matrix_pair,
     support_projection,
@@ -162,21 +162,15 @@ def pmin_bounds_check(rho0n, rho1n, a: float, n: int = 1) -> CheckReport:
 
 
 def _commuting_atoms(rho0n, rho1n) -> tuple[np.ndarray, np.ndarray, np.ndarray] | None:
-    """Joint eigenvalue atoms (w0_i, w1_j, O_ij) of commuting PSD operators,
-    one per nonzero overlap O_ij = |<v0_i|v1_j>|**2 of their kept spectra
-    (on a commuting pair sum_ij O_ij f(w0_i, w1_j) is Tr f(rho0n, rho1n)),
-    or None when they do not commute."""
+    """:meth:`PsiEvaluator.atoms` of commuting PSD operators, None for others."""
     m0, m1 = _hermitian_part(rho0n), _hermitian_part(rho1n)
     scale = max(1.0, float(np.max(np.abs(m0))), float(np.max(np.abs(m1))))
     # for Hermitian m0 and m1, m1 m0 = (m0 m1)^*, so one product gives the commutator
     x = m0 @ m1
     if float(np.max(np.abs(x - x.conj().T))) > 1e-10 * scale:
         return None
-    del x  # free it before the overlap product below
-    spec0, spec1 = eig(rho0n), eig(rho1n)
-    overlap = np.abs(spec0.eigenvectors.conj().T @ spec1.eigenvectors) ** 2
-    i, j = np.nonzero(overlap)
-    return np.maximum(spec0.eigenvalues, 0.0)[i], np.maximum(spec1.eigenvalues, 0.0)[j], overlap[i, j]
+    del x  # free it before the evaluator's overlap product
+    return PsiEvaluator(rho0n, rho1n).atoms()
 
 
 def _commuting_dual(p: np.ndarray, q: np.ndarray, eps: float) -> float:
@@ -233,22 +227,26 @@ def beta_eps(rho0n, rho1n, eps: float) -> float:
     return _general_dual(m0, m1, eps)
 
 
-def strong_converse_bound(evaluator: PsiEvaluator, eps: float, a: float, n: int) -> float:
+def strong_converse_bound(evaluator: PsiEvaluator, eps: float, a, n: int):
     """Converse floor e^{-na} (1 - eps - e^{-max over [1,3/2] of {na(s-1) - psi_n(s)}}).
 
     Nonpositive values mean the bound is vacuous at this rate.  It holds only
     where supp rho0 lies in supp rho1 (else psi_n(s > 1) is +inf, which the
     convention 0**s = 0 makes finite) and supp rho1 is invariant under the
     group; the caller checks both.  evaluator is the PsiEvaluator of the
-    n-copy pair, built once for every rate swept over it.
+    n-copy pair.  The rate a is a float, which gives a float, or an array,
+    which gives an array of its shape: psi is sampled on the window once per
+    call, and each rate refines its own maximum.
     """
-
-    def neg_objective(s: float) -> float:
-        return evaluator.psi(s) - n * a * (s - 1.0)
-
     pts = np.linspace(1.0, 1.5, 21)
-    phi_tilde_n = -_scan_min(neg_objective, pts, evaluator.psi(pts) - n * a * (pts - 1.0))[1]
-    return math.exp(-n * a) * (1.0 - eps - math.exp(-phi_tilde_n))
+    window = evaluator.psi(pts)
+
+    def bound(a: float) -> float:
+        phi_tilde_n = -_scan_min(lambda s: evaluator.psi(s) - n * a * (s - 1.0), pts,
+                                 window - n * a * (pts - 1.0))[1]
+        return math.exp(-n * a) * (1.0 - eps - math.exp(-phi_tilde_n))
+
+    return bound(a) if isinstance(a, (float, int)) else np.vectorize(bound, otypes=[float])(a)
 
 
 def stein_a_grid(slope: float) -> np.ndarray:

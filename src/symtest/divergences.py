@@ -6,15 +6,19 @@ its exact slope (both read off the two kept spectra, no finite difference),
 the PsiCurve that samples an exact evaluator on a grid itself, the one
 Legendre-Fenchel transform phi over [0, 1], and the Renyi,
 relative-entropy, fidelity, Chernoff and Hoeffding quantities built from it.
+PsiEvaluator is the one reader of a pair's two kept spectra together: the
+relative entropy takes its nesting test from the evaluator's ``outside``
+mass, and discrimination takes the commuting atoms from its ``atoms``.
 PsiEvaluator.trace_power and .psi take a float or an array of s: a float
 gives a float, an array an array of its shape, evaluated GRID_CHUNK points
 per matrix product.  A PsiCurve calls its evaluator once on its whole grid;
 phi and hoeffding_distance scan the curve's samples and call the evaluator
 only at a window end off the grid and at the scalar golden-section steps.
-The strong-converse window [1, 3/2] is maximized by
-discrimination.strong_converse_bound on its own grid.  Orthogonal supports are a
-legitimate regime and are represented by the IEEE sentinel NEG_INF, which
-propagates through sums with finite numbers the way the math requires.
+The strong-converse window [1, 3/2] is sampled once per call by
+discrimination.strong_converse_bound, for one rate or an array of them.
+Orthogonal supports are a legitimate regime and are represented by the IEEE
+sentinel NEG_INF, which propagates through sums with finite numbers the way
+the math requires.
 """
 
 from __future__ import annotations
@@ -45,12 +49,10 @@ def default_s_grid() -> np.ndarray:
 
 
 class PsiEvaluator:
-    """Spectral engine for s -> log Tr rho0**s rho1**(1-s).
-
-    Both spectra are taken once (the ones density operators keep); each
-    evaluation is then a weighted sum over the support-restricted
-    eigenvalue pairs: the trace sums the pair weights w0_i**s O_ij w1_j**(1-s)
-    over the Nussbaum-Szkola overlaps O_ij = |<v0_i|v1_j>|**2.
+    """Spectral engine for s -> log Tr rho0**s rho1**(1-s), the only code that
+    reads a pair's two kept spectra together: psi sums w0_i**s O_ij w1_j**(1-s)
+    over the Nussbaum-Szkola overlaps O_ij = |<v0_i|v1_j>|**2 of the supports,
+    and ``outside`` (the nesting) and ``atoms`` read those spectra on demand.
 
     ``trace_power`` and ``psi`` take a float or an array of s.  A float gives
     a float, through one vector-matrix-vector product; an array gives an
@@ -61,14 +63,32 @@ class PsiEvaluator:
 
     def __init__(self, rho0, rho1):
         m0, _ = matrix_pair(rho0, rho1)
-        s0, s1 = eig(rho0).support(), eig(rho1).support()
-        self._log0 = np.log(s0.eigenvalues)
-        self._log1 = np.log(s1.eigenvalues)
+        spec0, spec1 = eig(rho0), eig(rho1)
+        s0, s1 = spec0.support(), spec1.support()
+        self._w0, self._w1 = s0.eigenvalues, s1.eigenvalues
+        self._log0, self._log1 = np.log(self._w0), np.log(self._w1)
+        self._spectra = None if s1 is spec1 else (spec0, spec1)  # for outside(): rho1 drops some
         overlap = np.abs(s0.eigenvectors.conj().T @ s1.eigenvectors) ** 2
         # overlaps below eigenvector accuracy are roundoff ghosts of exact zeros
         floor = (16.0 * m0.shape[0] * float(np.finfo(float).eps)) ** 2
         overlap[overlap < floor] = 0.0
         self._overlap = overlap
+
+    def outside(self) -> np.ndarray:
+        """Mass of each support vector of rho0 outside supp rho1, summed over
+        the eigenvectors rho1 drops (1 - sum_j O_ij loses 1e-13 to rounding)."""
+        if self._spectra is None:
+            return np.zeros(self._w0.size)
+        spec0, spec1 = self._spectra
+        cross = spec0.support().eigenvectors.conj().T @ spec1.eigenvectors  # r0 x d, not d x d
+        return (np.abs(cross[:, ~spec1.support_mask()]) ** 2).sum(axis=1)
+
+    def atoms(self) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
+        """Nonzero atoms (w0_i, w1_j, O_ij) and (w0_i, 0, outside_i): on a commuting
+        pair sum O f(w0, w1) is Tr f(rho0, rho1) whenever f(0, .) = 0."""
+        overlap = np.column_stack([self._overlap, self.outside()])
+        i, j = np.nonzero(overlap)
+        return self._w0[i], np.append(self._w1, 0.0)[j], overlap[i, j]
 
     def trace_power(self, s):
         # an empty support sums no pairs: every product below is then 0
@@ -188,15 +208,9 @@ def renyi_entropy(rho, alpha: float) -> float:
 
 
 def relative_entropy(rho0, rho1) -> float:
-    """Tr rho0 (log rho0 - log rho1) when supp rho0 <= supp rho1, else +inf:
-    the slope of psi at s = 1."""
-    matrix_pair(rho0, rho1)  # raises DimensionError on a dimension mismatch
-    v0, v1 = eig(rho0).support().eigenvectors, eig(rho1).support().eigenvectors
-    resid = v0 - v1 @ (v1.conj().T @ v0)  # the part of supp rho0 outside supp rho1
-    if float(np.linalg.norm(resid)) > 1e-7:
-        return POS_INF
-    del v0, v1, resid  # the evaluator takes its own support copies: free these first
-    return PsiEvaluator(rho0, rho1).slope(1.0)
+    """Tr rho0 (log rho0 - log rho1), psi'(1); +inf past 1e-14 of mass outside supp rho1."""
+    ev = PsiEvaluator(rho0, rho1)
+    return POS_INF if float(ev.outside().sum()) > 1e-14 else ev.slope(1.0)
 
 
 def fidelity(rho, sigma) -> float:

@@ -15,6 +15,10 @@ class ConvergenceError(SymtestError):
     """An iterative numerical procedure failed to converge or to stabilize."""
 
 
+class CheckError(SymtestError, ValueError):
+    """A computed quantity broke a bound it must satisfy: a failed check."""
+
+
 class ScenarioError(SymtestError):
     """A scenario document failed to parse or validate."""
 

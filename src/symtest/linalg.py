@@ -14,7 +14,7 @@ construction and not checked again.
 Every matrix power of a positive semidefinite operator uses the support
 convention 0**s = 0 for all real s.  The spectral decisions live here and
 nowhere else: :func:`above_cut` decides which computed eigenvalues count
-as zero (:meth:`Spectrum.support` keeps the rest, and keeps every positive
+as zero (:meth:`Spectrum.support_mask` marks the rest, with every positive
 eigenvalue read off a 1x1 component exactly), :func:`cluster_slices` splits
 a spectrum into degenerate runs, :meth:`Spectrum.clipped` moves a spectrum
 into a range, and :func:`components` splits an index set into the connected
@@ -188,14 +188,16 @@ class Spectrum:
         v = self.eigenvectors
         return (v * self.eigenvalues) @ v.conj().T
 
+    def support_mask(self) -> np.ndarray:
+        """Mask of the nonzero eigenpairs: exact ones when positive, others by :func:`above_cut`."""
+        return np.where(self.exact, self.eigenvalues > 0.0, above_cut(self.eigenvalues))
+
     def support(self) -> "Spectrum":
-        """The eigenpairs that count as nonzero: an exact eigenvalue when it is
-        positive, any other when it survives :func:`above_cut`."""
-        w = self.eigenvalues
-        keep = np.where(self.exact, w > 0.0, above_cut(w))
+        """The eigenpairs :meth:`support_mask` keeps; self when it keeps all."""
+        keep = self.support_mask()
         if keep.all():
             return self
-        return Spectrum(w[keep], self.eigenvectors[:, keep], self.exact[keep])
+        return Spectrum(self.eigenvalues[keep], self.eigenvectors[:, keep], self.exact[keep])
 
     def clipped(self, lo: float, hi: float, tol: float) -> "Spectrum":
         """Eigenvalues at most tol outside [lo, hi] moved onto its edge, same

@@ -78,7 +78,7 @@ def _log_binom(n: int, i: int) -> float:
 
 
 def _xlog(c: float) -> float:
-    return math.log(c) if c > 1e-300 else float("-inf")
+    return math.log(c) if c > 0.0 else float("-inf")
 
 
 def block_scalar_oracle(kind: str, params: dict, n: int, s: float) -> float:

@@ -337,8 +337,8 @@ def beta_eps_converse_report(scenarios) -> CheckReport:
         pair = twirled_pair(sc.rho0, sc.rho1, sc.action, n)
         ev = PsiEvaluator(*pair)
         value = beta_eps(*pair, 0.1)
-        for a in stein_a_grid(curve.slope(1.0)):
-            bound = strong_converse_bound(ev, eps=0.1, a=float(a), n=n)
+        grid = stein_a_grid(curve.slope(1.0))
+        for a, bound in zip(grid, strong_converse_bound(ev, eps=0.1, a=grid, n=n).tolist()):
             report.check_leq(f"n={n}, a={a:.3f}: floor <= beta_eps", bound, value, 1e-9)
     return report
 

@@ -314,6 +314,32 @@ class TestCommands:
         assert proc.stderr == ""
         assert "-inf" not in proc.stdout
 
+    def test_interior_parameters_near_1e_300_give_finite_closed_forms(self, tmp_path):
+        # the closed form takes log c for every c > 0: a weight of 1e-300 is
+        # a finite log, not -inf (which made 0 * -inf = nan in the mean rows)
+        lam, mu = 0.3, 1e-300
+        path = write_scenario(tmp_path, name="tiny-mu", rho0=f"pure-qubit {lam}",
+                              rho1=f"pure-qubit {mu}", n_max=3)
+        means = {}
+        for command in ("stein", "chernoff", "psi", "hoeffding"):
+            out = tmp_path / f"{command}.csv"
+            assert main(["--scenario", path, "--command", command, "--out", str(out)]) == 0
+            rows = [line.split(",") for line in out.read_text().splitlines()[1:]]
+            if command in ("stein", "chernoff"):
+                means[command] = float(next(row[2] for row in rows if row[1] == "mean"))
+        stein = lam * math.log(lam / mu) + (1 - lam) * math.log((1 - lam) / (1 - mu))
+        assert means["stein"] == pytest.approx(stein, rel=1e-12)
+        assert math.isfinite(means["chernoff"]) and means["chernoff"] > 0.0
+
+    def test_failed_convergence_bracket_is_one_error_line_and_exit_1(self, tmp_path, capsys):
+        # a pure-vs-mixed pair labelled with the two-pure closed form: the
+        # table's bracket check fails, which is a failed check (exit 1)
+        path = write_scenario(tmp_path, kind="TorusTwoPure", params={"lam": 0.3, "mu": 0.6})
+        assert main(["--scenario", path, "--command", "convergence"]) == 1
+        err = capsys.readouterr().err
+        assert err.startswith("error: ") and err.count("\n") == 1
+        assert "TorusTwoPure" in err and "n=2, s=0 " in err and "gap" in err
+
     def test_missing_scenario_is_exit_2(self):
         assert main(["--command", "psi"]) == 2
         assert main(["--scenario", "/nonexistent.json", "--command", "psi"]) == 2

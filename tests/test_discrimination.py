@@ -1,9 +1,11 @@
 import math
+from pathlib import Path
 
 import numpy as np
 import pytest
 from numpy.testing import assert_allclose
 
+from symtest import discrimination
 from symtest.asymptotics import (
     closed_form_curve,
     diag_qubit,
@@ -29,10 +31,11 @@ from symtest.discrimination import (
     strong_converse_bound,
     threshold_errors,
 )
+from symtest.cli import parse_scenario
 from symtest.divergences import PsiEvaluator, fidelity, psi
 from symtest.errors import DimensionError
 from symtest.groups import twirled_pair
-from symtest.linalg import DensityOperator, kron_power
+from symtest.linalg import DensityOperator, asmatrix, eig, kron_power
 from symtest.oracle import pmin_random_battery, random_density, random_unitary
 
 LOG2 = math.log(2.0)
@@ -40,8 +43,26 @@ RATES = np.linspace(-2.0, 2.0, 81)
 S_M_03 = -(math.log(0.3) + math.log(0.7)) / 2.0
 
 
+SCENARIOS = Path(__file__).resolve().parent.parent / "scenarios"
+
+
 def faithful(rng, dim=2):
     return DensityOperator(random_density(dim, rng=rng))
+
+
+def full_spectrum_atoms(rho0n, rho1n):
+    """The commuting atoms as they were read before PsiEvaluator.atoms: one
+    per nonzero overlap of the two full kept spectra, eigenvalues clipped at
+    zero, or None for a pair that does not commute."""
+    m0, m1 = asmatrix(rho0n), asmatrix(rho1n)
+    scale = max(1.0, float(np.max(np.abs(m0))), float(np.max(np.abs(m1))))
+    if float(np.max(np.abs(m0 @ m1 - m1 @ m0))) > 1e-10 * scale:
+        return None
+    spec0, spec1 = eig(rho0n), eig(rho1n)
+    overlap = np.abs(spec0.eigenvectors.conj().T @ spec1.eigenvectors) ** 2
+    i, j = np.nonzero(overlap)
+    return (np.maximum(spec0.eigenvalues, 0.0)[i], np.maximum(spec1.eigenvalues, 0.0)[j],
+            overlap[i, j])
 
 
 class TestTestOperator:
@@ -352,6 +373,25 @@ class TestThresholdErrors:
                                               abs=1e-9)
         assert not calls
 
+    @pytest.mark.parametrize("name", ["pure-vs-mixed", "two-commuting", "two-pure"])
+    def test_evaluator_atoms_match_the_full_spectrum_atoms(self, name, monkeypatch):
+        # the atoms over the supports plus one outside-mass atom per row give
+        # what every nonzero overlap of the two full spectra gave
+        sc = parse_scenario((SCENARIOS / f"{name}.json").read_text())
+        pairs = [twirled_pair(sc.rho0, sc.rho1, sc.action, n) for n in range(1, 8)]
+        eps_values = np.linspace(0.05, 0.9, 18)
+
+        def outputs():
+            return [(np.array([beta_eps(*pair, eps) for eps in eps_values]),
+                     threshold_errors(*pair, RATES)) for pair in pairs]
+
+        assert all(_commuting_atoms(*pair) is not None for pair in pairs)
+        new = outputs()
+        monkeypatch.setattr(discrimination, "_commuting_atoms", full_spectrum_atoms)
+        for (beta, errors), (beta_old, errors_old) in zip(new, outputs()):
+            assert_allclose(beta, beta_old, rtol=0, atol=1e-14)
+            assert_allclose(errors, errors_old, rtol=0, atol=1e-14)
+
     def test_one_row_per_rate(self, rng):
         rho0, rho1 = faithful(rng), faithful(rng)
         assert threshold_errors(rho0, rho1, []).shape == (0, 2)
@@ -375,6 +415,27 @@ class TestStrongConverse:
         bound = strong_converse_bound(PsiEvaluator(*pair), eps=eps, a=a, n=n)
         assert bound > 0.0
         assert bound <= value + 1e-9
+
+    def test_array_of_rates_gives_each_rate_and_samples_the_window_once(self):
+        sc = make_scenario("TorusPureVsMixed", alpha=0.3)
+        n = 6
+        ev = PsiEvaluator(*twirled_pair(sc.rho0, sc.rho1, sc.action, n))
+        grid = stein_a_grid(S_M_03)
+        each = [strong_converse_bound(ev, eps=0.1, a=float(a), n=n) for a in grid]
+        window_calls = []
+        scalar_psi = ev.psi
+
+        def counted(s):
+            if not isinstance(s, float):
+                window_calls.append(np.shape(s))
+            return scalar_psi(s)
+
+        ev.psi = counted
+        bounds = strong_converse_bound(ev, eps=0.1, a=grid, n=n)
+        assert window_calls == [(21,)]
+        assert isinstance(bounds, np.ndarray) and bounds.tolist() == each
+        assert strong_converse_bound(ev, eps=0.1, a=grid.reshape(3, 7), n=n).shape == (3, 7)
+        assert isinstance(strong_converse_bound(ev, eps=0.1, a=float(grid[0]), n=n), float)
 
     def test_never_exceeds_beta_eps_on_rate_grid(self):
         sc = make_scenario("TorusPureVsMixed", alpha=0.3)

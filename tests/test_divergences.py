@@ -47,7 +47,7 @@ from symtest.discrimination import (
 )
 from symtest.errors import DimensionError
 from symtest.groups import twirl, twirled_pair
-from symtest.linalg import DensityOperator, abs_power_trace, mpow
+from symtest.linalg import DensityOperator, abs_power_trace, eig, mpow
 from symtest.oracle import random_density
 from symtest.verify import lf_identity_report
 
@@ -57,6 +57,14 @@ SCENARIOS = Path(__file__).resolve().parent.parent / "scenarios"
 
 def faithful(rng, dim=2):
     return DensityOperator(random_density(dim, rng=rng))
+
+
+def residual_says_outside(rho0, rho1) -> bool:
+    """The nesting test relative_entropy made before it read the evaluator's
+    outside mass: the part of supp rho0 outside supp rho1 has Frobenius norm
+    above 1e-7."""
+    v0, v1 = eig(rho0).support().eigenvectors, eig(rho1).support().eigenvectors
+    return float(np.linalg.norm(v0 - v1 @ (v1.conj().T @ v0))) > 1e-7
 
 
 class TestPsi:
@@ -297,6 +305,74 @@ class TestRelativeEntropy:
 
     def test_support_violation_infinite(self):
         assert relative_entropy(np.eye(2) / 2, np.diag([1.0, 0.0])) == math.inf
+
+    def test_infinite_where_the_residual_test_says_on_scenario_pairs(self):
+        seen = set()
+        for name in ("pure-vs-mixed", "two-commuting", "two-pure"):
+            sc = parse_scenario((SCENARIOS / f"{name}.json").read_text())
+            for n in range(1, 8):
+                pair = twirled_pair(sc.rho0, sc.rho1, sc.action, n)
+                for rho0, rho1 in (pair, pair[::-1]):
+                    outside = residual_says_outside(rho0, rho1)
+                    assert (relative_entropy(rho0, rho1) == math.inf) == outside, (name, n)
+                    seen.add(outside)
+        assert seen == {True, False}
+
+    def test_infinite_where_the_residual_test_says_on_rank_deficient_alternatives(self):
+        rng = np.random.default_rng(18)
+        seen = set()
+        for k in range(40):
+            dim = 2 + k % 4
+            rho1 = DensityOperator(random_density(dim, 1 + k % (dim - 1), rng))
+            sigma = random_density(dim, rng=rng)
+            if k % 2:
+                # squeezed into supp rho1, so the supports nest
+                v = eig(rho1).support().eigenvectors
+                sigma = v @ (v.conj().T @ sigma @ v) @ v.conj().T
+                sigma /= np.trace(sigma).real
+            rho0 = DensityOperator(sigma)
+            outside = residual_says_outside(rho0, rho1)
+            assert (relative_entropy(rho0, rho1) == math.inf) == outside, k
+            seen.add(outside)
+        assert seen == {True, False}
+
+    @pytest.mark.parametrize("theta,infinite", [(0.0, False), (1e-9, False), (1e-5, True)])
+    def test_nesting_under_a_rotated_alternative_support(self, theta, infinite):
+        # supp rho1 = span{cos(t) e0 + sin(t) e2, e1}: e0 has mass sin(t)**2
+        # outside it, 1e-18 or 1e-10 against the 1e-14 threshold
+        u = np.array([math.cos(theta), 0.0, math.sin(theta)])
+        rho1 = DensityOperator(0.6 * np.outer(u, u) + 0.4 * np.diag([0.0, 1.0, 0.0]))
+        rho0 = DensityOperator(np.diag([0.7, 0.3, 0.0]))
+        outside = PsiEvaluator(rho0, rho1).outside()
+        # rows in ascending order of rho0's eigenvalues: e1 (0.3), then e0 (0.7)
+        assert_allclose(outside, [0.0, math.sin(theta) ** 2], rtol=1e-6, atol=1e-30)
+        assert residual_says_outside(rho0, rho1) == infinite
+        assert (relative_entropy(rho0, rho1) == math.inf) == infinite
+
+
+class TestOutsideMass:
+    def test_full_rank_alternative_has_none_and_keeps_no_spectrum(self, rng):
+        import gc
+        import weakref
+
+        rho0, rho1 = faithful(rng, 3), faithful(rng, 3)
+        ev = PsiEvaluator(rho0, rho1)
+        assert_allclose(ev.outside(), np.zeros(3), rtol=0, atol=0)
+        # a psi-only evaluator holds its overlaps, not the states' spectra
+        spectra = [weakref.ref(eig(rho)) for rho in (rho0, rho1)]
+        del rho0, rho1
+        gc.collect()
+        assert all(ref() is None for ref in spectra)
+        assert ev.psi(0.5) < 0.0
+
+    def test_mass_outside_equals_the_projection_residual(self, rng):
+        for _ in range(10):
+            rho0 = DensityOperator(random_density(4, 2, rng))
+            rho1 = DensityOperator(random_density(4, 3, rng))
+            v0, v1 = eig(rho0).support().eigenvectors, eig(rho1).support().eigenvectors
+            resid = v0 - v1 @ (v1.conj().T @ v0)
+            assert_allclose(PsiEvaluator(rho0, rho1).outside(),
+                            np.sum(np.abs(resid) ** 2, axis=0), rtol=1e-12)
 
 
 class TestFidelity:
