@@ -344,7 +344,7 @@ def _pmin_rows(pair, n: int, a_values) -> list[tuple]:
     rows = []
     for a in a_values:
         a = float(a)
-        errors = error_pair(np_test(*pair, a=a, n=n), *pair)
+        errors = error_pair(np_test(*pair, n * a), *pair)
         weight = math.exp(-n * a)
         lower = weight / (1.0 + weight) * half_trace ** 2
         upper = float(np.min(np.exp(-n * a * s_grid) * traces))

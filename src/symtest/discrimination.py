@@ -13,6 +13,8 @@ projections np_test builds.  The atoms are PsiEvaluator.atoms: the support
 overlaps of the two spectra every density operator keeps, plus one atom per
 row for the mass of supp rho0 outside supp rho1.  So a state pair is never
 decomposed again here, and one state's eigenvectors never meet the other's.
+np_test, p_min and pmin_bounds_check take one rate a and weigh rho0n by
+e^{-a}: on n copies the caller passes n times the per-copy rate.
 """
 
 from __future__ import annotations
@@ -83,10 +85,10 @@ def error_pair(test, rho0n, rho1n) -> ErrorPair:
     return ErrorPair(beta0, beta1)
 
 
-def np_test(rho0n, rho1n, a: float, n: int = 1) -> TestOperator:
-    """Spectral projection of exp(-n*a)*rho0n - rho1n onto its positive part."""
+def np_test(rho0n, rho1n, a: float) -> TestOperator:
+    """Spectral projection of exp(-a)*rho0n - rho1n onto its positive part."""
     m0, m1 = matrix_pair(rho0n, rho1n)
-    return TestOperator(support_projection(math.exp(-n * a) * m0 - m1))
+    return TestOperator(support_projection(math.exp(-a) * m0 - m1))
 
 
 def threshold_errors(rho0n, rho1n, a_values) -> np.ndarray:
@@ -119,43 +121,44 @@ def threshold_errors(rho0n, rho1n, a_values) -> np.ndarray:
     return np.array(rows, dtype=float).reshape(-1, 2)
 
 
-def p_min(rho0n, rho1n, a: float = 0.0, n: int = 1) -> float:
-    """Minimal weighted error (1 + e^{-na})/2 - ||e^{-na} rho0n - rho1n||_1 / 2.
+def p_min(rho0n, rho1n, a: float = 0.0) -> float:
+    """Minimal weighted error (1 + e^{-a})/2 - ||e^{-a} rho0n - rho1n||_1 / 2.
 
-    This is the minimum of e^{-na} beta0(T) + beta1(T) over all tests; at
-    a = 0 it equals twice the equal-priors symmetric error probability.
+    This is the minimum of e^{-a} beta0(T) + beta1(T) over all tests; at
+    a = 0 it equals twice the equal-priors symmetric error probability.  On
+    n copies the rate a is n times the per-copy rate.
     """
     m0, m1 = matrix_pair(rho0n, rho1n)
-    weight = math.exp(-n * a)
+    weight = math.exp(-a)
     return (1.0 + weight) / 2.0 - trace_norm(weight * m0 - m1) / 2.0
 
 
 def average_error(rho0n, rho1n) -> float:
     """Equal-priors symmetric error probability: 1/2 - ||rho0n - rho1n||_1 / 4."""
-    return p_min(rho0n, rho1n, 0.0, 1) / 2.0
+    return p_min(rho0n, rho1n) / 2.0
 
 
-def pmin_bounds_check(rho0n, rho1n, a: float, n: int = 1) -> CheckReport:
-    """Power-trace sandwich around the minimal error.
+def pmin_bounds_check(rho0n, rho1n, a: float) -> CheckReport:
+    """Power-trace sandwich around the minimal error at the rate a.
 
-    Upper: p_min(a) <= min over s in [0,1] of e^{-nas} Tr rho0n^s rho1n^(1-s).
-    Lower: p_min(a) >= e^{-na}/(1 + e^{-na}) * (Tr rho0n^(1/2) rho1n^(1/2))^2.
+    Upper: p_min(a) <= min over s in [0,1] of e^{-as} Tr rho0n^s rho1n^(1-s).
+    Lower: p_min(a) >= e^{-a}/(1 + e^{-a}) * (Tr rho0n^(1/2) rho1n^(1/2))^2.
     """
     ev = PsiEvaluator(rho0n, rho1n)
 
     def upper_objective(s: float) -> float:
         t = ev.trace_power(s)
-        return math.exp(-n * a * s) * t
+        return math.exp(-a * s) * t
 
     pts = np.linspace(0.0, 1.0, 41)
-    _, upper = _scan_min(upper_objective, pts, np.exp(-n * a * pts) * ev.trace_power(pts))
+    _, upper = _scan_min(upper_objective, pts, np.exp(-a * pts) * ev.trace_power(pts))
 
-    weight = math.exp(-n * a)
+    weight = math.exp(-a)
     half_trace = ev.trace_power(0.5)
     lower = weight / (1.0 + weight) * half_trace**2
 
-    value = p_min(rho0n, rho1n, a, n)
-    report = CheckReport(f"p_min power-trace bounds (a={a:g}, n={n})")
+    value = p_min(rho0n, rho1n, a)
+    report = CheckReport("p_min power-trace bounds")
     report.check_leq("p_min <= weighted trace min", value, upper, 1e-9)
     report.check_leq("fidelity-type lower bound <= p_min", lower, value, 1e-9)
     return report

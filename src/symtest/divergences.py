@@ -6,9 +6,9 @@ its exact slope (both read off the two kept spectra, no finite difference),
 the PsiCurve that samples an exact evaluator on a grid itself, the one
 Legendre-Fenchel transform phi over [0, 1], and the Renyi,
 relative-entropy, fidelity, Chernoff and Hoeffding quantities built from it.
-PsiEvaluator is the one reader of a pair's two kept spectra together: the
-relative entropy takes its nesting test from the evaluator's ``outside``
-mass, and discrimination takes the commuting atoms from its ``atoms``.
+PsiEvaluator is the one reader of a pair's two kept spectra together and
+holds arrays only: the relative entropy takes its nesting test from its
+``outside`` mass, and discrimination the commuting atoms from its ``atoms``.
 PsiEvaluator.trace_power and .psi take a float or an array of s: a float
 gives a float, an array an array of its shape, evaluated GRID_CHUNK points
 per matrix product.  A PsiCurve calls its evaluator once on its whole grid;
@@ -50,9 +50,10 @@ def default_s_grid() -> np.ndarray:
 
 class PsiEvaluator:
     """Spectral engine for s -> log Tr rho0**s rho1**(1-s), the only code that
-    reads a pair's two kept spectra together: psi sums w0_i**s O_ij w1_j**(1-s)
-    over the Nussbaum-Szkola overlaps O_ij = |<v0_i|v1_j>|**2 of the supports,
-    and ``outside`` (the nesting) and ``atoms`` read those spectra on demand.
+    reads a pair's two kept spectra together.  It holds arrays read off one
+    product cross = V0* V1 of the supports' eigenvectors: psi sums
+    w0_i**s O_ij w1_j**(1-s) over the Nussbaum-Szkola overlaps
+    O_ij = |cross_ij|**2, and ``outside`` and ``atoms`` return stored arrays.
 
     ``trace_power`` and ``psi`` take a float or an array of s.  A float gives
     a float, through one vector-matrix-vector product; an array gives an
@@ -63,30 +64,32 @@ class PsiEvaluator:
 
     def __init__(self, rho0, rho1):
         m0, _ = matrix_pair(rho0, rho1)
-        spec0, spec1 = eig(rho0), eig(rho1)
-        s0, s1 = spec0.support(), spec1.support()
+        spec1 = eig(rho1)
+        s0, s1 = eig(rho0).support(), spec1.support()
         self._w0, self._w1 = s0.eigenvalues, s1.eigenvalues
         self._log0, self._log1 = np.log(self._w0), np.log(self._w1)
-        self._spectra = None if s1 is spec1 else (spec0, spec1)  # for outside(): rho1 drops some
-        overlap = np.abs(s0.eigenvectors.conj().T @ s1.eigenvectors) ** 2
+        v0, v1 = s0.eigenvectors, s1.eigenvectors
+        cross = v0.conj().T @ v1
+        if s1 is spec1:
+            self._outside = np.zeros(self._w0.size)
+        else:
+            # row i is (v0_i - P1 v0_i)^T; 1 - sum_j O_ij would lose 1e-13 to rounding
+            self._outside = (np.abs(v0.T - cross.conj() @ v1.T) ** 2).sum(axis=1)
+        overlap = np.abs(cross) ** 2
         # overlaps below eigenvector accuracy are roundoff ghosts of exact zeros
         floor = (16.0 * m0.shape[0] * float(np.finfo(float).eps)) ** 2
         overlap[overlap < floor] = 0.0
         self._overlap = overlap
 
     def outside(self) -> np.ndarray:
-        """Mass of each support vector of rho0 outside supp rho1, summed over
-        the eigenvectors rho1 drops (1 - sum_j O_ij loses 1e-13 to rounding)."""
-        if self._spectra is None:
-            return np.zeros(self._w0.size)
-        spec0, spec1 = self._spectra
-        cross = spec0.support().eigenvectors.conj().T @ spec1.eigenvectors  # r0 x d, not d x d
-        return (np.abs(cross[:, ~spec1.support_mask()]) ** 2).sum(axis=1)
+        """Mass of each support vector v0_i of rho0 outside supp rho1,
+        ||v0_i - P1 v0_i||**2; zeros when rho1 has full rank."""
+        return self._outside
 
     def atoms(self) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
         """Nonzero atoms (w0_i, w1_j, O_ij) and (w0_i, 0, outside_i): on a commuting
         pair sum O f(w0, w1) is Tr f(rho0, rho1) whenever f(0, .) = 0."""
-        overlap = np.column_stack([self._overlap, self.outside()])
+        overlap = np.column_stack([self._overlap, self._outside])
         i, j = np.nonzero(overlap)
         return self._w0[i], np.append(self._w1, 0.0)[j], overlap[i, j]
 

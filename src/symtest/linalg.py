@@ -23,8 +23,8 @@ components of a linkage.  An operator is decomposed once: every
 :func:`eig` hands that spectrum back.  A state is validated block by block
 along the exact zeros of its matrix: the Hermitian gate, the canonical copy,
 one checked eigendecomposition, the clip and the renormalization each run on
-one connected component of its nonzero pattern at a time, and the block
-spectra are assembled into one ascending decomposition of the full
+one connected component of its symmetrized nonzero pattern at a time, and
+the block spectra are assembled into one ascending decomposition of the full
 dimension.  No step forms a dense V diag(w) V* or checks the whole matrix.
 """
 
@@ -290,12 +290,11 @@ def _hermitian_blocks(m: np.ndarray) -> tuple[np.ndarray, list[np.ndarray], list
     larger blocks, and the canonical sub-block of each.
 
     A twirled state is block diagonal up to a permutation, and its exact zeros
-    show the blocks.  m splits along the zeros of its symmetrized nonzero
-    pattern, so no entry outside the blocks deviates from Hermitian; each
-    block is then split again along the zeros of its canonical copy, which
-    can be finer.  The 1x1 blocks pass the gate when their entry of largest
-    imaginary part does.  Indices come back ascending, the larger blocks
-    ordered by their smallest index (:func:`components`).
+    show the blocks.  m splits once, along the zeros of its symmetrized
+    nonzero pattern, so no entry outside the blocks deviates from Hermitian.
+    The 1x1 blocks pass the gate when their entry of largest imaginary part
+    does.  Indices come back ascending, the larger blocks ordered by their
+    smallest index (:func:`components`).
     """
     linked = m != 0
     linked |= linked.T
@@ -303,19 +302,7 @@ def _hermitian_blocks(m: np.ndarray) -> tuple[np.ndarray, list[np.ndarray], list
     if lone.size and np.iscomplexobj(m):
         worst = lone[np.argmax(np.abs(m.diagonal()[lone].imag))]
         hermitian(m[worst : worst + 1, worst : worst + 1])
-    lones, parts = [lone], []
-    for idx in comps:
-        ix = idx[:, None], idx
-        block = hermitian(m[ix])
-        pattern = block != 0
-        if np.count_nonzero(pattern) == np.count_nonzero(linked[ix]):
-            parts.append((idx, block))  # no new zeros, so the same single block
-            continue
-        inner_lone, inner = components(pattern)
-        lones.append(idx[inner_lone])
-        parts.extend((idx[sub], block[sub[:, None], sub]) for sub in inner)
-    parts.sort(key=lambda part: part[0][0])
-    return np.sort(np.concatenate(lones)), [p[0] for p in parts], [p[1] for p in parts]
+    return lone, comps, [hermitian(m[idx[:, None], idx]) for idx in comps]
 
 
 def _assembled_eig(lone_w: np.ndarray, lone: np.ndarray, comps: list[np.ndarray],

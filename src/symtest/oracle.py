@@ -120,23 +120,22 @@ def block_scalar_oracle(kind: str, params: dict, n: int, s: float) -> float:
     return 0.0 if total == float("-inf") else math.exp(total)
 
 
-def _pmin_reference(m0: np.ndarray, m1: np.ndarray, a: float, n: int) -> float:
-    weight = math.exp(-n * a)
+def _pmin_reference(m0: np.ndarray, m1: np.ndarray, a: float) -> float:
+    weight = math.exp(-a)
     w = np.linalg.eigvalsh(weight * m0 - m1)
     return (1.0 + weight) / 2.0 - float(np.sum(np.abs(w))) / 2.0
 
 
-def pmin_random_battery(rho0n, rho1n, a: float, count: int,
-                        n: int = 1) -> tuple[float | None, float]:
-    """(battery minimum, reference p_min): the least weighted error of `count`
-    seeded random tests, None when count is 0, and the closed-form optimum.
+def pmin_random_battery(rho0n, rho1n, a: float, count: int) -> tuple[float | None, float]:
+    """(battery minimum, reference p_min): the least e^{-a} beta0 + beta1 of
+    `count` seeded random tests, None when count is 0, and the closed form.
 
     Random tests are Hermitian matrices with spectrum clipped into [0, 1].
     """
     m0 = np.asarray(getattr(rho0n, "mat", rho0n), dtype=complex)
     m1 = np.asarray(getattr(rho1n, "mat", rho1n), dtype=complex)
     rng = np.random.default_rng(DEFAULT_SEED)
-    weight = math.exp(-n * a)
+    weight = math.exp(-a)
     best = math.inf
     for _ in range(count):
         g = rng.standard_normal(m0.shape) + 1j * rng.standard_normal(m0.shape)
@@ -145,4 +144,4 @@ def pmin_random_battery(rho0n, rho1n, a: float, count: int,
         t = (v * np.clip(w, 0.0, 1.0)) @ v.conj().T
         combined = weight * (1.0 - np.trace(m0 @ t).real) + np.trace(m1 @ t).real
         best = min(best, float(combined))
-    return (best if count else None), _pmin_reference(m0, m1, a, n)
+    return (best if count else None), _pmin_reference(m0, m1, a)

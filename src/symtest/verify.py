@@ -149,13 +149,13 @@ def pmin_bounds_reports(scenarios) -> list[CheckReport]:
         for n in (1, 2, 3):
             pair = twirled_pair(sc.rho0, sc.rho1, sc.action, n)
             for a in (-0.2, 0.0, 0.3):
-                rep = pmin_bounds_check(*pair, a=a, n=n)
-                rep.name = f"{key}: {rep.name}"
+                rep = pmin_bounds_check(*pair, n * a)
+                rep.name = f"{key}: {rep.name} (a={a:g}, n={n})"
                 out.append(rep)
     merged = CheckReport("p_min bounds on 50 random qubit pairs")
     for rho0, rho1 in _random_pairs(50, dims=(2,)):
         for a in (-0.2, 0.0, 0.3):
-            rep = pmin_bounds_check(rho0, rho1, a=a, n=1)
+            rep = pmin_bounds_check(rho0, rho1, a)
             merged.entries.extend(rep.entries)
     out.append(merged)
     return out
@@ -218,16 +218,18 @@ def trace_norm_power_report(scenarios, n_max: int) -> CheckReport:
         twirled = twirl(asmatrix(sc.rho1), sc.action)
         if float(np.max(np.abs(twirled - asmatrix(sc.rho1)))) > 1e-10:
             continue
+        single = {s: abs_power_trace(sc.rho0, sc.rho1, s)
+                  for s in (0.0, 0.1, 0.25, 0.4, 0.5, 0.6, 0.75, 0.9, 1.0)}
         for n in range(1, min(n_max, 4) + 1):
             pair = twirled_pair(sc.rho0, sc.rho1, sc.action, n)
             prefactor = sum(d for _, d in block_structure(sc.action, n)) ** 2
             for s in (0.5, 0.6, 0.75, 0.9, 1.0):
                 lhs = abs_power_trace(*pair, s)
-                rhs = prefactor * abs_power_trace(sc.rho0, sc.rho1, s) ** n
+                rhs = prefactor * single[s] ** n
                 report.check_leq(f"{key} n={n}: |trace| <= (sum d)^2 single^n at s={s:g}",
                                  lhs, rhs, 1e-9)
             for s in (0.0, 0.1, 0.25, 0.4, 0.5):
-                lhs = abs_power_trace(sc.rho0, sc.rho1, s) ** n
+                lhs = single[s] ** n
                 rhs = abs_power_trace(*pair, s)
                 report.check_leq(f"{key} n={n}: single^n <= |trace| at s={s:g}",
                                  lhs, rhs, 1e-9)
@@ -276,11 +278,11 @@ def np_optimality_report(scenarios) -> CheckReport:
         sc = scenarios[key]
         pair = twirled_pair(sc.rho0, sc.rho1, sc.action, 2)
         for a in (-0.2, 0.0, 0.3):
-            battery_min, reference = pmin_random_battery(*pair, a=a, count=100, n=2)
+            battery_min, reference = pmin_random_battery(*pair, 2 * a, count=100)
             report.check_leq(f"{key} a={a:g}: p_min <= battery best",
                              reference, battery_min, 1e-9)
             report.check_close(f"{key} a={a:g}: closed form matches pipeline",
-                               p_min(*pair, a=a, n=2), reference, 1e-10)
+                               p_min(*pair, 2 * a), reference, 1e-10)
     return report
 
 

@@ -230,7 +230,7 @@ class TestCommands:
             pair = twirled_pair(sc.rho0, sc.rho1, sc.action, n)
             expected = 1.0
             for a in np.linspace(-2.0, 2.0, 81):
-                errors = error_pair(np_test(*pair, float(a), n=1), *pair)
+                errors = error_pair(np_test(*pair, float(a)), *pair)
                 if errors.beta0 <= float(eps):
                     expected = min(expected, errors.beta1)
             assert float(row.split(",")[-1]) == pytest.approx(expected, rel=0, abs=1e-12)

@@ -108,7 +108,7 @@ class TestNpTest:
         # beats the alternative's eigenvalue
         n, alpha = 3, 0.3
         pair = twirled_pair(pure_qubit(0.5), diag_qubit(alpha), torus_action(), n)
-        t = np_test(*pair, a=0.0, n=n).mat
+        t = np_test(*pair, 0.0).mat
         weights = np.array([bin(i).count("1") for i in range(2**n)])
         expected = np.zeros((2**n, 2**n), dtype=complex)
         for w in range(n + 1):
@@ -136,15 +136,15 @@ class TestPmin:
         for a in (-0.2, 0.0, 0.3):
             for n in (1, 2):
                 pair = twirled_pair(faithful(rng), faithful(rng), z2_action(), n)
-                errors = error_pair(np_test(*pair, a=a, n=n), *pair)
+                errors = error_pair(np_test(*pair, n * a), *pair)
                 combo = math.exp(-n * a) * errors.beta0 + errors.beta1
-                assert p_min(*pair, a=a, n=n) == pytest.approx(combo, abs=1e-9)
+                assert p_min(*pair, n * a) == pytest.approx(combo, abs=1e-9)
 
     def test_beats_random_batteries(self, rng):
         pair = twirled_pair(faithful(rng), faithful(rng), z2_action(), 2)
-        best, reference = pmin_random_battery(*pair, a=0.0, count=100, n=2)
+        best, reference = pmin_random_battery(*pair, 0.0, count=100)
         assert reference <= best + 1e-9
-        assert p_min(*pair, n=2) == pytest.approx(reference, abs=1e-12)
+        assert p_min(*pair) == pytest.approx(reference, abs=1e-12)
 
     def test_maximally_mixed_alternative_closed_form(self):
         # twirled all-ones state vs the flat state: p_min = (n+1) 2^{-n},
@@ -182,7 +182,7 @@ class TestPminBounds:
                 for n in (1, 2, 3):
                     r0 = DensityOperator(kron_power(rho0.mat, n))
                     r1 = DensityOperator(kron_power(rho1.mat, n))
-                    report = pmin_bounds_check(r0, r1, a=a, n=n)
+                    report = pmin_bounds_check(r0, r1, n * a)
                     assert report.ok, report.summary()
 
     def test_extremal_commuting_pair(self):
@@ -190,7 +190,7 @@ class TestPminBounds:
         # upper bound is attained in the interior
         pair = twirled_pair(sigma_state(0.0), sigma_state(1.0), z2_action(), 3)
         assert p_min(*pair) == pytest.approx(1.0, abs=1e-12)
-        report = pmin_bounds_check(*pair, a=0.0, n=3)
+        report = pmin_bounds_check(*pair, 0.0)
         assert report.ok
         upper = next(e for e in report.entries if "weighted" in e.label)
         assert upper.rhs == pytest.approx(1.0, abs=1e-9)
@@ -276,11 +276,11 @@ class TestBetaEps:
                 assert value <= errors.beta1 + 1e-9
 
 
-def projection_errors(rho0n, rho1n, a_values, n=1):
+def projection_errors(rho0n, rho1n, a_values):
     """Reference for threshold_errors: one validated projection per rate."""
     rows = []
     for a in a_values:
-        errors = error_pair(np_test(rho0n, rho1n, float(a), n=n), rho0n, rho1n)
+        errors = error_pair(np_test(rho0n, rho1n, float(a)), rho0n, rho1n)
         rows.append((errors.beta0, errors.beta1))
     return np.array(rows)
 
@@ -319,9 +319,9 @@ class TestThresholdErrors:
         for rho0, rho1 in make_pairs():
             # selects the evaluator: joint eigenvalue atoms or one eigh per rate
             assert (_commuting_atoms(rho0, rho1) is not None) == commuting
-            # exp(-n*a) is exp(-(n*a)): the test at n copies is the one at rates n*a
+            # the test at n copies and per-copy rate a is the one at the rate n*a
             assert_allclose(threshold_errors(rho0, rho1, n * RATES),
-                            projection_errors(rho0, rho1, RATES, n=n), rtol=0, atol=1e-12)
+                            projection_errors(rho0, rho1, n * RATES), rtol=0, atol=1e-12)
 
     @pytest.mark.parametrize("kind,params", [
         ("TorusTwoPure", {"lam": 0.3, "mu": 0.6}),

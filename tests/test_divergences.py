@@ -365,6 +365,23 @@ class TestOutsideMass:
         assert all(ref() is None for ref in spectra)
         assert ev.psi(0.5) < 0.0
 
+    def test_rank_deficient_alternative_keeps_no_spectrum(self):
+        import gc
+        import weakref
+
+        rho0, rho1 = twirled_pair(pure_qubit(0.3), pure_qubit(0.6), torus_action(), 5)
+        assert eig(rho1).support().eigenvalues.size < rho1.dim
+        ev = PsiEvaluator(rho0, rho1)
+        outside, atoms = ev.outside().copy(), [a.copy() for a in ev.atoms()]
+        # the evaluator holds the arrays it read, not the states' spectra
+        spectra = [weakref.ref(eig(rho)) for rho in (rho0, rho1)]
+        del rho0, rho1
+        gc.collect()
+        assert all(ref() is None for ref in spectra)
+        assert np.array_equal(ev.outside(), outside)
+        for got, want in zip(ev.atoms(), atoms):
+            assert np.array_equal(got, want)
+
     def test_mass_outside_equals_the_projection_residual(self, rng):
         for _ in range(10):
             rho0 = DensityOperator(random_density(4, 2, rng))

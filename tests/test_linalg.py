@@ -474,6 +474,30 @@ def test_decomposed_splits_along_hidden_blocks(rng, monkeypatch):
         assert any(rows <= block for block in blocks)
 
 
+def test_pair_that_cancels_in_the_canonical_copy_stays_one_block(monkeypatch):
+    # +1e-11j at (0, 2) and (2, 0) passes HERM_TOL and cancels in (A + A*)/2,
+    # but the block is the component of the nonzero pattern of m itself
+    m = np.diag([0.5, 0.3, 0.2]).astype(complex)
+    m[0, 2] = m[2, 0] = 1e-11j
+    lone, comps, _ = _hermitian_blocks(m)
+    assert lone.tolist() == [1] and [idx.tolist() for idx in comps] == [[0, 2]]
+    calls = []
+
+    def counted(*args, _real=np.linalg.eigh, **kwargs):
+        calls.append(len(args[0]))
+        return _real(*args, **kwargs)
+
+    monkeypatch.setattr(np.linalg, "eigh", counted)
+    rho = DensityOperator(m)
+    assert calls == [2]
+    canonical = hermitian(m)
+    assert np.array_equal(rho.mat, canonical)
+    spec, dense = rho.spectrum, eig(canonical)
+    assert spec.exact.tolist() == [False, True, False]
+    assert_allclose(spec.eigenvalues, dense.eigenvalues, rtol=0, atol=1e-13)
+    assert_allclose(spec.reconstruct(), dense.reconstruct(), rtol=0, atol=1e-13)
+
+
 def blockwise_eig(m):
     """The spectrum DensityOperator assembles from the blocks of m, unclipped."""
     lone, comps, blocks = _hermitian_blocks(m)
