@@ -224,7 +224,7 @@ def convergence_table(scenario: Scenario, s_grid=None) -> ConvergenceTable:
     n_max = scenario.n_max
     values = np.empty((n_max, s_grid.size))
     for n in range(1, n_max + 1):
-        ev = PsiEvaluator(*twirled_pair(scenario.rho0, scenario.rho1, scenario.action, n))
+        ev = PsiEvaluator.twirled(scenario.rho0, scenario.rho1, scenario.action, n)
         values[n - 1] = ev.psi(s_grid) / n
     closed = np.array([closed_form_psi(scenario.kind, scenario.params, float(s)) for s in s_grid])
     monotone = [bool(np.all(np.diff(values[:, j]) <= 1e-10)) for j in range(s_grid.size)]

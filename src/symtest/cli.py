@@ -46,6 +46,7 @@ from .discrimination import (
     threshold_errors,
 )
 from .divergences import (
+    PsiCurve,
     PsiEvaluator,
     chernoff_distance,
     default_s_grid,
@@ -255,7 +256,7 @@ def _cmd_psi(sc: Scenario, config: argparse.Namespace) -> int:
     for s, v in zip(grid, psi_curve(sc.rho0, sc.rho1, grid).values):
         rows.append((float(s), float(v), 1, "unrestricted"))
     for n in range(1, sc.n_max + 1):
-        curve = psi_curve(*twirled_pair(sc.rho0, sc.rho1, sc.action, n), grid=grid)
+        curve = _twirled_curve(sc, n, grid)
         rows.extend((float(s), float(v) / n, n, "twirled")
                     for s, v in zip(curve.s_grid, curve.values))
     if sc.kind is not None:
@@ -264,6 +265,11 @@ def _cmd_psi(sc: Scenario, config: argparse.Namespace) -> int:
                     for s, v in zip(curve.s_grid, curve.values))
     _write_table(("s", "value", "n", "label"), rows, config)
     return 0
+
+
+def _twirled_curve(sc: Scenario, n: int, grid: np.ndarray) -> PsiCurve:
+    ev = PsiEvaluator.twirled(sc.rho0, sc.rho1, sc.action, n)
+    return PsiCurve(grid, ev.psi, ev.slope)
 
 
 def _mean_label(sc: Scenario) -> str:
@@ -275,7 +281,7 @@ def _mean_label(sc: Scenario) -> str:
 def _cmd_chernoff(sc: Scenario, config: argparse.Namespace) -> int:
     rows = [(0, "unrestricted", chernoff_distance(psi_curve(sc.rho0, sc.rho1)))]
     for n in range(1, sc.n_max + 1):
-        curve = psi_curve(*twirled_pair(sc.rho0, sc.rho1, sc.action, n))
+        curve = _twirled_curve(sc, n, default_s_grid())
         rows.append((n, "twirled-per-copy", chernoff_distance(curve) / n))
     if sc.kind is not None:
         mean = chernoff_distance(closed_form_curve(sc.kind, sc.params))
@@ -290,7 +296,7 @@ def _cmd_hoeffding(sc: Scenario, config: argparse.Namespace) -> int:
     r_grid = config.r_grid if config.r_grid is not None else np.linspace(0.0, 0.5, 11)
     rows = []
     for n in range(1, sc.n_max + 1):
-        curve = psi_curve(*twirled_pair(sc.rho0, sc.rho1, sc.action, n))
+        curve = _twirled_curve(sc, n, default_s_grid())
         for r in r_grid:
             rows.append((n, float(r), hoeffding_distance(curve, float(n * r)) / n, "twirled-per-copy"))
     if sc.kind is not None:
@@ -306,8 +312,8 @@ def _cmd_hoeffding(sc: Scenario, config: argparse.Namespace) -> int:
 def _cmd_stein(sc: Scenario, config: argparse.Namespace) -> int:
     rows = [(0, "unrestricted", relative_entropy(sc.rho0, sc.rho1))]
     for n in range(1, sc.n_max + 1):
-        rows.append((n, "twirled-per-copy",
-                     relative_entropy(*twirled_pair(sc.rho0, sc.rho1, sc.action, n)) / n))
+        ev = PsiEvaluator.twirled(sc.rho0, sc.rho1, sc.action, n)
+        rows.append((n, "twirled-per-copy", ev.relative_entropy() / n))
     if sc.kind is not None:
         mean = closed_form_relative_entropy(sc.kind, sc.params)
     else:
@@ -370,7 +376,7 @@ def _beta_eps_row(pair, n: int, config: argparse.Namespace, floored: bool) -> tu
         grid = config.a_grid
         if grid is None:
             grid = stein_a_grid(ev.slope(1.0) / n)
-        floor = float(np.max(strong_converse_bound(ev, eps=config.eps, a=grid, n=n)))
+        floor = float(np.max(strong_converse_bound(ev, eps=config.eps, a=n * grid)))
     else:
         floor = float("-inf")
     achievable = _best_pure_threshold_beta1(pair, config.eps)

@@ -13,8 +13,9 @@ projections np_test builds.  The atoms are PsiEvaluator.atoms: the support
 overlaps of the two spectra every density operator keeps, plus one atom per
 row for the mass of supp rho0 outside supp rho1.  So a state pair is never
 decomposed again here, and one state's eigenvectors never meet the other's.
-np_test, p_min and pmin_bounds_check take one rate a and weigh rho0n by
-e^{-a}: on n copies the caller passes n times the per-copy rate.
+np_test, p_min, pmin_bounds_check and strong_converse_bound take one rate a
+and weigh rho0n by e^{-a}: on n copies the caller passes n times the
+per-copy rate.
 """
 
 from __future__ import annotations
@@ -230,24 +231,25 @@ def beta_eps(rho0n, rho1n, eps: float) -> float:
     return _general_dual(m0, m1, eps)
 
 
-def strong_converse_bound(evaluator: PsiEvaluator, eps: float, a, n: int):
-    """Converse floor e^{-na} (1 - eps - e^{-max over [1,3/2] of {na(s-1) - psi_n(s)}}).
+def strong_converse_bound(evaluator: PsiEvaluator, eps: float, a):
+    """Converse floor e^{-a} (1 - eps - e^{-max over [1,3/2] of {a(s-1) - psi_n(s)}}).
 
     Nonpositive values mean the bound is vacuous at this rate.  It holds only
     where supp rho0 lies in supp rho1 (else psi_n(s > 1) is +inf, which the
     convention 0**s = 0 makes finite) and supp rho1 is invariant under the
     group; the caller checks both.  evaluator is the PsiEvaluator of the
-    n-copy pair.  The rate a is a float, which gives a float, or an array,
-    which gives an array of its shape: psi is sampled on the window once per
-    call, and each rate refines its own maximum.
+    n-copy pair, and on n copies the rate a is n times the per-copy rate.  a
+    is a float, which gives a float, or an array, which gives an array of its
+    shape: psi is sampled on the window once per call, and each rate refines
+    its own maximum.
     """
     pts = np.linspace(1.0, 1.5, 21)
     window = evaluator.psi(pts)
 
     def bound(a: float) -> float:
-        phi_tilde_n = -_scan_min(lambda s: evaluator.psi(s) - n * a * (s - 1.0), pts,
-                                 window - n * a * (pts - 1.0))[1]
-        return math.exp(-n * a) * (1.0 - eps - math.exp(-phi_tilde_n))
+        phi_tilde_n = -_scan_min(lambda s: evaluator.psi(s) - a * (s - 1.0), pts,
+                                 window - a * (pts - 1.0))[1]
+        return math.exp(-a) * (1.0 - eps - math.exp(-phi_tilde_n))
 
     return bound(a) if isinstance(a, (float, int)) else np.vectorize(bound, otypes=[float])(a)
 

@@ -9,13 +9,19 @@ relative-entropy, fidelity, Chernoff and Hoeffding quantities built from it.
 PsiEvaluator is the one reader of a pair's two kept spectra together and
 holds arrays only: the relative entropy takes its nesting test from its
 ``outside`` mass, and discrimination the commuting atoms from its ``atoms``.
+A pair is a list of parts (m, spectrum0, spectrum1), held as their direct
+sum: PsiEvaluator(rho0, rho1) is one part, and PsiEvaluator.twirled(rho0,
+rho1, action, n) reads the twirled n-copy pair of qubits off its Schur-Weyl
+blocks (schur_weyl.schur_weyl_pair), one part per block t with m = m_t and
+no 2^n-sized array; for d > 2 it is PsiEvaluator(*twirled_pair(rho0, rho1,
+action, n)).
 PsiEvaluator.trace_power and .psi take a float or an array of s: a float
 gives a float, an array an array of its shape, evaluated GRID_CHUNK points
 per matrix product.  A PsiCurve calls its evaluator once on its whole grid;
 phi and hoeffding_distance scan the curve's samples and call the evaluator
 only at a window end off the grid and at the scalar golden-section steps.
 The strong-converse window [1, 3/2] is sampled once per call by
-discrimination.strong_converse_bound, for one rate or an array of them.
+discrimination.strong_converse_bound, for one rate n*a or an array of them.
 Orthogonal supports are a legitimate regime and are represented by the IEEE
 sentinel NEG_INF, which propagates through sums with finite numbers the way
 the math requires.
@@ -30,7 +36,7 @@ from typing import Callable
 import numpy as np
 
 from .groups import GroupAction, is_support_invariant, twirled_pair
-from .linalg import abs_power_trace, eig, matrix_pair
+from .linalg import abs_power_trace, block_supports, eig, matrix_pair
 from .reports import CheckReport
 
 NEG_INF = float("-inf")
@@ -51,9 +57,15 @@ def default_s_grid() -> np.ndarray:
 class PsiEvaluator:
     """Spectral engine for s -> log Tr rho0**s rho1**(1-s), the only code that
     reads a pair's two kept spectra together.  It holds arrays read off one
-    product cross = V0* V1 of the supports' eigenvectors: psi sums
-    w0_i**s O_ij w1_j**(1-s) over the Nussbaum-Szkola overlaps
-    O_ij = |cross_ij|**2, and ``outside`` and ``atoms`` return stored arrays.
+    product cross = V0* V1 of the supports' eigenvectors per part of the
+    pair: psi sums w0_i**s O_ij w1_j**(1-s) over the Nussbaum-Szkola
+    overlaps O_ij = |cross_ij|**2, and ``outside`` and ``atoms`` return
+    stored arrays.  A pair is a list of parts (m, spectrum0, spectrum1): one
+    part of multiplicity 1 for two states, one per Schur-Weyl block t
+    (m = m_t) for the twirled n-copy qubit pair :meth:`twirled` builds.  The
+    arrays are the direct sum of the parts': eigenvalues and outside masses
+    end to end, the overlaps block diagonal with part t's weighted by m_t,
+    so every product below sums over the parts.
 
     ``trace_power`` and ``psi`` take a float or an array of s.  A float gives
     a float, through one vector-matrix-vector product; an array gives an
@@ -64,26 +76,54 @@ class PsiEvaluator:
 
     def __init__(self, rho0, rho1):
         m0, _ = matrix_pair(rho0, rho1)
-        spec1 = eig(rho1)
-        s0, s1 = eig(rho0).support(), spec1.support()
-        self._w0, self._w1 = s0.eigenvalues, s1.eigenvalues
-        self._log0, self._log1 = np.log(self._w0), np.log(self._w1)
-        v0, v1 = s0.eigenvectors, s1.eigenvectors
-        cross = v0.conj().T @ v1
-        if s1 is spec1:
-            self._outside = np.zeros(self._w0.size)
-        else:
-            # row i is (v0_i - P1 v0_i)^T; 1 - sum_j O_ij would lose 1e-13 to rounding
-            self._outside = (np.abs(v0.T - cross.conj() @ v1.T) ** 2).sum(axis=1)
-        overlap = np.abs(cross) ** 2
+        self._build([(1, eig(rho0), eig(rho1))], m0.shape[0])
+
+    @classmethod
+    def twirled(cls, rho0, rho1, action: GroupAction, n: int) -> "PsiEvaluator":
+        """The evaluator of the twirled n-copy pair: from its Schur-Weyl blocks
+        (schur_weyl.schur_weyl_pair) for a qubit pair, else
+        PsiEvaluator(*twirled_pair(rho0, rho1, action, n))."""
+        if action.dim != 2:
+            return cls(*twirled_pair(rho0, rho1, action, n))
+        # imported here, so only the commands that take the route compile it
+        from .schur_weyl import schur_weyl_pair
+
+        blocks0, blocks1 = schur_weyl_pair(rho0, rho1, action, n)
+        ev = cls.__new__(cls)
+        ev._build([(mult, s0, s1) for (mult, s0), (_, s1) in zip(blocks0, blocks1)], 2**n)
+        return ev
+
+    def _build(self, parts, dim: int) -> None:
+        """The arrays of the parts (m, spectrum0, spectrum1) of a pair of
+        dimension dim, each cut to the supports of the two spectra the parts
+        make up (linalg.block_supports)."""
+        supp0 = block_supports([(mult, s0) for mult, s0, _ in parts])
+        supp1 = block_supports([(mult, s1) for mult, _, s1 in parts])
         # overlaps below eigenvector accuracy are roundoff ghosts of exact zeros
-        floor = (16.0 * m0.shape[0] * float(np.finfo(float).eps)) ** 2
-        overlap[overlap < floor] = 0.0
-        self._overlap = overlap
+        floor = (16.0 * dim * float(np.finfo(float).eps)) ** 2
+        overlaps, outsides = [], []
+        for (mult, _, spec1), s0, s1 in zip(parts, supp0, supp1):
+            v0, v1 = s0.eigenvectors, s1.eigenvectors
+            cross = v0.conj().T @ v1
+            if s1 is spec1:
+                outside = np.zeros(s0.eigenvalues.size)
+            else:
+                # row i is (v0_i - P1 v0_i)^T; 1 - sum_j O_ij would lose 1e-13 to rounding
+                outside = (np.abs(v0.T - cross.conj() @ v1.T) ** 2).sum(axis=1)
+            overlap = np.abs(cross) ** 2
+            overlap[overlap < floor] = 0.0
+            overlaps.append(mult * overlap if mult != 1 else overlap)
+            outsides.append(mult * outside if mult != 1 else outside)
+        self._w0 = _joined([s.eigenvalues for s in supp0])
+        self._w1 = _joined([s.eigenvalues for s in supp1])
+        self._log0, self._log1 = np.log(self._w0), np.log(self._w1)
+        self._outside = _joined(outsides)
+        self._overlap = _direct_sum(overlaps)
 
     def outside(self) -> np.ndarray:
         """Mass of each support vector v0_i of rho0 outside supp rho1,
-        ||v0_i - P1 v0_i||**2; zeros when rho1 has full rank."""
+        ||v0_i - P1 v0_i||**2 times its multiplicity; zeros when rho1 has
+        full rank."""
         return self._outside
 
     def atoms(self) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
@@ -128,6 +168,27 @@ class PsiEvaluator:
         a = np.exp(s * self._log0)
         b = np.exp((1.0 - s) * self._log1)
         return float((a * self._log0) @ self._overlap @ b - a @ self._overlap @ (b * self._log1)) / t
+
+    def relative_entropy(self) -> float:
+        """Tr rho0 (log rho0 - log rho1), psi'(1); +inf past 1e-14 of mass outside supp rho1."""
+        return POS_INF if float(self._outside.sum()) > 1e-14 else self.slope(1.0)
+
+
+def _joined(arrays: list[np.ndarray]) -> np.ndarray:
+    """The arrays end to end, the one array itself when alone."""
+    return arrays[0] if len(arrays) == 1 else np.concatenate(arrays)
+
+
+def _direct_sum(mats: list[np.ndarray]) -> np.ndarray:
+    """The block-diagonal matrix of mats, the one matrix itself when alone."""
+    if len(mats) == 1:
+        return mats[0]
+    out = np.zeros((sum(m.shape[0] for m in mats), sum(m.shape[1] for m in mats)))
+    i = j = 0
+    for m in mats:
+        out[i:i + m.shape[0], j:j + m.shape[1]] = m
+        i, j = i + m.shape[0], j + m.shape[1]
+    return out
 
 
 def psi(rho0, rho1, s: float) -> float:
@@ -212,8 +273,7 @@ def renyi_entropy(rho, alpha: float) -> float:
 
 def relative_entropy(rho0, rho1) -> float:
     """Tr rho0 (log rho0 - log rho1), psi'(1); +inf past 1e-14 of mass outside supp rho1."""
-    ev = PsiEvaluator(rho0, rho1)
-    return POS_INF if float(ev.outside().sum()) > 1e-14 else ev.slope(1.0)
+    return PsiEvaluator(rho0, rho1).relative_entropy()
 
 
 def fidelity(rho, sigma) -> float:

@@ -15,7 +15,9 @@ Every matrix power of a positive semidefinite operator uses the support
 convention 0**s = 0 for all real s.  The spectral decisions live here and
 nowhere else: :func:`above_cut` decides which computed eigenvalues count
 as zero (:meth:`Spectrum.support_mask` marks the rest, with every positive
-eigenvalue read off a 1x1 component exactly), :func:`cluster_slices` splits
+eigenvalue read off a 1x1 component exactly; :func:`block_supports` applies
+the same rule to a spectrum given as blocks with multiplicities, such as the
+Schur-Weyl blocks of a twirled qubit pair), :func:`cluster_slices` splits
 a spectrum into degenerate runs, :meth:`Spectrum.clipped` moves a spectrum
 into a range, and :func:`components` splits an index set into the connected
 components of a linkage.  An operator is decomposed once: every
@@ -190,11 +192,17 @@ class Spectrum:
 
     def support_mask(self) -> np.ndarray:
         """Mask of the nonzero eigenpairs: exact ones when positive, others by :func:`above_cut`."""
-        return np.where(self.exact, self.eigenvalues > 0.0, above_cut(self.eigenvalues))
+        w = self.eigenvalues
+        return self._above(_cut_level(w.size, float(np.max(np.abs(w), initial=0.0))))
 
     def support(self) -> "Spectrum":
         """The eigenpairs :meth:`support_mask` keeps; self when it keeps all."""
-        keep = self.support_mask()
+        return self._kept(self.support_mask())
+
+    def _above(self, level: float) -> np.ndarray:
+        return np.where(self.exact, self.eigenvalues > 0.0, self.eigenvalues > level)
+
+    def _kept(self, keep: np.ndarray) -> "Spectrum":
         if keep.all():
             return self
         return Spectrum(self.eigenvalues[keep], self.eigenvectors[:, keep], self.exact[keep])
@@ -245,6 +253,28 @@ def _eigh(m: np.ndarray) -> Spectrum:
         raise ConvergenceError(
             f"eigendecomposition did not converge for a {d}x{d} matrix"
         ) from exc
+    return _checked(m, w, v)
+
+
+def _gram_eigh(f: np.ndarray, m: np.ndarray) -> Spectrum:
+    """:func:`_eigh` of m = f f*, read off the singular value decomposition
+    of its factor f: the eigenvalue sigma**2 comes out to about
+    eps * sigma_max * sigma, where eigh of m resolves only eps * sigma_max**2.
+    The same checks against m."""
+    d = m.shape[0]
+    try:
+        u, sigma, _ = np.linalg.svd(f, full_matrices=False)
+    except np.linalg.LinAlgError as exc:
+        raise ConvergenceError(
+            f"singular value decomposition did not converge for a {d}x{d} matrix"
+        ) from exc
+    return _checked(m, sigma[::-1] ** 2, u[:, ::-1])
+
+
+def _checked(m: np.ndarray, w: np.ndarray, v: np.ndarray) -> Spectrum:
+    """The spectrum (w, v) of m once its eigenvector basis is orthonormal
+    within 1e-9 and its reconstruction within 1e-8 * dim * ||m||_F + 1e-12."""
+    d = m.shape[0]
     gram_dev = float(np.max(np.abs(v.conj().T @ v - np.eye(d))))
     if gram_dev > 1e-9:
         raise ConvergenceError(
@@ -338,8 +368,23 @@ def _assembled_eig(lone_w: np.ndarray, lone: np.ndarray, comps: list[np.ndarray]
 def above_cut(w: np.ndarray) -> np.ndarray:
     """Mask w > max(w.size * eps * max|w|, 1e-12) of the eigenvalues
     that count as nonzero; on a signed spectrum it keeps the positive part."""
-    lam_max = float(np.max(np.abs(w), initial=0.0))
-    return w > max(w.size * float(np.finfo(float).eps) * lam_max, 1e-12)
+    return w > _cut_level(w.size, float(np.max(np.abs(w), initial=0.0)))
+
+
+def _cut_level(size: int, lam_max: float) -> float:
+    return max(size * float(np.finfo(float).eps) * lam_max, 1e-12)
+
+
+def block_supports(blocks) -> list[Spectrum]:
+    """The support of a spectrum given as blocks (multiplicity, Spectrum),
+    block by block: the rule of :meth:`Spectrum.support_mask` with the cut
+    level of the whole spectrum, whose dimension is sum m * size and whose
+    largest |w| is the largest over the blocks; a block that keeps all comes
+    back as it is."""
+    size = sum(mult * spec.eigenvalues.size for mult, spec in blocks)
+    lam_max = max(float(np.max(np.abs(spec.eigenvalues), initial=0.0)) for _, spec in blocks)
+    level = _cut_level(size, lam_max)
+    return [spec._kept(spec._above(level)) for _, spec in blocks]
 
 
 def cluster_slices(w: np.ndarray, tol: float) -> list[slice]:

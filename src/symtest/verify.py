@@ -340,7 +340,7 @@ def beta_eps_converse_report(scenarios) -> CheckReport:
         ev = PsiEvaluator(*pair)
         value = beta_eps(*pair, 0.1)
         grid = stein_a_grid(curve.slope(1.0))
-        for a, bound in zip(grid, strong_converse_bound(ev, eps=0.1, a=grid, n=n).tolist()):
+        for a, bound in zip(grid, strong_converse_bound(ev, eps=0.1, a=n * grid).tolist()):
             report.check_leq(f"n={n}, a={a:.3f}: floor <= beta_eps", bound, value, 1e-9)
     return report
 

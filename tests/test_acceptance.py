@@ -187,7 +187,7 @@ def test_beta_eps_consistency():
             rate = -math.log(value) / n
             gaps[eps].append(abs(rate - S_M_03))
             floor = max(
-                strong_converse_bound(ev, eps=eps, a=float(a), n=n)
+                strong_converse_bound(ev, eps=eps, a=n * float(a))
                 for a in a_grid
             )
             ok = ok and floor <= value + 1e-9

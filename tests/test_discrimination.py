@@ -403,7 +403,7 @@ class TestThresholdErrors:
 class TestStrongConverse:
     def test_identical_states_vacuous(self, rng):
         rho = faithful(rng)
-        bound = strong_converse_bound(PsiEvaluator(rho, rho), eps=0.1, a=0.0, n=1)
+        bound = strong_converse_bound(PsiEvaluator(rho, rho), eps=0.1, a=0.0)
         assert bound < 0.0
 
     def test_bound_positive_and_below_beta_eps(self):
@@ -412,7 +412,7 @@ class TestStrongConverse:
         pair = twirled_pair(sc.rho0, sc.rho1, sc.action, n)
         value = beta_eps(*pair, eps)
         a = S_M_03 + 0.2
-        bound = strong_converse_bound(PsiEvaluator(*pair), eps=eps, a=a, n=n)
+        bound = strong_converse_bound(PsiEvaluator(*pair), eps=eps, a=n * a)
         assert bound > 0.0
         assert bound <= value + 1e-9
 
@@ -421,7 +421,7 @@ class TestStrongConverse:
         n = 6
         ev = PsiEvaluator(*twirled_pair(sc.rho0, sc.rho1, sc.action, n))
         grid = stein_a_grid(S_M_03)
-        each = [strong_converse_bound(ev, eps=0.1, a=float(a), n=n) for a in grid]
+        each = [strong_converse_bound(ev, eps=0.1, a=n * float(a)) for a in grid]
         window_calls = []
         scalar_psi = ev.psi
 
@@ -431,11 +431,11 @@ class TestStrongConverse:
             return scalar_psi(s)
 
         ev.psi = counted
-        bounds = strong_converse_bound(ev, eps=0.1, a=grid, n=n)
+        bounds = strong_converse_bound(ev, eps=0.1, a=n * grid)
         assert window_calls == [(21,)]
         assert isinstance(bounds, np.ndarray) and bounds.tolist() == each
-        assert strong_converse_bound(ev, eps=0.1, a=grid.reshape(3, 7), n=n).shape == (3, 7)
-        assert isinstance(strong_converse_bound(ev, eps=0.1, a=float(grid[0]), n=n), float)
+        assert strong_converse_bound(ev, eps=0.1, a=n * grid.reshape(3, 7)).shape == (3, 7)
+        assert isinstance(strong_converse_bound(ev, eps=0.1, a=n * float(grid[0])), float)
 
     def test_never_exceeds_beta_eps_on_rate_grid(self):
         sc = make_scenario("TorusPureVsMixed", alpha=0.3)
@@ -446,7 +446,7 @@ class TestStrongConverse:
             for eps in (0.1, 0.3):
                 value = beta_eps(*pair, eps)
                 for a in stein_a_grid(curve.slope(1.0)):
-                    bound = strong_converse_bound(ev, eps=eps, a=float(a), n=n)
+                    bound = strong_converse_bound(ev, eps=eps, a=n * float(a))
                     assert bound <= value + 1e-9
 
 

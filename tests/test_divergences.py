@@ -539,9 +539,9 @@ class TestLegendreFenchel:
         rho0, rho1 = faithful(rng), faithful(rng)
         ev = PsiEvaluator(rho0, rho1)
         a = ev.slope(1.0)
-        assert strong_converse_bound(ev, eps=0.1, a=a, n=1) == pytest.approx(
+        assert strong_converse_bound(ev, eps=0.1, a=a) == pytest.approx(
             -0.1 * math.exp(-a), abs=1e-6)
-        assert strong_converse_bound(ev, eps=0.1, a=a + 0.5, n=1) > -0.1 * math.exp(-a - 0.5)
+        assert strong_converse_bound(ev, eps=0.1, a=a + 0.5) > -0.1 * math.exp(-a - 0.5)
 
 
 class TestPsiSandwich:
@@ -642,7 +642,7 @@ TWO_STATE_FUNCTIONS = {
     "np_test": lambda a, b: np_test(a, b, 0.0),
     "threshold_errors": lambda a, b: threshold_errors(a, b, [0.0]),
     "error_pair": lambda a, b: error_pair(np.eye(2), a, b),
-    "strong_converse_bound": lambda a, b: strong_converse_bound(PsiEvaluator(a, b), eps=0.1, a=0.1, n=1),
+    "strong_converse_bound": lambda a, b: strong_converse_bound(PsiEvaluator(a, b), eps=0.1, a=0.1),
     "pmin_bounds_check": lambda a, b: pmin_bounds_check(a, b, 0.0),
     "fidelity_pmin_check": fidelity_pmin_check,
 }

@@ -55,6 +55,7 @@ REMOVED = {
         "threshold_errors": ("n",),
         "np_test": ("n",),
         "p_min": ("n",),
+        "strong_converse_bound": ("n",),
     },
     "asymptotics": {
         "stein_gap_check": ("tol",),
