@@ -167,7 +167,9 @@ def _infer_kind(ctor0, ctor1, action: GroupAction) -> str | None:
             return TORUS_PURE_VS_MIXED
         if ctor0[0] == "pure-qubit" and ctor1[0] == "pure-qubit":
             return TORUS_TWO_PURE
-    if action.kind == "finite" and len(action.unitaries) == 2:
+    # the Z2 closed form is the sign flip's: the group must be {I, Z} up to a phase
+    if action.kind == "finite" and len(action.unitaries) == 2 and any(
+            abs(u[0, 1]) + abs(u[1, 0]) + abs(u[0, 0] + u[1, 1]) <= 1e-9 for u in action.unitaries):
         if ctor0[0] == "bernoulli-conjugated" and ctor1[0] == "bernoulli-conjugated":
             return Z2_COMMUTING
     return None

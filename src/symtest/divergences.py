@@ -36,7 +36,7 @@ from typing import Callable
 import numpy as np
 
 from .groups import GroupAction, is_support_invariant, twirled_pair
-from .linalg import abs_power_trace, block_supports, eig, matrix_pair
+from .linalg import abs_power_trace, eig, matrix_pair
 from .reports import CheckReport
 
 NEG_INF = float("-inf")
@@ -75,8 +75,8 @@ class PsiEvaluator:
     """
 
     def __init__(self, rho0, rho1):
-        m0, _ = matrix_pair(rho0, rho1)
-        self._build([(1, eig(rho0), eig(rho1))], m0.shape[0])
+        matrix_pair(rho0, rho1)
+        self._build([(1, eig(rho0), eig(rho1))])
 
     @classmethod
     def twirled(cls, rho0, rho1, action: GroupAction, n: int) -> "PsiEvaluator":
@@ -90,19 +90,18 @@ class PsiEvaluator:
 
         blocks0, blocks1 = schur_weyl_pair(rho0, rho1, action, n)
         ev = cls.__new__(cls)
-        ev._build([(mult, s0, s1) for (mult, s0), (_, s1) in zip(blocks0, blocks1)], 2**n)
+        ev._build([(mult, s0, s1) for (mult, s0), (_, s1) in zip(blocks0, blocks1)])
         return ev
 
-    def _build(self, parts, dim: int) -> None:
-        """The arrays of the parts (m, spectrum0, spectrum1) of a pair of
-        dimension dim, each cut to the supports of the two spectra the parts
-        make up (linalg.block_supports)."""
-        supp0 = block_supports([(mult, s0) for mult, s0, _ in parts])
-        supp1 = block_supports([(mult, s1) for mult, _, s1 in parts])
-        # overlaps below eigenvector accuracy are roundoff ghosts of exact zeros
-        floor = (16.0 * dim * float(np.finfo(float).eps)) ** 2
-        overlaps, outsides = [], []
-        for (mult, _, spec1), s0, s1 in zip(parts, supp0, supp1):
+    def _build(self, parts) -> None:
+        """The arrays of the parts (m, spectrum0, spectrum1) of a pair.  Each
+        part is resolved as a state of its own: its two spectra are cut to
+        their supports (Spectrum.support, at the part's size and largest
+        eigenvalue), and its overlaps are zeroed below the eigenvector
+        accuracy of its size."""
+        supp0, supp1, overlaps, outsides = [], [], [], []
+        for mult, spec0, spec1 in parts:
+            s0, s1 = spec0.support(), spec1.support()
             v0, v1 = s0.eigenvectors, s1.eigenvectors
             cross = v0.conj().T @ v1
             if s1 is spec1:
@@ -111,7 +110,12 @@ class PsiEvaluator:
                 # row i is (v0_i - P1 v0_i)^T; 1 - sum_j O_ij would lose 1e-13 to rounding
                 outside = (np.abs(v0.T - cross.conj() @ v1.T) ** 2).sum(axis=1)
             overlap = np.abs(cross) ** 2
+            # overlaps below the eigenvector accuracy of the part's size are
+            # roundoff ghosts of exact zeros
+            floor = (16.0 * spec0.eigenvalues.size * float(np.finfo(float).eps)) ** 2
             overlap[overlap < floor] = 0.0
+            supp0.append(s0)
+            supp1.append(s1)
             overlaps.append(mult * overlap if mult != 1 else overlap)
             outsides.append(mult * outside if mult != 1 else outside)
         self._w0 = _joined([s.eigenvalues for s in supp0])

@@ -14,13 +14,15 @@ construction and not checked again.
 Every matrix power of a positive semidefinite operator uses the support
 convention 0**s = 0 for all real s.  The spectral decisions live here and
 nowhere else: :func:`above_cut` decides which computed eigenvalues count
-as zero (:meth:`Spectrum.support_mask` marks the rest, with every positive
-eigenvalue read off a 1x1 component exactly; :func:`block_supports` applies
-the same rule to a spectrum given as blocks with multiplicities, such as the
-Schur-Weyl blocks of a twirled qubit pair), :func:`cluster_slices` splits
-a spectrum into degenerate runs, :meth:`Spectrum.clipped` moves a spectrum
-into a range, and :func:`components` splits an index set into the connected
-components of a linkage.  An operator is decomposed once: every
+as zero, at size * eps * max|w| of the spectrum it is given, with no
+absolute floor (:meth:`Spectrum.support_mask` marks the rest, with every
+positive eigenvalue read off a 1x1 component exactly; a spectrum given as
+blocks, such as the Schur-Weyl blocks of a twirled qubit pair, is cut block
+by block, each at its own size and largest eigenvalue),
+:func:`cluster_slices` splits a spectrum into degenerate runs,
+:meth:`Spectrum.clipped` moves a spectrum into a range, and
+:func:`components` splits an index set into the connected components of a
+linkage.  An operator is decomposed once: every
 :class:`DensityOperator` keeps the spectrum it was validated from, and
 :func:`eig` hands that spectrum back.  A state is validated block by block
 along the exact zeros of its matrix: the Hermitian gate, the canonical copy,
@@ -193,16 +195,11 @@ class Spectrum:
     def support_mask(self) -> np.ndarray:
         """Mask of the nonzero eigenpairs: exact ones when positive, others by :func:`above_cut`."""
         w = self.eigenvalues
-        return self._above(_cut_level(w.size, float(np.max(np.abs(w), initial=0.0))))
+        return np.where(self.exact, w > 0.0, above_cut(w))
 
     def support(self) -> "Spectrum":
         """The eigenpairs :meth:`support_mask` keeps; self when it keeps all."""
-        return self._kept(self.support_mask())
-
-    def _above(self, level: float) -> np.ndarray:
-        return np.where(self.exact, self.eigenvalues > 0.0, self.eigenvalues > level)
-
-    def _kept(self, keep: np.ndarray) -> "Spectrum":
+        keep = self.support_mask()
         if keep.all():
             return self
         return Spectrum(self.eigenvalues[keep], self.eigenvectors[:, keep], self.exact[keep])
@@ -366,25 +363,9 @@ def _assembled_eig(lone_w: np.ndarray, lone: np.ndarray, comps: list[np.ndarray]
 
 
 def above_cut(w: np.ndarray) -> np.ndarray:
-    """Mask w > max(w.size * eps * max|w|, 1e-12) of the eigenvalues
-    that count as nonzero; on a signed spectrum it keeps the positive part."""
-    return w > _cut_level(w.size, float(np.max(np.abs(w), initial=0.0)))
-
-
-def _cut_level(size: int, lam_max: float) -> float:
-    return max(size * float(np.finfo(float).eps) * lam_max, 1e-12)
-
-
-def block_supports(blocks) -> list[Spectrum]:
-    """The support of a spectrum given as blocks (multiplicity, Spectrum),
-    block by block: the rule of :meth:`Spectrum.support_mask` with the cut
-    level of the whole spectrum, whose dimension is sum m * size and whose
-    largest |w| is the largest over the blocks; a block that keeps all comes
-    back as it is."""
-    size = sum(mult * spec.eigenvalues.size for mult, spec in blocks)
-    lam_max = max(float(np.max(np.abs(spec.eigenvalues), initial=0.0)) for _, spec in blocks)
-    level = _cut_level(size, lam_max)
-    return [spec._kept(spec._above(level)) for _, spec in blocks]
+    """Mask w > w.size * eps * max|w| of the eigenvalues that count as
+    nonzero; on a signed spectrum it keeps the positive part."""
+    return w > w.size * float(np.finfo(float).eps) * float(np.max(np.abs(w), initial=0.0))
 
 
 def cluster_slices(w: np.ndarray, tol: float) -> list[slice]:

@@ -25,10 +25,8 @@ from .linalg import (
     DensityOperator,
     Spectrum,
     _assembled_eig,
-    _eigh,
     _gram_eigh,
-    asmatrix,
-    hermitian,
+    _hermitian_blocks,
     matrix_pair,
 )
 
@@ -51,18 +49,19 @@ def schur_weyl_pair(rho0, rho1, action: GroupAction, n: int) -> tuple[list, list
     weights differ (each Dicke state has its own weight), and the whole block
     when they are equal.
 
-    Each block passes the checks DensityOperator runs per block: the
-    Hermitian gate, a checked eigendecomposition, the clip at -TRACE_TOL,
-    and the trace gate and renormalization over sum_t m_t Tr B_t.  Block t
-    is f f^* for f = [S_g sqrt(det^t Lam)]_g / sqrt(|G|), so its eigenpairs
-    come from the singular value decomposition of f (linalg._gram_eigh),
-    which resolves an eigenvalue w to about eps * sqrt(w * max) where eigh
-    of the block resolves eps * max; the diagonal pinched block goes through
-    eigh, which reads a diagonal exactly.  An eigenvalue is exact where the
-    dense twirled state would split into 1x1 components (_isolated_weights),
-    and is then that component's entry; linalg.block_supports keeps it when
-    it is positive and cuts every other eigenvalue at the level above_cut
-    sets for the whole spectrum of dimension 2^n.
+    Each block is validated and resolved as a state of its own, by the rule
+    DensityOperator applies to a matrix.  It splits along its exact zeros
+    (linalg._hermitian_blocks); each component passes the Hermitian gate; a
+    1x1 component is an exact eigenpair, its entry (so every eigenvalue of a
+    pinched block, a sum of nonnegative terms, is exact); a larger component
+    is f[idx] f[idx]^* for its rows idx of f = [S_g sqrt(det^t Lam)]_g /
+    sqrt(|G|), so its eigenpairs come from the singular value decomposition
+    of f[idx] (linalg._gram_eigh), which resolves an eigenvalue w to about
+    eps * sqrt(w * max) where eigh resolves eps * max.  Then come the clip at
+    -TRACE_TOL and the trace gate and renormalization over sum_t m_t Tr B_t.
+    Spectrum.support cuts each block on its own: exact eigenvalues are kept
+    when positive, the others at the block's size times eps times its
+    largest eigenvalue, whatever the other blocks hold.
     """
     _check_power_dim(action, n)
     m0, _ = matrix_pair(rho0, rho1)
@@ -75,16 +74,13 @@ def schur_weyl_pair(rho0, rho1, action: GroupAction, n: int) -> tuple[list, list
 
 def _schur_weyl_blocks(rho, action: GroupAction, n: int) -> list[tuple[int, Spectrum]]:
     state = rho if isinstance(rho, DensityOperator) else DensityOperator(rho)
-    m, spec = state.mat, state.spectrum
+    spec = state.spectrum
     lam = np.where(spec.support_mask(), spec.eigenvalues, 0.0)
     # a group is a set: taken in a fixed order, its elements give the same
     # factor f, so the same blocks, whatever order the list has
     unitaries = ([np.eye(2)] if action.kind == TORUS
                  else sorted(action.unitaries, key=np.ndarray.tobytes))
-    # the single-copy matrices whose n-th tensor powers the dense route averages
-    singles = [m] if action.kind == TORUS else [asmatrix(u @ m @ u.conj().T) for u in unitaries]
     pinched = action.kind == TORUS and bool(action.weights[0] != action.weights[1])
-    isolated, diagonal = _isolated_weights(np.array(singles), n, pinched)
     factors = np.array([u @ spec.eigenvectors for u in unitaries])
     root = np.sqrt(lam)
     blocks, traces = [], []
@@ -93,19 +89,21 @@ def _schur_weyl_blocks(rho, action: GroupAction, n: int) -> list[tuple[int, Spec
         # block t is f f^* with f = [S_g sqrt(det^t Lam)]_g / sqrt(|G|)
         scale = (root[0] * root[1]) ** t * (root[0] ** np.arange(size - 1, -1, -1)
                                             * root[1] ** np.arange(size))
-        f = np.concatenate(_sym_powers(factors, size - 1) * scale, axis=1)
-        f /= math.sqrt(len(factors))
-        block = hermitian(np.diag((np.abs(f) ** 2).sum(axis=1)) if pinched else f @ f.conj().T)
-        # Dicke state j of block t has t + j ones
-        exact = isolated[t : n - t + 1]
-        lone, rest = np.flatnonzero(exact), np.flatnonzero(~exact)
-        comps, specs = [], []
-        if rest.size:
-            sub = block[rest[:, None], rest]
-            comps, specs = [rest], [_eigh(sub) if pinched else _gram_eigh(f[rest], sub)]
+        fs = _sym_powers(factors, size - 1) * (scale / math.sqrt(len(factors)))
+        f = np.concatenate(fs, axis=1)
+        # summed over g entry by entry, so that terms the group averages to
+        # zero cancel exactly, as they do in the dense twirl
+        block = (np.diag((np.abs(f) ** 2).sum(axis=1)) if pinched
+                 else (fs @ fs.conj().transpose(0, 2, 1)).sum(axis=0))
+        # the block splits along its exact zeros as DensityOperator splits a
+        # matrix: a 1x1 component is an exact eigenpair, a larger one is
+        # decomposed through the singular values of its rows of f
+        lone, comps, subs = _hermitian_blocks(block)
+        lone_w = block.diagonal()[lone].real
+        specs = [_gram_eigh(f[idx], sub) for idx, sub in zip(comps, subs)]
         mult = math.comb(n, t) - (math.comb(n, t - 1) if t else 0)
-        blocks.append((mult, _assembled_eig(diagonal[t + lone], lone, comps, specs)[0]))
-        traces.append(float(diagonal[t + lone].sum() + block.diagonal()[rest].real.sum()))
+        blocks.append((mult, _assembled_eig(lone_w, lone, comps, specs)[0]))
+        traces.append(float(block.diagonal().real.sum()))
     tr = sum(mult * x for (mult, _), x in zip(blocks, traces))
     if abs(tr - 1.0) > TRACE_TOL:
         raise ValueError(f"trace must be 1 within {TRACE_TOL:g}, got {tr!r}")
@@ -125,38 +123,6 @@ def _power_tables(a: np.ndarray, m: int) -> np.ndarray:
     table[..., 0] = 1.0
     table[..., 1:] = a.reshape(-1, 4, 1)
     return np.cumprod(table, axis=-1)
-
-
-@functools.lru_cache(maxsize=None)
-def _link_pattern(n: int, pinched: bool) -> tuple[np.ndarray, ...]:
-    """For _isolated_weights: the mask of the (k, n01, n10) that link a string
-    with k ones to another, and the exponents of c00, c01, c10, c11."""
-    k, a, b = np.ogrid[: n + 1, : n + 1, : n + 1]  # a = n01, b = n10
-    links = (a <= n - k) & (b <= k) & (a + b > 0)
-    if pinched:
-        links = links & (a == b)
-    return _frozen(links, np.clip(n - k - a, 0, n), a, b, np.clip(k - b, 0, n))
-
-
-def _isolated_weights(singles: np.ndarray, n: int, pinched: bool) -> tuple[np.ndarray, np.ndarray]:
-    """Whether each weight class k = 0..n (the basis strings with k ones) of
-    the dense twirled state splits into 1x1 components, as DensityOperator
-    splits it along the exact zeros of its matrix, and the diagonal entry of
-    each class.
-
-    Entry (x, y) of the average of the c^{(x)n} over the single-copy matrices
-    c in singles is the average of c00^n00 c01^n01 c10^n10 c11^n11, where
-    n_ab counts the positions with (x_i, y_i) = (a, b); a string x with k
-    ones is alone in its row when that average is zero for every y != x.
-    The torus with two distinct weights (pinched) keeps only the entries with
-    n01 = n10.  Powers are repeated products, so an entry that underflows
-    counts as zero, as it does in the dense matrix.
-    """
-    links, e00, e01, e10, e11 = _link_pattern(n, pinched)
-    p = _power_tables(singles, n)
-    total = (p[:, 0, e00] * p[:, 1, e01] * p[:, 2, e10] * p[:, 3, e11]).sum(axis=0)
-    isolated = ~np.any(links & (total != 0), axis=(1, 2))
-    return isolated, total[:, 0, 0].real / len(singles)
 
 
 @functools.lru_cache(maxsize=None)

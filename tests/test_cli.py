@@ -120,6 +120,21 @@ class TestParseScenario:
         # the torus closed forms need parameters strictly inside (0, 1)
         assert parse_scenario(json.dumps(scenario_doc(rho1="diag 1.0"))).kind is None
 
+    def test_z2_kind_needs_the_sign_flip(self):
+        # the bit flip {I, X} leaves bernoulli-conjugated states as they are,
+        # so the sign flip's closed form does not hold; -Z is the sign flip
+        # up to a phase
+        flips = {"bit": [[0, 1], [1, 0]], "sign": [[1, 0], [0, -1]], "minus sign": [[-1, 0], [0, 1]]}
+        kinds = {}
+        for name, u in flips.items():
+            group = {"type": "finite", "unitaries": [
+                [[[1, 0], [0, 0]], [[0, 0], [1, 0]]],
+                [[[u[0][0], 0], [u[0][1], 0]], [[u[1][0], 0], [u[1][1], 0]]]]}
+            doc = scenario_doc(rho0="bernoulli-conjugated 0.2", rho1="bernoulli-conjugated 0.7",
+                               group=group)
+            kinds[name] = parse_scenario(json.dumps(doc)).kind
+        assert kinds == {"bit": None, "sign": "Z2Commuting", "minus sign": "Z2Commuting"}
+
     def test_group_dimension_mismatch(self):
         doc = scenario_doc(group={"type": "torus", "weights": [0, 1, 2]})
         with pytest.raises(ScenarioError, match="dimension"):
@@ -142,6 +157,16 @@ class TestShippedScenarios:
         assert main(["--scenario", str(path), "--command", "chernoff",
                      "--n-max", "2", "--out", str(out)]) == 0
         assert out.read_text().startswith("n,label,chernoff")
+
+
+    @pytest.mark.parametrize("name", ["two-commuting", "pure-vs-mixed", "two-pure"])
+    def test_convergence_holds_at_n_40(self, tmp_path, monkeypatch, name):
+        # every twirled row at n <= 40 stays above its limit; blocks cut at
+        # 2^n eps made this fail at n = 22 (two-pure), 27 and 34
+        monkeypatch.setenv("SYMTEST_DIM_CAP", str(2**40))
+        path = Path(__file__).resolve().parent.parent / "scenarios" / f"{name}.json"
+        assert main(["--scenario", str(path), "--command", "convergence", "--n-max", "40",
+                     "--out", str(tmp_path / "convergence.csv")]) == 0
 
 
 class TestCommands:
@@ -272,6 +297,20 @@ class TestCommands:
                     assert value == float(field)
                 else:
                     assert str(value) == field
+
+    def test_chernoff_under_the_bit_flip_prints_no_closed_form_mean(self, tmp_path):
+        # the bit flip fixes both states, so every row is the one-copy value
+        # and the last row is the n_max row, not the sign flip's limit
+        group = {"type": "finite", "unitaries": [
+            [[[1, 0], [0, 0]], [[0, 0], [1, 0]]], [[[0, 0], [1, 0]], [[1, 0], [0, 0]]]]}
+        path = write_scenario(tmp_path, rho0="bernoulli-conjugated 0.2",
+                              rho1="bernoulli-conjugated 0.7", group=group, n_max=3)
+        out = tmp_path / "chernoff.csv"
+        assert main(["--scenario", path, "--command", "chernoff", "--out", str(out)]) == 0
+        rows = [line.split(",") for line in out.read_text().splitlines()[1:]]
+        assert rows[-1][1] == "mean (best-n estimate)"
+        values = [float(row[2]) for row in rows]
+        assert values == pytest.approx([values[0]] * len(values), rel=1e-12)
 
     def test_chernoff_and_stein_and_hoeffding_run(self, tmp_path):
         scenario = write_scenario(tmp_path, n_max=2)

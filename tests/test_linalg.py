@@ -4,7 +4,7 @@ from numpy.testing import assert_allclose
 
 from symtest.asymptotics import TORUS_PURE_VS_MIXED, Z2_COMMUTING, diag_qubit, make_scenario
 from symtest.discrimination import TestOperator
-from symtest.divergences import psi_curve
+from symtest.divergences import psi_curve, relative_entropy
 from symtest.errors import DimensionError
 from symtest.groups import GroupAction, twirled_pair
 from symtest.linalg import (
@@ -316,6 +316,21 @@ def test_spectrum_support_keeps_pairs_above_cut(rng):
     kept = spec.support()
     assert kept.eigenvalues.size == 3 and kept.eigenvectors.shape == (6, 3)
     assert_allclose(kept.reconstruct(), spec.reconstruct(), atol=1e-12)
+
+
+def test_support_has_no_absolute_floor():
+    # a rotated diag(1 - 1e-13, 1e-13) is one 2x2 component, so its small
+    # eigenvalue is decided by the cut, 2 eps: it is kept, and the relative
+    # entropy of the maximally mixed state against it is finite
+    c, s = np.cos(0.3), np.sin(0.3)
+    u = np.array([[c, -s], [s, c]])
+    rho1 = DensityOperator(u @ np.diag([1.0 - 1e-13, 1e-13]) @ u.T)
+    kept = rho1.spectrum.support()
+    assert not kept.exact.any()
+    assert kept.eigenvalues.size == 2
+    assert kept.eigenvalues[0] == pytest.approx(1e-13, rel=1e-2)
+    want = -np.log(2.0) - 0.5 * (np.log1p(-1e-13) + np.log(1e-13))
+    assert relative_entropy(np.eye(2) / 2.0, rho1) == pytest.approx(want, rel=1e-3)
 
 
 def test_cluster_slices_edge_cases():

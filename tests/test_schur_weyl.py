@@ -16,7 +16,7 @@ from symtest.cli import parse_scenario
 from symtest.divergences import NEG_INF, PsiEvaluator, default_s_grid
 from symtest.errors import DimensionError
 from symtest.groups import GroupAction, twirled_pair
-from symtest.linalg import DensityOperator, block_supports
+from symtest.linalg import DensityOperator
 from symtest.oracle import block_scalar_oracle
 from symtest.schur_weyl import schur_weyl_pair
 
@@ -66,7 +66,7 @@ def per_copy_gap(ev_a, n_a, ev_b, n_b):
 
 def smallest_kept(rho0, rho1, action, n):
     """The smallest eigenvalue either twirled n-copy state keeps."""
-    return min(min((s.eigenvalues.min(initial=np.inf) for s in block_supports(blocks)))
+    return min(min((s.support().eigenvalues.min(initial=np.inf) for _, s in blocks))
                for blocks in schur_weyl_pair(rho0, rho1, action, n))
 
 
@@ -139,6 +139,65 @@ def test_block_route_matches_the_scalar_oracle(kind, params):
         assert np.all(np.abs(got - want) <= 1e-12 * np.maximum(1.0, np.abs(want))), n
 
 
+def oracle_per_copy_gap(kind, params, n):
+    """Largest |a - b| / max(1, |b|) of the block route's per-copy psi a and
+    the scalar oracle's b over the default grid."""
+    sc = make_scenario(kind, **params)
+    got = PsiEvaluator.twirled(sc.rho0, sc.rho1, sc.action, n).psi(GRID) / n
+    want = np.array([math.log(block_scalar_oracle(kind, sc.params, n, s)) / n for s in GRID.tolist()])
+    return float(np.max(np.abs(got - want) / np.maximum(1.0, np.abs(want))))
+
+
+# Each block is cut at its own size and largest eigenvalue: a cut at 2^n eps
+# times the largest eigenvalue of the whole state, or an overlap floor that
+# grows with 2^n, was 1e-2 off here at n = 30 and -inf at n = 60.  The sign
+# flip at n = 100 is left out: it is 3.6e-12 off, from the binomial Sym^m.
+@pytest.mark.parametrize("kind, params, n", [
+    pytest.param(kind, params, n, id=f"{kind}-{n}")
+    for kind, params, ns in [("TorusPureVsMixed", {"alpha": 0.3}, (30, 40, 60, 100)),
+                             ("TorusTwoPure", {"lam": 0.3, "mu": 0.6}, (30, 40, 60, 100)),
+                             ("Z2Commuting", {"lam": 0.2, "mu": 0.7}, (30, 40, 60))]
+    for n in ns
+])
+def test_block_route_matches_the_scalar_oracle_at_large_n(monkeypatch, kind, params, n):
+    monkeypatch.setenv("SYMTEST_DIM_CAP", str(2**n))
+    assert oracle_per_copy_gap(kind, params, n) <= 1e-12
+
+
+def test_small_sign_flip_eigenvalues_are_kept_at_the_default_cap():
+    # 0.005 against 0.6 at n = 12: the blocks hold eigenvalues far below
+    # 2^12 eps times the state's largest one, and above that of their block
+    assert oracle_per_copy_gap("Z2Commuting", {"lam": 0.005, "mu": 0.6}, 12) <= 1e-12
+
+
+def test_pinched_pure_state_with_a_tiny_weight_against_the_maximally_mixed_state():
+    # the pinched pure state has the Dicke eigenvalues C(n, k) (1 - p)^(n-k) p^k
+    # and the twirl of diag 0.5 is 2^-n I, so psi_n(s) is the log of
+    # sum_k [C(n, k) (1 - p)^(n-k) p^k]^s 2^(-n(1-s)); at n = 4 the smallest
+    # eigenvalue is 1e-28, which a cut at 1e-12 dropped
+    p = 1e-7
+    rho0, rho1, action = pure_qubit(p), diag_qubit(0.5), GroupAction.torus([0, 1])
+    for n in range(1, 7):
+        logs = np.array([math.log(math.comb(n, k)) + (n - k) * math.log1p(-p) + k * math.log(p)
+                         for k in range(n + 1)])
+        terms = np.multiply.outer(GRID, logs)
+        top = terms.max(axis=1)
+        want = (top + np.log(np.exp(terms - top[:, None]).sum(axis=1))
+                - n * (1.0 - GRID) * math.log(2.0)) / n
+        got = PsiEvaluator.twirled(rho0, rho1, action, n).psi(GRID) / n
+        assert np.all(np.abs(got - want) <= 1e-12 * np.maximum(1.0, np.abs(want))), n
+
+
+def test_sign_flip_keeps_the_exact_atoms_of_a_diagonal_pair():
+    # the sign flip leaves a diagonal pair as it is, so psi_n = n psi_1; the
+    # n-copy eigenvalue 1e-13^n is an exact 1x1 component of its block, which
+    # a cut against the block's largest eigenvalue would drop
+    rho0, rho1 = diag_qubit(1e-13), diag_qubit(0.5)
+    single = PsiEvaluator(rho0, rho1)
+    for n in range(1, 7):
+        assert per_copy_gap(single, 1, PsiEvaluator.twirled(rho0, rho1, SIGN_FLIP, n), n) <= 1e-12, n
+
+
 @pytest.mark.parametrize("n", [*range(1, 13), 20, 26])
 def test_blocks_fill_the_n_copy_space(monkeypatch, n):
     monkeypatch.setenv("SYMTEST_DIM_CAP", str(2**26))
@@ -149,8 +208,7 @@ def test_blocks_fill_the_n_copy_space(monkeypatch, n):
 
 
 KEEP_CASES = {
-    # the dense route keeps the exact 1e-300 at n = 1 and cuts the 2e-300 of
-    # a 2x2 component at n = 2
+    # both routes keep the exact 1e-300 at n = 1
     "pure-qubit 1e-300": (pure_qubit(0.3), pure_qubit(1e-300), GroupAction.torus([0, 1]), 4),
     # every entry of a diagonal pair is an exact 1x1 component
     "diag 1e-80": (diag_qubit(0.3), diag_qubit(1e-80), GroupAction.torus([0, 1]), 3),
@@ -161,6 +219,21 @@ KEEP_CASES = {
     "A torus [0, 1]": (*PAIRS["A"], GroupAction.torus([0, 1]), 6),
     "A Pauli group": (*PAIRS["A"], PAULI, 4),
 }
+# the case whose rho1 keeps, from this n on, an eigenvalue the dense route
+# cuts: the exact n * 1e-300 of the pinched Dicke state with one 0
+# (test_block_route_keeps_the_exact_atom_the_dense_route_cuts)
+RHO1_DIFFERS_FROM = {"pure-qubit 1e-300": 2}
+
+
+def assert_exact_are_lone_components(spec):
+    """Each eigenpair marked exact is a 1x1 component of its block: its
+    eigenvector is a unit basis vector e_k, and no other eigenvector has an
+    entry at k."""
+    v = spec.eigenvectors
+    for j in np.flatnonzero(spec.exact):
+        (k,) = np.flatnonzero(v[:, j])
+        assert v[k, j] == 1.0
+        assert np.count_nonzero(v[k]) == 1
 
 
 @pytest.mark.parametrize("case", sorted(KEEP_CASES))
@@ -168,15 +241,34 @@ def test_keeps_and_marks_exact_what_the_dense_route_does(case):
     rho0, rho1, action, n_max = KEEP_CASES[case]
     for n in range(1, n_max + 1):
         dense = twirled_pair(rho0, rho1, action, n)
-        for rho, blocks in zip(dense, schur_weyl_pair(rho0, rho1, action, n)):
-            want = rho.spectrum.support()
-            kept = block_supports(blocks)
-            got_w = np.concatenate([np.repeat(s.eigenvalues, mult) for (mult, _), s in zip(blocks, kept)])
-            got_exact = np.concatenate([np.repeat(s.exact, mult) for (mult, _), s in zip(blocks, kept)])
-            order = np.argsort(got_w, kind="stable")
-            assert got_w.size == want.eigenvalues.size, n
-            assert np.allclose(got_w[order], want.eigenvalues, rtol=1e-12, atol=0.0), n
-            assert int(got_exact.sum()) == int(want.exact.sum()), n
+        for which, (rho, blocks) in enumerate(zip(dense, schur_weyl_pair(rho0, rho1, action, n))):
+            if which == 0 or n < RHO1_DIFFERS_FROM.get(case, n + 1):
+                want = rho.spectrum.support()
+                kept = [s.support() for _, s in blocks]
+                got_w = np.concatenate([np.repeat(s.eigenvalues, mult) for (mult, _), s in zip(blocks, kept)])
+                order = np.argsort(got_w, kind="stable")
+                assert got_w.size == want.eigenvalues.size, n
+                assert np.allclose(got_w[order], want.eigenvalues, rtol=1e-12, atol=0.0), n
+            for _, spec in blocks:
+                assert_exact_are_lone_components(spec)
+                if action.kind == "torus" and action.weights[0] != action.weights[1]:
+                    assert spec.exact.all(), n
+
+
+def test_block_route_keeps_the_exact_atom_the_dense_route_cuts():
+    # the pinched Dicke state with one 0 has the eigenvalue n mu (1 - mu)^(n-1)
+    # = n * 1e-300; the dense route holds it in an n x n component of the 2^n
+    # matrix and cuts it at 2^n * eps, the block route reads it off a 1x1
+    # component of block 0
+    rho0, rho1, action = pure_qubit(0.3), pure_qubit(1e-300), GroupAction.torus([0, 1])
+    for n in (2, 3, 4):
+        _, dense = twirled_pair(rho0, rho1, action, n)
+        assert np.array_equal(dense.spectrum.support().eigenvalues, [1.0])
+        _, blocks = schur_weyl_pair(rho0, rho1, action, n)
+        kept = blocks[0][1].support()
+        assert kept.exact.all()
+        assert np.allclose(kept.eigenvalues, [n * 1e-300, 1.0], rtol=1e-12, atol=0.0)
+        assert all(spec.support().eigenvalues.size == 0 for _, spec in blocks[1:])
 
 
 def test_qutrit_pairs_take_the_dense_route_unchanged():
