@@ -22,7 +22,7 @@ from .divergences import (
     relative_entropy,
 )
 from .errors import CheckError
-from .groups import GroupAction, block_structure, pinching_map, tensor_power, twirled_pair
+from .groups import GroupAction, block_structure, pinching_map, tensor_power
 from .linalg import DensityOperator, asmatrix, kron_power, spectral_projections
 from .oracle import _log_binom, _logsumexp, _xlog
 from .reports import CheckReport
@@ -326,9 +326,9 @@ def stein_gap_check(scenario: Scenario, n: int) -> CheckReport:
     if s_single == math.inf:
         report.note("single-copy relative entropy infinite; nothing to check")
         return report
-    rho0n, rho1n = twirled_pair(scenario.rho0, scenario.rho1, scenario.action, n)
+    twirled = PsiEvaluator.twirled(scenario.rho0, scenario.rho1, scenario.action, n)
     report.check_leq("S(twirled)/n <= S(rho0||rho1)",
-                     relative_entropy(rho0n, rho1n) / n, s_single, 1e-8)
+                     twirled.relative_entropy() / n, s_single, 1e-8)
     rho1_pow = DensityOperator(kron_power(asmatrix(scenario.rho1), n))
     projections = [p for _, p in spectral_projections(rho1_pow)]
     powered = tensor_power(scenario.action, n)

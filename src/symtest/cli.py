@@ -441,7 +441,7 @@ def _run_example(name: str) -> int:
     if name == "two-commuting":
         sc = make_scenario(Z2_COMMUTING, n_max=5, lam=0.2, mu=0.7)
         for n in (1, 3, 5):
-            ev = PsiEvaluator(*twirled_pair(sc.rho0, sc.rho1, sc.action, n))
+            ev = PsiEvaluator.twirled(sc.rho0, sc.rho1, sc.action, n)
             closed = closed_form_psi(sc.kind, sc.params, 0.5)
             gap = ev.psi(0.5) / n - closed
             print(f"  n={n}: (1/n)psi_n(0.5)={ev.psi(0.5) / n:.9f}  limit={closed:.9f}  gap={gap:.3e}")
@@ -463,7 +463,7 @@ def _run_example(name: str) -> int:
         closed = np.array([closed_form_psi(sc.kind, sc.params, s) for s in s_grid.tolist()])
         worst = 0.0
         for n in (1, 3, 6):
-            ev = PsiEvaluator(*twirled_pair(sc.rho0, sc.rho1, sc.action, n))
+            ev = PsiEvaluator.twirled(sc.rho0, sc.rho1, sc.action, n)
             worst = max(worst, float(np.max(np.abs(ev.psi(s_grid) / n - closed))))
         failures += _check_line("max |(1/n)psi_n - closed form|", worst, 0.0, 1e-9)
     elif name == "subgroup-equality":
@@ -472,7 +472,7 @@ def _run_example(name: str) -> int:
         psi0 = PsiEvaluator(rho0, rho1).psi(s_grid)
         worst = 0.0
         for n in (2, 4, 6):
-            ev = PsiEvaluator(*twirled_pair(rho0, rho1, z2_action(), n))
+            ev = PsiEvaluator.twirled(rho0, rho1, z2_action(), n)
             expected = n * psi0 + (1.0 - s_grid) * math.log(2.0)
             worst = max(worst, float(np.max(np.abs(ev.psi(s_grid) - expected))))
             print(f"  n={n}: per-copy gap to unrestricted at s=0: "

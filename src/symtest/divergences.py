@@ -14,7 +14,8 @@ sum: PsiEvaluator(rho0, rho1) is one part, and PsiEvaluator.twirled(rho0,
 rho1, action, n) reads the twirled n-copy pair of qubits off its Schur-Weyl
 blocks (schur_weyl.schur_weyl_pair), one part per block t with m = m_t and
 no 2^n-sized array; for d > 2 it is PsiEvaluator(*twirled_pair(rho0, rho1,
-action, n)).
+action, n)).  A twirled pair's psi-only quantities take PsiEvaluator.twirled;
+a caller that builds the dense pair for a matrix quantity reads psi off it.
 PsiEvaluator.trace_power and .psi take a float or an array of s: a float
 gives a float, an array an array of its shape, evaluated GRID_CHUNK points
 per matrix product.  A PsiCurve calls its evaluator once on its whole grid;
@@ -94,11 +95,10 @@ class PsiEvaluator:
         return ev
 
     def _build(self, parts) -> None:
-        """The arrays of the parts (m, spectrum0, spectrum1) of a pair.  Each
-        part is resolved as a state of its own: its two spectra are cut to
-        their supports (Spectrum.support, at the part's size and largest
-        eigenvalue), and its overlaps are zeroed below the eigenvector
-        accuracy of its size."""
+        """The arrays of the parts (m, spectrum0, spectrum1) of a pair: each
+        part's two spectra cut to their supports (Spectrum.support, component
+        by component), its overlaps zeroed below the eigenvector accuracy of
+        its size."""
         supp0, supp1, overlaps, outsides = [], [], [], []
         for mult, spec0, spec1 in parts:
             s0, s1 = spec0.support(), spec1.support()
@@ -176,6 +176,13 @@ class PsiEvaluator:
     def relative_entropy(self) -> float:
         """Tr rho0 (log rho0 - log rho1), psi'(1); +inf past 1e-14 of mass outside supp rho1."""
         return POS_INF if float(self._outside.sum()) > 1e-14 else self.slope(1.0)
+
+    def renyi(self, alpha: float) -> float:
+        """Renyi relative entropy of order alpha != 1, psi(alpha) / (alpha - 1)."""
+        if abs(alpha - 1.0) < 1e-12:
+            raise ValueError("order 1 is the relative entropy; call relative_entropy instead")
+        t = self.trace_power(alpha)
+        return POS_INF if t <= UNDERFLOW else math.log(t) / (alpha - 1.0)
 
 
 def _joined(arrays: list[np.ndarray]) -> np.ndarray:
@@ -259,12 +266,7 @@ def psi_curve(rho0, rho1, grid=None) -> PsiCurve:
 
 def renyi(rho0, rho1, alpha: float) -> float:
     """Renyi relative entropy of order alpha != 1 built on the same trace."""
-    if abs(alpha - 1.0) < 1e-12:
-        raise ValueError("order 1 is the relative entropy; call relative_entropy instead")
-    t = PsiEvaluator(rho0, rho1).trace_power(alpha)
-    if t <= UNDERFLOW:
-        return POS_INF
-    return math.log(t) / (alpha - 1.0)
+    return PsiEvaluator(rho0, rho1).renyi(alpha)
 
 
 def renyi_entropy(rho, alpha: float) -> float:
@@ -387,13 +389,9 @@ def lieb_bound_check(rho0, rho1, action: GroupAction, n: int,
     """Sandwich of the n-copy twirled psi between the scaled unrestricted and
     single-copy twirled curves: on [0, 1] it sits above n*psi_unrestricted and
     below n*psi_1; on [1, 2] both bounds flip when supp rho1 is invariant."""
-    if s_grid is None:
-        s_grid = default_s_grid()
-    s_grid = np.asarray(s_grid, dtype=float)
-    pair_n = twirled_pair(rho0, rho1, action, n)
-    pair_1 = twirled_pair(rho0, rho1, action, 1)
-    ev_n = PsiEvaluator(*pair_n)
-    ev_1 = PsiEvaluator(*pair_1)
+    s_grid = np.asarray(default_s_grid() if s_grid is None else s_grid, dtype=float)
+    ev_n = PsiEvaluator.twirled(rho0, rho1, action, n)
+    ev_1 = PsiEvaluator.twirled(rho0, rho1, action, 1)
     ev_0 = PsiEvaluator(rho0, rho1)
     report = CheckReport(f"psi sandwich (n={n})")
     invariant = is_support_invariant(rho1, action)

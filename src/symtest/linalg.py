@@ -13,12 +13,12 @@ construction and not checked again.
 
 Every matrix power of a positive semidefinite operator uses the support
 convention 0**s = 0 for all real s.  The spectral decisions live here and
-nowhere else: :func:`above_cut` decides which computed eigenvalues count
-as zero, at size * eps * max|w| of the spectrum it is given, with no
-absolute floor (:meth:`Spectrum.support_mask` marks the rest, with every
-positive eigenvalue read off a 1x1 component exactly; a spectrum given as
-blocks, such as the Schur-Weyl blocks of a twirled qubit pair, is cut block
-by block, each at its own size and largest eigenvalue),
+nowhere else: a computed eigenvalue counts as zero up to the
+:func:`cut_level` size * eps * max|w| of the matrix it was decomposed from,
+with no absolute floor, and a :class:`Spectrum` carries that cut per
+eigenpair, so a state is cut component by component (a 1x1 component,
+exact, at 0), on the dense route and on the Schur-Weyl blocks alike;
+:func:`above_cut` applies the level to one spectrum as a whole,
 :func:`cluster_slices` splits a spectrum into degenerate runs,
 :meth:`Spectrum.clipped` moves a spectrum into a range, and
 :func:`components` splits an index set into the connected components of a
@@ -168,7 +168,7 @@ class DensityOperator:
             mat[lone, lone] /= tr
             for idx in comps:
                 mat[idx[:, None], idx] /= tr
-            spec = Spectrum(spec.eigenvalues / tr, spec.eigenvectors, spec.exact)
+            spec = spec.scaled(tr)
         mat.setflags(write=False)
         object.__setattr__(self, "mat", mat)
         object.__setattr__(self, "spectrum", spec)
@@ -181,28 +181,31 @@ class DensityOperator:
 @dataclass(frozen=True, eq=False)
 class Spectrum:
     """Eigendecomposition: ascending eigenvalues, unitary eigenvector columns,
-    and a mask ``exact`` of the eigenpairs read off a 1x1 component exactly
-    (see :func:`_assembled_eig`)."""
+    and per eigenpair the ``cut`` it must exceed to count as nonzero, that of
+    the component it was decomposed from (see :func:`_assembled_eig`)."""
 
     eigenvalues: np.ndarray
     eigenvectors: np.ndarray
-    exact: np.ndarray
+    cut: np.ndarray
 
     def reconstruct(self) -> np.ndarray:
         v = self.eigenvectors
         return (v * self.eigenvalues) @ v.conj().T
 
     def support_mask(self) -> np.ndarray:
-        """Mask of the nonzero eigenpairs: exact ones when positive, others by :func:`above_cut`."""
-        w = self.eigenvalues
-        return np.where(self.exact, w > 0.0, above_cut(w))
+        """Mask of the nonzero eigenpairs, those above their cut."""
+        return self.eigenvalues > self.cut
 
     def support(self) -> "Spectrum":
         """The eigenpairs :meth:`support_mask` keeps; self when it keeps all."""
         keep = self.support_mask()
         if keep.all():
             return self
-        return Spectrum(self.eigenvalues[keep], self.eigenvectors[:, keep], self.exact[keep])
+        return Spectrum(self.eigenvalues[keep], self.eigenvectors[:, keep], self.cut[keep])
+
+    def scaled(self, tr: float) -> "Spectrum":
+        """The spectrum of the operator divided by tr, eigenvalues and cuts alike."""
+        return Spectrum(self.eigenvalues / tr, self.eigenvectors, self.cut / tr)
 
     def clipped(self, lo: float, hi: float, tol: float) -> "Spectrum":
         """Eigenvalues at most tol outside [lo, hi] moved onto its edge, same
@@ -216,7 +219,7 @@ class Spectrum:
                 f"spectrum [{w[0]:.3e}, {w[-1]:.3e}] has an eigenvalue more than "
                 f"{tol:g} outside [{lo:g}, {hi:g}]"
             )
-        return Spectrum(np.clip(w, lo, hi), self.eigenvectors, self.exact)
+        return Spectrum(np.clip(w, lo, hi), self.eigenvectors, self.cut)
 
 
 def eig(h) -> Spectrum:
@@ -224,8 +227,8 @@ def eig(h) -> Spectrum:
 
     Eigenvalues come back ascending; the eigenvector matrix is unitary within
     1e-9 and the reconstruction error is bounded by 1e-8 * dim * ||H||_F.
-    A density operator returns the spectrum it keeps; any other operator
-    gets a spectrum with no exact eigenpair.
+    A density operator returns the spectrum it keeps, cut component by
+    component; any other operator is one matrix, cut at its own level.
     """
     if isinstance(h, DensityOperator):
         return h.spectrum
@@ -269,8 +272,8 @@ def _gram_eigh(f: np.ndarray, m: np.ndarray) -> Spectrum:
 
 
 def _checked(m: np.ndarray, w: np.ndarray, v: np.ndarray) -> Spectrum:
-    """The spectrum (w, v) of m once its eigenvector basis is orthonormal
-    within 1e-9 and its reconstruction within 1e-8 * dim * ||m||_F + 1e-12."""
+    """The spectrum (w, v) of m, cut at :func:`cut_level`, once its basis is
+    orthonormal within 1e-9 and its reconstruction within 1e-8 * dim * ||m||_F + 1e-12."""
     d = m.shape[0]
     gram_dev = float(np.max(np.abs(v.conj().T @ v - np.eye(d))))
     if gram_dev > 1e-9:
@@ -282,11 +285,10 @@ def _checked(m: np.ndarray, w: np.ndarray, v: np.ndarray) -> Spectrum:
         raise ConvergenceError(
             f"eigendecomposition residual {resid:.3e} too large for a {d}x{d} matrix"
         )
-    w.setflags(write=False)
-    v.setflags(write=False)
-    exact = np.zeros(d, dtype=bool)
-    exact.setflags(write=False)
-    return Spectrum(w, v, exact)
+    cut = np.full(d, cut_level(w))
+    for a in (w, v, cut):
+        a.setflags(write=False)
+    return Spectrum(w, v, cut)
 
 
 def components(linked: np.ndarray) -> tuple[np.ndarray, list[np.ndarray]]:
@@ -339,10 +341,10 @@ def _assembled_eig(lone_w: np.ndarray, lone: np.ndarray, comps: list[np.ndarray]
     and the column each eigenpair lands in, 1x1 blocks first and then block
     by block.
 
-    A 1x1 block is its own eigenpair (its real entry and a unit vector) and
-    is marked exact.  Ties sort with the 1x1 blocks first, then in block
-    order, and each eigenvector is zero outside its block.  A matrix that is
-    one block comes out exactly as its :func:`eig`.
+    A 1x1 block is its own eigenpair (its real entry and a unit vector), exact,
+    so cut at 0; the others keep their block's cut.  Ties sort with the 1x1
+    blocks first, then in block order, and each eigenvector is zero outside
+    its block.  A matrix that is one block comes out exactly as its :func:`eig`.
     """
     d = lone.size + sum(idx.size for idx in comps)
     w = np.concatenate([lone_w, *(spec.eigenvalues for spec in specs)])
@@ -356,16 +358,21 @@ def _assembled_eig(lone_w: np.ndarray, lone: np.ndarray, comps: list[np.ndarray]
         v[idx[:, None], column[start : start + idx.size]] = spec.eigenvectors
         start += idx.size
     w = w[order]
-    exact = order < lone.size
-    for a in (w, v, exact):
+    cut = np.concatenate([np.zeros(lone.size), *(spec.cut for spec in specs)])[order]
+    for a in (w, v, cut):
         a.setflags(write=False)
-    return Spectrum(w, v, exact), column
+    return Spectrum(w, v, cut), column
+
+
+def cut_level(w: np.ndarray) -> float:
+    """w.size * eps * max|w|, the level an eigenvalue in w must exceed to count as nonzero."""
+    return w.size * float(np.finfo(float).eps) * float(np.max(np.abs(w), initial=0.0))
 
 
 def above_cut(w: np.ndarray) -> np.ndarray:
-    """Mask w > w.size * eps * max|w| of the eigenvalues that count as
-    nonzero; on a signed spectrum it keeps the positive part."""
-    return w > w.size * float(np.finfo(float).eps) * float(np.max(np.abs(w), initial=0.0))
+    """Mask w > :func:`cut_level` of the eigenvalues that count as nonzero;
+    on a signed spectrum it keeps the positive part."""
+    return w > cut_level(w)
 
 
 def cluster_slices(w: np.ndarray, tol: float) -> list[slice]:

@@ -59,9 +59,9 @@ def schur_weyl_pair(rho0, rho1, action: GroupAction, n: int) -> tuple[list, list
     of f[idx] (linalg._gram_eigh), which resolves an eigenvalue w to about
     eps * sqrt(w * max) where eigh resolves eps * max.  Then come the clip at
     -TRACE_TOL and the trace gate and renormalization over sum_t m_t Tr B_t.
-    Spectrum.support cuts each block on its own: exact eigenvalues are kept
-    when positive, the others at the block's size times eps times its
-    largest eigenvalue, whatever the other blocks hold.
+    Each eigenpair carries the cut of its component, as on the dense route:
+    0 for a 1x1 component, else the component's size times eps times its
+    largest eigenvalue, whatever the other components and blocks hold.
     """
     _check_power_dim(action, n)
     m0, _ = matrix_pair(rho0, rho1)
@@ -111,8 +111,7 @@ def _schur_weyl_blocks(rho, action: GroupAction, n: int) -> list[tuple[int, Spec
     tr = sum(mult * (x if c is spec else float(c.eigenvalues.sum()))
              for (mult, spec), (_, c), x in zip(blocks, clipped, traces))
     if abs(tr - 1.0) > 1e-15:
-        clipped = [(mult, Spectrum(c.eigenvalues / tr, c.eigenvectors, c.exact))
-                   for mult, c in clipped]
+        clipped = [(mult, c.scaled(tr)) for mult, c in clipped]
     return clipped
 
 

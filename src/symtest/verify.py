@@ -45,7 +45,6 @@ from .divergences import (
     phi,
     psi_curve,
     relative_entropy,
-    renyi,
     renyi_entropy,
 )
 from .groups import (
@@ -108,19 +107,16 @@ def additivity_report(scenarios) -> CheckReport:
     pairs = [(1, 1), (1, 2), (2, 2)]
     for key in ("two-commuting", "pure-vs-mixed", "two-pure"):
         sc = scenarios[key]
-        cache = {
-            n: twirled_pair(sc.rho0, sc.rho1, sc.action, n)
-            for n in (1, 2, 3, 4)
-        }
+        evs = {n: PsiEvaluator.twirled(sc.rho0, sc.rho1, sc.action, n) for n in (1, 2, 3, 4)}
         s_grid = np.array([0.25, 0.5, 0.75])
-        curves = {k: PsiEvaluator(*pair).psi(s_grid).tolist() for k, pair in cache.items()}
+        curves = {n: ev.psi(s_grid).tolist() for n, ev in evs.items()}
         for n, m in pairs:
             for s, lhs, psi_n, psi_m in zip(s_grid.tolist(), curves[n + m], curves[n], curves[m]):
                 report.check_leq(
                     f"{key}: psi_{n + m}({s:g}) <= psi_{n}+psi_{m}", lhs, psi_n + psi_m, 1e-8)
             for alpha in (0.0, 0.3, 0.7):
-                lhs = renyi(*cache[n], alpha) + renyi(*cache[m], alpha)
-                rhs = renyi(*cache[n + m], alpha)
+                lhs = evs[n].renyi(alpha) + evs[m].renyi(alpha)
+                rhs = evs[n + m].renyi(alpha)
                 report.check_leq(
                     f"{key}: S_{alpha:g}({n})+S_{alpha:g}({m}) <= S_{alpha:g}({n + m})",
                     lhs, rhs, 1e-8)
@@ -407,7 +403,7 @@ def closed_form_bracket_report(scenarios, n_max: int) -> CheckReport:
         mirror = is_support_invariant(sc.rho1, sc.action)
         low, high = np.linspace(0.0, 1.0, 5), np.array([1.0, 1.25, 1.5, 2.0])
         for n in range(1, min(n_max, 5) + 1):
-            ev = PsiEvaluator(*twirled_pair(sc.rho0, sc.rho1, sc.action, n))
+            ev = PsiEvaluator.twirled(sc.rho0, sc.rho1, sc.action, n)
             for s, value in zip(low.tolist(), (ev.psi(low) / n).tolist()):
                 limit = closed_form_psi(sc.kind, sc.params, s)
                 report.check_leq(f"{key} n={n}: limit <= curve at s={s:g}", limit, value, 1e-8)
@@ -458,8 +454,7 @@ def equality_experiment_report() -> CheckReport:
     s_grid = np.linspace(-0.5, 2.0, 26)
     psi0 = ev0.psi(s_grid)
     for n in range(1, 6):
-        pair = twirled_pair(rho0, rho1, action, n)
-        ev = PsiEvaluator(*pair)
+        ev = PsiEvaluator.twirled(rho0, rho1, action, n)
         expected = n * psi0 + (1.0 - s_grid) * math.log(2.0)
         worst = float(np.max(np.abs(ev.psi(s_grid) - expected)))
         report.check_leq(f"n={n}: exact offset identity", worst, 0.0, 1e-9)

@@ -280,8 +280,8 @@ def test_rank_cut_sensitivity():
     for state in twirled_pair(sc.rho0, sc.rho1, sc.action, 4):
         spec = eig(state)
         cut = _old_rank_cut(spec.eigenvalues, spec.eigenvalues.size)
-        decided = spec.eigenvalues[~spec.exact]
-        assert np.array_equal(decided > cut, above_cut(spec.eigenvalues)[~spec.exact])
+        decided = spec.eigenvalues[spec.cut != 0]
+        assert np.array_equal(decided > cut, above_cut(spec.eigenvalues)[spec.cut != 0])
         assert not np.any((decided > cut / 10.0) & (decided <= cut * 10.0))
 
 
@@ -326,11 +326,27 @@ def test_support_has_no_absolute_floor():
     u = np.array([[c, -s], [s, c]])
     rho1 = DensityOperator(u @ np.diag([1.0 - 1e-13, 1e-13]) @ u.T)
     kept = rho1.spectrum.support()
-    assert not kept.exact.any()
+    assert not (kept.cut == 0).any()
     assert kept.eigenvalues.size == 2
     assert kept.eigenvalues[0] == pytest.approx(1e-13, rel=1e-2)
     want = -np.log(2.0) - 0.5 * (np.log1p(-1e-13) + np.log(1e-13))
     assert relative_entropy(np.eye(2) / 2.0, rho1) == pytest.approx(want, rel=1e-3)
+
+
+def test_dense_state_is_cut_component_by_component():
+    # a component of weight 1e-17 lies far below 4 eps times the state's
+    # largest eigenvalue, and its own eigenvalues 2.5e-18 and 7.5e-18 lie far
+    # above 2 eps times its own: each component is cut at its own size and
+    # largest eigenvalue, so all four are kept and S(I/4 || rho1) is finite
+    eps = 1e-17
+    rho1 = np.zeros((4, 4))
+    rho1[:2, :2] = (1.0 - eps) * np.array([[0.6, 0.2], [0.2, 0.4]])
+    rho1[2:, 2:] = eps * np.array([[0.5, 0.25], [0.25, 0.5]])
+    rho1 = DensityOperator(rho1)
+    kept = rho1.spectrum.support()
+    assert kept.eigenvalues.size == 4
+    assert_allclose(kept.eigenvalues[:2], [2.5e-18, 7.5e-18], rtol=1e-6)
+    assert relative_entropy(np.eye(4) / 4.0, rho1) == pytest.approx(19.0065, abs=1e-4)
 
 
 def test_cluster_slices_edge_cases():
@@ -508,7 +524,7 @@ def test_pair_that_cancels_in_the_canonical_copy_stays_one_block(monkeypatch):
     canonical = hermitian(m)
     assert np.array_equal(rho.mat, canonical)
     spec, dense = rho.spectrum, eig(canonical)
-    assert spec.exact.tolist() == [False, True, False]
+    assert (spec.cut == 0).tolist() == [False, True, False]
     assert_allclose(spec.eigenvalues, dense.eigenvalues, rtol=0, atol=1e-13)
     assert_allclose(spec.reconstruct(), dense.reconstruct(), rtol=0, atol=1e-13)
 

@@ -11,13 +11,21 @@ import pytest
 
 import symtest.divergences as divergences
 import symtest.linalg as linalg
-from symtest.asymptotics import diag_qubit, make_scenario, pure_qubit, sigma_state
+import symtest.verify as verify
+from symtest.asymptotics import (
+    Scenario,
+    diag_qubit,
+    make_scenario,
+    pure_qubit,
+    sigma_state,
+    stein_gap_check,
+)
 from symtest.cli import parse_scenario
-from symtest.divergences import NEG_INF, PsiEvaluator, default_s_grid
+from symtest.divergences import NEG_INF, PsiEvaluator, default_s_grid, lieb_bound_check
 from symtest.errors import DimensionError
 from symtest.groups import GroupAction, twirled_pair
 from symtest.linalg import DensityOperator
-from symtest.oracle import block_scalar_oracle
+from symtest.oracle import block_scalar_oracle, random_density
 from symtest.schur_weyl import schur_weyl_pair
 
 SCENARIOS = Path(__file__).resolve().parent.parent / "scenarios"
@@ -208,7 +216,7 @@ def test_blocks_fill_the_n_copy_space(monkeypatch, n):
 
 
 KEEP_CASES = {
-    # both routes keep the exact 1e-300 at n = 1
+    # rho1 keeps the exact n * 1e-300 of the pinched Dicke state with one 0
     "pure-qubit 1e-300": (pure_qubit(0.3), pure_qubit(1e-300), GroupAction.torus([0, 1]), 4),
     # every entry of a diagonal pair is an exact 1x1 component
     "diag 1e-80": (diag_qubit(0.3), diag_qubit(1e-80), GroupAction.torus([0, 1]), 3),
@@ -219,18 +227,14 @@ KEEP_CASES = {
     "A torus [0, 1]": (*PAIRS["A"], GroupAction.torus([0, 1]), 6),
     "A Pauli group": (*PAIRS["A"], PAULI, 4),
 }
-# the case whose rho1 keeps, from this n on, an eigenvalue the dense route
-# cuts: the exact n * 1e-300 of the pinched Dicke state with one 0
-# (test_block_route_keeps_the_exact_atom_the_dense_route_cuts)
-RHO1_DIFFERS_FROM = {"pure-qubit 1e-300": 2}
 
 
 def assert_exact_are_lone_components(spec):
-    """Each eigenpair marked exact is a 1x1 component of its block: its
+    """Each eigenpair cut at 0 is a 1x1 component of its block: its
     eigenvector is a unit basis vector e_k, and no other eigenvector has an
     entry at k."""
     v = spec.eigenvectors
-    for j in np.flatnonzero(spec.exact):
+    for j in np.flatnonzero(spec.cut == 0):
         (k,) = np.flatnonzero(v[:, j])
         assert v[k, j] == 1.0
         assert np.count_nonzero(v[k]) == 1
@@ -241,40 +245,38 @@ def test_keeps_and_marks_exact_what_the_dense_route_does(case):
     rho0, rho1, action, n_max = KEEP_CASES[case]
     for n in range(1, n_max + 1):
         dense = twirled_pair(rho0, rho1, action, n)
-        for which, (rho, blocks) in enumerate(zip(dense, schur_weyl_pair(rho0, rho1, action, n))):
-            if which == 0 or n < RHO1_DIFFERS_FROM.get(case, n + 1):
-                want = rho.spectrum.support()
-                kept = [s.support() for _, s in blocks]
-                got_w = np.concatenate([np.repeat(s.eigenvalues, mult) for (mult, _), s in zip(blocks, kept)])
-                order = np.argsort(got_w, kind="stable")
-                assert got_w.size == want.eigenvalues.size, n
-                assert np.allclose(got_w[order], want.eigenvalues, rtol=1e-12, atol=0.0), n
+        for rho, blocks in zip(dense, schur_weyl_pair(rho0, rho1, action, n)):
+            want = rho.spectrum.support()
+            kept = [s.support() for _, s in blocks]
+            got_w = np.concatenate([np.repeat(s.eigenvalues, mult) for (mult, _), s in zip(blocks, kept)])
+            order = np.argsort(got_w, kind="stable")
+            assert got_w.size == want.eigenvalues.size, n
+            assert np.allclose(got_w[order], want.eigenvalues, rtol=1e-12, atol=0.0), n
             for _, spec in blocks:
                 assert_exact_are_lone_components(spec)
                 if action.kind == "torus" and action.weights[0] != action.weights[1]:
-                    assert spec.exact.all(), n
+                    assert (spec.cut == 0).all(), n
 
 
 def test_block_route_keeps_the_exact_atom_the_dense_route_cuts():
     # the pinched Dicke state with one 0 has the eigenvalue n mu (1 - mu)^(n-1)
-    # = n * 1e-300; the dense route holds it in an n x n component of the 2^n
-    # matrix and cuts it at 2^n * eps, the block route reads it off a 1x1
-    # component of block 0
+    # = n * 1e-300; a cut at 2^n * eps of the whole matrix would drop it, but
+    # the dense route holds it in an n x n component cut at its own size and
+    # the block route reads it off a 1x1 component of block 0, so both keep it
     rho0, rho1, action = pure_qubit(0.3), pure_qubit(1e-300), GroupAction.torus([0, 1])
     for n in (2, 3, 4):
         _, dense = twirled_pair(rho0, rho1, action, n)
-        assert np.array_equal(dense.spectrum.support().eigenvalues, [1.0])
+        assert np.allclose(dense.spectrum.support().eigenvalues, [n * 1e-300, 1.0], rtol=1e-12, atol=0.0)
         _, blocks = schur_weyl_pair(rho0, rho1, action, n)
         kept = blocks[0][1].support()
-        assert kept.exact.all()
+        assert (kept.cut == 0).all()
+        assert_exact_are_lone_components(kept)
         assert np.allclose(kept.eigenvalues, [n * 1e-300, 1.0], rtol=1e-12, atol=0.0)
         assert all(spec.support().eigenvalues.size == 0 for _, spec in blocks[1:])
 
 
 def test_qutrit_pairs_take_the_dense_route_unchanged():
     rng = np.random.default_rng(7)
-    from symtest.oracle import random_density
-
     rho0, rho1 = (DensityOperator(random_density(3, rng=rng)) for _ in range(2))
     shift = np.roll(np.eye(3), 1, axis=0)
     for action in (GroupAction.finite([np.eye(3), shift, shift @ shift]), GroupAction.torus([0, 1, 2])):
@@ -314,6 +316,34 @@ def test_block_route_forms_no_dense_object(monkeypatch):
         tracemalloc.stop()
         # one float64 vector of the 2^20-dimensional space would take 8 MiB
         assert peak < 2**21
+
+
+class DenseRoute(Exception):
+    pass
+
+
+def test_psi_only_readers_take_the_block_route_for_qubits(monkeypatch):
+    # every reader of psi alone takes PsiEvaluator.twirled: the Schur-Weyl
+    # blocks for qubits, the dense twirled pair only for d > 2
+    def refuse(*args, **kwargs):
+        raise DenseRoute
+
+    monkeypatch.setattr(divergences, "twirled_pair", refuse)
+    monkeypatch.setattr(verify, "twirled_pair", refuse)
+    scenarios = verify.builtin_scenarios(4)
+    sc = scenarios["pure-vs-mixed"]
+    assert lieb_bound_check(sc.rho0, sc.rho1, sc.action, 4).ok
+    assert verify.additivity_report(scenarios).ok
+    assert verify.closed_form_bracket_report(scenarios, 4).ok
+    assert verify.equality_experiment_report().ok
+    assert stein_gap_check(sc, 4).ok
+    rng = np.random.default_rng(7)
+    rho0, rho1 = (DensityOperator(random_density(3, rng=rng)) for _ in range(2))
+    qutrit = Scenario("qutrit", rho0, rho1, GroupAction.torus([0, 1, 2]))
+    with pytest.raises(DenseRoute):
+        lieb_bound_check(rho0, rho1, qutrit.action, 2)
+    with pytest.raises(DenseRoute):
+        stein_gap_check(qutrit, 2)
 
 
 def test_states_must_be_qubits():
