@@ -24,7 +24,6 @@ from .divergences import (
 from .errors import CheckError
 from .groups import GroupAction, block_structure, pinching_map, tensor_power
 from .linalg import DensityOperator, asmatrix, kron_power, spectral_projections
-from .oracle import _log_binom, _logsumexp, _xlog
 from .reports import CheckReport
 
 Z2_COMMUTING = "Z2Commuting"
@@ -102,6 +101,22 @@ def make_scenario(kind: str, n_max: int = 8, **params) -> Scenario:
 def _require_interior(value: float, name: str) -> None:
     if not 0.0 < value < 1.0:
         raise ValueError(f"{name}={value!r} must lie strictly inside (0, 1)")
+
+
+def _logsumexp(terms) -> float:
+    terms = [t for t in terms if t != NEG_INF]
+    if not terms:
+        return NEG_INF
+    top = max(terms)
+    return top + math.log(sum(math.exp(t - top) for t in terms))
+
+
+def _log_binom(n: int, i: int) -> float:
+    return math.lgamma(n + 1) - math.lgamma(i + 1) - math.lgamma(n - i + 1)
+
+
+def _xlog(c: float) -> float:
+    return math.log(c) if c > 0.0 else NEG_INF
 
 
 def _two_pure_psi(lam: float, mu: float, s: float) -> tuple[float, float]:

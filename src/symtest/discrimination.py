@@ -29,7 +29,6 @@ from .divergences import PsiEvaluator, _golden_min, _scan_min, fidelity
 from .errors import DimensionError
 from .linalg import (
     _eigh,
-    _hermitian_part,
     above_cut,
     asmatrix,
     hermitian,
@@ -167,7 +166,7 @@ def pmin_bounds_check(rho0n, rho1n, a: float) -> CheckReport:
 
 def _commuting_atoms(rho0n, rho1n) -> tuple[np.ndarray, np.ndarray, np.ndarray] | None:
     """:meth:`PsiEvaluator.atoms` of commuting PSD operators, None for others."""
-    m0, m1 = _hermitian_part(rho0n), _hermitian_part(rho1n)
+    m0, m1 = hermitian(rho0n), hermitian(rho1n)
     scale = max(1.0, float(np.max(np.abs(m0))), float(np.max(np.abs(m1))))
     # for Hermitian m0 and m1, m1 m0 = (m0 m1)^*, so one product gives the commutator
     x = m0 @ m1

@@ -37,7 +37,7 @@ from typing import Callable
 import numpy as np
 
 from .groups import GroupAction, is_support_invariant, twirled_pair
-from .linalg import abs_power_trace, eig, matrix_pair
+from .linalg import abs_power_trace, as_state, matrix_pair
 from .reports import CheckReport
 
 NEG_INF = float("-inf")
@@ -62,11 +62,13 @@ class PsiEvaluator:
     pair: psi sums w0_i**s O_ij w1_j**(1-s) over the Nussbaum-Szkola
     overlaps O_ij = |cross_ij|**2, and ``outside`` and ``atoms`` return
     stored arrays.  A pair is a list of parts (m, spectrum0, spectrum1): one
-    part of multiplicity 1 for two states, one per Schur-Weyl block t
-    (m = m_t) for the twirled n-copy qubit pair :meth:`twirled` builds.  The
-    arrays are the direct sum of the parts': eigenvalues and outside masses
-    end to end, the overlaps block diagonal with part t's weighted by m_t,
-    so every product below sums over the parts.
+    part of multiplicity 1 for two states, each read through
+    linalg.as_state (a plain array as its DensityOperator), one per
+    Schur-Weyl block t (m = m_t) for the twirled n-copy qubit pair
+    :meth:`twirled` builds.  The arrays are the direct sum of the parts':
+    eigenvalues and outside masses end to end, the overlaps block diagonal
+    with part t's weighted by m_t, so every product below sums over the
+    parts.
 
     ``trace_power`` and ``psi`` take a float or an array of s.  A float gives
     a float, through one vector-matrix-vector product; an array gives an
@@ -77,7 +79,7 @@ class PsiEvaluator:
 
     def __init__(self, rho0, rho1):
         matrix_pair(rho0, rho1)
-        self._build([(1, eig(rho0), eig(rho1))])
+        self._build([(1, as_state(rho0).spectrum, as_state(rho1).spectrum)])
 
     @classmethod
     def twirled(cls, rho0, rho1, action: GroupAction, n: int) -> "PsiEvaluator":
@@ -270,10 +272,11 @@ def renyi(rho0, rho1, alpha: float) -> float:
 
 
 def renyi_entropy(rho, alpha: float) -> float:
-    """Renyi entropy of order alpha != 1 of a single state."""
+    """Renyi entropy of order alpha != 1 of a state, read off the spectrum
+    its DensityOperator keeps."""
     if abs(alpha - 1.0) < 1e-12:
         raise ValueError("order 1 is the von Neumann entropy")
-    w = eig(rho).support().eigenvalues
+    w = as_state(rho).spectrum.support().eigenvalues
     return math.log(float(np.sum(w**alpha))) / (1.0 - alpha)
 
 
@@ -283,8 +286,9 @@ def relative_entropy(rho0, rho1) -> float:
 
 
 def fidelity(rho, sigma) -> float:
-    """Tr |rho**(1/2) sigma**(1/2)|, clipped into [0, 1]."""
-    f = abs_power_trace(rho, sigma, 0.5)
+    """Tr |rho**(1/2) sigma**(1/2)| of two states, each read as its
+    DensityOperator, clipped into [0, 1]."""
+    f = abs_power_trace(as_state(rho), as_state(sigma), 0.5)
     return float(min(max(f, 0.0), 1.0))
 
 

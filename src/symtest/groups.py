@@ -43,6 +43,7 @@ import numpy as np
 from .errors import ConvergenceError, DimensionError
 from .linalg import (
     DensityOperator,
+    as_state,
     asmatrix,
     cluster_slices,
     components,
@@ -236,7 +237,7 @@ def _weight_classes(weights: np.ndarray) -> list[np.ndarray]:
 
 def is_support_invariant(rho1, action: GroupAction) -> bool:
     """Whether the support projection of rho1 is fixed by the action, within 1e-8."""
-    p = support_projection(rho1)
+    p = support_projection(as_state(rho1))
     return float(np.max(np.abs(twirl(p, action) - p))) <= 1e-8
 
 

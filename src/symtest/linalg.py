@@ -16,20 +16,23 @@ convention 0**s = 0 for all real s.  The spectral decisions live here and
 nowhere else: a computed eigenvalue counts as zero up to the
 :func:`cut_level` size * eps * max|w| of the matrix it was decomposed from,
 with no absolute floor, and a :class:`Spectrum` carries that cut per
-eigenpair, so a state is cut component by component (a 1x1 component,
-exact, at 0), on the dense route and on the Schur-Weyl blocks alike;
-:func:`above_cut` applies the level to one spectrum as a whole,
+eigenpair; :func:`above_cut` applies the level to one spectrum as a whole,
 :func:`cluster_slices` splits a spectrum into degenerate runs,
 :meth:`Spectrum.clipped` moves a spectrum into a range, and
 :func:`components` splits an index set into the connected components of a
-linkage.  An operator is decomposed once: every
-:class:`DensityOperator` keeps the spectrum it was validated from, and
-:func:`eig` hands that spectrum back.  A state is validated block by block
-along the exact zeros of its matrix: the Hermitian gate, the canonical copy,
-one checked eigendecomposition, the clip and the renormalization each run on
-one connected component of its symmetrized nonzero pattern at a time, and
-the block spectra are assembled into one ascending decomposition of the full
-dimension.  No step forms a dense V diag(w) V* or checks the whole matrix.
+linkage.  The rule that makes a matrix a state is written once, for the
+dense route and the Schur-Weyl blocks alike: :func:`_split_eig` splits it
+along its exact zeros, passes each component through the Hermitian gate and
+one checked decomposition (a 1x1 component is exact, cut at 0) and
+assembles one ascending spectrum, and :func:`_state_rule` gates the trace,
+clips and renormalizes over parts (multiplicity, trace, spectrum).  Every
+reader of a state's spectrum takes it through :func:`as_state`, so a plain
+array is read as its DensityOperator, which keeps the spectrum it was
+validated from for :func:`eig` to hand back.  :func:`eig` of any other
+operator (a signed difference, a test) decomposes it as one matrix: the
+projection ``discrimination.np_test`` builds must keep what the sweep of
+``threshold_errors`` keeps from one eigh of the whole difference.  No step
+forms a dense V diag(w) V* or checks the whole matrix.
 """
 
 from __future__ import annotations
@@ -121,54 +124,34 @@ def _canonical(m: np.ndarray) -> np.ndarray:
 class DensityOperator:
     """Positive semidefinite, unit-trace Hermitian operator.
 
-    ``mat`` is validated block by block along its exact zeros (see
-    :func:`_hermitian_blocks`): each block passes :func:`hermitian`, which
-    gives its canonical copy, and one checked eigendecomposition, assembled
-    into ``spectrum``, which it keeps.  Eigenvalues in [-TRACE_TOL, 0) are
-    clipped to zero and a block that had one is rebuilt from its clipped
-    spectrum; anything more negative is rejected.  The trace is then
-    renormalized, in the matrix and the spectrum alike.  :func:`eig` returns
-    that spectrum instead of decomposing again.
+    ``mat`` is validated block by block along its exact zeros
+    (:func:`_split_eig`): each block passes :func:`hermitian`, which gives
+    its canonical copy, and one checked eigendecomposition, assembled into
+    ``spectrum``, which it keeps.  The state rule (:func:`_state_rule`, one
+    part) gates the trace, clips eigenvalues in [-TRACE_TOL, 0) to zero,
+    rejecting anything more negative, and renormalizes; a block the clip
+    moved is rebuilt from its clipped spectrum, and the matrix is divided by
+    the trace the spectrum was.  :func:`eig` returns that spectrum instead of
+    decomposing again.
     """
 
     mat: np.ndarray
     spectrum: Spectrum = field(init=False, repr=False)
 
     def __post_init__(self):
-        m = asmatrix(self.mat)
-        d = m.shape[0]
-        lone, comps, blocks = _hermitian_blocks(m)
-        lone_w = m.diagonal()[lone].real  # the canonical part of a 1x1 block
-        del m  # a converted copy can be freed before the assembly
-        mat = np.zeros((d, d), dtype=np.result_type(float, *blocks))
-        mat[lone, lone] = lone_w
-        for idx, block in zip(comps, blocks):
-            mat[idx[:, None], idx] = block
-        tr = float(np.trace(mat).real)
-        if abs(tr - 1.0) > TRACE_TOL:
-            raise ValueError(f"trace must be 1 within {TRACE_TOL:g}, got {tr!r}")
-        specs = [_eigh(block) for block in blocks]
-        del blocks
-        spec, column = _assembled_eig(lone_w, lone, comps, specs)
-        clipped = spec.clipped(0.0, np.inf, TRACE_TOL)
-        if clipped is not spec:
-            w = clipped.eigenvalues
-            mat[lone, lone] = w[column[: lone.size]]
-            start = lone.size
-            for idx, block_spec in zip(comps, specs):
-                block_w = w[column[start : start + idx.size]]
-                start += idx.size
-                if not np.array_equal(block_w, block_spec.eigenvalues):
-                    v = block_spec.eigenvectors
-                    mat[idx[:, None], idx] = hermitian((v * block_w) @ v.conj().T)
-            spec = clipped
-        tr = float(np.trace(mat).real)
-        if abs(tr - 1.0) > 1e-15:
+        # the only reference to a converted copy is _split_eig's, which frees it
+        mat, raw, lone, comps = _split_eig(asmatrix(self.mat), lambda idx, block: _eigh(block))
+        (spec,), tr = _state_rule([(1, float(np.trace(mat).real), raw)])
+        if raw.eigenvalues[0] < 0.0:
+            # the clip moved an eigenvalue: rebuild each component that had one
+            mat[lone, lone] = np.maximum(mat[lone, lone], 0.0)
+            for idx, block_spec in comps:
+                clipped = block_spec.clipped(0.0, np.inf, TRACE_TOL)
+                if clipped is not block_spec:
+                    mat[idx[:, None], idx] = hermitian(clipped.reconstruct())
+        if tr != 1.0:
             # a canonical matrix over its real trace stays exactly Hermitian
-            mat[lone, lone] /= tr
-            for idx in comps:
-                mat[idx[:, None], idx] /= tr
-            spec = spec.scaled(tr)
+            mat /= tr
         mat.setflags(write=False)
         object.__setattr__(self, "mat", mat)
         object.__setattr__(self, "spectrum", spec)
@@ -228,19 +211,17 @@ def eig(h) -> Spectrum:
     Eigenvalues come back ascending; the eigenvector matrix is unitary within
     1e-9 and the reconstruction error is bounded by 1e-8 * dim * ||H||_F.
     A density operator returns the spectrum it keeps, cut component by
-    component; any other operator is one matrix, cut at its own level.
+    component; any other operator, such as np_test's signed difference or a
+    test, is one matrix, cut at its own level, as threshold_errors cuts it.
     """
     if isinstance(h, DensityOperator):
         return h.spectrum
-    return _eigh(_hermitian_part(h))
+    return _eigh(_canonical(asmatrix(h)))
 
 
-def _hermitian_part(a) -> np.ndarray:
-    """The (A + A*)/2 that :func:`eig` decomposes: a density operator's
-    matrix as it is (it is canonical), else a new canonical copy."""
-    if isinstance(a, DensityOperator):
-        return a.mat
-    return _canonical(asmatrix(a))
+def as_state(rho) -> DensityOperator:
+    """rho as a state: a DensityOperator as it is, anything else validated as one."""
+    return rho if isinstance(rho, DensityOperator) else DensityOperator(rho)
 
 
 def _eigh(m: np.ndarray) -> Spectrum:
@@ -334,12 +315,48 @@ def _hermitian_blocks(m: np.ndarray) -> tuple[np.ndarray, list[np.ndarray], list
     return lone, comps, [hermitian(m[idx[:, None], idx]) for idx in comps]
 
 
+def _split_eig(m: np.ndarray, decompose) -> tuple[np.ndarray, Spectrum, np.ndarray, list]:
+    """m decomposed component by component: split along its exact zeros
+    (:func:`_hermitian_blocks`), each larger component decomposed by
+    decompose(idx, block) from its indices and canonical block, and the
+    pieces assembled (:func:`_assembled_eig`).  Returns the canonical matrix,
+    its spectrum, the indices of the 1x1 components and (idx, spectrum) per
+    larger component."""
+    d = m.shape[0]
+    lone, comps, blocks = _hermitian_blocks(m)
+    lone_w = m.diagonal()[lone].real  # the canonical part of a 1x1 block
+    del m  # a converted copy can be freed before the assembly
+    mat = np.zeros((d, d), dtype=np.result_type(float, *blocks))
+    mat[lone, lone] = lone_w
+    for idx, block in zip(comps, blocks):
+        mat[idx[:, None], idx] = block
+    specs = [decompose(idx, block) for idx, block in zip(comps, blocks)]
+    del blocks
+    spec = _assembled_eig(lone_w, lone, comps, specs)
+    return mat, spec, lone, list(zip(comps, specs))
+
+
+def _state_rule(parts: list[tuple[int, float, Spectrum]]) -> tuple[list[Spectrum], float]:
+    """The state rule over the parts (m, trace, spectrum) of a direct sum of
+    m copies of each: the gate on sum m * trace within TRACE_TOL, the clip of
+    eigenvalues in [-TRACE_TOL, 0) to 0, and the renormalization by the
+    clipped trace (a clipped part's read off its eigenvalues).  Returns the
+    spectra and the trace they were divided by, 1.0 when none was."""
+    tr = sum(m * x for m, x, _ in parts)
+    if abs(tr - 1.0) > TRACE_TOL:
+        raise ValueError(f"trace must be 1 within {TRACE_TOL:g}, got {tr!r}")
+    clipped = [spec.clipped(0.0, np.inf, TRACE_TOL) for _, _, spec in parts]
+    tr = sum(m * (x if c is spec else float(c.eigenvalues.sum()))
+             for (m, x, spec), c in zip(parts, clipped))
+    if abs(tr - 1.0) <= 1e-15:
+        return clipped, 1.0
+    return [c.scaled(tr) for c in clipped], tr
+
+
 def _assembled_eig(lone_w: np.ndarray, lone: np.ndarray, comps: list[np.ndarray],
-                   specs: list[Spectrum]) -> tuple[Spectrum, np.ndarray]:
+                   specs: list[Spectrum]) -> Spectrum:
     """One ascending eigendecomposition of the full dimension from the 1x1
-    blocks lone (eigenvalues lone_w) and the spectra of the blocks comps,
-    and the column each eigenpair lands in, 1x1 blocks first and then block
-    by block.
+    blocks lone (eigenvalues lone_w) and the spectra of the blocks comps.
 
     A 1x1 block is its own eigenpair (its real entry and a unit vector), exact,
     so cut at 0; the others keep their block's cut.  Ties sort with the 1x1
@@ -361,7 +378,7 @@ def _assembled_eig(lone_w: np.ndarray, lone: np.ndarray, comps: list[np.ndarray]
     cut = np.concatenate([np.zeros(lone.size), *(spec.cut for spec in specs)])[order]
     for a in (w, v, cut):
         a.setflags(write=False)
-    return Spectrum(w, v, cut), column
+    return Spectrum(w, v, cut)
 
 
 def cut_level(w: np.ndarray) -> float:

@@ -20,15 +20,7 @@ import numpy as np
 
 from .errors import DimensionError
 from .groups import TORUS, GroupAction, _check_power_dim
-from .linalg import (
-    TRACE_TOL,
-    DensityOperator,
-    Spectrum,
-    _assembled_eig,
-    _gram_eigh,
-    _hermitian_blocks,
-    matrix_pair,
-)
+from .linalg import Spectrum, _gram_eigh, _split_eig, _state_rule, as_state, matrix_pair
 
 
 def schur_weyl_pair(rho0, rho1, action: GroupAction, n: int) -> tuple[list, list]:
@@ -49,16 +41,17 @@ def schur_weyl_pair(rho0, rho1, action: GroupAction, n: int) -> tuple[list, list
     weights differ (each Dicke state has its own weight), and the whole block
     when they are equal.
 
-    Each block is validated and resolved as a state of its own, by the rule
-    DensityOperator applies to a matrix.  It splits along its exact zeros
-    (linalg._hermitian_blocks); each component passes the Hermitian gate; a
-    1x1 component is an exact eigenpair, its entry (so every eigenvalue of a
-    pinched block, a sum of nonnegative terms, is exact); a larger component
-    is f[idx] f[idx]^* for its rows idx of f = [S_g sqrt(det^t Lam)]_g /
-    sqrt(|G|), so its eigenpairs come from the singular value decomposition
-    of f[idx] (linalg._gram_eigh), which resolves an eigenvalue w to about
-    eps * sqrt(w * max) where eigh resolves eps * max.  Then come the clip at
-    -TRACE_TOL and the trace gate and renormalization over sum_t m_t Tr B_t.
+    The blocks are made a state by linalg's one state rule, the rule a
+    DensityOperator runs, with the n//2 + 1 parts (m_t, Tr B_t, spectrum of
+    B_t).  Each block splits along its exact zeros (linalg._split_eig); each
+    component passes the Hermitian gate; a 1x1 component is an exact
+    eigenpair, its entry (so every eigenvalue of a pinched block, a sum of
+    nonnegative terms, is exact); a larger component is f[idx] f[idx]^* for
+    its rows idx of f = [S_g sqrt(det^t Lam)]_g / sqrt(|G|), so its
+    eigenpairs come from the singular value decomposition of f[idx]
+    (linalg._gram_eigh), which resolves an eigenvalue w to about
+    eps * sqrt(w * max) where eigh resolves eps * max.  Then
+    linalg._state_rule gates sum_t m_t Tr B_t, clips and renormalizes.
     Each eigenpair carries the cut of its component, as on the dense route:
     0 for a 1x1 component, else the component's size times eps times its
     largest eigenvalue, whatever the other components and blocks hold.
@@ -73,8 +66,7 @@ def schur_weyl_pair(rho0, rho1, action: GroupAction, n: int) -> tuple[list, list
 
 
 def _schur_weyl_blocks(rho, action: GroupAction, n: int) -> list[tuple[int, Spectrum]]:
-    state = rho if isinstance(rho, DensityOperator) else DensityOperator(rho)
-    spec = state.spectrum
+    spec = as_state(rho).spectrum
     lam = np.where(spec.support_mask(), spec.eigenvalues, 0.0)
     # a group is a set: taken in a fixed order, its elements give the same
     # factor f, so the same blocks, whatever order the list has
@@ -83,7 +75,7 @@ def _schur_weyl_blocks(rho, action: GroupAction, n: int) -> list[tuple[int, Spec
     pinched = action.kind == TORUS and bool(action.weights[0] != action.weights[1])
     factors = np.array([u @ spec.eigenvectors for u in unitaries])
     root = np.sqrt(lam)
-    blocks, traces = [], []
+    parts = []
     for t in range(n // 2 + 1):
         size = n - 2 * t + 1
         # block t is f f^* with f = [S_g sqrt(det^t Lam)]_g / sqrt(|G|)
@@ -95,24 +87,13 @@ def _schur_weyl_blocks(rho, action: GroupAction, n: int) -> list[tuple[int, Spec
         # zero cancel exactly, as they do in the dense twirl
         block = (np.diag((np.abs(f) ** 2).sum(axis=1)) if pinched
                  else (fs @ fs.conj().transpose(0, 2, 1)).sum(axis=0))
-        # the block splits along its exact zeros as DensityOperator splits a
-        # matrix: a 1x1 component is an exact eigenpair, a larger one is
-        # decomposed through the singular values of its rows of f
-        lone, comps, subs = _hermitian_blocks(block)
-        lone_w = block.diagonal()[lone].real
-        specs = [_gram_eigh(f[idx], sub) for idx, sub in zip(comps, subs)]
+        # a larger component of the block is decomposed through the
+        # singular values of its rows of f
+        mat, block_spec, _, _ = _split_eig(block, lambda idx, sub: _gram_eigh(f[idx], sub))
         mult = math.comb(n, t) - (math.comb(n, t - 1) if t else 0)
-        blocks.append((mult, _assembled_eig(lone_w, lone, comps, specs)[0]))
-        traces.append(float(block.diagonal().real.sum()))
-    tr = sum(mult * x for (mult, _), x in zip(blocks, traces))
-    if abs(tr - 1.0) > TRACE_TOL:
-        raise ValueError(f"trace must be 1 within {TRACE_TOL:g}, got {tr!r}")
-    clipped = [(mult, spec.clipped(0.0, np.inf, TRACE_TOL)) for mult, spec in blocks]
-    tr = sum(mult * (x if c is spec else float(c.eigenvalues.sum()))
-             for (mult, spec), (_, c), x in zip(blocks, clipped, traces))
-    if abs(tr - 1.0) > 1e-15:
-        clipped = [(mult, c.scaled(tr)) for mult, c in clipped]
-    return clipped
+        parts.append((mult, float(np.trace(mat).real), block_spec))
+    spectra, _ = _state_rule(parts)
+    return [(mult, s) for (mult, _, _), s in zip(parts, spectra)]
 
 
 def _power_tables(a: np.ndarray, m: int) -> np.ndarray:

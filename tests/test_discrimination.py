@@ -35,7 +35,7 @@ from symtest.cli import parse_scenario
 from symtest.divergences import PsiEvaluator, fidelity, psi
 from symtest.errors import DimensionError
 from symtest.groups import twirled_pair
-from symtest.linalg import DensityOperator, asmatrix, eig, kron_power
+from symtest.linalg import DensityOperator, asmatrix, cut_level, eig, kron_power
 from symtest.oracle import pmin_random_battery, random_density, random_unitary
 
 LOG2 = math.log(2.0)
@@ -391,6 +391,29 @@ class TestThresholdErrors:
         for (beta, errors), (beta_old, errors_old) in zip(new, outputs()):
             assert_allclose(beta, beta_old, rtol=0, atol=1e-14)
             assert_allclose(errors, errors_old, rtol=0, atol=1e-14)
+
+    def test_signed_difference_is_cut_as_one_matrix(self):
+        # rho0 - rho1 is block diagonal: O(1) on the first block and, on the
+        # second, a one-ulp difference with eigenvalues of both signs.  That
+        # block's positive eigenvalue lies above its own cut and below the
+        # whole difference's, so a test cut per component would accept it and
+        # take in its null mass; the projection and the threshold sweep both
+        # cut the difference as one matrix and drop it.
+        rho0, rho1 = np.zeros((4, 4)), np.zeros((4, 4))
+        rho0[:2, :2] = [[0.45, 0.15], [0.15, 0.05]]
+        rho1[:2, :2] = [[0.1, 0.0], [0.0, 0.4]]
+        rho0[2:, 2:] = rho1[2:, 2:] = [[0.25, 0.05], [0.05, 0.25]]
+        rho1[2, 2] = np.nextafter(0.25, 1.0)
+        rho1[3, 3] = np.nextafter(0.25, 0.0)
+        rho1[2, 3] = rho1[3, 2] = np.nextafter(0.05, 1.0)
+        rho0, rho1 = DensityOperator(rho0), DensityOperator(rho1)
+        delta = rho0.mat - rho1.mat
+        small = np.linalg.eigvalsh(delta[2:, 2:])
+        assert small[0] < 0.0 < small[1]
+        assert cut_level(small) < small[1] < cut_level(np.linalg.eigvalsh(delta))
+        errors = error_pair(np_test(rho0, rho1, 0.0), rho0, rho1)
+        assert_allclose(threshold_errors(rho0, rho1, [0.0])[0], [errors.beta0, errors.beta1],
+                        rtol=0, atol=1e-12)
 
     def test_one_row_per_rate(self, rng):
         rho0, rho1 = faithful(rng), faithful(rng)

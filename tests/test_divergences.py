@@ -426,6 +426,47 @@ class TestKeptSpectra:
         assert counts == {"eigh": 0, "eigvalsh": 0}
 
 
+def split_state() -> np.ndarray:
+    """The 4x4 state blockdiag((1 - eps) [[.6, .2], [.2, .4]], eps [[.5, .25],
+    [.25, .5]]) with eps = 1e-17, as a plain array: the eigenvalues 2.5e-18
+    and 7.5e-18 of its small component lie far below 4 eps times the largest
+    eigenvalue and far above 2 eps times their own component's largest."""
+    eps = 1e-17
+    rho = np.zeros((4, 4))
+    rho[:2, :2] = (1.0 - eps) * np.array([[0.6, 0.2], [0.2, 0.4]])
+    rho[2:, 2:] = eps * np.array([[0.5, 0.25], [0.25, 0.5]])
+    return rho
+
+
+class TestPlainArrayIsReadAsAState:
+    # every reader of a state's spectrum takes a plain array through
+    # DensityOperator, so it cuts the array component by component
+    READERS = {
+        "psi": lambda rho0, rho1: psi(rho0, rho1, 1.5),
+        "relative_entropy": relative_entropy,
+        "renyi": lambda rho0, rho1: renyi(rho0, rho1, 0.5),
+        "psi_curve": lambda rho0, rho1: psi_curve(rho0, rho1).values,
+        "renyi_entropy": lambda rho0, rho1: renyi_entropy(rho1, 0.5),
+        "fidelity": fidelity,
+    }
+
+    @pytest.mark.parametrize("name", sorted(READERS))
+    def test_array_reads_as_its_density_operator(self, name):
+        read = self.READERS[name]
+        rho0 = np.eye(4) / 4.0
+        np.testing.assert_array_equal(read(rho0, split_state()),
+                                      read(rho0, DensityOperator(split_state())))
+
+    def test_small_component_is_kept(self):
+        rho0 = np.eye(4) / 4.0
+        assert relative_entropy(rho0, split_state()) == pytest.approx(19.006532515830937, rel=1e-12)
+        assert psi(rho0, split_state(), 1.5) == pytest.approx(18.641, abs=1e-3)
+
+    def test_array_that_is_not_a_state_raises_the_trace_error(self):
+        with pytest.raises(ValueError, match="trace must be 1"):
+            relative_entropy(np.eye(4) / 4.0, 2.0 * split_state())
+
+
 class TestChernoff:
     def test_identical_zero(self, rng):
         rho = faithful(rng)

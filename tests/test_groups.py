@@ -32,9 +32,8 @@ from symtest.groups import (
 )
 from symtest.linalg import (
     DensityOperator,
-    _assembled_eig,
     _eigh,
-    _hermitian_blocks,
+    _split_eig,
     above_cut,
     eig,
     hermitian,
@@ -466,8 +465,7 @@ class TestTwirledPair:
         m = twirl(kron_power(pure_qubit(0.3).mat, n), tensor_power(torus_action(), n))
         assert m.dtype == np.float64
         # the block decomposition of the real canonical matrix, before the clip
-        lone, comps, blocks = _hermitian_blocks(hermitian(m))
-        raw, _ = _assembled_eig(m.diagonal()[lone], lone, comps, [_eigh(b) for b in blocks])
+        raw = _split_eig(hermitian(m), lambda idx, block: _eigh(block))[1]
         assert raw.eigenvalues[0] < 0.0
         rho = DensityOperator(m)
         spec = rho.spectrum

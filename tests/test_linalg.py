@@ -12,9 +12,9 @@ from symtest.linalg import (
     TRACE_TOL,
     DensityOperator,
     Spectrum,
-    _assembled_eig,
     _eigh,
     _hermitian_blocks,
+    _split_eig,
     above_cut,
     abs_power_trace,
     asmatrix,
@@ -531,9 +531,7 @@ def test_pair_that_cancels_in_the_canonical_copy_stays_one_block(monkeypatch):
 
 def blockwise_eig(m):
     """The spectrum DensityOperator assembles from the blocks of m, unclipped."""
-    lone, comps, blocks = _hermitian_blocks(m)
-    specs = [_eigh(block) for block in blocks]
-    return _assembled_eig(m.diagonal()[lone].real, lone, comps, specs)[0]
+    return _split_eig(m, lambda idx, block: _eigh(block))[1]
 
 
 def test_blockwise_eig_of_a_matrix_without_zeros_is_eig(rng):
