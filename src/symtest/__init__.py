@@ -55,14 +55,10 @@ from .discrimination import (
 from .asymptotics import (
     ConvergenceTable,
     Scenario,
-    binomial_power_sum,
-    binomial_power_sum_limit,
     closed_form_curve,
     closed_form_psi,
     closed_form_relative_entropy,
     convergence_table,
-    half_binomial_sum,
-    half_binomial_sum_limit,
     make_scenario,
     solve_branch_crossover,
     solve_flat_chernoff_alpha,

@@ -1,6 +1,6 @@
 """Closed-form psi curves for the built-in two-level scenarios, convergence
-diagnostics for the per-copy curves, root solvers for the crossover points,
-and the binomial-sum limit formulas the closed forms rest on.
+diagnostics for the per-copy curves and root solvers for the crossover
+points.
 
 The closed forms are the per-copy limits of the twirled n-copy curves, so
 the mean (per-copy limit) Chernoff, Hoeffding and relative-entropy rates of
@@ -109,10 +109,6 @@ def _logsumexp(terms) -> float:
         return NEG_INF
     top = max(terms)
     return top + math.log(sum(math.exp(t - top) for t in terms))
-
-
-def _log_binom(n: int, i: int) -> float:
-    return math.lgamma(n + 1) - math.lgamma(i + 1) - math.lgamma(n - i + 1)
 
 
 def _xlog(c: float) -> float:
@@ -283,50 +279,6 @@ def solve_flat_chernoff_alpha() -> float:
     if not 0.10 <= root <= 0.12:
         raise ArithmeticError(f"flat-minimum weight {root!r} outside the expected window")
     return root
-
-
-def binomial_power_sum_limit(a: float, b: float, s: float) -> float:
-    """lim of (sum_i C(n,i)^s a^i b^(n-i))^(1/n): (a^(1/s)+b^(1/s))^s for s>0,
-    max(a, b) for s <= 0."""
-    if a < 0 or b < 0:
-        raise ValueError("a and b must be nonnegative")
-    if s <= 0.0:
-        return max(a, b)
-    if a == 0.0 and b == 0.0:
-        return 0.0
-    return math.exp(s * _logsumexp([_xlog(a) / s, _xlog(b) / s]))
-
-
-def binomial_power_sum(a: float, b: float, s: float, n: int) -> float:
-    """Finite-n companion (sum_i C(n,i)^s a^i b^(n-i))^(1/n), in log space."""
-    logs = []
-    for i in range(n + 1):
-        la = i * _xlog(a)
-        lb = (n - i) * _xlog(b)
-        if la == NEG_INF or lb == NEG_INF:
-            continue
-        logs.append(s * _log_binom(n, i) + la + lb)
-    total = _logsumexp(logs)
-    return 0.0 if total == NEG_INF else math.exp(total / n)
-
-
-def half_binomial_sum_limit(a: float, b: float) -> float:
-    """lim of (sum_{i <= n/2} C(n,i) a^i b^(n-i))^(1/n): a+b if a <= b, else 2 sqrt(ab)."""
-    if a < 0 or b < 0:
-        raise ValueError("a and b must be nonnegative")
-    return a + b if a <= b else 2.0 * math.sqrt(a * b)
-
-
-def half_binomial_sum(a: float, b: float, n: int) -> float:
-    logs = []
-    for i in range(n // 2 + 1):
-        la = i * _xlog(a)
-        lb = (n - i) * _xlog(b)
-        if la == NEG_INF or lb == NEG_INF:
-            continue
-        logs.append(_log_binom(n, i) + la + lb)
-    total = _logsumexp(logs)
-    return 0.0 if total == NEG_INF else math.exp(total / n)
 
 
 def stein_gap_check(scenario: Scenario, n: int) -> CheckReport:

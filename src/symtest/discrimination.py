@@ -13,6 +13,10 @@ projections np_test builds.  The atoms are PsiEvaluator.atoms: the support
 overlaps of the two spectra every density operator keeps, plus one atom per
 row for the mass of supp rho0 outside supp rho1.  So a state pair is never
 decomposed again here, and one state's eigenvectors never meet the other's.
+Every function of a pair reads it through linalg.state_pair and then uses
+the states' canonical matrices, never gating them again, so both paths of
+beta_eps and threshold_errors reject a pair that is not a state alike; the
+one Hermitian gate here is TestOperator's.
 np_test, p_min, pmin_bounds_check and strong_converse_bound take one rate a
 and weigh rho0n by e^{-a}: on n copies the caller passes n times the
 per-copy rate.
@@ -32,7 +36,7 @@ from .linalg import (
     above_cut,
     asmatrix,
     hermitian,
-    matrix_pair,
+    state_pair,
     support_projection,
     trace_norm,
 )
@@ -87,8 +91,8 @@ def error_pair(test, rho0n, rho1n) -> ErrorPair:
 
 def np_test(rho0n, rho1n, a: float) -> TestOperator:
     """Spectral projection of exp(-a)*rho0n - rho1n onto its positive part."""
-    m0, m1 = matrix_pair(rho0n, rho1n)
-    return TestOperator(support_projection(math.exp(-a) * m0 - m1))
+    s0, s1 = state_pair(rho0n, rho1n)
+    return TestOperator(support_projection(math.exp(-a) * s0.mat - s1.mat))
 
 
 def threshold_errors(rho0n, rho1n, a_values) -> np.ndarray:
@@ -100,8 +104,9 @@ def threshold_errors(rho0n, rho1n, a_values) -> np.ndarray:
     e^{-a} w0 - w1 survives the cut, or else one eigh per rate, summing
     <v|m|v> over the kept eigenvectors v instead of forming the projection.
     """
-    m0, m1 = matrix_pair(rho0n, rho1n)
-    atoms = _commuting_atoms(rho0n, rho1n)
+    s0, s1 = state_pair(rho0n, rho1n)
+    m0, m1 = s0.mat, s1.mat
+    atoms = _commuting_atoms(s0, s1)
     rows = []
     for a in a_values:
         weight = math.exp(-float(a))
@@ -128,9 +133,9 @@ def p_min(rho0n, rho1n, a: float = 0.0) -> float:
     a = 0 it equals twice the equal-priors symmetric error probability.  On
     n copies the rate a is n times the per-copy rate.
     """
-    m0, m1 = matrix_pair(rho0n, rho1n)
+    s0, s1 = state_pair(rho0n, rho1n)
     weight = math.exp(-a)
-    return (1.0 + weight) / 2.0 - trace_norm(weight * m0 - m1) / 2.0
+    return (1.0 + weight) / 2.0 - trace_norm(weight * s0.mat - s1.mat) / 2.0
 
 
 def average_error(rho0n, rho1n) -> float:
@@ -144,6 +149,7 @@ def pmin_bounds_check(rho0n, rho1n, a: float) -> CheckReport:
     Upper: p_min(a) <= min over s in [0,1] of e^{-as} Tr rho0n^s rho1n^(1-s).
     Lower: p_min(a) >= e^{-a}/(1 + e^{-a}) * (Tr rho0n^(1/2) rho1n^(1/2))^2.
     """
+    rho0n, rho1n = state_pair(rho0n, rho1n)
     ev = PsiEvaluator(rho0n, rho1n)
 
     def upper_objective(s: float) -> float:
@@ -165,15 +171,16 @@ def pmin_bounds_check(rho0n, rho1n, a: float) -> CheckReport:
 
 
 def _commuting_atoms(rho0n, rho1n) -> tuple[np.ndarray, np.ndarray, np.ndarray] | None:
-    """:meth:`PsiEvaluator.atoms` of commuting PSD operators, None for others."""
-    m0, m1 = hermitian(rho0n), hermitian(rho1n)
+    """:meth:`PsiEvaluator.atoms` of two commuting states, None for others."""
+    s0, s1 = state_pair(rho0n, rho1n)
+    m0, m1 = s0.mat, s1.mat
     scale = max(1.0, float(np.max(np.abs(m0))), float(np.max(np.abs(m1))))
     # for Hermitian m0 and m1, m1 m0 = (m0 m1)^*, so one product gives the commutator
     x = m0 @ m1
     if float(np.max(np.abs(x - x.conj().T))) > 1e-10 * scale:
         return None
     del x  # free it before the evaluator's overlap product
-    return PsiEvaluator(rho0n, rho1n).atoms()
+    return PsiEvaluator(s0, s1).atoms()
 
 
 def _commuting_dual(p: np.ndarray, q: np.ndarray, eps: float) -> float:
@@ -222,12 +229,12 @@ def beta_eps(rho0n, rho1n, eps: float) -> float:
     """
     if not 0.0 < eps < 1.0:
         raise ValueError("eps must lie strictly between 0 and 1")
-    m0, m1 = matrix_pair(rho0n, rho1n)
-    atoms = _commuting_atoms(rho0n, rho1n)
+    s0, s1 = state_pair(rho0n, rho1n)
+    atoms = _commuting_atoms(s0, s1)
     if atoms is not None:
         w0, w1, o = atoms
         return _commuting_dual(w0 * o, w1 * o, eps)
-    return _general_dual(m0, m1, eps)
+    return _general_dual(s0.mat, s1.mat, eps)
 
 
 def strong_converse_bound(evaluator: PsiEvaluator, eps: float, a):
@@ -260,6 +267,7 @@ def stein_a_grid(slope: float) -> np.ndarray:
 
 def fidelity_pmin_check(rho0n, rho1n) -> CheckReport:
     """Fidelity sandwich around the equal-priors symmetric error."""
+    rho0n, rho1n = state_pair(rho0n, rho1n)
     f = fidelity(rho0n, rho1n)
     value = average_error(rho0n, rho1n)
     lower = (1.0 - math.sqrt(max(1.0 - f * f, 0.0))) / 2.0

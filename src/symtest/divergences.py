@@ -37,7 +37,7 @@ from typing import Callable
 import numpy as np
 
 from .groups import GroupAction, is_support_invariant, twirled_pair
-from .linalg import abs_power_trace, as_state, matrix_pair
+from .linalg import abs_power_trace, as_state, state_pair
 from .reports import CheckReport
 
 NEG_INF = float("-inf")
@@ -62,8 +62,8 @@ class PsiEvaluator:
     pair: psi sums w0_i**s O_ij w1_j**(1-s) over the Nussbaum-Szkola
     overlaps O_ij = |cross_ij|**2, and ``outside`` and ``atoms`` return
     stored arrays.  A pair is a list of parts (m, spectrum0, spectrum1): one
-    part of multiplicity 1 for two states, each read through
-    linalg.as_state (a plain array as its DensityOperator), one per
+    part of multiplicity 1 for two states, read through linalg.state_pair
+    (a plain array as its DensityOperator, validated once), one per
     Schur-Weyl block t (m = m_t) for the twirled n-copy qubit pair
     :meth:`twirled` builds.  The arrays are the direct sum of the parts':
     eigenvalues and outside masses end to end, the overlaps block diagonal
@@ -78,8 +78,8 @@ class PsiEvaluator:
     """
 
     def __init__(self, rho0, rho1):
-        matrix_pair(rho0, rho1)
-        self._build([(1, as_state(rho0).spectrum, as_state(rho1).spectrum)])
+        s0, s1 = state_pair(rho0, rho1)
+        self._build([(1, s0.spectrum, s1.spectrum)])
 
     @classmethod
     def twirled(cls, rho0, rho1, action: GroupAction, n: int) -> "PsiEvaluator":
@@ -286,9 +286,9 @@ def relative_entropy(rho0, rho1) -> float:
 
 
 def fidelity(rho, sigma) -> float:
-    """Tr |rho**(1/2) sigma**(1/2)| of two states, each read as its
-    DensityOperator, clipped into [0, 1]."""
-    f = abs_power_trace(as_state(rho), as_state(sigma), 0.5)
+    """Tr |rho**(1/2) sigma**(1/2)| of two states, read through
+    linalg.state_pair, clipped into [0, 1]."""
+    f = abs_power_trace(*state_pair(rho, sigma), 0.5)
     return float(min(max(f, 0.0), 1.0))
 
 

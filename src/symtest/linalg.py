@@ -5,9 +5,9 @@ the imaginary part is exactly zero, else complex128 (:func:`asmatrix`), so
 real operators run the real LAPACK and BLAS kernels.  Two types wrap one: a
 state is a :class:`DensityOperator`, and a test 0 <= T <= I is a
 ``discrimination.TestOperator``.  Both take their matrix through
-:func:`hermitian`, the one Hermitian gate, which keeps the canonical
-(A + A*)/2 as a read-only array.  Every other function maps arrays to
-arrays; :func:`mpow`, :func:`support_projection` and
+:func:`hermitian`, the one Hermitian gate, once per matrix; it keeps the
+canonical (A + A*)/2 as a read-only array.  Every other function maps
+arrays to arrays; :func:`mpow`, :func:`support_projection` and
 :func:`spectral_projections` return (M + M*)/2 read-only, Hermitian by
 construction and not checked again.
 
@@ -21,18 +21,21 @@ eigenpair; :func:`above_cut` applies the level to one spectrum as a whole,
 :meth:`Spectrum.clipped` moves a spectrum into a range, and
 :func:`components` splits an index set into the connected components of a
 linkage.  The rule that makes a matrix a state is written once, for the
-dense route and the Schur-Weyl blocks alike: :func:`_split_eig` splits it
-along its exact zeros, passes each component through the Hermitian gate and
-one checked decomposition (a 1x1 component is exact, cut at 0) and
-assembles one ascending spectrum, and :func:`_state_rule` gates the trace,
-clips and renormalizes over parts (multiplicity, trace, spectrum).  Every
-reader of a state's spectrum takes it through :func:`as_state`, so a plain
-array is read as its DensityOperator, which keeps the spectrum it was
-validated from for :func:`eig` to hand back.  :func:`eig` of any other
+dense route and the Schur-Weyl blocks alike: :func:`_split_eig` passes the
+whole matrix through the Hermitian gate once, splits the canonical copy
+along the exact zeros of the original, decomposes each component once (a
+1x1 component is exact, cut at 0) and assembles one ascending spectrum,
+and :func:`_state_rule` gates the trace, clips and renormalizes over parts
+(multiplicity, trace, spectrum).  Every reader of a state takes it through
+:func:`as_state`, and every function of two states takes them through
+:func:`state_pair`, which also checks that they share a dimension; so a
+plain array is read as its DensityOperator, validated once, and the reader
+uses its canonical ``mat`` and the spectrum it keeps for :func:`eig` to
+hand back, without gating it again.  :func:`eig` of any other
 operator (a signed difference, a test) decomposes it as one matrix: the
 projection ``discrimination.np_test`` builds must keep what the sweep of
 ``threshold_errors`` keeps from one eigh of the whole difference.  No step
-forms a dense V diag(w) V* or checks the whole matrix.
+forms a dense V diag(w) V*.
 """
 
 from __future__ import annotations
@@ -75,9 +78,7 @@ def asmatrix(a) -> np.ndarray:
         return a.mat
     m = np.asarray(a)
     if np.iscomplexobj(m):
-        m = m.astype(complex, copy=False)
-        if not m.imag.any():
-            m = np.ascontiguousarray(m.real)
+        m = _real_if_exact(m.astype(complex, copy=False))
     else:
         m = m.astype(float, copy=False)
     if m.ndim != 2 or m.shape[0] != m.shape[1]:
@@ -85,14 +86,6 @@ def asmatrix(a) -> np.ndarray:
     if not np.all(np.isfinite(m)):
         raise ValueError("matrix entries must be finite")
     return m
-
-
-def matrix_pair(a, b) -> tuple[np.ndarray, np.ndarray]:
-    """The matrices of two operators that must share a dimension."""
-    ma, mb = asmatrix(a), asmatrix(b)
-    if ma.shape != mb.shape:
-        raise DimensionError("states must share a dimension")
-    return ma, mb
 
 
 def frob(a) -> float:
@@ -113,21 +106,26 @@ def hermitian(a) -> np.ndarray:
 
 
 def _canonical(m: np.ndarray) -> np.ndarray:
-    out = (m + m.conj().T) / 2.0
-    if np.iscomplexobj(out) and not out.imag.any():
-        out = out.real.copy()
+    out = _real_if_exact((m + m.conj().T) / 2.0)
     out.setflags(write=False)
     return out
+
+
+def _real_if_exact(m: np.ndarray) -> np.ndarray:
+    """A complex m whose imaginary part is exactly zero as a float64 copy, else m."""
+    if np.iscomplexobj(m) and not m.imag.any():
+        return m.real.copy()
+    return m
 
 
 @dataclass(frozen=True, eq=False)
 class DensityOperator:
     """Positive semidefinite, unit-trace Hermitian operator.
 
-    ``mat`` is validated block by block along its exact zeros
-    (:func:`_split_eig`): each block passes :func:`hermitian`, which gives
-    its canonical copy, and one checked eigendecomposition, assembled into
-    ``spectrum``, which it keeps.  The state rule (:func:`_state_rule`, one
+    ``mat`` passes :func:`hermitian` once, which gives its canonical copy,
+    and is decomposed block by block along its exact zeros
+    (:func:`_split_eig`), one checked eigendecomposition per block,
+    assembled into ``spectrum``, which it keeps.  The state rule (:func:`_state_rule`, one
     part) gates the trace, clips eigenvalues in [-TRACE_TOL, 0) to zero,
     rejecting anything more negative, and renormalizes; a block the clip
     moved is rebuilt from its clipped spectrum, and the matrix is divided by
@@ -143,15 +141,17 @@ class DensityOperator:
         mat, raw, lone, comps = _split_eig(asmatrix(self.mat), lambda idx, block: _eigh(block))
         (spec,), tr = _state_rule([(1, float(np.trace(mat).real), raw)])
         if raw.eigenvalues[0] < 0.0:
-            # the clip moved an eigenvalue: rebuild each component that had one
+            # the clip moved an eigenvalue: rebuild each component that had
+            # one, in a copy, since the gate's canonical copy is read-only
+            mat = mat.copy()
             mat[lone, lone] = np.maximum(mat[lone, lone], 0.0)
             for idx, block_spec in comps:
                 clipped = block_spec.clipped(0.0, np.inf, TRACE_TOL)
                 if clipped is not block_spec:
-                    mat[idx[:, None], idx] = hermitian(clipped.reconstruct())
+                    mat[idx[:, None], idx] = _canonical(clipped.reconstruct())
         if tr != 1.0:
             # a canonical matrix over its real trace stays exactly Hermitian
-            mat /= tr
+            mat = mat / tr
         mat.setflags(write=False)
         object.__setattr__(self, "mat", mat)
         object.__setattr__(self, "spectrum", spec)
@@ -224,6 +224,14 @@ def as_state(rho) -> DensityOperator:
     return rho if isinstance(rho, DensityOperator) else DensityOperator(rho)
 
 
+def state_pair(rho0, rho1) -> tuple[DensityOperator, DensityOperator]:
+    """Two states that must share a dimension, each read through :func:`as_state`."""
+    s0, s1 = as_state(rho0), as_state(rho1)
+    if s0.dim != s1.dim:
+        raise DimensionError("states must share a dimension")
+    return s0, s1
+
+
 def _eigh(m: np.ndarray) -> Spectrum:
     """:func:`eig` of a matrix that is already exactly Hermitian, such as the
     canonical (A + A*)/2 or a sub-block of it, which it does not copy."""
@@ -294,45 +302,29 @@ def components(linked: np.ndarray) -> tuple[np.ndarray, list[np.ndarray]]:
     return lone, comps
 
 
-def _hermitian_blocks(m: np.ndarray) -> tuple[np.ndarray, list[np.ndarray], list[np.ndarray]]:
-    """m split along its exact zeros and passed through :func:`hermitian`
-    block by block: the indices that form a 1x1 block, the index sets of the
-    larger blocks, and the canonical sub-block of each.
+def _split_eig(m: np.ndarray, decompose) -> tuple[np.ndarray, Spectrum, np.ndarray, list]:
+    """m passed through :func:`hermitian` once and decomposed component by
+    component: split along its exact zeros, each larger component decomposed
+    by decompose(idx, block) from its indices and canonical block, and the
+    pieces assembled (:func:`_assembled_eig`).  Returns the read-only
+    canonical matrix, its spectrum, the indices of the 1x1 components and
+    (idx, spectrum) per larger component.
 
     A twirled state is block diagonal up to a permutation, and its exact zeros
-    show the blocks.  m splits once, along the zeros of its symmetrized
-    nonzero pattern, so no entry outside the blocks deviates from Hermitian.
-    The 1x1 blocks pass the gate when their entry of largest imaginary part
-    does.  Indices come back ascending, the larger blocks ordered by their
-    smallest index (:func:`components`).
+    show the blocks.  m splits once, along the zeros of its own symmetrized
+    nonzero pattern (an entry that cancels in the canonical copy still links
+    its pair), so no entry outside the blocks deviates from Hermitian and
+    gating the whole matrix gates every block.  A block whose imaginary part
+    is exactly zero is decomposed as float64.  Indices come back ascending,
+    the larger blocks ordered by their smallest index (:func:`components`).
     """
     linked = m != 0
     linked |= linked.T
     lone, comps = components(linked)
-    if lone.size and np.iscomplexobj(m):
-        worst = lone[np.argmax(np.abs(m.diagonal()[lone].imag))]
-        hermitian(m[worst : worst + 1, worst : worst + 1])
-    return lone, comps, [hermitian(m[idx[:, None], idx]) for idx in comps]
-
-
-def _split_eig(m: np.ndarray, decompose) -> tuple[np.ndarray, Spectrum, np.ndarray, list]:
-    """m decomposed component by component: split along its exact zeros
-    (:func:`_hermitian_blocks`), each larger component decomposed by
-    decompose(idx, block) from its indices and canonical block, and the
-    pieces assembled (:func:`_assembled_eig`).  Returns the canonical matrix,
-    its spectrum, the indices of the 1x1 components and (idx, spectrum) per
-    larger component."""
-    d = m.shape[0]
-    lone, comps, blocks = _hermitian_blocks(m)
-    lone_w = m.diagonal()[lone].real  # the canonical part of a 1x1 block
-    del m  # a converted copy can be freed before the assembly
-    mat = np.zeros((d, d), dtype=np.result_type(float, *blocks))
-    mat[lone, lone] = lone_w
-    for idx, block in zip(comps, blocks):
-        mat[idx[:, None], idx] = block
-    specs = [decompose(idx, block) for idx, block in zip(comps, blocks)]
-    del blocks
-    spec = _assembled_eig(lone_w, lone, comps, specs)
+    mat = hermitian(m)
+    del m  # a converted copy can be freed before the decompositions
+    specs = [decompose(idx, _real_if_exact(mat[idx[:, None], idx])) for idx in comps]
+    spec = _assembled_eig(mat.diagonal()[lone].real, lone, comps, specs)
     return mat, spec, lone, list(zip(comps, specs))
 
 
@@ -451,9 +443,10 @@ def kron_power(a, n: int) -> np.ndarray:
 
 def abs_power_trace(a, b, s: float) -> float:
     """Tr |A**s B**(1-s)| for PSD operators A, B."""
-    matrix_pair(a, b)
-    prod = mpow(a, s) @ mpow(b, 1.0 - s)
-    return trace_norm(prod)
+    pa, pb = mpow(a, s), mpow(b, 1.0 - s)
+    if pa.shape != pb.shape:
+        raise DimensionError("operators must share a dimension")
+    return trace_norm(pa @ pb)
 
 
 def spectral_projections(h) -> list[tuple[float, np.ndarray]]:

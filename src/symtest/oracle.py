@@ -1,9 +1,9 @@
 """Independent brute-force reference computations.
 
 Everything in this module is deliberately written against plain numpy so the
-main pipeline and its oracle share no code path: twirls by literal averaging,
-power traces by scalar block sums in log space, and optimality batteries over
-random tests.  Every function returns plain numbers or arrays; a battery
+main pipeline and its oracle share no code path: partial traces by index
+contraction, power traces by scalar block sums in log space, and optimality
+batteries over random tests.  Every function returns plain numbers or arrays; a battery
 returns its best random test's error next to the closed-form optimum.  Slow
 is fine here.
 """
@@ -15,7 +15,6 @@ import math
 import numpy as np
 
 DEFAULT_SEED = 0x5EED
-TORUS_SAMPLES = 4096
 
 
 def random_density(dim: int, rank: int | None = None,
@@ -27,36 +26,6 @@ def random_density(dim: int, rank: int | None = None,
     g = rng.standard_normal((dim, rank)) + 1j * rng.standard_normal((dim, rank))
     rho = g @ g.conj().T
     return rho / np.trace(rho).real
-
-
-def random_unitary(dim: int, rng: np.random.Generator) -> np.ndarray:
-    g = rng.standard_normal((dim, dim)) + 1j * rng.standard_normal((dim, dim))
-    q, r = np.linalg.qr(g)
-    return q * (np.diag(r) / np.abs(np.diag(r)))
-
-
-def dense_twirl_oracle(x, unitaries=None, weights=None) -> np.ndarray:
-    """Group average by literal summation.
-
-    Finite lists are averaged exactly; the torus is averaged over
-    TORUS_SAMPLES equispaced phases, which is exact whenever every weight gap
-    divides the sample count (phase sums cancel exactly in that case).
-    """
-    m = np.asarray(x, dtype=complex)
-    if unitaries is not None:
-        acc = np.zeros_like(m)
-        for u in unitaries:
-            u = np.asarray(u, dtype=complex)
-            acc += u @ m @ u.conj().T
-        return acc / len(unitaries)
-    if weights is None:
-        raise ValueError("need either a unitary list or torus weights")
-    w = np.asarray(weights, dtype=np.int64)
-    acc = np.zeros_like(m)
-    for k in range(TORUS_SAMPLES):
-        phase = np.exp(2j * np.pi * k * w / TORUS_SAMPLES)
-        acc += (phase[:, None] * m) * phase.conj()[None, :]
-    return acc / TORUS_SAMPLES
 
 
 def ptrace_oracle(mat, m: int, d: int) -> np.ndarray:

@@ -20,7 +20,7 @@ import numpy as np
 
 from .errors import DimensionError
 from .groups import TORUS, GroupAction, _check_power_dim
-from .linalg import Spectrum, _gram_eigh, _split_eig, _state_rule, as_state, matrix_pair
+from .linalg import DensityOperator, Spectrum, _gram_eigh, _split_eig, _state_rule, state_pair
 
 
 def schur_weyl_pair(rho0, rho1, action: GroupAction, n: int) -> tuple[list, list]:
@@ -43,8 +43,8 @@ def schur_weyl_pair(rho0, rho1, action: GroupAction, n: int) -> tuple[list, list
 
     The blocks are made a state by linalg's one state rule, the rule a
     DensityOperator runs, with the n//2 + 1 parts (m_t, Tr B_t, spectrum of
-    B_t).  Each block splits along its exact zeros (linalg._split_eig); each
-    component passes the Hermitian gate; a 1x1 component is an exact
+    B_t).  Each block passes the Hermitian gate once and splits along its
+    exact zeros (linalg._split_eig); a 1x1 component is an exact
     eigenpair, its entry (so every eigenvalue of a pinched block, a sum of
     nonnegative terms, is exact); a larger component is f[idx] f[idx]^* for
     its rows idx of f = [S_g sqrt(det^t Lam)]_g / sqrt(|G|), so its
@@ -57,16 +57,16 @@ def schur_weyl_pair(rho0, rho1, action: GroupAction, n: int) -> tuple[list, list
     largest eigenvalue, whatever the other components and blocks hold.
     """
     _check_power_dim(action, n)
-    m0, _ = matrix_pair(rho0, rho1)
-    if action.dim != 2 or m0.shape[0] != 2:
+    s0, s1 = state_pair(rho0, rho1)
+    if action.dim != 2 or s0.dim != 2:
         raise DimensionError(
-            f"Schur-Weyl blocks need qubits, got states of dimension {m0.shape[0]} "
+            f"Schur-Weyl blocks need qubits, got states of dimension {s0.dim} "
             f"and an action of dimension {action.dim}")
-    return _schur_weyl_blocks(rho0, action, n), _schur_weyl_blocks(rho1, action, n)
+    return _schur_weyl_blocks(s0, action, n), _schur_weyl_blocks(s1, action, n)
 
 
-def _schur_weyl_blocks(rho, action: GroupAction, n: int) -> list[tuple[int, Spectrum]]:
-    spec = as_state(rho).spectrum
+def _schur_weyl_blocks(rho: DensityOperator, action: GroupAction, n: int) -> list[tuple[int, Spectrum]]:
+    spec = rho.spectrum
     lam = np.where(spec.support_mask(), spec.eigenvalues, 0.0)
     # a group is a set: taken in a fixed order, its elements give the same
     # factor f, so the same blocks, whatever order the list has

@@ -1,13 +1,17 @@
 """The full inequality battery behind the `verify` command.
 
 Each function returns a CheckReport; run_verify assembles the complete set
-over the built-in scenarios plus seeded random instances.  A clean run is
+over the built-in scenarios plus seeded random instances.  A report that
+reads dense twirled pairs takes them from ``pairs(key, n)``, the twirled
+n-copy pair of builtin scenario ``key``, which run_verify builds and
+validates once per (key, n) however many reports read it.  A clean run is
 the machine-checkable statement that every finite-size inequality this
 package implements holds at its stated tolerance.
 """
 
 from __future__ import annotations
 
+import functools
 import math
 
 import numpy as np
@@ -123,27 +127,25 @@ def additivity_report(scenarios) -> CheckReport:
     return report
 
 
-def renyi_entropy_subadditivity_report() -> CheckReport:
+def renyi_entropy_subadditivity_report(pairs) -> CheckReport:
     """Against a maximally mixed alternative the twirled Renyi entropy is
     subadditive for orders below 1."""
     report = CheckReport("Renyi entropy subadditivity vs maximally mixed alternative")
-    sc = make_scenario(TORUS_PURE_VS_MIXED, alpha=0.5)
-    cache = {n: twirled_pair(sc.rho0, sc.rho1, sc.action, n)[0] for n in (1, 2, 3, 4)}
+    states = {n: pairs("pure-vs-maximally-mixed", n)[0] for n in (1, 2, 3, 4)}
     for n, m in ((1, 1), (1, 2), (2, 2)):
         for alpha in (0.3, 0.7):
-            lhs = renyi_entropy(cache[n + m], alpha)
-            rhs = renyi_entropy(cache[n], alpha) + renyi_entropy(cache[m], alpha)
+            lhs = renyi_entropy(states[n + m], alpha)
+            rhs = renyi_entropy(states[n], alpha) + renyi_entropy(states[m], alpha)
             report.check_leq(f"H_{alpha:g}({n + m}) <= H_{alpha:g}({n})+H_{alpha:g}({m})",
                              lhs, rhs, 1e-8)
     return report
 
 
-def pmin_bounds_reports(scenarios) -> list[CheckReport]:
+def pmin_bounds_reports(pairs) -> list[CheckReport]:
     out = []
     for key in ("two-commuting", "two-commuting-extremal", "pure-vs-mixed", "two-pure"):
-        sc = scenarios[key]
         for n in (1, 2, 3):
-            pair = twirled_pair(sc.rho0, sc.rho1, sc.action, n)
+            pair = pairs(key, n)
             for a in (-0.2, 0.0, 0.3):
                 rep = pmin_bounds_check(*pair, n * a)
                 rep.name = f"{key}: {rep.name} (a={a:g}, n={n})"
@@ -157,14 +159,14 @@ def pmin_bounds_reports(scenarios) -> list[CheckReport]:
     return out
 
 
-def fidelity_reports(scenarios, n_max: int) -> list[CheckReport]:
+def fidelity_reports(scenarios, pairs, n_max: int) -> list[CheckReport]:
     out = []
     sandwich = CheckReport("fidelity sandwich on twirled pairs")
     power = CheckReport("fidelity never drops below its product-state power")
     for key, sc in scenarios.items():
         f_single = fidelity(sc.rho0, sc.rho1)
         for n in range(1, min(n_max, 4) + 1):
-            pair = twirled_pair(sc.rho0, sc.rho1, sc.action, n)
+            pair = pairs(key, n)
             rep = fidelity_pmin_check(*pair)
             for e in rep.entries:
                 e.label = f"{key} n={n}: {e.label}"
@@ -186,7 +188,7 @@ def fidelity_reports(scenarios, n_max: int) -> list[CheckReport]:
     return out
 
 
-def fidelity_floor_report(scenarios) -> CheckReport:
+def fidelity_floor_report(scenarios, pairs) -> CheckReport:
     """For an invariant alternative the normalized log-fidelity decreases
     along doubling and never crosses its single-copy floor."""
     report = CheckReport("normalized log-fidelity floor (invariant alternative)")
@@ -195,15 +197,14 @@ def fidelity_floor_report(scenarios) -> CheckReport:
         floor = math.log(fidelity(sc.rho0, sc.rho1))
         values = {}
         for n in (1, 2, 4):
-            pair = twirled_pair(sc.rho0, sc.rho1, sc.action, n)
-            values[n] = math.log(fidelity(*pair)) / n
+            values[n] = math.log(fidelity(*pairs(key, n))) / n
             report.check_leq(f"{key}: log F(n={n})/n >= log F", floor, values[n], 1e-9)
         report.check_leq(f"{key}: doubling 1->2", values[2], values[1], 1e-9)
         report.check_leq(f"{key}: doubling 2->4", values[4], values[2], 1e-9)
     return report
 
 
-def trace_norm_power_report(scenarios, n_max: int) -> CheckReport:
+def trace_norm_power_report(scenarios, pairs, n_max: int) -> CheckReport:
     """Finite-n two-sided bound on Tr|rho0n^s rho1n^(1-s)| for invariant
     alternatives: the single-copy power to the n, with a (sum_i d_i)^2
     prefactor on the upper side."""
@@ -217,7 +218,7 @@ def trace_norm_power_report(scenarios, n_max: int) -> CheckReport:
         single = {s: abs_power_trace(sc.rho0, sc.rho1, s)
                   for s in (0.0, 0.1, 0.25, 0.4, 0.5, 0.6, 0.75, 0.9, 1.0)}
         for n in range(1, min(n_max, 4) + 1):
-            pair = twirled_pair(sc.rho0, sc.rho1, sc.action, n)
+            pair = pairs(key, n)
             prefactor = sum(d for _, d in block_structure(sc.action, n)) ** 2
             for s in (0.5, 0.6, 0.75, 0.9, 1.0):
                 lhs = abs_power_trace(*pair, s)
@@ -232,13 +233,13 @@ def trace_norm_power_report(scenarios, n_max: int) -> CheckReport:
     return report
 
 
-def restricted_pmin_report(scenarios, n_max: int) -> CheckReport:
+def restricted_pmin_report(scenarios, pairs, n_max: int) -> CheckReport:
     """Twirling both states can only raise the minimal symmetric error, and
     the half-power trace floors it."""
     report = CheckReport("restricted p_min monotone + half-power floor")
     for key, sc in scenarios.items():
         for n in range(1, min(n_max, 4) + 1):
-            pair = twirled_pair(sc.rho0, sc.rho1, sc.action, n)
+            pair = pairs(key, n)
             raw0 = kron_power(asmatrix(sc.rho0), n)
             raw1 = kron_power(asmatrix(sc.rho1), n)
             restricted = p_min(*pair)
@@ -267,12 +268,11 @@ def chernoff_band_report() -> CheckReport:
     return report
 
 
-def np_optimality_report(scenarios) -> CheckReport:
+def np_optimality_report(pairs) -> CheckReport:
     """No random test beats the threshold test's weighted error."""
     report = CheckReport("threshold-test optimality vs random batteries")
     for key in ("pure-vs-mixed", "two-pure"):
-        sc = scenarios[key]
-        pair = twirled_pair(sc.rho0, sc.rho1, sc.action, 2)
+        pair = pairs(key, 2)
         for a in (-0.2, 0.0, 0.3):
             battery_min, reference = pmin_random_battery(*pair, 2 * a, count=100)
             report.check_leq(f"{key} a={a:g}: p_min <= battery best",
@@ -326,13 +326,13 @@ def weyl_report() -> CheckReport:
     return report
 
 
-def beta_eps_converse_report(scenarios) -> CheckReport:
+def beta_eps_converse_report(scenarios, pairs) -> CheckReport:
     """The strong-converse floor never exceeds the exact constrained error."""
     report = CheckReport("beta_eps versus strong-converse floor")
     sc = scenarios["pure-vs-mixed"]
     curve = closed_form_curve(sc.kind, sc.params)
     for n in (4, 6):
-        pair = twirled_pair(sc.rho0, sc.rho1, sc.action, n)
+        pair = pairs("pure-vs-mixed", n)
         ev = PsiEvaluator(*pair)
         value = beta_eps(*pair, 0.1)
         grid = stein_a_grid(curve.slope(1.0))
@@ -414,12 +414,11 @@ def closed_form_bracket_report(scenarios, n_max: int) -> CheckReport:
     return report
 
 
-def beta_eps_shape_report(scenarios) -> CheckReport:
+def beta_eps_shape_report(pairs) -> CheckReport:
     """The constrained type-II error is nonincreasing and continuous in eps."""
     report = CheckReport("beta_eps monotone and right-continuous in eps")
     for key in ("pure-vs-mixed", "two-pure"):
-        sc = scenarios[key]
-        pair = twirled_pair(sc.rho0, sc.rho1, sc.action, 3)
+        pair = pairs(key, 3)
         eps_grid = np.linspace(0.05, 0.9, 10)
         values = [beta_eps(*pair, float(e)) for e in eps_grid]
         for (e1, v1), (e2, v2) in zip(zip(eps_grid, values), zip(eps_grid[1:], values[1:])):
@@ -491,26 +490,32 @@ def mean_quantity_report(scenarios) -> CheckReport:
 
 def run_verify(n_max: int = 6) -> list[CheckReport]:
     scenarios = builtin_scenarios(n_max)
+
+    @functools.cache  # the table lives as long as this run
+    def pairs(key: str, n: int) -> tuple[DensityOperator, DensityOperator]:
+        sc = scenarios[key]
+        return twirled_pair(sc.rho0, sc.rho1, sc.action, n)
+
     reports: list[CheckReport] = []
     reports.extend(psi_sandwich_reports(scenarios, n_max))
     reports.append(additivity_report(scenarios))
-    reports.append(renyi_entropy_subadditivity_report())
-    reports.extend(pmin_bounds_reports(scenarios))
-    reports.extend(fidelity_reports(scenarios, n_max))
-    reports.append(fidelity_floor_report(scenarios))
-    reports.append(trace_norm_power_report(scenarios, n_max))
-    reports.append(restricted_pmin_report(scenarios, n_max))
+    reports.append(renyi_entropy_subadditivity_report(pairs))
+    reports.extend(pmin_bounds_reports(pairs))
+    reports.extend(fidelity_reports(scenarios, pairs, n_max))
+    reports.append(fidelity_floor_report(scenarios, pairs))
+    reports.append(trace_norm_power_report(scenarios, pairs, n_max))
+    reports.append(restricted_pmin_report(scenarios, pairs, n_max))
     reports.append(chernoff_band_report())
-    reports.append(np_optimality_report(scenarios))
+    reports.append(np_optimality_report(pairs))
     reports.extend(stein_reports(scenarios, n_max))
     reports.append(lf_identity_report())
     reports.append(weyl_report())
-    reports.append(beta_eps_converse_report(scenarios))
+    reports.append(beta_eps_converse_report(scenarios, pairs))
     reports.append(data_processing_report())
     reports.append(conjugation_chain_report())
     reports.append(mean_quantity_report(scenarios))
     reports.append(closed_form_bracket_report(scenarios, n_max))
-    reports.append(beta_eps_shape_report(scenarios))
+    reports.append(beta_eps_shape_report(pairs))
     reports.append(dim_growth_report(n_max))
     reports.append(equality_experiment_report())
     return reports

@@ -17,10 +17,6 @@ from symtest.asymptotics import (
     closed_form_curve,
     closed_form_psi,
     diag_qubit,
-    half_binomial_sum,
-    half_binomial_sum_limit,
-    binomial_power_sum,
-    binomial_power_sum_limit,
     make_scenario,
     pure_qubit,
     solve_flat_chernoff_alpha,
@@ -38,6 +34,13 @@ from symtest.divergences import (
 from symtest.groups import twirled_pair, weyl_twirl
 from symtest.oracle import block_scalar_oracle, ptrace_oracle
 from symtest.verify import run_verify
+
+from helpers import (
+    binomial_power_sum,
+    binomial_power_sum_limit,
+    half_binomial_sum,
+    half_binomial_sum_limit,
+)
 
 LOG2 = math.log(2.0)
 S_M_03 = -(math.log(0.3) + math.log(0.7)) / 2.0

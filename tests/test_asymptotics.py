@@ -11,15 +11,11 @@ from symtest.asymptotics import (
     ConvergenceTable,
     Scenario,
     _closed_form,
-    binomial_power_sum,
-    binomial_power_sum_limit,
     closed_form_curve,
     closed_form_psi,
     closed_form_relative_entropy,
     convergence_table,
     diag_qubit,
-    half_binomial_sum,
-    half_binomial_sum_limit,
     make_scenario,
     pure_qubit,
     sigma_state,
@@ -39,6 +35,13 @@ from symtest.divergences import (
 from symtest.groups import twirled_pair
 from symtest.linalg import DensityOperator
 from symtest.oracle import random_density
+
+from helpers import (
+    binomial_power_sum,
+    binomial_power_sum_limit,
+    half_binomial_sum,
+    half_binomial_sum_limit,
+)
 
 LOG2 = math.log(2.0)
 

@@ -5,7 +5,7 @@ import numpy as np
 import pytest
 from numpy.testing import assert_allclose
 
-from symtest import discrimination
+from symtest import discrimination, linalg
 from symtest.asymptotics import (
     closed_form_curve,
     diag_qubit,
@@ -36,7 +36,9 @@ from symtest.divergences import PsiEvaluator, fidelity, psi
 from symtest.errors import DimensionError
 from symtest.groups import twirled_pair
 from symtest.linalg import DensityOperator, asmatrix, cut_level, eig, kron_power
-from symtest.oracle import pmin_random_battery, random_density, random_unitary
+from symtest.oracle import pmin_random_battery, random_density
+
+from helpers import random_unitary
 
 LOG2 = math.log(2.0)
 RATES = np.linspace(-2.0, 2.0, 81)
@@ -421,6 +423,38 @@ class TestThresholdErrors:
         assert threshold_errors(rho0, rho1, [0.0, 1.0]).shape == (2, 2)
         with pytest.raises(DimensionError):
             threshold_errors(np.eye(2) / 2, np.eye(3) / 3, [0.0])
+
+
+class TestStatePairs:
+    def test_commuting_atoms_of_two_states_run_no_hermitian_gate(self, monkeypatch):
+        sc = make_scenario("Z2Commuting", lam=0.2, mu=0.7)
+        pair = twirled_pair(sc.rho0, sc.rho1, sc.action, 3)
+        calls = []
+
+        def counted(a, _real=linalg.hermitian):
+            calls.append(1)
+            return _real(a)
+
+        monkeypatch.setattr(linalg, "hermitian", counted)
+        monkeypatch.setattr(discrimination, "hermitian", counted)
+        assert _commuting_atoms(*pair) is not None
+        assert not calls
+
+    CALLS = {
+        "beta_eps": lambda a, b: beta_eps(a, b, 0.1),
+        "threshold_errors": lambda a, b: threshold_errors(a, b, [0.0]),
+        "np_test": lambda a, b: np_test(a, b, 0.0),
+        "p_min": p_min,
+    }
+
+    @pytest.mark.parametrize("name", sorted(CALLS))
+    @pytest.mark.parametrize("rho0", [
+        2.0 * np.diag([0.6, 0.4]),
+        2.0 * np.array([[0.5, 0.2], [0.2, 0.5]]),
+    ], ids=["commuting", "noncommuting"])
+    def test_a_pair_that_is_not_a_state_raises_on_either_path(self, name, rho0):
+        with pytest.raises(ValueError, match="trace must be 1 within"):
+            self.CALLS[name](rho0, np.diag([0.3, 0.7]))
 
 
 class TestStrongConverse:

@@ -40,13 +40,9 @@ from symtest.linalg import (
     kron_power,
     spectral_projections,
 )
-from symtest.oracle import (
-    block_scalar_oracle,
-    dense_twirl_oracle,
-    ptrace_oracle,
-    random_density,
-    random_unitary,
-)
+from symtest.oracle import block_scalar_oracle, ptrace_oracle, random_density
+
+from helpers import dense_twirl_oracle, random_unitary
 
 
 def random_hermitian(rng, dim):

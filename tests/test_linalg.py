@@ -2,18 +2,24 @@ import numpy as np
 import pytest
 from numpy.testing import assert_allclose
 
-from symtest.asymptotics import TORUS_PURE_VS_MIXED, Z2_COMMUTING, diag_qubit, make_scenario
+from symtest import linalg
+from symtest.asymptotics import (
+    TORUS_PURE_VS_MIXED,
+    Z2_COMMUTING,
+    diag_qubit,
+    make_scenario,
+    z2_action,
+)
 from symtest.discrimination import TestOperator
 from symtest.divergences import psi_curve, relative_entropy
 from symtest.errors import DimensionError
-from symtest.groups import GroupAction, twirled_pair
+from symtest.groups import GroupAction, tensor_power, twirl, twirled_pair
 from symtest.linalg import (
     HERM_TOL,
     TRACE_TOL,
     DensityOperator,
     Spectrum,
     _eigh,
-    _hermitian_blocks,
     _split_eig,
     above_cut,
     abs_power_trace,
@@ -30,8 +36,9 @@ from symtest.linalg import (
     support_projection,
     trace_norm,
 )
-from symtest.oracle import random_density, random_unitary
+from symtest.oracle import random_density
 
+from helpers import random_unitary
 
 
 # one constructor per frozen dataclass that holds an array
@@ -510,8 +517,8 @@ def test_pair_that_cancels_in_the_canonical_copy_stays_one_block(monkeypatch):
     # but the block is the component of the nonzero pattern of m itself
     m = np.diag([0.5, 0.3, 0.2]).astype(complex)
     m[0, 2] = m[2, 0] = 1e-11j
-    lone, comps, _ = _hermitian_blocks(m)
-    assert lone.tolist() == [1] and [idx.tolist() for idx in comps] == [[0, 2]]
+    _, _, lone, comps = _split_eig(m, lambda idx, block: _eigh(block))
+    assert lone.tolist() == [1] and [idx.tolist() for idx, _ in comps] == [[0, 2]]
     calls = []
 
     def counted(*args, _real=np.linalg.eigh, **kwargs):
@@ -527,6 +534,40 @@ def test_pair_that_cancels_in_the_canonical_copy_stays_one_block(monkeypatch):
     assert (spec.cut == 0).tolist() == [False, True, False]
     assert_allclose(spec.eigenvalues, dense.eigenvalues, rtol=0, atol=1e-13)
     assert_allclose(spec.reconstruct(), dense.reconstruct(), rtol=0, atol=1e-13)
+
+
+def test_a_twirled_state_passes_the_hermitian_gate_once(monkeypatch, rng):
+    # the sign-flip twirl at n = 6 splits into two 32x32 blocks, and the gate
+    # runs on the whole matrix, not once per block
+    n = 6
+    m = twirl(kron_power(random_density(2, rng=rng), n), tensor_power(z2_action(), n))
+    _, raw, lone, comps = _split_eig(m, lambda idx, block: _eigh(block))
+    assert lone.size == 0 and [idx.size for idx, _ in comps] == [32, 32]
+    assert raw.eigenvalues[0] > 0.0  # no clip, so no block is rebuilt
+    calls = []
+
+    def counted(a, _real=linalg.hermitian):
+        calls.append(1)
+        return _real(a)
+
+    monkeypatch.setattr(linalg, "hermitian", counted)
+    DensityOperator(m)
+    assert len(calls) == 1
+
+
+def test_a_real_block_of_a_complex_state_is_decomposed_as_float64(monkeypatch):
+    m = np.zeros((4, 4), dtype=complex)
+    m[:2, :2] = [[0.3, 0.1], [0.1, 0.2]]
+    m[2:, 2:] = [[0.25, 0.1j], [-0.1j, 0.25]]
+    dtypes = []
+
+    def counted(a, *args, _real=np.linalg.eigh, **kwargs):
+        dtypes.append(a.dtype)
+        return _real(a, *args, **kwargs)
+
+    monkeypatch.setattr(np.linalg, "eigh", counted)
+    assert DensityOperator(m).mat.dtype == np.complex128
+    assert dtypes == [np.float64, np.complex128]
 
 
 def blockwise_eig(m):

@@ -8,11 +8,12 @@ from symtest.groups import tensor_power, twirl, twirled_pair
 from symtest.linalg import kron_power
 from symtest.oracle import (
     block_scalar_oracle,
-    dense_twirl_oracle,
     pmin_random_battery,
     ptrace_oracle,
     random_density,
 )
+
+from helpers import dense_twirl_oracle
 
 
 def random_hermitian(rng, dim):
