@@ -44,6 +44,7 @@ from .divergences import (
 from .discrimination import (
     ErrorPair,
     TestOperator,
+    TwirledPair,
     average_error,
     beta_eps,
     error_pair,

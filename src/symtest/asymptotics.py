@@ -288,12 +288,17 @@ def stein_gap_check(scenario: Scenario, n: int) -> CheckReport:
     and above it minus d*log(n+1) + 2*log(sum_i d_i), so the twirled problem
     loses nothing per copy in the Stein regime.
     """
+    return _stein_gap(scenario, n,
+                      PsiEvaluator.twirled(scenario.rho0, scenario.rho1, scenario.action, n))
+
+
+def _stein_gap(scenario: Scenario, n: int, twirled: PsiEvaluator) -> CheckReport:
+    """:func:`stein_gap_check` from the evaluator of the twirled n-copy pair."""
     report = CheckReport(f"stein gap (n={n})")
     s_single = relative_entropy(scenario.rho0, scenario.rho1)
     if s_single == math.inf:
         report.note("single-copy relative entropy infinite; nothing to check")
         return report
-    twirled = PsiEvaluator.twirled(scenario.rho0, scenario.rho1, scenario.action, n)
     report.check_leq("S(twirled)/n <= S(rho0||rho1)",
                      twirled.relative_entropy() / n, s_single, 1e-8)
     rho1_pow = DensityOperator(kron_power(asmatrix(scenario.rho1), n))

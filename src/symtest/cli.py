@@ -37,13 +37,13 @@ from .asymptotics import (
     z2_action,
 )
 from .discrimination import (
+    TwirledPair,
     beta_eps,
     error_pair,
     np_test,
     p_min,
     stein_a_grid,
     strong_converse_bound,
-    threshold_errors,
 )
 from .divergences import (
     PsiCurve,
@@ -365,16 +365,16 @@ def _cmd_beta_eps(sc: Scenario, config: argparse.Namespace) -> int:
     # the floor needs supp rho1 invariant and holding supp rho0 (at n = 1, so at every n)
     floored = (is_support_invariant(sc.rho1, sc.action)
                and relative_entropy(sc.rho0, sc.rho1) < math.inf)
-    rows = [_beta_eps_row(twirled_pair(sc.rho0, sc.rho1, sc.action, n), n, config, floored)
+    rows = [_beta_eps_row(TwirledPair(sc.rho0, sc.rho1, sc.action, n), n, config, floored)
             for n in range(1, sc.n_max + 1)]
     _write_table(("n", "a_or_eps", "beta0", "beta1", "bound_lo", "bound_hi"), rows, config)
     return 0
 
 
-def _beta_eps_row(pair, n: int, config: argparse.Namespace, floored: bool) -> tuple:
-    value = beta_eps(*pair, config.eps)
+def _beta_eps_row(pair: TwirledPair, n: int, config: argparse.Namespace, floored: bool) -> tuple:
+    value = pair.beta_eps(config.eps)
     if floored:
-        ev = PsiEvaluator(*pair)
+        ev = pair.evaluator
         grid = config.a_grid
         if grid is None:
             grid = stein_a_grid(ev.slope(1.0) / n)
@@ -385,9 +385,14 @@ def _beta_eps_row(pair, n: int, config: argparse.Namespace, floored: bool) -> tu
     return (n, config.eps, config.eps, value, floor, achievable)
 
 
-def _best_pure_threshold_beta1(pair, eps: float) -> float:
-    errors = threshold_errors(*pair, np.linspace(-2.0, 2.0, 81))
-    return float(errors[errors[:, 0] <= eps, 1].min(initial=1.0))
+def _best_pure_threshold_beta1(pair: TwirledPair, eps: float) -> float:
+    """The least beta1 of the threshold tests on the rate grid whose beta0
+    is below eps by more than 1e-12, the rounding of a computed beta0: a
+    test that meets the constraint exactly lands on either side of eps by
+    route and rounding, so it never counts, and the column stays an upper
+    bound on beta_eps on either route."""
+    errors = pair.threshold_errors(np.linspace(-2.0, 2.0, 81))
+    return float(errors[errors[:, 0] <= eps - 1e-12, 1].min(initial=1.0))
 
 
 def _cmd_convergence(sc: Scenario, config: argparse.Namespace) -> int:

@@ -5,14 +5,23 @@ combined error and the converse bounds are computed from it.  The constrained
 type-II error beta_eps is the maximum over t >= 0 of its Lagrange dual
 t(1 - eps) - Tr(t*rho0 - rho1)_+, a concave function that peaks in
 [0, 1/eps].  On commuting pairs the dual is piecewise linear and is read off
-its likelihood-ratio breakpoints; otherwise golden section maximizes it, one
-eigvalsh per evaluation.  threshold_errors gives the error pairs of many
-threshold tests on one state pair at once, from the joint eigenvalue atoms
-of a commuting pair or from one eigh per rate otherwise, without forming the
-projections np_test builds.  The atoms are PsiEvaluator.atoms: the support
-overlaps of the two spectra every density operator keeps, plus one atom per
-row for the mass of supp rho0 outside supp rho1.  So a state pair is never
-decomposed again here, and one state's eigenvectors never meet the other's.
+its likelihood-ratio breakpoints; otherwise golden section maximizes it.
+threshold_errors gives the error pairs of many threshold tests on one state
+pair at once, from the joint eigenvalue atoms of a commuting pair or from
+the eigh of each difference otherwise, without forming the projections
+np_test builds.  The atoms are PsiEvaluator.atoms: the support overlaps of
+the two spectra every density operator keeps, plus one atom per row for the
+mass of supp rho0 outside supp rho1.  So a state pair is never decomposed
+again here, and one state's eigenvectors never meet the other's.
+beta_eps and threshold_errors each have one engine over the parts (m, A, B)
+of a pair held as the direct sum of m copies of each (A, B), as
+PsiEvaluator holds one: the commutator test runs per part, the dual sums
+m * Tr(t A - B)_+ with one eigvalsh per part, and the sweep runs one eigh
+per part, cut at that part's own level.  So the rule that np_test keeps
+what threshold_errors keeps holds per part: a pair of two states is the
+one-part case, whose one difference both cut alike, and a TwirledPair (the
+twirled n-copy pair of qubits held as its Schur-Weyl blocks) has each
+block's difference cut at its own level, as np_test would cut that block.
 Every function of a pair reads it through linalg.state_pair and then uses
 the states' canonical matrices, never gating them again, so both paths of
 beta_eps and threshold_errors reject a pair that is not a state alike; the
@@ -24,13 +33,15 @@ per-copy rate.
 
 from __future__ import annotations
 
+import functools
 import math
 from dataclasses import dataclass
 
 import numpy as np
 
-from .divergences import PsiEvaluator, _golden_min, _scan_min, fidelity
+from .divergences import PsiEvaluator, _golden_min, _scan_min, _twirled_parts, fidelity
 from .errors import DimensionError
+from .groups import GroupAction
 from .linalg import (
     _eigh,
     above_cut,
@@ -41,6 +52,10 @@ from .linalg import (
     trace_norm,
 )
 from .reports import CheckReport
+
+# matrix entries per stacked eigh of a threshold sweep: bounds its
+# temporaries, whatever the length of the rate grid
+SWEEP_ENTRIES = 2**18
 
 
 @dataclass(frozen=True, eq=False)
@@ -81,8 +96,9 @@ class ErrorPair:
 def error_pair(test, rho0n, rho1n) -> ErrorPair:
     """Type-I and type-II error probabilities of a test."""
     t = test.mat if isinstance(test, TestOperator) else asmatrix(test)
-    m0, m1 = asmatrix(rho0n), asmatrix(rho1n)
-    if t.shape != m0.shape or m0.shape != m1.shape:
+    s0, s1 = state_pair(rho0n, rho1n)
+    m0, m1 = s0.mat, s1.mat
+    if t.shape != m0.shape:
         raise DimensionError("test and states must share a dimension")
     beta0 = 1.0 - float(np.trace(m0 @ t).real)
     beta1 = float(np.trace(m1 @ t).real)
@@ -101,29 +117,47 @@ def threshold_errors(rho0n, rho1n, a_values) -> np.ndarray:
     The tests are the projections np_test builds, with the same rank cut, but
     their errors are read off a spectrum: the joint eigenvalue atoms of a
     commuting pair, where the test keeps the atoms whose eigenvalue
-    e^{-a} w0 - w1 survives the cut, or else one eigh per rate, summing
-    <v|m|v> over the kept eigenvectors v instead of forming the projection.
+    e^{-a} w0 - w1 survives the cut, or else the eigh of each difference,
+    summing <v|m|v> over the kept eigenvectors v instead of forming the
+    projection.  The pair is the one-part case of :class:`TwirledPair`.
     """
     s0, s1 = state_pair(rho0n, rho1n)
-    m0, m1 = s0.mat, s1.mat
-    atoms = _commuting_atoms(s0, s1)
-    rows = []
-    for a in a_values:
-        weight = math.exp(-float(a))
-        if atoms is not None:
-            w0, w1, o = atoms
-            keep = above_cut(weight * w0 - w1)
-            accept0, accept1 = (w0 * o)[keep].sum(), (w1 * o)[keep].sum()
-        else:
-            delta = weight * m0 - m1
-            w, v = np.linalg.eigh((delta + delta.conj().T) / 2.0)
-            kept = v[:, above_cut(w)]
-            vh = kept.conj().T
-            accept0 = ((vh @ m0) * kept.T).sum().real
-            accept1 = ((vh @ m1) * kept.T).sum().real
-        errors = ErrorPair(1.0 - float(accept0), float(accept1))
-        rows.append((errors.beta0, errors.beta1))
-    return np.array(rows, dtype=float).reshape(-1, 2)
+    return _threshold_errors([(1, s0.mat, s1.mat)], _commuting_atoms(s0, s1), a_values)
+
+
+def _threshold_errors(parts, atoms, a_values) -> np.ndarray:
+    """threshold_errors of the direct sum of the parts (m, A, B): from the
+    commuting atoms when given, else from one eigh per part of each
+    difference e^{-a} A - B, each cut at its own level, as np_test cuts the
+    difference of a one-part pair, and part t adding m_t times its accepted
+    masses.  The rates are taken SWEEP_ENTRIES matrix entries (or atoms) at a
+    time, one stacked array per part."""
+    # the weights np_test puts on A, bit for bit
+    weights = np.array([math.exp(-float(a)) for a in a_values])
+    accept0, accept1 = np.zeros(weights.size), np.zeros(weights.size)
+    if atoms is not None:
+        w0, w1, o = atoms
+        for rates in _rate_chunks(weights.size, w0.size):
+            kept = above_cut(np.multiply.outer(weights[rates], w0) - w1)
+            accept0[rates], accept1[rates] = kept @ (w0 * o), kept @ (w1 * o)
+    else:
+        for mult, m0, m1 in parts:
+            for rates in _rate_chunks(weights.size, m0.size):
+                # e^{-a} A - B of two canonical matrices is exactly Hermitian
+                w, v = np.linalg.eigh(weights[rates, None, None] * m0 - m1)
+                kept = above_cut(w)
+                vh, vt = v.conj().transpose(0, 2, 1), v.transpose(0, 2, 1)
+                for accept, m in ((accept0, m0), (accept1, m1)):
+                    # <v|m|v> of each eigenvector v, summed over the kept ones
+                    accept[rates] += mult * (((vh @ m) * vt).sum(axis=2).real * kept).sum(axis=1)
+    rows = [ErrorPair(1.0 - float(a0), float(a1)) for a0, a1 in zip(accept0, accept1)]
+    return np.array([(e.beta0, e.beta1) for e in rows], dtype=float).reshape(-1, 2)
+
+
+def _rate_chunks(count: int, entries: int) -> list[slice]:
+    """Slices of count rates, each of at most SWEEP_ENTRIES // entries of them."""
+    step = max(1, SWEEP_ENTRIES // max(entries, 1))
+    return [slice(k, k + step) for k in range(0, count, step)]
 
 
 def p_min(rho0n, rho1n, a: float = 0.0) -> float:
@@ -171,16 +205,22 @@ def pmin_bounds_check(rho0n, rho1n, a: float) -> CheckReport:
 
 
 def _commuting_atoms(rho0n, rho1n) -> tuple[np.ndarray, np.ndarray, np.ndarray] | None:
-    """:meth:`PsiEvaluator.atoms` of two commuting states, None for others."""
+    """:meth:`PsiEvaluator.atoms` of two commuting states, None for others:
+    the one-part case of :attr:`TwirledPair.atoms`."""
     s0, s1 = state_pair(rho0n, rho1n)
-    m0, m1 = s0.mat, s1.mat
-    scale = max(1.0, float(np.max(np.abs(m0))), float(np.max(np.abs(m1))))
-    # for Hermitian m0 and m1, m1 m0 = (m0 m1)^*, so one product gives the commutator
-    x = m0 @ m1
-    if float(np.max(np.abs(x - x.conj().T))) > 1e-10 * scale:
-        return None
-    del x  # free it before the evaluator's overlap product
-    return PsiEvaluator(s0, s1).atoms()
+    return PsiEvaluator(s0, s1).atoms() if _commute([(1, s0.mat, s1.mat)]) else None
+
+
+def _commute(parts) -> bool:
+    """Whether A and B commute in every part (m, A, B), each within
+    1e-10 * max(1, max|A|, max|B|) in its largest entry."""
+    for _, m0, m1 in parts:
+        scale = max(1.0, float(np.max(np.abs(m0))), float(np.max(np.abs(m1))))
+        # for Hermitian m0 and m1, m1 m0 = (m0 m1)^*, so one product gives the commutator
+        x = m0 @ m1
+        if float(np.max(np.abs(x - x.conj().T))) > 1e-10 * scale:
+            return False
+    return True
 
 
 def _commuting_dual(p: np.ndarray, q: np.ndarray, eps: float) -> float:
@@ -201,8 +241,10 @@ def _commuting_dual(p: np.ndarray, q: np.ndarray, eps: float) -> float:
     return float(min(max(0.0, best), 1.0))
 
 
-def _general_dual(m0: np.ndarray, m1: np.ndarray, eps: float) -> float:
-    """Golden-section maximum of the concave dual over [0, 1/eps].
+def _general_dual(parts, eps: float) -> float:
+    """Golden-section maximum over [0, 1/eps] of the concave dual of the
+    direct sum of the parts (m, A, B), t(1 - eps) - sum_t m_t Tr(t A - B)_+,
+    one eigvalsh per part and t.
 
     Every evaluated t gives a lower bound on beta_eps by weak duality, so the
     largest value seen is returned; f(0) = 0 starts the record.
@@ -211,8 +253,10 @@ def _general_dual(m0: np.ndarray, m1: np.ndarray, eps: float) -> float:
 
     def neg_dual(t: float) -> float:
         nonlocal best
-        w = np.linalg.eigvalsh(t * m0 - m1)
-        value = t * (1.0 - eps) - float(np.sum(w[w > 0.0]))
+        value = t * (1.0 - eps)
+        for mult, m0, m1 in parts:
+            w = np.linalg.eigvalsh(t * m0 - m1)
+            value -= mult * float(np.sum(w[w > 0.0]))
         best = max(best, value)
         return -value
 
@@ -225,16 +269,56 @@ def beta_eps(rho0n, rho1n, eps: float) -> float:
 
     Computed as max over t >= 0 of t(1 - eps) - Tr(t*rho0n - rho1n)_+, the
     Lagrange dual of the hypothesis-testing problem (Wang-Renner,
-    arXiv:1007.5456); strong duality makes the maximum equal beta_eps.
+    arXiv:1007.5456); strong duality makes the maximum equal beta_eps.  The
+    pair is the one-part case of :class:`TwirledPair`.
     """
+    s0, s1 = state_pair(rho0n, rho1n)
+    return _beta_eps([(1, s0.mat, s1.mat)], _commuting_atoms(s0, s1), eps)
+
+
+def _beta_eps(parts, atoms, eps: float) -> float:
+    """beta_eps of the direct sum of the parts (m, A, B): the dual's
+    breakpoints over the commuting atoms when given, else golden section."""
     if not 0.0 < eps < 1.0:
         raise ValueError("eps must lie strictly between 0 and 1")
-    s0, s1 = state_pair(rho0n, rho1n)
-    atoms = _commuting_atoms(s0, s1)
     if atoms is not None:
         w0, w1, o = atoms
         return _commuting_dual(w0 * o, w1 * o, eps)
-    return _general_dual(s0.mat, s1.mat, eps)
+    return _general_dual(parts, eps)
+
+
+class TwirledPair:
+    """The twirled n-copy pair of two states, held as the parts (m, A, B) of
+    its direct sum: m copies of the pair of canonical matrices (A, B).
+
+    A qubit pair gives one part per Schur-Weyl block t (m = m_t, no 2^n-sized
+    array), any other pair the one part of groups.twirled_pair; the route
+    follows action.dim, as PsiEvaluator.twirled does, and both read the same
+    parts (divergences._twirled_parts).  ``evaluator`` is the PsiEvaluator of
+    the parts and ``atoms`` its commuting atoms when A and B commute in every
+    part, else None; each is built once, on first use.  :meth:`beta_eps` and
+    :meth:`threshold_errors` give what the functions of the same names give
+    on the dense pair, read part by part: the dual's Tr(t rho0n - rho1n)_+ is
+    sum_t m_t Tr(t A_t - B_t)_+, and a threshold test's accepted masses are
+    m_t times those of part t, each part's difference cut at its own level.
+    """
+
+    def __init__(self, rho0, rho1, action: GroupAction, n: int):
+        self.parts, self._spectra = _twirled_parts(rho0, rho1, action, n)
+
+    @functools.cached_property
+    def evaluator(self) -> PsiEvaluator:
+        return PsiEvaluator.of_parts(self._spectra)
+
+    @functools.cached_property
+    def atoms(self) -> tuple[np.ndarray, np.ndarray, np.ndarray] | None:
+        return self.evaluator.atoms() if _commute(self.parts) else None
+
+    def beta_eps(self, eps: float) -> float:
+        return _beta_eps(self.parts, self.atoms, eps)
+
+    def threshold_errors(self, a_values) -> np.ndarray:
+        return _threshold_errors(self.parts, self.atoms, a_values)
 
 
 def strong_converse_bound(evaluator: PsiEvaluator, eps: float, a):

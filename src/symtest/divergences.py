@@ -14,8 +14,11 @@ sum: PsiEvaluator(rho0, rho1) is one part, and PsiEvaluator.twirled(rho0,
 rho1, action, n) reads the twirled n-copy pair of qubits off its Schur-Weyl
 blocks (schur_weyl.schur_weyl_pair), one part per block t with m = m_t and
 no 2^n-sized array; for d > 2 it is PsiEvaluator(*twirled_pair(rho0, rho1,
-action, n)).  A twirled pair's psi-only quantities take PsiEvaluator.twirled;
-a caller that builds the dense pair for a matrix quantity reads psi off it.
+action, n)).  _twirled_parts is that route, and it also hands out each
+part's pair of matrices, which discrimination.TwirledPair reads beta_eps and
+the threshold sweep off, next to the evaluator of the same parts.  A twirled
+pair's psi-only quantities take PsiEvaluator.twirled; a caller that builds
+the dense pair for another matrix quantity reads psi off it.
 PsiEvaluator.trace_power and .psi take a float or an array of s: a float
 gives a float, an array an array of its shape, evaluated GRID_CHUNK points
 per matrix product.  A PsiCurve calls its evaluator once on its whole grid;
@@ -86,14 +89,13 @@ class PsiEvaluator:
         """The evaluator of the twirled n-copy pair: from its Schur-Weyl blocks
         (schur_weyl.schur_weyl_pair) for a qubit pair, else
         PsiEvaluator(*twirled_pair(rho0, rho1, action, n))."""
-        if action.dim != 2:
-            return cls(*twirled_pair(rho0, rho1, action, n))
-        # imported here, so only the commands that take the route compile it
-        from .schur_weyl import schur_weyl_pair
+        return cls.of_parts(_twirled_parts(rho0, rho1, action, n)[1])
 
-        blocks0, blocks1 = schur_weyl_pair(rho0, rho1, action, n)
+    @classmethod
+    def of_parts(cls, parts) -> "PsiEvaluator":
+        """The evaluator of the pair whose parts are (m, spectrum0, spectrum1)."""
         ev = cls.__new__(cls)
-        ev._build([(mult, s0, s1) for (mult, s0), (_, s1) in zip(blocks0, blocks1)])
+        ev._build(parts)
         return ev
 
     def _build(self, parts) -> None:
@@ -185,6 +187,23 @@ class PsiEvaluator:
             raise ValueError("order 1 is the relative entropy; call relative_entropy instead")
         t = self.trace_power(alpha)
         return POS_INF if t <= UNDERFLOW else math.log(t) / (alpha - 1.0)
+
+
+def _twirled_parts(rho0, rho1, action: GroupAction, n: int) -> tuple[list, list]:
+    """The twirled n-copy pair as the parts of its direct sum, twice: as
+    (m, A, B) of canonical matrices and as (m, spectrum of A, spectrum of B).
+    A qubit pair gives one part per Schur-Weyl block t, m = m_t, and no
+    2^n-sized array; any other pair gives the one part of
+    twirled_pair(rho0, rho1, action, n).  The route follows action.dim."""
+    if action.dim != 2:
+        s0, s1 = twirled_pair(rho0, rho1, action, n)
+        return [(1, s0.mat, s1.mat)], [(1, s0.spectrum, s1.spectrum)]
+    # imported here, so only the commands that take the route compile it
+    from .schur_weyl import schur_weyl_pair
+
+    blocks = list(zip(*schur_weyl_pair(rho0, rho1, action, n)))
+    return ([(mult, a, b) for (mult, _, a), (_, _, b) in blocks],
+            [(mult, a, b) for (mult, a, _), (_, b, _) in blocks])
 
 
 def _joined(arrays: list[np.ndarray]) -> np.ndarray:
@@ -393,12 +412,18 @@ def lieb_bound_check(rho0, rho1, action: GroupAction, n: int,
     """Sandwich of the n-copy twirled psi between the scaled unrestricted and
     single-copy twirled curves: on [0, 1] it sits above n*psi_unrestricted and
     below n*psi_1; on [1, 2] both bounds flip when supp rho1 is invariant."""
-    s_grid = np.asarray(default_s_grid() if s_grid is None else s_grid, dtype=float)
-    ev_n = PsiEvaluator.twirled(rho0, rho1, action, n)
-    ev_1 = PsiEvaluator.twirled(rho0, rho1, action, 1)
-    ev_0 = PsiEvaluator(rho0, rho1)
+    return _psi_sandwich(PsiEvaluator.twirled(rho0, rho1, action, n),
+                         PsiEvaluator.twirled(rho0, rho1, action, 1), PsiEvaluator(rho0, rho1),
+                         is_support_invariant(rho1, action), n,
+                         default_s_grid() if s_grid is None else s_grid)
+
+
+def _psi_sandwich(ev_n: PsiEvaluator, ev_1: PsiEvaluator, ev_0: PsiEvaluator,
+                  invariant: bool, n: int, s_grid) -> CheckReport:
+    """:func:`lieb_bound_check` from the evaluators of the twirled n-copy
+    pair, the twirled pair and the pair, and whether supp rho1 is invariant."""
+    s_grid = np.asarray(s_grid, dtype=float)
     report = CheckReport(f"psi sandwich (n={n})")
-    invariant = is_support_invariant(rho1, action)
     report.note("supp rho1 invariant", value=float(invariant))
     low = s_grid[(s_grid >= 0.0) & (s_grid <= 1.0)]
     curves = (ev.psi(low).tolist() for ev in (ev_n, ev_1, ev_0))

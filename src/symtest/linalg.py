@@ -16,8 +16,9 @@ convention 0**s = 0 for all real s.  The spectral decisions live here and
 nowhere else: a computed eigenvalue counts as zero up to the
 :func:`cut_level` size * eps * max|w| of the matrix it was decomposed from,
 with no absolute floor, and a :class:`Spectrum` carries that cut per
-eigenpair; :func:`above_cut` applies the level to one spectrum as a whole,
-:func:`cluster_slices` splits a spectrum into degenerate runs,
+eigenpair; :func:`above_cut` applies the level to one spectrum as a whole
+(or to each spectrum of a stack), :func:`cluster_slices` splits a spectrum
+into degenerate runs,
 :meth:`Spectrum.clipped` moves a spectrum into a range, and
 :func:`components` splits an index set into the connected components of a
 linkage.  The rule that makes a matrix a state is written once, for the
@@ -34,8 +35,9 @@ uses its canonical ``mat`` and the spectrum it keeps for :func:`eig` to
 hand back, without gating it again.  :func:`eig` of any other
 operator (a signed difference, a test) decomposes it as one matrix: the
 projection ``discrimination.np_test`` builds must keep what the sweep of
-``threshold_errors`` keeps from one eigh of the whole difference.  No step
-forms a dense V diag(w) V*.
+``threshold_errors`` keeps from the eigh of the same difference, part by
+part for a pair held as parts (each part's difference one matrix, cut at
+its own level).  No step forms a dense V diag(w) V*.
 """
 
 from __future__ import annotations
@@ -373,14 +375,18 @@ def _assembled_eig(lone_w: np.ndarray, lone: np.ndarray, comps: list[np.ndarray]
     return Spectrum(w, v, cut)
 
 
-def cut_level(w: np.ndarray) -> float:
-    """w.size * eps * max|w|, the level an eigenvalue in w must exceed to count as nonzero."""
-    return w.size * float(np.finfo(float).eps) * float(np.max(np.abs(w), initial=0.0))
+def cut_level(w: np.ndarray):
+    """w.size * eps * max|w|, the level an eigenvalue in w must exceed to
+    count as nonzero: a float for one spectrum, and for a stack of spectra
+    along the last axis one level per spectrum, that axis kept as size 1."""
+    level = w.shape[-1] * float(np.finfo(float).eps) * np.max(np.abs(w), axis=-1, initial=0.0)
+    return float(level) if w.ndim == 1 else level[..., None]
 
 
 def above_cut(w: np.ndarray) -> np.ndarray:
-    """Mask w > :func:`cut_level` of the eigenvalues that count as nonzero;
-    on a signed spectrum it keeps the positive part."""
+    """Mask w > :func:`cut_level` of the eigenvalues that count as nonzero,
+    each spectrum of a stack cut at its own level; on a signed spectrum it
+    keeps the positive part."""
     return w > cut_level(w)
 
 

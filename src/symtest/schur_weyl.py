@@ -8,7 +8,8 @@ the twirl of rho^{(x)n} under a finite group or the torus is n//2 + 1 blocks
 of size at most n + 1, and schur_weyl_pair builds them without any 2^n-sized
 array.  groups.twirled_pair builds the same pair densely; it stays the route
 for d > 2 and the oracle the blocks are tested against.  The module is
-imported by PsiEvaluator.twirled when a qubit pair first takes the route.
+imported by divergences._twirled_parts, the route of PsiEvaluator.twirled
+and discrimination.TwirledPair, when a qubit pair first takes it.
 """
 
 from __future__ import annotations
@@ -26,9 +27,9 @@ from .linalg import DensityOperator, Spectrum, _gram_eigh, _split_eig, _state_ru
 def schur_weyl_pair(rho0, rho1, action: GroupAction, n: int) -> tuple[list, list]:
     """The twirls of rho0^{(x)n} and rho1^{(x)n} of a qubit pair as their
     Schur-Weyl blocks, without any 2^n x 2^n array: per state the list of
-    (m_t, spectrum of block t) for t = 0..n//2, where block t has dimension
-    n - 2t + 1 and multiplicity m_t = C(n, t) - C(n, t - 1), so that
-    sum_t m_t (n - 2t + 1) = 2^n.
+    (m_t, spectrum of block t, block t) for t = 0..n//2, where block t has
+    dimension n - 2t + 1 and multiplicity m_t = C(n, t) - C(n, t - 1), so
+    that sum_t m_t (n - 2t + 1) = 2^n.
 
     rho^{(x)n} is the direct sum over t of det(rho)^t Sym^{n-2t}(rho) (x)
     I_{m_t}, and U^{(x)n} acts on block t as Sym^{n-2t}(U), whose phase
@@ -55,6 +56,11 @@ def schur_weyl_pair(rho0, rho1, action: GroupAction, n: int) -> tuple[list, list
     Each eigenpair carries the cut of its component, as on the dense route:
     0 for a 1x1 component, else the component's size times eps times its
     largest eigenvalue, whatever the other components and blocks hold.
+
+    Block t itself is its canonical matrix, read-only, divided by the trace
+    the state rule divided its spectrum by.  No clip can move a block's
+    spectrum off its matrix, since every eigenvalue is a square (a singular
+    value of f[idx]) or a sum of squares (a 1x1 component's entry).
     """
     _check_power_dim(action, n)
     s0, s1 = state_pair(rho0, rho1)
@@ -65,7 +71,8 @@ def schur_weyl_pair(rho0, rho1, action: GroupAction, n: int) -> tuple[list, list
     return _schur_weyl_blocks(s0, action, n), _schur_weyl_blocks(s1, action, n)
 
 
-def _schur_weyl_blocks(rho: DensityOperator, action: GroupAction, n: int) -> list[tuple[int, Spectrum]]:
+def _schur_weyl_blocks(rho: DensityOperator, action: GroupAction,
+                       n: int) -> list[tuple[int, Spectrum, np.ndarray]]:
     spec = rho.spectrum
     lam = np.where(spec.support_mask(), spec.eigenvalues, 0.0)
     # a group is a set: taken in a fixed order, its elements give the same
@@ -75,7 +82,7 @@ def _schur_weyl_blocks(rho: DensityOperator, action: GroupAction, n: int) -> lis
     pinched = action.kind == TORUS and bool(action.weights[0] != action.weights[1])
     factors = np.array([u @ spec.eigenvectors for u in unitaries])
     root = np.sqrt(lam)
-    parts = []
+    parts, mats = [], []
     for t in range(n // 2 + 1):
         size = n - 2 * t + 1
         # block t is f f^* with f = [S_g sqrt(det^t Lam)]_g / sqrt(|G|)
@@ -92,8 +99,14 @@ def _schur_weyl_blocks(rho: DensityOperator, action: GroupAction, n: int) -> lis
         mat, block_spec, _, _ = _split_eig(block, lambda idx, sub: _gram_eigh(f[idx], sub))
         mult = math.comb(n, t) - (math.comb(n, t - 1) if t else 0)
         parts.append((mult, float(np.trace(mat).real), block_spec))
-    spectra, _ = _state_rule(parts)
-    return [(mult, s) for (mult, _, _), s in zip(parts, spectra)]
+        mats.append(mat)
+    spectra, tr = _state_rule(parts)
+    if tr != 1.0:
+        # a canonical matrix over its real trace stays exactly Hermitian
+        mats = [mat / tr for mat in mats]
+        for mat in mats:
+            mat.setflags(write=False)
+    return [(mult, s, mat) for (mult, _, _), s, mat in zip(parts, spectra, mats)]
 
 
 def _power_tables(a: np.ndarray, m: int) -> np.ndarray:

@@ -4,9 +4,12 @@ Each function returns a CheckReport; run_verify assembles the complete set
 over the built-in scenarios plus seeded random instances.  A report that
 reads dense twirled pairs takes them from ``pairs(key, n)``, the twirled
 n-copy pair of builtin scenario ``key``, which run_verify builds and
-validates once per (key, n) however many reports read it.  A clean run is
-the machine-checkable statement that every finite-size inequality this
-package implements holds at its stated tolerance.
+validates once per (key, n) however many reports read it; a report that
+reads psi alone takes ``evaluators(key, n)``, the PsiEvaluator.twirled of
+the same pair (Schur-Weyl blocks for qubits), built once per (key, n) the
+same way.  A clean run is the machine-checkable statement that every
+finite-size inequality this package implements holds at its stated
+tolerance.
 """
 
 from __future__ import annotations
@@ -21,6 +24,7 @@ from .asymptotics import (
     TORUS_PURE_VS_MIXED,
     TORUS_TWO_PURE,
     Z2_COMMUTING,
+    _stein_gap,
     closed_form_curve,
     closed_form_psi,
     closed_form_relative_entropy,
@@ -28,7 +32,6 @@ from .asymptotics import (
     make_scenario,
     pure_qubit,
     sigma_state,
-    stein_gap_check,
     torus_action,
     z2_action,
 )
@@ -42,10 +45,10 @@ from .discrimination import (
 )
 from .divergences import (
     PsiEvaluator,
+    _psi_sandwich,
     chernoff_distance,
     fidelity,
     hoeffding_distance,
-    lieb_bound_check,
     phi,
     psi_curve,
     relative_entropy,
@@ -93,25 +96,29 @@ def _random_pairs(count: int, dims=(2, 3)):
     return pairs
 
 
-def psi_sandwich_reports(scenarios, n_max: int) -> list[CheckReport]:
+def psi_sandwich_reports(scenarios, evaluators, n_max: int) -> list[CheckReport]:
+    """lieb_bound_check of four builtin scenarios at every n, its twirled
+    evaluators read from the table."""
     sparse_grid = np.linspace(-0.5, 2.0, 26)
     out = []
     for key in ("two-commuting", "two-commuting-extremal", "pure-vs-mixed", "two-pure"):
         sc = scenarios[key]
+        unrestricted = PsiEvaluator(sc.rho0, sc.rho1)
+        invariant = is_support_invariant(sc.rho1, sc.action)
         for n in range(1, n_max + 1):
-            rep = lieb_bound_check(sc.rho0, sc.rho1, sc.action, n, s_grid=sparse_grid)
+            rep = _psi_sandwich(evaluators(key, n), evaluators(key, 1), unrestricted,
+                                invariant, n, sparse_grid)
             rep.name = f"{key}: {rep.name}"
             out.append(rep)
     return out
 
 
-def additivity_report(scenarios) -> CheckReport:
+def additivity_report(evaluators) -> CheckReport:
     """psi subadditivity on [0,1] and Renyi superadditivity below order 1."""
     report = CheckReport("psi/Renyi additivity across copy counts")
     pairs = [(1, 1), (1, 2), (2, 2)]
     for key in ("two-commuting", "pure-vs-mixed", "two-pure"):
-        sc = scenarios[key]
-        evs = {n: PsiEvaluator.twirled(sc.rho0, sc.rho1, sc.action, n) for n in (1, 2, 3, 4)}
+        evs = {n: evaluators(key, n) for n in (1, 2, 3, 4)}
         s_grid = np.array([0.25, 0.5, 0.75])
         curves = {n: ev.psi(s_grid).tolist() for n, ev in evs.items()}
         for n, m in pairs:
@@ -282,9 +289,9 @@ def np_optimality_report(pairs) -> CheckReport:
     return report
 
 
-def stein_reports(scenarios, n_max: int) -> list[CheckReport]:
+def stein_reports(scenarios, evaluators, n_max: int) -> list[CheckReport]:
     sc = scenarios["pure-vs-mixed"]
-    return [stein_gap_check(sc, n) for n in range(1, min(n_max, 5) + 1)]
+    return [_stein_gap(sc, n, evaluators("pure-vs-mixed", n)) for n in range(1, min(n_max, 5) + 1)]
 
 
 def lf_identity_report() -> CheckReport:
@@ -393,7 +400,7 @@ def conjugation_chain_report() -> CheckReport:
     return report
 
 
-def closed_form_bracket_report(scenarios, n_max: int) -> CheckReport:
+def closed_form_bracket_report(scenarios, evaluators, n_max: int) -> CheckReport:
     """The normalized per-copy curve brackets its closed-form limit: from
     above on [0, 1], from below on [1, 2] when the alternative's support is
     invariant."""
@@ -403,7 +410,7 @@ def closed_form_bracket_report(scenarios, n_max: int) -> CheckReport:
         mirror = is_support_invariant(sc.rho1, sc.action)
         low, high = np.linspace(0.0, 1.0, 5), np.array([1.0, 1.25, 1.5, 2.0])
         for n in range(1, min(n_max, 5) + 1):
-            ev = PsiEvaluator.twirled(sc.rho0, sc.rho1, sc.action, n)
+            ev = evaluators(key, n)
             for s, value in zip(low.tolist(), (ev.psi(low) / n).tolist()):
                 limit = closed_form_psi(sc.kind, sc.params, s)
                 report.check_leq(f"{key} n={n}: limit <= curve at s={s:g}", limit, value, 1e-8)
@@ -488,17 +495,32 @@ def mean_quantity_report(scenarios) -> CheckReport:
     return report
 
 
+def _evaluator_table(scenarios):
+    """evaluators(key, n), PsiEvaluator.twirled of the twirled n-copy pair of
+    builtin scenario key, built once per (key, n) for the life of the table."""
+
+    @functools.cache
+    def evaluators(key: str, n: int) -> PsiEvaluator:
+        sc = scenarios[key]
+        return PsiEvaluator.twirled(sc.rho0, sc.rho1, sc.action, n)
+
+    return evaluators
+
+
 def run_verify(n_max: int = 6) -> list[CheckReport]:
     scenarios = builtin_scenarios(n_max)
 
-    @functools.cache  # the table lives as long as this run
+    # the tables live as long as this run
+    @functools.cache
     def pairs(key: str, n: int) -> tuple[DensityOperator, DensityOperator]:
         sc = scenarios[key]
         return twirled_pair(sc.rho0, sc.rho1, sc.action, n)
 
+    evaluators = _evaluator_table(scenarios)
+
     reports: list[CheckReport] = []
-    reports.extend(psi_sandwich_reports(scenarios, n_max))
-    reports.append(additivity_report(scenarios))
+    reports.extend(psi_sandwich_reports(scenarios, evaluators, n_max))
+    reports.append(additivity_report(evaluators))
     reports.append(renyi_entropy_subadditivity_report(pairs))
     reports.extend(pmin_bounds_reports(pairs))
     reports.extend(fidelity_reports(scenarios, pairs, n_max))
@@ -507,14 +529,14 @@ def run_verify(n_max: int = 6) -> list[CheckReport]:
     reports.append(restricted_pmin_report(scenarios, pairs, n_max))
     reports.append(chernoff_band_report())
     reports.append(np_optimality_report(pairs))
-    reports.extend(stein_reports(scenarios, n_max))
+    reports.extend(stein_reports(scenarios, evaluators, n_max))
     reports.append(lf_identity_report())
     reports.append(weyl_report())
     reports.append(beta_eps_converse_report(scenarios, pairs))
     reports.append(data_processing_report())
     reports.append(conjugation_chain_report())
     reports.append(mean_quantity_report(scenarios))
-    reports.append(closed_form_bracket_report(scenarios, n_max))
+    reports.append(closed_form_bracket_report(scenarios, evaluators, n_max))
     reports.append(beta_eps_shape_report(pairs))
     reports.append(dim_growth_report(n_max))
     reports.append(equality_experiment_report())

@@ -238,7 +238,7 @@ class TestBetaEps:
         m0, m1 = np.diag(p).astype(complex), np.diag(q).astype(complex)
         for eps, expected in ((0.1, 2.0 / 3.0), (0.35, 0.3), (0.7, 0.12 / 1.1)):
             assert _commuting_dual(p, q, eps) == pytest.approx(expected, abs=1e-9)
-            assert _general_dual(m0, m1, eps) == pytest.approx(expected, abs=1e-9)
+            assert _general_dual([(1, m0, m1)], eps) == pytest.approx(expected, abs=1e-9)
             assert beta_eps(m0, m1, eps) == pytest.approx(expected, abs=1e-9)
 
     def test_null_mass_outside_alternative_support(self):
@@ -371,7 +371,7 @@ class TestThresholdErrors:
             assert _commuting_atoms(*pair) is not None
             for eps in (0.1, 0.3):
                 value = beta_eps(*pair, eps)
-                assert value == pytest.approx(_general_dual(pair[0].mat, pair[1].mat, eps),
+                assert value == pytest.approx(_general_dual([(1, pair[0].mat, pair[1].mat)], eps),
                                               abs=1e-9)
         assert not calls
 
@@ -441,6 +441,7 @@ class TestStatePairs:
         assert not calls
 
     CALLS = {
+        "error_pair": lambda a, b: error_pair(np.eye(2) / 2, a, b),
         "beta_eps": lambda a, b: beta_eps(a, b, 0.1),
         "threshold_errors": lambda a, b: threshold_errors(a, b, [0.0]),
         "np_test": lambda a, b: np_test(a, b, 0.0),

@@ -8,7 +8,9 @@ own routines.  A state is gated once, when it is built, and every reader
 takes its canonical matrix: outside linalg only the test type
 (discrimination.TestOperator) runs the Hermitian gate.  The oracle is an
 independent reference that shares no code path with the pipeline it checks,
-so no package module imports a private name from it.
+so no package module imports a private name from it.  The Schur-Weyl
+route's module is imported inside the functions that take the route, so a
+command that never does (and ``import symtest.cli``) does not load it.
 """
 
 import ast
@@ -53,3 +55,25 @@ def test_no_package_module_imports_a_private_oracle_name():
     found = [f"{name}: {used}" for name, tree in package_modules() if name != "oracle"
              for used in imported_names(tree, "oracle") if used.startswith("_")]
     assert not found, f"the oracle shares code with the pipeline: {found}"
+
+
+def module_level_imports(tree):
+    """The import statements of a tree outside any function body."""
+    stack = list(tree.body)
+    while stack:
+        node = stack.pop()
+        if isinstance(node, (ast.Import, ast.ImportFrom)):
+            yield node
+        elif not isinstance(node, (ast.FunctionDef, ast.AsyncFunctionDef, ast.Lambda)):
+            stack.extend(ast.iter_child_nodes(node))
+
+
+def test_the_schur_weyl_route_is_imported_on_first_use_only():
+    found = []
+    for name, tree in package_modules():
+        for node in module_level_imports(tree):
+            modules = ([node.module or ""] + [f"{node.module or ''}.{a.name}" for a in node.names]
+                       if isinstance(node, ast.ImportFrom) else [a.name for a in node.names])
+            if any(m.split(".")[-1] == "schur_weyl" for m in modules):
+                found.append(name)
+    assert not found, f"imported at module level: {found}"

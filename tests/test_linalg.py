@@ -22,6 +22,7 @@ from symtest.linalg import (
     _eigh,
     _split_eig,
     above_cut,
+    cut_level,
     abs_power_trace,
     asmatrix,
     cluster_slices,
@@ -316,6 +317,15 @@ def test_above_cut_matches_old_cut_on_signed_differences(rng):
         for weight in (0.3, 1.0, 4.0):
             w = np.linalg.eigvalsh(weight * rho0 - rho1)
             assert np.array_equal(above_cut(w), w > _old_rank_cut(np.abs(w), dim))
+
+
+def test_a_stack_of_spectra_is_cut_row_by_row(rng):
+    rho0, rho1 = random_density(5, rank=2, rng=rng), random_density(5, rng=rng)
+    weights = np.array([0.3, 1.0, 4.0, 1e-12])
+    stack = np.linalg.eigvalsh(weights[:, None, None] * rho0 - rho1)
+    assert np.array_equal(above_cut(stack), [above_cut(w) for w in stack])
+    assert cut_level(stack).shape == (4, 1)
+    assert cut_level(stack)[:, 0].tolist() == [cut_level(w) for w in stack]
 
 
 def test_spectrum_support_keeps_pairs_above_cut(rng):

@@ -74,7 +74,7 @@ def per_copy_gap(ev_a, n_a, ev_b, n_b):
 
 def smallest_kept(rho0, rho1, action, n):
     """The smallest eigenvalue either twirled n-copy state keeps."""
-    return min(min((s.support().eigenvalues.min(initial=np.inf) for _, s in blocks))
+    return min(min((s.support().eigenvalues.min(initial=np.inf) for _, s, _ in blocks))
                for blocks in schur_weyl_pair(rho0, rho1, action, n))
 
 
@@ -210,9 +210,9 @@ def test_sign_flip_keeps_the_exact_atoms_of_a_diagonal_pair():
 def test_blocks_fill_the_n_copy_space(monkeypatch, n):
     monkeypatch.setenv("SYMTEST_DIM_CAP", str(2**26))
     for blocks in schur_weyl_pair(*PAIRS["A"], SIGN_FLIP, n):
-        assert [spec.eigenvalues.size for _, spec in blocks] == list(range(n + 1, 0, -2))
-        assert sum(mult * spec.eigenvalues.size for mult, spec in blocks) == 2**n
-        assert sum(mult * float(spec.eigenvalues.sum()) for mult, spec in blocks) == pytest.approx(1.0, abs=1e-14)
+        assert [spec.eigenvalues.size for _, spec, _ in blocks] == list(range(n + 1, 0, -2))
+        assert sum(mult * spec.eigenvalues.size for mult, spec, _ in blocks) == 2**n
+        assert sum(mult * float(spec.eigenvalues.sum()) for mult, spec, _ in blocks) == pytest.approx(1.0, abs=1e-14)
 
 
 KEEP_CASES = {
@@ -247,12 +247,12 @@ def test_keeps_and_marks_exact_what_the_dense_route_does(case):
         dense = twirled_pair(rho0, rho1, action, n)
         for rho, blocks in zip(dense, schur_weyl_pair(rho0, rho1, action, n)):
             want = rho.spectrum.support()
-            kept = [s.support() for _, s in blocks]
-            got_w = np.concatenate([np.repeat(s.eigenvalues, mult) for (mult, _), s in zip(blocks, kept)])
+            kept = [s.support() for _, s, _ in blocks]
+            got_w = np.concatenate([np.repeat(s.eigenvalues, mult) for (mult, _, _), s in zip(blocks, kept)])
             order = np.argsort(got_w, kind="stable")
             assert got_w.size == want.eigenvalues.size, n
             assert np.allclose(got_w[order], want.eigenvalues, rtol=1e-12, atol=0.0), n
-            for _, spec in blocks:
+            for _, spec, _ in blocks:
                 assert_exact_are_lone_components(spec)
                 if action.kind == "torus" and action.weights[0] != action.weights[1]:
                     assert (spec.cut == 0).all(), n
@@ -272,7 +272,7 @@ def test_block_route_keeps_the_exact_atom_the_dense_route_cuts():
         assert (kept.cut == 0).all()
         assert_exact_are_lone_components(kept)
         assert np.allclose(kept.eigenvalues, [n * 1e-300, 1.0], rtol=1e-12, atol=0.0)
-        assert all(spec.support().eigenvalues.size == 0 for _, spec in blocks[1:])
+        assert all(spec.support().eigenvalues.size == 0 for _, spec, _ in blocks[1:])
 
 
 def test_qutrit_pairs_take_the_dense_route_unchanged():
@@ -333,8 +333,11 @@ def test_psi_only_readers_take_the_block_route_for_qubits(monkeypatch):
     scenarios = verify.builtin_scenarios(4)
     sc = scenarios["pure-vs-mixed"]
     assert lieb_bound_check(sc.rho0, sc.rho1, sc.action, 4).ok
-    assert verify.additivity_report(scenarios).ok
-    assert verify.closed_form_bracket_report(scenarios, 4).ok
+    evaluators = verify._evaluator_table(scenarios)
+    assert verify.psi_sandwich_reports(scenarios, evaluators, 4)[-1].ok
+    assert verify.additivity_report(evaluators).ok
+    assert verify.closed_form_bracket_report(scenarios, evaluators, 4).ok
+    assert all(rep.ok for rep in verify.stein_reports(scenarios, evaluators, 4))
     assert verify.equality_experiment_report().ok
     assert stein_gap_check(sc, 4).ok
     rng = np.random.default_rng(7)
@@ -344,6 +347,19 @@ def test_psi_only_readers_take_the_block_route_for_qubits(monkeypatch):
         lieb_bound_check(rho0, rho1, qutrit.action, 2)
     with pytest.raises(DenseRoute):
         stein_gap_check(qutrit, 2)
+
+
+def test_verify_builds_each_twirled_evaluator_once(monkeypatch):
+    built = []
+    twirled = PsiEvaluator.twirled.__func__
+
+    def counted(cls, rho0, rho1, action, n):
+        built.append((id(rho0), id(rho1), id(action), n))
+        return twirled(cls, rho0, rho1, action, n)
+
+    monkeypatch.setattr(PsiEvaluator, "twirled", classmethod(counted))
+    verify.run_verify(n_max=3)
+    assert built and len(built) == len(set(built))
 
 
 def test_states_must_be_qubits():
