@@ -5,7 +5,9 @@ combined error and the converse bounds are computed from it.  The constrained
 type-II error beta_eps is the maximum over t >= 0 of its Lagrange dual
 t(1 - eps) - Tr(t*rho0 - rho1)_+, a concave function that peaks in
 [0, 1/eps].  On commuting pairs the dual is piecewise linear and is read off
-its likelihood-ratio breakpoints; otherwise golden section maximizes it.
+its likelihood-ratio breakpoints; otherwise divergences._bracket_min
+maximizes it from its values and supergradients, with a certified gap, and
+the best value it saw is a weak-duality lower bound on beta_eps.
 threshold_errors gives the error pairs of many threshold tests on one state
 pair at once, from the joint eigenvalue atoms of a commuting pair or from
 the eigh of each difference otherwise, without forming the projections
@@ -16,12 +18,13 @@ again here, and one state's eigenvectors never meet the other's.
 beta_eps and threshold_errors each have one engine over the parts (m, A, B)
 of a pair held as the direct sum of m copies of each (A, B), as
 PsiEvaluator holds one: the commutator test runs per part, the dual sums
-m * Tr(t A - B)_+ with one eigvalsh per part, and the sweep runs one eigh
-per part, cut at that part's own level.  So the rule that np_test keeps
-what threshold_errors keeps holds per part: a pair of two states is the
-one-part case, whose one difference both cut alike, and a TwirledPair (the
-twirled n-copy pair of qubits held as its Schur-Weyl blocks) has each
-block's difference cut at its own level, as np_test would cut that block.
+m * Tr(t A - B)_+ and its supergradient with one eigh per part, and the
+sweep runs one eigh per part, cut at that part's own level.  So the rule
+that np_test keeps what threshold_errors keeps holds per part: a pair of
+two states is the one-part case (TwirledPair.of_states), whose one
+difference both cut alike, and a TwirledPair (the twirled n-copy pair of
+qubits held as its Schur-Weyl blocks) has each block's difference cut at
+its own level, as np_test would cut that block.
 Every function of a pair reads it through linalg.state_pair and then uses
 the states' canonical matrices, never gating them again, so both paths of
 beta_eps and threshold_errors reject a pair that is not a state alike; the
@@ -39,7 +42,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .divergences import PsiEvaluator, _golden_min, _scan_min, _twirled_parts, fidelity
+from .divergences import PsiEvaluator, _bracket_min, _scan_min, _twirled_parts, fidelity
 from .errors import DimensionError
 from .groups import GroupAction
 from .linalg import (
@@ -121,8 +124,7 @@ def threshold_errors(rho0n, rho1n, a_values) -> np.ndarray:
     summing <v|m|v> over the kept eigenvectors v instead of forming the
     projection.  The pair is the one-part case of :class:`TwirledPair`.
     """
-    s0, s1 = state_pair(rho0n, rho1n)
-    return _threshold_errors([(1, s0.mat, s1.mat)], _commuting_atoms(s0, s1), a_values)
+    return TwirledPair.of_states(*state_pair(rho0n, rho1n)).threshold_errors(a_values)
 
 
 def _threshold_errors(parts, atoms, a_values) -> np.ndarray:
@@ -185,13 +187,10 @@ def pmin_bounds_check(rho0n, rho1n, a: float) -> CheckReport:
     """
     rho0n, rho1n = state_pair(rho0n, rho1n)
     ev = PsiEvaluator(rho0n, rho1n)
-
-    def upper_objective(s: float) -> float:
-        t = ev.trace_power(s)
-        return math.exp(-a * s) * t
-
+    # the log of the objective, psi(s) - a*s, is convex
     pts = np.linspace(0.0, 1.0, 41)
-    _, upper = _scan_min(upper_objective, pts, np.exp(-a * pts) * ev.trace_power(pts))
+    upper = math.exp(_scan_min(lambda s: (ev.psi(s) - a * s, ev.slope(s) - a), pts,
+                               ev.psi(pts) - a * pts))
 
     weight = math.exp(-a)
     half_trace = ev.trace_power(0.5)
@@ -207,8 +206,7 @@ def pmin_bounds_check(rho0n, rho1n, a: float) -> CheckReport:
 def _commuting_atoms(rho0n, rho1n) -> tuple[np.ndarray, np.ndarray, np.ndarray] | None:
     """:meth:`PsiEvaluator.atoms` of two commuting states, None for others:
     the one-part case of :attr:`TwirledPair.atoms`."""
-    s0, s1 = state_pair(rho0n, rho1n)
-    return PsiEvaluator(s0, s1).atoms() if _commute([(1, s0.mat, s1.mat)]) else None
+    return TwirledPair.of_states(*state_pair(rho0n, rho1n)).atoms
 
 
 def _commute(parts) -> bool:
@@ -241,27 +239,32 @@ def _commuting_dual(p: np.ndarray, q: np.ndarray, eps: float) -> float:
     return float(min(max(0.0, best), 1.0))
 
 
-def _general_dual(parts, eps: float) -> float:
-    """Golden-section maximum over [0, 1/eps] of the concave dual of the
-    direct sum of the parts (m, A, B), t(1 - eps) - sum_t m_t Tr(t A - B)_+,
-    one eigvalsh per part and t.
-
-    Every evaluated t gives a lower bound on beta_eps by weak duality, so the
-    largest value seen is returned; f(0) = 0 starts the record.
+def _general_dual(parts, outside: float, eps: float) -> float:
+    """Maximum over [0, 1/eps] of the concave dual of the direct sum of the
+    parts (m, A, B), f(t) = t(1 - eps) - sum_t m_t Tr(t A - B)_+, by
+    divergences._bracket_min of -f.  One eigh per part and t gives f and its
+    supergradient (1 - eps) - sum_t m_t Tr(A_t P+(t)), P+(t) the projection
+    onto the positive part of t A_t - B_t.  At t = 0, f = 0 and its right
+    slope is (1 - eps) - outside, outside = sum_t m_t Tr A_t (1 - P_{supp B_t})
+    the mass of rho0 outside supp rho1 (PsiEvaluator.outside_mass).  The best
+    value seen is returned, a lower bound on beta_eps by weak duality
+    whatever the gap.
     """
-    best = 0.0
 
-    def neg_dual(t: float) -> float:
-        nonlocal best
-        value = t * (1.0 - eps)
+    def neg_dual(t: float) -> tuple[float, float]:
+        if t == 0.0:
+            return 0.0, outside - (1.0 - eps)
+        value, slope = t * (1.0 - eps), 1.0 - eps
         for mult, m0, m1 in parts:
-            w = np.linalg.eigvalsh(t * m0 - m1)
+            w, v = np.linalg.eigh(t * m0 - m1)
+            kept = v[:, w > 0.0]
             value -= mult * float(np.sum(w[w > 0.0]))
-        best = max(best, value)
-        return -value
+            # Tr A P+ = sum of <v|A|v> over the eigenvectors v of the positive part
+            slope -= mult * float(np.sum(kept.conj() * (m0 @ kept)).real)
+        return -value, -slope
 
-    _golden_min(neg_dual, 0.0, 1.0 / eps)
-    return min(best, 1.0)
+    best = -_bracket_min(neg_dual, 0.0, 1.0 / eps)[0]
+    return min(max(0.0, best), 1.0)
 
 
 def beta_eps(rho0n, rho1n, eps: float) -> float:
@@ -272,19 +275,7 @@ def beta_eps(rho0n, rho1n, eps: float) -> float:
     arXiv:1007.5456); strong duality makes the maximum equal beta_eps.  The
     pair is the one-part case of :class:`TwirledPair`.
     """
-    s0, s1 = state_pair(rho0n, rho1n)
-    return _beta_eps([(1, s0.mat, s1.mat)], _commuting_atoms(s0, s1), eps)
-
-
-def _beta_eps(parts, atoms, eps: float) -> float:
-    """beta_eps of the direct sum of the parts (m, A, B): the dual's
-    breakpoints over the commuting atoms when given, else golden section."""
-    if not 0.0 < eps < 1.0:
-        raise ValueError("eps must lie strictly between 0 and 1")
-    if atoms is not None:
-        w0, w1, o = atoms
-        return _commuting_dual(w0 * o, w1 * o, eps)
-    return _general_dual(parts, eps)
+    return TwirledPair.of_states(*state_pair(rho0n, rho1n)).beta_eps(eps)
 
 
 class TwirledPair:
@@ -306,6 +297,13 @@ class TwirledPair:
     def __init__(self, rho0, rho1, action: GroupAction, n: int):
         self.parts, self._spectra = _twirled_parts(rho0, rho1, action, n)
 
+    @classmethod
+    def of_states(cls, s0, s1) -> "TwirledPair":
+        """The one-part pair of two DensityOperators, (1, s0.mat, s1.mat)."""
+        pair = cls.__new__(cls)
+        pair.parts, pair._spectra = [(1, s0.mat, s1.mat)], [(1, s0.spectrum, s1.spectrum)]
+        return pair
+
     @functools.cached_property
     def evaluator(self) -> PsiEvaluator:
         return PsiEvaluator.of_parts(self._spectra)
@@ -315,7 +313,14 @@ class TwirledPair:
         return self.evaluator.atoms() if _commute(self.parts) else None
 
     def beta_eps(self, eps: float) -> float:
-        return _beta_eps(self.parts, self.atoms, eps)
+        """The dual's breakpoints over the commuting atoms when there are
+        any, else :func:`_general_dual`."""
+        if not 0.0 < eps < 1.0:
+            raise ValueError("eps must lie strictly between 0 and 1")
+        if self.atoms is not None:
+            w0, w1, o = self.atoms
+            return _commuting_dual(w0 * o, w1 * o, eps)
+        return _general_dual(self.parts, self.evaluator.outside_mass(), eps)
 
     def threshold_errors(self, a_values) -> np.ndarray:
         return _threshold_errors(self.parts, self.atoms, a_values)
@@ -337,8 +342,9 @@ def strong_converse_bound(evaluator: PsiEvaluator, eps: float, a):
     window = evaluator.psi(pts)
 
     def bound(a: float) -> float:
-        phi_tilde_n = -_scan_min(lambda s: evaluator.psi(s) - a * (s - 1.0), pts,
-                                 window - a * (pts - 1.0))[1]
+        phi_tilde_n = -_scan_min(lambda s: (evaluator.psi(s) - a * (s - 1.0),
+                                            evaluator.slope(s) - a),
+                                 pts, window - a * (pts - 1.0))
         return math.exp(-a) * (1.0 - eps - math.exp(-phi_tilde_n))
 
     return bound(a) if isinstance(a, (float, int)) else np.vectorize(bound, otypes=[float])(a)

@@ -23,7 +23,8 @@ PsiEvaluator.trace_power and .psi take a float or an array of s: a float
 gives a float, an array an array of its shape, evaluated GRID_CHUNK points
 per matrix product.  A PsiCurve calls its evaluator once on its whole grid;
 phi and hoeffding_distance scan the curve's samples and call the evaluator
-only at a window end off the grid and at the scalar golden-section steps.
+and its slope only at a window end off the grid and at the scalar steps of
+_bracket_min, the one 1-D refinement, which certifies its own gap.
 The strong-converse window [1, 3/2] is sampled once per call by
 discrimination.strong_converse_bound, for one rate n*a or an array of them.
 Orthogonal supports are a legitimate regime and are represented by the IEEE
@@ -47,7 +48,9 @@ NEG_INF = float("-inf")
 POS_INF = float("inf")
 UNDERFLOW = 1e-300
 
-GOLDEN_XTOL = 1e-10
+# a 1-D refinement stops once its certified gap is at most this times
+# max(1, |best|)
+CERTIFIED_GAP = 1e-14
 # s points per matrix product of an array evaluation; bounds its temporaries
 # at GRID_CHUNK times the rank, whatever the length of the grid
 GRID_CHUNK = 256
@@ -134,6 +137,11 @@ class PsiEvaluator:
         full rank."""
         return self._outside
 
+    def outside_mass(self) -> float:
+        """Tr rho0 (1 - P1), the mass of rho0 outside supp rho1: the
+        ``outside`` masses weighted by their eigenvalues of rho0."""
+        return float(self._w0 @ self._outside)
+
     def atoms(self) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
         """Nonzero atoms (w0_i, w1_j, O_ij) and (w0_i, 0, outside_i): on a commuting
         pair sum O f(w0, w1) is Tr f(rho0, rho1) whenever f(0, .) = 0."""
@@ -170,12 +178,13 @@ class PsiEvaluator:
     def slope(self, s: float) -> float:
         """Exact derivative of psi at s, the mean of log w0_i - log w1_j under
         the pair weights; nan where psi is -inf."""
-        t = self.trace_power(s)
-        if t <= UNDERFLOW:
-            return math.nan
         a = np.exp(s * self._log0)
         b = np.exp((1.0 - s) * self._log1)
-        return float((a * self._log0) @ self._overlap @ b - a @ self._overlap @ (b * self._log1)) / t
+        row = a @ self._overlap
+        t = float(row @ b)
+        if t <= UNDERFLOW:
+            return math.nan
+        return float((a * self._log0) @ self._overlap @ b - row @ (b * self._log1)) / t
 
     def relative_entropy(self) -> float:
         """Tr rho0 (log rho0 - log rho1), psi'(1); +inf past 1e-14 of mass outside supp rho1."""
@@ -311,24 +320,50 @@ def fidelity(rho, sigma) -> float:
     return float(min(max(f, 0.0), 1.0))
 
 
-def _golden_min(fn, a: float, b: float) -> tuple[float, float]:
-    """Deterministic golden-section minimum; ties resolve toward smaller s."""
-    invphi = (math.sqrt(5.0) - 1.0) / 2.0
-    c = b - invphi * (b - a)
-    d = a + invphi * (b - a)
-    fc, fd = fn(c), fn(d)
-    while b - a > GOLDEN_XTOL:
-        if fc <= fd:
-            b, d, fd = d, c, fc
-            c = b - invphi * (b - a)
-            fc = fn(c)
+def _bracket_min(fn, lo: float, hi: float) -> tuple[float, float]:
+    """Minimum of a convex function on [lo, hi] and its certified gap.
+
+    fn(x) gives (value, slope), the slope exact (any subgradient at a kink).
+    An end slope of the wrong sign puts the minimum at that end, certified
+    exactly.  Otherwise the end slopes have opposite signs, and the tangents
+    at the two ends meet below the minimum, so the best value seen less the
+    tangents' meeting value is the gap.  Each step is the secant root of the
+    slope through the two newest points.  Near a smooth minimum the tangents
+    meet near the middle of the bracket; when they meet off its middle half,
+    or the secant root leaves the open bracket, the step is their meeting
+    point, exact at a kink between straight pieces.  A step still off the
+    open bracket becomes its midpoint.  It stops when the gap is at most
+    CERTIFIED_GAP * max(1, |best|), or when the bracket stops shrinking."""
+    f_lo, g_lo = fn(lo)
+    if not g_lo < 0.0:
+        return f_lo, 0.0
+    f_hi, g_hi = fn(hi)
+    best = min(f_lo, f_hi)
+    if not g_hi > 0.0:
+        return best, 0.0
+    (x0, g0), (x1, g1) = (lo, g_lo), (hi, g_hi)  # the two newest points
+    while True:
+        meet = min(max((f_hi - f_lo + g_lo * lo - g_hi * hi) / (g_lo - g_hi), lo), hi)
+        gap = best - max(f_lo + g_lo * (meet - lo), f_hi + g_hi * (meet - hi))
+        if gap <= CERTIFIED_GAP * max(1.0, abs(best)):
+            return best, gap
+        x = x1 - g1 * (x1 - x0) / (g1 - g0) if g1 != g0 else meet
+        if not lo < x < hi or abs(2.0 * meet - lo - hi) > 0.5 * (hi - lo):
+            x = meet
+        if not lo < x < hi:
+            x = 0.5 * (lo + hi)
+            if not lo < x < hi:
+                return best, gap
+        f, g = fn(x)
+        best = min(best, f)
+        (x0, g0), (x1, g1) = (x1, g1), (x, g)
+        if g < 0.0:
+            lo, f_lo, g_lo = x, f, g
+        elif g > 0.0:
+            hi, f_hi, g_hi = x, f, g
         else:
-            a, c, fc = c, d, fd
-            d = a + invphi * (b - a)
-            fd = fn(d)
-    candidates = [(a, fn(a)), ((a + b) / 2.0, fn((a + b) / 2.0)), (b, fn(b))]
-    best = min(candidates, key=lambda p: (p[1], p[0]))
-    return best
+            # a zero slope is the minimum; a nan one marks a -inf value
+            return best, 0.0
 
 
 def _window(curve: PsiCurve, lo: float, hi: float) -> tuple[np.ndarray, np.ndarray]:
@@ -343,20 +378,16 @@ def _window(curve: PsiCurve, lo: float, hi: float) -> tuple[np.ndarray, np.ndarr
     return pts, vals
 
 
-def _scan_min(fn, pts: np.ndarray, vals: np.ndarray) -> tuple[float, float]:
-    """Minimum of fn over the ascending points pts, where it takes the values
-    vals, refined by golden section between the neighbours of the best point."""
+def _scan_min(fn, pts: np.ndarray, vals: np.ndarray) -> float:
+    """Minimum of a convex function over the ascending points pts, where it
+    takes the values vals, refined by :func:`_bracket_min` of fn between the
+    neighbours of the best point."""
     k = int(np.argmin(vals))
-    best_s, best_v = float(pts[k]), float(vals[k])
-    if best_v == NEG_INF:
-        return best_s, best_v
-    a = float(pts[max(k - 1, 0)])
-    b = float(pts[min(k + 1, pts.size - 1)])
-    if b > a:
-        s_ref, v_ref = _golden_min(fn, a, b)
-        if v_ref < best_v or (v_ref == best_v and s_ref < best_s):
-            best_s, best_v = s_ref, v_ref
-    return best_s, best_v
+    best = float(vals[k])
+    lo, hi = float(pts[max(k - 1, 0)]), float(pts[min(k + 1, pts.size - 1)])
+    if best == NEG_INF or not hi > lo:
+        return best
+    return min(best, _bracket_min(fn, lo, hi)[0])
 
 
 def hoeffding_distance(curve: PsiCurve, r: float) -> float:
@@ -364,7 +395,10 @@ def hoeffding_distance(curve: PsiCurve, r: float) -> float:
 
     On the nesting boundary r = -psi(1) the objective is r plus the secant
     slope of psi over [t, 1], nondecreasing in t for a convex psi, so the sup
-    is r + psi'(1), returned without a scan."""
+    is r + psi'(1), returned without a scan.  Off it, the negated objective
+    is scanned in t and refined in u = t/(1 - t), where it is
+    u*r + (1 + u)*psi(t), convex (a perspective of psi) with slope
+    r + psi(t) + (1 - t)*psi'(t)."""
     if r < 0:
         raise ValueError("rate parameter r must be nonnegative")
     if not curve.covers(0.0, 1.0):
@@ -382,9 +416,13 @@ def hoeffding_distance(curve: PsiCurve, r: float) -> float:
         # a -inf value gives -t*r + inf = +inf: an unbounded objective
         return -((-t * r - v) / (1.0 - t))
 
+    def in_u(u):
+        t = u / (1.0 + u)
+        v = curve.evaluate(t)
+        return neg_objective(t, v), r + v + (1.0 - t) * curve.slope(t)
+
     pts, vals = _window(curve, 0.0, 1.0 - 1e-7)
-    return -_scan_min(lambda t: neg_objective(t, curve.evaluate(t)), pts,
-                      neg_objective(pts, vals))[1]
+    return -_scan_min(in_u, pts / (1.0 - pts), neg_objective(pts, vals))
 
 
 def phi(curve: PsiCurve, a: float) -> float:
@@ -392,14 +430,10 @@ def phi(curve: PsiCurve, a: float) -> float:
     past the grid; phi(0) is the Chernoff distance."""
     if not curve.covers(0.0, 1.0):
         raise ValueError("curve does not cover the window [0, 1]")
-
-    def neg_objective(s, v):
-        # a -inf value stays -inf: an unbounded transform
-        return v - a * s
-
     pts, vals = _window(curve, 0.0, 1.0)
-    return -_scan_min(lambda s: neg_objective(s, curve.evaluate(s)), pts,
-                      neg_objective(pts, vals))[1]
+    # a -inf value stays -inf: an unbounded transform
+    return -_scan_min(lambda s: (curve.evaluate(s) - a * s, curve.slope(s) - a), pts,
+                      vals - a * pts)
 
 
 def chernoff_distance(curve: PsiCurve) -> float:

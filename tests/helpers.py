@@ -1,15 +1,19 @@
 """References that only the tests read: the dense twirl by literal averaging
-and the random unitaries its checks draw, and the binomial power sums whose
-limits the closed forms rest on, in log space."""
+and the random unitaries its checks draw, the benchmark's seeded qubit
+pairs, golden section, the 1-D refinement the certified bracket method
+replaced, and the binomial power sums whose limits the closed forms rest
+on, in log space."""
 
 import math
 
 import numpy as np
 
+from symtest.linalg import DensityOperator
 from symtest.oracle import _log_binom, _logsumexp, _xlog
 
 NEG_INF = float("-inf")
 TORUS_SAMPLES = 4096
+GOLDEN_XTOL = 1e-10
 
 
 def random_unitary(dim: int, rng: np.random.Generator) -> np.ndarray:
@@ -40,6 +44,45 @@ def dense_twirl_oracle(x, unitaries=None, weights=None) -> np.ndarray:
         phase = np.exp(2j * np.pi * k * w / TORUS_SAMPLES)
         acc += (phase[:, None] * m) * phase.conj()[None, :]
     return acc / TORUS_SAMPLES
+
+
+def seeded_pairs(seed):
+    """The benchmark's seeded pairs A and B: Ginibre-induced full-rank qubit
+    states, drawn as perfbench/workloads.py draws them."""
+    rng = np.random.default_rng(seed)
+    states = []
+    for _ in range(4):
+        g = rng.standard_normal((2, 2)) + 1j * rng.standard_normal((2, 2))
+        rho = g @ g.conj().T
+        rho = rho / np.trace(rho).real
+        states.append(DensityOperator((rho + rho.conj().T) / 2.0))
+    return {"A": tuple(states[:2]), "B": tuple(states[2:])}
+
+
+def golden_min(fn, a: float, b: float) -> tuple[float, float]:
+    """Deterministic golden-section minimum of the values fn(x) on [a, b],
+    down to GOLDEN_XTOL in x; ties resolve toward smaller x."""
+    invphi = (math.sqrt(5.0) - 1.0) / 2.0
+    c = b - invphi * (b - a)
+    d = a + invphi * (b - a)
+    fc, fd = fn(c), fn(d)
+    while b - a > GOLDEN_XTOL:
+        if fc <= fd:
+            b, d, fd = d, c, fc
+            c = b - invphi * (b - a)
+            fc = fn(c)
+        else:
+            a, c, fc = c, d, fd
+            d = a + invphi * (b - a)
+            fd = fn(d)
+    candidates = [(a, fn(a)), ((a + b) / 2.0, fn((a + b) / 2.0)), (b, fn(b))]
+    return min(candidates, key=lambda p: (p[1], p[0]))
+
+
+def golden_refinement(fn, lo: float, hi: float) -> tuple[float, float]:
+    """divergences._bracket_min's contract by golden section of the values
+    fn(x)[0] alone, with no gap (reported as nan)."""
+    return golden_min(lambda x: fn(x)[0], lo, hi)[1], math.nan
 
 
 def binomial_power_sum_limit(a: float, b: float, s: float) -> float:

@@ -238,7 +238,8 @@ class TestBetaEps:
         m0, m1 = np.diag(p).astype(complex), np.diag(q).astype(complex)
         for eps, expected in ((0.1, 2.0 / 3.0), (0.35, 0.3), (0.7, 0.12 / 1.1)):
             assert _commuting_dual(p, q, eps) == pytest.approx(expected, abs=1e-9)
-            assert _general_dual([(1, m0, m1)], eps) == pytest.approx(expected, abs=1e-9)
+            # both states have full rank: no mass of rho0 lies outside supp rho1
+            assert _general_dual([(1, m0, m1)], 0.0, eps) == pytest.approx(expected, abs=1e-9)
             assert beta_eps(m0, m1, eps) == pytest.approx(expected, abs=1e-9)
 
     def test_null_mass_outside_alternative_support(self):
@@ -351,15 +352,17 @@ class TestThresholdErrors:
 
     def test_common_eigenbasis_reads_the_kept_spectrum(self, monkeypatch):
         # the atoms come from the spectra the states keep, so no eigh runs,
-        # and the atom dual lands on the golden-section dual of the dense
-        # matrices within its accuracy (the dual's slope is at most 1 and
-        # golden section stops at 1e-10 in t)
+        # and the atom dual lands on the bracketed dual of the dense matrices
+        # within its accuracy; that dual runs eigh, so it is computed first
         pairs = []
         for kind, params in (("TorusTwoPure", {"lam": 0.3, "mu": 0.6}),
                              ("TorusPureVsMixed", {"alpha": 0.3}),
                              ("Z2Commuting", {"lam": 0.2, "mu": 0.7})):
             sc = make_scenario(kind, **params)
             pairs.extend(twirled_pair(sc.rho0, sc.rho1, sc.action, n) for n in (1, 3, 5))
+        references = [[_general_dual([(1, pair[0].mat, pair[1].mat)],
+                                     PsiEvaluator(*pair).outside_mass(), eps)
+                       for eps in (0.1, 0.3)] for pair in pairs]
         calls = []
 
         def counted(*args, _real=np.linalg.eigh, **kwargs):
@@ -367,12 +370,10 @@ class TestThresholdErrors:
             return _real(*args, **kwargs)
 
         monkeypatch.setattr(np.linalg, "eigh", counted)
-        for pair in pairs:
+        for pair, reference in zip(pairs, references):
             assert _commuting_atoms(*pair) is not None
-            for eps in (0.1, 0.3):
-                value = beta_eps(*pair, eps)
-                assert value == pytest.approx(_general_dual([(1, pair[0].mat, pair[1].mat)], eps),
-                                              abs=1e-9)
+            for eps, dual in zip((0.1, 0.3), reference):
+                assert beta_eps(*pair, eps) == pytest.approx(dual, abs=1e-9)
         assert not calls
 
     @pytest.mark.parametrize("name", ["pure-vs-mixed", "two-commuting", "two-pure"])

@@ -28,6 +28,8 @@ from symtest.linalg import DensityOperator
 from symtest.oracle import block_scalar_oracle, random_density
 from symtest.schur_weyl import schur_weyl_pair
 
+from helpers import seeded_pairs
+
 SCENARIOS = Path(__file__).resolve().parent.parent / "scenarios"
 GRID = default_s_grid()
 
@@ -39,19 +41,6 @@ SIGN_FLIP = GroupAction.finite([np.eye(2), Z])
 PAULI = GroupAction.finite([phase * p for phase in (1, -1, 1j, -1j) for p in (np.eye(2), X, Y, Z)])
 HADAMARD = GroupAction.finite([np.eye(2), H])
 TRIVIAL = GroupAction.trivial(2)
-
-
-def seeded_pairs(seed):
-    """The benchmark's seeded pairs A and B: Ginibre-induced full-rank qubit
-    states, drawn as perfbench/workloads.py draws them."""
-    rng = np.random.default_rng(seed)
-    states = []
-    for _ in range(4):
-        g = rng.standard_normal((2, 2)) + 1j * rng.standard_normal((2, 2))
-        rho = g @ g.conj().T
-        rho = rho / np.trace(rho).real
-        states.append(DensityOperator((rho + rho.conj().T) / 2.0))
-    return {"A": tuple(states[:2]), "B": tuple(states[2:])}
 
 
 PAIRS = seeded_pairs(0)

@@ -42,7 +42,7 @@ REMOVED = {
     },
     "divergences": {
         "lieb_bound_check": ("tol",),
-        "_golden_min": ("xtol",),
+        "_bracket_min": ("xtol", "tol", "max_iter"),
         "_scan_min": ("refine",),
         "psi_curve": ("n", "label"),
         "PsiCurve": ("n", "label", "values"),

@@ -69,7 +69,7 @@ def test_block_decisions_match_the_dense_pair(state, action):
 @pytest.mark.parametrize("state", sorted(STATES))
 def test_twirled_beta_eps_is_never_below_the_unrestricted_one(state):
     # a twirled test is a test, so restricting the tests never lowers beta_eps;
-    # golden section lands within 1e-10 of the dual's maximum
+    # the bracketed dual is certified within 1e-14 of its maximum
     rho0, rho1 = STATES[state]
     for n in range(1, 7):
         free = TwirledPair(rho0, rho1, TRIVIAL, n)
