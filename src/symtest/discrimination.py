@@ -188,9 +188,12 @@ def pmin_bounds_check(rho0n, rho1n, a: float) -> CheckReport:
     rho0n, rho1n = state_pair(rho0n, rho1n)
     ev = PsiEvaluator(rho0n, rho1n)
     # the log of the objective, psi(s) - a*s, is convex
+    def tilted(s: float) -> tuple[float, float]:
+        value, slope = ev.psi_slope(s)
+        return value - a * s, slope - a
+
     pts = np.linspace(0.0, 1.0, 41)
-    upper = math.exp(_scan_min(lambda s: (ev.psi(s) - a * s, ev.slope(s) - a), pts,
-                               ev.psi(pts) - a * pts))
+    upper = math.exp(_scan_min(tilted, pts, ev.psi(pts) - a * pts))
 
     weight = math.exp(-a)
     half_trace = ev.trace_power(0.5)
@@ -205,8 +208,10 @@ def pmin_bounds_check(rho0n, rho1n, a: float) -> CheckReport:
 
 def _commuting_atoms(rho0n, rho1n) -> tuple[np.ndarray, np.ndarray, np.ndarray] | None:
     """:meth:`PsiEvaluator.atoms` of two commuting states, None for others:
-    the one-part case of :attr:`TwirledPair.atoms`."""
-    return TwirledPair.of_states(*state_pair(rho0n, rho1n)).atoms
+    the one-part case of :attr:`TwirledPair.atoms`, which
+    :meth:`TwirledPair.of_states` reads here."""
+    s0, s1 = state_pair(rho0n, rho1n)
+    return PsiEvaluator(s0, s1).atoms() if _commute([(1, s0.mat, s1.mat)]) else None
 
 
 def _commute(parts) -> bool:
@@ -287,7 +292,8 @@ class TwirledPair:
     follows action.dim, as PsiEvaluator.twirled does, and both read the same
     parts (divergences._twirled_parts).  ``evaluator`` is the PsiEvaluator of
     the parts and ``atoms`` its commuting atoms when A and B commute in every
-    part, else None; each is built once, on first use.  :meth:`beta_eps` and
+    part, else None; each is built once, on first use (a one-part pair's
+    atoms at once, by _commuting_atoms).  :meth:`beta_eps` and
     :meth:`threshold_errors` give what the functions of the same names give
     on the dense pair, read part by part: the dual's Tr(t rho0n - rho1n)_+ is
     sum_t m_t Tr(t A_t - B_t)_+, and a threshold test's accepted masses are
@@ -299,9 +305,11 @@ class TwirledPair:
 
     @classmethod
     def of_states(cls, s0, s1) -> "TwirledPair":
-        """The one-part pair of two DensityOperators, (1, s0.mat, s1.mat)."""
+        """The one-part pair of two DensityOperators, (1, s0.mat, s1.mat),
+        its atoms those of :func:`_commuting_atoms`."""
         pair = cls.__new__(cls)
         pair.parts, pair._spectra = [(1, s0.mat, s1.mat)], [(1, s0.spectrum, s1.spectrum)]
+        pair.atoms = _commuting_atoms(s0, s1)
         return pair
 
     @functools.cached_property
@@ -342,9 +350,11 @@ def strong_converse_bound(evaluator: PsiEvaluator, eps: float, a):
     window = evaluator.psi(pts)
 
     def bound(a: float) -> float:
-        phi_tilde_n = -_scan_min(lambda s: (evaluator.psi(s) - a * (s - 1.0),
-                                            evaluator.slope(s) - a),
-                                 pts, window - a * (pts - 1.0))
+        def tilted(s: float) -> tuple[float, float]:
+            value, slope = evaluator.psi_slope(s)
+            return value - a * (s - 1.0), slope - a
+
+        phi_tilde_n = -_scan_min(tilted, pts, window - a * (pts - 1.0))
         return math.exp(-a) * (1.0 - eps - math.exp(-phi_tilde_n))
 
     return bound(a) if isinstance(a, (float, int)) else np.vectorize(bound, otypes=[float])(a)

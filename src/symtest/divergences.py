@@ -26,7 +26,8 @@ phi and hoeffding_distance scan the curve's samples and call the evaluator
 and its slope only at a window end off the grid and at the scalar steps of
 _bracket_min, the one 1-D refinement, which certifies its own gap.
 The strong-converse window [1, 3/2] is sampled once per call by
-discrimination.strong_converse_bound, for one rate n*a or an array of them.
+discrimination.strong_converse_bound, for one rate n*a or an array of them,
+and its refinement steps, like pmin_bounds_check's, read PsiEvaluator.psi_slope.
 Orthogonal supports are a legitimate regime and are represented by the IEEE
 sentinel NEG_INF, which propagates through sums with finite numbers the way
 the math requires.
@@ -80,7 +81,8 @@ class PsiEvaluator:
     a float, through one vector-matrix-vector product; an array gives an
     array of its shape, through one matrix product per GRID_CHUNK points,
     so sweeping a grid costs a few products, not one call per point.
-    ``slope`` takes a float only.
+    ``slope`` and ``psi_slope`` take a float only; ``psi_slope`` gives the
+    value and the slope of one pass, for a refinement that reads both.
     """
 
     def __init__(self, rho0, rho1):
@@ -175,16 +177,21 @@ class PsiEvaluator:
         out[kept] = np.log(t[kept])
         return out
 
-    def slope(self, s: float) -> float:
-        """Exact derivative of psi at s, the mean of log w0_i - log w1_j under
-        the pair weights; nan where psi is -inf."""
+    def psi_slope(self, s: float) -> tuple[float, float]:
+        """(psi(s), psi'(s)) of a float s from one pass: the value psi gives
+        and the exact derivative, the mean of log w0_i - log w1_j under the
+        pair weights; (-inf, nan) where psi is -inf."""
         a = np.exp(s * self._log0)
         b = np.exp((1.0 - s) * self._log1)
         row = a @ self._overlap
         t = float(row @ b)
         if t <= UNDERFLOW:
-            return math.nan
-        return float((a * self._log0) @ self._overlap @ b - row @ (b * self._log1)) / t
+            return NEG_INF, math.nan
+        return math.log(t), float((a * self._log0) @ self._overlap @ b - row @ (b * self._log1)) / t
+
+    def slope(self, s: float) -> float:
+        """Exact derivative of psi at s; nan where psi is -inf."""
+        return self.psi_slope(s)[1]
 
     def relative_entropy(self) -> float:
         """Tr rho0 (log rho0 - log rho1), psi'(1); +inf past 1e-14 of mass outside supp rho1."""

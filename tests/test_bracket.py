@@ -159,14 +159,16 @@ def test_every_verify_optimum_is_certified(monkeypatch):
 
     def recorded(fn, lo, hi):
         value, gap = _bracket_min(fn, lo, hi)
-        gaps.append(gap)
+        gaps.append((value, gap))
         return value, gap
 
     monkeypatch.setattr(divergences, "_bracket_min", recorded)
     monkeypatch.setattr(discrimination, "_bracket_min", recorded)
     assert all(report.ok for report in run_verify(n_max=3))
     assert len(gaps) > 300
-    assert max(gaps) <= 1e-12
+    # a gap below 0 is rounding in the tangents' meeting value; a nan gap
+    # fails both comparisons
+    assert all(-1e-15 * max(1.0, abs(value)) <= gap <= 1e-12 for value, gap in gaps)
 
 
 def test_strong_converse_refinement_takes_few_evaluations(monkeypatch):
@@ -189,31 +191,18 @@ def test_strong_converse_refinement_takes_few_evaluations(monkeypatch):
 
 
 class TestFloatCalls:
-    """Each refinement step is one scalar call: the strong-converse window is
-    sampled once as an array, a curve's grid once by its constructor, and
-    the dual runs one eigh of one matrix per part and step."""
-
-    @staticmethod
-    def wrap_scalars(monkeypatch, ev, calls):
-        for name in ("psi", "slope"):
-            real = getattr(ev, name)
-            monkeypatch.setattr(ev, name, lambda s, _real=real, _name=name:
-                                calls.append((_name, np.shape(s), type(s))) or _real(s))
-
-    def test_strong_converse_bound(self, monkeypatch):
-        ev = TwirledPair(*PAIR_A, SIGN_FLIP, 6).evaluator
-        rates = 6 * stein_a_grid(ev.slope(1.0) / 6)
-        calls = []
-        self.wrap_scalars(monkeypatch, ev, calls)
-        strong_converse_bound(ev, 0.1, rates)
-        arrays = [c for c in calls if c[2] is not float]
-        assert arrays == [("psi", (21,), np.ndarray)]
-        assert len(calls) > len(arrays)
+    """Each refinement step is one scalar call: a curve's grid is sampled
+    once by its constructor, and the dual runs one eigh of one matrix per
+    part and step.  The strong-converse window is sampled once as an array
+    (tests/test_discrimination.py)."""
 
     def test_phi_and_hoeffding(self, monkeypatch):
         ev = TwirledPair(*PAIR_A, SIGN_FLIP, 6).evaluator
         calls = []
-        self.wrap_scalars(monkeypatch, ev, calls)
+        for name in ("psi", "slope"):
+            real = getattr(ev, name)
+            monkeypatch.setattr(ev, name, lambda s, _real=real, _name=name:
+                                calls.append((_name, np.shape(s), type(s))) or _real(s))
         curve = PsiCurve(default_s_grid(), ev.psi, ev.slope)
         assert [c[:2] for c in calls] == [("psi", (201,))]
         calls.clear()

@@ -490,8 +490,13 @@ class TestStrongConverse:
             return scalar_psi(s)
 
         ev.psi = counted
+        # each refinement step is one float call to psi_slope
+        steps = []
+        scalar_psi_slope = ev.psi_slope
+        ev.psi_slope = lambda s: steps.append(type(s)) or scalar_psi_slope(s)
         bounds = strong_converse_bound(ev, eps=0.1, a=n * grid)
         assert window_calls == [(21,)]
+        assert steps and set(steps) == {float}
         assert isinstance(bounds, np.ndarray) and bounds.tolist() == each
         assert strong_converse_bound(ev, eps=0.1, a=n * grid.reshape(3, 7)).shape == (3, 7)
         assert isinstance(strong_converse_bound(ev, eps=0.1, a=n * float(grid[0])), float)
