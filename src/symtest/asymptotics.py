@@ -18,6 +18,7 @@ from .divergences import (
     NEG_INF,
     PsiCurve,
     PsiEvaluator,
+    TwirledSweep,
     default_s_grid,
     relative_entropy,
 )
@@ -193,7 +194,7 @@ def closed_form_curve(kind: str, params: dict, grid=None) -> PsiCurve:
         return np.reshape(values, np.shape(s))
 
     return PsiCurve(default_s_grid() if grid is None else grid, fn,
-                    lambda s: _closed_form(kind, params, s)[1])
+                    lambda s: _closed_form(kind, params, s))
 
 
 def closed_form_relative_entropy(kind: str, params: dict) -> float:
@@ -234,9 +235,9 @@ def convergence_table(scenario: Scenario, s_grid=None) -> ConvergenceTable:
     s_grid = np.asarray(s_grid, dtype=float)
     n_max = scenario.n_max
     values = np.empty((n_max, s_grid.size))
+    sweep = TwirledSweep(scenario.rho0, scenario.rho1, scenario.action)
     for n in range(1, n_max + 1):
-        ev = PsiEvaluator.twirled(scenario.rho0, scenario.rho1, scenario.action, n)
-        values[n - 1] = ev.psi(s_grid) / n
+        values[n - 1] = sweep.evaluator(n).psi(s_grid) / n
     closed = np.array([closed_form_psi(scenario.kind, scenario.params, float(s)) for s in s_grid])
     monotone = [bool(np.all(np.diff(values[:, j]) <= 1e-10)) for j in range(s_grid.size)]
     rows = []

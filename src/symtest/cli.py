@@ -48,6 +48,7 @@ from .discrimination import (
 from .divergences import (
     PsiCurve,
     PsiEvaluator,
+    TwirledSweep,
     chernoff_distance,
     default_s_grid,
     hoeffding_distance,
@@ -257,8 +258,9 @@ def _cmd_psi(sc: Scenario, config: argparse.Namespace) -> int:
     rows = []
     for s, v in zip(grid, psi_curve(sc.rho0, sc.rho1, grid).values):
         rows.append((float(s), float(v), 1, "unrestricted"))
+    sweep = TwirledSweep(sc.rho0, sc.rho1, sc.action)
     for n in range(1, sc.n_max + 1):
-        curve = _twirled_curve(sc, n, grid)
+        curve = _twirled_curve(sweep, n, grid)
         rows.extend((float(s), float(v) / n, n, "twirled")
                     for s, v in zip(curve.s_grid, curve.values))
     if sc.kind is not None:
@@ -269,9 +271,9 @@ def _cmd_psi(sc: Scenario, config: argparse.Namespace) -> int:
     return 0
 
 
-def _twirled_curve(sc: Scenario, n: int, grid: np.ndarray) -> PsiCurve:
-    ev = PsiEvaluator.twirled(sc.rho0, sc.rho1, sc.action, n)
-    return PsiCurve(grid, ev.psi, ev.slope)
+def _twirled_curve(sweep: TwirledSweep, n: int, grid: np.ndarray) -> PsiCurve:
+    ev = sweep.evaluator(n)
+    return PsiCurve(grid, ev.psi, ev.psi_slope)
 
 
 def _mean_label(sc: Scenario) -> str:
@@ -282,8 +284,9 @@ def _mean_label(sc: Scenario) -> str:
 
 def _cmd_chernoff(sc: Scenario, config: argparse.Namespace) -> int:
     rows = [(0, "unrestricted", chernoff_distance(psi_curve(sc.rho0, sc.rho1)))]
+    sweep = TwirledSweep(sc.rho0, sc.rho1, sc.action)
     for n in range(1, sc.n_max + 1):
-        curve = _twirled_curve(sc, n, default_s_grid())
+        curve = _twirled_curve(sweep, n, default_s_grid())
         rows.append((n, "twirled-per-copy", chernoff_distance(curve) / n))
     if sc.kind is not None:
         mean = chernoff_distance(closed_form_curve(sc.kind, sc.params))
@@ -297,8 +300,9 @@ def _cmd_chernoff(sc: Scenario, config: argparse.Namespace) -> int:
 def _cmd_hoeffding(sc: Scenario, config: argparse.Namespace) -> int:
     r_grid = config.r_grid if config.r_grid is not None else np.linspace(0.0, 0.5, 11)
     rows = []
+    sweep = TwirledSweep(sc.rho0, sc.rho1, sc.action)
     for n in range(1, sc.n_max + 1):
-        curve = _twirled_curve(sc, n, default_s_grid())
+        curve = _twirled_curve(sweep, n, default_s_grid())
         for r in r_grid:
             rows.append((n, float(r), hoeffding_distance(curve, float(n * r)) / n, "twirled-per-copy"))
     if sc.kind is not None:
@@ -313,9 +317,9 @@ def _cmd_hoeffding(sc: Scenario, config: argparse.Namespace) -> int:
 
 def _cmd_stein(sc: Scenario, config: argparse.Namespace) -> int:
     rows = [(0, "unrestricted", relative_entropy(sc.rho0, sc.rho1))]
+    sweep = TwirledSweep(sc.rho0, sc.rho1, sc.action)
     for n in range(1, sc.n_max + 1):
-        ev = PsiEvaluator.twirled(sc.rho0, sc.rho1, sc.action, n)
-        rows.append((n, "twirled-per-copy", ev.relative_entropy() / n))
+        rows.append((n, "twirled-per-copy", sweep.evaluator(n).relative_entropy() / n))
     if sc.kind is not None:
         mean = closed_form_relative_entropy(sc.kind, sc.params)
     else:
@@ -365,7 +369,8 @@ def _cmd_beta_eps(sc: Scenario, config: argparse.Namespace) -> int:
     # the floor needs supp rho1 invariant and holding supp rho0 (at n = 1, so at every n)
     floored = (is_support_invariant(sc.rho1, sc.action)
                and relative_entropy(sc.rho0, sc.rho1) < math.inf)
-    rows = [_beta_eps_row(TwirledPair(sc.rho0, sc.rho1, sc.action, n), n, config, floored)
+    sweep = TwirledSweep(sc.rho0, sc.rho1, sc.action)
+    rows = [_beta_eps_row(TwirledPair.of_parts(*sweep.parts(n)), n, config, floored)
             for n in range(1, sc.n_max + 1)]
     _write_table(("n", "a_or_eps", "beta0", "beta1", "bound_lo", "bound_hi"), rows, config)
     return 0
@@ -445,8 +450,9 @@ def _run_example(name: str) -> int:
     print(f"example {name}:")
     if name == "two-commuting":
         sc = make_scenario(Z2_COMMUTING, n_max=5, lam=0.2, mu=0.7)
+        sweep = TwirledSweep(sc.rho0, sc.rho1, sc.action)
         for n in (1, 3, 5):
-            ev = PsiEvaluator.twirled(sc.rho0, sc.rho1, sc.action, n)
+            ev = sweep.evaluator(n)
             closed = closed_form_psi(sc.kind, sc.params, 0.5)
             gap = ev.psi(0.5) / n - closed
             print(f"  n={n}: (1/n)psi_n(0.5)={ev.psi(0.5) / n:.9f}  limit={closed:.9f}  gap={gap:.3e}")
@@ -467,8 +473,9 @@ def _run_example(name: str) -> int:
         s_grid = np.array([-0.5, 0.0, 0.5, 1.0, 2.0])
         closed = np.array([closed_form_psi(sc.kind, sc.params, s) for s in s_grid.tolist()])
         worst = 0.0
+        sweep = TwirledSweep(sc.rho0, sc.rho1, sc.action)
         for n in (1, 3, 6):
-            ev = PsiEvaluator.twirled(sc.rho0, sc.rho1, sc.action, n)
+            ev = sweep.evaluator(n)
             worst = max(worst, float(np.max(np.abs(ev.psi(s_grid) / n - closed))))
         failures += _check_line("max |(1/n)psi_n - closed form|", worst, 0.0, 1e-9)
     elif name == "subgroup-equality":
@@ -476,8 +483,9 @@ def _run_example(name: str) -> int:
         s_grid = np.array([-0.5, 0.0, 0.5, 1.5, 2.0])
         psi0 = PsiEvaluator(rho0, rho1).psi(s_grid)
         worst = 0.0
+        sweep = TwirledSweep(rho0, rho1, z2_action())
         for n in (2, 4, 6):
-            ev = PsiEvaluator.twirled(rho0, rho1, z2_action(), n)
+            ev = sweep.evaluator(n)
             expected = n * psi0 + (1.0 - s_grid) * math.log(2.0)
             worst = max(worst, float(np.max(np.abs(ev.psi(s_grid) - expected))))
             print(f"  n={n}: per-copy gap to unrestricted at s=0: "

@@ -42,7 +42,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .divergences import PsiEvaluator, _bracket_min, _scan_min, _twirled_parts, fidelity
+from .divergences import PsiEvaluator, TwirledSweep, _bracket_min, _scan_min, fidelity
 from .errors import DimensionError
 from .groups import GroupAction
 from .linalg import (
@@ -289,11 +289,12 @@ class TwirledPair:
 
     A qubit pair gives one part per Schur-Weyl block t (m = m_t, no 2^n-sized
     array), any other pair the one part of groups.twirled_pair; the route
-    follows action.dim, as PsiEvaluator.twirled does, and both read the same
-    parts (divergences._twirled_parts).  ``evaluator`` is the PsiEvaluator of
-    the parts and ``atoms`` its commuting atoms when A and B commute in every
-    part, else None; each is built once, on first use (a one-part pair's
-    atoms at once, by _commuting_atoms).  :meth:`beta_eps` and
+    follows action.dim, as PsiEvaluator.twirled does, and both are one-n
+    views of divergences.TwirledSweep; a command that sweeps n holds one
+    sweep and takes each n's pair through :meth:`of_parts`.  ``evaluator``
+    is the PsiEvaluator of the parts and ``atoms`` its commuting atoms when A
+    and B commute in every part, else None; each is built once, on first use
+    (a one-part pair's atoms at once, by _commuting_atoms).  :meth:`beta_eps` and
     :meth:`threshold_errors` give what the functions of the same names give
     on the dense pair, read part by part: the dual's Tr(t rho0n - rho1n)_+ is
     sum_t m_t Tr(t A_t - B_t)_+, and a threshold test's accepted masses are
@@ -301,14 +302,21 @@ class TwirledPair:
     """
 
     def __init__(self, rho0, rho1, action: GroupAction, n: int):
-        self.parts, self._spectra = _twirled_parts(rho0, rho1, action, n)
+        self.parts, self._spectra = TwirledSweep(rho0, rho1, action).parts(n)
+
+    @classmethod
+    def of_parts(cls, parts, spectra) -> "TwirledPair":
+        """The pair whose parts are (m, A, B) and (m, spectrum of A, spectrum
+        of B), as TwirledSweep.parts gives them."""
+        pair = cls.__new__(cls)
+        pair.parts, pair._spectra = parts, spectra
+        return pair
 
     @classmethod
     def of_states(cls, s0, s1) -> "TwirledPair":
         """The one-part pair of two DensityOperators, (1, s0.mat, s1.mat),
         its atoms those of :func:`_commuting_atoms`."""
-        pair = cls.__new__(cls)
-        pair.parts, pair._spectra = [(1, s0.mat, s1.mat)], [(1, s0.spectrum, s1.spectrum)]
+        pair = cls.of_parts([(1, s0.mat, s1.mat)], [(1, s0.spectrum, s1.spectrum)])
         pair.atoms = _commuting_atoms(s0, s1)
         return pair
 

@@ -10,21 +10,23 @@ PsiEvaluator is the one reader of a pair's two kept spectra together and
 holds arrays only: the relative entropy takes its nesting test from its
 ``outside`` mass, and discrimination the commuting atoms from its ``atoms``.
 A pair is a list of parts (m, spectrum0, spectrum1), held as their direct
-sum: PsiEvaluator(rho0, rho1) is one part, and PsiEvaluator.twirled(rho0,
-rho1, action, n) reads the twirled n-copy pair of qubits off its Schur-Weyl
-blocks (schur_weyl.schur_weyl_pair), one part per block t with m = m_t and
-no 2^n-sized array; for d > 2 it is PsiEvaluator(*twirled_pair(rho0, rho1,
-action, n)).  _twirled_parts is that route, and it also hands out each
+sum: PsiEvaluator(rho0, rho1) is one part.  TwirledSweep(rho0, rho1, action)
+gives the twirled n-copy pair for every n: for qubits one part per
+Schur-Weyl block t with m = m_t and no 2^n-sized array, each block
+decomposed once for the whole sweep (schur_weyl.SchurWeylSweep); for d > 2
+the one part of twirled_pair(rho0, rho1, action, n).  It also hands out each
 part's pair of matrices, which discrimination.TwirledPair reads beta_eps and
-the threshold sweep off, next to the evaluator of the same parts.  A twirled
-pair's psi-only quantities take PsiEvaluator.twirled; a caller that builds
-the dense pair for another matrix quantity reads psi off it.
+the threshold sweep off, next to the evaluator of the same parts.  A command
+that sweeps n holds one sweep; PsiEvaluator.twirled is its one-n view.  A
+caller that builds the dense pair for another matrix quantity reads psi off
+it.
 PsiEvaluator.trace_power and .psi take a float or an array of s: a float
 gives a float, an array an array of its shape, evaluated GRID_CHUNK points
 per matrix product.  A PsiCurve calls its evaluator once on its whole grid;
-phi and hoeffding_distance scan the curve's samples and call the evaluator
-and its slope only at a window end off the grid and at the scalar steps of
-_bracket_min, the one 1-D refinement, which certifies its own gap.
+phi and hoeffding_distance scan the curve's samples, call the evaluator at a
+window end off the grid, and read the value and the slope of each scalar
+step of _bracket_min, the one 1-D refinement, which certifies its own gap,
+off one pass (PsiCurve.psi_slope).
 The strong-converse window [1, 3/2] is sampled once per call by
 discrimination.strong_converse_bound, for one rate n*a or an array of them,
 and its refinement steps, like pmin_bounds_check's, read PsiEvaluator.psi_slope.
@@ -91,10 +93,10 @@ class PsiEvaluator:
 
     @classmethod
     def twirled(cls, rho0, rho1, action: GroupAction, n: int) -> "PsiEvaluator":
-        """The evaluator of the twirled n-copy pair: from its Schur-Weyl blocks
-        (schur_weyl.schur_weyl_pair) for a qubit pair, else
-        PsiEvaluator(*twirled_pair(rho0, rho1, action, n))."""
-        return cls.of_parts(_twirled_parts(rho0, rho1, action, n)[1])
+        """The evaluator of the twirled n-copy pair, the one-n view of
+        :class:`TwirledSweep`: from its Schur-Weyl blocks for a qubit pair,
+        else PsiEvaluator(*twirled_pair(rho0, rho1, action, n))."""
+        return cls.of_parts(TwirledSweep(rho0, rho1, action).parts(n)[1])
 
     @classmethod
     def of_parts(cls, parts) -> "PsiEvaluator":
@@ -205,21 +207,38 @@ class PsiEvaluator:
         return POS_INF if t <= UNDERFLOW else math.log(t) / (alpha - 1.0)
 
 
-def _twirled_parts(rho0, rho1, action: GroupAction, n: int) -> tuple[list, list]:
-    """The twirled n-copy pair as the parts of its direct sum, twice: as
-    (m, A, B) of canonical matrices and as (m, spectrum of A, spectrum of B).
-    A qubit pair gives one part per Schur-Weyl block t, m = m_t, and no
-    2^n-sized array; any other pair gives the one part of
-    twirled_pair(rho0, rho1, action, n).  The route follows action.dim."""
-    if action.dim != 2:
-        s0, s1 = twirled_pair(rho0, rho1, action, n)
-        return [(1, s0.mat, s1.mat)], [(1, s0.spectrum, s1.spectrum)]
-    # imported here, so only the commands that take the route compile it
-    from .schur_weyl import schur_weyl_pair
+class TwirledSweep:
+    """The twirled n-copy pair of (rho0, rho1) under an action, for every n.
 
-    blocks = list(zip(*schur_weyl_pair(rho0, rho1, action, n)))
-    return ([(mult, a, b) for (mult, _, a), (_, _, b) in blocks],
-            [(mult, a, b) for (mult, a, _), (_, b, _) in blocks])
+    :meth:`parts` gives the pair at n as the parts of its direct sum, twice:
+    as (m, A, B) of canonical matrices and as (m, spectrum of A, spectrum of
+    B).  A qubit pair gives one part per Schur-Weyl block t, m = m_t, off one
+    schur_weyl.SchurWeylSweep, which decomposes each block once for every n;
+    any other pair the one part of twirled_pair(rho0, rho1, action, n).  The
+    route follows action.dim.  A command holds its sweep as a local, so no
+    block outlives it.
+    """
+
+    def __init__(self, rho0, rho1, action: GroupAction):
+        self._pair = (rho0, rho1, action)
+        self._blocks = None
+        if action.dim == 2:
+            # imported here, so only the commands that take the route compile it
+            from .schur_weyl import SchurWeylSweep
+
+            self._blocks = SchurWeylSweep(rho0, rho1, action)
+
+    def parts(self, n: int) -> tuple[list, list]:
+        if self._blocks is None:
+            s0, s1 = twirled_pair(*self._pair, n)
+            return [(1, s0.mat, s1.mat)], [(1, s0.spectrum, s1.spectrum)]
+        blocks = list(zip(*self._blocks.pair(n)))
+        return ([(mult, a, b) for (mult, _, a), (_, _, b) in blocks],
+                [(mult, a, b) for (mult, a, _), (_, b, _) in blocks])
+
+    def evaluator(self, n: int) -> "PsiEvaluator":
+        """The PsiEvaluator of the pair at n."""
+        return PsiEvaluator.of_parts(self.parts(n)[1])
 
 
 def _joined(arrays: list[np.ndarray]) -> np.ndarray:
@@ -246,20 +265,21 @@ def psi(rho0, rho1, s: float) -> float:
 
 @dataclass(frozen=True, eq=False)
 class PsiCurve:
-    """An s -> psi(s) map: its exact evaluator ``fn``, its exact derivative
-    ``slope``, and ``values``, fn sampled on ``s_grid`` by the constructor.
+    """An s -> psi(s) map: its exact evaluator ``fn``, ``psi_slope``, which
+    gives the value and the exact derivative at a float s from one pass, and
+    ``values``, fn sampled on ``s_grid`` by the constructor.
 
     ``fn`` takes a float or an array of s: the constructor calls it once on
     the whole grid (a scalar result is broadcast to the grid, so a constant
-    works) and the refinements call it on floats.  The optimizers scan
-    ``values`` at the grid points inside their window and refine past the
-    grid with ``fn``; ``values`` are also the printed samples and the
-    convexity check's input.
+    works).  The optimizers scan ``values`` at the grid points inside their
+    window and refine past the grid with ``psi_slope``; ``values`` are also
+    the printed samples and the convexity check's input.  :meth:`slope` is
+    the derivative alone.
     """
 
     s_grid: np.ndarray
     fn: Callable = field(repr=False)
-    slope: Callable[[float], float] = field(repr=False)
+    psi_slope: Callable[[float], tuple[float, float]] = field(repr=False)
     values: np.ndarray = field(init=False)
 
     def __post_init__(self):
@@ -291,6 +311,9 @@ class PsiCurve:
     def evaluate(self, s: float) -> float:
         return float(self.fn(float(s)))
 
+    def slope(self, s: float) -> float:
+        return self.psi_slope(s)[1]
+
     def covers(self, lo: float, hi: float) -> bool:
         return self.s_grid[0] <= lo + 1e-12 and self.s_grid[-1] >= hi - 1e-12
 
@@ -298,7 +321,7 @@ class PsiCurve:
 def psi_curve(rho0, rho1, grid=None) -> PsiCurve:
     """The curve of psi on a grid, with the exact evaluator and slope."""
     ev = PsiEvaluator(rho0, rho1)
-    return PsiCurve(default_s_grid() if grid is None else grid, ev.psi, ev.slope)
+    return PsiCurve(default_s_grid() if grid is None else grid, ev.psi, ev.psi_slope)
 
 
 def renyi(rho0, rho1, alpha: float) -> float:
@@ -425,8 +448,8 @@ def hoeffding_distance(curve: PsiCurve, r: float) -> float:
 
     def in_u(u):
         t = u / (1.0 + u)
-        v = curve.evaluate(t)
-        return neg_objective(t, v), r + v + (1.0 - t) * curve.slope(t)
+        v, slope = curve.psi_slope(t)
+        return neg_objective(t, v), r + v + (1.0 - t) * slope
 
     pts, vals = _window(curve, 0.0, 1.0 - 1e-7)
     return -_scan_min(in_u, pts / (1.0 - pts), neg_objective(pts, vals))
@@ -438,9 +461,13 @@ def phi(curve: PsiCurve, a: float) -> float:
     if not curve.covers(0.0, 1.0):
         raise ValueError("curve does not cover the window [0, 1]")
     pts, vals = _window(curve, 0.0, 1.0)
+
+    def tilted(s):
+        value, slope = curve.psi_slope(s)
+        return value - a * s, slope - a
+
     # a -inf value stays -inf: an unbounded transform
-    return -_scan_min(lambda s: (curve.evaluate(s) - a * s, curve.slope(s) - a), pts,
-                      vals - a * pts)
+    return -_scan_min(tilted, pts, vals - a * pts)
 
 
 def chernoff_distance(curve: PsiCurve) -> float:
@@ -453,8 +480,8 @@ def lieb_bound_check(rho0, rho1, action: GroupAction, n: int,
     """Sandwich of the n-copy twirled psi between the scaled unrestricted and
     single-copy twirled curves: on [0, 1] it sits above n*psi_unrestricted and
     below n*psi_1; on [1, 2] both bounds flip when supp rho1 is invariant."""
-    return _psi_sandwich(PsiEvaluator.twirled(rho0, rho1, action, n),
-                         PsiEvaluator.twirled(rho0, rho1, action, 1), PsiEvaluator(rho0, rho1),
+    sweep = TwirledSweep(rho0, rho1, action)
+    return _psi_sandwich(sweep.evaluator(n), sweep.evaluator(1), PsiEvaluator(rho0, rho1),
                          is_support_invariant(rho1, action), n,
                          default_s_grid() if s_grid is None else s_grid)
 

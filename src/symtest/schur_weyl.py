@@ -5,11 +5,12 @@ det(rho)^t Sym^{n-2t}(rho) (x) I_{m_t}, with m_t = C(n, t) - C(n, t - 1)
 (Bacon-Chuang-Harrow, quant-ph/0407082), and a group acting as U^{(x)n}
 acts on block t as Sym^{n-2t}(U), whose phase cancels under conjugation.  So
 the twirl of rho^{(x)n} under a finite group or the torus is n//2 + 1 blocks
-of size at most n + 1, and schur_weyl_pair builds them without any 2^n-sized
-array.  groups.twirled_pair builds the same pair densely; it stays the route
-for d > 2 and the oracle the blocks are tested against.  The module is
-imported by divergences._twirled_parts, the route of PsiEvaluator.twirled
-and discrimination.TwirledPair, when a qubit pair first takes it.
+of size at most n + 1, block t being det^t G_{n-2t}(rho) for a G_m that does
+not depend on n.  SchurWeylSweep builds and decomposes each G_m once and
+reads every n off them, without any 2^n-sized array.  groups.twirled_pair builds the same pair densely; it stays the
+route for d > 2 and the oracle the blocks are tested against.  The module is
+imported by divergences.TwirledSweep, the route of PsiEvaluator.twirled and
+discrimination.TwirledPair, when a qubit pair first takes it.
 """
 
 from __future__ import annotations
@@ -24,89 +25,136 @@ from .groups import TORUS, GroupAction, _check_power_dim
 from .linalg import DensityOperator, Spectrum, _gram_eigh, _split_eig, _state_rule, state_pair
 
 
-def schur_weyl_pair(rho0, rho1, action: GroupAction, n: int) -> tuple[list, list]:
-    """The twirls of rho0^{(x)n} and rho1^{(x)n} of a qubit pair as their
-    Schur-Weyl blocks, without any 2^n x 2^n array: per state the list of
-    (m_t, spectrum of block t, block t) for t = 0..n//2, where block t has
-    dimension n - 2t + 1 and multiplicity m_t = C(n, t) - C(n, t - 1), so
-    that sum_t m_t (n - 2t + 1) = 2^n.
+class SchurWeylSweep:
+    """The Schur-Weyl blocks of the twirled n-copy pair of two qubit states,
+    for every n, without any 2^n x 2^n array, each G_m built and decomposed
+    once.
 
-    rho^{(x)n} is the direct sum over t of det(rho)^t Sym^{n-2t}(rho) (x)
-    I_{m_t}, and U^{(x)n} acts on block t as Sym^{n-2t}(U), whose phase
-    cancels under conjugation.  With rho = V diag(lam) V^* from the kept
-    single-copy spectrum (its dropped eigenvalues set to 0, so a pure state's
-    det is exactly 0), block t of a finite group's twirl is
-    det^t (1/|G|) sum_g S_g Lam S_g^*, with S_g = Sym^{n-2t}(U_g V) in the
-    orthonormal Dicke basis and Lam = Sym^{n-2t}(diag(lam)); the torus keeps
+    :meth:`pair` gives, per state, the list of (m_t, spectrum of block t,
+    block t) for t = 0..n//2, where block t has dimension n - 2t + 1 and
+    multiplicity m_t = C(n, t) - C(n, t - 1), so that
+    sum_t m_t (n - 2t + 1) = 2^n.
+
+    Block t of the twirl is det^t G_{n-2t}, with
+    G_m = (1/|G|) sum_g Sym^m(U_g) Sym^m(rho) Sym^m(U_g)^*, which does not
+    depend on n: a state's G_m is built and decomposed when an n first needs
+    it, and block t of every later n is read off it, its eigenvalues, cuts
+    and canonical matrix times det^t.  A pure state's det is exactly 0 (its
+    dropped eigenvalue is set to 0), so its blocks t > 0 are zero: a zero
+    matrix and its spectrum of exact zeros, nothing kept.
+
+    With rho = V diag(lam) V^* from the kept single-copy spectrum, G_m of a
+    finite group is (1/|G|) sum_g S_g Lam S_g^*, with S_g = Sym^m(U_g V) in
+    the orthonormal Dicke basis and Lam = Sym^m(diag(lam)); the torus keeps
     the diagonal of S Lam S^*, a sum of nonnegative terms, when its two
     weights differ (each Dicke state has its own weight), and the whole block
-    when they are equal.
-
-    The blocks are made a state by linalg's one state rule, the rule a
-    DensityOperator runs, with the n//2 + 1 parts (m_t, Tr B_t, spectrum of
-    B_t).  Each block passes the Hermitian gate once and splits along its
-    exact zeros (linalg._split_eig); a 1x1 component is an exact
+    when they are equal.  G_m passes the Hermitian gate once and splits along
+    its exact zeros (linalg._split_eig); a 1x1 component is an exact
     eigenpair, its entry (so every eigenvalue of a pinched block, a sum of
     nonnegative terms, is exact); a larger component is f[idx] f[idx]^* for
-    its rows idx of f = [S_g sqrt(det^t Lam)]_g / sqrt(|G|), so its
-    eigenpairs come from the singular value decomposition of f[idx]
-    (linalg._gram_eigh), which resolves an eigenvalue w to about
-    eps * sqrt(w * max) where eigh resolves eps * max.  Then
-    linalg._state_rule gates sum_t m_t Tr B_t, clips and renormalizes.
-    Each eigenpair carries the cut of its component, as on the dense route:
-    0 for a 1x1 component, else the component's size times eps times its
-    largest eigenvalue, whatever the other components and blocks hold.
+    its rows idx of f = [S_g sqrt(Lam)]_g / sqrt(|G|), so its eigenpairs come
+    from the singular value decomposition of f[idx] (linalg._gram_eigh),
+    which resolves an eigenvalue w to about eps * sqrt(w * max) where eigh
+    resolves eps * max.  Each eigenpair carries the cut of its component, as
+    on the dense route: 0 for a 1x1 component, else the component's size
+    times eps times its largest eigenvalue, whatever the other components and
+    blocks hold.
 
-    Block t itself is its canonical matrix, read-only, divided by the trace
-    the state rule divided its spectrum by.  No clip can move a block's
-    spectrum off its matrix, since every eigenvalue is a square (a singular
-    value of f[idx]) or a sum of squares (a 1x1 component's entry).
+    For every n the blocks are made a state by linalg's one state rule, the
+    rule a DensityOperator runs, with the n//2 + 1 parts (m_t, Tr B_t,
+    spectrum of B_t): it gates sum_t m_t Tr B_t, clips and renormalizes, and
+    the dimension cap is checked against 2^n, as on the dense route.  Block t
+    itself is its canonical matrix, read-only, divided by the trace the state
+    rule divided its spectrum by.  No clip can move a block's spectrum off
+    its matrix, since every eigenvalue is a square (a singular value of
+    f[idx]) or a sum of squares (a 1x1 component's entry).
     """
-    _check_power_dim(action, n)
-    s0, s1 = state_pair(rho0, rho1)
-    if action.dim != 2 or s0.dim != 2:
-        raise DimensionError(
-            f"Schur-Weyl blocks need qubits, got states of dimension {s0.dim} "
-            f"and an action of dimension {action.dim}")
-    return _schur_weyl_blocks(s0, action, n), _schur_weyl_blocks(s1, action, n)
+
+    def __init__(self, rho0, rho1, action: GroupAction):
+        s0, s1 = state_pair(rho0, rho1)
+        if action.dim != 2 or s0.dim != 2:
+            raise DimensionError(
+                f"Schur-Weyl blocks need qubits, got states of dimension {s0.dim} "
+                f"and an action of dimension {action.dim}")
+        self._action = action
+        self._states = (_SymBlocks(s0, action), _SymBlocks(s1, action))
+
+    def pair(self, n: int) -> tuple[list, list]:
+        _check_power_dim(self._action, n)
+        return self._states[0].blocks(n), self._states[1].blocks(n)
 
 
-def _schur_weyl_blocks(rho: DensityOperator, action: GroupAction,
-                       n: int) -> list[tuple[int, Spectrum, np.ndarray]]:
-    spec = rho.spectrum
-    lam = np.where(spec.support_mask(), spec.eigenvalues, 0.0)
-    # a group is a set: taken in a fixed order, its elements give the same
-    # factor f, so the same blocks, whatever order the list has
-    unitaries = ([np.eye(2)] if action.kind == TORUS
-                 else sorted(action.unitaries, key=np.ndarray.tobytes))
-    pinched = action.kind == TORUS and bool(action.weights[0] != action.weights[1])
-    factors = np.array([u @ spec.eigenvectors for u in unitaries])
-    root = np.sqrt(lam)
-    parts, mats = [], []
-    for t in range(n // 2 + 1):
-        size = n - 2 * t + 1
-        # block t is f f^* with f = [S_g sqrt(det^t Lam)]_g / sqrt(|G|)
-        scale = (root[0] * root[1]) ** t * (root[0] ** np.arange(size - 1, -1, -1)
-                                            * root[1] ** np.arange(size))
-        fs = _sym_powers(factors, size - 1) * (scale / math.sqrt(len(factors)))
-        f = np.concatenate(fs, axis=1)
-        # summed over g entry by entry, so that terms the group averages to
-        # zero cancel exactly, as they do in the dense twirl
-        block = (np.diag((np.abs(f) ** 2).sum(axis=1)) if pinched
-                 else (fs @ fs.conj().transpose(0, 2, 1)).sum(axis=0))
-        # a larger component of the block is decomposed through the
-        # singular values of its rows of f
-        mat, block_spec, _, _ = _split_eig(block, lambda idx, sub: _gram_eigh(f[idx], sub))
-        mult = math.comb(n, t) - (math.comb(n, t - 1) if t else 0)
-        parts.append((mult, float(np.trace(mat).real), block_spec))
-        mats.append(mat)
-    spectra, tr = _state_rule(parts)
-    if tr != 1.0:
-        # a canonical matrix over its real trace stays exactly Hermitian
-        mats = [mat / tr for mat in mats]
-        for mat in mats:
-            mat.setflags(write=False)
-    return [(mult, s, mat) for (mult, _, _), s, mat in zip(parts, spectra, mats)]
+class _SymBlocks:
+    """G_m of one qubit state under an action, m = 0, 1, ..., each as
+    (trace, spectrum, canonical matrix), built on first use and kept."""
+
+    def __init__(self, rho: DensityOperator, action: GroupAction):
+        spec = rho.spectrum
+        lam = np.where(spec.support_mask(), spec.eigenvalues, 0.0)
+        # a group is a set: taken in a fixed order, its elements give the same
+        # factor f, so the same blocks, whatever order the list has
+        unitaries = ([np.eye(2)] if action.kind == TORUS
+                     else sorted(action.unitaries, key=np.ndarray.tobytes))
+        self._pinched = action.kind == TORUS and bool(action.weights[0] != action.weights[1])
+        self._factors = np.array([u @ spec.eigenvectors for u in unitaries])
+        self._root = np.sqrt(lam)
+        self._det = float(lam[0] * lam[1])
+        self._built: dict[int, tuple[float, Spectrum, np.ndarray]] = {}
+
+    def _block(self, m: int) -> tuple[float, Spectrum, np.ndarray]:
+        if m not in self._built:
+            root = self._root
+            # G_m is f f^* with f = [S_g sqrt(Lam)]_g / sqrt(|G|)
+            scale = root[0] ** np.arange(m, -1, -1) * root[1] ** np.arange(m + 1)
+            fs = _sym_powers(self._factors, m) * (scale / math.sqrt(len(self._factors)))
+            f = np.concatenate(fs, axis=1)
+            # summed over g entry by entry, so that terms the group averages to
+            # zero cancel exactly, as they do in the dense twirl
+            block = (np.diag((np.abs(f) ** 2).sum(axis=1)) if self._pinched
+                     else (fs @ fs.conj().transpose(0, 2, 1)).sum(axis=0))
+            # a larger component of the block is decomposed through the
+            # singular values of its rows of f
+            mat, spec, _, _ = _split_eig(block, lambda idx, sub: _gram_eigh(f[idx], sub))
+            self._built[m] = (float(np.trace(mat).real), spec, mat)
+        return self._built[m]
+
+    def blocks(self, n: int) -> list[tuple[int, Spectrum, np.ndarray]]:
+        """Blocks t = 0..n//2 of the twirled rho^{(x)n}, det^t G_{n-2t}, made a
+        state together (see :class:`SchurWeylSweep`)."""
+        parts, mats = [], []
+        for t in range(n // 2 + 1):
+            mult = math.comb(n, t) - (math.comb(n, t - 1) if t else 0)
+            scale = self._det ** t
+            if scale == 0.0:
+                trace, spec, mat = _zero_block(n - 2 * t + 1)
+            elif t:
+                trace, spec, mat = _times(*self._block(n - 2 * t), scale)
+            else:
+                trace, spec, mat = self._block(n)
+            parts.append((mult, trace, spec))
+            mats.append(mat)
+        spectra, tr = _state_rule(parts)
+        if tr != 1.0:
+            # a canonical matrix over its real trace stays exactly Hermitian
+            mats = [_frozen(mat / tr)[0] for mat in mats]
+        return [(mult, s, mat) for (mult, _, _), s, mat in zip(parts, spectra, mats)]
+
+
+def _times(trace: float, spec: Spectrum, mat: np.ndarray,
+           c: float) -> tuple[float, Spectrum, np.ndarray]:
+    """The block (trace, spectrum, canonical matrix) of c > 0 times the
+    operator: the same eigenvectors, eigenvalues and cuts times c, and a real
+    multiple of a canonical matrix stays exactly Hermitian."""
+    w, cut, scaled = _frozen(spec.eigenvalues * c, spec.cut * c, mat * c)
+    return c * trace, Spectrum(w, spec.eigenvectors, cut), scaled
+
+
+def _zero_block(size: int) -> tuple[float, Spectrum, np.ndarray]:
+    """The zero block of a size: trace 0, the spectrum _split_eig gives a zero
+    matrix (every entry a 1x1 component, exact zeros cut at 0, unit vectors)
+    and the matrix."""
+    w, v, cut, mat = _frozen(np.zeros(size), np.eye(size), np.zeros(size), np.zeros((size, size)))
+    return 0.0, Spectrum(w, v, cut), mat
 
 
 def _power_tables(a: np.ndarray, m: int) -> np.ndarray:
@@ -142,7 +190,7 @@ def _expansion(m: int) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
 
 
 def _frozen(*arrays: np.ndarray) -> tuple[np.ndarray, ...]:
-    """The arrays, read-only: a cached result is shared by every caller."""
+    """The arrays, made read-only: each is shared by every reader."""
     for a in arrays:
         a.setflags(write=False)
     return arrays

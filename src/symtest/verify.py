@@ -5,9 +5,9 @@ over the built-in scenarios plus seeded random instances.  A report that
 reads dense twirled pairs takes them from ``pairs(key, n)``, the twirled
 n-copy pair of builtin scenario ``key``, which run_verify builds and
 validates once per (key, n) however many reports read it; a report that
-reads psi alone takes ``evaluators(key, n)``, the PsiEvaluator.twirled of
-the same pair (Schur-Weyl blocks for qubits), built once per (key, n) the
-same way.  A clean run is the machine-checkable statement that every
+reads psi alone takes ``evaluators(key, n)``, the PsiEvaluator of the same
+pair (Schur-Weyl blocks for qubits), built once per (key, n) the same way
+off one divergences.TwirledSweep per key, which decomposes each block once.  A clean run is the machine-checkable statement that every
 finite-size inequality this package implements holds at its stated
 tolerance.
 """
@@ -36,6 +36,7 @@ from .asymptotics import (
     z2_action,
 )
 from .discrimination import (
+    TwirledPair,
     fidelity_pmin_check,
     p_min,
     pmin_bounds_check,
@@ -45,6 +46,7 @@ from .discrimination import (
 )
 from .divergences import (
     PsiEvaluator,
+    TwirledSweep,
     _psi_sandwich,
     chernoff_distance,
     fidelity,
@@ -425,13 +427,14 @@ def beta_eps_shape_report(pairs) -> CheckReport:
     """The constrained type-II error is nonincreasing and continuous in eps."""
     report = CheckReport("beta_eps monotone and right-continuous in eps")
     for key in ("pure-vs-mixed", "two-pure"):
-        pair = pairs(key, 3)
+        # one pair, its commuting test and atoms, for every eps
+        pair = TwirledPair.of_states(*pairs(key, 3))
         eps_grid = np.linspace(0.05, 0.9, 10)
-        values = [beta_eps(*pair, float(e)) for e in eps_grid]
+        values = [pair.beta_eps(float(e)) for e in eps_grid]
         for (e1, v1), (e2, v2) in zip(zip(eps_grid, values), zip(eps_grid[1:], values[1:])):
             report.check_leq(f"{key}: beta({e2:.2f}) <= beta({e1:.2f})", v2, v1, 1e-10)
         for e, v in zip(eps_grid[::3], values[::3]):
-            nudged = beta_eps(*pair, float(e) + 1e-9)
+            nudged = pair.beta_eps(float(e) + 1e-9)
             report.check_close(f"{key}: right-continuity at eps={e:.2f}", nudged, v, 1e-6)
     return report
 
@@ -459,8 +462,9 @@ def equality_experiment_report() -> CheckReport:
     ev0 = PsiEvaluator(rho0, rho1)
     s_grid = np.linspace(-0.5, 2.0, 26)
     psi0 = ev0.psi(s_grid)
+    sweep = TwirledSweep(rho0, rho1, action)
     for n in range(1, 6):
-        ev = PsiEvaluator.twirled(rho0, rho1, action, n)
+        ev = sweep.evaluator(n)
         expected = n * psi0 + (1.0 - s_grid) * math.log(2.0)
         worst = float(np.max(np.abs(ev.psi(s_grid) - expected)))
         report.check_leq(f"n={n}: exact offset identity", worst, 0.0, 1e-9)
@@ -496,13 +500,14 @@ def mean_quantity_report(scenarios) -> CheckReport:
 
 
 def _evaluator_table(scenarios):
-    """evaluators(key, n), PsiEvaluator.twirled of the twirled n-copy pair of
-    builtin scenario key, built once per (key, n) for the life of the table."""
+    """evaluators(key, n), the PsiEvaluator of the twirled n-copy pair of
+    builtin scenario key, built once per (key, n) for the life of the table,
+    off one TwirledSweep per key."""
+    sweeps = {key: TwirledSweep(sc.rho0, sc.rho1, sc.action) for key, sc in scenarios.items()}
 
     @functools.cache
     def evaluators(key: str, n: int) -> PsiEvaluator:
-        sc = scenarios[key]
-        return PsiEvaluator.twirled(sc.rho0, sc.rho1, sc.action, n)
+        return sweeps[key].evaluator(n)
 
     return evaluators
 

@@ -199,17 +199,23 @@ class TestFloatCalls:
     def test_phi_and_hoeffding(self, monkeypatch):
         ev = TwirledPair(*PAIR_A, SIGN_FLIP, 6).evaluator
         calls = []
-        for name in ("psi", "slope"):
+        for name in ("psi", "slope", "psi_slope"):
             real = getattr(ev, name)
             monkeypatch.setattr(ev, name, lambda s, _real=real, _name=name:
                                 calls.append((_name, np.shape(s), type(s))) or _real(s))
-        curve = PsiCurve(default_s_grid(), ev.psi, ev.slope)
+        curve = PsiCurve(default_s_grid(), ev.psi, ev.psi_slope)
         assert [c[:2] for c in calls] == [("psi", (201,))]
         calls.clear()
         for a in (-0.5, 0.0, 0.5):
             phi(curve, 6 * a)
+        steps = len(calls)
         hoeffding_distance(curve, 0.6)
         assert calls and all(c[2] is float for c in calls)
+        # each refinement step is one pass for its value and its slope; psi
+        # alone only gives the window ends off the grid and Hoeffding's psi(1)
+        assert steps and all(c[0] == "psi_slope" for c in calls[:steps])
+        assert [c[0] for c in calls[steps:]].count("psi") == 2
+        assert "slope" not in [c[0] for c in calls]
 
     def test_dual(self, monkeypatch):
         pair = TwirledPair(*PAIR_A, SIGN_FLIP, 4)

@@ -132,8 +132,8 @@ class TestPsiCurve:
 
     def test_convexity_validated(self):
         with pytest.raises(ValueError, match="convex"):
-            PsiCurve(np.array([0.0, 0.5, 1.0]),
-                     lambda s: 1.0 - abs(2.0 * s - 1.0), lambda s: 2.0 - 4.0 * (s > 0.5))
+            PsiCurve(np.array([0.0, 0.5, 1.0]), lambda s: 1.0 - abs(2.0 * s - 1.0),
+                     lambda s: (1.0 - abs(2.0 * s - 1.0), 2.0 - 4.0 * (s > 0.5)))
 
     def test_evaluator_required(self):
         grid = np.array([0.0, 0.5, 1.0])
@@ -212,7 +212,7 @@ class TestArrayEvaluation:
             calls.append(np.shape(s))
             return np.asarray(s) ** 2
 
-        curve = PsiCurve(default_s_grid(), fn, lambda s: 2.0 * s)
+        curve = PsiCurve(default_s_grid(), fn, lambda s: (s**2, 2.0 * s))
         assert calls == [(201,)]
         assert_allclose(curve.values, default_s_grid() ** 2, rtol=0, atol=0)
 
@@ -230,7 +230,7 @@ class TestArrayEvaluation:
                 (np.linspace(-0.5, 2.0, 201), "near s=0.4 (slope drop -1.000e-03)"),
                 (np.linspace(0.5, 2.0, 7), "near s=1 (slope drop -4.000e-01)")):
             with pytest.raises(ValueError) as info:
-                PsiCurve(grid, fn, lambda s: 0.0)
+                PsiCurve(grid, fn, lambda s: (float(fn(s)), 0.0))
             assert str(info.value) == f"curve is not convex {message}"
 
 
@@ -493,7 +493,7 @@ class TestChernoff:
         assert chernoff_distance(curve) == math.inf
 
     def test_requires_coverage(self):
-        curve = PsiCurve(np.linspace(0.2, 0.8, 10), lambda s: 0.0, lambda s: 0.0)
+        curve = PsiCurve(np.linspace(0.2, 0.8, 10), lambda s: 0.0, lambda s: (0.0, 0.0))
         with pytest.raises(ValueError, match="cover"):
             chernoff_distance(curve)
 
@@ -546,7 +546,7 @@ class TestLegendreFenchel:
 
     def test_flat_curve_hinge(self):
         grid = default_s_grid()
-        curve = PsiCurve(grid, lambda s: 0.0, lambda s: 0.0)
+        curve = PsiCurve(grid, lambda s: 0.0, lambda s: (0.0, 0.0))
         for a in (-0.7, -0.1, 0.0, 0.2, 1.3):
             assert phi(curve, a) == pytest.approx(max(a, 0.0), abs=1e-12)
 

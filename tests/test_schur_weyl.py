@@ -11,6 +11,7 @@ import pytest
 
 import symtest.divergences as divergences
 import symtest.linalg as linalg
+import symtest.schur_weyl as schur_weyl
 import symtest.verify as verify
 from symtest.asymptotics import (
     Scenario,
@@ -20,13 +21,14 @@ from symtest.asymptotics import (
     sigma_state,
     stein_gap_check,
 )
-from symtest.cli import parse_scenario
-from symtest.divergences import NEG_INF, PsiEvaluator, default_s_grid, lieb_bound_check
+from symtest.cli import main, parse_scenario
+from symtest.discrimination import TwirledPair, beta_eps, threshold_errors
+from symtest.divergences import NEG_INF, PsiEvaluator, TwirledSweep, default_s_grid, lieb_bound_check
 from symtest.errors import DimensionError
 from symtest.groups import GroupAction, twirled_pair
 from symtest.linalg import DensityOperator
 from symtest.oracle import block_scalar_oracle, random_density
-from symtest.schur_weyl import schur_weyl_pair
+from symtest.schur_weyl import SchurWeylSweep
 
 from helpers import seeded_pairs
 
@@ -64,7 +66,7 @@ def per_copy_gap(ev_a, n_a, ev_b, n_b):
 def smallest_kept(rho0, rho1, action, n):
     """The smallest eigenvalue either twirled n-copy state keeps."""
     return min(min((s.support().eigenvalues.min(initial=np.inf) for _, s, _ in blocks))
-               for blocks in schur_weyl_pair(rho0, rho1, action, n))
+               for blocks in SchurWeylSweep(rho0, rho1, action).pair(n))
 
 
 # The trivial group and equal torus weights leave rho^(x)n as it is: the
@@ -198,7 +200,7 @@ def test_sign_flip_keeps_the_exact_atoms_of_a_diagonal_pair():
 @pytest.mark.parametrize("n", [*range(1, 13), 20, 26])
 def test_blocks_fill_the_n_copy_space(monkeypatch, n):
     monkeypatch.setenv("SYMTEST_DIM_CAP", str(2**26))
-    for blocks in schur_weyl_pair(*PAIRS["A"], SIGN_FLIP, n):
+    for blocks in SchurWeylSweep(*PAIRS["A"], SIGN_FLIP).pair(n):
         assert [spec.eigenvalues.size for _, spec, _ in blocks] == list(range(n + 1, 0, -2))
         assert sum(mult * spec.eigenvalues.size for mult, spec, _ in blocks) == 2**n
         assert sum(mult * float(spec.eigenvalues.sum()) for mult, spec, _ in blocks) == pytest.approx(1.0, abs=1e-14)
@@ -234,7 +236,7 @@ def test_keeps_and_marks_exact_what_the_dense_route_does(case):
     rho0, rho1, action, n_max = KEEP_CASES[case]
     for n in range(1, n_max + 1):
         dense = twirled_pair(rho0, rho1, action, n)
-        for rho, blocks in zip(dense, schur_weyl_pair(rho0, rho1, action, n)):
+        for rho, blocks in zip(dense, SchurWeylSweep(rho0, rho1, action).pair(n)):
             want = rho.spectrum.support()
             kept = [s.support() for _, s, _ in blocks]
             got_w = np.concatenate([np.repeat(s.eigenvalues, mult) for (mult, _, _), s in zip(blocks, kept)])
@@ -256,7 +258,7 @@ def test_block_route_keeps_the_exact_atom_the_dense_route_cuts():
     for n in (2, 3, 4):
         _, dense = twirled_pair(rho0, rho1, action, n)
         assert np.allclose(dense.spectrum.support().eigenvalues, [n * 1e-300, 1.0], rtol=1e-12, atol=0.0)
-        _, blocks = schur_weyl_pair(rho0, rho1, action, n)
+        _, blocks = SchurWeylSweep(rho0, rho1, action).pair(n)
         kept = blocks[0][1].support()
         assert (kept.cut == 0).all()
         assert_exact_are_lone_components(kept)
@@ -340,18 +342,117 @@ def test_psi_only_readers_take_the_block_route_for_qubits(monkeypatch):
 
 def test_verify_builds_each_twirled_evaluator_once(monkeypatch):
     built = []
-    twirled = PsiEvaluator.twirled.__func__
+    evaluator = TwirledSweep.evaluator
 
-    def counted(cls, rho0, rho1, action, n):
-        built.append((id(rho0), id(rho1), id(action), n))
-        return twirled(cls, rho0, rho1, action, n)
+    def counted(sweep, n):
+        built.append((id(sweep), n))
+        return evaluator(sweep, n)
 
-    monkeypatch.setattr(PsiEvaluator, "twirled", classmethod(counted))
+    monkeypatch.setattr(TwirledSweep, "evaluator", counted)
     verify.run_verify(n_max=3)
     assert built and len(built) == len(set(built))
 
 
+@pytest.fixture
+def sym_power_calls(monkeypatch):
+    """The m of each Sym^m table the Schur-Weyl route builds."""
+    calls = []
+    real = schur_weyl._sym_powers
+    monkeypatch.setattr(schur_weyl, "_sym_powers", lambda a, m: calls.append(m) or real(a, m))
+    return calls
+
+
+def test_a_sweep_builds_each_block_once(sym_power_calls):
+    # block t of n is det^t G_{n-2t}: n = 1..N builds G_0..G_N of each state
+    # once, N + 1 blocks, however often each n is read
+    sweep = TwirledSweep(*PAIRS["A"], SIGN_FLIP)
+    for n in range(1, 10):
+        TwirledPair.of_parts(*sweep.parts(n)).beta_eps(0.1)
+        sweep.evaluator(n).psi(GRID)
+        assert len(sym_power_calls) == 2 * len(set(sym_power_calls)), n
+    sweep.evaluator(4)
+    assert sorted(sym_power_calls) == sorted(2 * list(range(10)))
+
+
+def test_a_pure_state_builds_no_block_past_t_0(sym_power_calls):
+    sweep = TwirledSweep(*scenario("two-pure"))
+    for n in range(1, 9):
+        sweep.evaluator(n)
+    assert sorted(sym_power_calls) == sorted(2 * list(range(1, 9)))
+
+
+def same_blocks(a, b):
+    """Whether two lists of blocks (m_t, spectrum, matrix) are equal bit for bit."""
+    return len(a) == len(b) and all(
+        ma == mb and all(x.dtype == y.dtype and np.array_equal(x, y) for x, y in (
+            (sa.eigenvalues, sb.eigenvalues), (sa.eigenvectors, sb.eigenvectors),
+            (sa.cut, sb.cut), (xa, xb)))
+        for (ma, sa, xa), (mb, sb, xb) in zip(a, b))
+
+
+@pytest.mark.parametrize("case", ["A sign flip", "B {I, H}", "A torus [3, 4]", "pure-vs-mixed",
+                                  "two-commuting"])
+def test_blocks_do_not_depend_on_which_n_came_before(case):
+    rho0, rho1, action, _ = DENSE_CASES[case]
+    orders = ([9, 3, 8, 1, 9, 6, 2, 7, 5, 4], list(range(1, 10)), list(range(9, 0, -1)))
+    sweeps = [SchurWeylSweep(rho0, rho1, action) for _ in orders]
+    seen = [{n: sweep.pair(n) for n in order} for sweep, order in zip(sweeps, orders)]
+    for n in range(1, 10):
+        alone = SchurWeylSweep(rho0, rho1, action).pair(n)
+        for pair in seen:
+            assert all(same_blocks(a, b) for a, b in zip(pair[n], alone)), n
+
+
+def test_pure_state_blocks_past_t_0_are_zero():
+    # a pure state's det is exactly 0: every reader sees its blocks t > 0 as
+    # zero, with no eigenpair kept and a zero matrix
+    rho0, rho1, action = scenario("pure-vs-mixed")
+    sweep = SchurWeylSweep(rho0, rho1, action)
+    for n in range(2, 10):
+        pure, mixed = sweep.pair(n)
+        for (_, spec, mat), (_, mixed_spec, _) in zip(pure[1:], mixed[1:]):
+            assert spec.support().eigenvalues.size == 0
+            assert not spec.eigenvalues.any() and not mat.any()
+            assert mixed_spec.support().eigenvalues.size == mat.shape[0]
+        evaluator = TwirledSweep(rho0, rho1, action).evaluator(n)
+        assert evaluator.atoms()[0].size == n + 1
+        pair = TwirledPair(rho0, rho1, action, n)
+        assert [float(np.abs(a).sum()) for _, a, _ in pair.parts[1:]] == [0.0] * (n // 2)
+
+
+SWEEP_CASES = ["pure-vs-mixed", "two-commuting", "two-pure", "A sign flip", "B sign flip"]
+
+
+@pytest.mark.parametrize("case", SWEEP_CASES)
+def test_one_sweep_matches_the_dense_route(case):
+    rho0, rho1, action, n_max = DENSE_CASES[case]
+    sweep = TwirledSweep(rho0, rho1, action)
+    rates = np.linspace(-2.0, 2.0, 81)
+    for n in range(1, n_max + 1):
+        dense = twirled_pair(rho0, rho1, action, n)
+        block = TwirledPair.of_parts(*sweep.parts(n))
+        if smallest_kept(rho0, rho1, action, n) > 1e-9:
+            assert per_copy_gap(PsiEvaluator(*dense), n, sweep.evaluator(n), n) <= 1e-12, n
+        for eps in (0.05, 0.3):
+            assert block.beta_eps(eps) == pytest.approx(beta_eps(*dense, eps), rel=0, abs=1e-12)
+        assert np.allclose(block.threshold_errors(rates), threshold_errors(*dense, rates),
+                           rtol=0, atol=1e-12)
+
+
+def test_a_sweep_raises_the_cap_error_at_the_same_n(monkeypatch, capsys):
+    monkeypatch.setenv("SYMTEST_DIM_CAP", "8")
+    sweep = TwirledSweep(*scenario("two-commuting"))
+    for n in (1, 2, 3):
+        sweep.evaluator(n)
+    with pytest.raises(DimensionError, match="^tensor power dimension 16 exceeds cap 8$"):
+        sweep.parts(4)
+    monkeypatch.delenv("SYMTEST_DIM_CAP")
+    assert main(["--scenario", str(SCENARIOS / "two-commuting.json"), "--command", "stein",
+                 "--n-max", "13"]) == 3
+    assert capsys.readouterr().err == "error: tensor power dimension 8192 exceeds cap 4096\n"
+
+
 def test_states_must_be_qubits():
     with pytest.raises(DimensionError):
-        schur_weyl_pair(np.eye(3) / 3, np.eye(3) / 3, GroupAction.torus([0, 1]), 2)
+        SchurWeylSweep(np.eye(3) / 3, np.eye(3) / 3, GroupAction.torus([0, 1]))
 
