@@ -7,9 +7,10 @@ acts on block t as Sym^{n-2t}(U), whose phase cancels under conjugation.  So
 the twirl of rho^{(x)n} under a finite group or the torus is n//2 + 1 blocks
 of size at most n + 1, block t being det^t G_{n-2t}(rho) for a G_m that does
 not depend on n.  SchurWeylSweep builds and decomposes each G_m once and
-reads every n off them, without any 2^n-sized array.  groups.twirled_pair builds the same pair densely; it stays the
-route for d > 2 and the oracle the blocks are tested against.  The module is
-imported by divergences.TwirledSweep, the route of PsiEvaluator.twirled and
+reads every n off them, without any 2^n-sized array.  groups.twirled_pair
+builds the same pair densely; it stays the route for d > 2 and the oracle
+the blocks are tested against.  The module is imported by
+divergences.TwirledSweep, the route of PsiEvaluator.twirled and
 discrimination.TwirledPair, when a qubit pair first takes it.
 """
 

@@ -7,9 +7,9 @@ n-copy pair of builtin scenario ``key``, which run_verify builds and
 validates once per (key, n) however many reports read it; a report that
 reads psi alone takes ``evaluators(key, n)``, the PsiEvaluator of the same
 pair (Schur-Weyl blocks for qubits), built once per (key, n) the same way
-off one divergences.TwirledSweep per key, which decomposes each block once.  A clean run is the machine-checkable statement that every
-finite-size inequality this package implements holds at its stated
-tolerance.
+off one divergences.TwirledSweep per key, which decomposes each block once.
+A clean run is the machine-checkable statement that every finite-size
+inequality this package implements holds at its stated tolerance.
 """
 
 from __future__ import annotations

@@ -23,7 +23,13 @@ from symtest.asymptotics import (
 )
 from symtest.cli import main, parse_scenario
 from symtest.discrimination import TwirledPair, beta_eps, threshold_errors
-from symtest.divergences import NEG_INF, PsiEvaluator, TwirledSweep, default_s_grid, lieb_bound_check
+from symtest.divergences import (
+    NEG_INF,
+    PsiEvaluator,
+    TwirledSweep,
+    default_s_grid,
+    lieb_bound_check,
+)
 from symtest.errors import DimensionError
 from symtest.groups import GroupAction, twirled_pair
 from symtest.linalg import DensityOperator
