@@ -30,6 +30,7 @@ from .divergences import (
     NEG_INF,
     PsiCurve,
     PsiEvaluator,
+    TwirledSweep,
     chernoff_distance,
     default_s_grid,
     fidelity,

@@ -289,8 +289,8 @@ def stein_gap_check(scenario: Scenario, n: int) -> CheckReport:
     and above it minus d*log(n+1) + 2*log(sum_i d_i), so the twirled problem
     loses nothing per copy in the Stein regime.
     """
-    return _stein_gap(scenario, n,
-                      PsiEvaluator.twirled(scenario.rho0, scenario.rho1, scenario.action, n))
+    sweep = TwirledSweep(scenario.rho0, scenario.rho1, scenario.action)
+    return _stein_gap(scenario, n, sweep.evaluator(n))
 
 
 def _stein_gap(scenario: Scenario, n: int, twirled: PsiEvaluator) -> CheckReport:

@@ -370,7 +370,7 @@ def _cmd_beta_eps(sc: Scenario, config: argparse.Namespace) -> int:
     floored = (is_support_invariant(sc.rho1, sc.action)
                and relative_entropy(sc.rho0, sc.rho1) < math.inf)
     sweep = TwirledSweep(sc.rho0, sc.rho1, sc.action)
-    rows = [_beta_eps_row(TwirledPair.of_parts(*sweep.parts(n)), n, config, floored)
+    rows = [_beta_eps_row(TwirledPair(sweep.pair(n)), n, config, floored)
             for n in range(1, sc.n_max + 1)]
     _write_table(("n", "a_or_eps", "beta0", "beta1", "bound_lo", "bound_hi"), rows, config)
     return 0

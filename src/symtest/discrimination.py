@@ -15,16 +15,17 @@ np_test builds.  The atoms are PsiEvaluator.atoms: the support overlaps of
 the two spectra every density operator keeps, plus one atom per row for the
 mass of supp rho0 outside supp rho1.  So a state pair is never decomposed
 again here, and one state's eigenvectors never meet the other's.
-beta_eps and threshold_errors each have one engine over the parts (m, A, B)
-of a pair held as the direct sum of m copies of each (A, B), as
-PsiEvaluator holds one: the commutator test runs per part, the dual sums
-m * Tr(t A - B)_+ and its supergradient with one eigh per part, and the
-sweep runs one eigh per part, cut at that part's own level.  So the rule
-that np_test keeps what threshold_errors keeps holds per part: a pair of
-two states is the one-part case (TwirledPair.of_states), whose one
-difference both cut alike, and a TwirledPair (the twirled n-copy pair of
-qubits held as its Schur-Weyl blocks) has each block's difference cut at
-its own level, as np_test would cut that block.
+beta_eps and threshold_errors each have one engine over a TwirledPair, the
+parts (m, x0, x1) of a pair held as the direct sum of m copies of each
+pair of matrices (x0.mat, x1.mat), the list PsiEvaluator reads the spectra
+of: the commutator test runs per part, the dual sums m * Tr(t A - B)_+ and
+its supergradient with one eigh per part, and the sweep runs one eigh per
+part, cut at that part's own level.  So the rule that np_test keeps what
+threshold_errors keeps holds per part: a pair of two states is the one
+part (1, rho0n, rho1n), whose one difference both cut alike, and the
+twirled n-copy pair of qubits (divergences.TwirledSweep.pair, one part per
+Schur-Weyl block) has each block's difference cut at its own level, as
+np_test would cut that block.
 Every function of a pair reads it through linalg.state_pair and then uses
 the states' canonical matrices, never gating them again, so both paths of
 beta_eps and threshold_errors reject a pair that is not a state alike; the
@@ -42,9 +43,8 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .divergences import PsiEvaluator, TwirledSweep, _bracket_min, _scan_min, fidelity
+from .divergences import PsiEvaluator, _bracket_min, _scan_min, fidelity
 from .errors import DimensionError
-from .groups import GroupAction
 from .linalg import (
     _eigh,
     above_cut,
@@ -122,17 +122,17 @@ def threshold_errors(rho0n, rho1n, a_values) -> np.ndarray:
     commuting pair, where the test keeps the atoms whose eigenvalue
     e^{-a} w0 - w1 survives the cut, or else the eigh of each difference,
     summing <v|m|v> over the kept eigenvectors v instead of forming the
-    projection.  The pair is the one-part case of :class:`TwirledPair`.
+    projection.  The pair is the one-part :class:`TwirledPair`.
     """
-    return TwirledPair.of_states(*state_pair(rho0n, rho1n)).threshold_errors(a_values)
+    return TwirledPair([(1, *state_pair(rho0n, rho1n))]).threshold_errors(a_values)
 
 
 def _threshold_errors(parts, atoms, a_values) -> np.ndarray:
-    """threshold_errors of the direct sum of the parts (m, A, B): from the
-    commuting atoms when given, else from one eigh per part of each
-    difference e^{-a} A - B, each cut at its own level, as np_test cuts the
-    difference of a one-part pair, and part t adding m_t times its accepted
-    masses.  The rates are taken SWEEP_ENTRIES matrix entries (or atoms) at a
+    """threshold_errors of the direct sum of the parts (m, x0, x1), A = x0.mat
+    and B = x1.mat: from the commuting atoms when given, else from one eigh
+    per part of each difference e^{-a} A - B, each cut at its own level, as
+    np_test cuts the difference of a one-part pair, and part t adding m_t
+    times its accepted masses.  The rates are taken SWEEP_ENTRIES matrix entries (or atoms) at a
     time, one stacked array per part."""
     # the weights np_test puts on A, bit for bit
     weights = np.array([math.exp(-float(a)) for a in a_values])
@@ -143,7 +143,8 @@ def _threshold_errors(parts, atoms, a_values) -> np.ndarray:
             kept = above_cut(np.multiply.outer(weights[rates], w0) - w1)
             accept0[rates], accept1[rates] = kept @ (w0 * o), kept @ (w1 * o)
     else:
-        for mult, m0, m1 in parts:
+        for mult, x0, x1 in parts:
+            m0, m1 = x0.mat, x1.mat
             for rates in _rate_chunks(weights.size, m0.size):
                 # e^{-a} A - B of two canonical matrices is exactly Hermitian
                 w, v = np.linalg.eigh(weights[rates, None, None] * m0 - m1)
@@ -206,18 +207,11 @@ def pmin_bounds_check(rho0n, rho1n, a: float) -> CheckReport:
     return report
 
 
-def _commuting_atoms(rho0n, rho1n) -> tuple[np.ndarray, np.ndarray, np.ndarray] | None:
-    """:meth:`PsiEvaluator.atoms` of two commuting states, None for others:
-    the one-part case of :attr:`TwirledPair.atoms`, which
-    :meth:`TwirledPair.of_states` reads here."""
-    s0, s1 = state_pair(rho0n, rho1n)
-    return PsiEvaluator(s0, s1).atoms() if _commute([(1, s0.mat, s1.mat)]) else None
-
-
 def _commute(parts) -> bool:
-    """Whether A and B commute in every part (m, A, B), each within
-    1e-10 * max(1, max|A|, max|B|) in its largest entry."""
-    for _, m0, m1 in parts:
+    """Whether A = x0.mat and B = x1.mat commute in every part (m, x0, x1),
+    each within 1e-10 * max(1, max|A|, max|B|) in its largest entry."""
+    for _, x0, x1 in parts:
+        m0, m1 = x0.mat, x1.mat
         scale = max(1.0, float(np.max(np.abs(m0))), float(np.max(np.abs(m1))))
         # for Hermitian m0 and m1, m1 m0 = (m0 m1)^*, so one product gives the commutator
         x = m0 @ m1
@@ -246,8 +240,9 @@ def _commuting_dual(p: np.ndarray, q: np.ndarray, eps: float) -> float:
 
 def _general_dual(parts, outside: float, eps: float) -> float:
     """Maximum over [0, 1/eps] of the concave dual of the direct sum of the
-    parts (m, A, B), f(t) = t(1 - eps) - sum_t m_t Tr(t A - B)_+, by
-    divergences._bracket_min of -f.  One eigh per part and t gives f and its
+    parts (m, x0, x1), A = x0.mat and B = x1.mat,
+    f(t) = t(1 - eps) - sum_t m_t Tr(t A - B)_+, by divergences._bracket_min
+    of -f.  One eigh per part and t gives f and its
     supergradient (1 - eps) - sum_t m_t Tr(A_t P+(t)), P+(t) the projection
     onto the positive part of t A_t - B_t.  At t = 0, f = 0 and its right
     slope is (1 - eps) - outside, outside = sum_t m_t Tr A_t (1 - P_{supp B_t})
@@ -260,7 +255,8 @@ def _general_dual(parts, outside: float, eps: float) -> float:
         if t == 0.0:
             return 0.0, outside - (1.0 - eps)
         value, slope = t * (1.0 - eps), 1.0 - eps
-        for mult, m0, m1 in parts:
+        for mult, x0, x1 in parts:
+            m0, m1 = x0.mat, x1.mat
             w, v = np.linalg.eigh(t * m0 - m1)
             kept = v[:, w > 0.0]
             value -= mult * float(np.sum(w[w > 0.0]))
@@ -278,51 +274,35 @@ def beta_eps(rho0n, rho1n, eps: float) -> float:
     Computed as max over t >= 0 of t(1 - eps) - Tr(t*rho0n - rho1n)_+, the
     Lagrange dual of the hypothesis-testing problem (Wang-Renner,
     arXiv:1007.5456); strong duality makes the maximum equal beta_eps.  The
-    pair is the one-part case of :class:`TwirledPair`.
+    pair is the one-part :class:`TwirledPair`.
     """
-    return TwirledPair.of_states(*state_pair(rho0n, rho1n)).beta_eps(eps)
+    return TwirledPair([(1, *state_pair(rho0n, rho1n))]).beta_eps(eps)
 
 
 class TwirledPair:
-    """The twirled n-copy pair of two states, held as the parts (m, A, B) of
-    its direct sum: m copies of the pair of canonical matrices (A, B).
+    """A pair of states held as the parts (m, x0, x1) of its direct sum: m
+    copies of the pair of canonical matrices (x0.mat, x1.mat), each x a
+    DensityOperator or a schur_weyl.Block.
 
-    A qubit pair gives one part per Schur-Weyl block t (m = m_t, no 2^n-sized
-    array), any other pair the one part of groups.twirled_pair; the route
-    follows action.dim, as PsiEvaluator.twirled does, and both are one-n
-    views of divergences.TwirledSweep; a command that sweeps n holds one
-    sweep and takes each n's pair through :meth:`of_parts`.  ``evaluator``
-    is the PsiEvaluator of the parts and ``atoms`` its commuting atoms when A
-    and B commute in every part, else None; each is built once, on first use
-    (a one-part pair's atoms at once, by _commuting_atoms).  :meth:`beta_eps` and
-    :meth:`threshold_errors` give what the functions of the same names give
-    on the dense pair, read part by part: the dual's Tr(t rho0n - rho1n)_+ is
-    sum_t m_t Tr(t A_t - B_t)_+, and a threshold test's accepted masses are
-    m_t times those of part t, each part's difference cut at its own level.
+    Two states are the one part (1, rho0, rho1); the twirled n-copy pair is
+    divergences.TwirledSweep.pair(n), one part per Schur-Weyl block t
+    (m = m_t, no 2^n-sized array) for qubits, the one part of
+    groups.twirled_pair otherwise.  ``evaluator`` is the PsiEvaluator of the
+    same parts and ``atoms`` its commuting atoms when A and B commute in
+    every part, else None; each is built once, on first use.
+    :meth:`beta_eps` and :meth:`threshold_errors` give what the functions of
+    the same names give on the dense pair, read part by part: the dual's
+    Tr(t rho0n - rho1n)_+ is sum_t m_t Tr(t A_t - B_t)_+, and a threshold
+    test's accepted masses are m_t times those of part t, each part's
+    difference cut at its own level.
     """
 
-    def __init__(self, rho0, rho1, action: GroupAction, n: int):
-        self.parts, self._spectra = TwirledSweep(rho0, rho1, action).parts(n)
-
-    @classmethod
-    def of_parts(cls, parts, spectra) -> "TwirledPair":
-        """The pair whose parts are (m, A, B) and (m, spectrum of A, spectrum
-        of B), as TwirledSweep.parts gives them."""
-        pair = cls.__new__(cls)
-        pair.parts, pair._spectra = parts, spectra
-        return pair
-
-    @classmethod
-    def of_states(cls, s0, s1) -> "TwirledPair":
-        """The one-part pair of two DensityOperators, (1, s0.mat, s1.mat),
-        its atoms those of :func:`_commuting_atoms`."""
-        pair = cls.of_parts([(1, s0.mat, s1.mat)], [(1, s0.spectrum, s1.spectrum)])
-        pair.atoms = _commuting_atoms(s0, s1)
-        return pair
+    def __init__(self, parts):
+        self.parts = parts
 
     @functools.cached_property
     def evaluator(self) -> PsiEvaluator:
-        return PsiEvaluator.of_parts(self._spectra)
+        return PsiEvaluator.of_parts(self.parts)
 
     @functools.cached_property
     def atoms(self) -> tuple[np.ndarray, np.ndarray, np.ndarray] | None:

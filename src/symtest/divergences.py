@@ -9,17 +9,17 @@ relative-entropy, fidelity, Chernoff and Hoeffding quantities built from it.
 PsiEvaluator is the one reader of a pair's two kept spectra together and
 holds arrays only: the relative entropy takes its nesting test from its
 ``outside`` mass, and discrimination the commuting atoms from its ``atoms``.
-A pair is a list of parts (m, spectrum0, spectrum1), held as their direct
-sum: PsiEvaluator(rho0, rho1) is one part.  TwirledSweep(rho0, rho1, action)
+A pair is one list of parts (m, x0, x1), m copies of the pair (x0, x1),
+held as their direct sum; each x has a ``mat`` and a ``spectrum``: a
+DensityOperator, or a schur_weyl.Block.  PsiEvaluator(rho0, rho1) is the
+one part (1, rho0, rho1) and reads the spectra, discrimination.TwirledPair
+the matrices of the same list.  TwirledSweep(rho0, rho1, action).pair(n)
 gives the twirled n-copy pair for every n: for qubits one part per
 Schur-Weyl block t with m = m_t and no 2^n-sized array, each block
-decomposed once for the whole sweep (schur_weyl.SchurWeylSweep); for d > 2
-the one part of twirled_pair(rho0, rho1, action, n).  It also hands out each
-part's pair of matrices, which discrimination.TwirledPair reads beta_eps and
-the threshold sweep off, next to the evaluator of the same parts.  A command
-that sweeps n holds one sweep; PsiEvaluator.twirled is its one-n view.  A
-caller that builds the dense pair for another matrix quantity reads psi off
-it.
+decomposed once for the whole sweep (schur_weyl.SymBlocks, one per state);
+for d > 2 the one part of twirled_pair(rho0, rho1, action, n).  A command
+that sweeps n holds one sweep.  A caller that builds the dense pair for
+another matrix quantity reads psi off it.
 PsiEvaluator.trace_power and .psi take a float or an array of s: a float
 gives a float, an array an array of its shape, evaluated GRID_CHUNK points
 per matrix product.  A PsiCurve calls its evaluator once on its whole grid;
@@ -43,7 +43,8 @@ from typing import Callable
 
 import numpy as np
 
-from .groups import GroupAction, is_support_invariant, twirled_pair
+from .errors import DimensionError
+from .groups import GroupAction, _check_power_dim, is_support_invariant, twirled_pair
 from .linalg import abs_power_trace, as_state, state_pair
 from .reports import CheckReport
 
@@ -70,11 +71,12 @@ class PsiEvaluator:
     product cross = V0* V1 of the supports' eigenvectors per part of the
     pair: psi sums w0_i**s O_ij w1_j**(1-s) over the Nussbaum-Szkola
     overlaps O_ij = |cross_ij|**2, and ``outside`` and ``atoms`` return
-    stored arrays.  A pair is a list of parts (m, spectrum0, spectrum1): one
-    part of multiplicity 1 for two states, read through linalg.state_pair
-    (a plain array as its DensityOperator, validated once), one per
-    Schur-Weyl block t (m = m_t) for the twirled n-copy qubit pair
-    :meth:`twirled` builds.  The arrays are the direct sum of the parts':
+    stored arrays.  A pair is a list of parts (m, x0, x1), of which it reads
+    x0.spectrum and x1.spectrum: the one part (1, rho0, rho1) for two states,
+    read through linalg.state_pair (a plain array as its DensityOperator,
+    validated once), one per Schur-Weyl block t (m = m_t) for a twirled
+    n-copy qubit pair (:meth:`TwirledSweep.pair`).  The arrays are the direct
+    sum of the parts':
     eigenvalues and outside masses end to end, the overlaps block diagonal
     with part t's weighted by m_t, so every product below sums over the
     parts.
@@ -88,30 +90,23 @@ class PsiEvaluator:
     """
 
     def __init__(self, rho0, rho1):
-        s0, s1 = state_pair(rho0, rho1)
-        self._build([(1, s0.spectrum, s1.spectrum)])
-
-    @classmethod
-    def twirled(cls, rho0, rho1, action: GroupAction, n: int) -> "PsiEvaluator":
-        """The evaluator of the twirled n-copy pair, the one-n view of
-        :class:`TwirledSweep`: from its Schur-Weyl blocks for a qubit pair,
-        else PsiEvaluator(*twirled_pair(rho0, rho1, action, n))."""
-        return cls.of_parts(TwirledSweep(rho0, rho1, action).parts(n)[1])
+        self._build([(1, *state_pair(rho0, rho1))])
 
     @classmethod
     def of_parts(cls, parts) -> "PsiEvaluator":
-        """The evaluator of the pair whose parts are (m, spectrum0, spectrum1)."""
+        """The evaluator of the pair whose parts are (m, x0, x1)."""
         ev = cls.__new__(cls)
         ev._build(parts)
         return ev
 
     def _build(self, parts) -> None:
-        """The arrays of the parts (m, spectrum0, spectrum1) of a pair: each
-        part's two spectra cut to their supports (Spectrum.support, component
-        by component), its overlaps zeroed below the eigenvector accuracy of
-        its size."""
+        """The arrays of the parts (m, x0, x1) of a pair: each part's two
+        spectra cut to their supports (Spectrum.support, component by
+        component), its overlaps zeroed below the eigenvector accuracy of its
+        size."""
         supp0, supp1, overlaps, outsides = [], [], [], []
-        for mult, spec0, spec1 in parts:
+        for mult, x0, x1 in parts:
+            spec0, spec1 = x0.spectrum, x1.spectrum
             s0, s1 = spec0.support(), spec1.support()
             v0, v1 = s0.eigenvectors, s1.eigenvectors
             cross = v0.conj().T @ v1
@@ -210,13 +205,15 @@ class PsiEvaluator:
 class TwirledSweep:
     """The twirled n-copy pair of (rho0, rho1) under an action, for every n.
 
-    :meth:`parts` gives the pair at n as the parts of its direct sum, twice:
-    as (m, A, B) of canonical matrices and as (m, spectrum of A, spectrum of
-    B).  A qubit pair gives one part per Schur-Weyl block t, m = m_t, off one
-    schur_weyl.SchurWeylSweep, which decomposes each block once for every n;
-    any other pair the one part of twirled_pair(rho0, rho1, action, n).  The
-    route follows action.dim.  A command holds its sweep as a local, so no
-    block outlives it.
+    :meth:`pair` gives the pair at n as the parts (m, x0, x1) of its direct
+    sum.  A qubit pair gives one part per Schur-Weyl block t, m = m_t and x
+    the blocks t of the two states (schur_weyl.Block), read off one
+    schur_weyl.SymBlocks per state, which decomposes each block once for
+    every n; any other pair gives the one part (1, *twirled_pair(rho0, rho1,
+    action, n)).  The route follows action.dim; the qubit route checks that
+    the states are qubits, and every n checks the dimension cap against 2^n,
+    as twirled_pair does.  A command holds its sweep as a local, so no block
+    outlives it.
     """
 
     def __init__(self, rho0, rho1, action: GroupAction):
@@ -224,21 +221,25 @@ class TwirledSweep:
         self._blocks = None
         if action.dim == 2:
             # imported here, so only the commands that take the route compile it
-            from .schur_weyl import SchurWeylSweep
+            from .schur_weyl import SymBlocks
 
-            self._blocks = SchurWeylSweep(rho0, rho1, action)
+            s0, s1 = state_pair(rho0, rho1)
+            if s0.dim != 2:
+                raise DimensionError(
+                    f"Schur-Weyl blocks need qubits, got states of dimension {s0.dim} "
+                    f"and an action of dimension {action.dim}")
+            self._blocks = (SymBlocks(s0, action), SymBlocks(s1, action))
 
-    def parts(self, n: int) -> tuple[list, list]:
+    def pair(self, n: int) -> list:
         if self._blocks is None:
-            s0, s1 = twirled_pair(*self._pair, n)
-            return [(1, s0.mat, s1.mat)], [(1, s0.spectrum, s1.spectrum)]
-        blocks = list(zip(*self._blocks.pair(n)))
-        return ([(mult, a, b) for (mult, _, a), (_, _, b) in blocks],
-                [(mult, a, b) for (mult, a, _), (_, b, _) in blocks])
+            return [(1, *twirled_pair(*self._pair, n))]
+        _check_power_dim(self._pair[2], n)
+        blocks0, blocks1 = (blocks.blocks(n) for blocks in self._blocks)
+        return [(mult, x0, x1) for (mult, x0), (_, x1) in zip(blocks0, blocks1)]
 
     def evaluator(self, n: int) -> "PsiEvaluator":
         """The PsiEvaluator of the pair at n."""
-        return PsiEvaluator.of_parts(self.parts(n)[1])
+        return PsiEvaluator.of_parts(self.pair(n))
 
 
 def _joined(arrays: list[np.ndarray]) -> np.ndarray:
@@ -439,8 +440,10 @@ def hoeffding_distance(curve: PsiCurve, r: float) -> float:
     boundary_tol = 1e-9
     if r + psi1 < -boundary_tol:
         return POS_INF
+    # the sup takes in t = 0, where the objective is -psi(0) >= 0, so an
+    # exponent below 0 is rounding
     if abs(r + psi1) <= boundary_tol:
-        return r + curve.slope(1.0)
+        return max(0.0, r + curve.slope(1.0))
 
     def neg_objective(t, v):
         # a -inf value gives -t*r + inf = +inf: an unbounded objective
@@ -452,7 +455,7 @@ def hoeffding_distance(curve: PsiCurve, r: float) -> float:
         return neg_objective(t, v), r + v + (1.0 - t) * slope
 
     pts, vals = _window(curve, 0.0, 1.0 - 1e-7)
-    return -_scan_min(in_u, pts / (1.0 - pts), neg_objective(pts, vals))
+    return max(0.0, -_scan_min(in_u, pts / (1.0 - pts), neg_objective(pts, vals)))
 
 
 def phi(curve: PsiCurve, a: float) -> float:

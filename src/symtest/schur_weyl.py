@@ -1,4 +1,4 @@
-"""Schur-Weyl blocks of the twirled n-copy pair of qubit states.
+"""Schur-Weyl blocks of the twirled n-copy state of a qubit state.
 
 For a qubit state, rho^{(x)n} is the direct sum over t = 0..n//2 of
 det(rho)^t Sym^{n-2t}(rho) (x) I_{m_t}, with m_t = C(n, t) - C(n, t - 1)
@@ -6,43 +6,53 @@ det(rho)^t Sym^{n-2t}(rho) (x) I_{m_t}, with m_t = C(n, t) - C(n, t - 1)
 acts on block t as Sym^{n-2t}(U), whose phase cancels under conjugation.  So
 the twirl of rho^{(x)n} under a finite group or the torus is n//2 + 1 blocks
 of size at most n + 1, block t being det^t G_{n-2t}(rho) for a G_m that does
-not depend on n.  SchurWeylSweep builds and decomposes each G_m once and
-reads every n off them, without any 2^n-sized array.  groups.twirled_pair
-builds the same pair densely; it stays the route for d > 2 and the oracle
-the blocks are tested against.  The module is imported by
-divergences.TwirledSweep, the route of PsiEvaluator.twirled and
-discrimination.TwirledPair, when a qubit pair first takes it.
+not depend on n.  SymBlocks builds and decomposes each G_m of one state once
+and reads every n off them, without any 2^n-sized array; each block is a
+Block, the matrix and the spectrum a DensityOperator holds.
+groups.twirled_pair builds the same pair densely; it stays the route for
+d > 2 and the oracle the blocks are tested against.  The one reader of the
+module is divergences.TwirledSweep, which imports it when a qubit pair first
+takes the route and hands out the pair at n as the parts (m_t, block t of
+rho0, block t of rho1).
 """
 
 from __future__ import annotations
 
 import functools
 import math
+from typing import NamedTuple
 
 import numpy as np
 
-from .errors import DimensionError
-from .groups import TORUS, GroupAction, _check_power_dim
-from .linalg import DensityOperator, Spectrum, _gram_eigh, _split_eig, _state_rule, state_pair
+from .groups import TORUS, GroupAction
+from .linalg import DensityOperator, Spectrum, _gram_eigh, _split_eig, _state_rule
 
 
-class SchurWeylSweep:
-    """The Schur-Weyl blocks of the twirled n-copy pair of two qubit states,
-    for every n, without any 2^n x 2^n array, each G_m built and decomposed
-    once.
+class Block(NamedTuple):
+    """Block t of a twirled n-copy state: its canonical matrix, read-only,
+    and its spectrum, the two fields a DensityOperator has."""
 
-    :meth:`pair` gives, per state, the list of (m_t, spectrum of block t,
-    block t) for t = 0..n//2, where block t has dimension n - 2t + 1 and
-    multiplicity m_t = C(n, t) - C(n, t - 1), so that
+    mat: np.ndarray
+    spectrum: Spectrum
+
+
+class SymBlocks:
+    """The Schur-Weyl blocks of the twirled n-copy state of one qubit state
+    under an action, for every n, without any 2^n x 2^n array, each G_m built
+    and decomposed once.
+
+    :meth:`blocks` gives, for t = 0..n//2, the multiplicity
+    m_t = C(n, t) - C(n, t - 1) and block t, of dimension n - 2t + 1, so that
     sum_t m_t (n - 2t + 1) = 2^n.
 
     Block t of the twirl is det^t G_{n-2t}, with
     G_m = (1/|G|) sum_g Sym^m(U_g) Sym^m(rho) Sym^m(U_g)^*, which does not
-    depend on n: a state's G_m is built and decomposed when an n first needs
-    it, and block t of every later n is read off it, its eigenvalues, cuts
-    and canonical matrix times det^t.  A pure state's det is exactly 0 (its
-    dropped eigenvalue is set to 0), so its blocks t > 0 are zero: a zero
-    matrix and its spectrum of exact zeros, nothing kept.
+    depend on n: G_m is built and decomposed when an n first needs it, kept
+    as (trace, spectrum, canonical matrix), and block t of every later n is
+    read off it, its eigenvalues, cuts and canonical matrix times det^t.  A
+    pure state's det is exactly 0 (its dropped eigenvalue is set to 0), so
+    its blocks t > 0 are zero: a zero matrix and its spectrum of exact zeros,
+    nothing kept.
 
     With rho = V diag(lam) V^* from the kept single-copy spectrum, G_m of a
     finite group is (1/|G|) sum_g S_g Lam S_g^*, with S_g = Sym^m(U_g V) in
@@ -63,31 +73,14 @@ class SchurWeylSweep:
 
     For every n the blocks are made a state by linalg's one state rule, the
     rule a DensityOperator runs, with the n//2 + 1 parts (m_t, Tr B_t,
-    spectrum of B_t): it gates sum_t m_t Tr B_t, clips and renormalizes, and
-    the dimension cap is checked against 2^n, as on the dense route.  Block t
-    itself is its canonical matrix, read-only, divided by the trace the state
-    rule divided its spectrum by.  No clip can move a block's spectrum off
-    its matrix, since every eigenvalue is a square (a singular value of
-    f[idx]) or a sum of squares (a 1x1 component's entry).
+    spectrum of B_t): it gates sum_t m_t Tr B_t, clips and renormalizes.
+    Block t itself is its canonical matrix, read-only, divided by the trace
+    the state rule divided its spectrum by.  No clip can move a block's
+    spectrum off its matrix, since every eigenvalue is a square (a singular
+    value of f[idx]) or a sum of squares (a 1x1 component's entry).  The
+    caller checks that the state is a qubit and the dimension cap against
+    2^n, as on the dense route.
     """
-
-    def __init__(self, rho0, rho1, action: GroupAction):
-        s0, s1 = state_pair(rho0, rho1)
-        if action.dim != 2 or s0.dim != 2:
-            raise DimensionError(
-                f"Schur-Weyl blocks need qubits, got states of dimension {s0.dim} "
-                f"and an action of dimension {action.dim}")
-        self._action = action
-        self._states = (_SymBlocks(s0, action), _SymBlocks(s1, action))
-
-    def pair(self, n: int) -> tuple[list, list]:
-        _check_power_dim(self._action, n)
-        return self._states[0].blocks(n), self._states[1].blocks(n)
-
-
-class _SymBlocks:
-    """G_m of one qubit state under an action, m = 0, 1, ..., each as
-    (trace, spectrum, canonical matrix), built on first use and kept."""
 
     def __init__(self, rho: DensityOperator, action: GroupAction):
         spec = rho.spectrum
@@ -119,9 +112,9 @@ class _SymBlocks:
             self._built[m] = (float(np.trace(mat).real), spec, mat)
         return self._built[m]
 
-    def blocks(self, n: int) -> list[tuple[int, Spectrum, np.ndarray]]:
-        """Blocks t = 0..n//2 of the twirled rho^{(x)n}, det^t G_{n-2t}, made a
-        state together (see :class:`SchurWeylSweep`)."""
+    def blocks(self, n: int) -> list[tuple[int, Block]]:
+        """(m_t, block t) for t = 0..n//2 of the twirled rho^{(x)n}, block t
+        being det^t G_{n-2t}, made a state together."""
         parts, mats = [], []
         for t in range(n // 2 + 1):
             mult = math.comb(n, t) - (math.comb(n, t - 1) if t else 0)
@@ -138,7 +131,7 @@ class _SymBlocks:
         if tr != 1.0:
             # a canonical matrix over its real trace stays exactly Hermitian
             mats = [_frozen(mat / tr)[0] for mat in mats]
-        return [(mult, s, mat) for (mult, _, _), s, mat in zip(parts, spectra, mats)]
+        return [(mult, Block(mat, s)) for (mult, _, _), s, mat in zip(parts, spectra, mats)]
 
 
 def _times(trace: float, spec: Spectrum, mat: np.ndarray,

@@ -4,10 +4,12 @@ Each function returns a CheckReport; run_verify assembles the complete set
 over the built-in scenarios plus seeded random instances.  A report that
 reads dense twirled pairs takes them from ``pairs(key, n)``, the twirled
 n-copy pair of builtin scenario ``key``, which run_verify builds and
-validates once per (key, n) however many reports read it; a report that
-reads psi alone takes ``evaluators(key, n)``, the PsiEvaluator of the same
-pair (Schur-Weyl blocks for qubits), built once per (key, n) the same way
-off one divergences.TwirledSweep per key, which decomposes each block once.
+validates once per (key, n) however many reports read it.  A report that
+reads psi or beta_eps alone takes ``twirled(key, n)``, the
+discrimination.TwirledPair of the same pair (Schur-Weyl blocks for qubits),
+built once per (key, n) the same way off one divergences.TwirledSweep per
+key, which decomposes each block once; ``evaluators(key, n)`` is its
+PsiEvaluator.
 A clean run is the machine-checkable statement that every finite-size
 inequality this package implements holds at its stated tolerance.
 """
@@ -42,7 +44,6 @@ from .discrimination import (
     pmin_bounds_check,
     stein_a_grid,
     strong_converse_bound,
-    beta_eps,
 )
 from .divergences import (
     PsiEvaluator,
@@ -335,17 +336,17 @@ def weyl_report() -> CheckReport:
     return report
 
 
-def beta_eps_converse_report(scenarios, pairs) -> CheckReport:
+def beta_eps_converse_report(scenarios, twirled) -> CheckReport:
     """The strong-converse floor never exceeds the exact constrained error."""
     report = CheckReport("beta_eps versus strong-converse floor")
     sc = scenarios["pure-vs-mixed"]
     curve = closed_form_curve(sc.kind, sc.params)
     for n in (4, 6):
-        pair = pairs("pure-vs-mixed", n)
-        ev = PsiEvaluator(*pair)
-        value = beta_eps(*pair, 0.1)
+        pair = twirled("pure-vs-mixed", n)
+        value = pair.beta_eps(0.1)
         grid = stein_a_grid(curve.slope(1.0))
-        for a, bound in zip(grid, strong_converse_bound(ev, eps=0.1, a=n * grid).tolist()):
+        for a, bound in zip(grid, strong_converse_bound(pair.evaluator, eps=0.1,
+                                                        a=n * grid).tolist()):
             report.check_leq(f"n={n}, a={a:.3f}: floor <= beta_eps", bound, value, 1e-9)
     return report
 
@@ -423,12 +424,12 @@ def closed_form_bracket_report(scenarios, evaluators, n_max: int) -> CheckReport
     return report
 
 
-def beta_eps_shape_report(pairs) -> CheckReport:
+def beta_eps_shape_report(twirled) -> CheckReport:
     """The constrained type-II error is nonincreasing and continuous in eps."""
     report = CheckReport("beta_eps monotone and right-continuous in eps")
     for key in ("pure-vs-mixed", "two-pure"):
         # one pair, its commuting test and atoms, for every eps
-        pair = TwirledPair.of_states(*pairs(key, 3))
+        pair = twirled(key, 3)
         eps_grid = np.linspace(0.05, 0.9, 10)
         values = [pair.beta_eps(float(e)) for e in eps_grid]
         for (e1, v1), (e2, v2) in zip(zip(eps_grid, values), zip(eps_grid[1:], values[1:])):
@@ -499,17 +500,17 @@ def mean_quantity_report(scenarios) -> CheckReport:
     return report
 
 
-def _evaluator_table(scenarios):
-    """evaluators(key, n), the PsiEvaluator of the twirled n-copy pair of
-    builtin scenario key, built once per (key, n) for the life of the table,
-    off one TwirledSweep per key."""
+def _twirled_table(scenarios):
+    """twirled(key, n), the TwirledPair of the twirled n-copy pair of builtin
+    scenario key, built once per (key, n) for the life of the table, off one
+    TwirledSweep per key."""
     sweeps = {key: TwirledSweep(sc.rho0, sc.rho1, sc.action) for key, sc in scenarios.items()}
 
     @functools.cache
-    def evaluators(key: str, n: int) -> PsiEvaluator:
-        return sweeps[key].evaluator(n)
+    def twirled(key: str, n: int) -> TwirledPair:
+        return TwirledPair(sweeps[key].pair(n))
 
-    return evaluators
+    return twirled
 
 
 def run_verify(n_max: int = 6) -> list[CheckReport]:
@@ -521,7 +522,10 @@ def run_verify(n_max: int = 6) -> list[CheckReport]:
         sc = scenarios[key]
         return twirled_pair(sc.rho0, sc.rho1, sc.action, n)
 
-    evaluators = _evaluator_table(scenarios)
+    twirled = _twirled_table(scenarios)
+
+    def evaluators(key: str, n: int) -> PsiEvaluator:
+        return twirled(key, n).evaluator
 
     reports: list[CheckReport] = []
     reports.extend(psi_sandwich_reports(scenarios, evaluators, n_max))
@@ -537,12 +541,12 @@ def run_verify(n_max: int = 6) -> list[CheckReport]:
     reports.extend(stein_reports(scenarios, evaluators, n_max))
     reports.append(lf_identity_report())
     reports.append(weyl_report())
-    reports.append(beta_eps_converse_report(scenarios, pairs))
+    reports.append(beta_eps_converse_report(scenarios, twirled))
     reports.append(data_processing_report())
     reports.append(conjugation_chain_report())
     reports.append(mean_quantity_report(scenarios))
     reports.append(closed_form_bracket_report(scenarios, evaluators, n_max))
-    reports.append(beta_eps_shape_report(pairs))
+    reports.append(beta_eps_shape_report(twirled))
     reports.append(dim_growth_report(n_max))
     reports.append(equality_experiment_report())
     return reports

@@ -23,6 +23,7 @@ from symtest.divergences import (
     CERTIFIED_GAP,
     PsiCurve,
     PsiEvaluator,
+    TwirledSweep,
     _bracket_min,
     default_s_grid,
     hoeffding_distance,
@@ -62,8 +63,8 @@ def evaluators():
     out = []
     for kind, params in CLOSED_FORMS:
         sc = make_scenario(kind, **params)
-        out.append((4, PsiEvaluator.twirled(sc.rho0, sc.rho1, sc.action, 4)))
-    out.append((6, TwirledPair(*PAIR_A, SIGN_FLIP, 6).evaluator))
+        out.append((4, TwirledSweep(sc.rho0, sc.rho1, sc.action).evaluator(4)))
+    out.append((6, TwirledPair(TwirledSweep(*PAIR_A, SIGN_FLIP).pair(6)).evaluator))
     return out
 
 
@@ -146,8 +147,9 @@ class TestAgainstGoldenSection:
     def test_beta_eps_is_never_below_the_golden_section_dual(self, golden):
         # both keep the best dual value seen, a lower bound on beta_eps; the
         # certified maximum is at least golden section's, up to rounding
+        sweep = TwirledSweep(*PAIR_A, SIGN_FLIP)
         for n in (2, 4, 6):
-            pair = TwirledPair(*PAIR_A, SIGN_FLIP, n)
+            pair = TwirledPair(sweep.pair(n))
             assert pair.atoms is None
             for eps in (0.05, 0.1, 0.3):
                 new, old = pair.beta_eps(eps), golden(pair.beta_eps, eps)
@@ -181,8 +183,9 @@ def test_strong_converse_refinement_takes_few_evaluations(monkeypatch):
         return _bracket_min(logged(fn, logs[-1]), lo, hi)
 
     monkeypatch.setattr(divergences, "_bracket_min", recorded)
+    sweep = TwirledSweep(*PAIR_A, SIGN_FLIP)
     for n in range(1, 7):
-        ev = TwirledPair(*PAIR_A, SIGN_FLIP, n).evaluator
+        ev = TwirledPair(sweep.pair(n)).evaluator
         strong_converse_bound(ev, 0.1, n * stein_a_grid(ev.slope(1.0) / n))
     # the refinements whose minimum lies strictly inside their bracket
     inside = [len(log) for log in logs if len(log) >= 2 and log[0][2] < 0.0 < log[1][2]]
@@ -197,7 +200,7 @@ class TestFloatCalls:
     (tests/test_discrimination.py)."""
 
     def test_phi_and_hoeffding(self, monkeypatch):
-        ev = TwirledPair(*PAIR_A, SIGN_FLIP, 6).evaluator
+        ev = TwirledPair(TwirledSweep(*PAIR_A, SIGN_FLIP).pair(6)).evaluator
         calls = []
         for name in ("psi", "slope", "psi_slope"):
             real = getattr(ev, name)
@@ -218,7 +221,7 @@ class TestFloatCalls:
         assert "slope" not in [c[0] for c in calls]
 
     def test_dual(self, monkeypatch):
-        pair = TwirledPair(*PAIR_A, SIGN_FLIP, 4)
+        pair = TwirledPair(TwirledSweep(*PAIR_A, SIGN_FLIP).pair(4))
         assert pair.atoms is None
         pair.evaluator  # built before counting
         shapes = []
@@ -226,7 +229,7 @@ class TestFloatCalls:
         monkeypatch.setattr(np.linalg, "eigh", lambda m: shapes.append(np.shape(m)) or real(m))
         monkeypatch.setattr(np.linalg, "eigvalsh", lambda m: pytest.fail("eigvalsh called"))
         pair.beta_eps(0.1)
-        sizes = sorted({a.shape for _, a, _ in pair.parts})
+        sizes = sorted({a.mat.shape for _, a, _ in pair.parts})
         assert shapes and sorted(set(shapes)) == sizes
         # every step decomposes each part once; t = 0 decomposes none
         assert len(shapes) % len(pair.parts) == 0
@@ -245,7 +248,7 @@ class TestDualAtZero:
         m0 = pair[0].mat
         dense = float(np.trace(m0).real - np.trace(v1.conj().T @ m0 @ v1).real)
         assert dense > 0.1
-        assert TwirledPair(rho0, rho1, torus_action(), 4).evaluator.outside_mass() == \
+        assert TwirledSweep(rho0, rho1, torus_action()).evaluator(4).outside_mass() == \
             pytest.approx(dense, abs=1e-12)
 
     def test_the_slope_at_zero_is_the_right_derivative(self, monkeypatch):

@@ -324,7 +324,9 @@ class TestCommands:
     @pytest.mark.parametrize("name", ["two-commuting", "pure-vs-mixed"])
     def test_zero_rate_hoeffding_is_the_stein_row(self, tmp_path, name):
         # at r = 0 the supports nest, and the sup is the slope at s = 1: the
-        # per-copy relative entropy, with no scan near s = 1 to amplify roundoff
+        # per-copy relative entropy, with no scan near s = 1 to amplify
+        # roundoff, and clamped at 0 like every Hoeffding exponent (two
+        # identical twirled single copies give -3.3e-16 for the entropy)
         path = Path(__file__).resolve().parent.parent / "scenarios" / f"{name}.json"
         tables = {}
         for command in ("hoeffding", "stein"):
@@ -338,7 +340,21 @@ class TestCommands:
                  if label != "unrestricted"}
         assert hoeffding.keys() == stein.keys() and len(stein) == 7
         for key, value in stein.items():
-            assert abs(hoeffding[key] - value) <= 1e-12 * abs(value), key
+            assert abs(hoeffding[key] - max(0.0, value)) <= 1e-12 * abs(value), key
+
+    @pytest.mark.parametrize("name", ["pure-vs-mixed", "two-commuting", "two-pure"])
+    def test_hoeffding_exponents_are_never_negative(self, tmp_path, name):
+        # the sup takes in t = 0, where the objective is -psi(0) >= 0, so a
+        # rate past the relative entropy gives exactly 0, never -0 or a
+        # rounding-sized negative value
+        path = Path(__file__).resolve().parent.parent / "scenarios" / f"{name}.json"
+        out = tmp_path / "hoeffding.csv"
+        assert main(["--scenario", str(path), "--command", "hoeffding", "--n-max", "8",
+                     "--out", str(out)]) == 0
+        cells = [line.split(",")[2] for line in out.read_text().splitlines()[1:]]
+        assert len(cells) == 9 * 11
+        assert "0" in cells
+        assert not [c for c in cells if c.startswith("-")]
 
     def test_subnormal_s_grid_writes_nothing_to_stderr(self, tmp_path):
         src = str(Path(symtest.__file__).resolve().parents[1])

@@ -18,7 +18,7 @@ from symtest.asymptotics import (
 from symtest.discrimination import (
     ErrorPair,
     TestOperator,
-    _commuting_atoms,
+    TwirledPair,
     _general_dual,
     average_error,
     beta_eps,
@@ -65,6 +65,12 @@ def full_spectrum_atoms(rho0n, rho1n):
     i, j = np.nonzero(overlap)
     return (np.maximum(spec0.eigenvalues, 0.0)[i], np.maximum(spec1.eigenvalues, 0.0)[j],
             overlap[i, j])
+
+
+def commuting_atoms(rho0n, rho1n):
+    """The commuting atoms beta_eps and threshold_errors read off a pair of
+    states, None for a pair that does not commute."""
+    return TwirledPair([(1, *linalg.state_pair(rho0n, rho1n))]).atoms
 
 
 class TestTestOperator:
@@ -239,7 +245,8 @@ class TestBetaEps:
         for eps, expected in ((0.1, 2.0 / 3.0), (0.35, 0.3), (0.7, 0.12 / 1.1)):
             assert _commuting_dual(p, q, eps) == pytest.approx(expected, abs=1e-9)
             # both states have full rank: no mass of rho0 lies outside supp rho1
-            assert _general_dual([(1, m0, m1)], 0.0, eps) == pytest.approx(expected, abs=1e-9)
+            parts = [(1, DensityOperator(m0), DensityOperator(m1))]
+            assert _general_dual(parts, 0.0, eps) == pytest.approx(expected, abs=1e-9)
             assert beta_eps(m0, m1, eps) == pytest.approx(expected, abs=1e-9)
 
     def test_null_mass_outside_alternative_support(self):
@@ -321,7 +328,7 @@ class TestThresholdErrors:
     def test_pairs_match_projections(self, make_pairs, commuting, n):
         for rho0, rho1 in make_pairs():
             # selects the evaluator: joint eigenvalue atoms or one eigh per rate
-            assert (_commuting_atoms(rho0, rho1) is not None) == commuting
+            assert (commuting_atoms(rho0, rho1) is not None) == commuting
             # the test at n copies and per-copy rate a is the one at the rate n*a
             assert_allclose(threshold_errors(rho0, rho1, n * RATES),
                             projection_errors(rho0, rho1, n * RATES), rtol=0, atol=1e-12)
@@ -360,8 +367,7 @@ class TestThresholdErrors:
                              ("Z2Commuting", {"lam": 0.2, "mu": 0.7})):
             sc = make_scenario(kind, **params)
             pairs.extend(twirled_pair(sc.rho0, sc.rho1, sc.action, n) for n in (1, 3, 5))
-        references = [[_general_dual([(1, pair[0].mat, pair[1].mat)],
-                                     PsiEvaluator(*pair).outside_mass(), eps)
+        references = [[_general_dual([(1, *pair)], PsiEvaluator(*pair).outside_mass(), eps)
                        for eps in (0.1, 0.3)] for pair in pairs]
         calls = []
 
@@ -371,7 +377,7 @@ class TestThresholdErrors:
 
         monkeypatch.setattr(np.linalg, "eigh", counted)
         for pair, reference in zip(pairs, references):
-            assert _commuting_atoms(*pair) is not None
+            assert commuting_atoms(*pair) is not None
             for eps, dual in zip((0.1, 0.3), reference):
                 assert beta_eps(*pair, eps) == pytest.approx(dual, abs=1e-9)
         assert not calls
@@ -388,9 +394,11 @@ class TestThresholdErrors:
             return [(np.array([beta_eps(*pair, eps) for eps in eps_values]),
                      threshold_errors(*pair, RATES)) for pair in pairs]
 
-        assert all(_commuting_atoms(*pair) is not None for pair in pairs)
+        assert all(commuting_atoms(*pair) is not None for pair in pairs)
         new = outputs()
-        monkeypatch.setattr(discrimination, "_commuting_atoms", full_spectrum_atoms)
+        # the one part (1, rho0n, rho1n) of beta_eps and threshold_errors
+        monkeypatch.setattr(TwirledPair, "atoms", property(
+            lambda pair: full_spectrum_atoms(*pair.parts[0][1:])))
         for (beta, errors), (beta_old, errors_old) in zip(new, outputs()):
             assert_allclose(beta, beta_old, rtol=0, atol=1e-14)
             assert_allclose(errors, errors_old, rtol=0, atol=1e-14)
@@ -438,7 +446,9 @@ class TestStatePairs:
 
         monkeypatch.setattr(linalg, "hermitian", counted)
         monkeypatch.setattr(discrimination, "hermitian", counted)
-        assert _commuting_atoms(*pair) is not None
+        assert commuting_atoms(*pair) is not None
+        beta_eps(*pair, 0.1)
+        threshold_errors(*pair, RATES)
         assert not calls
 
     CALLS = {

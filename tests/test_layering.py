@@ -10,7 +10,8 @@ takes its canonical matrix: outside linalg only the test type
 independent reference that shares no code path with the pipeline it checks,
 so no package module imports a private name from it.  The Schur-Weyl
 route's module is imported inside the functions that take the route, so a
-command that never does (and ``import symtest.cli``) does not load it.
+command that never does (and ``import symtest.cli``) does not load it, and
+divergences.TwirledSweep is its one reader.
 """
 
 import ast
@@ -77,3 +78,17 @@ def test_the_schur_weyl_route_is_imported_on_first_use_only():
             if any(m.split(".")[-1] == "schur_weyl" for m in modules):
                 found.append(name)
     assert not found, f"imported at module level: {found}"
+
+
+def test_only_the_sweep_reads_the_schur_weyl_route():
+    # divergences.TwirledSweep hands out the blocks as parts (m, x0, x1);
+    # every other reader takes them from it
+    found = []
+    for name, tree in package_modules():
+        for node in ast.walk(tree):
+            modules = ([node.module or ""] + [f"{node.module or ''}.{a.name}" for a in node.names]
+                       if isinstance(node, ast.ImportFrom)
+                       else [a.name for a in node.names] if isinstance(node, ast.Import) else [])
+            if any(m.split(".")[-1] == "schur_weyl" for m in modules):
+                found.append(name)
+    assert set(found) == {"divergences"}, f"modules importing schur_weyl: {found}"

@@ -1,6 +1,6 @@
-"""The Schur-Weyl block route of qubit pairs (PsiEvaluator.twirled) against
-the dense twirled pair, the closed block data of the oracle and exact
-identities."""
+"""The Schur-Weyl block route of qubit pairs (divergences.TwirledSweep)
+against the dense twirled pair, the closed block data of the oracle and
+exact identities."""
 
 import math
 import tracemalloc
@@ -34,8 +34,6 @@ from symtest.errors import DimensionError
 from symtest.groups import GroupAction, twirled_pair
 from symtest.linalg import DensityOperator
 from symtest.oracle import block_scalar_oracle, random_density
-from symtest.schur_weyl import SchurWeylSweep
-
 from helpers import seeded_pairs
 
 SCENARIOS = Path(__file__).resolve().parent.parent / "scenarios"
@@ -69,10 +67,20 @@ def per_copy_gap(ev_a, n_a, ev_b, n_b):
                         initial=0.0))
 
 
+def twirled(rho0, rho1, action, n):
+    """The PsiEvaluator of the twirled n-copy pair, off a sweep of its own."""
+    return TwirledSweep(rho0, rho1, action).evaluator(n)
+
+
+def per_state(parts):
+    """The blocks (m_t, block t) of each state of the parts (m_t, x0, x1)."""
+    return [(mult, x0) for mult, x0, _ in parts], [(mult, x1) for mult, _, x1 in parts]
+
+
 def smallest_kept(rho0, rho1, action, n):
     """The smallest eigenvalue either twirled n-copy state keeps."""
-    return min(min((s.support().eigenvalues.min(initial=np.inf) for _, s, _ in blocks))
-               for blocks in SchurWeylSweep(rho0, rho1, action).pair(n))
+    return min(x.spectrum.support().eigenvalues.min(initial=np.inf)
+               for _, x0, x1 in TwirledSweep(rho0, rho1, action).pair(n) for x in (x0, x1))
 
 
 # The trivial group and equal torus weights leave rho^(x)n as it is: the
@@ -103,7 +111,7 @@ def test_block_route_matches_the_dense_route(case):
         if smallest_kept(rho0, rho1, action, n) <= 1e-9:
             continue
         dense = PsiEvaluator(*twirled_pair(rho0, rho1, action, n))
-        block = PsiEvaluator.twirled(rho0, rho1, action, n)
+        block = twirled(rho0, rho1, action, n)
         assert per_copy_gap(dense, n, block, n) <= 1e-12, n
         for s in (0.3, 1.0):
             assert block.slope(s) == pytest.approx(dense.slope(s), rel=1e-10, abs=1e-12)
@@ -115,7 +123,7 @@ def test_block_route_matches_the_dense_route(case):
 def test_dense_route_resolves_pair_a_under_the_hadamard_group():
     rho0, rho1 = PAIRS["A"]
     dense = PsiEvaluator(*twirled_pair(rho0, rho1, HADAMARD, 7))
-    assert per_copy_gap(dense, 7, PsiEvaluator.twirled(rho0, rho1, HADAMARD, 7), 7) <= 1e-12
+    assert per_copy_gap(dense, 7, twirled(rho0, rho1, HADAMARD, 7), 7) <= 1e-12
 
 
 @pytest.mark.parametrize("action", [TRIVIAL, GroupAction.torus([2, 2])], ids=["trivial", "torus [2, 2]"])
@@ -128,7 +136,7 @@ def test_trivial_twirl_is_n_copies(action):
         for n in range(1, 13):
             if smallest_kept(rho0, rho1, action, n) <= 1e-9:
                 break
-            assert per_copy_gap(single, 1, PsiEvaluator.twirled(rho0, rho1, action, n), n) <= 1e-13, n
+            assert per_copy_gap(single, 1, twirled(rho0, rho1, action, n), n) <= 1e-13, n
 
 
 @pytest.mark.parametrize("kind, params", [
@@ -139,7 +147,7 @@ def test_trivial_twirl_is_n_copies(action):
 def test_block_route_matches_the_scalar_oracle(kind, params):
     sc = make_scenario(kind, **params)
     for n in range(1, 13):
-        got = PsiEvaluator.twirled(sc.rho0, sc.rho1, sc.action, n).psi(GRID)
+        got = twirled(sc.rho0, sc.rho1, sc.action, n).psi(GRID)
         want = np.array([math.log(block_scalar_oracle(kind, sc.params, n, s)) for s in GRID.tolist()])
         assert np.all(np.abs(got - want) <= 1e-12 * np.maximum(1.0, np.abs(want))), n
 
@@ -148,7 +156,7 @@ def oracle_per_copy_gap(kind, params, n):
     """Largest |a - b| / max(1, |b|) of the block route's per-copy psi a and
     the scalar oracle's b over the default grid."""
     sc = make_scenario(kind, **params)
-    got = PsiEvaluator.twirled(sc.rho0, sc.rho1, sc.action, n).psi(GRID) / n
+    got = twirled(sc.rho0, sc.rho1, sc.action, n).psi(GRID) / n
     want = np.array([math.log(block_scalar_oracle(kind, sc.params, n, s)) / n for s in GRID.tolist()])
     return float(np.max(np.abs(got - want) / np.maximum(1.0, np.abs(want))))
 
@@ -189,7 +197,7 @@ def test_pinched_pure_state_with_a_tiny_weight_against_the_maximally_mixed_state
         top = terms.max(axis=1)
         want = (top + np.log(np.exp(terms - top[:, None]).sum(axis=1))
                 - n * (1.0 - GRID) * math.log(2.0)) / n
-        got = PsiEvaluator.twirled(rho0, rho1, action, n).psi(GRID) / n
+        got = twirled(rho0, rho1, action, n).psi(GRID) / n
         assert np.all(np.abs(got - want) <= 1e-12 * np.maximum(1.0, np.abs(want))), n
 
 
@@ -200,16 +208,16 @@ def test_sign_flip_keeps_the_exact_atoms_of_a_diagonal_pair():
     rho0, rho1 = diag_qubit(1e-13), diag_qubit(0.5)
     single = PsiEvaluator(rho0, rho1)
     for n in range(1, 7):
-        assert per_copy_gap(single, 1, PsiEvaluator.twirled(rho0, rho1, SIGN_FLIP, n), n) <= 1e-12, n
+        assert per_copy_gap(single, 1, twirled(rho0, rho1, SIGN_FLIP, n), n) <= 1e-12, n
 
 
 @pytest.mark.parametrize("n", [*range(1, 13), 20, 26])
 def test_blocks_fill_the_n_copy_space(monkeypatch, n):
     monkeypatch.setenv("SYMTEST_DIM_CAP", str(2**26))
-    for blocks in SchurWeylSweep(*PAIRS["A"], SIGN_FLIP).pair(n):
-        assert [spec.eigenvalues.size for _, spec, _ in blocks] == list(range(n + 1, 0, -2))
-        assert sum(mult * spec.eigenvalues.size for mult, spec, _ in blocks) == 2**n
-        assert sum(mult * float(spec.eigenvalues.sum()) for mult, spec, _ in blocks) == pytest.approx(1.0, abs=1e-14)
+    for blocks in per_state(TwirledSweep(*PAIRS["A"], SIGN_FLIP).pair(n)):
+        assert [x.spectrum.eigenvalues.size for _, x in blocks] == list(range(n + 1, 0, -2))
+        assert sum(mult * x.spectrum.eigenvalues.size for mult, x in blocks) == 2**n
+        assert sum(mult * float(x.spectrum.eigenvalues.sum()) for mult, x in blocks) == pytest.approx(1.0, abs=1e-14)
 
 
 KEEP_CASES = {
@@ -242,17 +250,17 @@ def test_keeps_and_marks_exact_what_the_dense_route_does(case):
     rho0, rho1, action, n_max = KEEP_CASES[case]
     for n in range(1, n_max + 1):
         dense = twirled_pair(rho0, rho1, action, n)
-        for rho, blocks in zip(dense, SchurWeylSweep(rho0, rho1, action).pair(n)):
+        for rho, blocks in zip(dense, per_state(TwirledSweep(rho0, rho1, action).pair(n))):
             want = rho.spectrum.support()
-            kept = [s.support() for _, s, _ in blocks]
-            got_w = np.concatenate([np.repeat(s.eigenvalues, mult) for (mult, _, _), s in zip(blocks, kept)])
+            kept = [x.spectrum.support() for _, x in blocks]
+            got_w = np.concatenate([np.repeat(s.eigenvalues, mult) for (mult, _), s in zip(blocks, kept)])
             order = np.argsort(got_w, kind="stable")
             assert got_w.size == want.eigenvalues.size, n
             assert np.allclose(got_w[order], want.eigenvalues, rtol=1e-12, atol=0.0), n
-            for _, spec, _ in blocks:
-                assert_exact_are_lone_components(spec)
+            for _, x in blocks:
+                assert_exact_are_lone_components(x.spectrum)
                 if action.kind == "torus" and action.weights[0] != action.weights[1]:
-                    assert (spec.cut == 0).all(), n
+                    assert (x.spectrum.cut == 0).all(), n
 
 
 def test_block_route_keeps_the_exact_atom_the_dense_route_cuts():
@@ -264,12 +272,12 @@ def test_block_route_keeps_the_exact_atom_the_dense_route_cuts():
     for n in (2, 3, 4):
         _, dense = twirled_pair(rho0, rho1, action, n)
         assert np.allclose(dense.spectrum.support().eigenvalues, [n * 1e-300, 1.0], rtol=1e-12, atol=0.0)
-        _, blocks = SchurWeylSweep(rho0, rho1, action).pair(n)
-        kept = blocks[0][1].support()
+        _, blocks = per_state(TwirledSweep(rho0, rho1, action).pair(n))
+        kept = blocks[0][1].spectrum.support()
         assert (kept.cut == 0).all()
         assert_exact_are_lone_components(kept)
         assert np.allclose(kept.eigenvalues, [n * 1e-300, 1.0], rtol=1e-12, atol=0.0)
-        assert all(spec.support().eigenvalues.size == 0 for _, spec, _ in blocks[1:])
+        assert all(x.spectrum.support().eigenvalues.size == 0 for _, x in blocks[1:])
 
 
 def test_qutrit_pairs_take_the_dense_route_unchanged():
@@ -279,7 +287,7 @@ def test_qutrit_pairs_take_the_dense_route_unchanged():
     for action in (GroupAction.finite([np.eye(3), shift, shift @ shift]), GroupAction.torus([0, 1, 2])):
         for n in (1, 2, 3):
             dense = PsiEvaluator(*twirled_pair(rho0, rho1, action, n))
-            block = PsiEvaluator.twirled(rho0, rho1, action, n)
+            block = twirled(rho0, rho1, action, n)
             assert np.array_equal(dense.psi(GRID), block.psi(GRID))
             assert dense.slope(0.5) == block.slope(0.5)
             for a, b in zip(dense.atoms(), block.atoms()):
@@ -289,10 +297,10 @@ def test_qutrit_pairs_take_the_dense_route_unchanged():
 def test_dimension_cap_raises_at_the_same_n_with_the_same_message(monkeypatch):
     monkeypatch.setenv("SYMTEST_DIM_CAP", "8")
     rho0, rho1, action = scenario("pure-vs-mixed")
-    PsiEvaluator.twirled(rho0, rho1, action, 3)
+    twirled(rho0, rho1, action, 3)
     messages = []
     for build in (lambda: twirled_pair(rho0, rho1, action, 4),
-                  lambda: PsiEvaluator.twirled(rho0, rho1, action, 4)):
+                  lambda: twirled(rho0, rho1, action, 4)):
         with pytest.raises(DimensionError) as info:
             build()
         messages.append(str(info.value))
@@ -308,7 +316,7 @@ def test_block_route_forms_no_dense_object(monkeypatch):
     monkeypatch.setenv("SYMTEST_DIM_CAP", str(2**20))
     for action in (GroupAction.torus([0, 1]), SIGN_FLIP):
         tracemalloc.start()
-        PsiEvaluator.twirled(*PAIRS["A"], action, 20).psi(GRID)
+        twirled(*PAIRS["A"], action, 20).psi(GRID)
         peak = tracemalloc.get_traced_memory()[1]
         tracemalloc.stop()
         # one float64 vector of the 2^20-dimensional space would take 8 MiB
@@ -320,8 +328,8 @@ class DenseRoute(Exception):
 
 
 def test_psi_only_readers_take_the_block_route_for_qubits(monkeypatch):
-    # every reader of psi alone takes PsiEvaluator.twirled: the Schur-Weyl
-    # blocks for qubits, the dense twirled pair only for d > 2
+    # every reader of psi alone takes a TwirledSweep: the Schur-Weyl blocks
+    # for qubits, the dense twirled pair only for d > 2
     def refuse(*args, **kwargs):
         raise DenseRoute
 
@@ -330,7 +338,11 @@ def test_psi_only_readers_take_the_block_route_for_qubits(monkeypatch):
     scenarios = verify.builtin_scenarios(4)
     sc = scenarios["pure-vs-mixed"]
     assert lieb_bound_check(sc.rho0, sc.rho1, sc.action, 4).ok
-    evaluators = verify._evaluator_table(scenarios)
+    table = verify._twirled_table(scenarios)
+
+    def evaluators(key, n):
+        return table(key, n).evaluator
+
     assert verify.psi_sandwich_reports(scenarios, evaluators, 4)[-1].ok
     assert verify.additivity_report(evaluators).ok
     assert verify.closed_form_bracket_report(scenarios, evaluators, 4).ok
@@ -347,16 +359,37 @@ def test_psi_only_readers_take_the_block_route_for_qubits(monkeypatch):
 
 
 def test_verify_builds_each_twirled_evaluator_once(monkeypatch):
-    built = []
-    evaluator = TwirledSweep.evaluator
+    # each (sweep, n) hands out its parts once, and each parts list builds
+    # one evaluator; the objects are held, so no id is reused
+    handed, built = [], []
+    pair, of_parts = TwirledSweep.pair, PsiEvaluator.of_parts.__func__
 
-    def counted(sweep, n):
-        built.append((id(sweep), n))
-        return evaluator(sweep, n)
+    def counted_pair(sweep, n):
+        handed.append((sweep, n))
+        return pair(sweep, n)
 
-    monkeypatch.setattr(TwirledSweep, "evaluator", counted)
+    def counted_build(cls, parts):
+        built.append(parts)
+        return of_parts(cls, parts)
+
+    monkeypatch.setattr(TwirledSweep, "pair", counted_pair)
+    monkeypatch.setattr(PsiEvaluator, "of_parts", classmethod(counted_build))
     verify.run_verify(n_max=3)
-    assert built and len(built) == len(set(built))
+    assert handed and len(handed) == len({(id(sweep), n) for sweep, n in handed})
+    assert built and len(built) == len({id(parts) for parts in built})
+
+
+def test_verify_beta_eps_reports_take_the_block_route(monkeypatch):
+    # both beta_eps reports read the TwirledPair of the sweep, no dense pair
+    def refuse(*args, **kwargs):
+        raise DenseRoute
+
+    monkeypatch.setattr(divergences, "twirled_pair", refuse)
+    monkeypatch.setattr(verify, "twirled_pair", refuse)
+    scenarios = verify.builtin_scenarios(6)
+    table = verify._twirled_table(scenarios)
+    assert verify.beta_eps_converse_report(scenarios, table).ok
+    assert verify.beta_eps_shape_report(table).ok
 
 
 @pytest.fixture
@@ -373,7 +406,7 @@ def test_a_sweep_builds_each_block_once(sym_power_calls):
     # once, N + 1 blocks, however often each n is read
     sweep = TwirledSweep(*PAIRS["A"], SIGN_FLIP)
     for n in range(1, 10):
-        TwirledPair.of_parts(*sweep.parts(n)).beta_eps(0.1)
+        TwirledPair(sweep.pair(n)).beta_eps(0.1)
         sweep.evaluator(n).psi(GRID)
         assert len(sym_power_calls) == 2 * len(set(sym_power_calls)), n
     sweep.evaluator(4)
@@ -388,12 +421,13 @@ def test_a_pure_state_builds_no_block_past_t_0(sym_power_calls):
 
 
 def same_blocks(a, b):
-    """Whether two lists of blocks (m_t, spectrum, matrix) are equal bit for bit."""
+    """Whether two lists of blocks (m_t, block t) are equal bit for bit."""
     return len(a) == len(b) and all(
         ma == mb and all(x.dtype == y.dtype and np.array_equal(x, y) for x, y in (
-            (sa.eigenvalues, sb.eigenvalues), (sa.eigenvectors, sb.eigenvectors),
-            (sa.cut, sb.cut), (xa, xb)))
-        for (ma, sa, xa), (mb, sb, xb) in zip(a, b))
+            (xa.spectrum.eigenvalues, xb.spectrum.eigenvalues),
+            (xa.spectrum.eigenvectors, xb.spectrum.eigenvectors),
+            (xa.spectrum.cut, xb.spectrum.cut), (xa.mat, xb.mat)))
+        for (ma, xa), (mb, xb) in zip(a, b))
 
 
 @pytest.mark.parametrize("case", ["A sign flip", "B {I, H}", "A torus [3, 4]", "pure-vs-mixed",
@@ -401,29 +435,28 @@ def same_blocks(a, b):
 def test_blocks_do_not_depend_on_which_n_came_before(case):
     rho0, rho1, action, _ = DENSE_CASES[case]
     orders = ([9, 3, 8, 1, 9, 6, 2, 7, 5, 4], list(range(1, 10)), list(range(9, 0, -1)))
-    sweeps = [SchurWeylSweep(rho0, rho1, action) for _ in orders]
+    sweeps = [TwirledSweep(rho0, rho1, action) for _ in orders]
     seen = [{n: sweep.pair(n) for n in order} for sweep, order in zip(sweeps, orders)]
     for n in range(1, 10):
-        alone = SchurWeylSweep(rho0, rho1, action).pair(n)
+        alone = per_state(TwirledSweep(rho0, rho1, action).pair(n))
         for pair in seen:
-            assert all(same_blocks(a, b) for a, b in zip(pair[n], alone)), n
+            assert all(same_blocks(a, b) for a, b in zip(per_state(pair[n]), alone)), n
 
 
 def test_pure_state_blocks_past_t_0_are_zero():
     # a pure state's det is exactly 0: every reader sees its blocks t > 0 as
     # zero, with no eigenpair kept and a zero matrix
     rho0, rho1, action = scenario("pure-vs-mixed")
-    sweep = SchurWeylSweep(rho0, rho1, action)
+    sweep = TwirledSweep(rho0, rho1, action)
     for n in range(2, 10):
-        pure, mixed = sweep.pair(n)
-        for (_, spec, mat), (_, mixed_spec, _) in zip(pure[1:], mixed[1:]):
-            assert spec.support().eigenvalues.size == 0
-            assert not spec.eigenvalues.any() and not mat.any()
-            assert mixed_spec.support().eigenvalues.size == mat.shape[0]
-        evaluator = TwirledSweep(rho0, rho1, action).evaluator(n)
-        assert evaluator.atoms()[0].size == n + 1
-        pair = TwirledPair(rho0, rho1, action, n)
-        assert [float(np.abs(a).sum()) for _, a, _ in pair.parts[1:]] == [0.0] * (n // 2)
+        pure, mixed = per_state(sweep.pair(n))
+        for (_, x), (_, mixed_x) in zip(pure[1:], mixed[1:]):
+            assert x.spectrum.support().eigenvalues.size == 0
+            assert not x.spectrum.eigenvalues.any() and not x.mat.any()
+            assert mixed_x.spectrum.support().eigenvalues.size == x.mat.shape[0]
+        assert sweep.evaluator(n).atoms()[0].size == n + 1
+        pair = TwirledPair(sweep.pair(n))
+        assert [float(np.abs(a.mat).sum()) for _, a, _ in pair.parts[1:]] == [0.0] * (n // 2)
 
 
 SWEEP_CASES = ["pure-vs-mixed", "two-commuting", "two-pure", "A sign flip", "B sign flip"]
@@ -436,7 +469,7 @@ def test_one_sweep_matches_the_dense_route(case):
     rates = np.linspace(-2.0, 2.0, 81)
     for n in range(1, n_max + 1):
         dense = twirled_pair(rho0, rho1, action, n)
-        block = TwirledPair.of_parts(*sweep.parts(n))
+        block = TwirledPair(sweep.pair(n))
         if smallest_kept(rho0, rho1, action, n) > 1e-9:
             assert per_copy_gap(PsiEvaluator(*dense), n, sweep.evaluator(n), n) <= 1e-12, n
         for eps in (0.05, 0.3):
@@ -451,7 +484,7 @@ def test_a_sweep_raises_the_cap_error_at_the_same_n(monkeypatch, capsys):
     for n in (1, 2, 3):
         sweep.evaluator(n)
     with pytest.raises(DimensionError, match="^tensor power dimension 16 exceeds cap 8$"):
-        sweep.parts(4)
+        sweep.pair(4)
     monkeypatch.delenv("SYMTEST_DIM_CAP")
     assert main(["--scenario", str(SCENARIOS / "two-commuting.json"), "--command", "stein",
                  "--n-max", "13"]) == 3
@@ -459,6 +492,7 @@ def test_a_sweep_raises_the_cap_error_at_the_same_n(monkeypatch, capsys):
 
 
 def test_states_must_be_qubits():
-    with pytest.raises(DimensionError):
-        SchurWeylSweep(np.eye(3) / 3, np.eye(3) / 3, GroupAction.torus([0, 1]))
+    with pytest.raises(DimensionError, match="^Schur-Weyl blocks need qubits, got states of "
+                       "dimension 3 and an action of dimension 2$"):
+        TwirledSweep(np.eye(3) / 3, np.eye(3) / 3, GroupAction.torus([0, 1]))
 

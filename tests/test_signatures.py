@@ -4,7 +4,9 @@ Each entry names a function, method or dataclass and the parameters it must
 not take: their values are fixed in the code (the tolerances, seeds, grid
 sizes and labels the package always used), so a parameter coming back would
 reopen a setting nothing varies.  A ratchet caps the package's settable
-values, counted over its source.
+values, counted over its source, and another keeps the second ways of
+building a state pair, which the one list of parts replaced, from coming
+back.
 """
 
 import ast
@@ -90,6 +92,30 @@ def test_fixed_settings_are_not_parameters():
             present = set(inspect.signature(obj).parameters) & set(params)
             back.extend(f"{module}.{name}({p})" for p in sorted(present))
     assert not back, f"fixed settings came back as parameters: {back}"
+
+
+# a pair is one list of parts (m, x0, x1), handed out by
+# divergences.TwirledSweep.pair: none of its other constructions comes back
+GONE = {
+    "divergences": ("PsiEvaluator.twirled", "TwirledSweep.parts"),
+    "discrimination": ("TwirledPair.of_parts", "TwirledPair.of_states", "_commuting_atoms"),
+    "schur_weyl": ("SchurWeylSweep",),
+}
+
+
+def test_removed_pair_constructions_stay_gone():
+    back = []
+    for module, names in GONE.items():
+        for name in names:
+            obj = importlib.import_module(f"symtest.{module}")
+            for part in name.split("."):
+                obj = getattr(obj, part, None)
+            if obj is not None:
+                back.append(f"{module}.{name}")
+    assert not back, f"removed pair constructions came back: {back}"
+    from symtest.discrimination import TwirledPair
+
+    assert list(inspect.signature(TwirledPair).parameters) == ["parts"]
 
 
 def _has_default(field_value: ast.expr) -> bool:

@@ -14,13 +14,12 @@ import symtest.groups as groups
 from symtest.cli import main
 from symtest.discrimination import (
     TwirledPair,
-    _commuting_atoms,
     beta_eps,
     stein_a_grid,
     strong_converse_bound,
     threshold_errors,
 )
-from symtest.divergences import PsiEvaluator
+from symtest.divergences import PsiEvaluator, TwirledSweep
 from symtest.groups import GroupAction, twirled_pair
 from symtest.oracle import random_density
 
@@ -53,10 +52,11 @@ N_MAX = {("A", "sign flip"): 8}
 def test_block_decisions_match_the_dense_pair(state, action):
     rho0, rho1 = STATES[state]
     act = ACTIONS[action]
+    sweep = TwirledSweep(rho0, rho1, act)
     for n in range(1, N_MAX.get((state, action), 6) + 1):
-        block = TwirledPair(rho0, rho1, act, n)
+        block = TwirledPair(sweep.pair(n))
         pair = twirled_pair(rho0, rho1, act, n)
-        assert (block.atoms is None) == (_commuting_atoms(*pair) is None), n
+        assert (block.atoms is None) == (TwirledPair([(1, *pair)]).atoms is None), n
         for eps in EPS:
             assert block.beta_eps(eps) == pytest.approx(beta_eps(*pair, eps), rel=0, abs=1e-12)
         grid = n * stein_a_grid(0.3)
@@ -71,16 +71,17 @@ def test_twirled_beta_eps_is_never_below_the_unrestricted_one(state):
     # a twirled test is a test, so restricting the tests never lowers beta_eps;
     # the bracketed dual is certified within 1e-14 of its maximum
     rho0, rho1 = STATES[state]
+    sweeps = {action: TwirledSweep(rho0, rho1, act) for action, act in ACTIONS.items()}
     for n in range(1, 7):
-        free = TwirledPair(rho0, rho1, TRIVIAL, n)
+        free = TwirledPair(sweeps["trivial"].pair(n))
         for action in sorted(set(ACTIONS) - {"trivial"}):
-            pair = TwirledPair(rho0, rho1, ACTIONS[action], n)
+            pair = TwirledPair(sweeps[action].pair(n))
             for eps in EPS:
                 assert pair.beta_eps(eps) >= free.beta_eps(eps) - 1e-9, (action, n, eps)
 
 
 def test_each_n_takes_its_atoms_and_its_evaluator_once(monkeypatch):
-    pair = TwirledPair(*STATES["two-pure"], ACTIONS["torus [0, 1]"], 5)
+    pair = TwirledPair(TwirledSweep(*STATES["two-pure"], ACTIONS["torus [0, 1]"]).pair(5))
     calls = []
     build, atoms = PsiEvaluator.of_parts.__func__, PsiEvaluator.atoms
     monkeypatch.setattr(PsiEvaluator, "of_parts",
@@ -97,8 +98,9 @@ def test_a_qutrit_pair_is_the_one_part_of_the_dense_pair():
     rng = np.random.default_rng(7)
     rho0, rho1 = (random_density(3, rng=rng) for _ in range(2))
     action = GroupAction.torus([0, 1, 2])
+    sweep = TwirledSweep(rho0, rho1, action)
     for n in (1, 2):
-        block = TwirledPair(rho0, rho1, action, n)
+        block = TwirledPair(sweep.pair(n))
         pair = twirled_pair(rho0, rho1, action, n)
         assert [mult for mult, _, _ in block.parts] == [1]
         assert block.beta_eps(0.1) == beta_eps(*pair, 0.1)
