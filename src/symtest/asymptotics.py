@@ -226,12 +226,10 @@ class ConvergenceTable:
                 )
 
 
-def convergence_table(scenario: Scenario, s_grid=None) -> ConvergenceTable:
+def convergence_table(scenario: Scenario, s_grid) -> ConvergenceTable:
     """Per-(n, s) gaps of (1/n) psi_n against the scenario's closed form."""
     if scenario.kind is None:
         raise ValueError("convergence_table needs a scenario with a closed-form kind")
-    if s_grid is None:
-        s_grid = default_s_grid()
     s_grid = np.asarray(s_grid, dtype=float)
     n_max = scenario.n_max
     values = np.empty((n_max, s_grid.size))

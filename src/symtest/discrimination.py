@@ -4,10 +4,11 @@ The optimal family is the threshold tests {rho0 - t*rho1 > 0}; the minimal
 combined error and the converse bounds are computed from it.  The constrained
 type-II error beta_eps is the maximum over t >= 0 of its Lagrange dual
 t(1 - eps) - Tr(t*rho0 - rho1)_+, a concave function that peaks in
-[0, 1/eps].  On commuting pairs the dual is piecewise linear and is read off
-its likelihood-ratio breakpoints; otherwise divergences._bracket_min
-maximizes it from its values and supergradients, with a certified gap, and
-the best value it saw is a weak-duality lower bound on beta_eps.
+[0, 1/eps].  divergences._bracket_min maximizes it from its values and
+supergradients on every pair, with a certified gap, and the best value it
+saw is a weak-duality lower bound on beta_eps.  On a commuting pair each
+value is read off the joint eigenvalue atoms, where the dual is piecewise
+linear; otherwise off one eigh per part.
 threshold_errors gives the error pairs of many threshold tests on one state
 pair at once, from the joint eigenvalue atoms of a commuting pair or from
 the eigh of each difference otherwise, without forming the projections
@@ -18,18 +19,18 @@ again here, and one state's eigenvectors never meet the other's.
 beta_eps and threshold_errors each have one engine over a TwirledPair, the
 parts (m, x0, x1) of a pair held as the direct sum of m copies of each
 pair of matrices (x0.mat, x1.mat), the list PsiEvaluator reads the spectra
-of: the commutator test runs per part, the dual sums m * Tr(t A - B)_+ and
-its supergradient with one eigh per part, and the sweep runs one eigh per
-part, cut at that part's own level.  So the rule that np_test keeps what
-threshold_errors keeps holds per part: a pair of two states is the one
-part (1, rho0n, rho1n), whose one difference both cut alike, and the
-twirled n-copy pair of qubits (divergences.TwirledSweep.pair, one part per
-Schur-Weyl block) has each block's difference cut at its own level, as
-np_test would cut that block.
+of: the commutator test runs per part, the dual of a noncommuting pair sums
+m * Tr(t A - B)_+ and its supergradient with one eigh per part, and the
+sweep runs one eigh per part, cut at that part's own level.  So the rule
+that np_test keeps what threshold_errors keeps holds per part: a pair of
+two states is the one part (1, rho0n, rho1n), whose one difference both
+cut alike, and the twirled n-copy pair of qubits
+(divergences.TwirledSweep.pair, one part per Schur-Weyl block) has each
+block's difference cut at its own level, as np_test would cut that block.
 Every function of a pair reads it through linalg.state_pair and then uses
-the states' canonical matrices, never gating them again, so both paths of
-beta_eps and threshold_errors reject a pair that is not a state alike; the
-one Hermitian gate here is TestOperator's.
+the states' canonical matrices, never gating them again, so beta_eps and
+threshold_errors reject a pair that is not a state alike, whether it
+commutes or not; the one Hermitian gate here is TestOperator's.
 np_test, p_min, pmin_bounds_check and strong_converse_bound take one rate a
 and weigh rho0n by e^{-a}: on n copies the caller passes n times the
 per-copy rate.
@@ -220,48 +221,39 @@ def _commute(parts) -> bool:
     return True
 
 
-def _commuting_dual(p: np.ndarray, q: np.ndarray, eps: float) -> float:
-    """Maximum of the dual for atom weights (p, q).
-
-    Here f(t) = t(1 - eps) - sum_k (t p_k - q_k)_+ is piecewise linear, so it
-    peaks at t = 0 or at a breakpoint t_k = q_k/p_k, where with the atoms
-    sorted by t_k it equals t_k (1 - eps - P_k) + Q_k for the cumulative
-    weights P_k, Q_k.  Breakpoints beyond 1/eps cannot win and are skipped,
-    which keeps huge ratios from tiny p_k out of the arithmetic.
-    """
-    atoms = p > 0.0
-    t = q[atoms] / p[atoms]
-    order = np.argsort(t)
-    t = t[order]
-    values = t * (1.0 - eps - np.cumsum(p[atoms][order])) + np.cumsum(q[atoms][order])
-    best = values[t <= 1.0 / eps].max(initial=0.0)
-    return float(min(max(0.0, best), 1.0))
-
-
-def _general_dual(parts, outside: float, eps: float) -> float:
+def _dual(parts, atoms, outside: float, eps: float) -> float:
     """Maximum over [0, 1/eps] of the concave dual of the direct sum of the
     parts (m, x0, x1), A = x0.mat and B = x1.mat,
     f(t) = t(1 - eps) - sum_t m_t Tr(t A - B)_+, by divergences._bracket_min
-    of -f.  One eigh per part and t gives f and its
-    supergradient (1 - eps) - sum_t m_t Tr(A_t P+(t)), P+(t) the projection
-    onto the positive part of t A_t - B_t.  At t = 0, f = 0 and its right
-    slope is (1 - eps) - outside, outside = sum_t m_t Tr A_t (1 - P_{supp B_t})
-    the mass of rho0 outside supp rho1 (PsiEvaluator.outside_mass).  The best
-    value seen is returned, a lower bound on beta_eps by weak duality
-    whatever the gap.
+    of -f.  For t > 0, f and its supergradient
+    (1 - eps) - sum_t m_t Tr(A_t P+(t)), P+(t) the projection onto the
+    positive part of t A_t - B_t, are read off the commuting atoms
+    (w0, w1, o) when given, as the sums of o*d and o*w0 over the atoms with
+    d = t w0 - w1 > 0, and else off one eigh per part.  At t = 0, f = 0 and
+    its right slope is (1 - eps) - outside, outside = sum_t m_t Tr A_t
+    (1 - P_{supp B_t}) the mass of rho0 outside supp rho1
+    (PsiEvaluator.outside_mass).  The best value seen is returned, a lower
+    bound on beta_eps by weak duality whatever the gap.
     """
 
     def neg_dual(t: float) -> tuple[float, float]:
         if t == 0.0:
             return 0.0, outside - (1.0 - eps)
         value, slope = t * (1.0 - eps), 1.0 - eps
-        for mult, x0, x1 in parts:
-            m0, m1 = x0.mat, x1.mat
-            w, v = np.linalg.eigh(t * m0 - m1)
-            kept = v[:, w > 0.0]
-            value -= mult * float(np.sum(w[w > 0.0]))
-            # Tr A P+ = sum of <v|A|v> over the eigenvectors v of the positive part
-            slope -= mult * float(np.sum(kept.conj() * (m0 @ kept)).real)
+        if atoms is not None:
+            w0, w1, o = atoms
+            d = t * w0 - w1
+            kept = o * (d > 0.0)
+            value -= float(kept @ d)
+            slope -= float(kept @ w0)
+        else:
+            for mult, x0, x1 in parts:
+                m0, m1 = x0.mat, x1.mat
+                w, v = np.linalg.eigh(t * m0 - m1)
+                kept = v[:, w > 0.0]
+                value -= mult * float(np.sum(w[w > 0.0]))
+                # Tr A P+ = sum of <v|A|v> over the eigenvectors v of the positive part
+                slope -= mult * float(np.sum(kept.conj() * (m0 @ kept)).real)
         return -value, -slope
 
     best = -_bracket_min(neg_dual, 0.0, 1.0 / eps)[0]
@@ -291,10 +283,11 @@ class TwirledPair:
     same parts and ``atoms`` its commuting atoms when A and B commute in
     every part, else None; each is built once, on first use.
     :meth:`beta_eps` and :meth:`threshold_errors` give what the functions of
-    the same names give on the dense pair, read part by part: the dual's
-    Tr(t rho0n - rho1n)_+ is sum_t m_t Tr(t A_t - B_t)_+, and a threshold
-    test's accepted masses are m_t times those of part t, each part's
-    difference cut at its own level.
+    the same names give on the dense pair, read off the atoms when there are
+    any and else part by part: the dual's Tr(t rho0n - rho1n)_+ is
+    sum_t m_t Tr(t A_t - B_t)_+, maximized by one certified bracket on both
+    kinds of pair, and a threshold test's accepted masses are m_t times those
+    of part t, each part's difference cut at its own level.
     """
 
     def __init__(self, parts):
@@ -309,14 +302,10 @@ class TwirledPair:
         return self.evaluator.atoms() if _commute(self.parts) else None
 
     def beta_eps(self, eps: float) -> float:
-        """The dual's breakpoints over the commuting atoms when there are
-        any, else :func:`_general_dual`."""
+        """:func:`_dual`, read off the commuting atoms when there are any."""
         if not 0.0 < eps < 1.0:
             raise ValueError("eps must lie strictly between 0 and 1")
-        if self.atoms is not None:
-            w0, w1, o = self.atoms
-            return _commuting_dual(w0 * o, w1 * o, eps)
-        return _general_dual(self.parts, self.evaluator.outside_mass(), eps)
+        return _dual(self.parts, self.atoms, self.evaluator.outside_mass(), eps)
 
     def threshold_errors(self, a_values) -> np.ndarray:
         return _threshold_errors(self.parts, self.atoms, a_values)

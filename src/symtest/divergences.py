@@ -287,6 +287,8 @@ class PsiCurve:
         grid = np.array(self.s_grid, dtype=float)  # a copy: the caller's grid stays writable
         if grid.ndim != 1 or grid.size < 2:
             raise ValueError("s grid must be a 1-d array of at least 2 points")
+        if not np.all(np.isfinite(grid)):
+            raise ValueError("s grid must be finite")
         if np.any(np.diff(grid) <= 0):
             raise ValueError("s grid must be strictly ascending")
         grid.setflags(write=False)

@@ -172,6 +172,13 @@ def _average_conjugations(m: np.ndarray, unitaries) -> np.ndarray:
     return acc / len(unitaries)
 
 
+def _check_operator_dim(m: np.ndarray, action: GroupAction) -> None:
+    if m.shape[0] != action.dim:
+        raise DimensionError(
+            f"operator dimension {m.shape[0]} does not match action dimension {action.dim}"
+        )
+
+
 def twirl(x, action: GroupAction) -> np.ndarray:
     """Project onto the commutant of the action: group-average for a finite
     list, exact pinching by total weight for the torus.
@@ -179,10 +186,7 @@ def twirl(x, action: GroupAction) -> np.ndarray:
     Takes an array or a DensityOperator and returns a new array.
     """
     m = asmatrix(x)
-    if m.shape[0] != action.dim:
-        raise DimensionError(
-            f"operator dimension {m.shape[0]} does not match action dimension {action.dim}"
-        )
+    _check_operator_dim(m, action)
     if action.kind == TORUS:
         w = action.weights
         return np.where(w[:, None] == w[None, :], m, 0.0)
@@ -207,6 +211,7 @@ def twirled_pair(rho0, rho1, action: GroupAction, n: int) -> tuple[DensityOperat
     out = []
     for rho in (rho0, rho1):
         m = asmatrix(rho)
+        _check_operator_dim(m, action)
         if action.kind == TORUS:
             mat = np.zeros((action.dim**n,) * 2, dtype=m.dtype)
             for idx in classes:
@@ -296,7 +301,7 @@ def _finite_blocks(unitaries, dim: int) -> list[tuple[int, int]]:
     return first
 
 
-def block_structure(action: GroupAction, n: int = 1) -> list[tuple[int, int]]:
+def block_structure(action: GroupAction, n: int) -> list[tuple[int, int]]:
     """The commutant of the n-fold powered action as the sorted multiset of
     (multiplicity, irrep_dim) pairs (m_i, d_i) of its blocks M_m (x) I_d."""
     powered = tensor_power(action, n)

@@ -71,19 +71,18 @@ from .oracle import DEFAULT_SEED, pmin_random_battery, ptrace_oracle, random_den
 from .reports import CheckReport
 
 
-def builtin_scenarios(n_max: int = 6) -> dict[str, Scenario]:
+def builtin_scenarios() -> dict[str, Scenario]:
     return {
-        "two-commuting": make_scenario(Z2_COMMUTING, n_max=n_max, lam=0.2, mu=0.7),
-        "two-commuting-extremal": make_scenario(Z2_COMMUTING, n_max=n_max, lam=0.0, mu=1.0),
-        "pure-vs-mixed": make_scenario(TORUS_PURE_VS_MIXED, n_max=n_max, alpha=0.3),
-        "pure-vs-maximally-mixed": make_scenario(TORUS_PURE_VS_MIXED, n_max=n_max, alpha=0.5),
-        "two-pure": make_scenario(TORUS_TWO_PURE, n_max=n_max, lam=0.3, mu=0.6),
+        "two-commuting": make_scenario(Z2_COMMUTING, lam=0.2, mu=0.7),
+        "two-commuting-extremal": make_scenario(Z2_COMMUTING, lam=0.0, mu=1.0),
+        "pure-vs-mixed": make_scenario(TORUS_PURE_VS_MIXED, alpha=0.3),
+        "pure-vs-maximally-mixed": make_scenario(TORUS_PURE_VS_MIXED, alpha=0.5),
+        "two-pure": make_scenario(TORUS_TWO_PURE, lam=0.3, mu=0.6),
         "z2-invariant-alt": Scenario(
             name="z2-invariant-alt(lam=0.2,alpha=0.3)",
             rho0=sigma_state(0.2),
             rho1=DensityOperator([[0.3, 0.0], [0.0, 0.7]]),
             action=z2_action(),
-            n_max=n_max,
             params={"lam": 0.2, "alpha": 0.3},
         ),
     }
@@ -440,7 +439,7 @@ def beta_eps_shape_report(twirled) -> CheckReport:
     return report
 
 
-def dim_growth_report(n_max: int = 6) -> CheckReport:
+def dim_growth_report(n_max: int) -> CheckReport:
     """The per-copy log of the summed irrep dimensions decays toward zero."""
     report = CheckReport("commutant dimension growth decays")
     for name, action, top in (("torus", torus_action(), 9), ("sign-flip", z2_action(), n_max)):
@@ -513,8 +512,8 @@ def _twirled_table(scenarios):
     return twirled
 
 
-def run_verify(n_max: int = 6) -> list[CheckReport]:
-    scenarios = builtin_scenarios(n_max)
+def run_verify(n_max: int) -> list[CheckReport]:
+    scenarios = builtin_scenarios()
 
     # the tables live as long as this run
     @functools.cache

@@ -1,8 +1,9 @@
 """References that only the tests read: the dense twirl by literal averaging
 and the random unitaries its checks draw, the benchmark's seeded qubit
 pairs, golden section, the 1-D refinement the certified bracket method
-replaced, and the binomial power sums whose limits the closed forms rest
-on, in log space."""
+replaced, the exact breakpoint maximum of a commuting pair's beta_eps dual,
+and the binomial power sums whose limits the closed forms rest on, in log
+space."""
 
 import math
 
@@ -83,6 +84,24 @@ def golden_refinement(fn, lo: float, hi: float) -> tuple[float, float]:
     """divergences._bracket_min's contract by golden section of the values
     fn(x)[0] alone, with no gap (reported as nan)."""
     return golden_min(lambda x: fn(x)[0], lo, hi)[1], math.nan
+
+
+def breakpoint_dual(p: np.ndarray, q: np.ndarray, eps: float) -> float:
+    """Exact maximum of the beta_eps dual for atom weights (p, q).
+
+    Here f(t) = t(1 - eps) - sum_k (t p_k - q_k)_+ is piecewise linear, so it
+    peaks at t = 0 or at a breakpoint t_k = q_k/p_k, where with the atoms
+    sorted by t_k it equals t_k (1 - eps - P_k) + Q_k for the cumulative
+    weights P_k, Q_k.  Breakpoints beyond 1/eps cannot win and are skipped,
+    which keeps huge ratios from tiny p_k out of the arithmetic.
+    """
+    atoms = p > 0.0
+    t = q[atoms] / p[atoms]
+    order = np.argsort(t)
+    t = t[order]
+    values = t * (1.0 - eps - np.cumsum(p[atoms][order])) + np.cumsum(q[atoms][order])
+    best = values[t <= 1.0 / eps].max(initial=0.0)
+    return float(min(max(0.0, best), 1.0))
 
 
 def binomial_power_sum_limit(a: float, b: float, s: float) -> float:

@@ -157,17 +157,26 @@ class TestAgainstGoldenSection:
 
 
 def test_every_verify_optimum_is_certified(monkeypatch):
-    gaps = []
+    gaps, duals = [], []
 
     def recorded(fn, lo, hi):
         value, gap = _bracket_min(fn, lo, hi)
         gaps.append((value, gap))
         return value, gap
 
+    def counted(pair, eps, _real=TwirledPair.beta_eps):
+        before = len(gaps)
+        value = _real(pair, eps)
+        duals.append(len(gaps) - before)
+        return value
+
     monkeypatch.setattr(divergences, "_bracket_min", recorded)
     monkeypatch.setattr(discrimination, "_bracket_min", recorded)
+    monkeypatch.setattr(TwirledPair, "beta_eps", counted)
     assert all(report.ok for report in run_verify(n_max=3))
     assert len(gaps) > 300
+    # every beta_eps, commuting pairs included, is one certified dual
+    assert duals and all(count == 1 for count in duals)
     # a gap below 0 is rounding in the tangents' meeting value; a nan gap
     # fails both comparisons
     assert all(-1e-15 * max(1.0, abs(value)) <= gap <= 1e-12 for value, gap in gaps)

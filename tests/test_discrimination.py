@@ -19,7 +19,7 @@ from symtest.discrimination import (
     ErrorPair,
     TestOperator,
     TwirledPair,
-    _general_dual,
+    _dual,
     average_error,
     beta_eps,
     error_pair,
@@ -38,7 +38,7 @@ from symtest.groups import twirled_pair
 from symtest.linalg import DensityOperator, asmatrix, cut_level, eig, kron_power
 from symtest.oracle import pmin_random_battery, random_density
 
-from helpers import random_unitary
+from helpers import breakpoint_dual, random_unitary
 
 LOG2 = math.log(2.0)
 RATES = np.linspace(-2.0, 2.0, 81)
@@ -235,18 +235,18 @@ class TestBetaEps:
             assert beta_eps(*pair, float(e) + 1e-9) == pytest.approx(v, abs=1e-6)
 
     def test_general_path_matches_classical_path(self):
-        # both dual evaluators against hand-computed Neyman-Pearson optima:
+        # the dual read off the atoms and off one eigh per part, and the
+        # breakpoint reference, against hand-computed Neyman-Pearson optima:
         # accept atoms in decreasing p/q order, randomize on the last one
         p = np.array([0.55, 0.30, 0.15])
         q = np.array([0.2, 0.3, 0.5])
-        from symtest.discrimination import _commuting_dual, _general_dual
-
         m0, m1 = np.diag(p).astype(complex), np.diag(q).astype(complex)
+        parts = [(1, DensityOperator(m0), DensityOperator(m1))]
         for eps, expected in ((0.1, 2.0 / 3.0), (0.35, 0.3), (0.7, 0.12 / 1.1)):
-            assert _commuting_dual(p, q, eps) == pytest.approx(expected, abs=1e-9)
+            assert breakpoint_dual(p, q, eps) == pytest.approx(expected, abs=1e-9)
             # both states have full rank: no mass of rho0 lies outside supp rho1
-            parts = [(1, DensityOperator(m0), DensityOperator(m1))]
-            assert _general_dual(parts, 0.0, eps) == pytest.approx(expected, abs=1e-9)
+            for atoms in ((p, q, np.ones(3)), None):
+                assert _dual(parts, atoms, 0.0, eps) == pytest.approx(expected, abs=1e-9)
             assert beta_eps(m0, m1, eps) == pytest.approx(expected, abs=1e-9)
 
     def test_null_mass_outside_alternative_support(self):
@@ -359,15 +359,16 @@ class TestThresholdErrors:
 
     def test_common_eigenbasis_reads_the_kept_spectrum(self, monkeypatch):
         # the atoms come from the spectra the states keep, so no eigh runs,
-        # and the atom dual lands on the bracketed dual of the dense matrices
-        # within its accuracy; that dual runs eigh, so it is computed first
+        # and the dual read off the atoms lands on the dual read off the
+        # dense matrices within its accuracy; that one runs eigh, so it is
+        # computed first
         pairs = []
         for kind, params in (("TorusTwoPure", {"lam": 0.3, "mu": 0.6}),
                              ("TorusPureVsMixed", {"alpha": 0.3}),
                              ("Z2Commuting", {"lam": 0.2, "mu": 0.7})):
             sc = make_scenario(kind, **params)
             pairs.extend(twirled_pair(sc.rho0, sc.rho1, sc.action, n) for n in (1, 3, 5))
-        references = [[_general_dual([(1, *pair)], PsiEvaluator(*pair).outside_mass(), eps)
+        references = [[_dual([(1, *pair)], None, PsiEvaluator(*pair).outside_mass(), eps)
                        for eps in (0.1, 0.3)] for pair in pairs]
         calls = []
 

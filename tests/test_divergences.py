@@ -135,6 +135,15 @@ class TestPsiCurve:
             PsiCurve(np.array([0.0, 0.5, 1.0]), lambda s: 1.0 - abs(2.0 * s - 1.0),
                      lambda s: (1.0 - abs(2.0 * s - 1.0), 2.0 - 4.0 * (s > 0.5)))
 
+    @pytest.mark.parametrize("grid", [[0.0, math.nan, 1.0], [0.0, 0.5, math.inf]],
+                             ids=["nan", "inf"])
+    def test_grid_must_be_finite(self, grid):
+        # diff(grid) <= 0 is False at a nan, and psi reads -inf at s = +inf
+        with pytest.raises(ValueError, match="s grid must be finite"):
+            psi_curve(pure_qubit(0.3), diag_qubit(0.4), grid)
+        with pytest.raises(ValueError, match="s grid must be finite"):
+            closed_form_curve("TorusPureVsMixed", {"alpha": 0.3}, grid)
+
     def test_evaluator_required(self):
         grid = np.array([0.0, 0.5, 1.0])
         with pytest.raises(TypeError):

@@ -17,7 +17,7 @@ from symtest.asymptotics import (
     torus_action,
     z2_action,
 )
-from symtest.divergences import PsiEvaluator, psi_curve, relative_entropy
+from symtest.divergences import PsiEvaluator, TwirledSweep, psi_curve, relative_entropy
 from symtest.errors import DimensionError
 from symtest.groups import (
     GroupAction,
@@ -335,6 +335,18 @@ def test_twirled_pair_shapes():
     rho0n, rho1n = twirled_pair(pure_qubit(0.5), diag_qubit(0.3), torus_action(), 3)
     assert rho0n.dim == 8 and rho1n.dim == 8
     assert np.trace(rho0n.mat) == pytest.approx(1.0, abs=1e-12)
+
+
+@pytest.mark.parametrize("action", [GroupAction.torus([0, 1, 2]), GroupAction.finite([np.eye(3)])],
+                         ids=["torus", "finite"])
+def test_twirled_pair_rejects_states_of_another_dimension(action):
+    # each state is checked before its power is formed, under both kinds of
+    # action; TwirledSweep.pair takes this route for d > 2
+    message = "operator dimension 2 does not match action dimension 3"
+    with pytest.raises(DimensionError, match=message):
+        twirled_pair(pure_qubit(0.3), diag_qubit(0.4), action, 2)
+    with pytest.raises(DimensionError, match=message):
+        TwirledSweep(pure_qubit(0.3), diag_qubit(0.4), action).pair(2)
 
 
 def pattern_blocks(m):

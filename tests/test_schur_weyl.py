@@ -335,7 +335,7 @@ def test_psi_only_readers_take_the_block_route_for_qubits(monkeypatch):
 
     monkeypatch.setattr(divergences, "twirled_pair", refuse)
     monkeypatch.setattr(verify, "twirled_pair", refuse)
-    scenarios = verify.builtin_scenarios(4)
+    scenarios = verify.builtin_scenarios()
     sc = scenarios["pure-vs-mixed"]
     assert lieb_bound_check(sc.rho0, sc.rho1, sc.action, 4).ok
     table = verify._twirled_table(scenarios)
@@ -386,7 +386,7 @@ def test_verify_beta_eps_reports_take_the_block_route(monkeypatch):
 
     monkeypatch.setattr(divergences, "twirled_pair", refuse)
     monkeypatch.setattr(verify, "twirled_pair", refuse)
-    scenarios = verify.builtin_scenarios(6)
+    scenarios = verify.builtin_scenarios()
     table = verify._twirled_table(scenarios)
     assert verify.beta_eps_converse_report(scenarios, table).ok
     assert verify.beta_eps_shape_report(table).ok

@@ -3,6 +3,7 @@
 the dense twirled pair, which stays the oracle, and the route `beta-eps`
 takes."""
 
+import itertools
 import json
 import sys
 
@@ -23,6 +24,7 @@ from symtest.divergences import PsiEvaluator, TwirledSweep
 from symtest.groups import GroupAction, twirled_pair
 from symtest.oracle import random_density
 
+from helpers import breakpoint_dual
 from test_schur_weyl import HADAMARD, PAIRS, SIGN_FLIP, TRIVIAL, scenario
 
 RATES = np.linspace(-2.0, 2.0, 81)
@@ -64,6 +66,25 @@ def test_block_decisions_match_the_dense_pair(state, action):
                         strong_converse_bound(PsiEvaluator(*pair), 0.1, grid), rtol=0, atol=1e-12)
         assert_allclose(block.threshold_errors(RATES), threshold_errors(*pair, RATES),
                         rtol=0, atol=1e-12)
+
+
+def test_bracketed_dual_meets_the_breakpoint_dual_on_commuting_pairs():
+    # a commuting pair's dual is piecewise linear and peaks at a breakpoint
+    # of its atoms; the bracketed maximum is certified within
+    # 1e-14 * max(1, beta_eps) of it, and the rest is rounding
+    commuting = 0
+    for state, action in itertools.product(STATES, ACTIONS):
+        sweep = TwirledSweep(*STATES[state], ACTIONS[action])
+        for n in range(1, N_MAX.get((state, action), 6) + 1):
+            pair = TwirledPair(sweep.pair(n))
+            if pair.atoms is None:
+                continue
+            commuting += 1
+            w0, w1, o = pair.atoms
+            for eps in np.linspace(0.02, 0.98, 25):
+                assert pair.beta_eps(eps) == pytest.approx(
+                    breakpoint_dual(w0 * o, w1 * o, eps), rel=0, abs=2e-14), (state, action, n, eps)
+    assert commuting == 49
 
 
 @pytest.mark.parametrize("state", sorted(STATES))
