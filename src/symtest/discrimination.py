@@ -4,11 +4,9 @@ The optimal family is the threshold tests {rho0 - t*rho1 > 0}; the minimal
 combined error and the converse bounds are computed from it.  The constrained
 type-II error beta_eps is the maximum over t >= 0 of its Lagrange dual
 t(1 - eps) - Tr(t*rho0 - rho1)_+, a concave function that peaks in
-[0, 1/eps].  divergences._bracket_min maximizes it from its values and
-supergradients on every pair, with a certified gap, and the best value it
-saw is a weak-duality lower bound on beta_eps.  On a commuting pair each
-value is read off the joint eigenvalue atoms, where the dual is piecewise
-linear; otherwise off one eigh per part.
+[0, 1/eps], which _dual maximizes with divergences._bracket_min on every
+pair: off the joint eigenvalue atoms of a commuting pair (piecewise linear,
+so also read at its bracketed breakpoints), else off one eigh per part.
 threshold_errors gives the error pairs of many threshold tests on one state
 pair at once, from the joint eigenvalue atoms of a commuting pair or from
 the eigh of each difference otherwise, without forming the projections
@@ -44,7 +42,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .divergences import PsiEvaluator, _bracket_min, _scan_min, fidelity
+from .divergences import CERTIFIED_GAP, PsiEvaluator, _bracket_min, _scan_min, fidelity
 from .errors import DimensionError
 from .linalg import (
     _eigh,
@@ -225,16 +223,18 @@ def _dual(parts, atoms, outside: float, eps: float) -> float:
     """Maximum over [0, 1/eps] of the concave dual of the direct sum of the
     parts (m, x0, x1), A = x0.mat and B = x1.mat,
     f(t) = t(1 - eps) - sum_t m_t Tr(t A - B)_+, by divergences._bracket_min
-    of -f.  For t > 0, f and its supergradient
-    (1 - eps) - sum_t m_t Tr(A_t P+(t)), P+(t) the projection onto the
-    positive part of t A_t - B_t, are read off the commuting atoms
-    (w0, w1, o) when given, as the sums of o*d and o*w0 over the atoms with
-    d = t w0 - w1 > 0, and else off one eigh per part.  At t = 0, f = 0 and
-    its right slope is (1 - eps) - outside, outside = sum_t m_t Tr A_t
-    (1 - P_{supp B_t}) the mass of rho0 outside supp rho1
-    (PsiEvaluator.outside_mass).  The best value seen is returned, a lower
-    bound on beta_eps by weak duality whatever the gap.
+    of -f.  At t = 0, f = 0 with right slope (1 - eps) - outside, outside
+    the mass of rho0 outside supp rho1 (PsiEvaluator.outside_mass).  For
+    t > 0, f and its supergradient (1 - eps) - sum_t m_t Tr(A_t P+(t)), P+
+    projecting onto the positive part of t A_t - B_t, are the sums of o*d
+    and o*w0 over the commuting atoms (w0, w1, o) with d = t w0 - w1 > 0, or
+    else take one eigh per part.  The best value seen, a lower bound on
+    beta_eps by weak duality, is returned.  On the atoms f is piecewise
+    linear and peaks at a breakpoint w1/w0, so where the gap (absolute below
+    1) exceeds 1e-14 of the best value, f is read at the breakpoints of the
+    last bracket, each term then at most t: a small beta_eps stays accurate.
     """
+    rising, falling = [0.0], []  # a falling start ends the bracket at t = 0
 
     def neg_dual(t: float) -> tuple[float, float]:
         if t == 0.0:
@@ -248,15 +248,21 @@ def _dual(parts, atoms, outside: float, eps: float) -> float:
             slope -= float(kept @ w0)
         else:
             for mult, x0, x1 in parts:
-                m0, m1 = x0.mat, x1.mat
-                w, v = np.linalg.eigh(t * m0 - m1)
+                w, v = np.linalg.eigh(t * x0.mat - x1.mat)
                 kept = v[:, w > 0.0]
                 value -= mult * float(np.sum(w[w > 0.0]))
                 # Tr A P+ = sum of <v|A|v> over the eigenvectors v of the positive part
-                slope -= mult * float(np.sum(kept.conj() * (m0 @ kept)).real)
+                slope -= mult * float(np.sum(kept.conj() * (x0.mat @ kept)).real)
+        (rising if slope > 0.0 else falling).append(t)
         return -value, -slope
 
-    best = -_bracket_min(neg_dual, 0.0, 1.0 / eps)[0]
+    best, gap = _bracket_min(neg_dual, 0.0, 1.0 / eps)
+    best = -best
+    if atoms is not None and falling and gap > CERTIFIED_GAP * best:
+        w0, w1, o = atoms
+        inside = (max(rising) * w0 <= w1) & (w1 <= min(falling) * w0)
+        t = w1[inside] / w0[inside]
+        best = float(np.max(t * (1.0 - eps) - np.maximum(t[:, None] * w0 - w1, 0.0) @ o, initial=best))
     return min(max(0.0, best), 1.0)
 
 

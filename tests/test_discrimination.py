@@ -249,6 +249,15 @@ class TestBetaEps:
                 assert _dual(parts, atoms, 0.0, eps) == pytest.approx(expected, abs=1e-9)
             assert beta_eps(m0, m1, eps) == pytest.approx(expected, abs=1e-9)
 
+    def test_small_commuting_beta_keeps_its_relative_accuracy(self):
+        # the first bracket [0, 5] already has a gap of 8e-16, below the
+        # absolute 1e-14 stop, and its best value is f(0) = 0; the peak is the
+        # breakpoint t = 1e-15/0.9 inside it, where the dual is 0.8 t
+        p, q = np.array([0.9, 0.1]), np.array([1e-15, 1.0 - 1e-15])
+        expected = breakpoint_dual(p, q, 0.2)
+        assert expected == pytest.approx(0.8e-15 / 0.9, rel=1e-15, abs=0)
+        assert beta_eps(np.diag(p), np.diag(q), 0.2) == pytest.approx(expected, rel=1e-14, abs=0)
+
     def test_null_mass_outside_alternative_support(self):
         # rho0 puts 0.8 outside supp rho1 = |0><0|, so any eps >= 0.2 is free;
         # below that the optimum sits at a finite threshold of a noncommuting pair

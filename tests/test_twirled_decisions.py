@@ -70,8 +70,9 @@ def test_block_decisions_match_the_dense_pair(state, action):
 
 def test_bracketed_dual_meets_the_breakpoint_dual_on_commuting_pairs():
     # a commuting pair's dual is piecewise linear and peaks at a breakpoint
-    # of its atoms; the bracketed maximum is certified within
-    # 1e-14 * max(1, beta_eps) of it, and the rest is rounding
+    # of its atoms; the bracket stops within 1e-14 of beta_eps relative, or
+    # the dual is read at the breakpoints of the last bracket, so it meets
+    # the exact breakpoint maximum within rounding (worst seen 8.7e-15)
     commuting = 0
     for state, action in itertools.product(STATES, ACTIONS):
         sweep = TwirledSweep(*STATES[state], ACTIONS[action])
@@ -83,8 +84,25 @@ def test_bracketed_dual_meets_the_breakpoint_dual_on_commuting_pairs():
             w0, w1, o = pair.atoms
             for eps in np.linspace(0.02, 0.98, 25):
                 assert pair.beta_eps(eps) == pytest.approx(
-                    breakpoint_dual(w0 * o, w1 * o, eps), rel=0, abs=2e-14), (state, action, n, eps)
+                    breakpoint_dual(w0 * o, w1 * o, eps), rel=1e-13, abs=0), (state, action, n, eps)
     assert commuting == 49
+
+
+@pytest.mark.parametrize("a, n", [(0.999, 4), (0.95, 10), (0.95, 12)])
+def test_small_n_copy_beta_keeps_its_relative_accuracy(a, n):
+    # over the eps grid beta_eps of these twirled n-copy pairs falls to
+    # 2e-14, 3e-15 and 9e-18, where the bracket's absolute 1e-14 gap alone
+    # certifies little or nothing; read at the bracketed breakpoints, the
+    # dual keeps its relative accuracy (worst seen 1.4e-14)
+    rho0, rho1 = np.diag([a, 1.0 - a]), np.diag([1.0 - a, a])
+    pair = TwirledPair(TwirledSweep(rho0, rho1, GroupAction.torus([0, 1])).pair(n))
+    w0, w1, o = pair.atoms
+    small = 0
+    for eps in np.linspace(0.02, 0.98, 25):
+        expected = breakpoint_dual(w0 * o, w1 * o, eps)
+        small += 1e-14 < expected < 1e-12
+        assert pair.beta_eps(eps) == pytest.approx(expected, rel=1e-13, abs=0), eps
+    assert small
 
 
 @pytest.mark.parametrize("state", sorted(STATES))
