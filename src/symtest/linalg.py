@@ -13,38 +13,33 @@ construction and not checked again.
 
 Every matrix power of a positive semidefinite operator uses the support
 convention 0**s = 0 for all real s.  The spectral decisions live here and
-nowhere else: a computed eigenvalue counts as zero up to the
-:func:`cut_level` size * eps * max|w| of the matrix it was decomposed from,
-with no absolute floor, and a :class:`Spectrum` carries that cut per
-eigenpair; :func:`above_cut` applies the level to one spectrum as a whole
-(or to each spectrum of a stack), :func:`cluster_slices` splits a spectrum
-into degenerate runs,
-:meth:`Spectrum.clipped` moves a spectrum into a range, and
-:func:`components` splits an index set into the connected components of a
-linkage.  The rule that makes a matrix a state is written once, for the
-dense route and the Schur-Weyl blocks alike: :func:`_split_eig` passes the
-whole matrix through the Hermitian gate once, splits the canonical copy
-along the exact zeros of the original, decomposes each component once (a
-1x1 component is exact, cut at 0) and assembles one ascending spectrum,
-and :func:`_state_rule` gates the trace, clips and renormalizes over parts
-(multiplicity, trace, spectrum).  Every reader of a state takes it through
-:func:`as_state`, and every function of two states takes them through
-:func:`state_pair`, which also checks that they share a dimension; so a
-plain array is read as its DensityOperator, validated once, and the reader
-uses its canonical ``mat`` and the spectrum it keeps for :func:`eig` to
-hand back, without gating it again.  :func:`eig` of any other
-operator (a signed difference, a test) decomposes it as one matrix: the
-projection ``discrimination.np_test`` builds must keep what the sweep of
-``threshold_errors`` keeps from the eigh of the same difference, part by
-part for a pair held as parts (each part's difference one matrix, cut at
-its own level).  No step forms a dense V diag(w) V*.
+nowhere else (:func:`above_cut`, :func:`cluster_slices`,
+:meth:`Spectrum.clipped`, :func:`components`): a computed eigenvalue counts
+as zero up to the :func:`cut_level` size * eps * max|w| of the matrix it was
+decomposed from, with no absolute floor, and a :class:`Spectrum` carries
+that cut per eigenpair.  The rule that makes a matrix a state is written
+once, for the dense route and the Schur-Weyl blocks alike:
+:func:`_split_eig` passes the whole matrix through the Hermitian gate once,
+splits the canonical copy along the exact zeros of the original, decomposes
+each component once (a 1x1 component is exact, cut at 0) and assembles one
+ascending spectrum, and :func:`_state_rule` gates the trace, clips and
+renormalizes over parts (multiplicity, trace, spectrum).  Readers take a
+state through :func:`as_state` and two states through :func:`state_pair`,
+which checks that they share a dimension, so a plain array is validated once
+as its DensityOperator, whose canonical ``mat`` and kept spectrum are used
+without gating again.  :func:`eig` of any other operator (a signed
+difference, a test) decomposes it as one matrix cut at its own level, so the
+projection ``discrimination.np_test`` builds keeps what ``threshold_errors``
+keeps from the eigh of the same difference, part by part for a pair held as
+parts.  A dense V diag(w) V* is formed only to check a decomposition's
+residual, to rebuild a clipped block and as :func:`mpow`.
 """
 
 from __future__ import annotations
 
+import math
 import os
 from dataclasses import dataclass, field
-from functools import reduce
 
 import numpy as np
 
@@ -53,6 +48,7 @@ from .errors import ConvergenceError, DimensionError
 HERM_TOL = 1e-10
 TRACE_TOL = 1e-9
 DEFAULT_DIM_CAP = 4096
+_EPS = float(np.finfo(float).eps)
 
 
 def dim_cap() -> int:
@@ -73,9 +69,8 @@ def asmatrix(a) -> np.ndarray:
     """Coerce to a finite square matrix, unwrapping a DensityOperator.
 
     The matrix is float64 when its imaginary part is exactly zero, else
-    complex128, so real operators run the real LAPACK and BLAS kernels.  The
-    matrix of a DensityOperator comes back as is: it was checked when the
-    state was built and it is read-only."""
+    complex128.  The matrix of a DensityOperator comes back as is: it was
+    checked when the state was built and it is read-only."""
     if isinstance(a, DensityOperator):
         return a.mat
     m = np.asarray(a)
@@ -85,13 +80,13 @@ def asmatrix(a) -> np.ndarray:
         m = m.astype(float, copy=False)
     if m.ndim != 2 or m.shape[0] != m.shape[1]:
         raise DimensionError(f"expected a square matrix, got shape {m.shape}")
-    if not np.all(np.isfinite(m)):
+    if not np.isfinite(m).all():
         raise ValueError("matrix entries must be finite")
     return m
 
 
 def frob(a) -> float:
-    return float(np.linalg.norm(np.asarray(a)))
+    return math.sqrt(np.vdot(a, a).real)
 
 
 def hermitian(a) -> np.ndarray:
@@ -99,7 +94,7 @@ def hermitian(a) -> np.ndarray:
     HERM_TOL, as a new read-only array (float64 when its imaginary part is
     exactly zero)."""
     m = asmatrix(a)
-    dev = float(np.max(np.abs(m - m.conj().T))) if m.size else 0.0
+    dev = float(np.abs(m - m.conj().T).max(initial=0.0))
     if dev > HERM_TOL:
         raise ValueError(
             f"matrix is not Hermitian within {HERM_TOL:g} (deviation {dev:.3e})"
@@ -125,22 +120,21 @@ class DensityOperator:
     """Positive semidefinite, unit-trace Hermitian operator.
 
     ``mat`` passes :func:`hermitian` once, which gives its canonical copy,
-    and is decomposed block by block along its exact zeros
-    (:func:`_split_eig`), one checked eigendecomposition per block,
-    assembled into ``spectrum``, which it keeps.  The state rule (:func:`_state_rule`, one
-    part) gates the trace, clips eigenvalues in [-TRACE_TOL, 0) to zero,
-    rejecting anything more negative, and renormalizes; a block the clip
-    moved is rebuilt from its clipped spectrum, and the matrix is divided by
-    the trace the spectrum was.  :func:`eig` returns that spectrum instead of
-    decomposing again.
+    and is decomposed along its exact zeros, one checked eigendecomposition
+    per block (:func:`_split_eig`), into ``spectrum``, which it keeps.  The
+    state rule (:func:`_state_rule`, one part) gates the trace, clips
+    eigenvalues in [-TRACE_TOL, 0) to zero, rejecting any more negative, and
+    renormalizes; a block the clip moved is rebuilt from its clipped
+    spectrum, and the matrix is divided by the trace the spectrum was.
+    :func:`eig` returns that spectrum instead of decomposing again.
     """
 
     mat: np.ndarray
     spectrum: Spectrum = field(init=False, repr=False)
 
     def __post_init__(self):
-        # the only reference to a converted copy is _split_eig's, which frees it
-        mat, raw, lone, comps = _split_eig(asmatrix(self.mat), lambda idx, block: _eigh(block))
+        m = self.mat.mat if isinstance(self.mat, DensityOperator) else self.mat
+        mat, raw, lone, comps = _split_eig(m, lambda idx, block: _eigh(block))
         (spec,), tr = _state_rule([(1, float(np.trace(mat).real), raw)])
         if raw.eigenvalues[0] < 0.0:
             # the clip moved an eigenvalue: rebuild each component that had
@@ -213,8 +207,7 @@ def eig(h) -> Spectrum:
     Eigenvalues come back ascending; the eigenvector matrix is unitary within
     1e-9 and the reconstruction error is bounded by 1e-8 * dim * ||H||_F.
     A density operator returns the spectrum it keeps, cut component by
-    component; any other operator, such as np_test's signed difference or a
-    test, is one matrix, cut at its own level, as threshold_errors cuts it.
+    component; any other operator is one matrix, cut at its own level.
     """
     if isinstance(h, DensityOperator):
         return h.spectrum
@@ -266,17 +259,22 @@ def _checked(m: np.ndarray, w: np.ndarray, v: np.ndarray) -> Spectrum:
     """The spectrum (w, v) of m, cut at :func:`cut_level`, once its basis is
     orthonormal within 1e-9 and its reconstruction within 1e-8 * dim * ||m||_F + 1e-12."""
     d = m.shape[0]
-    gram_dev = float(np.max(np.abs(v.conj().T @ v - np.eye(d))))
+    vh = v.conj().T
+    gram = vh @ v
+    gram.ravel()[:: d + 1] -= 1.0
+    gram_dev = float(np.abs(gram).max(initial=0.0))
+    del gram  # not held while the residual forms its products
     if gram_dev > 1e-9:
         raise ConvergenceError(
             f"eigenvector basis of a {d}x{d} matrix lost orthonormality ({gram_dev:.3e})"
         )
-    resid = frob((v * w) @ v.conj().T - m)
+    resid = frob((v * w) @ vh - m)
     if resid > 1e-8 * d * frob(m) + 1e-12:
         raise ConvergenceError(
             f"eigendecomposition residual {resid:.3e} too large for a {d}x{d} matrix"
         )
-    cut = np.full(d, cut_level(w))
+    # cut_level(w), off the ends of the ascending w
+    cut = np.full(d, d * _EPS * max(abs(w[0]), abs(w[-1])) if d else 0.0)
     for a in (w, v, cut):
         a.setflags(write=False)
     return Spectrum(w, v, cut)
@@ -287,10 +285,14 @@ def components(linked: np.ndarray) -> tuple[np.ndarray, list[np.ndarray]]:
     matrix is linked (its diagonal is ignored): the indices that form a
     component alone, and the index sets of the larger components, each
     ascending and ordered by their smallest index."""
-    seen = np.count_nonzero(linked, axis=1) <= linked.diagonal()
-    lone = np.flatnonzero(seen)
+    degree = linked.sum(axis=1) - linked.diagonal()
+    seen = degree == 0
+    lone, rest = seen.nonzero()[0], (~seen).nonzero()[0]
+    # a vertex linked to every other one not alone joins them all
+    if rest.size and degree.max() == rest.size - 1:
+        return lone, [rest]
     comps = []
-    for i in np.flatnonzero(~seen):
+    for i in rest:
         if seen[i]:
             continue
         members = np.zeros(linked.shape[0], dtype=bool)
@@ -317,14 +319,12 @@ def _split_eig(m: np.ndarray, decompose) -> tuple[np.ndarray, Spectrum, np.ndarr
     nonzero pattern (an entry that cancels in the canonical copy still links
     its pair), so no entry outside the blocks deviates from Hermitian and
     gating the whole matrix gates every block.  A block whose imaginary part
-    is exactly zero is decomposed as float64.  Indices come back ascending,
-    the larger blocks ordered by their smallest index (:func:`components`).
+    is exactly zero is decomposed as float64.
     """
-    linked = m != 0
+    mat = hermitian(m)
+    linked = np.asarray(m) != 0
     linked |= linked.T
     lone, comps = components(linked)
-    mat = hermitian(m)
-    del m  # a converted copy can be freed before the decompositions
     specs = [decompose(idx, _real_if_exact(mat[idx[:, None], idx])) for idx in comps]
     spec = _assembled_eig(mat.diagonal()[lone].real, lone, comps, specs)
     return mat, spec, lone, list(zip(comps, specs))
@@ -357,6 +357,8 @@ def _assembled_eig(lone_w: np.ndarray, lone: np.ndarray, comps: list[np.ndarray]
     blocks first, then in block order, and each eigenvector is zero outside
     its block.  A matrix that is one block comes out exactly as its :func:`eig`.
     """
+    if not lone.size and len(specs) == 1:
+        return specs[0]
     d = lone.size + sum(idx.size for idx in comps)
     w = np.concatenate([lone_w, *(spec.eigenvalues for spec in specs)])
     order = np.argsort(w, kind="stable")
@@ -379,7 +381,7 @@ def cut_level(w: np.ndarray):
     """w.size * eps * max|w|, the level an eigenvalue in w must exceed to
     count as nonzero: a float for one spectrum, and for a stack of spectra
     along the last axis one level per spectrum, that axis kept as size 1."""
-    level = w.shape[-1] * float(np.finfo(float).eps) * np.max(np.abs(w), axis=-1, initial=0.0)
+    level = w.shape[-1] * _EPS * np.max(np.abs(w), axis=-1, initial=0.0)
     return float(level) if w.ndim == 1 else level[..., None]
 
 
@@ -432,19 +434,25 @@ def trace_norm(a) -> float:
 
 def kron(a, b) -> np.ndarray:
     """Kronecker product with the configured dimension cap enforced."""
-    ma, mb = asmatrix(a), asmatrix(b)
-    out_dim = ma.shape[0] * mb.shape[0]
-    cap = dim_cap()
-    if out_dim > cap:
-        raise DimensionError(f"kron product dimension {out_dim} exceeds cap {cap}")
-    return np.kron(ma, mb)
+    return _kron(asmatrix(a), asmatrix(b), dim_cap())
 
 
 def kron_power(a, n: int) -> np.ndarray:
     if n < 1:
         raise ValueError("tensor power exponent must be >= 1")
     m = asmatrix(a)
-    return reduce(kron, [m] * n)
+    out, cap = m, dim_cap()
+    for _ in range(n - 1):
+        out = _kron(out, m, cap)
+    return out
+
+
+def _kron(a: np.ndarray, b: np.ndarray, cap: int) -> np.ndarray:
+    """np.kron(a, b) bit for bit, its dimension within cap."""
+    p, q = len(a), len(b)
+    if p * q > cap:
+        raise DimensionError(f"kron product dimension {p * q} exceeds cap {cap}")
+    return (a[:, None, :, None] * b[None, :, None, :]).reshape(p * q, p * q)
 
 
 def abs_power_trace(a, b, s: float) -> float:

@@ -12,14 +12,16 @@ from symtest.asymptotics import (
 )
 from symtest.discrimination import TestOperator
 from symtest.divergences import psi_curve, relative_entropy
-from symtest.errors import DimensionError
+from symtest.errors import ConvergenceError, DimensionError
 from symtest.groups import GroupAction, tensor_power, twirl, twirled_pair
 from symtest.linalg import (
     HERM_TOL,
     TRACE_TOL,
     DensityOperator,
     Spectrum,
+    _checked,
     _eigh,
+    _gram_eigh,
     _split_eig,
     above_cut,
     cut_level,
@@ -29,6 +31,7 @@ from symtest.linalg import (
     components,
     dim_cap,
     eig,
+    frob,
     hermitian,
     kron,
     kron_power,
@@ -174,6 +177,8 @@ def test_mpow_group_law(rng):
 
 def test_support_projection_trivial_cases():
     assert_allclose(support_projection(np.zeros((3, 3))), np.zeros((3, 3)))
+    assert eig(np.zeros((0, 0))).eigenvalues.shape == (0,)
+    assert support_projection(np.zeros((0, 0))).shape == (0, 0)
     rho = random_density(3, rng=np.random.default_rng(1))
     assert_allclose(support_projection(rho), np.eye(3), atol=1e-10)
 
@@ -219,6 +224,26 @@ def test_kron_trace_product(rng):
     direct = sum(a[i, i] * b[j, j] for i in range(3) for j in range(3))
     assert np.trace(kron(a, b)) == pytest.approx(direct, abs=1e-12)
     assert np.trace(kron(a, b)) == pytest.approx(np.trace(a) * np.trace(b), abs=1e-12)
+
+
+def test_kron_is_np_kron_bit_for_bit(rng):
+    def matrix(d, field):
+        a = rng.standard_normal((d, d))
+        return a + 1j * rng.standard_normal((d, d)) if field is complex else a
+
+    for da, db in ((2, 3), (1, 4), (3, 1), (0, 2)):
+        for fa in (float, complex):
+            for fb in (float, complex):
+                a, b = matrix(da, fa), matrix(db, fb)
+                # asmatrix keeps the empty matrix real
+                got, want = kron(a, b), np.kron(asmatrix(a), asmatrix(b))
+                assert got.dtype == want.dtype and got.shape == want.shape
+                assert got.tobytes() == want.tobytes()
+    a = matrix(2, complex)
+    want = a
+    for n in range(2, 6):
+        want = np.kron(want, a)
+        assert kron_power(a, n).tobytes() == want.tobytes()
 
 
 def test_kron_associative(rng):
@@ -591,6 +616,12 @@ def test_blockwise_eig_of_a_matrix_without_zeros_is_eig(rng):
     blockwise, dense = blockwise_eig(m), eig(m)
     assert np.array_equal(blockwise.eigenvalues, dense.eigenvalues)
     assert np.array_equal(blockwise.eigenvectors, dense.eigenvectors)
+    assert np.array_equal(blockwise.cut, dense.cut)
+    # a dense state keeps exactly the _eigh of its canonical copy
+    rho, want = DensityOperator(m), _eigh(m)
+    assert rho.mat is not m and np.array_equal(rho.mat, m)
+    for name in ("eigenvalues", "eigenvectors", "cut"):
+        assert getattr(rho.spectrum, name).tobytes() == getattr(want, name).tobytes()
 
 
 def union_find_components(linked):
@@ -654,4 +685,61 @@ def test_components_match_a_union_find(rng):
     assert lone.tolist() == [0, 1, 2, 3, 4] and comps == []
     lone, comps = components(np.ones((5, 5), dtype=bool))
     assert lone.size == 0 and [c.tolist() for c in comps] == [[0, 1, 2, 3, 4]]
+    # a vertex linked to every other one that is not alone, beside lone ones
+    star = np.zeros((6, 6), dtype=bool)
+    star[2, [0, 4, 5]] = star[[0, 4, 5], 2] = True
+    lone, comps = components(star)
+    assert lone.tolist() == [1, 3] and [c.tolist() for c in comps] == [[0, 2, 4, 5]]
+    lone, comps = components(np.ones((1, 1), dtype=bool))
+    assert lone.tolist() == [0] and comps == []
+
+
+def test_checked_rejects_a_basis_that_is_not_orthonormal():
+    m, w = np.diag([0.25, 0.75]), np.array([0.25, 0.75])
+    for skew, ok in ((0.5e-9, True), (2e-9, False)):
+        v = np.eye(2)
+        v[0, 1] = skew
+        if ok:
+            assert np.array_equal(_checked(m, w.copy(), v).eigenvectors, v)
+        else:
+            with pytest.raises(ConvergenceError, match="lost orthonormality"):
+                _checked(m, w.copy(), v)
+
+
+def test_checked_rejects_a_reconstruction_beyond_its_bound(rng):
+    for a in (rng.standard_normal((4, 4)), rng.standard_normal((5, 5)) * (1 + 1j)):
+        assert frob(a) == pytest.approx(np.linalg.norm(a), rel=1e-15, abs=0)
+    # the bound is 1e-8 * d * ||m||_F + 1e-12, its floor alone for m = 0
+    for m in (np.diag([0.25, 0.75]), np.zeros((2, 2))):
+        bound = 1e-8 * 2 * frob(m) + 1e-12
+        for off, ok in ((0.9 * bound, True), (1.1 * bound, False)):
+            w = np.diag(m) + [0.0, off]
+            if ok:
+                assert np.array_equal(_checked(m, w, np.eye(2)).eigenvalues, w)
+            else:
+                with pytest.raises(ConvergenceError, match="residual"):
+                    _checked(m, w, np.eye(2))
+    empty = _checked(np.zeros((0, 0)), np.zeros(0), np.zeros((0, 0)))
+    assert empty.eigenvalues.size == empty.cut.size == 0
+
+
+def test_checked_cuts_each_spectrum_at_its_cut_level():
+    for w in ([-3.0, 1.0], [-1.0, 2.0], [-0.0, 0.0], [0.0, 0.0], [1e-300, 0.5]):
+        w = np.array(w)
+        cut = _checked(np.diag(w), w.copy(), np.eye(2)).cut
+        assert cut.tobytes() == np.full(2, cut_level(w)).tobytes()
+
+
+def test_a_decomposition_that_fails_raises_convergence_error(monkeypatch):
+    def fail(*args, **kwargs):
+        raise np.linalg.LinAlgError("did not converge")
+
+    monkeypatch.setattr(np.linalg, "eigh", fail)
+    monkeypatch.setattr(np.linalg, "svd", fail)
+    with pytest.raises(ConvergenceError, match="eigendecomposition did not converge") as info:
+        _eigh(np.eye(2))
+    assert isinstance(info.value.__cause__, np.linalg.LinAlgError)
+    with pytest.raises(ConvergenceError, match="singular value decomposition did not") as info:
+        _gram_eigh(np.eye(2), np.eye(2))
+    assert isinstance(info.value.__cause__, np.linalg.LinAlgError)
 

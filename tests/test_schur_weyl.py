@@ -313,6 +313,7 @@ def test_block_route_forms_no_dense_object(monkeypatch):
 
     monkeypatch.setattr(divergences, "twirled_pair", refuse)
     monkeypatch.setattr(linalg, "kron", refuse)
+    monkeypatch.setattr(linalg, "_kron", refuse)
     monkeypatch.setenv("SYMTEST_DIM_CAP", str(2**20))
     for action in (GroupAction.torus([0, 1]), SIGN_FLIP):
         tracemalloc.start()
