@@ -7,28 +7,18 @@ t(1 - eps) - Tr(t*rho0 - rho1)_+, a concave function that peaks in
 [0, 1/eps], which _dual maximizes with divergences._bracket_min on every
 pair: off the joint eigenvalue atoms of a commuting pair (piecewise linear,
 so also read at its bracketed breakpoints), else off one eigh per part.
-threshold_errors gives the error pairs of many threshold tests on one state
-pair at once, from the joint eigenvalue atoms of a commuting pair or from
-the eigh of each difference otherwise, without forming the projections
-np_test builds.  The atoms are PsiEvaluator.atoms: the support overlaps of
-the two spectra every density operator keeps, plus one atom per row for the
-mass of supp rho0 outside supp rho1.  So a state pair is never decomposed
-again here, and one state's eigenvectors never meet the other's.
-beta_eps and threshold_errors each have one engine over a TwirledPair, the
-parts (m, x0, x1) of a pair held as the direct sum of m copies of each
-pair of matrices (x0.mat, x1.mat), the list PsiEvaluator reads the spectra
-of: the commutator test runs per part, the dual of a noncommuting pair sums
-m * Tr(t A - B)_+ and its supergradient with one eigh per part, and the
-sweep runs one eigh per part, cut at that part's own level.  So the rule
-that np_test keeps what threshold_errors keeps holds per part: a pair of
-two states is the one part (1, rho0n, rho1n), whose one difference both
-cut alike, and the twirled n-copy pair of qubits
-(divergences.TwirledSweep.pair, one part per Schur-Weyl block) has each
-block's difference cut at its own level, as np_test would cut that block.
-Every function of a pair reads it through linalg.state_pair and then uses
-the states' canonical matrices, never gating them again, so beta_eps and
-threshold_errors reject a pair that is not a state alike, whether it
-commutes or not; the one Hermitian gate here is TestOperator's.
+threshold_errors reads many threshold tests of one pair at once, off the
+same atoms or one eigh per part.  The atoms are PsiEvaluator.atoms, read
+off the spectra every density operator keeps, so a state pair is never
+decomposed again here.  Both run on a TwirledPair, the parts (m, x0, x1)
+of a pair held as the direct sum of m copies of each pair
+(x0.mat, x1.mat), the sweep cutting each part's difference at that part's
+own level.  np_test splits its difference along its exact zeros and cuts
+it at the one level of the whole difference (linalg.eig), so it keeps what
+the sweep keeps from the one part (1, rho0n, rho1n) of two states.  Every
+function of a pair reads it through linalg.state_pair and never gates the
+states again, so beta_eps and threshold_errors reject a non-state alike;
+the one Hermitian gate here is TestOperator's.
 np_test, p_min, pmin_bounds_check and strong_converse_bound take one rate a
 and weigh rho0n by e^{-a}: on n copies the caller passes n times the
 per-copy rate.
@@ -45,7 +35,9 @@ import numpy as np
 from .divergences import CERTIFIED_GAP, PsiEvaluator, _bracket_min, _scan_min, fidelity
 from .errors import DimensionError
 from .linalg import (
-    _eigh,
+    _block_eigh,
+    _rebuilt,
+    _split_eig,
     above_cut,
     asmatrix,
     hermitian,
@@ -64,22 +56,21 @@ SWEEP_ENTRIES = 2**18
 class TestOperator:
     """A binary POVM effect: Hermitian with spectrum in [0, 1].
 
-    ``mat`` is validated through :func:`hermitian` and then from its
-    eigendecomposition: eigenvalues at most 1e-9 outside [0, 1] are clipped
-    onto the edge (:meth:`Spectrum.clipped`), anything further out is
-    rejected."""
+    ``mat`` passes :func:`hermitian` once and is decomposed along its exact
+    zeros (linalg._split_eig): eigenvalues at most 1e-9 outside [0, 1] are
+    clipped onto the edge, anything further out is rejected, and only the
+    components the clip moved are rebuilt (linalg._rebuilt)."""
 
     __test__ = False  # keep pytest from collecting the type
 
     mat: np.ndarray
 
     def __post_init__(self):
-        # hold only the canonical copy, so the caller's matrix can be freed first
-        object.__setattr__(self, "mat", hermitian(self.mat))
-        spec = _eigh(self.mat)
-        clipped = spec.clipped(0.0, 1.0, 1e-9)
-        if clipped is not spec:
-            object.__setattr__(self, "mat", hermitian(clipped.reconstruct()))
+        m = self.mat
+        mat = hermitian(m)
+        mat = _rebuilt(mat, *_split_eig(mat, m, _block_eigh), 1.0, 1e-9)
+        mat.setflags(write=False)
+        object.__setattr__(self, "mat", mat)
 
 
 @dataclass(frozen=True)
@@ -102,8 +93,9 @@ def error_pair(test, rho0n, rho1n) -> ErrorPair:
     m0, m1 = s0.mat, s1.mat
     if t.shape != m0.shape:
         raise DimensionError("test and states must share a dimension")
-    beta0 = 1.0 - float(np.trace(m0 @ t).real)
-    beta1 = float(np.trace(m1 @ t).real)
+    # Re Tr(m t) = Re sum conj(t_ij) m_ij for a Hermitian m, in O(d^2)
+    beta0 = 1.0 - float(np.vdot(t, m0).real)
+    beta1 = float(np.vdot(t, m1).real)
     return ErrorPair(beta0, beta1)
 
 
@@ -129,10 +121,9 @@ def threshold_errors(rho0n, rho1n, a_values) -> np.ndarray:
 def _threshold_errors(parts, atoms, a_values) -> np.ndarray:
     """threshold_errors of the direct sum of the parts (m, x0, x1), A = x0.mat
     and B = x1.mat: from the commuting atoms when given, else from one eigh
-    per part of each difference e^{-a} A - B, each cut at its own level, as
-    np_test cuts the difference of a one-part pair, and part t adding m_t
-    times its accepted masses.  The rates are taken SWEEP_ENTRIES matrix entries (or atoms) at a
-    time, one stacked array per part."""
+    per part of each difference e^{-a} A - B, cut at that part's own level,
+    part t adding m_t times its accepted masses.  The rates go SWEEP_ENTRIES
+    matrix entries (or atoms) at a time, one stacked array per part."""
     # the weights np_test puts on A, bit for bit
     weights = np.array([math.exp(-float(a)) for a in a_values])
     accept0, accept1 = np.zeros(weights.size), np.zeros(weights.size)
@@ -280,20 +271,14 @@ def beta_eps(rho0n, rho1n, eps: float) -> float:
 class TwirledPair:
     """A pair of states held as the parts (m, x0, x1) of its direct sum: m
     copies of the pair of canonical matrices (x0.mat, x1.mat), each x a
-    DensityOperator or a schur_weyl.Block.
-
-    Two states are the one part (1, rho0, rho1); the twirled n-copy pair is
-    divergences.TwirledSweep.pair(n), one part per Schur-Weyl block t
-    (m = m_t, no 2^n-sized array) for qubits, the one part of
-    groups.twirled_pair otherwise.  ``evaluator`` is the PsiEvaluator of the
-    same parts and ``atoms`` its commuting atoms when A and B commute in
-    every part, else None; each is built once, on first use.
-    :meth:`beta_eps` and :meth:`threshold_errors` give what the functions of
-    the same names give on the dense pair, read off the atoms when there are
-    any and else part by part: the dual's Tr(t rho0n - rho1n)_+ is
-    sum_t m_t Tr(t A_t - B_t)_+, maximized by one certified bracket on both
-    kinds of pair, and a threshold test's accepted masses are m_t times those
-    of part t, each part's difference cut at its own level.
+    DensityOperator or a schur_weyl.Block.  Two states are the one part
+    (1, rho0, rho1); divergences.TwirledSweep.pair(n) is one part per
+    Schur-Weyl block t (m = m_t) for qubits, the one part of
+    groups.twirled_pair otherwise.  ``evaluator`` (the PsiEvaluator of the
+    parts) and ``atoms`` (its commuting atoms when A and B commute in every
+    part, else None) are built once, on first use.  :meth:`beta_eps` and
+    :meth:`threshold_errors` give what the functions of the same names give
+    on the dense pair.
     """
 
     def __init__(self, parts):

@@ -17,22 +17,20 @@ nowhere else (:func:`above_cut`, :func:`cluster_slices`,
 :meth:`Spectrum.clipped`, :func:`components`): a computed eigenvalue counts
 as zero up to the :func:`cut_level` size * eps * max|w| of the matrix it was
 decomposed from, with no absolute floor, and a :class:`Spectrum` carries
-that cut per eigenpair.  The rule that makes a matrix a state is written
-once, for the dense route and the Schur-Weyl blocks alike:
-:func:`_split_eig` passes the whole matrix through the Hermitian gate once,
-splits the canonical copy along the exact zeros of the original, decomposes
-each component once (a 1x1 component is exact, cut at 0) and assembles one
-ascending spectrum, and :func:`_state_rule` gates the trace, clips and
-renormalizes over parts (multiplicity, trace, spectrum).  Readers take a
-state through :func:`as_state` and two states through :func:`state_pair`,
-which checks that they share a dimension, so a plain array is validated once
-as its DensityOperator, whose canonical ``mat`` and kept spectrum are used
-without gating again.  :func:`eig` of any other operator (a signed
-difference, a test) decomposes it as one matrix cut at its own level, so the
-projection ``discrimination.np_test`` builds keeps what ``threshold_errors``
-keeps from the eigh of the same difference, part by part for a pair held as
-parts.  A dense V diag(w) V* is formed only to check a decomposition's
-residual, to rebuild a clipped block and as :func:`mpow`.
+that cut per eigenpair.  Every operator is split along its exact zeros
+and decomposed once per component (:func:`_split_eig`; a 1x1 one is
+exact).  A state is cut per component (a 1x1 one at 0), and its rule is
+written once, for the dense route and the Schur-Weyl blocks alike:
+:func:`_gated_eig` (the gate, the split, one assembled spectrum) and
+:func:`_state_rule` (the trace gate, clip and renormalization over parts
+(multiplicity, trace, spectrum)).  Any other operator (a signed
+difference, a test) is cut at the one level of its whole spectrum, so the
+projection ``discrimination.np_test`` builds keeps what
+``threshold_errors`` keeps from one eigh of the same difference.  Readers
+take a state through :func:`as_state` and a pair through
+:func:`state_pair`, which checks the dimensions, so a plain array is
+validated once, as its DensityOperator.  A dense V diag(w) V* is formed
+only to check a residual, to rebuild a clipped block and as :func:`mpow`.
 """
 
 from __future__ import annotations
@@ -119,14 +117,13 @@ def _real_if_exact(m: np.ndarray) -> np.ndarray:
 class DensityOperator:
     """Positive semidefinite, unit-trace Hermitian operator.
 
-    ``mat`` passes :func:`hermitian` once, which gives its canonical copy,
-    and is decomposed along its exact zeros, one checked eigendecomposition
-    per block (:func:`_split_eig`), into ``spectrum``, which it keeps.  The
-    state rule (:func:`_state_rule`, one part) gates the trace, clips
-    eigenvalues in [-TRACE_TOL, 0) to zero, rejecting any more negative, and
-    renormalizes; a block the clip moved is rebuilt from its clipped
-    spectrum, and the matrix is divided by the trace the spectrum was.
-    :func:`eig` returns that spectrum instead of decomposing again.
+    ``mat`` passes :func:`hermitian` once and is decomposed along its exact
+    zeros (:func:`_gated_eig`) into ``spectrum``, which it keeps and
+    :func:`eig` returns.  The state rule (:func:`_state_rule`, one part)
+    gates the trace, clips eigenvalues in [-TRACE_TOL, 0) to zero, rejecting
+    any more negative, and renormalizes; a block the clip moved is rebuilt
+    (:func:`_rebuilt`), and the matrix is divided by the trace the spectrum
+    was.
     """
 
     mat: np.ndarray
@@ -134,17 +131,11 @@ class DensityOperator:
 
     def __post_init__(self):
         m = self.mat.mat if isinstance(self.mat, DensityOperator) else self.mat
-        mat, raw, lone, comps = _split_eig(m, lambda idx, block: _eigh(block))
+        mat, raw, lone, comps = _gated_eig(m, _block_eigh)
         (spec,), tr = _state_rule([(1, float(np.trace(mat).real), raw)])
         if raw.eigenvalues[0] < 0.0:
-            # the clip moved an eigenvalue: rebuild each component that had
-            # one, in a copy, since the gate's canonical copy is read-only
-            mat = mat.copy()
-            mat[lone, lone] = np.maximum(mat[lone, lone], 0.0)
-            for idx, block_spec in comps:
-                clipped = block_spec.clipped(0.0, np.inf, TRACE_TOL)
-                if clipped is not block_spec:
-                    mat[idx[:, None], idx] = _canonical(clipped.reconstruct())
+            # the clip moved an eigenvalue: rebuild the components that had one
+            mat = _rebuilt(mat, lone, comps, np.inf, TRACE_TOL)
         if tr != 1.0:
             # a canonical matrix over its real trace stays exactly Hermitian
             mat = mat / tr
@@ -160,8 +151,8 @@ class DensityOperator:
 @dataclass(frozen=True, eq=False)
 class Spectrum:
     """Eigendecomposition: ascending eigenvalues, unitary eigenvector columns,
-    and per eigenpair the ``cut`` it must exceed to count as nonzero, that of
-    the component it was decomposed from (see :func:`_assembled_eig`)."""
+    and per eigenpair the ``cut`` it must exceed to count as nonzero (see
+    :func:`eig`)."""
 
     eigenvalues: np.ndarray
     eigenvectors: np.ndarray
@@ -191,14 +182,22 @@ class Spectrum:
         eigenvectors; any further out raise.  A spectrum already inside
         returns self."""
         w = self.eigenvalues
-        if w[0] >= lo and w[-1] <= hi:
+        if not _outside(w[0], w[-1], lo, hi, tol):
             return self
-        if w[0] < lo - tol or w[-1] > hi + tol:
-            raise ValueError(
-                f"spectrum [{w[0]:.3e}, {w[-1]:.3e}] has an eigenvalue more than "
-                f"{tol:g} outside [{lo:g}, {hi:g}]"
-            )
         return Spectrum(np.clip(w, lo, hi), self.eigenvectors, self.cut)
+
+
+def _outside(first: float, last: float, lo: float, hi: float, tol: float) -> bool:
+    """Whether values from first to last leave [lo, hi]; any more than tol
+    outside raise."""
+    if first >= lo and last <= hi:
+        return False
+    if first < lo - tol or last > hi + tol:
+        raise ValueError(
+            f"spectrum [{first:.3e}, {last:.3e}] has an eigenvalue more than "
+            f"{tol:g} outside [{lo:g}, {hi:g}]"
+        )
+    return True
 
 
 def eig(h) -> Spectrum:
@@ -207,11 +206,29 @@ def eig(h) -> Spectrum:
     Eigenvalues come back ascending; the eigenvector matrix is unitary within
     1e-9 and the reconstruction error is bounded by 1e-8 * dim * ||H||_F.
     A density operator returns the spectrum it keeps, cut component by
-    component; any other operator is one matrix, cut at its own level.
+    component; any other operator is split too, cut at one level, that of
+    its whole spectrum.
     """
     if isinstance(h, DensityOperator):
         return h.spectrum
-    return _eigh(_canonical(asmatrix(h)))
+    mat, lone, comps, level = _operator_split(h)
+    spec = _assembled_eig(mat, lone, comps)
+    cut = np.full(mat.shape[0], level)
+    cut.setflags(write=False)
+    return Spectrum(spec.eigenvalues, spec.eigenvectors, cut)
+
+
+def _operator_split(h) -> tuple[np.ndarray, np.ndarray, list, float]:
+    """The canonical copy of a non-state, its split (:func:`_split_eig`) and
+    the one :func:`cut_level` of its whole spectrum."""
+    m = asmatrix(h)
+    mat = _canonical(m)
+    lone, comps = _split_eig(mat, m, _block_eigh)
+    top = float(np.abs(mat.diagonal()[lone]).max(initial=0.0))
+    for _, spec in comps:
+        w = spec.eigenvalues
+        top = max(top, -w[0], w[-1])
+    return mat, lone, comps, mat.shape[0] * _EPS * top
 
 
 def as_state(rho) -> DensityOperator:
@@ -306,28 +323,49 @@ def components(linked: np.ndarray) -> tuple[np.ndarray, list[np.ndarray]]:
     return lone, comps
 
 
-def _split_eig(m: np.ndarray, decompose) -> tuple[np.ndarray, Spectrum, np.ndarray, list]:
-    """m passed through :func:`hermitian` once and decomposed component by
-    component: split along its exact zeros, each larger component decomposed
-    by decompose(idx, block) from its indices and canonical block, and the
-    pieces assembled (:func:`_assembled_eig`).  Returns the read-only
-    canonical matrix, its spectrum, the indices of the 1x1 components and
-    (idx, spectrum) per larger component.
-
-    A twirled state is block diagonal up to a permutation, and its exact zeros
-    show the blocks.  m splits once, along the zeros of its own symmetrized
-    nonzero pattern (an entry that cancels in the canonical copy still links
-    its pair), so no entry outside the blocks deviates from Hermitian and
-    gating the whole matrix gates every block.  A block whose imaginary part
-    is exactly zero is decomposed as float64.
-    """
+def _gated_eig(m, decompose) -> tuple[np.ndarray, Spectrum, np.ndarray, list]:
+    """A state's or a Schur-Weyl block's m through :func:`hermitian` once:
+    the read-only canonical matrix, its spectrum and its split."""
     mat = hermitian(m)
+    lone, comps = _split_eig(mat, m, decompose)
+    return mat, _assembled_eig(mat, lone, comps), lone, comps
+
+
+def _block_eigh(idx: np.ndarray, block: np.ndarray) -> Spectrum:
+    return _eigh(block)
+
+
+def _split_eig(mat: np.ndarray, m, decompose) -> tuple[np.ndarray, list]:
+    """The canonical copy mat of m split along the exact zeros of m's
+    symmetrized nonzero pattern: the indices of the 1x1 components and
+    (idx, decompose(idx, block)) per larger one, a block float64 when its
+    imaginary part is exactly zero.  A twirled operator is block diagonal up
+    to a permutation, and its exact zeros show the blocks.  An entry that
+    cancels in mat still links its pair, so no entry outside the blocks
+    deviates from Hermitian and the caller's one gate covers every block.
+    """
     linked = np.asarray(m) != 0
     linked |= linked.T
     lone, comps = components(linked)
-    specs = [decompose(idx, _real_if_exact(mat[idx[:, None], idx])) for idx in comps]
-    spec = _assembled_eig(mat.diagonal()[lone].real, lone, comps, specs)
-    return mat, spec, lone, list(zip(comps, specs))
+    return lone, [(idx, decompose(idx, _real_if_exact(mat[idx[:, None], idx]))) for idx in comps]
+
+
+def _rebuilt(mat: np.ndarray, lone: np.ndarray, comps: list, hi: float, tol: float) -> np.ndarray:
+    """The split mat with its spectrum clipped onto [0, hi] (as
+    :meth:`Spectrum.clipped`, with tol): mat itself when the clip moves
+    nothing, else a copy with only the parts it moved rebuilt."""
+    out = mat
+    w = mat.diagonal()[lone].real
+    if w.size and _outside(w.min(), w.max(), 0.0, hi, tol):
+        out = mat.copy()
+        out[lone, lone] = np.clip(w, 0.0, hi)
+    for idx, spec in comps:
+        clipped = spec.clipped(0.0, hi, tol)
+        if clipped is not spec:
+            if out is mat:
+                out = mat.copy()
+            out[idx[:, None], idx] = _canonical(clipped.reconstruct())
+    return out
 
 
 def _state_rule(parts: list[tuple[int, float, Spectrum]]) -> tuple[list[Spectrum], float]:
@@ -347,27 +385,27 @@ def _state_rule(parts: list[tuple[int, float, Spectrum]]) -> tuple[list[Spectrum
     return [c.scaled(tr) for c in clipped], tr
 
 
-def _assembled_eig(lone_w: np.ndarray, lone: np.ndarray, comps: list[np.ndarray],
-                   specs: list[Spectrum]) -> Spectrum:
-    """One ascending eigendecomposition of the full dimension from the 1x1
-    blocks lone (eigenvalues lone_w) and the spectra of the blocks comps.
+def _assembled_eig(mat: np.ndarray, lone: np.ndarray, comps: list) -> Spectrum:
+    """One ascending eigendecomposition of the split mat (:func:`_split_eig`)
+    from its 1x1 blocks lone and its larger blocks (idx, spectrum).
 
     A 1x1 block is its own eigenpair (its real entry and a unit vector), exact,
     so cut at 0; the others keep their block's cut.  Ties sort with the 1x1
     blocks first, then in block order, and each eigenvector is zero outside
     its block.  A matrix that is one block comes out exactly as its :func:`eig`.
     """
-    if not lone.size and len(specs) == 1:
-        return specs[0]
-    d = lone.size + sum(idx.size for idx in comps)
-    w = np.concatenate([lone_w, *(spec.eigenvalues for spec in specs)])
+    if not lone.size and len(comps) == 1:
+        return comps[0][1]
+    d = mat.shape[0]
+    specs = [spec for _, spec in comps]
+    w = np.concatenate([mat.diagonal()[lone].real, *(spec.eigenvalues for spec in specs)])
     order = np.argsort(w, kind="stable")
     column = np.empty(d, dtype=np.intp)
     column[order] = np.arange(d)
     v = np.zeros((d, d), dtype=np.result_type(float, *(spec.eigenvectors for spec in specs)))
     v[lone, column[: lone.size]] = 1.0
     start = lone.size
-    for idx, spec in zip(comps, specs):
+    for idx, spec in comps:
         v[idx[:, None], column[start : start + idx.size]] = spec.eigenvectors
         start += idx.size
     w = w[order]
@@ -415,12 +453,26 @@ def mpow(h, s: float) -> np.ndarray:
 
 def support_projection(h) -> np.ndarray:
     """Projection onto the eigenspaces above the rank cut: the support of a PSD
-    operator, the positive part of a signed one; a read-only array."""
-    v = eig(h).support().eigenvectors
-    p = _canonical(v @ v.conj().T)
-    idem = float(np.max(np.abs(p @ p - p))) if p.size else 0.0
-    if idem > 1e-9:
-        raise ConvergenceError(f"support projection not idempotent ({idem:.3e})")
+    operator, the positive part of a signed one; a read-only array, formed
+    and checked idempotent component by component for a non-state."""
+    if isinstance(h, DensityOperator):
+        p = np.zeros(h.mat.shape, h.spectrum.eigenvectors.dtype)
+        kept = [(slice(None), h.spectrum.support().eigenvectors)]
+    else:
+        mat, lone, comps, level = _operator_split(h)
+        p = np.zeros(mat.shape, np.result_type(float, *(s.eigenvectors for _, s in comps)))
+        on = lone[mat.diagonal()[lone].real > level]
+        p[on, on] = 1.0
+        kept = [(np.ix_(idx, idx), s.eigenvectors[:, s.eigenvalues > level]) for idx, s in comps]
+    for at, v in kept:
+        if v.shape[1]:
+            block = _canonical(v @ v.conj().T)
+            idem = float(np.abs(block @ block - block).max())
+            if idem > 1e-9:
+                raise ConvergenceError(f"support projection not idempotent ({idem:.3e})")
+            p[at] = block
+    p = _real_if_exact(p)
+    p.setflags(write=False)
     return p
 
 

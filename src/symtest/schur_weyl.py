@@ -25,7 +25,7 @@ from typing import NamedTuple
 import numpy as np
 
 from .groups import TORUS, GroupAction
-from .linalg import DensityOperator, Spectrum, _gram_eigh, _split_eig, _state_rule
+from .linalg import DensityOperator, Spectrum, _gated_eig, _gram_eigh, _state_rule
 
 
 class Block(NamedTuple):
@@ -60,11 +60,11 @@ class SymBlocks:
     the diagonal of S Lam S^*, a sum of nonnegative terms, when its two
     weights differ (each Dicke state has its own weight), and the whole block
     when they are equal.  G_m passes the Hermitian gate once and splits along
-    its exact zeros (linalg._split_eig); a 1x1 component is an exact
-    eigenpair, its entry (so every eigenvalue of a pinched block, a sum of
-    nonnegative terms, is exact); a larger component is f[idx] f[idx]^* for
-    its rows idx of f = [S_g sqrt(Lam)]_g / sqrt(|G|), so its eigenpairs come
-    from the singular value decomposition of f[idx] (linalg._gram_eigh),
+    its exact zeros (linalg._gated_eig); a 1x1 component is an eigenpair,
+    its entry (not exact for a generic state: ROADMAP item 1); a larger
+    component is f[idx] f[idx]^* for its rows idx of
+    f = [S_g sqrt(Lam)]_g / sqrt(|G|), so its eigenpairs come from the
+    singular value decomposition of f[idx] (linalg._gram_eigh),
     which resolves an eigenvalue w to about eps * sqrt(w * max) where eigh
     resolves eps * max.  Each eigenpair carries the cut of its component, as
     on the dense route: 0 for a 1x1 component, else the component's size
@@ -108,7 +108,7 @@ class SymBlocks:
                      else (fs @ fs.conj().transpose(0, 2, 1)).sum(axis=0))
             # a larger component of the block is decomposed through the
             # singular values of its rows of f
-            mat, spec, _, _ = _split_eig(block, lambda idx, sub: _gram_eigh(f[idx], sub))
+            mat, spec, _, _ = _gated_eig(block, lambda idx, sub: _gram_eigh(f[idx], sub))
             self._built[m] = (float(np.trace(mat).real), spec, mat)
         return self._built[m]
 
@@ -144,7 +144,7 @@ def _times(trace: float, spec: Spectrum, mat: np.ndarray,
 
 
 def _zero_block(size: int) -> tuple[float, Spectrum, np.ndarray]:
-    """The zero block of a size: trace 0, the spectrum _split_eig gives a zero
+    """The zero block of a size: trace 0, the spectrum _gated_eig gives a zero
     matrix (every entry a 1x1 component, exact zeros cut at 0, unit vectors)
     and the matrix."""
     w, v, cut, mat = _frozen(np.zeros(size), np.eye(size), np.zeros(size), np.zeros((size, size)))

@@ -1,6 +1,7 @@
 """References that only the tests read: the dense twirl by literal averaging
 and the random unitaries its checks draw, the benchmark's seeded qubit
-pairs, golden section, the 1-D refinement the certified bracket method
+pairs, the positive-part projection from one eigh of a whole matrix,
+golden section, the 1-D refinement the certified bracket method
 replaced, the exact breakpoint maximum of a commuting pair's beta_eps dual,
 and the binomial power sums whose limits the closed forms rest on, in log
 space."""
@@ -9,7 +10,7 @@ import math
 
 import numpy as np
 
-from symtest.linalg import DensityOperator
+from symtest.linalg import DensityOperator, cut_level
 from symtest.oracle import _log_binom, _logsumexp, _xlog
 
 NEG_INF = float("-inf")
@@ -58,6 +59,16 @@ def seeded_pairs(seed):
         rho = rho / np.trace(rho).real
         states.append(DensityOperator((rho + rho.conj().T) / 2.0))
     return {"A": tuple(states[:2]), "B": tuple(states[2:])}
+
+
+def one_eigh_projection(h) -> np.ndarray:
+    """Projection onto the positive part of a Hermitian h from one
+    np.linalg.eigh of its whole canonical copy, cut at cut_level: what
+    np_test built before it decomposed a difference along its exact zeros."""
+    m = np.asarray(h)
+    w, v = np.linalg.eigh((m + m.conj().T) / 2.0)
+    v = v[:, w > cut_level(w)]
+    return v @ v.conj().T
 
 
 def golden_min(fn, a: float, b: float) -> tuple[float, float]:

@@ -38,7 +38,7 @@ from symtest.groups import twirled_pair
 from symtest.linalg import DensityOperator, asmatrix, cut_level, eig, kron_power
 from symtest.oracle import pmin_random_battery, random_density
 
-from helpers import breakpoint_dual, random_unitary
+from helpers import breakpoint_dual, one_eigh_projection, random_unitary, seeded_pairs
 
 LOG2 = math.log(2.0)
 RATES = np.linspace(-2.0, 2.0, 81)
@@ -82,6 +82,53 @@ class TestTestOperator:
         t = TestOperator(np.diag([1.0 + 5e-10, -5e-10]))
         w = np.linalg.eigvalsh(t.mat)
         assert w[0] >= 0.0 and w[-1] <= 1.0
+
+
+def split_pairs():
+    """Block-diagonal twirled pairs: seeded sign-flip pairs at n <= 7 and the
+    torus pure-vs-mixed pair at n <= 6, as (n, pair)."""
+    out = [(n, twirled_pair(*pair, z2_action(), n))
+           for seed in (3, 17) for pair in seeded_pairs(seed).values() for n in (1, 2, 5, 7)]
+    sc = make_scenario("TorusPureVsMixed", alpha=0.3)
+    return out + [(n, twirled_pair(sc.rho0, sc.rho1, sc.action, n)) for n in range(1, 7)]
+
+
+class TestSplitNpTest:
+    A_VALUES = (-0.2, 0.0, 0.05, 0.3)
+
+    def test_matches_one_eigh_of_the_whole_difference(self):
+        # np_test splits the difference along its exact zeros and cuts it at
+        # the whole difference's level, so it keeps the rank of the one-eigh
+        # projection, lands on it and on the threshold sweep's rows.  Roundoff
+        # in h moves the projection by about eps ||h|| / min|w| (Davis-Kahan),
+        # so the oracle is that far off itself: 2.2e-12 off the exact zeros
+        # between the blocks on one pair at n = 7, where min|w| = 4.6e-6
+        for n, (rho0, rho1) in split_pairs():
+            rows = threshold_errors(rho0, rho1, [n * a for a in self.A_VALUES])
+            for a, row in zip(self.A_VALUES, rows):
+                test = np_test(rho0, rho1, n * a)
+                h = math.exp(-n * a) * rho0.mat - rho1.mat
+                oracle = one_eigh_projection(h)
+                assert round(np.trace(test.mat).real) == round(np.trace(oracle).real)
+                w = np.abs(np.linalg.eigvalsh(h))
+                tol = max(1e-12, np.finfo(float).eps * w.max() / w.min())
+                assert_allclose(test.mat, oracle, rtol=0, atol=tol)
+                errors = error_pair(test, rho0, rho1)
+                assert_allclose([errors.beta0, errors.beta1], row, rtol=0, atol=1e-14)
+
+    def test_sign_flip_pair_runs_no_eigh_above_its_blocks(self, monkeypatch):
+        # pair B at n = 7 is two exact 64x64 blocks under the sign flip
+        pair = twirled_pair(*seeded_pairs(0)["B"], z2_action(), 7)
+        sizes = []
+
+        def counted(a, *args, _real=np.linalg.eigh, **kwargs):
+            sizes.append(a.shape[-1])
+            return _real(a, *args, **kwargs)
+
+        monkeypatch.setattr(np.linalg, "eigh", counted)
+        for a in self.A_VALUES:
+            np_test(*pair, 7 * a)
+        assert sizes and max(sizes) == 64
 
 
 class TestErrorPair:

@@ -32,8 +32,8 @@ from symtest.groups import (
 )
 from symtest.linalg import (
     DensityOperator,
-    _eigh,
-    _split_eig,
+    _block_eigh,
+    _gated_eig,
     above_cut,
     eig,
     hermitian,
@@ -473,7 +473,7 @@ class TestTwirledPair:
         m = twirl(kron_power(pure_qubit(0.3).mat, n), tensor_power(torus_action(), n))
         assert m.dtype == np.float64
         # the block decomposition of the real canonical matrix, before the clip
-        raw = _split_eig(hermitian(m), lambda idx, block: _eigh(block))[1]
+        raw = _gated_eig(m, _block_eigh)[1]
         assert raw.eigenvalues[0] < 0.0
         rho = DensityOperator(m)
         spec = rho.spectrum

@@ -10,7 +10,7 @@ from symtest.asymptotics import (
     make_scenario,
     z2_action,
 )
-from symtest.discrimination import TestOperator
+from symtest.discrimination import TestOperator, np_test
 from symtest.divergences import psi_curve, relative_entropy
 from symtest.errors import ConvergenceError, DimensionError
 from symtest.groups import GroupAction, tensor_power, twirl, twirled_pair
@@ -19,10 +19,11 @@ from symtest.linalg import (
     TRACE_TOL,
     DensityOperator,
     Spectrum,
+    _block_eigh,
     _checked,
     _eigh,
+    _gated_eig,
     _gram_eigh,
-    _split_eig,
     above_cut,
     cut_level,
     abs_power_trace,
@@ -42,7 +43,7 @@ from symtest.linalg import (
 )
 from symtest.oracle import random_density
 
-from helpers import random_unitary
+from helpers import one_eigh_projection, random_unitary
 
 
 # one constructor per frozen dataclass that holds an array
@@ -186,6 +187,69 @@ def test_support_projection_trivial_cases():
 def test_support_projection_pure_state():
     rho0 = np.array([[0.5, 0.5], [0.5, 0.5]])
     assert_allclose(support_projection(rho0), rho0, atol=1e-12)
+
+
+def interleaved(top, bottom):
+    """diag(top, bottom) with its rows and columns interleaved, and the
+    indices of the bottom block."""
+    d = len(top) + len(bottom)
+    m = np.zeros((d, d), dtype=np.result_type(top, bottom))
+    m[: len(top), : len(top)], m[len(top) :, len(top) :] = top, bottom
+    perm = np.r_[0:d:2, 1:d:2]
+    return m[perm][:, perm], np.flatnonzero(perm >= len(top))
+
+
+def test_a_split_operator_is_cut_at_one_level(rng):
+    # diag(H, 1e-18 K): the tiny block's eigenvalues lie above its own
+    # component's cut but below the whole matrix's, so one eigh of the whole
+    # keeps none of them, and neither does the split
+    h, k = random_density(3, rng=rng), random_density(3, rng=rng)
+    assert cut_level(np.linalg.eigvalsh(k)) < np.linalg.eigvalsh(k).min()
+    m, tiny = interleaved(h, 1e-18 * k)
+    p = support_projection(m)
+    assert not p[tiny].any() and not p[:, tiny].any()
+    assert_allclose(p, one_eigh_projection(m), rtol=0, atol=1e-12)
+    assert np.array_equal(eig(m).cut, np.full(6, cut_level(eig(m).eigenvalues)))
+
+
+def test_a_block_where_the_states_agree_gets_an_exactly_zero_test():
+    # rho0 = rho1 up to one ulp on the second block, so at a = 0 its
+    # difference is roundoff, with a positive eigenvalue below the whole
+    # difference's cut: the test is exactly zero on that block
+    same = np.array([[0.25, 0.05], [0.05, 0.25]])
+    nudged = same.copy()
+    nudged[0, 0], nudged[1, 1] = np.nextafter(0.25, 1.0), np.nextafter(0.25, 0.0)
+    nudged[0, 1] = nudged[1, 0] = np.nextafter(0.05, 1.0)
+    rho0, agree = interleaved(np.array([[0.45, 0.15], [0.15, 0.05]]), same)
+    rho1, _ = interleaved(np.diag([0.1, 0.4]), nudged)
+    delta = (rho0 - rho1)[np.ix_(agree, agree)]
+    assert delta.any() and np.linalg.eigvalsh(delta)[-1] > 0.0
+    t = np_test(rho0, rho1, 0.0).mat
+    assert not t[agree].any() and not t[:, agree].any()
+    assert np.trace(t) == pytest.approx(1.0, abs=1e-12)
+
+
+def test_a_test_rebuilds_only_the_components_its_clip_moved(rng, monkeypatch):
+    u = random_unitary(2, rng)
+    other = random_density(3, rng=rng)
+    rebuilt = []
+
+    def counted(spec, _real=linalg.Spectrum.reconstruct):
+        rebuilt.append(spec.eigenvalues.size)
+        return _real(spec)
+
+    monkeypatch.setattr(linalg.Spectrum, "reconstruct", counted)
+    m, rest = interleaved((u * [0.3, 1.0 + 1e-12]) @ u.conj().T, other)
+    moved = np.setdiff1d(np.arange(5), rest)
+    t = TestOperator(m).mat
+    assert rebuilt == [2]
+    canonical = hermitian(m)
+    assert np.array_equal(t[np.ix_(rest, rest)], canonical[np.ix_(rest, rest)])
+    assert not t[np.ix_(moved, rest)].any()
+    assert_allclose(np.linalg.eigvalsh(t[np.ix_(moved, moved)]), [0.3, 1.0], rtol=0, atol=1e-15)
+    m, _ = interleaved((u * [0.3, 1.0 + 1e-8]) @ u.conj().T, other)
+    with pytest.raises(ValueError, match="eigenvalue more than 1e-09 outside"):
+        TestOperator(m)
 
 
 def test_trace_norm_basics(rng):
@@ -552,7 +616,7 @@ def test_pair_that_cancels_in_the_canonical_copy_stays_one_block(monkeypatch):
     # but the block is the component of the nonzero pattern of m itself
     m = np.diag([0.5, 0.3, 0.2]).astype(complex)
     m[0, 2] = m[2, 0] = 1e-11j
-    _, _, lone, comps = _split_eig(m, lambda idx, block: _eigh(block))
+    _, _, lone, comps = _gated_eig(m, _block_eigh)
     assert lone.tolist() == [1] and [idx.tolist() for idx, _ in comps] == [[0, 2]]
     calls = []
 
@@ -576,7 +640,7 @@ def test_a_twirled_state_passes_the_hermitian_gate_once(monkeypatch, rng):
     # runs on the whole matrix, not once per block
     n = 6
     m = twirl(kron_power(random_density(2, rng=rng), n), tensor_power(z2_action(), n))
-    _, raw, lone, comps = _split_eig(m, lambda idx, block: _eigh(block))
+    _, raw, lone, comps = _gated_eig(m, _block_eigh)
     assert lone.size == 0 and [idx.size for idx, _ in comps] == [32, 32]
     assert raw.eigenvalues[0] > 0.0  # no clip, so no block is rebuilt
     calls = []
@@ -607,7 +671,7 @@ def test_a_real_block_of_a_complex_state_is_decomposed_as_float64(monkeypatch):
 
 def blockwise_eig(m):
     """The spectrum DensityOperator assembles from the blocks of m, unclipped."""
-    return _split_eig(m, lambda idx, block: _eigh(block))[1]
+    return _gated_eig(m, _block_eigh)[1]
 
 
 def test_blockwise_eig_of_a_matrix_without_zeros_is_eig(rng):
