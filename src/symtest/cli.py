@@ -83,11 +83,7 @@ _CONSTRUCTORS = {
 
 
 def _fmt(x) -> str:
-    if isinstance(x, float):
-        if math.isinf(x):
-            return "inf" if x > 0 else "-inf"
-        return f"{x:.17g}"
-    return str(x)
+    return f"{x:.17g}" if isinstance(x, float) else str(x)
 
 
 def _parse_grid(spec: str) -> np.ndarray:

@@ -20,16 +20,11 @@ decomposed once for the whole sweep (schur_weyl.SymBlocks, one per state);
 for d > 2 the one part of twirled_pair(rho0, rho1, action, n).  A command
 that sweeps n holds one sweep.  A caller that builds the dense pair for
 another matrix quantity reads psi off it.
-PsiEvaluator.trace_power and .psi take a float or an array of s: a float
-gives a float, an array an array of its shape, evaluated GRID_CHUNK points
-per matrix product.  A PsiCurve calls its evaluator once on its whole grid;
-phi and hoeffding_distance scan the curve's samples, call the evaluator at a
-window end off the grid, and read the value and the slope of each scalar
-step of _bracket_min, the one 1-D refinement, which certifies its own gap,
-off one pass (PsiCurve.psi_slope).
-The strong-converse window [1, 3/2] is sampled once per call by
-discrimination.strong_converse_bound, for one rate n*a or an array of them,
-and its refinement steps, like pmin_bounds_check's, read PsiEvaluator.psi_slope.
+A PsiCurve calls its evaluator once on its whole grid; phi and
+hoeffding_distance scan the curve's samples, call the evaluator at a window
+end off the grid, and read the value and the slope of each scalar step of
+_bracket_min, the one 1-D refinement, which certifies its own gap, off one
+pass (PsiCurve.psi_slope).
 Orthogonal supports are a legitimate regime and are represented by the IEEE
 sentinel NEG_INF, which propagates through sums with finite numbers the way
 the math requires.

@@ -3,9 +3,10 @@
 Everything in this module is deliberately written against plain numpy so the
 main pipeline and its oracle share no code path: partial traces by index
 contraction, power traces by scalar block sums in log space, and optimality
-batteries over random tests.  Every function returns plain numbers or arrays; a battery
-returns its best random test's error next to the closed-form optimum.  Slow
-is fine here.
+batteries over random tests, drawn and decomposed in stacks of at most
+BATTERY_ENTRIES entries, the same seeded tests in the same order.  Every
+function returns plain numbers or arrays.  Slow is fine for the scalar
+references.
 """
 
 from __future__ import annotations
@@ -15,6 +16,8 @@ import math
 import numpy as np
 
 DEFAULT_SEED = 0x5EED
+# matrix entries per stack of random tests
+BATTERY_ENTRIES = 2**16
 
 
 def random_density(dim: int, rank: int | None = None,
@@ -99,18 +102,22 @@ def pmin_random_battery(rho0n, rho1n, a: float, count: int) -> tuple[float | Non
     """(battery minimum, reference p_min): the least e^{-a} beta0 + beta1 of
     `count` seeded random tests, None when count is 0, and the closed form.
 
-    Random tests are Hermitian matrices with spectrum clipped into [0, 1].
+    Random tests are Hermitian matrices with spectrum clipped into [0, 1],
+    drawn and decomposed in stacks of at most BATTERY_ENTRIES entries, the
+    same tests in the same order as one by one, bit for bit.
     """
     m0 = np.asarray(getattr(rho0n, "mat", rho0n), dtype=complex)
     m1 = np.asarray(getattr(rho1n, "mat", rho1n), dtype=complex)
     rng = np.random.default_rng(DEFAULT_SEED)
     weight = math.exp(-a)
     best = math.inf
-    for _ in range(count):
-        g = rng.standard_normal(m0.shape) + 1j * rng.standard_normal(m0.shape)
-        h = (g + g.conj().T) / 2.0
-        w, v = np.linalg.eigh(h)
-        t = (v * np.clip(w, 0.0, 1.0)) @ v.conj().T
-        combined = weight * (1.0 - np.trace(m0 @ t).real) + np.trace(m1 @ t).real
-        best = min(best, float(combined))
+    step = max(1, BATTERY_ENTRIES // m0.size)
+    for start in range(0, count, step):
+        # each test draws its real part, then its imaginary part
+        x = rng.standard_normal((min(step, count - start), 2, *m0.shape))
+        g = x[:, 0] + 1j * x[:, 1]
+        w, v = np.linalg.eigh((g + g.conj().transpose(0, 2, 1)) / 2.0)
+        t = (v * np.clip(w, 0.0, 1.0)[:, None]) @ v.conj().transpose(0, 2, 1)
+        tr0, tr1 = (np.trace(m @ t, axis1=1, axis2=2).real for m in (m0, m1))
+        best = min(best, *(weight * (1.0 - tr0) + tr1).tolist())
     return (best if count else None), _pmin_reference(m0, m1, a)

@@ -3,15 +3,15 @@ and the random unitaries its checks draw, the benchmark's seeded qubit
 pairs, the positive-part projection from one eigh of a whole matrix,
 golden section, the 1-D refinement the certified bracket method
 replaced, the exact breakpoint maximum of a commuting pair's beta_eps dual,
-and the binomial power sums whose limits the closed forms rest on, in log
-space."""
+the random-test battery drawn one test at a time, and the binomial power
+sums whose limits the closed forms rest on, in log space."""
 
 import math
 
 import numpy as np
 
 from symtest.linalg import DensityOperator, cut_level
-from symtest.oracle import _log_binom, _logsumexp, _xlog
+from symtest.oracle import DEFAULT_SEED, _log_binom, _logsumexp, _pmin_reference, _xlog
 
 NEG_INF = float("-inf")
 TORUS_SAMPLES = 4096
@@ -113,6 +113,24 @@ def breakpoint_dual(p: np.ndarray, q: np.ndarray, eps: float) -> float:
     values = t * (1.0 - eps - np.cumsum(p[atoms][order])) + np.cumsum(q[atoms][order])
     best = values[t <= 1.0 / eps].max(initial=0.0)
     return float(min(max(0.0, best), 1.0))
+
+
+def looped_random_battery(rho0n, rho1n, a: float, count: int) -> tuple[float | None, float]:
+    """oracle.pmin_random_battery one test at a time: a (d, d) real and a
+    (d, d) imaginary draw, one eigh and a running minimum per test."""
+    m0 = np.asarray(getattr(rho0n, "mat", rho0n), dtype=complex)
+    m1 = np.asarray(getattr(rho1n, "mat", rho1n), dtype=complex)
+    rng = np.random.default_rng(DEFAULT_SEED)
+    weight = math.exp(-a)
+    best = math.inf
+    for _ in range(count):
+        g = rng.standard_normal(m0.shape) + 1j * rng.standard_normal(m0.shape)
+        h = (g + g.conj().T) / 2.0
+        w, v = np.linalg.eigh(h)
+        t = (v * np.clip(w, 0.0, 1.0)) @ v.conj().T
+        combined = weight * (1.0 - np.trace(m0 @ t).real) + np.trace(m1 @ t).real
+        best = min(best, float(combined))
+    return (best if count else None), _pmin_reference(m0, m1, a)
 
 
 def binomial_power_sum_limit(a: float, b: float, s: float) -> float:

@@ -10,7 +10,7 @@ import pytest
 from numpy.testing import assert_allclose
 
 import symtest
-from symtest.cli import main, parse_scenario
+from symtest.cli import _fmt, main, parse_scenario
 from symtest.discrimination import error_pair, np_test
 from symtest.errors import ScenarioError
 from symtest.groups import twirled_pair
@@ -503,6 +503,24 @@ class TestExamples:
 
     def test_unknown_example(self):
         assert main(["--command", "examples", "--name", "nope"]) == 2
+
+
+class TestFmt:
+    @pytest.mark.parametrize("value,expected", [
+        (math.inf, "inf"),
+        (-math.inf, "-inf"),
+        (math.nan, "nan"),
+        (-0.0, "-0"),
+        (5e-324, "4.9406564584124654e-324"),
+        (1 / 3, "0.33333333333333331"),
+        (np.float64(-np.inf), "-inf"),
+        (3, "3"),
+        (np.int64(7), "7"),
+        (True, "True"),
+        ("two-pure", "two-pure"),
+    ])
+    def test_literal(self, value, expected):
+        assert _fmt(value) == expected
 
 
 class TestVerifyCommand:

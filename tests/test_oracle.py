@@ -2,6 +2,7 @@ import numpy as np
 import pytest
 from numpy.testing import assert_allclose
 
+from symtest import oracle, verify
 from symtest.asymptotics import diag_qubit, pure_qubit, sigma_state, torus_action, z2_action
 from symtest.divergences import PsiEvaluator
 from symtest.groups import tensor_power, twirl, twirled_pair
@@ -13,7 +14,7 @@ from symtest.oracle import (
     random_density,
 )
 
-from helpers import dense_twirl_oracle
+from helpers import dense_twirl_oracle, looped_random_battery
 
 
 def random_hermitian(rng, dim):
@@ -112,6 +113,43 @@ class TestBattery:
         best, reference = pmin_random_battery(rho, rho, a=0.0, count=50)
         assert reference == pytest.approx(1.0, abs=1e-12)
         assert best >= 1.0 - 1e-12
+
+
+class TestStackedBattery:
+    """The stacked battery is the one-test-at-a-time loop, bit for bit."""
+
+    @staticmethod
+    def pair(d):
+        rng = np.random.default_rng(d)
+        return random_density(d, rng=rng), random_density(d, rank=max(1, d // 2), rng=rng)
+
+    @pytest.mark.parametrize("d", [1, 2, 3, 4, 8, 16, 32])
+    def test_equals_loop(self, d):
+        pair = self.pair(d)
+        for count in (0, 1, 25, 100):
+            for a in (-0.3, 0.0, 0.7):
+                assert pmin_random_battery(*pair, a, count) == looped_random_battery(*pair, a, count)
+
+    def test_equals_loop_across_partial_stacks(self, monkeypatch):
+        # 35 tests of 4x4 per stack: 35 + 35 + 30
+        monkeypatch.setattr(oracle, "BATTERY_ENTRIES", 35 * 16)
+        pair = self.pair(4)
+        assert pmin_random_battery(*pair, 0.7, 100) == looped_random_battery(*pair, 0.7, 100)
+
+    def test_verify_report_decomposes_six_stacks(self, monkeypatch):
+        built = {key: twirled_pair(sc.rho0, sc.rho1, sc.action, 2)
+                 for key, sc in verify.builtin_scenarios().items()}
+        shapes = []
+        eigh = np.linalg.eigh
+
+        def counted(h):
+            shapes.append(np.shape(h))
+            return eigh(h)
+
+        monkeypatch.setattr(np.linalg, "eigh", counted)
+        report = verify.np_optimality_report(lambda key, n: built[key])
+        assert not report.violations
+        assert shapes == [(100, 4, 4)] * 6
 
 
 class TestRecords:
