@@ -2,26 +2,20 @@
 
 The optimal family is the threshold tests {rho0 - t*rho1 > 0}; the minimal
 combined error and the converse bounds are computed from it.  The constrained
-type-II error beta_eps is the maximum over t >= 0 of its Lagrange dual
-t(1 - eps) - Tr(t*rho0 - rho1)_+, a concave function that peaks in
-[0, 1/eps], which _dual maximizes with divergences._bracket_min on every
-pair: off the joint eigenvalue atoms of a commuting pair (piecewise linear,
-so also read at its bracketed breakpoints), else off one eigh per part.
+type-II error beta_eps is the maximum of its Lagrange dual (_dual).
 threshold_errors reads many threshold tests of one pair at once, off the
-same atoms or one eigh per part.  The atoms are PsiEvaluator.atoms, read
-off the spectra every density operator keeps, so a state pair is never
-decomposed again here.  Both run on a TwirledPair, the parts (m, x0, x1)
-of a pair held as the direct sum of m copies of each pair
-(x0.mat, x1.mat), the sweep cutting each part's difference at that part's
-own level.  np_test splits its difference along its exact zeros and cuts
-it at the one level of the whole difference (linalg.eig), so it keeps what
-the sweep keeps from the one part (1, rho0n, rho1n) of two states.  Every
-function of a pair reads it through linalg.state_pair and never gates the
-states again, so beta_eps and threshold_errors reject a non-state alike;
-the one Hermitian gate here is TestOperator's.
-np_test, p_min, pmin_bounds_check and strong_converse_bound take one rate a
-and weigh rho0n by e^{-a}: on n copies the caller passes n times the
-per-copy rate.
+commuting atoms (PsiEvaluator.atoms, read off the spectra every density
+operator keeps) or one eigh per part.  Both run on a TwirledPair, the
+parts (m, x0, x1) of a pair, each part's difference cut at its own level.
+np_test splits its difference along its exact zeros and cuts it at the one
+level of the whole difference (linalg.eig), so it keeps what the sweep
+keeps from the one part (1, rho0n, rho1n) of two states; its projection,
+certified idempotent in the Frobenius norm (linalg.support_projection), is
+the test as it is, not decomposed again.  Every function of a pair reads
+it through linalg.state_pair and never gates the states again; the one
+Hermitian gate here is TestOperator's.  np_test, p_min, pmin_bounds_check
+and strong_converse_bound take one rate a and weigh rho0n by e^{-a}: on n
+copies the caller passes n times the per-copy rate.
 """
 
 from __future__ import annotations
@@ -59,18 +53,25 @@ class TestOperator:
     ``mat`` passes :func:`hermitian` once and is decomposed along its exact
     zeros (linalg._split_eig): eigenvalues at most 1e-9 outside [0, 1] are
     clipped onto the edge, anything further out is rejected, and only the
-    components the clip moved are rebuilt (linalg._rebuilt)."""
+    components the clip moved are rebuilt (linalg._rebuilt).  ``_of_projection``
+    takes a support_projection as it is: its certificate already puts its
+    spectrum within 1e-9 of {0, 1}."""
 
     __test__ = False  # keep pytest from collecting the type
 
     mat: np.ndarray
 
     def __post_init__(self):
-        m = self.mat
-        mat = hermitian(m)
-        mat = _rebuilt(mat, *_split_eig(mat, m, _block_eigh), 1.0, 1e-9)
+        mat = hermitian(self.mat)
+        mat = _rebuilt(mat, *_split_eig(mat, self.mat, _block_eigh), 1.0, 1e-9)
         mat.setflags(write=False)
         object.__setattr__(self, "mat", mat)
+
+    @classmethod
+    def _of_projection(cls, p: np.ndarray) -> TestOperator:
+        test = object.__new__(cls)
+        object.__setattr__(test, "mat", p)
+        return test
 
 
 @dataclass(frozen=True)
@@ -82,8 +83,7 @@ class ErrorPair:
         for name, value in (("beta0", self.beta0), ("beta1", self.beta1)):
             if not (-1e-9 <= value <= 1.0 + 1e-9):
                 raise ValueError(f"{name}={value!r} outside [0, 1]")
-        object.__setattr__(self, "beta0", float(min(max(self.beta0, 0.0), 1.0)))
-        object.__setattr__(self, "beta1", float(min(max(self.beta1, 0.0), 1.0)))
+            object.__setattr__(self, name, float(min(max(value, 0.0), 1.0)))
 
 
 def error_pair(test, rho0n, rho1n) -> ErrorPair:
@@ -100,20 +100,19 @@ def error_pair(test, rho0n, rho1n) -> ErrorPair:
 
 
 def np_test(rho0n, rho1n, a: float) -> TestOperator:
-    """Spectral projection of exp(-a)*rho0n - rho1n onto its positive part."""
+    """Spectral projection of exp(-a)*rho0n - rho1n onto its positive part,
+    taken as support_projection certified it (no second eigh)."""
     s0, s1 = state_pair(rho0n, rho1n)
-    return TestOperator(support_projection(math.exp(-a) * s0.mat - s1.mat))
+    return TestOperator._of_projection(support_projection(math.exp(-a) * s0.mat - s1.mat))
 
 
 def threshold_errors(rho0n, rho1n, a_values) -> np.ndarray:
     """(beta0, beta1) of np_test(rho0n, rho1n, a) for each rate a, one row each.
 
-    The tests are the projections np_test builds, with the same rank cut, but
-    their errors are read off a spectrum: the joint eigenvalue atoms of a
-    commuting pair, where the test keeps the atoms whose eigenvalue
-    e^{-a} w0 - w1 survives the cut, or else the eigh of each difference,
-    summing <v|m|v> over the kept eigenvectors v instead of forming the
-    projection.  The pair is the one-part :class:`TwirledPair`.
+    The tests are the projections np_test builds, with the same rank cut,
+    their errors read off the commuting atoms or one eigh per difference
+    (_threshold_errors), not off a projection.  The pair is the one-part
+    :class:`TwirledPair`.
     """
     return TwirledPair([(1, *state_pair(rho0n, rho1n))]).threshold_errors(a_values)
 
@@ -170,31 +169,35 @@ def average_error(rho0n, rho1n) -> float:
     return p_min(rho0n, rho1n) / 2.0
 
 
-def pmin_bounds_check(rho0n, rho1n, a: float) -> CheckReport:
+def pmin_bounds_check(rho0n, rho1n, a):
     """Power-trace sandwich around the minimal error at the rate a.
 
     Upper: p_min(a) <= min over s in [0,1] of e^{-as} Tr rho0n^s rho1n^(1-s).
     Lower: p_min(a) >= e^{-a}/(1 + e^{-a}) * (Tr rho0n^(1/2) rho1n^(1/2))^2.
+    A float a gives one report, a sequence of rates one report each, all
+    read off one evaluator.
     """
     rho0n, rho1n = state_pair(rho0n, rho1n)
     ev = PsiEvaluator(rho0n, rho1n)
-    # the log of the objective, psi(s) - a*s, is convex
-    def tilted(s: float) -> tuple[float, float]:
-        value, slope = ev.psi_slope(s)
-        return value - a * s, slope - a
-
     pts = np.linspace(0.0, 1.0, 41)
-    upper = math.exp(_scan_min(tilted, pts, ev.psi(pts) - a * pts))
+    window, half_trace = ev.psi(pts), ev.trace_power(0.5)
 
-    weight = math.exp(-a)
-    half_trace = ev.trace_power(0.5)
-    lower = weight / (1.0 + weight) * half_trace**2
+    def check(a: float) -> CheckReport:
+        # the log of the objective, psi(s) - a*s, is convex
+        def tilted(s: float) -> tuple[float, float]:
+            value, slope = ev.psi_slope(s)
+            return value - a * s, slope - a
 
-    value = p_min(rho0n, rho1n, a)
-    report = CheckReport("p_min power-trace bounds")
-    report.check_leq("p_min <= weighted trace min", value, upper, 1e-9)
-    report.check_leq("fidelity-type lower bound <= p_min", lower, value, 1e-9)
-    return report
+        upper = math.exp(_scan_min(tilted, pts, window - a * pts))
+        weight = math.exp(-a)
+        lower = weight / (1.0 + weight) * half_trace**2
+        value = p_min(rho0n, rho1n, a)
+        report = CheckReport("p_min power-trace bounds")
+        report.check_leq("p_min <= weighted trace min", value, upper, 1e-9)
+        report.check_leq("fidelity-type lower bound <= p_min", lower, value, 1e-9)
+        return report
+
+    return check(a) if isinstance(a, (float, int)) else list(map(check, a))
 
 
 def _commute(parts) -> bool:

@@ -5,14 +5,15 @@ the imaginary part is exactly zero, else complex128 (:func:`asmatrix`), so
 real operators run the real LAPACK and BLAS kernels.  Two types wrap one: a
 state is a :class:`DensityOperator`, and a test 0 <= T <= I is a
 ``discrimination.TestOperator``.  Both take their matrix through
-:func:`hermitian`, the one Hermitian gate, once per matrix; it keeps the
-canonical (A + A*)/2 as a read-only array.  Every other function maps
+:func:`hermitian`, the one Hermitian gate, once per matrix (``np_test``'s
+projection excepted, below); it keeps the canonical (A + A*)/2 as a
+read-only array.  Every other function maps
 arrays to arrays; :func:`mpow`, :func:`support_projection` and
 :func:`spectral_projections` return (M + M*)/2 read-only, Hermitian by
 construction and not checked again.
 
-Every matrix power of a positive semidefinite operator uses the support
-convention 0**s = 0 for all real s.  The spectral decisions live here and
+Every matrix power of a PSD operator uses the support convention
+0**s = 0 for all real s.  The spectral decisions live here and
 nowhere else (:func:`above_cut`, :func:`cluster_slices`,
 :meth:`Spectrum.clipped`, :func:`components`): a computed eigenvalue counts
 as zero up to the :func:`cut_level` size * eps * max|w| of the matrix it was
@@ -20,16 +21,15 @@ decomposed from, with no absolute floor, and a :class:`Spectrum` carries
 that cut per eigenpair.  Every operator is split along its exact zeros
 and decomposed once per component (:func:`_split_eig`; a 1x1 one is
 exact).  A state is cut per component (a 1x1 one at 0), and its rule is
-written once, for the dense route and the Schur-Weyl blocks alike:
-:func:`_gated_eig` (the gate, the split, one assembled spectrum) and
-:func:`_state_rule` (the trace gate, clip and renormalization over parts
-(multiplicity, trace, spectrum)).  Any other operator (a signed
+written once, for the dense route and the Schur-Weyl blocks alike
+(:func:`_gated_eig`, :func:`_state_rule`).  Any other operator (a signed
 difference, a test) is cut at the one level of its whole spectrum, so the
 projection ``discrimination.np_test`` builds keeps what
-``threshold_errors`` keeps from one eigh of the same difference.  Readers
-take a state through :func:`as_state` and a pair through
-:func:`state_pair`, which checks the dimensions, so a plain array is
-validated once, as its DensityOperator.  A dense V diag(w) V* is formed
+``threshold_errors`` keeps from one eigh of the same difference, and is
+its test as :func:`support_projection` certified it, not decomposed again.
+Readers take a state through :func:`as_state` and a pair through
+:func:`state_pair`, so a plain array is validated once, as its
+DensityOperator.  A dense V diag(w) V* is formed
 only to check a residual, to rebuild a clipped block and as :func:`mpow`.
 """
 
@@ -454,7 +454,8 @@ def mpow(h, s: float) -> np.ndarray:
 def support_projection(h) -> np.ndarray:
     """Projection onto the eigenspaces above the rank cut: the support of a PSD
     operator, the positive part of a signed one; a read-only array, formed
-    and checked idempotent component by component for a non-state."""
+    per component, each certified by ||P^2 - P||_F <= 1e-9: every eigenvalue
+    lies within 1e-9 of 0 or 1, as a lone entry does exactly."""
     if isinstance(h, DensityOperator):
         p = np.zeros(h.mat.shape, h.spectrum.eigenvectors.dtype)
         kept = [(slice(None), h.spectrum.support().eigenvectors)]
@@ -467,7 +468,7 @@ def support_projection(h) -> np.ndarray:
     for at, v in kept:
         if v.shape[1]:
             block = _canonical(v @ v.conj().T)
-            idem = float(np.abs(block @ block - block).max())
+            idem = frob(block @ block - block)
             if idem > 1e-9:
                 raise ConvergenceError(f"support projection not idempotent ({idem:.3e})")
             p[at] = block

@@ -151,18 +151,16 @@ def renyi_entropy_subadditivity_report(pairs) -> CheckReport:
 
 
 def pmin_bounds_reports(pairs) -> list[CheckReport]:
-    out = []
+    out, rates = [], (-0.2, 0.0, 0.3)
     for key in ("two-commuting", "two-commuting-extremal", "pure-vs-mixed", "two-pure"):
         for n in (1, 2, 3):
-            pair = pairs(key, n)
-            for a in (-0.2, 0.0, 0.3):
-                rep = pmin_bounds_check(*pair, n * a)
+            reps = pmin_bounds_check(*pairs(key, n), [n * a for a in rates])
+            for a, rep in zip(rates, reps):
                 rep.name = f"{key}: {rep.name} (a={a:g}, n={n})"
                 out.append(rep)
     merged = CheckReport("p_min bounds on 50 random qubit pairs")
     for rho0, rho1 in _random_pairs(50, dims=(2,)):
-        for a in (-0.2, 0.0, 0.3):
-            rep = pmin_bounds_check(rho0, rho1, a)
+        for rep in pmin_bounds_check(rho0, rho1, rates):
             merged.entries.extend(rep.entries)
     out.append(merged)
     return out

@@ -115,6 +115,14 @@ class TestSplitNpTest:
                 assert_allclose(test.mat, oracle, rtol=0, atol=tol)
                 errors = error_pair(test, rho0, rho1)
                 assert_allclose([errors.beta0, errors.beta1], row, rtol=0, atol=1e-14)
+                # the test is the projection as its idempotency certificate
+                # accepted it; the public TestOperator rule (gate, eigh per
+                # component, clip, rebuild) is the oracle, and the spectrum
+                # it would check lies in [0, 1]
+                assert not test.mat.flags.writeable
+                assert_allclose(TestOperator(test.mat).mat, test.mat, rtol=0, atol=1e-14)
+                w = np.linalg.eigvalsh(test.mat)
+                assert w[0] >= -1e-9 and w[-1] <= 1.0 + 1e-9
 
     def test_sign_flip_pair_runs_no_eigh_above_its_blocks(self, monkeypatch):
         # pair B at n = 7 is two exact 64x64 blocks under the sign flip
@@ -128,7 +136,8 @@ class TestSplitNpTest:
         monkeypatch.setattr(np.linalg, "eigh", counted)
         for a in self.A_VALUES:
             np_test(*pair, 7 * a)
-        assert sizes and max(sizes) == 64
+        # one eigh per block of each difference, none on the projection
+        assert sizes == [64] * (2 * len(self.A_VALUES))
 
 
 class TestErrorPair:
@@ -239,6 +248,16 @@ class TestPminBounds:
                     r1 = DensityOperator(kron_power(rho1.mat, n))
                     report = pmin_bounds_check(r0, r1, n * a)
                     assert report.ok, report.summary()
+
+    def test_rates_at_once_give_the_reports_of_each_rate(self, rng):
+        rates = (-0.2, 0.0, 0.3)
+        for rho0, rho1 in seeded_pairs(5).values():
+            for n in (1, 2, 3):
+                pair = twirled_pair(rho0, rho1, z2_action(), n)
+                reports = pmin_bounds_check(*pair, [n * a for a in rates])
+                assert len(reports) == len(rates)
+                for a, report in zip(rates, reports):
+                    assert report.entries == pmin_bounds_check(*pair, n * a).entries
 
     def test_extremal_commuting_pair(self):
         # fully twirled opposite extremes coincide, and the weighted trace

@@ -189,6 +189,28 @@ def test_support_projection_pure_state():
     assert_allclose(support_projection(rho0), rho0, atol=1e-12)
 
 
+def test_support_projection_is_certified_idempotent_in_the_frobenius_norm(rng, monkeypatch):
+    # eigenvectors 4e-10 too long pass _checked (Gram deviation 8e-10), and
+    # the rank-2 projection they form is (1 + 8e-10) P: its defect has every
+    # entry below 1e-9 but Frobenius norm 8e-10 * sqrt(2), so an eigenvalue
+    # of the projection may sit that far past 1
+    q = np.linalg.qr(rng.standard_normal((4, 4)))[0]
+    h = (q * [-2.0, -1.0, 1.0, 2.0]) @ q.T
+    h = (h + h.T) / 2
+    assert h.all()
+
+    def stretched(a, *args, _real=np.linalg.eigh, **kwargs):
+        w, v = _real(a, *args, **kwargs)
+        return w, v * (1 + 4e-10)
+
+    monkeypatch.setattr(np.linalg, "eigh", stretched)
+    v = eig(h).eigenvectors[:, 2:]
+    defect = (v @ v.T) @ (v @ v.T) - v @ v.T
+    assert np.abs(defect).max() < 1e-9 < np.linalg.norm(defect) < 1.2e-9
+    with pytest.raises(ConvergenceError, match="not idempotent"):
+        support_projection(h)
+
+
 def interleaved(top, bottom):
     """diag(top, bottom) with its rows and columns interleaved, and the
     indices of the bottom block."""
