@@ -28,9 +28,10 @@ block_structure describes the commutant, a direct sum of blocks
 M_m (x) I_d, by the sorted multiset of its (m, d) pairs, which is all the
 finite-n accounting reads: the Stein-gap allowance, the (sum_i d_i)^2
 prefactor on absolute power traces and dim_growth.  The torus reads the
-pairs off the weight counts; a finite action reads them off the eigenvalue
-clusters of a twirled probe, linked by a second probe through the same
-component finder (linalg.components).
+pairs off the weight counts.  A finite action adds one copy at a time to
+one copy rho_l of each irrep, weighted by its multiplicity: a probe
+twirled within each rho_l (x) U has one eigenvalue cluster per irreducible
+copy, and a second probe links the copies of one irrep (linalg.components).
 """
 
 from __future__ import annotations
@@ -251,73 +252,83 @@ def _random_hermitian(rng: np.random.Generator, dim: int) -> np.ndarray:
     return (g + g.conj().T) / 2.0
 
 
-def _finite_blocks(unitaries, dim: int) -> list[tuple[int, int]]:
-    """Numerical isotypic decomposition of the commutant of a finite action.
-
-    A generic twirled Hermitian probe has eigenvalue clusters of size d_i,
-    m_i of them per block; a second twirled probe connects clusters that sit
-    in the same block.  Run twice and require the (m, d) multiset to agree.
-    """
-
-    def attempt(tag: int):
-        rng = np.random.default_rng([0x5EED, dim, len(unitaries), tag])
-        t1 = _average_conjugations(_random_hermitian(rng, dim), unitaries)
-        t2 = _average_conjugations(_random_hermitian(rng, dim), unitaries)
-        w, v = np.linalg.eigh((t1 + t1.conj().T) / 2.0)
+def _level_classes(reps: np.ndarray, offsets: np.ndarray, weights: list[int], rng):
+    """(summed weight, basis of one copy) per irrep of a level whose reps are
+    block diagonal at offsets, or None if an irrep's copies differ in rank."""
+    total = reps.shape[1]
+    h1, h2 = _random_hermitian(rng, total), _random_hermitian(rng, total)
+    t2 = _average_conjugations(h2, reps)
+    basis = np.zeros((total, total), dtype=complex)
+    clusters = []  # (summand, columns)
+    for s, (a, b) in enumerate(zip(offsets, offsets[1:])):
+        t1 = _average_conjugations(h1[a:b, a:b], reps[:, a:b, a:b])
+        w, basis[a:b, a:b] = np.linalg.eigh((t1 + t1.conj().T) / 2.0)
         scale = max(1.0, float(np.max(np.abs(w))))
-        runs = cluster_slices(w, 1e-8 * scale)
-        sizes = [run.stop - run.start for run in runs]
-        # coupling[i, j] is the squared Frobenius norm of t2 between the
-        # eigenvector clusters i and j, so they are linked when that norm
-        # exceeds conn_tol
-        edges = [run.start for run in runs]
-        overlap = np.abs(v.conj().T @ t2 @ v) ** 2
-        coupling = np.add.reduceat(np.add.reduceat(overlap, edges, axis=0), edges, axis=1)
-        conn_tol = 1e-8 * max(1.0, frob(t2))
-        lone, comps = components(coupling > conn_tol**2)
+        clusters += [(s, slice(a + r.start, a + r.stop)) for r in cluster_slices(w, 1e-8 * scale)]
+    # coupling[i, j] is the squared Frobenius norm of t2 between the
+    # eigenvector clusters i and j, so they are linked when that norm
+    # exceeds conn_tol
+    edges = [c.start for _, c in clusters]
+    overlap = np.abs(basis.conj().T @ t2 @ basis) ** 2
+    coupling = np.add.reduceat(np.add.reduceat(overlap, edges, axis=0), edges, axis=1)
+    conn_tol = 1e-8 * max(1.0, frob(t2))
+    lone, comps = components(coupling > conn_tol**2)
+    classes = []
+    for members in [[i] for i in lone] + comps:
+        if len({clusters[i][1].stop - clusters[i][1].start for i in members}) != 1:
+            return None  # an accidental eigenvalue collision merged copies
+        classes.append((sum(weights[clusters[i][0]] for i in members),
+                        basis[:, clusters[members[0]][1]]))
+    return classes
 
-        shape = [(1, sizes[i]) for i in lone]
-        for members in comps:
-            ranks = {sizes[i] for i in members}
-            if len(ranks) != 1:
-                return None  # an accidental eigenvalue collision merged blocks
-            shape.append((len(members), ranks.pop()))
-        return sorted(shape)
 
-    first = attempt(1)
-    second = attempt(2)
-    if first is None or second is None:
-        raise ConvergenceError(
-            f"block extraction failed for dimension {dim}: degenerate probe spectrum"
-        )
-    if first != second:
-        raise ConvergenceError(
-            f"block extraction did not stabilize across probes: {first} vs {second}"
-        )
-    if sum(m * d for m, d in first) != dim:
-        raise ConvergenceError(
-            f"block extraction lost dimensions: {first} does not fill {dim}"
-        )
-    return first
+def _finite_levels(action: GroupAction, n_max: int) -> list[list[tuple[int, int]]]:
+    """The block structures of the k-fold powers, k = 1..n_max; a copy B of
+    each irrep gives B* R(g) B for the next level."""
+    us = np.stack(action.unitaries)
+    order, d = us.shape[0], action.dim
+    irreps = [(1, np.ones((order, 1, 1)))]
+    rng = np.random.default_rng([0x5EED, d, order])
+    out = []
+    for k in range(1, n_max + 1):
+        offsets = np.cumsum([0, *(r.shape[1] * d for _, r in irreps)])
+        reps = np.zeros((order, offsets[-1], offsets[-1]), dtype=complex)
+        for (_, r), a, b in zip(irreps, offsets, offsets[1:]):
+            reps[:, a:b, a:b] = np.einsum("gab,gcd->gacbd", r, us).reshape(order, b - a, -1)
+        weights = [m for m, _ in irreps]
+        first = _level_classes(reps, offsets, weights, rng)
+        second = _level_classes(reps, offsets, weights, rng)
+        if first is None or second is None:
+            raise ConvergenceError(f"block extraction failed at n = {k} copies: "
+                                   "degenerate probe spectrum")
+        shape, other = (sorted((m, v.shape[1]) for m, v in c) for c in (first, second))
+        if shape != other or sum(m * e for m, e in shape) != d**k:
+            raise ConvergenceError(f"block extraction at n = {k} copies: {shape}, {other} "
+                                   f"differ or miss {d**k}")
+        out.append(shape)
+        irreps = [(m, v.conj().T @ reps @ v) for m, v in first]
+    return out
 
 
 def block_structure(action: GroupAction, n: int) -> list[tuple[int, int]]:
     """The commutant of the n-fold powered action as the sorted multiset of
-    (multiplicity, irrep_dim) pairs (m_i, d_i) of its blocks M_m (x) I_d."""
-    powered = tensor_power(action, n)
-    if powered.kind == TORUS:
-        _, counts = np.unique(powered.weights, return_counts=True)
+    (multiplicity, irrep_dim) pairs (m_i, d_i) of its blocks M_m (x) I_d;
+    a finite action's from its irreps, one copy at a time."""
+    _check_power_dim(action, n)
+    if action.kind == TORUS:
+        _, counts = np.unique(tensor_power(action, n).weights, return_counts=True)
         return sorted((int(c), 1) for c in counts)
-    return _finite_blocks(powered.unitaries, powered.dim)
+    return _finite_levels(action, n)[-1]
 
 
 def dim_growth(action: GroupAction, n_max: int) -> list[float]:
-    """(1/n) log sum_i d_i for n = 1..n_max; decays to zero for compact groups."""
-    out = []
+    """(1/n) log sum_i d_i for n = 1..n_max (one pass over a finite action's
+    levels); decays to zero for compact groups."""
     for n in range(1, n_max + 1):
-        total = sum(d for _, d in block_structure(action, n))
-        out.append(float(np.log(total)) / n)
-    return out
+        _check_power_dim(action, n)
+    shapes = (_finite_levels(action, n_max) if action.kind == FINITE
+              else [block_structure(action, n) for n in range(1, n_max + 1)])
+    return [float(np.log(sum(d for _, d in b))) / n for n, b in enumerate(shapes, start=1)]
 
 
 def _weyl_unitaries(d: int) -> list[np.ndarray]:

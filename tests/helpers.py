@@ -1,7 +1,8 @@
 """References that only the tests read: the dense twirl by literal averaging
 and the random unitaries its checks draw, the benchmark's seeded qubit
 pairs, the positive-part projection from one eigh of a whole matrix,
-golden section, the 1-D refinement the certified bracket method
+the block structure of a finite action's n-fold power from probes on the
+whole d^n x d^n space, golden section, the 1-D refinement the certified bracket method
 replaced, the exact breakpoint maximum of a commuting pair's beta_eps dual,
 the random-test battery drawn one test at a time, and the binomial power
 sums whose limits the closed forms rest on, in log space."""
@@ -10,7 +11,9 @@ import math
 
 import numpy as np
 
-from symtest.linalg import DensityOperator, cut_level
+from symtest.errors import ConvergenceError
+from symtest.groups import _average_conjugations, _random_hermitian, tensor_power
+from symtest.linalg import DensityOperator, cluster_slices, components, cut_level, frob
 from symtest.oracle import DEFAULT_SEED, _log_binom, _logsumexp, _pmin_reference, _xlog
 
 NEG_INF = float("-inf")
@@ -69,6 +72,64 @@ def one_eigh_projection(h) -> np.ndarray:
     w, v = np.linalg.eigh((m + m.conj().T) / 2.0)
     v = v[:, w > cut_level(w)]
     return v @ v.conj().T
+
+
+def dense_block_structure(action, n: int) -> list[tuple[int, int]]:
+    """The (m, d) pairs of a finite action's n-fold power from twirled
+    probes on the whole d^n x d^n space: what groups.block_structure ran
+    before it built the irreps one copy at a time."""
+    powered = tensor_power(action, n)
+    return _dense_blocks(powered.unitaries, powered.dim)
+
+
+def _dense_blocks(unitaries, dim: int) -> list[tuple[int, int]]:
+    """Numerical isotypic decomposition of the commutant of a finite action.
+
+    A generic twirled Hermitian probe has eigenvalue clusters of size d_i,
+    m_i of them per block; a second twirled probe connects clusters that sit
+    in the same block.  Run twice and require the (m, d) multiset to agree.
+    """
+
+    def attempt(tag: int):
+        rng = np.random.default_rng([0x5EED, dim, len(unitaries), tag])
+        t1 = _average_conjugations(_random_hermitian(rng, dim), unitaries)
+        t2 = _average_conjugations(_random_hermitian(rng, dim), unitaries)
+        w, v = np.linalg.eigh((t1 + t1.conj().T) / 2.0)
+        scale = max(1.0, float(np.max(np.abs(w))))
+        runs = cluster_slices(w, 1e-8 * scale)
+        sizes = [run.stop - run.start for run in runs]
+        # coupling[i, j] is the squared Frobenius norm of t2 between the
+        # eigenvector clusters i and j, so they are linked when that norm
+        # exceeds conn_tol
+        edges = [run.start for run in runs]
+        overlap = np.abs(v.conj().T @ t2 @ v) ** 2
+        coupling = np.add.reduceat(np.add.reduceat(overlap, edges, axis=0), edges, axis=1)
+        conn_tol = 1e-8 * max(1.0, frob(t2))
+        lone, comps = components(coupling > conn_tol**2)
+
+        shape = [(1, sizes[i]) for i in lone]
+        for members in comps:
+            ranks = {sizes[i] for i in members}
+            if len(ranks) != 1:
+                return None  # an accidental eigenvalue collision merged blocks
+            shape.append((len(members), ranks.pop()))
+        return sorted(shape)
+
+    first = attempt(1)
+    second = attempt(2)
+    if first is None or second is None:
+        raise ConvergenceError(
+            f"block extraction failed for dimension {dim}: degenerate probe spectrum"
+        )
+    if first != second:
+        raise ConvergenceError(
+            f"block extraction did not stabilize across probes: {first} vs {second}"
+        )
+    if sum(m * d for m, d in first) != dim:
+        raise ConvergenceError(
+            f"block extraction lost dimensions: {first} does not fill {dim}"
+        )
+    return first
 
 
 def golden_min(fn, a: float, b: float) -> tuple[float, float]:

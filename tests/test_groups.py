@@ -18,7 +18,7 @@ from symtest.asymptotics import (
     z2_action,
 )
 from symtest.divergences import PsiEvaluator, TwirledSweep, psi_curve, relative_entropy
-from symtest.errors import DimensionError
+from symtest.errors import ConvergenceError, DimensionError
 from symtest.groups import (
     GroupAction,
     block_structure,
@@ -42,12 +42,35 @@ from symtest.linalg import (
 )
 from symtest.oracle import block_scalar_oracle, ptrace_oracle, random_density
 
-from helpers import dense_twirl_oracle, random_unitary
+from helpers import dense_block_structure, dense_twirl_oracle, random_unitary
+from test_schur_weyl import HADAMARD, PAULI
 
 
 def random_hermitian(rng, dim):
     g = rng.standard_normal((dim, dim)) + 1j * rng.standard_normal((dim, dim))
     return (g + g.conj().T) / 2
+
+
+def s3_action() -> GroupAction:
+    """S3 permuting the basis of C^3."""
+    return GroupAction.finite([np.eye(3)[list(p)] for p in itertools.permutations(range(3))])
+
+
+def binary_tetrahedral() -> GroupAction:
+    """The 24 unit quaternions of 2T in SU(2), closed from (1 + i + j + k)/2
+    and i, with a + bi + cj + dk as [[a + bi, c + di], [-c + di, a - bi]]."""
+    def quaternion(a, b, c, d):
+        return np.array([[a + b * 1j, c + d * 1j], [-c + d * 1j, a - b * 1j]])
+
+    gens = [quaternion(0.5, 0.5, 0.5, 0.5), quaternion(0, 1, 0, 0)]
+    elements = frontier = [np.eye(2, dtype=complex)]
+    while frontier:
+        new = []
+        for a, g in itertools.product(frontier, gens):
+            if min(np.max(np.abs(a @ g - e)) for e in elements + new) > 1e-9:
+                new.append(a @ g)
+        elements, frontier = elements + new, new
+    return GroupAction.finite(elements)
 
 
 class TestGroupAction:
@@ -242,8 +265,7 @@ class TestBlockStructure:
 
     def test_s3_permutation_blocks(self):
         # trivial, sign and two-dimensional standard irreps of S3 on (C^3)^{(x)n}
-        action = GroupAction.finite(
-            [np.eye(3)[list(p)] for p in itertools.permutations(range(3))])
+        action = s3_action()
         expected = {2: [(1, 1), (2, 1), (3, 2)],
                     3: [(4, 1), (5, 1), (9, 2)],
                     4: [(13, 1), (14, 1), (27, 2)]}
@@ -255,6 +277,61 @@ class TestBlockStructure:
     def test_block_count_sums(self):
         for action, n in ((z2_action(), 4), (torus_action(), 4)):
             assert sum(m * d for m, d in block_structure(action, n)) == 2**n
+
+    @pytest.mark.parametrize("name, action, n_max", [
+        ("sign flip", z2_action(), 7),
+        ("{I, H}", HADAMARD, 7),
+        ("Pauli", PAULI, 6),
+        ("S3 on C^3", s3_action(), 4),
+        ("trivial", GroupAction.trivial(2), 6),
+        ("2T", binary_tetrahedral(), 5),
+    ])
+    def test_copy_by_copy_levels_match_the_dense_probe(self, name, action, n_max):
+        for n in range(1, n_max + 1):
+            assert block_structure(action, n) == dense_block_structure(action, n), (name, n)
+
+    def test_binary_tetrahedral_irreps(self):
+        # 2T has irreps of dimension 1, 2 and 3; its even powers hold only
+        # the ones where -1 acts trivially
+        action = binary_tetrahedral()
+        assert len(action.unitaries) == 24
+        assert block_structure(action, 1) == [(1, 2)]
+        assert block_structure(action, 4) == [(1, 1), (1, 1), (2, 1), (4, 3)]
+
+    def test_sign_flip_at_twelve_copies_forms_no_power(self, monkeypatch):
+        # the levels hold one copy of each irrep tensored with one factor, so
+        # no d^n-sized matrix is built and no eigh runs above 16 x 16
+        def refuse(*args, **kwargs):
+            raise AssertionError("kron_power called")
+
+        sizes = []
+
+        def counted(a, *args, _real=np.linalg.eigh, **kwargs):
+            sizes.append(a.shape[-1])
+            return _real(a, *args, **kwargs)
+
+        monkeypatch.setattr(groups, "kron_power", refuse)
+        monkeypatch.setattr(np.linalg, "eigh", counted)
+        assert block_structure(z2_action(), 12) == [(2048, 1), (2048, 1)]
+        assert dim_growth(z2_action(), 12) == pytest.approx(
+            [math.log(2) / n for n in range(1, 13)], abs=1e-12)
+        assert sizes and max(sizes) <= 16
+
+    def test_degenerate_probe_names_the_copy_count(self, monkeypatch):
+        # the first probe of every attempt has a repeated lowest eigenvalue,
+        # which merges a copy of each sign-flip irrep into one cluster: alone
+        # at one copy, at two copies the generic second probe links that
+        # cluster of rank 2 with clusters of rank 1
+        real = groups._random_hermitian
+        calls = itertools.count()
+
+        def degenerate(rng, dim):
+            h = real(rng, dim)
+            return np.diag(np.r_[0.0, np.arange(dim - 1.0)]) if next(calls) % 2 == 0 else h
+
+        monkeypatch.setattr(groups, "_random_hermitian", degenerate)
+        with pytest.raises(ConvergenceError, match="at n = 2 copies: degenerate probe spectrum"):
+            block_structure(z2_action(), 2)
 
 
 class TestDimGrowth:
@@ -426,8 +503,12 @@ class TestTwirledPair:
     def test_dimension_cap_at_the_same_n(self, monkeypatch, action):
         monkeypatch.setenv("SYMTEST_DIM_CAP", "16")
         twirled_pair(diag_qubit(0.3), diag_qubit(0.6), action, 4)
-        with pytest.raises(DimensionError, match="tensor power dimension 32 exceeds cap 16"):
-            twirled_pair(diag_qubit(0.3), diag_qubit(0.6), action, 5)
+        block_structure(action, 4)
+        dim_growth(action, 4)
+        for call in (lambda: twirled_pair(diag_qubit(0.3), diag_qubit(0.6), action, 5),
+                     lambda: block_structure(action, 5), lambda: dim_growth(action, 6)):
+            with pytest.raises(DimensionError, match="tensor power dimension 32 exceeds cap 16"):
+                call()
 
     def test_each_operator_is_decomposed_once(self, monkeypatch):
         # one eigh per block of more than one index of each twirled state,

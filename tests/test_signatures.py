@@ -96,8 +96,10 @@ def test_fixed_settings_are_not_parameters():
 
 # a pair is one list of parts (m, x0, x1), handed out by
 # divergences.TwirledSweep.pair: none of its other constructions comes back;
-# nor do the two beta_eps duals that discrimination._dual replaced
+# nor do the two beta_eps duals that discrimination._dual replaced, nor the
+# block structure from probes on the whole d^n x d^n space
 GONE = {
+    "groups": ("_finite_blocks",),
     "divergences": ("PsiEvaluator.twirled", "TwirledSweep.parts"),
     "discrimination": ("TwirledPair.of_parts", "TwirledPair.of_states", "_commuting_atoms",
                        "_commuting_dual", "_general_dual"),
