@@ -19,6 +19,7 @@ from .linalg import (
 from .groups import (
     GroupAction,
     block_structure,
+    block_structures,
     dim_growth,
     pinching_map,
     tensor_power,

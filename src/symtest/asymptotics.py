@@ -10,7 +10,6 @@ a scenario with a kind are the transforms of :func:`closed_form_curve`, and
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass, field
 
 import numpy as np
 
@@ -24,7 +23,7 @@ from .divergences import (
 )
 from .errors import CheckError
 from .groups import GroupAction, block_structure, pinching_map, tensor_power
-from .linalg import DensityOperator, asmatrix, kron_power, spectral_projections
+from .linalg import DensityOperator, Frozen, asmatrix, kron_power, spectral_projections
 from .reports import CheckReport
 
 Z2_COMMUTING = "Z2Commuting"
@@ -55,23 +54,20 @@ def torus_action() -> GroupAction:
     return GroupAction.torus([0, 1])
 
 
-@dataclass(frozen=True)
-class Scenario:
+class Scenario(Frozen):
     """A named discrimination problem: two states, an action, and a copy budget."""
 
-    name: str
-    rho0: DensityOperator
-    rho1: DensityOperator
-    action: GroupAction
-    n_max: int = 8
-    params: dict = field(default_factory=dict)
-    kind: str | None = None
+    __slots__ = ("name", "rho0", "rho1", "action", "n_max", "params", "kind")
 
-    def __post_init__(self):
-        if self.rho0.dim != self.rho1.dim or self.rho0.dim != self.action.dim:
+    def __init__(self, name: str, rho0: DensityOperator, rho1: DensityOperator,
+                 action: GroupAction, n_max: int = 8, params: dict | None = None,
+                 kind: str | None = None):
+        if rho0.dim != rho1.dim or rho0.dim != action.dim:
             raise ValueError("scenario states and action must share a dimension")
-        if self.n_max < 1:
+        if n_max < 1:
             raise ValueError("n_max must be positive")
+        self._set(name=name, rho0=rho0, rho1=rho1, action=action, n_max=n_max,
+                  params={} if params is None else params, kind=kind)
 
 
 def make_scenario(kind: str, n_max: int = 8, **params) -> Scenario:
@@ -203,27 +199,26 @@ def closed_form_relative_entropy(kind: str, params: dict) -> float:
     return _closed_form(kind, params, 1.0)[1]
 
 
-@dataclass(frozen=True)
-class ConvergenceRow:
-    n: int
-    s: float
-    value: float  # (1/n) psi_n(s)
-    closed_form: float
-    gap: float
-    monotone: bool
+class ConvergenceRow(Frozen):
+    __slots__ = ("n", "s", "value", "closed_form", "gap", "monotone")
+
+    def __init__(self, n: int, s: float, value: float, closed_form: float, gap: float,
+                 monotone: bool):
+        # value is (1/n) psi_n(s)
+        self._set(n=n, s=s, value=value, closed_form=closed_form, gap=gap, monotone=monotone)
 
 
-@dataclass(frozen=True)
-class ConvergenceTable:
-    rows: tuple[ConvergenceRow, ...]
+class ConvergenceTable(Frozen):
+    __slots__ = ("rows",)
 
-    def __post_init__(self):
-        for row in self.rows:
+    def __init__(self, rows: tuple[ConvergenceRow, ...]):
+        for row in rows:
             if 0.0 <= row.s <= 1.0 and not (row.gap >= -1e-8 or row.gap == NEG_INF):
                 raise CheckError(
                     f"normalized curve dipped below its limit at n={row.n}, s={row.s:g} "
                     f"(gap {row.gap:.3e})"
                 )
+        self._set(rows=rows)
 
 
 def convergence_table(scenario: Scenario, s_grid) -> ConvergenceTable:

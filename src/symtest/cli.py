@@ -13,10 +13,10 @@ Exit codes: 0 success, 1 verification failure, 2 parse/validation error,
 from __future__ import annotations
 
 import argparse
+import functools
 import json
 import math
 import sys
-from dataclasses import replace
 
 import numpy as np
 
@@ -243,7 +243,7 @@ def _load_scenario(config: argparse.Namespace) -> Scenario:
     with open(config.scenario, "r", encoding="utf-8") as handle:
         sc = parse_scenario(handle.read())
     if config.n_max is not None:
-        sc = replace(sc, n_max=config.n_max)
+        sc = Scenario(sc.name, sc.rho0, sc.rho1, sc.action, config.n_max, sc.params, sc.kind)
     return sc
 
 
@@ -522,7 +522,9 @@ def run(config: argparse.Namespace) -> int:
         return 3
 
 
+@functools.cache
 def build_parser() -> argparse.ArgumentParser:
+    """The one parser of the process: parse_args keeps no state between calls."""
     parser = argparse.ArgumentParser(
         prog="symtest",
         description="Finite-size numerics for binary state discrimination "

@@ -22,13 +22,13 @@ from __future__ import annotations
 
 import functools
 import math
-from dataclasses import dataclass
 
 import numpy as np
 
 from .divergences import CERTIFIED_GAP, PsiEvaluator, _bracket_min, _scan_min, fidelity
 from .errors import DimensionError
 from .linalg import (
+    Frozen,
     _block_eigh,
     _rebuilt,
     _split_eig,
@@ -46,44 +46,51 @@ from .reports import CheckReport
 SWEEP_ENTRIES = 2**18
 
 
-@dataclass(frozen=True, eq=False)
-class TestOperator:
+class TestOperator(Frozen):
     """A binary POVM effect: Hermitian with spectrum in [0, 1].
 
     ``mat`` passes :func:`hermitian` once and is decomposed along its exact
     zeros (linalg._split_eig): eigenvalues at most 1e-9 outside [0, 1] are
     clipped onto the edge, anything further out is rejected, and only the
-    components the clip moved are rebuilt (linalg._rebuilt).  ``_of_projection``
-    takes a support_projection as it is: its certificate already puts its
-    spectrum within 1e-9 of {0, 1}."""
+    components the clip moved are rebuilt (linalg._rebuilt).  np_test takes
+    a support_projection as it is (``TestOperator._of``): its certificate
+    already puts its spectrum within 1e-9 of {0, 1}."""
 
     __test__ = False  # keep pytest from collecting the type
+    __slots__ = ("mat",)
 
-    mat: np.ndarray
-
-    def __post_init__(self):
-        mat = hermitian(self.mat)
-        mat = _rebuilt(mat, *_split_eig(mat, self.mat, _block_eigh), 1.0, 1e-9)
-        mat.setflags(write=False)
-        object.__setattr__(self, "mat", mat)
-
-    @classmethod
-    def _of_projection(cls, p: np.ndarray) -> TestOperator:
-        test = object.__new__(cls)
-        object.__setattr__(test, "mat", p)
-        return test
+    def __init__(self, mat):
+        checked = hermitian(mat)
+        checked = _rebuilt(checked, *_split_eig(checked, mat, _block_eigh), 1.0, 1e-9)
+        checked.setflags(write=False)
+        self._set(mat=checked)
 
 
-@dataclass(frozen=True)
-class ErrorPair:
-    beta0: float  # reject the null although it holds
-    beta1: float  # accept the null although the alternative holds
+def _error_gate(name: str, value: float) -> None:
+    if not (-1e-9 <= value <= 1.0 + 1e-9):
+        raise ValueError(f"{name}={value!r} outside [0, 1]")
 
-    def __post_init__(self):
-        for name, value in (("beta0", self.beta0), ("beta1", self.beta1)):
-            if not (-1e-9 <= value <= 1.0 + 1e-9):
-                raise ValueError(f"{name}={value!r} outside [0, 1]")
-            object.__setattr__(self, name, float(min(max(value, 0.0), 1.0)))
+
+class ErrorPair(Frozen):
+    """Type-I and type-II error probabilities, each within 1e-9 of [0, 1]
+    and clipped onto it; equal and hashed by value."""
+
+    __slots__ = ("beta0", "beta1")
+
+    def __init__(self, beta0: float, beta1: float):
+        # beta0: reject the null although it holds; beta1: accept the null
+        # although the alternative holds
+        _error_gate("beta0", beta0)
+        _error_gate("beta1", beta1)
+        self._set(beta0=float(min(max(beta0, 0.0), 1.0)), beta1=float(min(max(beta1, 0.0), 1.0)))
+
+    def __eq__(self, other):
+        if other.__class__ is not self.__class__:
+            return NotImplemented
+        return (self.beta0, self.beta1) == (other.beta0, other.beta1)
+
+    def __hash__(self):
+        return hash((self.beta0, self.beta1))
 
 
 def error_pair(test, rho0n, rho1n) -> ErrorPair:
@@ -103,7 +110,7 @@ def np_test(rho0n, rho1n, a: float) -> TestOperator:
     """Spectral projection of exp(-a)*rho0n - rho1n onto its positive part,
     taken as support_projection certified it (no second eigh)."""
     s0, s1 = state_pair(rho0n, rho1n)
-    return TestOperator._of_projection(support_projection(math.exp(-a) * s0.mat - s1.mat))
+    return TestOperator._of(mat=support_projection(math.exp(-a) * s0.mat - s1.mat))
 
 
 def threshold_errors(rho0n, rho1n, a_values) -> np.ndarray:
@@ -142,8 +149,18 @@ def _threshold_errors(parts, atoms, a_values) -> np.ndarray:
                 for accept, m in ((accept0, m0), (accept1, m1)):
                     # <v|m|v> of each eigenvector v, summed over the kept ones
                     accept[rates] += mult * (((vh @ m) * vt).sum(axis=2).real * kept).sum(axis=1)
-    rows = [ErrorPair(1.0 - float(a0), float(a1)) for a0, a1 in zip(accept0, accept1)]
-    return np.array([(e.beta0, e.beta1) for e in rows], dtype=float).reshape(-1, 2)
+    return _error_rows(accept0, accept1)
+
+
+def _error_rows(accept0: np.ndarray, accept1: np.ndarray) -> np.ndarray:
+    """The rows (1 - accept0, accept1) through ErrorPair's gate, the whole
+    array at once: the first entry out of range raises, then all are
+    clipped onto [0, 1]."""
+    rows = np.column_stack((1.0 - accept0, accept1))
+    bad = np.flatnonzero(~((rows >= -1e-9) & (rows <= 1.0 + 1e-9)))
+    if bad.size:
+        _error_gate(("beta0", "beta1")[bad[0] % 2], float(rows.flat[bad[0]]))
+    return np.clip(rows, 0.0, 1.0)
 
 
 def _rate_chunks(count: int, entries: int) -> list[slice]:

@@ -33,14 +33,13 @@ the math requires.
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass, field
 from typing import Callable
 
 import numpy as np
 
 from .errors import DimensionError
 from .groups import GroupAction, _check_power_dim, is_support_invariant, twirled_pair
-from .linalg import abs_power_trace, as_state, state_pair
+from .linalg import Frozen, abs_power_trace, as_state, state_pair
 from .reports import CheckReport
 
 NEG_INF = float("-inf")
@@ -259,8 +258,7 @@ def psi(rho0, rho1, s: float) -> float:
     return PsiEvaluator(rho0, rho1).psi(s)
 
 
-@dataclass(frozen=True, eq=False)
-class PsiCurve:
+class PsiCurve(Frozen):
     """An s -> psi(s) map: its exact evaluator ``fn``, ``psi_slope``, which
     gives the value and the exact derivative at a float s from one pass, and
     ``values``, fn sampled on ``s_grid`` by the constructor.
@@ -273,13 +271,10 @@ class PsiCurve:
     the derivative alone.
     """
 
-    s_grid: np.ndarray
-    fn: Callable = field(repr=False)
-    psi_slope: Callable[[float], tuple[float, float]] = field(repr=False)
-    values: np.ndarray = field(init=False)
+    __slots__ = ("s_grid", "fn", "psi_slope", "values")
 
-    def __post_init__(self):
-        grid = np.array(self.s_grid, dtype=float)  # a copy: the caller's grid stays writable
+    def __init__(self, s_grid, fn: Callable, psi_slope: Callable[[float], tuple[float, float]]):
+        grid = np.array(s_grid, dtype=float)  # a copy: the caller's grid stays writable
         if grid.ndim != 1 or grid.size < 2:
             raise ValueError("s grid must be a 1-d array of at least 2 points")
         if not np.all(np.isfinite(grid)):
@@ -287,7 +282,7 @@ class PsiCurve:
         if np.any(np.diff(grid) <= 0):
             raise ValueError("s grid must be strictly ascending")
         grid.setflags(write=False)
-        vals = np.array(np.broadcast_to(np.asarray(self.fn(grid), dtype=float), grid.shape))
+        vals = np.array(np.broadcast_to(np.asarray(fn(grid), dtype=float), grid.shape))
         finite = np.isfinite(vals)
         if np.any(np.isnan(vals)) or np.any(vals == POS_INF):
             raise ValueError("curve values must be finite or -inf")
@@ -303,8 +298,7 @@ class PsiCurve:
                 f"curve is not convex near s={grid[k + 1]:g} (slope drop {drop[k]:.3e})"
             )
         vals.setflags(write=False)
-        object.__setattr__(self, "s_grid", grid)
-        object.__setattr__(self, "values", vals)
+        self._set(s_grid=grid, fn=fn, psi_slope=psi_slope, values=vals)
 
     def evaluate(self, s: float) -> float:
         return float(self.fn(float(s)))

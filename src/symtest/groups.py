@@ -27,23 +27,23 @@ at a time.
 block_structure describes the commutant, a direct sum of blocks
 M_m (x) I_d, by the sorted multiset of its (m, d) pairs, which is all the
 finite-n accounting reads: the Stein-gap allowance, the (sum_i d_i)^2
-prefactor on absolute power traces and dim_growth.  The torus reads the
-pairs off the weight counts.  A finite action adds one copy at a time to
-one copy rho_l of each irrep, weighted by its multiplicity: a probe
+prefactor on absolute power traces and dim_growth.  block_structures gives
+them for n = 1..n_max at once, and block_structure is its last.  The torus
+reads the pairs off the weight counts.  A finite action adds one copy at a
+time to one copy rho_l of each irrep, weighted by its multiplicity: a probe
 twirled within each rho_l (x) U has one eigenvalue cluster per irreducible
-copy, and a second probe links the copies of one irrep (linalg.components).
+copy, a second probe links the copies of one irrep (linalg.components), and
+each copy must have character norm 1, as only an irreducible one has.
 """
 
 from __future__ import annotations
-
-import copy
-from dataclasses import dataclass
 
 import numpy as np
 
 from .errors import ConvergenceError, DimensionError
 from .linalg import (
     DensityOperator,
+    Frozen,
     as_state,
     asmatrix,
     cluster_slices,
@@ -58,36 +58,34 @@ FINITE = "finite"
 TORUS = "torus"
 
 
-@dataclass(frozen=True, eq=False)
-class GroupAction:
+class GroupAction(Frozen):
     """A unitary representation given either as an explicit finite list of
     unitaries or as a torus weight vector (the diagonal exponents)."""
 
-    kind: str
-    unitaries: tuple[np.ndarray, ...] | None = None
-    weights: np.ndarray | None = None
+    __slots__ = ("kind", "unitaries", "weights")
 
-    def __post_init__(self):
-        if self.kind not in (FINITE, TORUS):
-            raise ValueError(f"unknown action kind {self.kind!r}")
-        if self.kind == FINITE:
-            if not self.unitaries:
+    def __init__(self, kind: str, unitaries: tuple[np.ndarray, ...] | None = None,
+                 weights: np.ndarray | None = None):
+        if kind not in (FINITE, TORUS):
+            raise ValueError(f"unknown action kind {kind!r}")
+        if kind == FINITE:
+            if not unitaries:
                 raise ValueError("finite action needs at least one unitary")
         else:
-            w = np.asarray(self.weights)
+            w = np.asarray(weights)
             if w.ndim != 1 or w.size == 0:
                 raise ValueError("torus action needs a nonempty weight vector")
             # numpy reads the list [1, True] as the integers [1, 1]
             if w.dtype.kind not in "iuf" or (
-                    not isinstance(self.weights, np.ndarray)
-                    and any(isinstance(x, bool) for x in self.weights)):
+                    not isinstance(weights, np.ndarray)
+                    and any(isinstance(x, bool) for x in weights)):
                 raise ValueError("torus weights must be integers, not text or booleans")
             # beyond 2**53 a float no longer tells one integer from the next
             if not np.all((w >= -(2**53)) & (w <= 2**53) & (w == np.round(w))):
                 raise ValueError("torus weights must be integers of magnitude at most 2**53")
-            w = w.astype(np.int64)
-            w.setflags(write=False)
-            object.__setattr__(self, "weights", w)
+            weights = w.astype(np.int64)
+            weights.setflags(write=False)
+        self._set(kind=kind, unitaries=unitaries, weights=weights)
 
     @property
     def dim(self) -> int:
@@ -159,9 +157,7 @@ def tensor_power(action: GroupAction, n: int) -> GroupAction:
         acc.setflags(write=False)
         # sums of n checked weights are exact in int64 but may pass the 2**53
         # bound on input weights, so they skip that check
-        powered = copy.copy(action)
-        object.__setattr__(powered, "weights", acc)
-        return powered
+        return GroupAction._of(kind=TORUS, unitaries=action.unitaries, weights=acc)
     powered = tuple(kron_power(u, n) for u in action.unitaries)
     return GroupAction(FINITE, unitaries=powered)
 
@@ -284,7 +280,8 @@ def _level_classes(reps: np.ndarray, offsets: np.ndarray, weights: list[int], rn
 
 def _finite_levels(action: GroupAction, n_max: int) -> list[list[tuple[int, int]]]:
     """The block structures of the k-fold powers, k = 1..n_max; a copy B of
-    each irrep gives B* R(g) B for the next level."""
+    each irrep gives B* R(g) B for the next level, checked irreducible by its
+    character norm."""
     us = np.stack(action.unitaries)
     order, d = us.shape[0], action.dim
     irreps = [(1, np.ones((order, 1, 1)))]
@@ -307,27 +304,40 @@ def _finite_levels(action: GroupAction, n_max: int) -> list[list[tuple[int, int]
                                    f"differ or miss {d**k}")
         out.append(shape)
         irreps = [(m, v.conj().T @ reps @ v) for m, v in first]
+        for _, r in irreps:
+            # (1/|G|) sum_g |Tr r(g)|^2 is 1 exactly when the copy is irreducible
+            norm = float(np.mean(np.abs(np.einsum("gii->g", r)) ** 2))
+            if abs(norm - 1.0) > 1e-8:
+                raise ConvergenceError(f"block extraction failed at n = {k} copies: reducible "
+                                       f"copy of dimension {r.shape[1]} (character norm {norm:.6g})")
     return out
 
 
+def block_structures(action: GroupAction, n_max: int) -> list[list[tuple[int, int]]]:
+    """The commutants of the n-fold powered actions, n = 1..n_max, each as
+    the sorted multiset of (multiplicity, irrep_dim) pairs (m_i, d_i) of its
+    blocks M_m (x) I_d: the torus's from the weight counts of each power, a
+    finite action's from its irreps, one copy at a time in one pass."""
+    for n in range(1, n_max + 1):
+        _check_power_dim(action, n)
+    if action.kind == FINITE:
+        return _finite_levels(action, n_max)
+    return [sorted((int(c), 1) for c in np.unique(tensor_power(action, n).weights,
+                                                  return_counts=True)[1])
+            for n in range(1, n_max + 1)]
+
+
 def block_structure(action: GroupAction, n: int) -> list[tuple[int, int]]:
-    """The commutant of the n-fold powered action as the sorted multiset of
-    (multiplicity, irrep_dim) pairs (m_i, d_i) of its blocks M_m (x) I_d;
-    a finite action's from its irreps, one copy at a time."""
-    _check_power_dim(action, n)
-    if action.kind == TORUS:
-        _, counts = np.unique(tensor_power(action, n).weights, return_counts=True)
-        return sorted((int(c), 1) for c in counts)
-    return _finite_levels(action, n)[-1]
+    """The block structure of the n-fold powered action, the last of
+    :func:`block_structures`."""
+    _check_power_dim(action, n)  # past the cap, the error names this n, not the first k over it
+    return block_structures(action, n)[-1]
 
 
 def dim_growth(action: GroupAction, n_max: int) -> list[float]:
-    """(1/n) log sum_i d_i for n = 1..n_max (one pass over a finite action's
-    levels); decays to zero for compact groups."""
-    for n in range(1, n_max + 1):
-        _check_power_dim(action, n)
-    shapes = (_finite_levels(action, n_max) if action.kind == FINITE
-              else [block_structure(action, n) for n in range(1, n_max + 1)])
+    """(1/n) log sum_i d_i for n = 1..n_max, read off one
+    :func:`block_structures`; decays to zero for compact groups."""
+    shapes = block_structures(action, n_max)
     return [float(np.log(sum(d for _, d in b))) / n for n, b in enumerate(shapes, start=1)]
 
 

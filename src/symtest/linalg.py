@@ -37,7 +37,6 @@ from __future__ import annotations
 
 import math
 import os
-from dataclasses import dataclass, field
 
 import numpy as np
 
@@ -113,8 +112,34 @@ def _real_if_exact(m: np.ndarray) -> np.ndarray:
     return m
 
 
-@dataclass(frozen=True, eq=False)
-class DensityOperator:
+class Frozen:
+    """Base of the immutable types: ``__init__`` fills the slots through
+    :meth:`_set` and any later assignment or deletion raises
+    AttributeError.  Equality and hash are identity unless a type says
+    otherwise."""
+
+    __slots__ = ()
+
+    def __setattr__(self, name, value):
+        raise AttributeError(f"cannot assign to field {name!r}")
+
+    def __delattr__(self, name):
+        raise AttributeError(f"cannot delete field {name!r}")
+
+    def _set(self, **fields) -> None:
+        """Fill the slots: called by ``__init__`` and :meth:`_of` only."""
+        for name, value in fields.items():
+            object.__setattr__(self, name, value)
+
+    @classmethod
+    def _of(cls, **fields):
+        """An instance holding the fields as given, past ``__init__``."""
+        obj = object.__new__(cls)
+        obj._set(**fields)
+        return obj
+
+
+class DensityOperator(Frozen):
     """Positive semidefinite, unit-trace Hermitian operator.
 
     ``mat`` passes :func:`hermitian` once and is decomposed along its exact
@@ -123,11 +148,14 @@ class DensityOperator:
     gates the trace, clips eigenvalues in [-TRACE_TOL, 0) to zero, rejecting
     any more negative, and renormalizes; a block the clip moved is rebuilt
     (:func:`_rebuilt`), and the matrix is divided by the trace the spectrum
-    was.
+    was.  ``__init__`` runs that validation, :meth:`__post_init__`, once.
     """
 
-    mat: np.ndarray
-    spectrum: Spectrum = field(init=False, repr=False)
+    __slots__ = ("mat", "spectrum")
+
+    def __init__(self, mat):
+        self._set(mat=mat)
+        self.__post_init__()
 
     def __post_init__(self):
         m = self.mat.mat if isinstance(self.mat, DensityOperator) else self.mat
@@ -140,23 +168,22 @@ class DensityOperator:
             # a canonical matrix over its real trace stays exactly Hermitian
             mat = mat / tr
         mat.setflags(write=False)
-        object.__setattr__(self, "mat", mat)
-        object.__setattr__(self, "spectrum", spec)
+        self._set(mat=mat, spectrum=spec)
 
     @property
     def dim(self) -> int:
         return self.mat.shape[0]
 
 
-@dataclass(frozen=True, eq=False)
-class Spectrum:
+class Spectrum(Frozen):
     """Eigendecomposition: ascending eigenvalues, unitary eigenvector columns,
     and per eigenpair the ``cut`` it must exceed to count as nonzero (see
     :func:`eig`)."""
 
-    eigenvalues: np.ndarray
-    eigenvectors: np.ndarray
-    cut: np.ndarray
+    __slots__ = ("eigenvalues", "eigenvectors", "cut", "__weakref__")
+
+    def __init__(self, eigenvalues: np.ndarray, eigenvectors: np.ndarray, cut: np.ndarray):
+        self._set(eigenvalues=eigenvalues, eigenvectors=eigenvectors, cut=cut)
 
     def reconstruct(self) -> np.ndarray:
         v = self.eigenvectors

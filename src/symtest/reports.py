@@ -3,24 +3,35 @@
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass, field
 
 
-@dataclass
 class CheckEntry:
-    label: str
-    lhs: float
-    rhs: float
-    tol: float
-    ok: bool
+    """One checked row, equal to another with the same fields; mutable, so a
+    battery can relabel it, and so unhashable."""
+
+    __slots__ = ("label", "lhs", "rhs", "tol", "ok")
+    __hash__ = None
+
+    def __init__(self, label: str, lhs: float, rhs: float, tol: float, ok: bool):
+        self.label, self.lhs, self.rhs, self.tol, self.ok = label, lhs, rhs, tol, ok
+
+    def _fields(self) -> tuple:
+        return (self.label, self.lhs, self.rhs, self.tol, self.ok)
+
+    def __eq__(self, other):
+        if other.__class__ is not self.__class__:
+            return NotImplemented
+        return self._fields() == other._fields()
 
 
-@dataclass
 class CheckReport:
     """A named collection of checked inequalities or identities."""
 
-    name: str
-    entries: list[CheckEntry] = field(default_factory=list)
+    __slots__ = ("name", "entries")
+
+    def __init__(self, name: str):
+        self.name = name
+        self.entries: list[CheckEntry] = []
 
     def check_leq(self, label: str, lhs: float, rhs: float, tol: float = 0.0) -> bool:
         lhs, rhs = float(lhs), float(rhs)

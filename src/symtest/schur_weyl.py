@@ -20,20 +20,21 @@ from __future__ import annotations
 
 import functools
 import math
-from typing import NamedTuple
 
 import numpy as np
 
 from .groups import TORUS, GroupAction
-from .linalg import DensityOperator, Spectrum, _gated_eig, _gram_eigh, _state_rule
+from .linalg import DensityOperator, Frozen, Spectrum, _gated_eig, _gram_eigh, _state_rule
 
 
-class Block(NamedTuple):
+class Block(Frozen):
     """Block t of a twirled n-copy state: its canonical matrix, read-only,
     and its spectrum, the two fields a DensityOperator has."""
 
-    mat: np.ndarray
-    spectrum: Spectrum
+    __slots__ = ("mat", "spectrum")
+
+    def __init__(self, mat: np.ndarray, spectrum: Spectrum):
+        self._set(mat=mat, spectrum=spectrum)
 
 
 class SymBlocks:

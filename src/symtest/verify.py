@@ -59,7 +59,7 @@ from .divergences import (
 )
 from .groups import (
     GroupAction,
-    block_structure,
+    block_structures,
     dim_growth,
     is_support_invariant,
     twirl,
@@ -224,9 +224,9 @@ def trace_norm_power_report(scenarios, pairs, n_max: int) -> CheckReport:
             continue
         single = {s: abs_power_trace(sc.rho0, sc.rho1, s)
                   for s in (0.0, 0.1, 0.25, 0.4, 0.5, 0.6, 0.75, 0.9, 1.0)}
-        for n in range(1, min(n_max, 4) + 1):
+        for n, shape in enumerate(block_structures(sc.action, min(n_max, 4)), start=1):
             pair = pairs(key, n)
-            prefactor = sum(d for _, d in block_structure(sc.action, n)) ** 2
+            prefactor = sum(d for _, d in shape) ** 2
             for s in (0.5, 0.6, 0.75, 0.9, 1.0):
                 lhs = abs_power_trace(*pair, s)
                 rhs = prefactor * single[s] ** n

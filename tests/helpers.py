@@ -4,13 +4,15 @@ pairs, the positive-part projection from one eigh of a whole matrix,
 the block structure of a finite action's n-fold power from probes on the
 whole d^n x d^n space, golden section, the 1-D refinement the certified bracket method
 replaced, the exact breakpoint maximum of a commuting pair's beta_eps dual,
-the random-test battery drawn one test at a time, and the binomial power
-sums whose limits the closed forms rest on, in log space."""
+the random-test battery drawn one test at a time, the threshold-error rows
+gated one ErrorPair per rate, and the binomial power sums whose limits the
+closed forms rest on, in log space."""
 
 import math
 
 import numpy as np
 
+from symtest.discrimination import ErrorPair
 from symtest.errors import ConvergenceError
 from symtest.groups import _average_conjugations, _random_hermitian, tensor_power
 from symtest.linalg import DensityOperator, cluster_slices, components, cut_level, frob
@@ -192,6 +194,13 @@ def looped_random_battery(rho0n, rho1n, a: float, count: int) -> tuple[float | N
         combined = weight * (1.0 - np.trace(m0 @ t).real) + np.trace(m1 @ t).real
         best = min(best, float(combined))
     return (best if count else None), _pmin_reference(m0, m1, a)
+
+
+def per_rate_error_rows(accept0, accept1) -> np.ndarray:
+    """The rows (1 - accept0, accept1) of threshold errors, one ErrorPair
+    per rate, each gated and clipped on its own."""
+    rows = [ErrorPair(1.0 - float(a0), float(a1)) for a0, a1 in zip(accept0, accept1)]
+    return np.array([(e.beta0, e.beta1) for e in rows], dtype=float).reshape(-1, 2)
 
 
 def binomial_power_sum_limit(a: float, b: float, s: float) -> float:

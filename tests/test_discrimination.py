@@ -38,7 +38,13 @@ from symtest.groups import twirled_pair
 from symtest.linalg import DensityOperator, asmatrix, cut_level, eig, kron_power
 from symtest.oracle import pmin_random_battery, random_density
 
-from helpers import breakpoint_dual, one_eigh_projection, random_unitary, seeded_pairs
+from helpers import (
+    breakpoint_dual,
+    one_eigh_projection,
+    per_rate_error_rows,
+    random_unitary,
+    seeded_pairs,
+)
 
 LOG2 = math.log(2.0)
 RATES = np.linspace(-2.0, 2.0, 81)
@@ -155,6 +161,15 @@ class TestErrorPair:
     def test_range_validated(self):
         with pytest.raises(ValueError):
             ErrorPair(1.2, 0.0)
+        # within 1e-9 of [0, 1] is clipped onto it
+        assert ErrorPair(-5e-10, 1.0 + 5e-10) == ErrorPair(0.0, 1.0)
+        with pytest.raises(ValueError, match=r"beta1=1\.5 outside \[0, 1\]"):
+            ErrorPair(0.5, 1.5)
+
+    def test_compare_and_hash_by_value(self):
+        assert ErrorPair(0.25, 0.5) == ErrorPair(0.25, 0.5)
+        assert ErrorPair(0.25, 0.5) != ErrorPair(0.5, 0.25)
+        assert len({ErrorPair(0.25, 0.5), ErrorPair(0.25, 0.5)}) == 1
 
 
 class TestNpTest:
@@ -501,6 +516,42 @@ class TestThresholdErrors:
         errors = error_pair(np_test(rho0, rho1, 0.0), rho0, rho1)
         assert_allclose(threshold_errors(rho0, rho1, [0.0])[0], [errors.beta0, errors.beta1],
                         rtol=0, atol=1e-12)
+
+    def test_rows_are_the_per_rate_loop(self, monkeypatch):
+        # the accepted masses of each sweep, read off the atoms (commuting)
+        # or one eigh per rate (not), give the rows the per-rate ErrorPair
+        # loop gives, bit for bit
+        seen = []
+
+        def recorded(accept0, accept1, _real=discrimination._error_rows):
+            seen.append((accept0.copy(), accept1.copy()))
+            return _real(accept0, accept1)
+
+        monkeypatch.setattr(discrimination, "_error_rows", recorded)
+        for make_pairs, commuting in ((random_pairs, False), (shared_basis_pairs, True)):
+            for rho0, rho1 in make_pairs():
+                assert (commuting_atoms(rho0, rho1) is not None) == commuting
+                rows = threshold_errors(rho0, rho1, RATES)
+                assert rows.tobytes() == per_rate_error_rows(*seen[-1]).tobytes()
+
+    @pytest.mark.parametrize("accept0,accept1", [
+        ([0.5, 1.0 + 5e-10, -5e-10, 1.0], [1.0 + 5e-10, -5e-10, 0.25, 0.0]),
+        ([0.5, 1.0 + 2e-9], [0.2, 0.3]),
+        ([0.5, 0.5], [0.2, -2e-9]),
+        ([0.5, 0.5, 1.5], [0.2, 1.5, 0.1]),
+        ([0.5, math.nan], [0.2, 0.3]),
+        ([0.5, 0.5], [0.2, math.inf]),
+    ], ids=["clipped", "beta0-below", "beta1-below", "first-in-row-order", "nan", "inf"])
+    def test_error_rows_gate_like_the_per_rate_loop(self, accept0, accept1):
+        accept0, accept1 = np.array(accept0), np.array(accept1)
+        try:
+            want = per_rate_error_rows(accept0, accept1)
+        except ValueError as exc:
+            with pytest.raises(ValueError) as got:
+                discrimination._error_rows(accept0, accept1)
+            assert str(got.value) == str(exc)
+        else:
+            assert discrimination._error_rows(accept0, accept1).tobytes() == want.tobytes()
 
     def test_one_row_per_rate(self, rng):
         rho0, rho1 = faithful(rng), faithful(rng)

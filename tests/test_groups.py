@@ -22,6 +22,7 @@ from symtest.errors import ConvergenceError, DimensionError
 from symtest.groups import (
     GroupAction,
     block_structure,
+    block_structures,
     dim_growth,
     is_support_invariant,
     pinching_map,
@@ -318,20 +319,61 @@ class TestBlockStructure:
         assert sizes and max(sizes) <= 16
 
     def test_degenerate_probe_names_the_copy_count(self, monkeypatch):
-        # the first probe of every attempt has a repeated lowest eigenvalue,
-        # which merges a copy of each sign-flip irrep into one cluster: alone
-        # at one copy, at two copies the generic second probe links that
-        # cluster of rank 2 with clusters of rank 1
+        # from two copies on (a level of dimension 4), the first probe of
+        # every attempt has a repeated lowest eigenvalue, which merges the
+        # two irreps of the first sign-flip summand into one cluster; the
+        # generic second probe links that cluster of rank 2 with a cluster of
+        # rank 1 of the other summand.  (At one copy the merged cluster is
+        # alone and fails its character norm, as the test below shows.)
         real = groups._random_hermitian
         calls = itertools.count()
 
         def degenerate(rng, dim):
             h = real(rng, dim)
-            return np.diag(np.r_[0.0, np.arange(dim - 1.0)]) if next(calls) % 2 == 0 else h
+            if next(calls) % 2 == 0 and dim > 2:
+                return np.diag(np.r_[0.0, np.arange(dim - 1.0)])
+            return h
 
         monkeypatch.setattr(groups, "_random_hermitian", degenerate)
         with pytest.raises(ConvergenceError, match="at n = 2 copies: degenerate probe spectrum"):
             block_structure(z2_action(), 2)
+
+    @pytest.mark.parametrize("action", [z2_action(), torus_action(), GroupAction.trivial(2)],
+                             ids=["sign-flip", "torus", "trivial"])
+    def test_block_structures_are_each_block_structure(self, action):
+        assert block_structures(action, 6) == [block_structure(action, n) for n in range(1, 7)]
+
+    def test_trace_norm_report_builds_the_levels_once(self, monkeypatch):
+        # its n <= 4 prefactors come from one pass over the sign flip's levels
+        from symtest import verify
+
+        calls = []
+
+        def counted(action, n_max, _real=groups._finite_levels):
+            calls.append(n_max)
+            return _real(action, n_max)
+
+        monkeypatch.setattr(groups, "_finite_levels", counted)
+        scenarios = verify.builtin_scenarios()
+
+        def pairs(key, n):
+            sc = scenarios[key]
+            return twirled_pair(sc.rho0, sc.rho1, sc.action, n)
+
+        assert verify.trace_norm_power_report(scenarios, pairs, 7).ok
+        assert calls == [4]
+
+    @pytest.mark.parametrize("n", [1, 3])
+    def test_identity_probe_fails_the_character_norm(self, monkeypatch, n):
+        # an identity probe is degenerate the same way on both attempts: each
+        # summand is one cluster, nothing to link, the pairs fill d^k and the
+        # attempts agree ([(1, 2)] at one copy), but the copy of dimension 2
+        # has character norm (|2|^2 + |0|^2) / 2 = 2, so one copy raises
+        monkeypatch.setattr(groups, "_random_hermitian", lambda rng, dim: np.eye(dim))
+        with pytest.raises(ConvergenceError,
+                           match=r"at n = 1 copies: reducible copy of dimension 2 "
+                                 r"\(character norm 2\)"):
+            block_structure(z2_action(), n)
 
 
 class TestDimGrowth:

@@ -11,7 +11,10 @@ independent reference that shares no code path with the pipeline it checks,
 so no package module imports a private name from it.  The Schur-Weyl
 route's module is imported inside the functions that take the route, so a
 command that never does (and ``import symtest.cli``) does not load it, and
-divergences.TwirledSweep is its one reader.
+divergences.TwirledSweep is its one reader.  No class is generated at
+import: the value types are slotted classes with their own ``__init__``,
+never a dataclass or a NamedTuple, whose decoration compiles source on
+every start of the command line.
 """
 
 import ast
@@ -92,3 +95,20 @@ def test_only_the_sweep_reads_the_schur_weyl_route():
             if any(m.split(".")[-1] == "schur_weyl" for m in modules):
                 found.append(name)
     assert set(found) == {"divergences"}, f"modules importing schur_weyl: {found}"
+
+
+def test_no_class_is_generated_at_import():
+    found = []
+    for name, tree in package_modules():
+        for node in ast.walk(tree):
+            if isinstance(node, ast.Import):
+                found += [f"{name}: import {a.name}" for a in node.names
+                          if a.name.split(".")[0] == "dataclasses"]
+            elif isinstance(node, ast.ImportFrom) and node.module:
+                if node.module.split(".")[0] == "dataclasses":
+                    found.append(f"{name}: from dataclasses")
+                found += [f"{name}: {node.module}.{a.name}" for a in node.names
+                          if a.name == "NamedTuple"]
+            elif isinstance(node, ast.Attribute) and node.attr == "NamedTuple":
+                found.append(f"{name}: .NamedTuple")
+    assert not found, f"generated classes: {found}"

@@ -6,11 +6,13 @@ from symtest import linalg
 from symtest.asymptotics import (
     TORUS_PURE_VS_MIXED,
     Z2_COMMUTING,
+    ConvergenceRow,
+    ConvergenceTable,
     diag_qubit,
     make_scenario,
     z2_action,
 )
-from symtest.discrimination import TestOperator, np_test
+from symtest.discrimination import ErrorPair, TestOperator, np_test
 from symtest.divergences import psi_curve, relative_entropy
 from symtest.errors import ConvergenceError, DimensionError
 from symtest.groups import GroupAction, tensor_power, twirl, twirled_pair
@@ -46,7 +48,7 @@ from symtest.oracle import random_density
 from helpers import one_eigh_projection, random_unitary
 
 
-# one constructor per frozen dataclass that holds an array
+# one constructor per frozen type that holds an array
 ARRAY_HOLDERS = {
     "DensityOperator": lambda: diag_qubit(0.3),
     "TestOperator": lambda: TestOperator(np.diag([1.0, 0.0])),
@@ -64,6 +66,40 @@ def test_array_holders_compare_and_hash_by_identity(name):
     assert (a == b) is False
     assert hash(a) == hash(a)
     assert len({a, b}) == 2
+
+
+def _block():
+    from symtest.schur_weyl import Block
+
+    return Block(np.eye(1), eig(np.eye(1)))
+
+
+# one constructor per frozen type
+FROZEN = {
+    **ARRAY_HOLDERS,
+    "ErrorPair": lambda: ErrorPair(0.25, 0.5),
+    "Scenario": lambda: make_scenario(Z2_COMMUTING, lam=0.2, mu=0.7),
+    "ConvergenceRow": lambda: ConvergenceRow(1, 0.5, -0.1, -0.2, 0.1, True),
+    "ConvergenceTable": lambda: ConvergenceTable(()),
+    "Block": _block,
+}
+
+
+@pytest.mark.parametrize("name", sorted(FROZEN))
+def test_frozen_types_refuse_assignment(name):
+    obj = FROZEN[name]()
+    assert not hasattr(obj, "__dict__")  # slotted: no field can be added either
+    for field in type(obj).__slots__:
+        if field == "__weakref__":
+            continue
+        before = getattr(obj, field)
+        with pytest.raises(AttributeError):
+            setattr(obj, field, None)
+        with pytest.raises(AttributeError):
+            delattr(obj, field)
+        assert getattr(obj, field) is before
+    with pytest.raises(AttributeError):
+        obj.extra = 1
 
 
 def test_scenarios_compare_without_raising():
